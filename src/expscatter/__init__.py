@@ -27,6 +27,7 @@ from .numeric_scatter import (
     default_config,
     flux,
     integrate_basis,
+    match,
     match_hankel_basis,
     match_plane_waves,
     scattering_wavefunction,
@@ -87,6 +88,7 @@ __all__ = [
     "hankel_imag_order",
     "incident_amplitude",
     "integrate_basis",
+    "match",
     "match_hankel_basis",
     "match_plane_waves",
     "phase_shifts",

@@ -28,7 +28,7 @@ import numpy as np
 from . import chart, exp_barrier, numeric_scatter, potentials, verification
 from .errors import AccuracyError, DomainError, SeriesRangeError
 from .exp_barrier import PhysicalParams
-from .potentials import AsymptoticClass, PotentialModel
+from .potentials import PotentialModel
 
 SWEEP_HEADER = (
     "E,q,T_analytic,R_analytic,T_numeric,R_numeric,phi_left,theta_left,"
@@ -187,10 +187,9 @@ def _sweep_row(spec: SweepSpec, energy: float) -> SweepRow:
                 cells["phi_right"], cells["theta_right"] = phi, theta
         if spec.methods in ("numeric", "both"):
             sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
-            results = [
-                numeric_scatter.solve(spec.model, energy, side=s, units=spec.units)
-                for s in sides
-            ]
+            config = numeric_scatter.default_config(spec.model, spec.units)
+            basis = numeric_scatter.integrate_basis(spec.model, energy, config, spec.units)
+            results = [numeric_scatter.match(basis, s) for s in sides]
             cells["t_numeric"] = results[0].t_coeff
             cells["r_numeric"] = results[0].r_coeff
             cells["flux_imbalance"] = max(r.flux_imbalance for r in results)
@@ -392,22 +391,22 @@ def cmd_wavefunction(args) -> int:
         raise UsageError(f"energy must be finite and > 0, got {args.energy!r}")
 
     if method == "analytic":
+        # v0_eff already folds in an expshift's b: V(x) = -v0_eff exp(x/a)
         v0_eff, a = potentials.effective_exponential(model)
-        shift = model.b if model.kind == "shifted_exponential" else 0.0
         params = PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar)
         d = exp_barrier.reduce_params(params, args.energy)
-        grid_xi = (np.linspace(args.xmin, args.xmax, args.n) - shift) / a
+        grid_xi = np.linspace(args.xmin, args.xmax, args.n) / a
         wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, grid_xi)
         incident = exp_barrier.incident_amplitude(d.p, d.q, args.side)
         psi = wave.psi / incident
-        xs = grid_xi * a + shift
+        xs = grid_xi * a
         # exact_wavefunction fluxes use hbar/m = 1 and d/d(x/a)
         flux_scale = units.hbar / (units.mass * a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
     else:
         config = _window_config(model, args.xmin, args.xmax, units)
         basis = numeric_scatter.integrate_basis(model, args.energy, config, units)
-        result = _match(basis, model, args.energy, config, args.side, units)
+        result = numeric_scatter.match(basis, args.side)
         wave = numeric_scatter.scattering_wavefunction(basis, result)
         # snap the requested grid to integration nodes; x reports the node
         request = np.linspace(args.xmin, args.xmax, args.n)
@@ -477,17 +476,6 @@ def _window_config(model, xmin, xmax, units) -> numeric_scatter.SolverConfig:
         match_tolerance=base.match_tolerance,
         left_asymptote_epsilon=base.left_asymptote_epsilon,
     )
-
-
-def _match(basis, model, energy, config, side, units):
-    _, right_class = potentials.classify(model)
-    if right_class is AsymptoticClass.DIVERGING:
-        v0_eff, a = potentials.effective_exponential(model)
-        d = exp_barrier.reduce_params(
-            PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar), energy
-        )
-        return numeric_scatter.match_hankel_basis(basis, d.p, d.q, config, side)
-    return numeric_scatter.match_plane_waves(basis, energy, config, side)
 
 
 def _cell(value: Optional[float]) -> str:

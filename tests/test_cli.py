@@ -169,6 +169,25 @@ class TestCommands:
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("model", ["exp:v0=1,a=1", "rect:v0=1,w=2"])
+    def test_both_sides_share_one_basis(self, model, capsys):
+        # --side both matches both sides on one basis per energy; its phase
+        # cells must be byte-identical to those of one-sided runs
+        args = ["sweep", "--model", model, "--emin", "0.1", "--emax", "2", "--n", "3",
+                "--method", "numeric", "--side"]
+        rows = {}
+        for side in ("both", "left", "right"):
+            code, out, _ = run_cli(args + [side], capsys)
+            assert code == 0
+            rows[side] = [line.split(",") for line in out.splitlines()[2:]]
+        names = SWEEP_HEADER.split(",")
+        for side in ("left", "right"):
+            for name in (f"phi_{side}", f"theta_{side}"):
+                col = names.index(name)
+                shared = [row[col] for row in rows["both"]]
+                assert len(shared) == 3 and "NA" not in shared
+                assert shared == [row[col] for row in rows[side]]
+
     def test_sweep_plot_round_trip(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
         svg_a = tmp_path / "a.svg"
@@ -271,6 +290,27 @@ class TestCommands:
         code_n, out_n, _ = run_cli(["wavefunction"] + common + ["--method", "numeric"], capsys)
         assert code_a == 0 and code_n == 0
         for la, ln in zip(out_a.splitlines()[2:], out_n.splitlines()[2:]):
+            ca = [float(v) for v in la.split(",")]
+            cn = [float(v) for v in ln.split(",")]
+            assert ca[0] == pytest.approx(cn[0], abs=1e-9)
+            assert ca[1] == pytest.approx(cn[1], abs=1e-6)
+            assert ca[2] == pytest.approx(cn[2], abs=1e-6)
+
+    @pytest.mark.parametrize("b", [0.5, -0.5])
+    def test_wavefunction_expshift_folds_shift_once(self, b, capsys):
+        # expshift:v0,a,b is exp:v0 e^{-b/a},a; the analytic lane must not
+        # shift the grid by b a second time
+        window = ["--energy", "0.25", "--xmin", "-4", "--xmax", "1", "--n", "6"]
+        shifted = ["wavefunction", "--model", f"expshift:v0=1,a=1,b={b!r}"] + window
+        folded = ["wavefunction", "--model", f"exp:v0={math.exp(-b)!r},a=1"] + window
+        code_s, out_s, _ = run_cli(shifted + ["--method", "analytic"], capsys)
+        code_f, out_f, _ = run_cli(folded + ["--method", "analytic"], capsys)
+        code_n, out_n, _ = run_cli(shifted + ["--method", "numeric"], capsys)
+        assert code_s == code_f == code_n == 0
+        assert out_s == out_f
+        rows_a, rows_n = out_s.splitlines()[2:], out_n.splitlines()[2:]
+        assert len(rows_a) == len(rows_n) == 6
+        for la, ln in zip(rows_a, rows_n):
             ca = [float(v) for v in la.split(",")]
             cn = [float(v) for v in ln.split(",")]
             assert ca[0] == pytest.approx(cn[0], abs=1e-9)

@@ -76,6 +76,15 @@ class TestBasisIntegration:
         with pytest.raises(AccuracyError, match="refine"):
             numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
 
+    def test_overflowing_basis_refused(self):
+        # u and v grow like e^{kappa w} = e^{800} across this barrier; the
+        # Wronskian overflows to NaN, which must fail the drift check
+        rect = potentials.rectangular(1.0e4, 4.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            AccuracyError, match="drift nan"
+        ):
+            numeric_scatter.integrate_basis(rect, 1.0, numeric_scatter.default_config(rect))
+
     def test_long_wave_refused(self):
         with pytest.raises(DomainError, match="delta"):
             numeric_scatter.integrate_basis(
@@ -93,6 +102,87 @@ class TestBasisIntegration:
             SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
         with pytest.raises(DomainError):
             SolverConfig(x_left=-1.0, x_right=1.0, step=0.0)
+
+
+def loop_march(g, h):
+    """Scalar RK4 march of the (u, v) pair, one step at a time: the oracle
+    for the step-matrix march.  g holds 3 samples per step."""
+    u, du, v, dv = 1.0, 0.0, 0.0, 1.0
+    us = [u]; dus = [du]; vs = [v]; dvs = [dv]
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    for i in range(len(g) // 3):
+        g0 = g[3 * i]; g1 = g[3 * i + 1]; g2 = g[3 * i + 2]
+        k1u = du;                k1p = g0 * u
+        k2u = du + half_h * k1p; k2p = g1 * (u + half_h * k1u)
+        k3u = du + half_h * k2p; k3p = g1 * (u + half_h * k2u)
+        k4u = du + h * k3p;      k4p = g2 * (u + h * k3u)
+        k1v = dv;                k1q = g0 * v
+        k2v = dv + half_h * k1q; k2q = g1 * (v + half_h * k1v)
+        k3v = dv + half_h * k2q; k3q = g1 * (v + half_h * k2v)
+        k4v = dv + h * k3q;      k4q = g2 * (v + h * k3v)
+        u += sixth_h * (k1u + 2.0 * (k2u + k3u) + k4u)
+        du += sixth_h * (k1p + 2.0 * (k2p + k3p) + k4p)
+        v += sixth_h * (k1v + 2.0 * (k2v + k3v) + k4v)
+        dv += sixth_h * (k1q + 2.0 * (k2q + k3q) + k4q)
+        us.append(u); dus.append(du); vs.append(v); dvs.append(dv)
+    return [np.array(c) for c in (us, dus, vs, dvs)]
+
+
+def loop_basis(potential, energy, config):
+    """(u, u', v, v') over the whole window from the scalar oracle, sampled
+    exactly as integrate_basis samples."""
+    n_left, n_right = config.node_counts()
+    h = config.step
+    scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
+
+    def g(xs):
+        return (scale * (potentials.evaluate(potential, xs) - energy)).tolist()
+
+    right = loop_march(g(numeric_scatter._step_samples(n_right, h)), h)
+    left = loop_march(g(-numeric_scatter._step_samples(n_left, h)), -h)
+    return [np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)]
+
+
+def assert_same_march(got, want, rel=1e-12):
+    for g_col, w_col in zip(got, want):
+        assert g_col.shape == w_col.shape
+        assert np.max(np.abs(g_col - w_col)) <= rel * np.max(np.abs(w_col))
+
+
+class TestStepMatrixMarch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 40000])
+    def test_equals_scalar_loop(self, n):
+        # block widths of about sqrt(n) with full, partial and single blocks
+        g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
+        for h in (1e-3, -1e-3):
+            assert_same_march(numeric_scatter._march(g, h), loop_march(g.tolist(), h))
+
+    def test_no_steps_is_the_seed(self):
+        u, du, v, dv = numeric_scatter._march(np.empty(0), 1e-3)
+        assert (u.tolist(), du.tolist(), v.tolist(), dv.tolist()) == ([1.0], [0.0], [0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "potential, energy",
+        [
+            (EXP_MODEL, 0.25),  # 40,000 steps of near-free left tail
+            (potentials.rectangular(1.0, 1.0), 0.5),  # across both barrier edges
+            (potentials.free(), 1.0),
+        ],
+        ids=["exp-left-tail", "rect-edge", "free"],
+    )
+    def test_basis_equals_scalar_loop(self, potential, energy):
+        config = numeric_scatter.default_config(potential)
+        basis = numeric_scatter.integrate_basis(potential, energy, config)
+        got = [basis.u.psi.real, basis.u.dpsi.real, basis.v.psi.real, basis.v.dpsi.real]
+        assert_same_march(got, loop_basis(potential, energy, config))
+
+    def test_drift_floor_on_default_exp_window(self):
+        # round-off floor (~3e-14) of products formed in step order; a
+        # log-depth tree scan over the 40,000-step left tail gives ~1e-12
+        config = numeric_scatter.default_config(EXP_MODEL)
+        basis = numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
+        assert basis.u.wronskian_drift <= 2e-13
 
 
 class TestPlaneWaveMatching:
