@@ -25,11 +25,8 @@ from .numeric_scatter import (
     NumericScatteringResult,
     SolverConfig,
     default_config,
-    flux,
     integrate_basis,
     match,
-    match_hankel_basis,
-    match_plane_waves,
     scattering_wavefunction,
     solve,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "evaluate",
     "exact_wavefunction",
     "exponential",
-    "flux",
     "fluxes",
     "format_report",
     "free",
@@ -89,8 +85,6 @@ __all__ = [
     "incident_amplitude",
     "integrate_basis",
     "match",
-    "match_hankel_basis",
-    "match_plane_waves",
     "phase_shifts",
     "principal_angle",
     "rectangular",

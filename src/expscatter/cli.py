@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,44 +109,51 @@ class SweepRow:
     error: Optional[str] = None
 
 
-def parse_model(text: str) -> PotentialModel:
+# descriptor head -> (field names, model built from the field values)
+_GRAMMAR = {
+    "exp": (("v0", "a"), lambda f: potentials.exponential(f["v0"], f["a"])),
+    "expshift": (
+        ("v0", "a", "b"), lambda f: potentials.shifted_exponential(f["v0"], f["a"], f["b"])
+    ),
+    "rect": (("v0", "w"), lambda f: potentials.rectangular(f["v0"], f["w"] / 2.0)),
+    "free": ((), lambda f: potentials.free()),
+}
+
+
+def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> PotentialModel:
     """Model descriptor grammar.
 
     exp:v0=<f>,a=<f> | expshift:v0=<f>,a=<f>,b=<f> | rect:v0=<f>,w=<f> | free
-    where w is the full width of the rectangular region.
+    where w is the full width of the rectangular region.  ``overrides`` (the
+    --v0/--a flags) replace descriptor fields before the model is built; a
+    field the model lacks is refused.
     """
     text = text.strip()
-    if text == "free":
-        return potentials.free()
     head, sep, tail = text.partition(":")
-    grammar = {
-        "exp": ("v0", "a"),
-        "expshift": ("v0", "a", "b"),
-        "rect": ("v0", "w"),
-    }
-    if head not in grammar or not sep:
+    names, build = _GRAMMAR.get(head, ((), None))
+    if build is None or bool(sep) != bool(names):
         raise UsageError(
             f"cannot parse model {text!r}; expected exp:v0=<f>,a=<f> | "
             "expshift:v0=<f>,a=<f>,b=<f> | rect:v0=<f>,w=<f> | free"
         )
     fields = {}
-    for piece in tail.split(","):
+    for piece in tail.split(",") if sep else ():
         key, eq, raw = piece.partition("=")
-        if not eq or key.strip() not in grammar[head]:
+        if not eq or key.strip() not in names:
             raise UsageError(f"bad model field {piece!r} for {head!r}")
         try:
             fields[key.strip()] = float(raw)
         except ValueError:
             raise UsageError(f"bad numeric value in model field {piece!r}") from None
-    missing = [name for name in grammar[head] if name not in fields]
+    missing = [name for name in names if name not in fields]
     if missing:
         raise UsageError(f"model {head!r} is missing fields: {', '.join(missing)}")
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(names))
+    if unknown:
+        raise UsageError(f"flags {unknown} do not apply to the {head!r} model")
     try:
-        if head == "exp":
-            return potentials.exponential(fields["v0"], fields["a"])
-        if head == "expshift":
-            return potentials.shifted_exponential(fields["v0"], fields["a"], fields["b"])
-        return potentials.rectangular(fields["v0"], fields["w"] / 2.0)
+        return build({**fields, **overrides})
     except DomainError as exc:
         raise UsageError(str(exc)) from None
 
@@ -320,28 +327,8 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_model(args) -> PotentialModel:
-    model = parse_model(args.model)
-    overrides = {}
-    if args.v0 is not None:
-        overrides["v0"] = args.v0
-    if args.a is not None:
-        overrides["a"] = args.a
-    if not overrides:
-        return model
-    try:
-        if model.kind == "exponential":
-            return potentials.exponential(
-                overrides.get("v0", model.v0), overrides.get("a", model.a)
-            )
-        if model.kind == "shifted_exponential":
-            return potentials.shifted_exponential(
-                overrides.get("v0", model.v0), overrides.get("a", model.a), model.b
-            )
-        if model.kind == "rectangular" and "v0" in overrides:
-            return potentials.rectangular(overrides["v0"], model.half_width)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"flags {sorted(overrides)} do not apply to the {model.kind!r} model")
+    flags = {"v0": args.v0, "a": args.a}
+    return parse_model(args.model, {k: v for k, v in flags.items() if v is not None})
 
 
 def _resolve_units(args) -> PhysicalParams:
@@ -404,7 +391,11 @@ def cmd_wavefunction(args) -> int:
         flux_scale = units.hbar / (units.mass * a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
     else:
-        config = _window_config(model, args.xmin, args.xmax, units)
+        # the default window, grown to cover [xmin, xmax]
+        base = numeric_scatter.default_config(model, units)
+        config = replace(
+            base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
+        )
         basis = numeric_scatter.integrate_basis(model, args.energy, config, units)
         result = numeric_scatter.match(basis, args.side)
         wave = numeric_scatter.scattering_wavefunction(basis, result)
@@ -464,18 +455,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _window_config(model, xmin, xmax, units) -> numeric_scatter.SolverConfig:
-    """Default config grown so the integration window covers [xmin, xmax]."""
-    base = numeric_scatter.default_config(model, units)
-    return numeric_scatter.SolverConfig(
-        x_left=min(base.x_left, xmin),
-        x_right=max(base.x_right, xmax),
-        step=base.step,
-        match_tolerance=base.match_tolerance,
-        left_asymptote_epsilon=base.left_asymptote_epsilon,
-    )
 
 
 def _cell(value: Optional[float]) -> str:

@@ -6,14 +6,13 @@ a classical fixed-step RK4 outward from x = 0 (so W[u, v] = 1 exactly at
 the seed point and its drift measures integrator error).  The equation is
 linear, so every RK4 step is a 2x2 transfer matrix; the march builds all
 of them at once with numpy and reads the node values off their prefix
-products.  ``match`` then imposes scattering boundary conditions with the
-matcher the potential's right asymptote calls for:
-
-* ``match_plane_waves``: both asymptotes vanish; decompose into
-  exp(+-ikx) at the two endpoints and solve the 4-equation match.
-* ``match_hankel_basis``: right asymptote dives exponentially; project
-  onto the exact travelling pair {H1_{iq}(z), H2_{iq}(z)} at the right
-  endpoint via Wronskians, plane waves on the left.
+products.  ``match`` then projects u and v, at each window end, onto that
+end's travelling pair (rightward, leftward): plane waves exp(+-ikx) where
+the potential vanishes, the exact pair {H1_{iq}(z), H2_{iq}(z)},
+z = p exp(x/(2a)), where it dives.  The matched solution is the one with no
+wave arriving from infinity on the transmitted end, and the incident,
+reflected and transmitted waves are read off the same two projections for
+either incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ.
@@ -24,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +37,9 @@ DEFAULT_UNITS = PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0)
 
 _QUARTER_PI = math.pi / 4.0
 _MAX_NODES = 5_000_000
+# plane waves stand in for the asymptote at a window end only where
+# |V| <= ASYMPTOTE_EPSILON * E there
+ASYMPTOTE_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class SolverConfig:
     x_right: float
     step: float
     match_tolerance: float = 1e-8
-    left_asymptote_epsilon: float = 1e-6
 
     def __post_init__(self):
         if not (self.x_left < 0.0 < self.x_right):
@@ -63,8 +64,8 @@ class SolverConfig:
             )
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise DomainError(f"step must be finite and > 0, got {self.step!r}")
-        if not (self.match_tolerance > 0.0 and self.left_asymptote_epsilon > 0.0):
-            raise DomainError("tolerances must be > 0")
+        if not self.match_tolerance > 0.0:
+            raise DomainError(f"match_tolerance must be > 0, got {self.match_tolerance!r}")
 
     def node_counts(self) -> tuple[int, int]:
         """(n_left, n_right) steps after the outward endpoint adjustment."""
@@ -225,193 +226,54 @@ def integrate_basis(
     )
 
 
-def match_plane_waves(
-    basis: BasisPair, energy: float, config: SolverConfig, side: str = "left"
-) -> NumericScatteringResult:
-    """Scattering data for a potential that vanishes at both endpoints.
+def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
+    """Scattering data for incidence from ``side``, read off one basis.
 
-    Requires |V| <= left_asymptote_epsilon * E at both ends of the window.  The
-    transmitted-side amplitude is pinned to 1 and the incident/reflected
-    pair read off at the other end; T = |t|^2 and R = |r|^2 because both
-    asymptotes carry identical plane waves.
+    Both window ends are projected onto their travelling pair (rightward,
+    leftward).  The matched psi = c_u u + c_v v has no wave arriving from
+    infinity at the transmitted end; the incident and reflected waves are
+    its two components at the other end.  The basis carries the potential,
+    energy, units and config it was integrated with, so one basis serves
+    both incidence sides.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    units = basis.units
-    _check_endpoint(basis, "x_left", config, energy)
-    _check_endpoint(basis, "x_right", config, energy)
-    k = math.sqrt(2.0 * units.mass * energy) / units.hbar
+    _, right_class = potentials.classify(basis.potential)
+    diverging = right_class is AsymptoticClass.DIVERGING
+    left = _plane_pair(basis, 0)
+    right = _hankel_pair(basis) if diverging else _plane_pair(basis, -1)
+    # index 0 of a pair is the rightward wave, 1 the leftward one
+    source, sink, inc, out = (left, right, 0, 1) if side == "left" else (right, left, 1, 0)
 
-    xl, xr = float(basis.u.grid[0]), float(basis.u.grid[-1])
-    u_l, du_l = float(basis.u.psi[0].real), float(basis.u.dpsi[0].real)
-    v_l, dv_l = float(basis.v.psi[0].real), float(basis.v.dpsi[0].real)
-    u_r, du_r = float(basis.u.psi[-1].real), float(basis.u.dpsi[-1].real)
-    v_r, dv_r = float(basis.v.psi[-1].real), float(basis.v.dpsi[-1].real)
-
-    if side == "left":
-        cu, cv, a_inc, b_ref = _left_incidence_match(
-            k, xl, u_l, du_l, v_l, dv_l, xr, u_r, du_r, v_r, dv_r
-        )
-    else:
-        # mirror x -> -x: (u, v) -> (u(-x), -v(-x)) is the mirrored-potential
-        # basis with the same seed values, so left incidence on the mirror
-        # is right incidence here; map the coefficients back at the end
-        cu, cv, a_inc, b_ref = _left_incidence_match(
-            k, -xr, u_r, -du_r, -v_r, dv_r, -xl, u_l, -du_l, -v_l, dv_l
-        )
-        cv = -cv
-
-    r_amp = b_ref / a_inc
-    t_amp = 1.0 / a_inc
-    # same wavenumber on both sides: flux ratios collapse to |.|^2
-    t_coeff = abs(t_amp) ** 2
-    r_coeff = abs(r_amp) ** 2
-    imbalance = abs(1.0 - t_coeff - r_coeff)
-    residual = max(
-        abs(_potential_at(basis, "x_left")), abs(_potential_at(basis, "x_right"))
-    ) / energy
-    return NumericScatteringResult(
-        energy=float(energy), side=side, method="plane_wave",
-        t_coeff=t_coeff, r_coeff=r_coeff, r_amp=r_amp, t_amp=t_amp,
-        phi=principal_angle(cmath.phase(r_amp)),
-        theta=principal_angle(cmath.phase(t_amp)),
-        flux_imbalance=imbalance,
-        wronskian_drift=basis.u.wronskian_drift,
-        match_residual=residual,
-        c_u=cu, c_v=cv, incident=a_inc,
-    )
-
-
-def match_hankel_basis(
-    basis: BasisPair, p: float, q: float, config: SolverConfig, side: str = "left"
-) -> NumericScatteringResult:
-    """Scattering data for the exponential family via exact-basis projection.
-
-    The numeric solution is expressed at the right endpoint in the
-    travelling pair {H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), through
-
-        c1 = W[psi, H2] / W[H1, H2],   c2 = -W[psi, H1] / W[H1, H2]
-
-    and at the left endpoint in plane waves.  Left incidence imposes
-    c2 = 0 (nothing rides in from +inf); right incidence imposes a pure
-    exp(-ikx) wave at the left end.  Amplitudes use the same waveform
-    conventions as the closed forms, so they are directly comparable.
-    """
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    if basis.potential.kind not in ("exponential", "shifted_exponential"):
-        raise DomainError("hankel matching applies to the exponential family only")
-    units = basis.units
-    energy = basis.energy
-    _check_endpoint(basis, "x_left", config, energy)
-    v0_eff, a = potentials.effective_exponential(basis.potential)
-    k = math.sqrt(2.0 * units.mass * energy) / units.hbar
-
-    xl, xr = float(basis.u.grid[0]), float(basis.u.grid[-1])
-    z_r = p * math.exp(xr / (2.0 * a))
-    h1 = specfun.hankel_imag_order(q, z_r, kind=1)
-    h2 = specfun.hankel_imag_order(q, z_r, kind=2)
-    dz_dx = z_r / (2.0 * a)
-    b1, db1 = h1.value, h1.dvalue * dz_dx
-    b2, db2 = h2.value, h2.dvalue * dz_dx
-    w_basis = b1 * db2 - db1 * b2
-    w_exact = -2j / (math.pi * a)
-    basis_residual = abs(w_basis - w_exact) / abs(w_exact)
-    if abs(w_basis) < 0.1 * abs(w_exact):
-        raise AccuracyError(
-            f"travelling basis nearly degenerate at x_right (W = {w_basis:.3e})"
-        )
-
-    def hankel_coeffs(w: WaveSolution) -> tuple[complex, complex]:
-        f, df = complex(w.psi[-1]), complex(w.dpsi[-1])
-        c1 = (f * db2 - df * b2) / w_basis
-        c2 = -(f * db1 - df * b1) / w_basis
-        return c1, c2
-
-    def plane_coeffs(w: WaveSolution) -> tuple[complex, complex]:
-        f, df = complex(w.psi[0]), complex(w.dpsi[0])
-        a_co = 0.5 * (f + df / (1j * k)) * cmath.exp(-1j * k * xl)
-        b_co = 0.5 * (f - df / (1j * k)) * cmath.exp(1j * k * xl)
-        return a_co, b_co
-
-    c1_u, c2_u = hankel_coeffs(basis.u)
-    c1_v, c2_v = hankel_coeffs(basis.v)
-    a_u, b_u = plane_coeffs(basis.u)
-    a_v, b_v = plane_coeffs(basis.v)
-
-    # waveform conversion factors: coefficient of H1/H2 -> amplitude of the
-    # unit travelling envelope exp(-x/(4a)) exp(+-i z)
-    kappa_out = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-1j * _QUARTER_PI)
-    kappa_in = math.sqrt(2.0 / (math.pi * p)) * math.exp(-0.5 * math.pi * q) * cmath.exp(1j * _QUARTER_PI)
-    hbar, m = units.hbar, units.mass
-    flux_h1 = (hbar / (math.pi * m * a)) * math.exp(math.pi * q)   # per |c1|^2
-    flux_h2 = (hbar / (math.pi * m * a)) * math.exp(-math.pi * q)  # per |c2|^2
-    flux_k = hbar * k / m                                          # per plane |.|^2
-
-    if side == "left":
-        # kill the incoming-from-the-right component
-        cu, cv = c2_v, -c2_u
-    else:
-        # pure transmitted exp(-ikx) on the left: no exp(+ikx) component there
-        cu, cv = a_v, -a_u
+    # nothing may ride in from infinity on the transmitted end
+    cu, cv = sink.v[out], -sink.u[out]
     norm = max(abs(cu), abs(cv))
     if norm == 0.0:
         raise AccuracyError("matching produced a null solution")
     cu, cv = cu / norm, cv / norm
 
-    c1 = cu * c1_u + cv * c1_v
-    c2 = cu * c2_u + cv * c2_v
-    a_co = cu * a_u + cv * a_v
-    b_co = cu * b_u + cv * b_v
+    def coeff(pair: _Pair, direction: int) -> complex:
+        return cu * pair.u[direction] + cv * pair.v[direction]
 
-    if side == "left":
-        incident, reflected = a_co, b_co
-        j_inc = flux_k * abs(a_co) ** 2
-        j_ref = flux_k * abs(b_co) ** 2
-        j_tra = flux_h1 * abs(c1) ** 2
-        r_amp = b_co / a_co
-        t_amp = c1 * kappa_out / a_co
-        forbidden = abs(c2) / max(abs(c1), 1e-300)
-    else:
-        incident, reflected = c2 * kappa_in, c1 * kappa_out
-        j_inc = flux_h2 * abs(c2) ** 2
-        j_ref = flux_h1 * abs(c1) ** 2
-        j_tra = flux_k * abs(b_co) ** 2
-        r_amp = reflected / incident
-        t_amp = b_co / incident
-        forbidden = abs(a_co) / max(abs(b_co), 1e-300)
-
-    t_coeff = j_tra / j_inc
-    r_coeff = j_ref / j_inc
-    imbalance = abs(j_inc - j_ref - j_tra) / j_inc
-    residual = max(abs(_potential_at(basis, "x_left")) / energy, basis_residual, forbidden)
+    c_inc, c_ref, c_tra = coeff(source, inc), coeff(source, out), coeff(sink, inc)
+    incident = c_inc * source.unit[inc]
+    r_amp = c_ref * source.unit[out] / incident
+    t_amp = c_tra * sink.unit[inc] / incident
+    j_inc = source.flux[inc] * abs(c_inc) ** 2
+    j_ref = source.flux[out] * abs(c_ref) ** 2
+    j_tra = sink.flux[inc] * abs(c_tra) ** 2
+    forbidden = abs(coeff(sink, out)) / max(abs(c_tra), 1e-300)
     return NumericScatteringResult(
-        energy=float(energy), side=side, method="hankel_basis",
-        t_coeff=t_coeff, r_coeff=r_coeff, r_amp=r_amp, t_amp=t_amp,
+        energy=basis.energy, side=side,
+        method="hankel_basis" if diverging else "plane_wave",
+        t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),
-        flux_imbalance=imbalance,
+        flux_imbalance=abs(j_inc - j_ref - j_tra) / j_inc,
         wronskian_drift=basis.u.wronskian_drift,
-        match_residual=residual,
+        match_residual=max(left.residual, right.residual, forbidden),
         c_u=cu, c_v=cv, incident=incident,
     )
-
-
-def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
-    """Match with the matcher for the potential's right asymptote.
-
-    The basis carries the potential, energy, units and config it was
-    integrated with, so one basis serves both incidence sides.
-    """
-    _, right_class = potentials.classify(basis.potential)
-    if right_class is AsymptoticClass.DIVERGING:
-        v0_eff, a = potentials.effective_exponential(basis.potential)
-        units = basis.units
-        d = reduce_params(
-            PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar), basis.energy
-        )
-        return match_hankel_basis(basis, d.p, d.q, basis.config, side)
-    return match_plane_waves(basis, basis.energy, basis.config, side)
 
 
 def solve(
@@ -421,7 +283,7 @@ def solve(
     config: Optional[SolverConfig] = None,
     units: Optional[PhysicalParams] = None,
 ) -> NumericScatteringResult:
-    """Integrate, pick the matcher for the potential's asymptotics, match."""
+    """Integrate the basis over the window, then ``match``."""
     units = units or DEFAULT_UNITS
     config = config or default_config(potential, units)
     return match(integrate_basis(potential, energy, config, units), side)
@@ -437,28 +299,6 @@ def scattering_wavefunction(basis: BasisPair, result: NumericScatteringResult) -
         grid=basis.u.grid, psi=psi, dpsi=dpsi,
         flux_profile=profile, wronskian_drift=basis.u.wronskian_drift,
     )
-
-
-def flux(psi: complex, dpsi: complex, params: PhysicalParams) -> float:
-    """Probability flux (hbar/m) Im(conj(psi) dpsi) at one point."""
-    return float(waves.flux(psi, dpsi, params.mass, params.hbar))
-
-
-def _left_incidence_match(
-    k: float,
-    xl: float, u_l: float, du_l: float, v_l: float, dv_l: float,
-    xr: float, u_r: float, du_r: float, v_r: float, dv_r: float,
-) -> tuple[complex, complex, complex, complex]:
-    """Pin unit transmitted e^{ikx} at xr, read incident/reflected at xl."""
-    w_r = u_r * dv_r - du_r * v_r
-    f = cmath.exp(1j * k * xr)
-    cu = f * (dv_r - 1j * k * v_r) / w_r
-    cv = f * (1j * k * u_r - du_r) / w_r
-    psi_l = cu * u_l + cv * v_l
-    dpsi_l = cu * du_l + cv * dv_l
-    a_inc = 0.5 * (psi_l + dpsi_l / (1j * k)) * cmath.exp(-1j * k * xl)
-    b_ref = 0.5 * (psi_l - dpsi_l / (1j * k)) * cmath.exp(1j * k * xl)
-    return cu, cv, a_inc, b_ref
 
 
 def _step_samples(n: int, h: float) -> np.ndarray:
@@ -532,15 +372,87 @@ def _rk4_step(u, du, g0, g1, g2, h):
     )
 
 
-def _potential_at(basis: BasisPair, which: str) -> float:
-    x = basis.u.grid[0] if which == "x_left" else basis.u.grid[-1]
-    return float(potentials.evaluate(basis.potential, float(x)))
+class _Pair(NamedTuple):
+    """One window end's travelling pair; every field is (rightward, leftward).
+
+    u and v are the basis solutions' coefficients along the pair, flux the
+    probability flux per |coefficient|^2, unit the factor from a coefficient
+    to the amplitude of the unit waveform.  residual says how far the pair
+    is from exact at this end.
+    """
+
+    u: tuple[complex, complex]
+    v: tuple[complex, complex]
+    flux: tuple[float, float]
+    unit: tuple[complex, complex]
+    residual: float
 
 
-def _check_endpoint(basis: BasisPair, which: str, config: SolverConfig, energy: float) -> None:
-    v = _potential_at(basis, which)
-    if abs(v) > config.left_asymptote_epsilon * energy:
+def _plane_pair(basis: BasisPair, i: int) -> _Pair:
+    """exp(+-ikx) at node i (0 or -1), valid while |V| <= ASYMPTOTE_EPSILON * E."""
+    which = "x_left" if i == 0 else "x_right"
+    x = float(basis.u.grid[i])
+    energy = basis.energy
+    v = abs(float(potentials.evaluate(basis.potential, x)))
+    if v > ASYMPTOTE_EPSILON * energy:
         raise DomainError(
-            f"|V({which})| = {abs(v):.3e} exceeds left_asymptote_epsilon * E = "
-            f"{config.left_asymptote_epsilon * energy:.3e}; push {which} further out"
+            f"|V({which})| = {v:.3e} exceeds ASYMPTOTE_EPSILON * E = "
+            f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out"
         )
+    hbar, m = basis.units.hbar, basis.units.mass
+    k = math.sqrt(2.0 * m * energy) / hbar
+
+    def coeffs(w: WaveSolution) -> tuple[complex, complex]:
+        f, df = complex(w.psi[i]), complex(w.dpsi[i])
+        return (
+            0.5 * (f + df / (1j * k)) * cmath.exp(-1j * k * x),
+            0.5 * (f - df / (1j * k)) * cmath.exp(1j * k * x),
+        )
+
+    flux_k = hbar * k / m
+    return _Pair(coeffs(basis.u), coeffs(basis.v), (flux_k, flux_k), (1.0, 1.0), v / energy)
+
+
+def _hankel_pair(basis: BasisPair) -> _Pair:
+    """{H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), at the right window end.
+
+    Projection is by Wronskians,
+
+        c1 = W[psi, H2] / W[H1, H2],   c2 = -W[psi, H1] / W[H1, H2],
+
+    and unit converts c1, c2 to amplitudes of the unit travelling envelope
+    exp(-x/(4a)) exp(+-i z), the closed forms' convention.  The residual is
+    the relative error of W[H1, H2] against its exact value.
+    """
+    units = basis.units
+    v0_eff, a = potentials.effective_exponential(basis.potential)
+    d = reduce_params(
+        PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar), basis.energy
+    )
+    p, q = d.p, d.q
+    z_r = p * math.exp(float(basis.u.grid[-1]) / (2.0 * a))
+    h1 = specfun.hankel_imag_order(q, z_r, kind=1)
+    h2 = specfun.hankel_imag_order(q, z_r, kind=2)
+    dz_dx = z_r / (2.0 * a)
+    b1, db1 = h1.value, h1.dvalue * dz_dx
+    b2, db2 = h2.value, h2.dvalue * dz_dx
+    w_basis = b1 * db2 - db1 * b2
+    w_exact = -2j / (math.pi * a)
+    if abs(w_basis) < 0.1 * abs(w_exact):
+        raise AccuracyError(
+            f"travelling basis nearly degenerate at x_right (W = {w_basis:.3e})"
+        )
+
+    def coeffs(w: WaveSolution) -> tuple[complex, complex]:
+        f, df = complex(w.psi[-1]), complex(w.dpsi[-1])
+        return (f * db2 - df * b2) / w_basis, -(f * db1 - df * b1) / w_basis
+
+    kappa_out = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-1j * _QUARTER_PI)
+    kappa_in = math.sqrt(2.0 / (math.pi * p)) * math.exp(-0.5 * math.pi * q) * cmath.exp(1j * _QUARTER_PI)
+    hbar, m = units.hbar, units.mass
+    flux_h1 = (hbar / (math.pi * m * a)) * math.exp(math.pi * q)
+    flux_h2 = (hbar / (math.pi * m * a)) * math.exp(-math.pi * q)
+    return _Pair(
+        coeffs(basis.u), coeffs(basis.v), (flux_h1, flux_h2), (kappa_out, kappa_in),
+        abs(w_basis - w_exact) / abs(w_exact),
+    )

@@ -186,7 +186,7 @@ def check_flux_wronskian_rk4() -> CheckResult:
     config = numeric_scatter.default_config(model)
     basis = numeric_scatter.integrate_basis(model, energy, config)
     d = exp_barrier.reduce_params(PhysicalParams(1.0, 1.0, 0.5, 1.0), energy)
-    result = numeric_scatter.match_hankel_basis(basis, d.p, d.q, config)
+    result = numeric_scatter.match(basis)
     wave = numeric_scatter.scattering_wavefunction(basis, result)
     profile = wave.flux_profile
     flux_spread = float((np.max(profile) - np.min(profile)) / abs(np.mean(profile)))

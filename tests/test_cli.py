@@ -351,6 +351,43 @@ class TestCommands:
         q_cell = float(out.splitlines()[2].split(",")[1])
         assert q_cell == pytest.approx(2.0 * math.sqrt(2.0 * 0.5 * 0.25), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "descriptor, flags, written",
+        [
+            ("exp:v0=1,a=1", ["--v0", "4.0", "--a", "0.5"], "exp:v0=4,a=0.5"),
+            ("exp:v0=1,a=1", ["--a", "0.5"], "exp:v0=1,a=0.5"),
+            ("expshift:v0=1,a=1,b=0.3", ["--v0", "2.5", "--a", "0.8"],
+             "expshift:v0=2.5,a=0.8,b=0.3"),
+            ("rect:v0=1,w=2", ["--v0", "2"], "rect:v0=2,w=2"),
+        ],
+    )
+    def test_override_flags_equal_written_fields(self, descriptor, flags, written, capsys):
+        # numeric cells depend on v0 through the window and the series; the
+        # flags must give exactly what writing the values in the descriptor
+        # gives
+        method = "both" if descriptor.startswith("exp") else "numeric"
+        sweep = ["--emin", "0.1", "--emax", "1.0", "--n", "3", "--method", method]
+        got = run_cli(["sweep", "--model", descriptor, *flags, *sweep], capsys)
+        want = run_cli(["sweep", "--model", written, *sweep], capsys)
+        assert got[0] == 0 and got == want
+
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("rect:v0=1,w=2", ["--a", "3"]),
+            ("rect:v0=1,w=2", ["--v0", "2", "--a", "3"]),
+            ("free", ["--v0", "2"]),
+        ],
+    )
+    def test_override_flag_the_model_lacks_refused(self, model, flags, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--model", model, *flags, "--emin", "0.1", "--emax", "1.0",
+             "--n", "2", "--method", "numeric"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "do not apply" in err
+
     def test_verify_exit_zero(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0

@@ -212,7 +212,35 @@ class TestPlaneWaveMatching:
         rect = potentials.rectangular(1.0, 2.0)  # edge at the window end
         basis = numeric_scatter.integrate_basis(rect, 0.5, config)
         with pytest.raises(DomainError, match="x_left"):
-            numeric_scatter.match_plane_waves(basis, 0.5, config, side="left")
+            numeric_scatter.match(basis, side="left")
+
+    def test_right_endpoint_precondition_names_offender(self):
+        config = SolverConfig(x_left=-3.0, x_right=1.0, step=1e-3)
+        rect = potentials.rectangular(1.0, 2.0)  # edge past the right end
+        basis = numeric_scatter.integrate_basis(rect, 0.5, config)
+        for side in ("left", "right"):
+            with pytest.raises(DomainError, match="x_right"):
+                numeric_scatter.match(basis, side=side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_off_centre_window_matches_default(self, side):
+        # an asymmetric window must not move the amplitudes: they are
+        # referred to x = 0, not to the window ends
+        rect = potentials.rectangular(1.0, 1.0)
+        want = numeric_scatter.solve(rect, 0.5, side=side)
+        step = numeric_scatter.default_config(rect).step  # edges on nodes
+        config = SolverConfig(x_left=-3.0, x_right=5.0, step=step)
+        got = numeric_scatter.solve(rect, 0.5, side=side, config=config)
+        assert got.t_coeff == pytest.approx(want.t_coeff, abs=1e-10)
+        assert abs(got.r_amp - want.r_amp) < 1e-10
+        assert abs(got.t_amp - want.t_amp) < 1e-10
+
+    def test_side_must_be_named(self):
+        basis = numeric_scatter.integrate_basis(
+            potentials.free(), 1.0, numeric_scatter.default_config(potentials.free())
+        )
+        with pytest.raises(DomainError, match="side"):
+            numeric_scatter.match(basis, side="up")
 
 
 class TestHankelMatching:
@@ -295,20 +323,6 @@ class TestScatteringWavefunction:
             i_b = int(np.argmin(np.abs(wave_b.grid - x)))
             i_0 = int(np.argmin(np.abs(wave_0.grid - (x - b))))
             assert abs(wave_b.psi[i_b] - phase * wave_0.psi[i_0]) < 1e-8
-
-    def test_flux_wrapper_expands_plane_waves(self):
-        k = math.sqrt(2.0 * DEFAULT_UNITS.mass * 1.0) / DEFAULT_UNITS.hbar
-        A, B, x = 1.0, 0.5, 0.3
-        psi = A * complex(math.cos(k * x), math.sin(k * x)) + B * complex(
-            math.cos(k * x), -math.sin(k * x)
-        )
-        dpsi = 1j * k * (
-            A * complex(math.cos(k * x), math.sin(k * x))
-            - B * complex(math.cos(k * x), -math.sin(k * x))
-        )
-        out = numeric_scatter.flux(psi, dpsi, DEFAULT_UNITS)
-        want = DEFAULT_UNITS.hbar * k / DEFAULT_UNITS.mass * (A**2 - B**2)
-        assert out == pytest.approx(want, rel=1e-12)
 
 
 class TestDefaultConfig:
