@@ -31,14 +31,11 @@ from .numeric_scatter import (
     solve,
 )
 from .potentials import (
-    AsymptoticClass,
     PotentialModel,
-    classify,
     evaluate,
     exponential,
     free,
     rectangular,
-    shifted_exponential,
 )
 from .specfun import (
     BesselEval,
@@ -52,7 +49,6 @@ from .waves import WaveSolution, angle_distance, principal_angle
 
 __all__ = [
     "AccuracyError",
-    "AsymptoticClass",
     "BasisPair",
     "BesselEval",
     "CheckResult",
@@ -71,7 +67,6 @@ __all__ = [
     "amplitudes",
     "angle_distance",
     "bessel_j_imag_order",
-    "classify",
     "complex_gamma",
     "default_config",
     "evaluate",
@@ -91,7 +86,6 @@ __all__ = [
     "reduce_params",
     "run_all",
     "scattering_wavefunction",
-    "shifted_exponential",
     "solve",
     "transmission_reflection",
 ]

@@ -62,6 +62,9 @@ class SweepSpec:
     units: PhysicalParams
 
     def __post_init__(self):
+        for flag, value in (("--emin", self.e_min), ("--emax", self.e_max)):
+            if not math.isfinite(value):
+                raise UsageError(f"{flag} must be finite, got {value!r}")
         if not (0.0 < self.e_min < self.e_max):
             raise UsageError(
                 f"need 0 < emin < emax, got emin={self.e_min!r} emax={self.e_max!r}"
@@ -76,10 +79,7 @@ class SweepSpec:
             raise UsageError(
                 f"methods must be analytic, numeric, or both, got {self.methods!r}"
             )
-        if self.methods != "numeric" and self.model.kind not in (
-            "exponential",
-            "shifted_exponential",
-        ):
+        if self.methods != "numeric" and self.model.kind != "exponential":
             raise UsageError(
                 f"analytic method is not defined for the {self.model.kind!r} model"
             )
@@ -109,14 +109,12 @@ class SweepRow:
     error: Optional[str] = None
 
 
-# descriptor head -> (field names, model built from the field values)
+# descriptor head -> (field names, constructor taking them as keywords)
 _GRAMMAR = {
-    "exp": (("v0", "a"), lambda f: potentials.exponential(f["v0"], f["a"])),
-    "expshift": (
-        ("v0", "a", "b"), lambda f: potentials.shifted_exponential(f["v0"], f["a"], f["b"])
-    ),
-    "rect": (("v0", "w"), lambda f: potentials.rectangular(f["v0"], f["w"] / 2.0)),
-    "free": ((), lambda f: potentials.free()),
+    "exp": (("v0", "a"), potentials.exponential),
+    "expshift": (("v0", "a", "b"), potentials.exponential),
+    "rect": (("v0", "w"), lambda v0, w: potentials.rectangular(v0, w / 2.0)),
+    "free": ((), potentials.free),
 }
 
 
@@ -139,10 +137,13 @@ def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> Pote
     fields = {}
     for piece in tail.split(",") if sep else ():
         key, eq, raw = piece.partition("=")
-        if not eq or key.strip() not in names:
+        key = key.strip()
+        if not eq or key not in names:
             raise UsageError(f"bad model field {piece!r} for {head!r}")
+        if key in fields:
+            raise UsageError(f"model field {key!r} is given twice in {text!r}")
         try:
-            fields[key.strip()] = float(raw)
+            fields[key] = float(raw)
         except ValueError:
             raise UsageError(f"bad numeric value in model field {piece!r}") from None
     missing = [name for name in names if name not in fields]
@@ -153,7 +154,7 @@ def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> Pote
     if unknown:
         raise UsageError(f"flags {unknown} do not apply to the {head!r} model")
     try:
-        return build({**fields, **overrides})
+        return build(**{**fields, **overrides})
     except DomainError as exc:
         raise UsageError(str(exc)) from None
 
@@ -167,10 +168,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _sweep_row(spec: SweepSpec, energy: float) -> SweepRow:
-    exp_family = spec.model.kind in ("exponential", "shifted_exponential")
     q = None
     dimless = None
-    if exp_family:
+    if spec.model.kind == "exponential":
         v0_eff, a = potentials.effective_exponential(spec.model)
         params = PhysicalParams(
             v0=v0_eff, a=a, mass=spec.units.mass, hbar=spec.units.hbar
@@ -366,7 +366,7 @@ def cmd_verify(args) -> int:
 def cmd_wavefunction(args) -> int:
     model = _resolve_model(args)
     units = _resolve_units(args)
-    exp_family = model.kind in ("exponential", "shifted_exponential")
+    exp_family = model.kind == "exponential"
     method = args.method or ("analytic" if exp_family else "numeric")
     if method == "analytic" and not exp_family:
         raise UsageError(f"analytic wavefunction is not defined for the {model.kind!r} model")
@@ -378,7 +378,7 @@ def cmd_wavefunction(args) -> int:
         raise UsageError(f"energy must be finite and > 0, got {args.energy!r}")
 
     if method == "analytic":
-        # v0_eff already folds in an expshift's b: V(x) = -v0_eff exp(x/a)
+        # v0_eff folds in the offset b: V(x) = -v0_eff exp(x/a)
         v0_eff, a = potentials.effective_exponential(model)
         params = PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar)
         d = exp_barrier.reduce_params(params, args.energy)

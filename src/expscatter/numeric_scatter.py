@@ -30,7 +30,7 @@ import numpy as np
 from . import potentials, specfun, waves
 from .errors import AccuracyError, DomainError
 from .exp_barrier import PhysicalParams, reduce_params
-from .potentials import AsymptoticClass, PotentialModel
+from .potentials import PotentialModel
 from .waves import WaveSolution, principal_angle
 
 DEFAULT_UNITS = PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0)
@@ -58,9 +58,9 @@ class SolverConfig:
     match_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (self.x_left < 0.0 < self.x_right):
+        if not (-math.inf < self.x_left < 0.0 < self.x_right < math.inf):
             raise DomainError(
-                f"need x_left < 0 < x_right, got [{self.x_left!r}, {self.x_right!r}]"
+                f"need finite x_left < 0 < x_right, got [{self.x_left!r}, {self.x_right!r}]"
             )
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise DomainError(f"step must be finite and > 0, got {self.step!r}")
@@ -104,7 +104,6 @@ class NumericScatteringResult:
 
     energy: float
     side: str
-    method: str
     t_coeff: float
     r_coeff: float
     r_amp: complex
@@ -127,18 +126,17 @@ def default_config(
 ) -> SolverConfig:
     """Window/step defaults that keep every catalog model well resolved."""
     units = units or DEFAULT_UNITS
-    if potential.kind in ("exponential", "shifted_exponential"):
+    if potential.kind == "exponential":
         v0_eff, a = potentials.effective_exponential(potential)
-        shift = potential.b if potential.kind == "shifted_exponential" else 0.0
         p_eff = math.sqrt(8.0 * units.mass * v0_eff) * a / units.hbar
         # 20 decades of tail on the left; on the right, stop where the
         # matching coordinate reaches _Z_MATCH so the series stays sharp.
         # The window must straddle the x = 0 seed, so both ends are
         # clamped; models that hit the clamps (|b| or v0 far from O(1))
         # need a hand-picked config or rescaled units.
-        x_right = min(shift + 4.0 * a, 2.0 * a * math.log(_Z_MATCH / p_eff))
+        x_right = min(potential.b + 4.0 * a, 2.0 * a * math.log(_Z_MATCH / p_eff))
         return SolverConfig(
-            x_left=min(shift - 20.0 * a, -a),
+            x_left=min(potential.b - 20.0 * a, -a),
             x_right=max(x_right, 0.5 * a),
             step=a / 2000.0,
         )
@@ -173,9 +171,8 @@ def integrate_basis(
     units = units or DEFAULT_UNITS
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be finite and > 0, got {energy!r}")
-    if potential.kind in ("exponential", "shifted_exponential"):
-        _, a_eff = potentials.effective_exponential(potential)
-        delta = units.hbar**2 / (8.0 * units.mass * a_eff**2)
+    if potential.kind == "exponential":
+        delta = units.hbar**2 / (8.0 * units.mass * potential.a**2)
         if energy < 1e-6 * delta:
             raise DomainError(
                 f"energy {energy:g} below 1e-6 * delta = {1e-6 * delta:g}; "
@@ -238,9 +235,9 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    _, right_class = potentials.classify(basis.potential)
-    diverging = right_class is AsymptoticClass.DIVERGING
     left = _plane_pair(basis, 0)
+    # only the exponential dives, and only on the right
+    diverging = basis.potential.kind == "exponential"
     right = _hankel_pair(basis) if diverging else _plane_pair(basis, -1)
     # index 0 of a pair is the rightward wave, 1 the leftward one
     source, sink, inc, out = (left, right, 0, 1) if side == "left" else (right, left, 1, 0)
@@ -265,7 +262,6 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     forbidden = abs(coeff(sink, out)) / max(abs(c_tra), 1e-300)
     return NumericScatteringResult(
         energy=basis.energy, side=side,
-        method="hankel_basis" if diverging else "plane_wave",
         t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),

@@ -1,14 +1,10 @@
 """Catalog of 1-D potentials the solver knows how to scatter off.
 
-Each model is a frozen value object; ``evaluate`` returns V(x) and
-``classify`` reports how the potential behaves toward x -> -inf and
-x -> +inf, which decides the matching strategy (plane waves on a
-vanishing side, exact-basis projection on a diverging side).
+Each model is a frozen value object; ``evaluate`` returns V(x).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,17 +14,11 @@ import numpy as np
 from .errors import DomainError
 
 
-class AsymptoticClass(enum.Enum):
-    VANISHING = "vanishing"
-    DIVERGING = "diverging"
-
-
 @dataclass(frozen=True)
 class PotentialModel:
     """A potential from the catalog.
 
-    kind is one of "exponential", "shifted_exponential", "rectangular",
-    "free"; unused parameters stay None.
+    kind is one of "exponential", "rectangular", "free"; unused parameters stay None.
     """
 
     kind: str
@@ -38,29 +28,33 @@ class PotentialModel:
     half_width: Optional[float] = None
 
 
-def exponential(v0: float, a: float) -> PotentialModel:
-    """V(x) = -v0 * exp(x/a): vanishes to the left, dives to -inf on the right.
+def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
+    """V(x) = -v0 * exp((x-b)/a): vanishes to the left, dives to -inf on the right.
+
+    The offset b only relabels the origin: this is the potential
+    exponential(v0 * exp(-b/a), a), so observables cannot depend on it.
 
     Args:
         v0: depth scale, must be > 0.
         a: range, must be > 0.
+        b: offset, finite, such that the depth v0 * exp(-b/a) at x = 0 is
+            finite and > 0.
     """
     _require_positive("v0", v0)
     _require_positive("a", a)
-    return PotentialModel(kind="exponential", v0=float(v0), a=float(a))
-
-
-def shifted_exponential(v0: float, a: float, b: float) -> PotentialModel:
-    """V(x) = -v0 * exp((x-b)/a), the exponential model translated by b.
-
-    Identical to exponential(v0 * exp(-b/a), a); the shift only relabels
-    the origin, observables cannot depend on it.
-    """
-    _require_positive("v0", v0)
-    _require_positive("a", a)
-    if not math.isfinite(b):
-        raise DomainError(f"shift b must be finite, got {b!r}")
-    return PotentialModel(kind="shifted_exponential", v0=float(v0), a=float(a), b=float(b))
+    if not (isinstance(b, (int, float)) and math.isfinite(b)):
+        raise DomainError(f"offset b must be finite, got {b!r}")
+    model = PotentialModel(kind="exponential", v0=float(v0), a=float(a), b=float(b))
+    try:
+        depth, _ = effective_exponential(model)
+    except OverflowError:
+        depth = math.inf
+    if not (math.isfinite(depth) and depth > 0.0):
+        raise DomainError(
+            f"offset b = {b!r} makes the depth v0 * exp(-b/a) = {depth!r}; "
+            "it must be finite and > 0, so move b toward 0"
+        )
+    return model
 
 
 def rectangular(v0: float, half_width: float) -> PotentialModel:
@@ -84,12 +78,10 @@ def free() -> PotentialModel:
 def evaluate(model: PotentialModel, x):
     """V(x) for a scalar or ndarray x.
 
-    Exponential kinds saturate to -inf once exp overflows; the solver
+    The exponential saturates to -inf once exp overflows; the solver
     treats non-finite values as out of domain.
     """
     if model.kind == "exponential":
-        return -model.v0 * _safe_exp(np.asarray(x, dtype=float) / model.a)
-    if model.kind == "shifted_exponential":
         return -model.v0 * _safe_exp((np.asarray(x, dtype=float) - model.b) / model.a)
     if model.kind == "rectangular":
         xarr = np.asarray(x, dtype=float)
@@ -101,25 +93,9 @@ def evaluate(model: PotentialModel, x):
     raise DomainError(f"unknown potential kind {model.kind!r}")
 
 
-def classify(model: PotentialModel) -> tuple[AsymptoticClass, AsymptoticClass]:
-    """(left, right) asymptotic behavior of the model."""
-    if model.kind in ("exponential", "shifted_exponential"):
-        return (AsymptoticClass.VANISHING, AsymptoticClass.DIVERGING)
-    if model.kind in ("rectangular", "free"):
-        return (AsymptoticClass.VANISHING, AsymptoticClass.VANISHING)
-    raise DomainError(f"unknown potential kind {model.kind!r}")
-
-
 def effective_exponential(model: PotentialModel) -> tuple[float, float]:
-    """Collapse an exponential-family model to unshifted (v0_eff, a).
-
-    shifted_exponential(v0, a, b) == exponential(v0 * exp(-b/a), a).
-    """
-    if model.kind == "exponential":
-        return model.v0, model.a
-    if model.kind == "shifted_exponential":
-        return model.v0 * math.exp(-model.b / model.a), model.a
-    raise DomainError(f"{model.kind!r} is not in the exponential family")
+    """(v0 * exp(-b/a), a): the exponential model rewritten with b = 0."""
+    return model.v0 * math.exp(-model.b / model.a), model.a
 
 
 def _safe_exp(arg):

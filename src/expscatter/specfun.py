@@ -11,10 +11,10 @@ form is provided for matching against plane-like waves.  Derivatives come
 from differentiating the series term by term, never from finite
 differences.
 
-The series is summed in double precision.  Beyond z of about 30 the
-alternating terms grow like e^z and cancellation destroys the result, so
-that radius is enforced as a hard domain bound rather than silently
-returning noise.
+The series is summed in double precision.  Its alternating terms grow
+like e^z, so cancellation costs digits as z grows; about four remain at
+z = 30 (see Z_SERIES_MAX), and that radius is enforced as a hard domain
+bound rather than silently returning fewer.
 """
 
 from __future__ import annotations
@@ -34,14 +34,17 @@ TOL_REL = 1e-15
 # significance; callers must treat the order as effectively real.
 Q_MIN = 1e-8
 
-# Largest argument at which the double-precision series keeps ~10 significant
-# digits (cancellation grows like e^z / result).
+# Largest argument the series is summed at.  Cancellation grows like
+# e^z / result, so accuracy falls with z: against 40-digit mpmath values
+# (q from 0.05 to 8) the relative error of J_{iq} measures 3e-14 at z = 1,
+# 6e-12 at z = 12, 5e-9 at 20, 7e-7 at 25 and 6e-5 at 30.
 Z_SERIES_MAX = 30.0
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Lanczos coefficients, g = 7, 9 terms.  Relative error below 1e-13 on
-# Re(z) >= 0.5; the reflection formula covers the rest of the plane.
+# Lanczos coefficients, g = 7, 9 terms.  Against 40-digit mpmath values on
+# z = 1 + iq, q from 0.01 to 100, the relative error reaches 2.1e-13; the
+# reflection formula covers Re(z) < 0.5.
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,

@@ -25,7 +25,7 @@ class TestModelGrammar:
 
     def test_shifted(self):
         m = cli.parse_model("expshift:v0=1,a=1,b=-2")
-        assert m.kind == "shifted_exponential" and m.b == -2.0
+        assert m.kind == "exponential" and m.b == -2.0
 
     def test_rect_width_is_full_width(self):
         m = cli.parse_model("rect:v0=1,w=2")
@@ -41,6 +41,8 @@ class TestModelGrammar:
             "exp:v0=1",
             "exp:v0=1,a=abc",
             "exp:v0=1,a=1,b=1",
+            "exp:v0=1,a=1,v0=3",
+            "expshift:v0=1,a=1,b=-800",
             "gauss:v0=1,a=1",
             "rect:v0=1,w=-2",
         ],
@@ -387,6 +389,30 @@ class TestCommands:
         )
         assert code == 1 and out == ""
         assert "do not apply" in err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["sweep", "--model", "exp:v0=1,a=1,v0=3", "--emin", "0.1", "--emax", "1.0",
+              "--n", "3"], "'v0' is given twice"),
+            (["sweep", "--model", "expshift:v0=1,a=1,b=-800", "--emin", "0.1",
+              "--emax", "1.0", "--n", "3", "--method", "numeric"], "b = -800.0"),
+            (["sweep", "--model", "expshift:v0=1,a=1,b=1e308", "--emin", "0.1",
+              "--emax", "1.0", "--n", "3", "--method", "numeric"], "b = 1e+308"),
+            (["wavefunction", "--method", "numeric", "--model", "rect:v0=1,w=2",
+              "--energy", "0.5", "--xmin", "-3", "--xmax", "inf"], "finite x_left"),
+            (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.1", "--emax", "inf",
+              "--n", "3"], "--emax must be finite"),
+            (["sweep", "--model", "exp:v0=1,a=1", "--emin", "nan", "--emax", "1.0",
+              "--n", "3"], "--emin must be finite"),
+        ],
+    )
+    def test_bad_input_refused_cleanly(self, argv, needle, capsys):
+        # one `error:` line naming the culprit, exit 1, nothing on stdout
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
 
     def test_verify_exit_zero(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)

@@ -102,6 +102,9 @@ class TestBasisIntegration:
             SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
         with pytest.raises(DomainError):
             SolverConfig(x_left=-1.0, x_right=1.0, step=0.0)
+        for ends in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="finite"):
+                SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
 
 
 def loop_march(g, h):
@@ -306,7 +309,7 @@ class TestScatteringWavefunction:
         # normalization; compare on the shared nodes
         b, energy = 0.5, 0.25
         k = math.sqrt(2.0 * DEFAULT_UNITS.mass * energy) / DEFAULT_UNITS.hbar
-        shifted = potentials.shifted_exponential(1.0, 1.0, b)
+        shifted = potentials.exponential(1.0, 1.0, b)
 
         res_0 = numeric_scatter.solve(EXP_MODEL, energy, side="left")
         cfg_0 = numeric_scatter.default_config(EXP_MODEL)

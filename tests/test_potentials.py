@@ -1,4 +1,4 @@
-"""Potential catalog: constructors, evaluation, asymptotic classification."""
+"""Potential catalog: constructors, evaluation, the exponential offset."""
 
 import math
 
@@ -7,14 +7,13 @@ import pytest
 
 from expscatter import potentials
 from expscatter.errors import DomainError
-from expscatter.potentials import AsymptoticClass
 
 
 class TestConstructors:
     def test_exponential_fields(self):
         m = potentials.exponential(2.0, 0.5)
         assert m.kind == "exponential"
-        assert m.v0 == 2.0 and m.a == 0.5
+        assert m.v0 == 2.0 and m.a == 0.5 and m.b == 0.0
 
     def test_positive_scale_required(self):
         with pytest.raises(DomainError):
@@ -40,7 +39,7 @@ class TestEvaluate:
 
     def test_shift_is_translation(self):
         base = potentials.exponential(1.0, 2.0)
-        shifted = potentials.shifted_exponential(1.0, 2.0, 3.0)
+        shifted = potentials.exponential(1.0, 2.0, 3.0)
         xs = np.linspace(-5.0, 5.0, 11)
         np.testing.assert_allclose(
             potentials.evaluate(shifted, xs + 3.0),
@@ -72,27 +71,23 @@ class TestEvaluate:
         assert out[0] == -math.inf
 
 
-class TestClassify:
-    def test_exponential_sides(self):
-        left, right = potentials.classify(potentials.exponential(1.0, 1.0))
-        assert left is AsymptoticClass.VANISHING
-        assert right is AsymptoticClass.DIVERGING
-
-    def test_compact_support_models(self):
-        for m in (potentials.rectangular(1.0, 1.0), potentials.free()):
-            left, right = potentials.classify(m)
-            assert left is AsymptoticClass.VANISHING
-            assert right is AsymptoticClass.VANISHING
-
-
 class TestEffectiveExponential:
     def test_shift_folds_into_strength(self):
         # v0 e^{(x-b)/a} = (v0 e^{-b/a}) e^{x/a}
-        m = potentials.shifted_exponential(2.0, 1.0, 1.0)
+        m = potentials.exponential(2.0, 1.0, 1.0)
         v0_eff, a = potentials.effective_exponential(m)
         assert v0_eff == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
         assert a == 1.0
 
-    def test_rejects_other_kinds(self):
-        with pytest.raises(DomainError):
-            potentials.effective_exponential(potentials.free())
+    def test_zero_offset_is_exact(self):
+        # b = 0 must leave v0 and every sample bit-for-bit unchanged
+        m = potentials.exponential(0.7, 1.3)
+        assert potentials.effective_exponential(m) == (0.7, 1.3)
+        xs = np.linspace(-30.0, 5.0, 101)
+        np.testing.assert_array_equal(potentials.evaluate(m, xs), -0.7 * np.exp(xs / 1.3))
+
+    @pytest.mark.parametrize("b", [-800.0, 1e308, math.inf, math.nan])
+    def test_rejects_unrepresentable_depth(self, b):
+        # v0 e^{-b/a} overflows (b = -800) or underflows to 0 (b = 1e308)
+        with pytest.raises(DomainError, match="offset b"):
+            potentials.exponential(1.0, 1.0, b)
