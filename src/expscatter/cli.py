@@ -10,6 +10,9 @@ with a leading `# hbar=<v> mass=<v>` units comment, `NA` for inapplicable
 cells, numbers as %.16e, LF line endings, UTF-8.  A row whose solve fails
 keeps its E and q cells, fills the rest with NA, and is followed by a
 `# row-error:` comment carrying the message; the sweep itself continues.
+Analytic cells are evaluated as numpy columns over the energy grid, so
+T/R and phase cells can differ in their last digit from one scalar
+exp_barrier call per energy.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-accuracy failure,
 3 invariant failure from verify.
@@ -21,7 +24,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,9 +65,7 @@ class SweepSpec:
     units: PhysicalParams
 
     def __post_init__(self):
-        for flag, value in (("--emin", self.e_min), ("--emax", self.e_max)):
-            if not math.isfinite(value):
-                raise UsageError(f"{flag} must be finite, got {value!r}")
+        _require_finite(("--emin", self.e_min), ("--emax", self.e_max))
         if not (0.0 < self.e_min < self.e_max):
             raise UsageError(
                 f"need 0 < emin < emax, got emin={self.e_min!r} emax={self.e_max!r}"
@@ -92,8 +93,7 @@ class SweepSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     energy: float
     q: Optional[float]
     t_analytic: Optional[float]
@@ -160,56 +160,83 @@ def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> Pote
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Compute every row; failures mark their row instead of aborting."""
-    rows = []
-    for energy in spec.energies():
-        rows.append(_sweep_row(spec, float(energy)))
-    return rows
+    """Compute every row; failures mark their row instead of aborting.
 
-
-def _sweep_row(spec: SweepSpec, energy: float) -> SweepRow:
-    q = None
-    dimless = None
+    For exponential models q and the analytic cells are computed once, as
+    numpy columns over the whole energy grid; only the numeric solve runs
+    row by row.
+    """
+    energies = spec.energies()
+    blank = [None] * energies.size
+    columns = dict.fromkeys(SweepRow._fields[1:], blank)
     if spec.model.kind == "exponential":
-        v0_eff, a = potentials.effective_exponential(spec.model)
-        params = PhysicalParams(
-            v0=v0_eff, a=a, mass=spec.units.mass, hbar=spec.units.hbar
-        )
-        dimless = exp_barrier.reduce_params(params, energy)
-        q = dimless.q
+        columns.update(_analytic_columns(spec, energies))
+    rows = [SweepRow(*cells) for cells in zip(energies.tolist(), *columns.values())]
+    if spec.methods == "analytic":
+        return rows
+    return [row if row.error else _sweep_row(spec, row) for row in rows]
 
-    cells = dict(
-        t_analytic=None, r_analytic=None, t_numeric=None, r_numeric=None,
-        phi_left=None, theta_left=None, phi_right=None, theta_right=None,
-        flux_imbalance=None, wronskian_drift=None,
-    )
+
+def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
+    """q for every row and, unless the sweep is numeric only, the analytic
+    cells; a row the closed forms refuse gets NA cells and the message its
+    scalar call raises."""
+    v0_eff, a = potentials.effective_exponential(spec.model)
+    params = PhysicalParams(v0=v0_eff, a=a, mass=spec.units.mass, hbar=spec.units.hbar)
+    d = exp_barrier.reduce_params(params, energies)
+    columns = {"q": d.q.tolist()}
+    if spec.methods == "numeric":
+        return columns
+    accepted = exp_barrier.closed_form_domain(d.p, d.q)
+    if accepted.any():
+        q = d.q[accepted]
+        found = dict(zip(("t_analytic", "r_analytic"), exp_barrier.transmission_reflection(q)))
+        for side in ("left", "right") if spec.sides == "both" else (spec.sides,):
+            phi, theta, _, _ = exp_barrier.phase_shifts(d.p, q, side)
+            found[f"phi_{side}"], found[f"theta_{side}"] = phi, theta
+        for name, values in found.items():
+            column = np.full(energies.size, None, dtype=object)
+            column[accepted] = values.tolist()
+            columns[name] = column.tolist()
+    columns["error"] = [
+        None if ok else _refusal(d.p, q_row)
+        for ok, q_row in zip(accepted.tolist(), columns["q"])
+    ]
+    return columns
+
+
+def _refusal(p: float, q: float) -> str:
+    """The message the scalar closed forms refuse (p, q) with."""
     try:
-        if spec.methods in ("analytic", "both"):
-            cells["t_analytic"], cells["r_analytic"] = exp_barrier.transmission_reflection(q)
-            if spec.sides in ("left", "both"):
-                phi, theta, _, _ = exp_barrier.phase_shifts(dimless.p, q, "left")
-                cells["phi_left"], cells["theta_left"] = phi, theta
-            if spec.sides in ("right", "both"):
-                phi, theta, _, _ = exp_barrier.phase_shifts(dimless.p, q, "right")
-                cells["phi_right"], cells["theta_right"] = phi, theta
-        if spec.methods in ("numeric", "both"):
-            sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
-            config = numeric_scatter.default_config(spec.model, spec.units)
-            basis = numeric_scatter.integrate_basis(spec.model, energy, config, spec.units)
-            results = [numeric_scatter.match(basis, s) for s in sides]
-            cells["t_numeric"] = results[0].t_coeff
-            cells["r_numeric"] = results[0].r_coeff
-            cells["flux_imbalance"] = max(r.flux_imbalance for r in results)
-            cells["wronskian_drift"] = max(r.wronskian_drift for r in results)
-            for s, result in zip(sides, results):
-                # analytic phases take precedence when both methods run
-                if cells[f"phi_{s}"] is None:
-                    cells[f"phi_{s}"] = result.phi
-                    cells[f"theta_{s}"] = result.theta
-        return SweepRow(energy=energy, q=q, **cells)
+        exp_barrier.transmission_reflection(q)
+        exp_barrier.phase_shifts(p, q)
+    except DomainError as exc:
+        return str(exc)
+    raise AssertionError(f"closed forms accept q = {q!r} outside closed_form_domain")
+
+
+def _sweep_row(spec: SweepSpec, row: SweepRow) -> SweepRow:
+    """Fill the numeric cells of one row; on failure every cell but E and q
+    is NA and the row carries the message."""
+    sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
+    try:
+        config = numeric_scatter.default_config(spec.model, spec.units)
+        basis = numeric_scatter.integrate_basis(spec.model, row.energy, config, spec.units)
+        results = [numeric_scatter.match(basis, s) for s in sides]
     except (DomainError, AccuracyError) as exc:
-        blank = {key: None for key in cells}
-        return SweepRow(energy=energy, q=q, error=str(exc), **blank)
+        return SweepRow(row.energy, row.q, *[None] * 10, error=str(exc))
+    cells = dict(
+        t_numeric=results[0].t_coeff,
+        r_numeric=results[0].r_coeff,
+        flux_imbalance=max(r.flux_imbalance for r in results),
+        wronskian_drift=max(r.wronskian_drift for r in results),
+    )
+    for s, result in zip(sides, results):
+        # analytic phases take precedence when both methods run
+        if getattr(row, f"phi_{s}") is None:
+            cells[f"phi_{s}"] = result.phi
+            cells[f"theta_{s}"] = result.theta
+    return row._replace(**cells)
 
 
 def format_sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
@@ -370,6 +397,7 @@ def cmd_wavefunction(args) -> int:
     method = args.method or ("analytic" if exp_family else "numeric")
     if method == "analytic" and not exp_family:
         raise UsageError(f"analytic wavefunction is not defined for the {model.kind!r} model")
+    _require_finite(("--xmin", args.xmin), ("--xmax", args.xmax))
     if not (args.xmin < args.xmax):
         raise UsageError(f"need xmin < xmax, got {args.xmin!r}, {args.xmax!r}")
     if args.n < 2:
@@ -455,6 +483,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _require_finite(*flags: tuple[str, float]) -> None:
+    for flag, value in flags:
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value!r}")
 
 
 def _cell(value: Optional[float]) -> str:

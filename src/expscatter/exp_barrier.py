@@ -6,8 +6,11 @@ equation into Bessel's equation of order +-iq, with
     p = sqrt(8 m v0 a^2) / hbar,   q = 2 k a,   k = sqrt(2 m E) / hbar.
 
 Everything here works at the dimensionless (p, q) level; reduce_params is
-the only bridge from physical units.  Transmission is a function of q
-alone:
+the only bridge from physical units.  reduce_params, transmission_reflection
+and phase_shifts also take an array (energies or q) and return columns, as
+an analytic sweep uses them; scalar calls keep CPython's arithmetic, array
+entries may differ from them in the last digit.  Transmission is a
+function of q alone:
 
     T = 1 - exp(-2 pi q),   R = exp(-2 pi q)
 
@@ -59,7 +62,10 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """p, q, k, delta with q = 2 k a and delta = hbar^2 / (8 m a^2)."""
+    """p, q, k, delta with q = 2 k a and delta = hbar^2 / (8 m a^2).
+
+    k and q are arrays when reduce_params was given an array of energies.
+    """
 
     p: float
     q: float
@@ -97,26 +103,33 @@ class FluxTriple:
     j_transmitted: float
 
 
-def reduce_params(params: PhysicalParams, energy: float) -> DimensionlessParams:
+def reduce_params(params: PhysicalParams, energy) -> DimensionlessParams:
     """Physical inputs to the dimensionless working variables.
 
     q = 2ka and q = sqrt(E/delta) agree identically; the former is used.
+    An array of energies gives arrays k and q (np.sqrt rounds like
+    math.sqrt, so each entry has the bits of the scalar call).
     """
-    if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
-        raise DomainError(f"energy must be finite and > 0, got {energy!r}")
-    k = math.sqrt(2.0 * params.mass * energy) / params.hbar
-    q = 2.0 * k * params.a
+    _require(energy, _finite_positive, "energy must be finite and > 0, got {!r}")
+    sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
+    with np.errstate(over="ignore"):  # k or q overflowing to inf is refused later
+        k = sqrt(2.0 * params.mass * energy) / params.hbar
+        q = 2.0 * k * params.a
     p = math.sqrt(8.0 * params.mass * params.v0) * params.a / params.hbar
     delta = params.hbar**2 / (8.0 * params.mass * params.a**2)
     return DimensionlessParams(p=p, q=q, k=k, delta=delta)
 
 
-def transmission_reflection(q: float) -> tuple[float, float]:
-    """(T, R) = (1 - e^{-2 pi q}, e^{-2 pi q}); exact unitarity via expm1."""
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q >= 0):
-        raise DomainError(f"q must be finite and >= 0, got {q!r}")
-    r = math.exp(-2.0 * math.pi * q)
-    t = -math.expm1(-2.0 * math.pi * q)
+def transmission_reflection(q):
+    """(T, R) = (1 - e^{-2 pi q}, e^{-2 pi q}); exact unitarity via expm1.
+
+    q may be an array; numpy's exp and expm1 then stand in for math's and
+    may differ from the scalar result in the last bit.
+    """
+    _require(q, lambda v: (v >= 0) & _finite(v), "q must be finite and >= 0, got {!r}")
+    lib = np if isinstance(q, np.ndarray) else math
+    r = lib.exp(-2.0 * math.pi * q)
+    t = -lib.expm1(-2.0 * math.pi * q)
     return t, r
 
 
@@ -199,24 +212,28 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
     )
 
 
-def phase_shifts(p: float, q: float, side: str = "left") -> tuple[float, float, float, float]:
+def phase_shifts(p: float, q, side: str = "left"):
     """(phi, theta, alpha, beta) from the closed phase formulas.
 
     phi_left = -2 alpha + 2 beta + pi,  phi_right = 3 pi/2,
     theta = -alpha + beta - pi/4 on both sides; all reduced to (-pi, pi].
     These equal the arguments of the amplitudes identically; tests assert
-    the agreement.
+    the agreement.  q may be an array (a sweep's q column): every output
+    is then an array of its shape, and agrees with the scalar calls to
+    rounding (numpy's complex power in Gamma).
     """
     _check_pq(p, q)
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     alpha = q * math.log(0.5 * p)
-    beta = cmath.phase(specfun.complex_gamma(1.0 + 1j * q))
+    gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
+    beta = np.angle(gamma_plus) if isinstance(q, np.ndarray) else cmath.phase(gamma_plus)
     theta = principal_angle(-alpha + beta - _QUARTER_PI)
     if side == "left":
         phi = principal_angle(-2.0 * alpha + 2.0 * beta + math.pi)
     else:
-        phi = principal_angle(1.5 * math.pi)
+        # + 0.0 * q: an array q gives a column of the constant
+        phi = principal_angle(1.5 * math.pi + 0.0 * q)
     return phi, theta, alpha, beta
 
 
@@ -293,14 +310,50 @@ def exact_wavefunction(
     )
 
 
-def _check_pq(p: float, q: float) -> None:
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
-        raise DomainError(f"p must be finite and > 0, got {p!r}")
-    if not (isinstance(q, (int, float)) and math.isfinite(q)):
-        raise DomainError(f"q must be finite, got {q!r}")
-    if q <= specfun.Q_MIN:
-        raise DegenerateOrderError(
-            f"q = {q!r} at or below the degenerate-order threshold {specfun.Q_MIN:g}"
-        )
-    if math.pi * q > 700.0:
-        raise DomainError(f"q = {q!r} overflows exp(pi q) in double precision")
+def closed_form_domain(p: float, q):
+    """Elementwise: True where the closed forms accept (p, q), that is,
+    exactly where _check_pq would not refuse."""
+    return _finite_positive(p) & _finite(q) & _resolvable(q) & _representable(q)
+
+
+def _check_pq(p: float, q) -> None:
+    _require(p, _finite_positive, "p must be finite and > 0, got {!r}")
+    _require(q, _finite, "q must be finite, got {!r}")
+    _require(
+        q, _resolvable,
+        f"q = {{!r}} at or below the degenerate-order threshold {specfun.Q_MIN:g}",
+        DegenerateOrderError,
+    )
+    _require(q, _representable, "q = {!r} overflows exp(pi q) in double precision")
+
+
+# elementwise tests for scalars and arrays alike; NaN fails every one
+def _finite(v):
+    return abs(v) < math.inf
+
+
+def _finite_positive(v):
+    return (v > 0) & (v < math.inf)
+
+
+def _resolvable(q):
+    # below Q_MIN the sinh(pi q) of the Hankel assembly washes out
+    return q > specfun.Q_MIN
+
+
+def _representable(q):
+    return math.pi * q <= 700.0  # exp(pi q) fits a double
+
+
+def _require(value, test, message: str, error=DomainError) -> None:
+    """Refuse a scalar that is not a real number or fails ``test``, or an
+    array with an entry that fails it; ``message`` is formatted with the
+    scalar, or with the array's first failing entry."""
+    if isinstance(value, np.ndarray):
+        failed = value[~test(value)]
+        if failed.size == 0:
+            return
+        value = failed.flat[0].item()
+    elif isinstance(value, (int, float)) and test(value):
+        return
+    raise error(message.format(value))

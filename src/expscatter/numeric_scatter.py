@@ -194,16 +194,22 @@ def integrate_basis(
     if not (np.all(np.isfinite(g_right)) and np.all(np.isfinite(g_left))):
         raise DomainError("potential is not finite on the integration grid")
 
-    right = _march(g_right, h)
-    left = _march(g_left, -h)
-
+    # on a deep window the basis can overflow; the drift check refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        right = _march(g_right, h)
+        left = _march(g_left, -h)
+        # drop the left march's copy of the x = 0 node, reorder ascending
+        u, du, v, dv = (np.concatenate((l[:0:-1], r)) for l, r in zip(left, right))
+        w_profile = u * dv - du * v
     grid = np.concatenate((-h * np.arange(n_left, 0, -1), h * np.arange(n_right + 1)))
-    # drop the left march's copy of the x = 0 node, reorder ascending
-    u, du, v, dv = (np.concatenate((l[:0:-1], r)) for l, r in zip(left, right))
 
-    w_profile = u * dv - du * v
     drift = float(np.max(np.abs(w_profile - 1.0)))
-    if not drift <= config.match_tolerance:  # a NaN drift fails too
+    if not math.isfinite(drift):
+        raise AccuracyError(
+            f"Wronskian drift {drift:.3e}: the basis overflowed on the window "
+            f"[{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
+        )
+    if drift > config.match_tolerance:
         raise AccuracyError(
             f"Wronskian drift {drift:.3e} exceeds match_tolerance "
             f"{config.match_tolerance:.3e}; refine the step (drift falls as h^4)"

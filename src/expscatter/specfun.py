@@ -23,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AccuracyError, DegenerateOrderError, DomainError, SeriesRangeError
 
 # Series truncation policy: stop once |term| < TOL_ABS + TOL_REL * |partial sum|.
@@ -90,31 +92,58 @@ class BesselEval:
     truncation_bound: float
 
 
-def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument.
+def complex_gamma(z):
+    """Gamma function for a complex argument or an array of them.
 
     Lanczos rational approximation on Re(z) >= 0.5, reflected through
     Gamma(z) Gamma(1-z) = pi / sin(pi z) elsewhere.  Real coefficients keep
     the evaluation conjugate-symmetric, so Gamma(conj(z)) == conj(Gamma(z))
-    holds to the last bit.
+    holds to the last bit.  A scalar is evaluated with CPython complex
+    arithmetic and cmath, an array elementwise with numpy; the two agree
+    to rounding (numpy's complex power rounds differently).
 
     Raises
     ------
     DomainError
-        At the poles z = 0, -1, -2, ...
+        At the poles z = 0, -1, -2, ... (for an array, naming the first).
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise DomainError(f"gamma pole at z = {z.real:g}")
-    if z.real < 0.5:
-        # reflection: sin(pi z) is never 0 here because poles were rejected
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+        _refuse_poles(z)
+        return _reflected(z, cmath) if z.real < 0.5 else _lanczos(z, cmath)
+    z = z.astype(complex)
+    _refuse_poles(z)
+    reflect = z.real < 0.5
+    out = np.empty_like(z)
+    out[~reflect] = _lanczos(z[~reflect], np)
+    out[reflect] = _reflected(z[reflect], np)
+    return out
+
+
+def _refuse_poles(z) -> None:
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real % 1.0 == 0.0)
+    if isinstance(z, np.ndarray):
+        if not pole.any():
+            return
+        z = z[pole][0]
+    elif not pole:
+        return
+    raise DomainError(f"gamma pole at z = {z.real:g}")
+
+
+def _reflected(z, lib):
+    # sin(pi z) is never 0 here because poles were refused
+    return math.pi / (lib.sin(math.pi * z) * _lanczos(1.0 - z, lib))
+
+
+def _lanczos(z, lib):
+    """Lanczos sum for Re(z) >= 0.5; lib supplies exp (cmath or numpy)."""
     w = z - 1.0
     acc = complex(_LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
+    return _SQRT_TWO_PI * t ** (w + 0.5) * lib.exp(-t) * acc
 
 
 def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:

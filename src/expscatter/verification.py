@@ -13,7 +13,6 @@ the detail text.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +95,6 @@ def check_eq14_endpoints() -> CheckResult:
 
 def check_eq14_numeric_agreement() -> CheckResult:
     """Independent ODE solve reproduces T(q) at p = 2, q in {0.25, 0.5, 1, 2}."""
-    start = time.perf_counter()
     model = potentials.exponential(1.0, 1.0)  # p = 2 under default units
     worst = 0.0
     for q in (0.25, 0.5, 1.0, 2.0):
@@ -104,11 +102,7 @@ def check_eq14_numeric_agreement() -> CheckResult:
         result = numeric_scatter.solve(model, energy)
         t_exact, _ = exp_barrier.transmission_reflection(q)
         worst = max(worst, abs(result.t_coeff - t_exact))
-    elapsed = time.perf_counter() - start
-    return _single(
-        "eq14-numeric-agreement", worst, 1e-6,
-        f"4 energies, default config, {elapsed:.2f}s",
-    )
+    return _single("eq14-numeric-agreement", worst, 1e-6, "4 energies, default config")
 
 
 def check_reciprocity() -> CheckResult:

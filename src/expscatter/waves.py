@@ -51,12 +51,17 @@ def flux(psi, dpsi, mass: float, hbar: float):
     return (hbar / mass) * np.imag(np.conjugate(psi) * dpsi)
 
 
-def principal_angle(angle: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    r = math.remainder(angle, TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
+def principal_angle(angle):
+    """Reduce an angle, or an array of angles, to the interval (-pi, pi].
+
+    fmod is exact and so is the one shift by 2 pi (Sterbenz), so every
+    element comes out as the exact representative, the bits
+    math.remainder would give.  Subtracting the shift keeps the sign of a
+    zero.
+    """
+    fmod = np.fmod if isinstance(angle, np.ndarray) else math.fmod
+    r = fmod(angle, TWO_PI)
+    return r - (TWO_PI * (r > math.pi) - TWO_PI * (r <= -math.pi))
 
 
 def angle_distance(a: float, b: float) -> float:

@@ -4,6 +4,7 @@ sweep/plot/wavefunction/verify flows end to end.
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -400,11 +401,19 @@ class TestCommands:
             (["sweep", "--model", "expshift:v0=1,a=1,b=1e308", "--emin", "0.1",
               "--emax", "1.0", "--n", "3", "--method", "numeric"], "b = 1e+308"),
             (["wavefunction", "--method", "numeric", "--model", "rect:v0=1,w=2",
-              "--energy", "0.5", "--xmin", "-3", "--xmax", "inf"], "finite x_left"),
+              "--energy", "0.5", "--xmin", "-3", "--xmax", "inf"], "--xmax must be finite"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.1", "--emax", "inf",
               "--n", "3"], "--emax must be finite"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "nan", "--emax", "1.0",
               "--n", "3"], "--emin must be finite"),
+            (["wavefunction", "--method", "analytic", "--model", "exp:v0=1,a=1",
+              "--energy", "0.5", "--xmin", "-3", "--xmax", "inf"], "--xmax must be finite"),
+            (["wavefunction", "--method", "analytic", "--model", "exp:v0=1,a=1",
+              "--energy", "0.5", "--xmin", "nan", "--xmax", "1"], "--xmin must be finite"),
+            (["wavefunction", "--method", "numeric", "--model", "exp:v0=1,a=1",
+              "--energy", "0.5", "--xmin", "nan", "--xmax", "1"], "--xmin must be finite"),
+            (["wavefunction", "--method", "numeric", "--model", "exp:v0=1,a=1",
+              "--energy", "0.5", "--xmin=-inf", "--xmax", "1"], "--xmin must be finite"),
         ],
     )
     def test_bad_input_refused_cleanly(self, argv, needle, capsys):
@@ -413,6 +422,74 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+    def test_deep_window_overflow_refused_without_warnings(self, capsys):
+        # b = -30 puts V(0) at -e^30: the basis overflows on the default window
+        argv = ["sweep", "--model", "expshift:v0=1,a=1,b=-30", "--emin", "0.01",
+                "--emax", "5", "--n", "3", "--method", "numeric"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
+        assert caught == []
+        assert code == 2 and err == "error: every sweep row failed\n"
+        errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
+        assert len(errors) == 3
+        assert all("basis overflowed on the window" in line for line in errors)
+        assert not any("refine the step" in line for line in errors)
+
+    def test_analytic_refusals_match_scalar_path(self, capsys):
+        # both ends of the grid leave the closed forms' domain: q <= Q_MIN
+        # (degenerate order) and pi q > 700 (overflow); rows in between fill
+        argv = ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-20", "--emax", "1e5",
+                "--n", "60", "--method", "analytic"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        errors = [line for line in lines if line.startswith("# row-error:")]
+        assert errors[0] == ("# row-error: E=9.9999999999999995e-21 q = 2e-10 at or below "
+                             "the degenerate-order threshold 1e-08")
+        assert errors[-1] == ("# row-error: E=1.0000000000000000e+05 q = 632.4555320336759 "
+                              "overflows exp(pi q) in double precision")
+        assert sum("degenerate-order" in line for line in errors) == 9
+        assert sum("overflows exp(pi q)" in line for line in errors) == 3
+        analytic = ["T_analytic", "R_analytic", "phi_left", "theta_left",
+                    "phi_right", "theta_right"]
+        numeric = ["T_numeric", "R_numeric", "flux_imbalance", "wronskian_drift"]
+        for i, row in enumerate(cli.parse_sweep_table(lines)):
+            assert row["E"] is not None and row["q"] is not None
+            solved = 9 <= i < 57
+            assert all((row[name] is not None) == solved for name in analytic)
+            assert all(row[name] is None for name in numeric)
+
+    def test_analytic_columns_match_scalar_calls(self, capsys):
+        # a benchmark-sized sweep: E and q bit for bit, T and R within 2 ulp,
+        # phases within 1e-13 of one scalar call chain per row
+        argv = ["sweep", "--model", "expshift:v0=2.5,a=0.7,b=0.3", "--emin", "0.01",
+                "--emax", "5", "--n", "3000", "--method", "analytic"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = cli.parse_sweep_table(out.splitlines())
+        assert len(rows) == 3000
+        v0_eff = 2.5 * math.exp(-0.3 / 0.7)
+        params = exp_barrier.PhysicalParams(v0=v0_eff, a=0.7, mass=0.5, hbar=1.0)
+        energies = np.logspace(math.log10(0.01), math.log10(5.0), 3000).tolist()
+        for row, energy in zip(rows, energies):
+            d = exp_barrier.reduce_params(params, energy)
+            assert (row["E"], row["q"]) == (energy, d.q)
+            t, r = exp_barrier.transmission_reflection(d.q)
+            assert abs(row["T_analytic"] - t) <= 2 * math.ulp(t)
+            assert abs(row["R_analytic"] - r) <= 2 * math.ulp(r)
+            for side in ("left", "right"):
+                phi, theta, _, _ = exp_barrier.phase_shifts(d.p, d.q, side)
+                assert abs(row[f"phi_{side}"] - phi) <= 1e-13
+                assert abs(row[f"theta_{side}"] - theta) <= 1e-13
+
+    def test_verify_report_bytes_repeat(self, tmp_path, capsys):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in paths:
+            assert cli.main(["verify", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_verify_exit_zero(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)

@@ -72,6 +72,65 @@ class TestTransmissionReflection:
             exp_barrier.transmission_reflection(-0.1)
 
 
+class TestArrayColumns:
+    """An array q evaluates the closed forms as columns; each entry must
+    agree with the scalar call: q bit for bit, T and R within 2 ulp, phases
+    within 1e-13 plus the rounding of the unreduced phase sum."""
+
+    Q = np.logspace(math.log10(2e-8), math.log10(222.0), 3000)
+
+    def test_reduce_params_bits(self):
+        energies = np.logspace(-20, 5, 500)
+        d = exp_barrier.reduce_params(UNITS, energies)
+        for e, k, q in zip(energies.tolist(), d.k.tolist(), d.q.tolist()):
+            one = exp_barrier.reduce_params(UNITS, e)
+            assert (k, q) == (one.k, one.q)
+        assert d.p == exp_barrier.reduce_params(UNITS, 1.0).p
+
+    def test_transmission_reflection(self):
+        t, r = exp_barrier.transmission_reflection(self.Q)
+        scalar = np.array([exp_barrier.transmission_reflection(q) for q in self.Q.tolist()])
+        np.testing.assert_array_max_ulp(t, scalar[:, 0], maxulp=2)
+        np.testing.assert_array_max_ulp(r, scalar[:, 1], maxulp=2)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("p", [0.3, 2.0, 57.0])
+    def test_phase_shifts(self, p, side):
+        columns = exp_barrier.phase_shifts(p, self.Q, side)
+        scalar = [exp_barrier.phase_shifts(p, q, side) for q in self.Q.tolist()]
+        # phi sums 2 alpha before reducing it: allow the rounding of that sum
+        alpha = columns[2]
+        tol = 1e-13 + 4.0 * np.spacing(2.0 * np.abs(alpha))
+        for got, want in zip(columns, zip(*scalar)):
+            assert got.shape == self.Q.shape
+            assert np.all(np.abs(got - np.array(want)) <= tol)
+        assert np.array_equal(alpha, [row[2] for row in scalar])
+
+    def test_refusal_names_first_offender(self):
+        q = np.array([0.5, 5e-9, 1e-9, 300.0])
+        with pytest.raises(DegenerateOrderError, match=r"^q = 5e-09 at or below"):
+            exp_barrier.phase_shifts(2.0, q)
+        with pytest.raises(DomainError, match=r"^q = 300.0 overflows"):
+            exp_barrier.phase_shifts(2.0, q[[0, 3]])
+        with pytest.raises(DomainError, match=r"got -0.1$"):
+            exp_barrier.transmission_reflection(np.array([0.2, -0.1]))
+        with pytest.raises(DomainError, match=r"energy must be finite and > 0, got inf$"):
+            exp_barrier.reduce_params(UNITS, np.array([1.0, math.inf]))
+
+    def test_domain_mask_is_the_scalar_check(self):
+        q = np.array([-1.0, 0.0, 1e-8, 1.0000001e-8, 1.0, 700.0 / math.pi,
+                      math.nextafter(700.0 / math.pi, 1e3), math.inf, math.nan])
+        mask = exp_barrier.closed_form_domain(2.0, q)
+        for accepted, value in zip(mask.tolist(), q.tolist()):
+            try:
+                exp_barrier.phase_shifts(2.0, value)
+            except DomainError:
+                assert not accepted
+            else:
+                assert accepted
+        assert not exp_barrier.closed_form_domain(math.inf, np.array([1.0]))[0]
+
+
 class TestAmplitudes:
     def test_moduli_both_sides(self):
         for q in (0.3, 1.0, 2.5):

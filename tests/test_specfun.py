@@ -69,6 +69,52 @@ class TestComplexGamma:
             specfun.complex_gamma(-2.0 + 0.0j)
 
 
+# Bits of scalar Gamma(z) as the CPython-arithmetic Lanczos path gives them;
+# the numeric lane's Hankel pair and the exact wavefunctions rely on them.
+SCALAR_GAMMA_BITS = [
+    (1 + 1j, "0x1.fdf7d1bddb10ap-2", "-0x1.3d5655e89de22p-3"),
+    (1 + 0.05j, "0x1.febcb55564573p-1", "-0x1.d70066eeec042p-6"),
+    (1 + 20j, "-0x1.1ba45770ac01ep-42", "0x1.4af38587feadep-45"),
+    (0.7 + 1.3j, "0x1.1ac17c51d68bap-2", "-0x1.9a5b46c0f719cp-3"),
+    (-1.3 + 0.4j, "0x1.16b28b3a80e4bp+0", "0x1.1cdf2bfc2f1c9p+0"),
+    (-2.5 + 0j, "-0x1.e3ff812e32181p-1", "-0x0.0p+0"),
+    (0.25 - 3j, "0x1.175a3debc3212p-6", "0x1.a29ca12f5e54bp-10"),
+]
+
+
+class TestComplexGammaArray:
+    @pytest.mark.parametrize("z, re_hex, im_hex", SCALAR_GAMMA_BITS)
+    def test_scalar_bits_frozen(self, z, re_hex, im_hex):
+        g = specfun.complex_gamma(z)
+        assert type(g) is complex
+        assert g.real.hex() == re_hex and g.imag.hex() == im_hex
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate((
+            1.0 + 1j * np.logspace(-8, math.log10(222.0), 400),  # sweep q range
+            rng.uniform(-20, 20, 400) + 1j * rng.uniform(-50, 50, 400),
+            np.array([0.5, -0.5, -2.5, 0.3 - 2j, 0.499999 + 1j]),  # Re z < 0.5 reflects
+        ))
+        got = specfun.complex_gamma(z)
+        want = np.array([specfun.complex_gamma(complex(v)) for v in z])
+        assert got.shape == z.shape and got.dtype == complex
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_array_keeps_shape(self):
+        z = np.array([[1 + 1j, -1.3 + 0.4j], [2.0, 0.5 + 7j]])
+        got = specfun.complex_gamma(z)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == pytest.approx(1.0, abs=1e-14)  # Gamma(2) = 1
+        assert specfun.complex_gamma(np.array([], dtype=complex)).size == 0
+
+    def test_array_pole_names_first(self):
+        with pytest.raises(DomainError, match="pole at z = -3$"):
+            specfun.complex_gamma(np.array([1 + 1j, -3.0, -4.0]))
+        with pytest.raises(DomainError, match="pole at z = 0$"):
+            specfun.complex_gamma(np.array([-0.0 + 0j]))
+
+
 class TestBesselSeries:
     def test_real_order_zero_limit(self):
         # q -> 0 reduces to the ordinary J_0; integral oracle value

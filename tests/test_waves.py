@@ -48,6 +48,25 @@ class TestAngles:
         assert waves.principal_angle(math.pi) == pytest.approx(math.pi)
         assert waves.principal_angle(-math.pi) == pytest.approx(math.pi)
 
+    def test_array_and_scalar_bits_match_remainder(self):
+        # the exact representative in (-pi, pi], bit for bit: both ends,
+        # odd multiples of pi, round-half-even ties of angle / 2 pi, zeros
+        def by_remainder(angle):
+            r = math.remainder(angle, waves.TWO_PI)
+            return r + waves.TWO_PI if r <= -math.pi else r
+
+        rng = np.random.default_rng(11)
+        angles = [k * math.pi for k in range(-41, 42)]
+        angles += [(k + 0.5) * waves.TWO_PI for k in range(-50, 50)]
+        angles += [math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                   math.nextafter(-math.pi, -4.0), 0.0, -0.0, -waves.TWO_PI, 1e300, 5e-324]
+        angles += rng.uniform(-1e3, 1e3, 20000).tolist() + rng.uniform(-8, 8, 20000).tolist()
+        want = [by_remainder(a).hex() for a in angles]
+        scalar = [waves.principal_angle(a) for a in angles]
+        assert all(type(s) is float for s in scalar)
+        assert [s.hex() for s in scalar] == want
+        assert [a.hex() for a in waves.principal_angle(np.array(angles)).tolist()] == want
+
     def test_angle_distance_wraps(self):
         assert waves.angle_distance(0.1, 2.0 * math.pi + 0.1) < 1e-12
         assert waves.angle_distance(-math.pi / 2, 3.0 * math.pi / 2) < 1e-12
