@@ -164,7 +164,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     For exponential models q and the analytic cells are computed once, as
     numpy columns over the whole energy grid; only the numeric solve runs
-    row by row.
+    row by row, every row on the same default window and step.
     """
     energies = spec.energies()
     blank = [None] * energies.size
@@ -174,7 +174,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rows = [SweepRow(*cells) for cells in zip(energies.tolist(), *columns.values())]
     if spec.methods == "analytic":
         return rows
-    return [row if row.error else _sweep_row(spec, row) for row in rows]
+    config = numeric_scatter.default_config(spec.model, spec.units)
+    return [row if row.error else _sweep_row(spec, row, config) for row in rows]
 
 
 def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
@@ -215,12 +216,11 @@ def _refusal(p: float, q: float) -> str:
     raise AssertionError(f"closed forms accept q = {q!r} outside closed_form_domain")
 
 
-def _sweep_row(spec: SweepSpec, row: SweepRow) -> SweepRow:
+def _sweep_row(spec: SweepSpec, row: SweepRow, config: numeric_scatter.SolverConfig) -> SweepRow:
     """Fill the numeric cells of one row; on failure every cell but E and q
     is NA and the row carries the message."""
     sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
     try:
-        config = numeric_scatter.default_config(spec.model, spec.units)
         basis = numeric_scatter.integrate_basis(spec.model, row.energy, config, spec.units)
         results = [numeric_scatter.match(basis, s) for s in sides]
     except (DomainError, AccuracyError) as exc:

@@ -46,7 +46,8 @@ _QUARTER_PI = math.pi / 4.0
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Barrier strength, length scale, mass, and hbar; all strictly positive."""
+    """Barrier strength, length scale, mass, and hbar; all strictly positive,
+    and a and hbar with squares that are finite and > 0."""
 
     v0: float
     a: float
@@ -58,6 +59,12 @@ class PhysicalParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("a", "hbar"):
+            value = getattr(self, name)
+            if not 0.0 < value * value < math.inf:
+                raise DomainError(
+                    f"{name} = {value!r} is out of range: {name}^2 must be a finite float > 0"
+                )
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ real basis {u, v} with u(0) = 1, u'(0) = 0, v(0) = 0, v'(0) = 1 by marching
 a classical fixed-step RK4 outward from x = 0 (so W[u, v] = 1 exactly at
 the seed point and its drift measures integrator error).  The equation is
 linear, so every RK4 step is a 2x2 transfer matrix; the march builds all
-of them at once with numpy and reads the node values off their prefix
-products.  ``match`` then projects u and v, at each window end, onto that
-end's travelling pair (rightward, leftward): plane waves exp(+-ikx) where
-the potential vanishes, the exact pair {H1_{iq}(z), H2_{iq}(z)},
-z = p exp(x/(2a)), where it dives.  The matched solution is the one with no
-wave arriving from infinity on the transmitted end, and the incident,
-reflected and transmitted waves are read off the same two projections for
-either incidence side.
+of them at once with numpy and writes their prefix products, the node
+values, straight into one array.  The potential is sampled once per window
+and step, and every energy of a sweep reuses the samples.  ``match`` then
+projects u and v, at each window end, onto that end's travelling pair
+(rightward, leftward): plane waves exp(+-ikx) where the potential vanishes,
+the exact pair {H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), where it dives.
+The matched solution is the one with no wave arriving from infinity on the
+transmitted end, and the incident, reflected and transmitted waves are read
+off the same two projections for either incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ.
@@ -21,6 +22,7 @@ meaningful when the two asymptotic waveforms differ.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -81,7 +83,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BasisPair:
-    """Two real solutions with unit Wronskian, plus their provenance."""
+    """Two real solutions (float64 psi, dpsi) with unit Wronskian, plus their provenance."""
 
     u: WaveSolution
     v: WaveSolution
@@ -181,25 +183,20 @@ def integrate_basis(
 
     n_left, n_right = config.node_counts()
     h = config.step
+    # g = 2m (V - E)/hbar^2 at three samples per step
     two_m_over_h2 = 2.0 * units.mass / units.hbar**2
-
-    # g = 2m (V - E)/hbar^2, three samples per step, each strictly inside
-    # its own step: a jump discontinuity sitting on a node is then seen
-    # one-sided by both neighbouring steps.  The inward nudge moves smooth
-    # potentials by ~1e-13 * step, far below the truncation error.
-    x_right_samples = _step_samples(n_right, h)
-    x_left_samples = -_step_samples(n_left, h)
-    g_right = two_m_over_h2 * (potentials.evaluate(potential, x_right_samples) - energy)
-    g_left = two_m_over_h2 * (potentials.evaluate(potential, x_left_samples) - energy)
+    v_left, v_right = _potential_samples(potential, n_left, n_right, h)
+    g_left, g_right = two_m_over_h2 * (v_left - energy), two_m_over_h2 * (v_right - energy)
     if not (np.all(np.isfinite(g_right)) and np.all(np.isfinite(g_left))):
         raise DomainError("potential is not finite on the integration grid")
 
+    # rows u, u', v, v'; both marches start at x = 0, the left one through a reversed view
+    nodes = np.empty((4, n_left + n_right + 1))
     # on a deep window the basis can overflow; the drift check refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        right = _march(g_right, h)
-        left = _march(g_left, -h)
-        # drop the left march's copy of the x = 0 node, reorder ascending
-        u, du, v, dv = (np.concatenate((l[:0:-1], r)) for l, r in zip(left, right))
+        _march(g_right, h, nodes[:, n_left:])
+        _march(g_left, -h, nodes[:, n_left::-1])
+        u, du, v, dv = nodes
         w_profile = u * dv - du * v
     grid = np.concatenate((-h * np.arange(n_left, 0, -1), h * np.arange(n_right + 1)))
 
@@ -215,18 +212,10 @@ def integrate_basis(
             f"{config.match_tolerance:.3e}; refine the step (drift falls as h^4)"
         )
     zeros = np.zeros_like(grid)
-    u_sol = WaveSolution(
-        grid=grid, psi=u.astype(complex), dpsi=du.astype(complex),
-        flux_profile=zeros, wronskian_drift=drift,
-    )
-    v_sol = WaveSolution(
-        grid=grid, psi=v.astype(complex), dpsi=dv.astype(complex),
-        flux_profile=zeros, wronskian_drift=drift,
-    )
-    return BasisPair(
-        u=u_sol, v=v_sol, potential=potential, energy=float(energy),
-        units=units, config=config,
-    )
+    u_sol = WaveSolution(grid=grid, psi=u, dpsi=du, flux_profile=zeros, wronskian_drift=drift)
+    v_sol = WaveSolution(grid=grid, psi=v, dpsi=dv, flux_profile=zeros, wronskian_drift=drift)
+    return BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy),
+                     units=units, config=config)
 
 
 def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
@@ -303,60 +292,71 @@ def scattering_wavefunction(basis: BasisPair, result: NumericScatteringResult) -
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _potential_samples(potential: PotentialModel, n_left: int, n_right: int, h: float):
+    """V at the step samples of the (left, right) half-windows, shared read-only by all energies."""
+    halves = ((n_left, -h), (n_right, h))
+    samples = tuple(potentials.evaluate(potential, _step_samples(n, step)) for n, step in halves)
+    for values in samples:
+        values.flags.writeable = False
+    return samples
+
+
 def _step_samples(n: int, h: float) -> np.ndarray:
-    """Sample abscissae for n steps of size h: three per step, all interior."""
-    base = np.repeat(np.arange(n, dtype=float), 3)
-    offsets = np.tile(np.array([1e-9, 0.5, 1.0 - 1e-9]), n)
-    return (base + offsets) * h
-
-
-def _march(g: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
-    """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step.
-
-    Returns (u, u', v, v') with u seeded (1, 0) and v seeded (0, 1), each
-    with n + 1 nodes.  The step is linear in the state, so each RK4 step is
-    a 2x2 transfer matrix M_i, and the node values are the prefix products
-    P_i = M_{i-1} ... M_0 (P_0 = I): column 0 of P_i is (u, u'), column 1
-    is (v, v').
-
-    The products use a blocked scan: they run sequentially inside blocks of
-    about sqrt(n) steps, vectorised across blocks, and then each block is
-    carried by the product of all earlier block totals.  Every product is
-    formed in step order, which keeps the Wronskian's round-off drift as
-    low as a plain loop's; a log-depth tree scan would not.
-    """
-    n = g.size // 3
+    """Abscissae of n steps of size h (h < 0 marches left) in the scan layout
+    of ``_march``: [s, j, k] is sample s of step k * width + j, width =
+    isqrt(n).  Steps past n pad the last block and repeat step n - 1.  Each
+    sample lies strictly inside its step, so a jump on a node is seen
+    one-sided by both neighbouring steps; the inward nudge moves smooth
+    potentials by ~1e-13 * step, far below the truncation error."""
     width = max(1, math.isqrt(n))
     blocks = max(1, -(-n // width))
-    # samples[s, j, k]: sample s of step k * width + j.  The zero samples
-    # past step n only pad the last block, whose total no carry uses.
-    samples = np.zeros((blocks * width, 3))
-    samples[:n] = g.reshape(n, 3)
-    samples = np.ascontiguousarray(samples.reshape(blocks, width, 3).T)
-    # m[r, c, j, k]: entry (r, c) of that step's matrix; column c is the
-    # step applied to seed c, (1, 0) or (0, 1)
-    m = np.empty((2, 2, width, blocks))
-    m[:, 0] = _rk4_step(1.0, 0.0, *samples, h)
-    m[:, 1] = _rk4_step(0.0, 1.0, *samples, h)
-    steps = m.transpose(2, 0, 1, 3)
-    local = np.empty_like(steps)
-    local[0] = steps[0]
-    col0, col1 = steps[:, :, 0, None], steps[:, :, 1, None]
-    for j in range(1, width):
-        prev = local[j - 1]
-        local[j] = col0[j] * prev[0] + col1[j] * prev[1]
+    step = np.minimum(np.arange(blocks) * width + np.arange(width)[:, None], max(n - 1, 0))
+    return (step + np.array([1e-9, 0.5, 1.0 - 1e-9])[:, None, None]) * h
+
+
+def _march(g: np.ndarray, h: float, out: np.ndarray) -> None:
+    """March u'' = g(x) u for the (u, v) pair over n = out.shape[1] - 1 steps.
+
+    g holds three samples per step in the layout of ``_step_samples``.  The
+    rows of out (a reversed view for the left march) receive (u, u', v, v')
+    at the n + 1 nodes, u seeded (1, 0) and v (0, 1): each RK4 step is a 2x2
+    transfer matrix M_i, and node i holds P_i = M_{i-1} ... M_0 (P_0 = I).
+
+    The products use a blocked scan: sequential inside blocks of width
+    steps, vectorised across blocks, then each block carried by the product
+    of all earlier block totals.  Every product is formed in step order,
+    which keeps the Wronskian's round-off drift as low as a plain loop's; a
+    log-depth tree scan would not.
+    """
+    n = out.shape[1] - 1
+    width, blocks = g.shape[1:]
+    # m[j, r, c, k]: entry (r, c) of step k * width + j, column c the step applied to
+    # seed c; built a few rows at a time so each stage temporary (64 KB) stays in cache
+    m = np.empty((width, 2, 2, blocks))
+    rows = max(1, 8192 // blocks)
+    for j in range(0, width, rows):
+        mj, gj = m[j : j + rows], g[:, j : j + rows]
+        mj[:, 0, 0], mj[:, 1, 0] = _rk4_step(1.0, 0.0, *gj, h)
+        mj[:, 0, 1], mj[:, 1, 1] = _rk4_step(0.0, 1.0, *gj, h)
+    # in place, m[j] becomes the product of its block's steps 0..j
+    lhs, rhs = np.empty((2, 2, 2, blocks))
+    for mj, col0, col1, row0, row1 in zip(m[1:], m[1:, :, :1], m[1:, :, 1:], m[:-1, 0], m[:-1, 1]):
+        np.add(np.multiply(col0, row0, out=lhs), np.multiply(col1, row1, out=rhs), out=mj)
     carry = [(1.0, 0.0, 0.0, 1.0)]
-    for t00, t01, t10, t11 in local[-1].reshape(4, blocks).T.tolist()[:-1]:
+    # the last block's total, which may include pad steps, carries nothing
+    for t00, t01, t10, t11 in m[-1].reshape(4, blocks).T.tolist()[:-1]:
         c00, c01, c10, c11 = carry[-1]
         carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
                       t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
     carried = np.array(carry).T.reshape(2, 2, blocks)
-    prefix = local[:, :, 0, None] * carried[0] + local[:, :, 1, None] * carried[1]
-    nodes = np.empty((2, 2, 1 + blocks * width))
-    nodes[:, :, 0] = np.eye(2)
-    nodes[:, :, 1:].reshape(2, 2, blocks, width)[...] = prefix.transpose(1, 2, 3, 0)
-    (u, v), (du, dv) = nodes[:, :, : n + 1]
-    return u, du, v, dv
+    # out row r + 2c takes entry (r, c); node 1 + k * width + j is step j of block k
+    full = n // width
+    out[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    for row, (r, c) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        prefix = m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
+        out[row, 1 : 1 + full * width].reshape(full, width).T[...] = prefix[:, :full]
+        out[row, 1 + full * width :] = prefix[: n - full * width, -1]
 
 
 def _rk4_step(u, du, g0, g1, g2, h):

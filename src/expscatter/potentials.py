@@ -36,12 +36,14 @@ def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
 
     Args:
         v0: depth scale, must be > 0.
-        a: range, must be > 0.
+        a: range, must be > 0 with a^2 finite and > 0 (both lanes square it).
         b: offset, finite, such that the depth v0 * exp(-b/a) at x = 0 is
             finite and > 0.
     """
     _require_positive("v0", v0)
     _require_positive("a", a)
+    if not 0.0 < a * a < math.inf:
+        raise DomainError(f"a = {a!r} is out of range: a^2 must be a finite float > 0")
     if not (isinstance(b, (int, float)) and math.isfinite(b)):
         raise DomainError(f"offset b must be finite, got {b!r}")
     model = PotentialModel(kind="exponential", v0=float(v0), a=float(a), b=float(b))

@@ -26,9 +26,10 @@ class WaveSolution:
     ----------
     grid : ndarray
         Sample positions x, strictly ascending.
-    psi : ndarray of complex
-        Wavefunction values.
-    dpsi : ndarray of complex
+    psi : ndarray of complex, or of float64 for an integrated basis
+        Wavefunction values.  A basis solution is real; combining it with
+        complex coefficients promotes it to complex on the same values.
+    dpsi : ndarray, the dtype of psi
         d(psi)/dx at the same positions.
     flux_profile : ndarray of float
         Probability flux at each sample.  Constant up to solver error

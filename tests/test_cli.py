@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from expscatter import cli, exp_barrier
+from expscatter import cli, exp_barrier, numeric_scatter
 from expscatter.cli import SWEEP_HEADER, UsageError
 
 
@@ -414,6 +414,17 @@ class TestCommands:
               "--energy", "0.5", "--xmin", "nan", "--xmax", "1"], "--xmin must be finite"),
             (["wavefunction", "--method", "numeric", "--model", "exp:v0=1,a=1",
               "--energy", "0.5", "--xmin=-inf", "--xmax", "1"], "--xmin must be finite"),
+            # a^2 overflows: both lanes used to end in an OverflowError traceback
+            (["sweep", "--model", "exp:v0=1,a=1e200", "--emin", "1", "--emax", "2",
+              "--n", "3", "--method", "analytic"], "a = 1e+200 is out of range"),
+            (["sweep", "--model", "exp:v0=1,a=1e200", "--emin", "1", "--emax", "2",
+              "--n", "3", "--method", "numeric"], "a = 1e+200 is out of range"),
+            (["wavefunction", "--model", "exp:v0=1,a=1e200", "--energy", "1",
+              "--xmin", "-1", "--xmax", "1"], "a = 1e+200 is out of range"),
+            (["sweep", "--model", "exp:v0=1,a=1e-200", "--emin", "1", "--emax", "2",
+              "--n", "3"], "a = 1e-200 is out of range"),
+            (["sweep", "--model", "rect:v0=1,w=2", "--hbar", "1e200", "--emin", "1",
+              "--emax", "2", "--n", "3", "--method", "numeric"], "hbar = 1e+200 is out of range"),
         ],
     )
     def test_bad_input_refused_cleanly(self, argv, needle, capsys):
@@ -422,6 +433,19 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+    def test_sweep_builds_one_solver_config(self, monkeypatch, capsys):
+        # the window and step do not depend on the energy
+        calls = []
+        build = numeric_scatter.default_config
+        monkeypatch.setattr(
+            numeric_scatter, "default_config", lambda *args: calls.append(args) or build(*args)
+        )
+        argv = ["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.5", "--emax", "1.0",
+                "--n", "3", "--method", "numeric"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and "row-error" not in out
+        assert len(calls) == 1
 
     def test_deep_window_overflow_refused_without_warnings(self, capsys):
         # b = -30 puts V(0) at -e^30: the basis overflows on the default window

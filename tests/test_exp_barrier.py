@@ -50,6 +50,15 @@ class TestReduceParams:
         with pytest.raises(DomainError):
             PhysicalParams(v0=1.0, a=-1.0, mass=0.5, hbar=1.0)
 
+    @pytest.mark.parametrize(
+        "name, value", [("a", 1e200), ("a", 1e-200), ("hbar", 1e200), ("hbar", 1e-200)]
+    )
+    def test_params_refuse_unrepresentable_squares(self, name, value):
+        # delta = hbar^2 / (8 m a^2) used to raise OverflowError or ZeroDivisionError
+        fields = {"v0": 1.0, "a": 1.0, "mass": 0.5, "hbar": 1.0, name: value}
+        with pytest.raises(DomainError, match=f"{name}\\^2 must be a finite float > 0"):
+            PhysicalParams(**fields)
+
 
 class TestTransmissionReflection:
     def test_frozen_value(self):

@@ -139,12 +139,33 @@ def loop_basis(potential, energy, config):
     h = config.step
     scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
 
-    def g(xs):
+    def g(n, step):
+        # the scan layout back in step order: [s, j, k] is step k * width + j
+        xs = numeric_scatter._step_samples(n, step).transpose(2, 1, 0).reshape(-1)[: 3 * n]
         return (scale * (potentials.evaluate(potential, xs) - energy)).tolist()
 
-    right = loop_march(g(numeric_scatter._step_samples(n_right, h)), h)
-    left = loop_march(g(-numeric_scatter._step_samples(n_left, h)), -h)
+    right = loop_march(g(n_right, h), h)
+    left = loop_march(g(n_left, -h), -h)
     return [np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)]
+
+
+def to_scan(g):
+    """Step-ordered samples (three per step) in the scan layout of _march:
+    [s, j, k] is sample s of step k * width + j, width = isqrt(n); the pad
+    steps of the last block repeat the last step."""
+    n = g.size // 3
+    width = max(1, math.isqrt(n))
+    blocks = -(-n // width)
+    steps = g.reshape(n, 3)
+    padded = np.concatenate((steps, np.repeat(steps[-1:], blocks * width - n, axis=0)))
+    return padded.reshape(blocks, width, 3).transpose(2, 1, 0)
+
+
+def march(g, h):
+    """(u, u', v, v') of numeric_scatter._march for step-ordered samples g."""
+    out = np.empty((4, g.size // 3 + 1))
+    numeric_scatter._march(to_scan(g), h, out)
+    return list(out)
 
 
 def assert_same_march(got, want, rel=1e-12):
@@ -159,11 +180,32 @@ class TestStepMatrixMarch:
         # block widths of about sqrt(n) with full, partial and single blocks
         g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
         for h in (1e-3, -1e-3):
-            assert_same_march(numeric_scatter._march(g, h), loop_march(g.tolist(), h))
+            assert_same_march(march(g, h), loop_march(g.tolist(), h))
 
     def test_no_steps_is_the_seed(self):
-        u, du, v, dv = numeric_scatter._march(np.empty(0), 1e-3)
-        assert (u.tolist(), du.tolist(), v.tolist(), dv.tolist()) == ([1.0], [0.0], [0.0], [1.0])
+        out = np.empty((4, 1))
+        numeric_scatter._march(np.zeros((3, 1, 1)), 1e-3, out)
+        assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
+
+    def test_pad_steps_do_not_reach_the_nodes(self):
+        # n = 17: width 4, five blocks, the last one step and three pad steps
+        g = np.random.default_rng(17).uniform(-2.0, 1.0, 3 * 17)
+        want = march(g, 1e-3)
+        scan = to_scan(g).copy()
+        scan[:, 1:, -1] = np.nan
+        out = np.empty((4, 18))
+        numeric_scatter._march(scan, 1e-3, out)
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
+    def test_step_samples_are_step_ordered_abscissae_in_scan_layout(self, n):
+        # same floats as the step-ordered samples; the pad adds no abscissa
+        for h in (5e-4, -5e-4):
+            want = to_scan(math.copysign(1.0, h) * oracle_step_samples(n, abs(h)))
+            got = numeric_scatter._step_samples(n, h)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert 0.0 < np.min(got / h) and np.max(got / h) < n
 
     @pytest.mark.parametrize(
         "potential, energy",
@@ -177,7 +219,7 @@ class TestStepMatrixMarch:
     def test_basis_equals_scalar_loop(self, potential, energy):
         config = numeric_scatter.default_config(potential)
         basis = numeric_scatter.integrate_basis(potential, energy, config)
-        got = [basis.u.psi.real, basis.u.dpsi.real, basis.v.psi.real, basis.v.dpsi.real]
+        got = [basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi]
         assert_same_march(got, loop_basis(potential, energy, config))
 
     def test_drift_floor_on_default_exp_window(self):
@@ -186,6 +228,150 @@ class TestStepMatrixMarch:
         config = numeric_scatter.default_config(EXP_MODEL)
         basis = numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
         assert basis.u.wronskian_drift <= 2e-13
+
+
+# The march before the scan layout, kept verbatim (bar the oracle_ names)
+# as the oracle that the current march must reproduce bit for bit.
+
+
+def oracle_step_samples(n: int, h: float) -> np.ndarray:
+    """Sample abscissae for n steps of size h: three per step, all interior."""
+    base = np.repeat(np.arange(n, dtype=float), 3)
+    offsets = np.tile(np.array([1e-9, 0.5, 1.0 - 1e-9]), n)
+    return (base + offsets) * h
+
+
+def oracle_march(g: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step."""
+    n = g.size // 3
+    width = max(1, math.isqrt(n))
+    blocks = max(1, -(-n // width))
+    # samples[s, j, k]: sample s of step k * width + j.  The zero samples
+    # past step n only pad the last block, whose total no carry uses.
+    samples = np.zeros((blocks * width, 3))
+    samples[:n] = g.reshape(n, 3)
+    samples = np.ascontiguousarray(samples.reshape(blocks, width, 3).T)
+    # m[r, c, j, k]: entry (r, c) of that step's matrix; column c is the
+    # step applied to seed c, (1, 0) or (0, 1)
+    m = np.empty((2, 2, width, blocks))
+    m[:, 0] = oracle_rk4_step(1.0, 0.0, *samples, h)
+    m[:, 1] = oracle_rk4_step(0.0, 1.0, *samples, h)
+    steps = m.transpose(2, 0, 1, 3)
+    local = np.empty_like(steps)
+    local[0] = steps[0]
+    col0, col1 = steps[:, :, 0, None], steps[:, :, 1, None]
+    for j in range(1, width):
+        prev = local[j - 1]
+        local[j] = col0[j] * prev[0] + col1[j] * prev[1]
+    carry = [(1.0, 0.0, 0.0, 1.0)]
+    for t00, t01, t10, t11 in local[-1].reshape(4, blocks).T.tolist()[:-1]:
+        c00, c01, c10, c11 = carry[-1]
+        carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
+                      t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
+    carried = np.array(carry).T.reshape(2, 2, blocks)
+    prefix = local[:, :, 0, None] * carried[0] + local[:, :, 1, None] * carried[1]
+    nodes = np.empty((2, 2, 1 + blocks * width))
+    nodes[:, :, 0] = np.eye(2)
+    nodes[:, :, 1:].reshape(2, 2, blocks, width)[...] = prefix.transpose(1, 2, 3, 0)
+    (u, v), (du, dv) = nodes[:, :, : n + 1]
+    return u, du, v, dv
+
+
+def oracle_rk4_step(u, du, g0, g1, g2, h):
+    """One classical RK4 step of (u, u') for u'' = g u, with g sampled at
+    the start, middle and end of the step; works on scalars and arrays."""
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    k1u = du;                k1p = g0 * u
+    k2u = du + half_h * k1p; k2p = g1 * (u + half_h * k1u)
+    k3u = du + half_h * k2p; k3p = g1 * (u + half_h * k2u)
+    k4u = du + h * k3p;      k4p = g2 * (u + h * k3u)
+    return (
+        u + sixth_h * (k1u + 2.0 * (k2u + k3u) + k4u),
+        du + sixth_h * (k1p + 2.0 * (k2p + k3p) + k4p),
+    )
+
+
+def oracle_basis(potential, energy, config):
+    """(u, u', v, v', grid) and the drift, as the oracle march gives them."""
+    n_left, n_right = config.node_counts()
+    h = config.step
+    two_m_over_h2 = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
+    x_right_samples = oracle_step_samples(n_right, h)
+    x_left_samples = -oracle_step_samples(n_left, h)
+    g_right = two_m_over_h2 * (potentials.evaluate(potential, x_right_samples) - energy)
+    g_left = two_m_over_h2 * (potentials.evaluate(potential, x_left_samples) - energy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        right = oracle_march(g_right, h)
+        left = oracle_march(g_left, -h)
+        u, du, v, dv = (np.concatenate((l[:0:-1], r)) for l, r in zip(left, right))
+        w_profile = u * dv - du * v
+    grid = np.concatenate((-h * np.arange(n_left, 0, -1), h * np.arange(n_right + 1)))
+    drift = float(np.max(np.abs(w_profile - 1.0)))
+    return [c.tobytes() for c in (u, du, v, dv, grid)], drift
+
+
+def basis_bytes(basis):
+    columns = (basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi, basis.u.grid)
+    assert all(c.dtype == np.float64 for c in columns)  # an integrated basis is real
+    return [c.tobytes() for c in columns], basis.u.wronskian_drift
+
+
+PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, step=1.0 / 997.0)
+BIT_CASES = {
+    # default window: the 40,000-step left tail and the diving right end
+    "exp": (EXP_MODEL, 0.25, None),
+    "exp-q4": (EXP_MODEL, 4.0, None),
+    "expshift": (potentials.exponential(1.0, 1.0, -1.5), 1.3, None),
+    "rect-edges-on-nodes": (potentials.rectangular(1.0, 1.0), 0.5, None),
+    "free": (potentials.free(), 1.0, None),
+    "partial-last-block": (EXP_MODEL, 0.7, PARTIAL),
+}
+
+
+def bit_case(name):
+    potential, energy, config = BIT_CASES[name]
+    return potential, energy, config or numeric_scatter.default_config(potential)
+
+
+class TestBitExactMarch:
+    @pytest.mark.parametrize("name", sorted(BIT_CASES))
+    def test_basis_bytes_equal_the_oracle(self, name):
+        potential, energy, config = bit_case(name)
+        got = basis_bytes(numeric_scatter.integrate_basis(potential, energy, config))
+        assert got == oracle_basis(potential, energy, config)
+
+    def test_partial_case_leaves_partial_blocks(self):
+        for n in PARTIAL.node_counts():
+            assert n % math.isqrt(n) != 0
+
+    def test_alternating_windows_equal_fresh_calls(self):
+        # the shared samples must follow the model and the window
+        names = ["exp", "rect-edges-on-nodes", "partial-last-block", "expshift"]
+        fresh = {}
+        for name in names:
+            numeric_scatter._potential_samples.cache_clear()
+            fresh[name] = basis_bytes(numeric_scatter.integrate_basis(*bit_case(name)))
+        for name in names + names[::-1] + names:
+            assert basis_bytes(numeric_scatter.integrate_basis(*bit_case(name))) == fresh[name]
+
+    def test_energies_share_one_sampling(self):
+        config = numeric_scatter.default_config(EXP_MODEL)
+        numeric_scatter._potential_samples.cache_clear()
+        for energy in (0.25, 0.5, 1.0):
+            numeric_scatter.integrate_basis(EXP_MODEL, energy, config)
+        info = numeric_scatter._potential_samples.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_shared_samples_are_read_only(self):
+        config = numeric_scatter.default_config(EXP_MODEL)
+        numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
+        shared = numeric_scatter._potential_samples(EXP_MODEL, *config.node_counts(), config.step)
+        assert numeric_scatter._potential_samples.cache_info().hits >= 1
+        for values in shared:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0, 0] = 0.0
 
 
 class TestPlaneWaveMatching:

@@ -23,6 +23,13 @@ class TestConstructors:
         with pytest.raises(DomainError):
             potentials.rectangular(1.0, -0.5)
 
+    @pytest.mark.parametrize("a", [1e155, 1e200, 1e-200])
+    def test_rejects_unrepresentable_square_of_range(self, a):
+        # both lanes square a; a^2 must neither overflow nor vanish
+        with pytest.raises(DomainError, match="a\\^2 must be a finite float > 0"):
+            potentials.exponential(1.0, a)
+        assert potentials.exponential(1.0, 1e154).a == 1e154
+
     def test_rectangular_signed_height(self):
         barrier = potentials.rectangular(1.0, 1.0)
         well = potentials.rectangular(-1.0, 1.0)
