@@ -1,8 +1,8 @@
 """Quantum scattering off an exponential potential drop.
 
 Closed-form transmission, reflection, phases, and wavefunctions for
-V(x) = -v0 * exp(x/a), plus an independent ODE solver that cross-checks
-them and handles rectangular and free models on the side.
+V(x) = -v0 * exp(x/a), plus an ODE solver that cross-checks them and
+handles rectangular models (the free particle among them) on the side.
 """
 
 from .errors import AccuracyError, DegenerateOrderError, DomainError, SeriesRangeError
@@ -41,7 +41,6 @@ from .specfun import (
     BesselEval,
     bessel_j_imag_order,
     complex_gamma,
-    hankel_asymptotic,
     hankel_imag_order,
 )
 from .verification import CheckResult, format_report, run_all
@@ -75,7 +74,6 @@ __all__ = [
     "fluxes",
     "format_report",
     "free",
-    "hankel_asymptotic",
     "hankel_imag_order",
     "incident_amplitude",
     "integrate_basis",

@@ -501,8 +501,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

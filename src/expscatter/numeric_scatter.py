@@ -1,13 +1,15 @@
 """Direct integration of the stationary Schroedinger equation plus matching.
 
 The solver never trusts the closed forms it is meant to check.  It builds a
-real basis {u, v} with u(0) = 1, u'(0) = 0, v(0) = 0, v'(0) = 1 by marching
-a classical fixed-step RK4 outward from x = 0 (so W[u, v] = 1 exactly at
-the seed point and its drift measures integrator error).  The equation is
-linear, so every RK4 step is a 2x2 transfer matrix; the march builds all
-of them at once with numpy and writes their prefix products, the node
-values, straight into one array.  The potential is sampled once per window
-and step, and every energy of a sweep reuses the samples.  ``match`` then
+real basis {u, v} with u = 1, u' = 0, v = 0, v' = 1 at the seed, the window
+point nearest x = 0, by marching a classical fixed-step RK4 outward from
+it (so W[u, v] = 1 exactly at the seed and its drift measures integrator
+error).  The equation is linear, so every RK4 step is a 2x2 transfer
+matrix; the march builds all of them at once with numpy and writes their
+prefix products, the node values, straight into one array.  The potential
+is sampled once per window and step, and every energy of a sweep reuses
+the samples.  An exponential's default window is fixed in z = p exp(x/(2a)),
+where its depth and offset only translate the problem.  ``match`` then
 projects u and v, at each window end, onto that end's travelling pair
 (rightward, leftward): plane waves exp(+-ikx) where the potential vanishes,
 the exact pair {H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), where it dives.
@@ -48,10 +50,10 @@ ASYMPTOTE_EPSILON = 1e-6
 class SolverConfig:
     """Integration window and step.
 
-    Endpoints are extended outward to the nearest multiple of ``step`` so
-    the step divides both half-intervals exactly; pick a step that divides
-    any interior discontinuity (the rectangular edge) for clean fourth
-    order.
+    The basis is seeded at ``seed``, the window point nearest x = 0, and
+    the nodes are seed + k * step: each end is extended outward to the
+    nearest node.  Pick a step that divides any interior discontinuity
+    (the rectangular edge) for clean fourth order.
     """
 
     x_left: float
@@ -60,23 +62,29 @@ class SolverConfig:
     match_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (-math.inf < self.x_left < 0.0 < self.x_right < math.inf):
+        if not (-math.inf < self.x_left < self.x_right < math.inf):
             raise DomainError(
-                f"need finite x_left < 0 < x_right, got [{self.x_left!r}, {self.x_right!r}]"
+                f"need finite x_left < x_right, got [{self.x_left!r}, {self.x_right!r}]"
             )
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise DomainError(f"step must be finite and > 0, got {self.step!r}")
         if not self.match_tolerance > 0.0:
             raise DomainError(f"match_tolerance must be > 0, got {self.match_tolerance!r}")
+        self.node_counts()
+
+    @property
+    def seed(self) -> float:
+        return min(max(0.0, self.x_left), self.x_right)
 
     def node_counts(self) -> tuple[int, int]:
-        """(n_left, n_right) steps after the outward endpoint adjustment."""
-        n_left = math.ceil(-self.x_left / self.step - 1e-9)
-        n_right = math.ceil(self.x_right / self.step - 1e-9)
+        """(n_left, n_right) steps from the seed to the extended window ends."""
+        spans = ((self.seed - self.x_left) / self.step, (self.x_right - self.seed) / self.step)
+        n_left, n_right = (math.ceil(min(span, _MAX_NODES) - 1e-9) for span in spans)
         if n_left + n_right + 1 > _MAX_NODES:
             raise DomainError(
-                f"grid of {n_left + n_right + 1} nodes exceeds the {_MAX_NODES} cap; "
-                "increase step or shrink the window"
+                f"grid of about {sum(spans) + 1:.3g} nodes on [{self.x_left:g}, "
+                f"{self.x_right:g}] at step {self.step:g} exceeds the {_MAX_NODES:,} node "
+                "cap; increase step or shrink the window"
             )
         return n_left, n_right
 
@@ -120,7 +128,11 @@ class NumericScatteringResult:
     incident: complex
 
 
-_Z_MATCH = 12.0  # right-edge value of p e^{x/2a}; series accuracy decays like e^z eps
+# exponential windows run over z = p e^{x/2a} from _Z_LEFT (|V| = delta z^2
+# is 8e-9 delta there; x = -20a at p = 2) to _Z_MATCH, past which the
+# series behind the right-end match loses digits like e^z eps
+_Z_LEFT = 2.0 * math.exp(-10.0)
+_Z_MATCH = 12.0
 
 
 def default_config(
@@ -131,24 +143,20 @@ def default_config(
     if potential.kind == "exponential":
         v0_eff, a = potentials.effective_exponential(potential)
         p_eff = math.sqrt(8.0 * units.mass * v0_eff) * a / units.hbar
-        # 20 decades of tail on the left; on the right, stop where the
-        # matching coordinate reaches _Z_MATCH so the series stays sharp.
-        # The window must straddle the x = 0 seed, so both ends are
-        # clamped; models that hit the clamps (|b| or v0 far from O(1))
-        # need a hand-picked config or rescaled units.
-        x_right = min(potential.b + 4.0 * a, 2.0 * a * math.log(_Z_MATCH / p_eff))
-        return SolverConfig(
-            x_left=min(potential.b - 20.0 * a, -a),
-            x_right=max(x_right, 0.5 * a),
-            step=a / 2000.0,
-        )
+        if not 0.0 < p_eff < math.inf:
+            raise DomainError(
+                f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p_eff!r} is out of range; "
+                "it must be a finite float > 0, so rescale v0, a, mass or hbar"
+            )
+        x_left, x_right = (2.0 * a * math.log(z / p_eff) for z in (_Z_LEFT, _Z_MATCH))
+        return SolverConfig(x_left=x_left, x_right=x_right, step=a / 2000.0)
     if potential.kind == "rectangular":
         hw = potential.half_width
-        # land the discontinuities exactly on nodes
-        step = hw / math.ceil(hw / 5.0e-4)
+        # land the discontinuities exactly on nodes, unless the window is
+        # past the node cap anyway (the config refuses it)
+        cells = hw / 5.0e-4
+        step = hw / math.ceil(cells) if cells < _MAX_NODES else 5.0e-4
         return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0, step=step)
-    if potential.kind == "free":
-        return SolverConfig(x_left=-5.0, x_right=5.0, step=5.0e-4)
     raise DomainError(f"unknown potential kind {potential.kind!r}")
 
 
@@ -160,8 +168,9 @@ def integrate_basis(
 ) -> BasisPair:
     """March the basis pair across [x_left, x_right] with fixed-step RK4.
 
-    Each half-window is one numpy march outward from x = 0: the RK4 transfer
-    matrices of all its steps, then their prefix products (see ``_march``).
+    Each half-window is one numpy march outward from the seed: the RK4
+    transfer matrices of all its steps, then their prefix products (see
+    ``_march``).
 
     Raises
     ------
@@ -182,15 +191,15 @@ def integrate_basis(
             )
 
     n_left, n_right = config.node_counts()
-    h = config.step
+    h, seed = config.step, config.seed
     # g = 2m (V - E)/hbar^2 at three samples per step
     two_m_over_h2 = 2.0 * units.mass / units.hbar**2
-    v_left, v_right = _potential_samples(potential, n_left, n_right, h)
+    v_left, v_right = _potential_samples(potential, seed, n_left, n_right, h)
     g_left, g_right = two_m_over_h2 * (v_left - energy), two_m_over_h2 * (v_right - energy)
     if not (np.all(np.isfinite(g_right)) and np.all(np.isfinite(g_left))):
         raise DomainError("potential is not finite on the integration grid")
 
-    # rows u, u', v, v'; both marches start at x = 0, the left one through a reversed view
+    # rows u, u', v, v'; both marches start at the seed, the left one through a reversed view
     nodes = np.empty((4, n_left + n_right + 1))
     # on a deep window the basis can overflow; the drift check refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,7 +207,7 @@ def integrate_basis(
         _march(g_left, -h, nodes[:, n_left::-1])
         u, du, v, dv = nodes
         w_profile = u * dv - du * v
-    grid = np.concatenate((-h * np.arange(n_left, 0, -1), h * np.arange(n_right + 1)))
+    grid = seed + h * np.arange(-n_left, n_right + 1)
 
     drift = float(np.max(np.abs(w_profile - 1.0)))
     if not math.isfinite(drift):
@@ -293,22 +302,27 @@ def scattering_wavefunction(basis: BasisPair, result: NumericScatteringResult) -
 
 
 @functools.lru_cache(maxsize=1)
-def _potential_samples(potential: PotentialModel, n_left: int, n_right: int, h: float):
-    """V at the step samples of the (left, right) half-windows, shared read-only by all energies."""
-    halves = ((n_left, -h), (n_right, h))
-    samples = tuple(potentials.evaluate(potential, _step_samples(n, step)) for n, step in halves)
+def _potential_samples(potential: PotentialModel, seed: float, n_left: int, n_right: int, h: float):
+    """V at the step samples of the (left, right) half-windows from the
+    seed, shared read-only by all energies; a half-window of no steps
+    samples nothing and gets zeros its march never reads."""
+    samples = tuple(
+        potentials.evaluate(potential, seed + _step_samples(n, step)) if n else np.zeros((3, 1, 1))
+        for n, step in ((n_left, -h), (n_right, h))
+    )
     for values in samples:
         values.flags.writeable = False
     return samples
 
 
 def _step_samples(n: int, h: float) -> np.ndarray:
-    """Abscissae of n steps of size h (h < 0 marches left) in the scan layout
-    of ``_march``: [s, j, k] is sample s of step k * width + j, width =
-    isqrt(n).  Steps past n pad the last block and repeat step n - 1.  Each
-    sample lies strictly inside its step, so a jump on a node is seen
-    one-sided by both neighbouring steps; the inward nudge moves smooth
-    potentials by ~1e-13 * step, far below the truncation error."""
+    """Offsets from the seed of n steps of size h (h < 0 marches left) in
+    the scan layout of ``_march``: [s, j, k] is sample s of step
+    k * width + j, width = isqrt(n).  Steps past n pad the last block and
+    repeat step n - 1.  Each sample lies strictly inside its step, so a
+    jump on a node is seen one-sided by both neighbouring steps; the inward
+    nudge moves smooth potentials by ~1e-13 * step, far below the
+    truncation error."""
     width = max(1, math.isqrt(n))
     blocks = max(1, -(-n // width))
     step = np.minimum(np.arange(blocks) * width + np.arange(width)[:, None], max(n - 1, 0))

@@ -18,7 +18,7 @@ from .errors import DomainError
 class PotentialModel:
     """A potential from the catalog.
 
-    kind is one of "exponential", "rectangular", "free"; unused parameters stay None.
+    kind is "exponential" or "rectangular"; unused parameters stay None.
     """
 
     kind: str
@@ -73,8 +73,9 @@ def rectangular(v0: float, half_width: float) -> PotentialModel:
 
 
 def free() -> PotentialModel:
-    """V(x) = 0 everywhere."""
-    return PotentialModel(kind="free")
+    """V(x) = 0 everywhere: a rectangle of zero height, whose default
+    numeric window is [-5, 5] at step 5e-4."""
+    return rectangular(0.0, 3.0)
 
 
 def evaluate(model: PotentialModel, x):
@@ -89,9 +90,6 @@ def evaluate(model: PotentialModel, x):
         xarr = np.asarray(x, dtype=float)
         v = np.where(np.abs(xarr) <= model.half_width, model.v0, 0.0)
         return v if v.ndim else float(v)
-    if model.kind == "free":
-        xarr = np.asarray(x, dtype=float)
-        return np.zeros_like(xarr) if xarr.ndim else 0.0
     raise DomainError(f"unknown potential kind {model.kind!r}")
 
 

@@ -6,10 +6,8 @@ the ascending power series
     J_{+-iq}(z) = sum_k (-1)^k (z/2)^(2k +- iq) / (k! Gamma(k + 1 +- iq))
 
 with (z/2)^(+-iq) = exp(+-i q ln(z/2)).  Hankel functions of the first and
-second kind are assembled from the J pair, and a large-argument travelling
-form is provided for matching against plane-like waves.  Derivatives come
-from differentiating the series term by term, never from finite
-differences.
+second kind are assembled from the J pair.  Derivatives come from
+differentiating the series term by term, never from finite differences.
 
 The series is summed in double precision.  Its alternating terms grow
 like e^z, so cancellation costs digits as z grows; about four remain at
@@ -254,21 +252,3 @@ def hankel_imag_order(q: float, z: float, kind: int = 1) -> BesselEval:
         terms_used=max(jp.terms_used, jm.terms_used),
         truncation_bound=bound,
     )
-
-
-def hankel_asymptotic(q: float, z: float, kind: int = 1) -> complex:
-    """Large-argument travelling form of H_{iq}.
-
-        H{1,2}_{iq}(z) ~ sqrt(2/(pi z)) exp(+-i (z - i q pi/2 - pi/4))
-
-    The +iq order feeds a real factor e^{+q pi/2} into the first kind and
-    e^{-q pi/2} into the second; the leading relative deviation from the
-    exact function is (4 q^2 + 1)/(8 z).
-    """
-    if kind not in (1, 2):
-        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
-    if not (z > 0.0):
-        raise DomainError(f"asymptotic form requires z > 0, got {z!r}")
-    s = 1.0 if kind == 1 else -1.0
-    phase = s * 1j * (z - 1j * q * math.pi / 2.0 - math.pi / 4.0)
-    return math.sqrt(2.0 / (math.pi * z)) * cmath.exp(phase)

@@ -2,6 +2,7 @@
 sweep/plot/wavefunction/verify flows end to end.
 """
 
+import hashlib
 import math
 import os
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from expscatter import cli, exp_barrier, numeric_scatter
+from expscatter import cli, exp_barrier, numeric_scatter, potentials
 from expscatter.cli import SWEEP_HEADER, UsageError
 
 
@@ -33,7 +34,7 @@ class TestModelGrammar:
         assert m.half_width == 1.0
 
     def test_free(self):
-        assert cli.parse_model("free").kind == "free"
+        assert cli.parse_model("free") == potentials.rectangular(0.0, 3.0)
 
     @pytest.mark.parametrize(
         "text",
@@ -224,6 +225,47 @@ class TestCommands:
             ["sweep", "--model", "exp:v0=1", "--emin", "0.1", "--emax", "1.0"], capsys
         )
         assert code == 1 and "missing" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.5", "--emax", "1", "--n", "2"],
+            ["wavefunction", "--model", "free", "--energy", "1", "--xmin", "-1", "--xmax", "1"],
+            ["verify"],
+            ["plot", "SWEEP"],
+        ],
+        ids=["sweep", "wavefunction", "verify", "plot"],
+    )
+    def test_out_into_missing_directory_refused(self, argv, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.5", "--emax", "1",
+                         "--n", "2", "--out", str(table)]) == 0
+        target = str(tmp_path / "missing" / "out.txt")
+        argv = [str(table) if arg == "SWEEP" else arg for arg in argv]
+        code, out, err = run_cli([*argv, "--out", target], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write {target!r}: No such file or directory\n"
+
+    # frozen from the free model before it became a zero-height rectangle
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
+              "--method", "numeric"],
+             "ea127a029d8b7d5d2635bf6be091807824a8e52f3febf4f1a744122e1b464c16"),
+            (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
+              "--xmax", "6", "--n", "300"],
+             "036dfa6b9c9f70d081d9923a5c1867477357057205f1d1395611a351a2b76ba2"),
+            (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
+              "--xmin", "-2", "--xmax", "2"],
+             "4c03cfc8269c08f54aef17d11ef06419adc2163e6e877479489c0f935d2e2e41"),
+        ],
+        ids=["sweep", "wavefunction-left", "wavefunction-right"],
+    )
+    def test_free_output_bytes_unchanged(self, argv, digest, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_plot_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -425,6 +467,17 @@ class TestCommands:
               "--n", "3"], "a = 1e-200 is out of range"),
             (["sweep", "--model", "rect:v0=1,w=2", "--hbar", "1e200", "--emin", "1",
               "--emax", "2", "--n", "3", "--method", "numeric"], "hbar = 1e+200 is out of range"),
+            # windows too wide for any grid, and p = sqrt(8 m v0) a / hbar out of range:
+            # OverflowError, ValueError and ZeroDivisionError tracebacks before
+            (["sweep", "--model", "rect:v0=1,w=1e308", "--emin", "1", "--emax", "2",
+              "--n", "3", "--method", "numeric"], "5,000,000 node cap"),
+            (["sweep", "--model", "rect:v0=1,w=1e300", "--emin", "1", "--emax", "2",
+              "--n", "3", "--method", "numeric"], "about 2e+303 nodes"),
+            (["sweep", "--model", "exp:v0=1e308,a=1", "--emin", "1", "--emax", "2",
+              "--n", "3", "--method", "numeric"], "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf"),
+            (["sweep", "--model", "exp:v0=1e-300,a=1", "--mass", "1e-300", "--emin", "1",
+              "--emax", "2", "--n", "3", "--method", "numeric"],
+             "p = sqrt(8 m v0 e^(-b/a)) a / hbar = 0.0"),
         ],
     )
     def test_bad_input_refused_cleanly(self, argv, needle, capsys):
@@ -448,8 +501,8 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_deep_window_overflow_refused_without_warnings(self, capsys):
-        # b = -30 puts V(0) at -e^30: the basis overflows on the default window
-        argv = ["sweep", "--model", "expshift:v0=1,a=1,b=-30", "--emin", "0.01",
+        # kappa w = 800 across the barrier: the basis overflows on the default window
+        argv = ["sweep", "--model", "rect:v0=1e4,w=8", "--emin", "0.01",
                 "--emax", "5", "--n", "3", "--method", "numeric"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -98,13 +98,35 @@ class TestBasisIntegration:
             )
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
+        for ends in ((1.0, 1.0), (2.0, 1.0), (0.0, -1e-3)):
+            with pytest.raises(DomainError, match="x_left < x_right"):
+                SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
         with pytest.raises(DomainError):
             SolverConfig(x_left=-1.0, x_right=1.0, step=0.0)
         for ends in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="finite"):
                 SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
+
+    @pytest.mark.parametrize(
+        "ends, seed, counts",
+        [((-1.0, 2.0), 0.0, (1000, 2000)), ((1.0, 2.0), 1.0, (0, 1000)),
+         ((-2.0, -1.0), -1.0, (1000, 0)), ((0.0, 1.0), 0.0, (0, 1000))],
+    )
+    def test_seed_is_the_window_point_nearest_zero(self, ends, seed, counts):
+        config = SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
+        assert config.seed == seed and config.node_counts() == counts
+
+    def test_window_off_zero_samples_only_inside(self, monkeypatch):
+        # the seed is x_left, so the left half-window has no steps
+        seen = []
+        evaluate = potentials.evaluate
+        monkeypatch.setattr(potentials, "evaluate", lambda m, x: seen.append(x) or evaluate(m, x))
+        numeric_scatter._potential_samples.cache_clear()
+        config = SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
+        basis = numeric_scatter.integrate_basis(potentials.rectangular(1.0, 0.5), 0.5, config)
+        assert basis.u.grid[0] == 1.0 and basis.u.grid.size == 1001
+        assert basis.u.psi[0] == 1.0 and basis.v.dpsi[0] == 1.0
+        assert seen and all(1.0 < np.min(x) and np.max(x) < 2.0 for x in seen)
 
 
 def loop_march(g, h):
@@ -355,6 +377,14 @@ class TestBitExactMarch:
         for name in names + names[::-1] + names:
             assert basis_bytes(numeric_scatter.integrate_basis(*bit_case(name))) == fresh[name]
 
+    def test_samples_follow_the_seed(self):
+        # two windows with equal step counts and step but different seeds
+        near, far = (SolverConfig(x_left=x, x_right=x + 2.0, step=1e-3) for x in (1.0, 3.0))
+        numeric_scatter._potential_samples.cache_clear()
+        fresh = basis_bytes(numeric_scatter.integrate_basis(EXP_MODEL, 0.5, far))
+        numeric_scatter.integrate_basis(EXP_MODEL, 0.5, near)
+        assert basis_bytes(numeric_scatter.integrate_basis(EXP_MODEL, 0.5, far)) == fresh
+
     def test_energies_share_one_sampling(self):
         config = numeric_scatter.default_config(EXP_MODEL)
         numeric_scatter._potential_samples.cache_clear()
@@ -366,7 +396,9 @@ class TestBitExactMarch:
     def test_shared_samples_are_read_only(self):
         config = numeric_scatter.default_config(EXP_MODEL)
         numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
-        shared = numeric_scatter._potential_samples(EXP_MODEL, *config.node_counts(), config.step)
+        shared = numeric_scatter._potential_samples(
+            EXP_MODEL, config.seed, *config.node_counts(), config.step
+        )
         assert numeric_scatter._potential_samples.cache_info().hits >= 1
         for values in shared:
             assert not values.flags.writeable
@@ -479,6 +511,28 @@ class TestHankelMatching:
         assert abs(t_values[0] - t_values[1]) < 1e-8
 
 
+class TestHardRegimes:
+    """Depths and offsets that only translate the problem in x: on the
+    z-window they are solved to the README model's accuracy."""
+
+    @pytest.mark.parametrize(
+        "v0, b",
+        [(200.0, 0.0), (1e4, 0.0), (1e300, 0.0), (1.0, -700.0), (1.0, -30.0), (1.0, 30.0),
+         (1.0, 700.0)],
+    )
+    def test_solved_on_the_default_window(self, v0, b):
+        model = potentials.exponential(v0, 1.0, b)
+        config = numeric_scatter.default_config(model)
+        for energy in (0.01, 0.1, 1.0, 5.0):
+            basis = numeric_scatter.integrate_basis(model, energy, config)
+            q = exp_barrier.reduce_params(PhysicalParams(1.0, 1.0, 0.5, 1.0), energy).q
+            t_exact, _ = exp_barrier.transmission_reflection(q)
+            for side in ("left", "right"):
+                res = numeric_scatter.match(basis, side)
+                assert abs(res.t_coeff - t_exact) <= 1e-8
+                assert res.wronskian_drift <= 1e-12
+
+
 class TestScatteringWavefunction:
     def test_flux_profile_matches_transmission(self):
         res = numeric_scatter.solve(EXP_MODEL, 0.25, side="left")
@@ -523,6 +577,25 @@ class TestDefaultConfig:
             p = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0)
             z_r = p * math.exp(config.x_right / 2.0)
             assert z_r < 13.0
+
+    @pytest.mark.parametrize(
+        "v0, b", [(1e-300, 0.0), (1.0, 0.0), (200.0, 0.0), (1e4, 0.0), (1.0, -700.0), (1.0, 700.0)]
+    )
+    def test_exponential_window_is_one_z_window(self, v0, b):
+        # z = p e^{(x - b)/2a} runs from 2e^-10 to 12 for every depth and
+        # offset, so every exponential row marches the same node count
+        model = potentials.exponential(v0, 1.0, b)
+        config = numeric_scatter.default_config(model)
+        p_eff = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0 * math.exp(-b))
+        z_left, z_right = (p_eff * math.exp(x / 2.0) for x in (config.x_left, config.x_right))
+        assert z_left == pytest.approx(2.0 * math.exp(-10.0), rel=1e-12)
+        assert z_right == pytest.approx(12.0, rel=1e-12)
+        assert config.step == 1.0 / 2000.0
+        assert sum(config.node_counts()) + 1 == 47_169
+
+    def test_readme_window_keeps_its_nodes(self):
+        config = numeric_scatter.default_config(EXP_MODEL)
+        assert (config.x_left, config.seed, config.node_counts()) == (-20.0, 0.0, (40_000, 7_168))
 
     def test_rect_edges_land_on_nodes(self):
         model = potentials.rectangular(1.0, 0.7)

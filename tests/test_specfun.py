@@ -228,31 +228,6 @@ class TestHankelPair:
             specfun.hankel_imag_order(1.0, 2.0, kind=3)
 
 
-class TestAsymptotic:
-    def test_closed_form(self):
-        q, z = 0.8, 9.0
-        for kind, sgn in ((1, 1.0), (2, -1.0)):
-            got = specfun.hankel_asymptotic(q, z, kind=kind)
-            mag = math.sqrt(2.0 / (math.pi * z)) * math.exp(sgn * q * math.pi / 2.0)
-            phase = sgn * (z - math.pi / 4.0)
-            want = mag * complex(math.cos(phase), math.sin(phase))
-            assert abs(got - want) < 1e-14 * abs(want)
-
-    def test_deviation_shrinks_like_inverse_z(self):
-        # leading correction is (4q^2+1)/(8z); check the measured deviation
-        # tracks that law and decreases monotonically inside the series domain
-        q = 1.0
-        law = lambda z: (4.0 * q**2 + 1.0) / (8.0 * z)
-        devs = []
-        for z in (6.0, 10.0, 16.0, 26.0):
-            exact = specfun.hankel_imag_order(q, z, kind=1).value
-            approx = specfun.hankel_asymptotic(q, z, kind=1)
-            dev = abs(approx - exact) / abs(exact)
-            devs.append(dev)
-            assert 0.5 * law(z) < dev < 1.5 * law(z)
-        assert all(a > b for a, b in zip(devs, devs[1:]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     q=st.floats(min_value=0.1, max_value=5.0),
