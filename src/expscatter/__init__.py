@@ -9,7 +9,6 @@ from .errors import AccuracyError, DegenerateOrderError, DomainError, SeriesRang
 from .exp_barrier import (
     DimensionlessParams,
     FluxTriple,
-    PhysicalParams,
     ScatteringData,
     amplitudes,
     exact_wavefunction,
@@ -20,7 +19,6 @@ from .exp_barrier import (
     transmission_reflection,
 )
 from .numeric_scatter import (
-    DEFAULT_UNITS,
     BasisPair,
     NumericScatteringResult,
     SolverConfig,
@@ -31,7 +29,9 @@ from .numeric_scatter import (
     solve,
 )
 from .potentials import (
+    DEFAULT_UNITS,
     PotentialModel,
+    Units,
     evaluate,
     exponential,
     free,
@@ -57,11 +57,11 @@ __all__ = [
     "DomainError",
     "FluxTriple",
     "NumericScatteringResult",
-    "PhysicalParams",
     "PotentialModel",
     "ScatteringData",
     "SeriesRangeError",
     "SolverConfig",
+    "Units",
     "WaveSolution",
     "amplitudes",
     "angle_distance",

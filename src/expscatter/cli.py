@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
@@ -30,8 +31,7 @@ import numpy as np
 
 from . import chart, exp_barrier, numeric_scatter, potentials, verification
 from .errors import AccuracyError, DomainError, SeriesRangeError
-from .exp_barrier import PhysicalParams
-from .potentials import PotentialModel
+from .potentials import PotentialModel, Units
 
 SWEEP_HEADER = (
     "E,q,T_analytic,R_analytic,T_numeric,R_numeric,phi_left,theta_left,"
@@ -62,7 +62,7 @@ class SweepSpec:
     spacing: str
     sides: str
     methods: str
-    units: PhysicalParams
+    units: Units
 
     def __post_init__(self):
         _require_finite(("--emin", self.e_min), ("--emax", self.e_max))
@@ -182,9 +182,7 @@ def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
     """q for every row and, unless the sweep is numeric only, the analytic
     cells; a row the closed forms refuse gets NA cells and the message its
     scalar call raises."""
-    v0_eff, a = potentials.effective_exponential(spec.model)
-    params = PhysicalParams(v0=v0_eff, a=a, mass=spec.units.mass, hbar=spec.units.hbar)
-    d = exp_barrier.reduce_params(params, energies)
+    d = exp_barrier.reduce_params(spec.model, energies, spec.units)
     columns = {"q": d.q.tolist()}
     if spec.methods == "numeric":
         return columns
@@ -358,13 +356,6 @@ def _resolve_model(args) -> PotentialModel:
     return parse_model(args.model, {k: v for k, v in flags.items() if v is not None})
 
 
-def _resolve_units(args) -> PhysicalParams:
-    try:
-        return PhysicalParams(v0=1.0, a=1.0, mass=args.mass, hbar=args.hbar)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_sweep(args) -> int:
     spec = SweepSpec(
         model=_resolve_model(args),
@@ -374,7 +365,7 @@ def cmd_sweep(args) -> int:
         spacing=args.spacing,
         sides=args.side,
         methods=args.method,
-        units=_resolve_units(args),
+        units=Units(mass=args.mass, hbar=args.hbar),
     )
     rows = run_sweep(spec)
     _emit(format_sweep_csv(spec, rows), args.out)
@@ -392,7 +383,7 @@ def cmd_verify(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     model = _resolve_model(args)
-    units = _resolve_units(args)
+    units = Units(mass=args.mass, hbar=args.hbar)
     exp_family = model.kind == "exponential"
     method = args.method or ("analytic" if exp_family else "numeric")
     if method == "analytic" and not exp_family:
@@ -406,17 +397,15 @@ def cmd_wavefunction(args) -> int:
         raise UsageError(f"energy must be finite and > 0, got {args.energy!r}")
 
     if method == "analytic":
-        # v0_eff folds in the offset b: V(x) = -v0_eff exp(x/a)
-        v0_eff, a = potentials.effective_exponential(model)
-        params = PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar)
-        d = exp_barrier.reduce_params(params, args.energy)
-        grid_xi = np.linspace(args.xmin, args.xmax, args.n) / a
+        # p folds in the offset b: z = p exp(x/(2a))
+        d = exp_barrier.reduce_params(model, args.energy, units)
+        grid_xi = np.linspace(args.xmin, args.xmax, args.n) / model.a
         wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, grid_xi)
         incident = exp_barrier.incident_amplitude(d.p, d.q, args.side)
         psi = wave.psi / incident
-        xs = grid_xi * a
+        xs = grid_xi * model.a
         # exact_wavefunction fluxes use hbar/m = 1 and d/d(x/a)
-        flux_scale = units.hbar / (units.mass * a * abs(incident) ** 2)
+        flux_scale = units.hbar / (units.mass * model.a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
     else:
         # the default window, grown to cover [xmin, xmax]
@@ -467,6 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         handler = {
             "sweep": cmd_sweep,
             "verify": cmd_verify,
@@ -495,6 +485,21 @@ def _cell(value: Optional[float]) -> str:
     if value is None:
         return "NA"
     return f"{value:.16e}"
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an --out before any work if its directory is missing, or if it
+    (when it exists) or its directory is not writable; creates nothing."""
+    if out is None:
+        return
+    directory = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(directory):
+        reason = "No such file or directory"
+    elif not os.access(out if os.path.exists(out) else directory, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write {out!r}: {reason}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:

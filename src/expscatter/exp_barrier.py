@@ -6,11 +6,11 @@ equation into Bessel's equation of order +-iq, with
     p = sqrt(8 m v0 a^2) / hbar,   q = 2 k a,   k = sqrt(2 m E) / hbar.
 
 Everything here works at the dimensionless (p, q) level; reduce_params is
-the only bridge from physical units.  reduce_params, transmission_reflection
-and phase_shifts also take an array (energies or q) and return columns, as
-an analytic sweep uses them; scalar calls keep CPython's arithmetic, array
-entries may differ from them in the last digit.  Transmission is a
-function of q alone:
+the only bridge from the model and its units.  reduce_params,
+transmission_reflection and phase_shifts also take an array (energies or q)
+and return columns, as an analytic sweep uses them; scalar calls keep
+CPython's arithmetic, array entries may differ from them in the last digit.
+Transmission is a function of q alone:
 
     T = 1 - exp(-2 pi q),   R = exp(-2 pi q)
 
@@ -37,47 +37,21 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import specfun
+from . import potentials, specfun
 from .errors import DegenerateOrderError, DomainError, SeriesRangeError
+from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
 
 _QUARTER_PI = math.pi / 4.0
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
-    """Barrier strength, length scale, mass, and hbar; all strictly positive,
-    and a and hbar with squares that are finite and > 0."""
-
-    v0: float
-    a: float
-    mass: float
-    hbar: float
-
-    def __post_init__(self):
-        for name in ("v0", "a", "mass", "hbar"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("a", "hbar"):
-            value = getattr(self, name)
-            if not 0.0 < value * value < math.inf:
-                raise DomainError(
-                    f"{name} = {value!r} is out of range: {name}^2 must be a finite float > 0"
-                )
-
-
-@dataclass(frozen=True)
 class DimensionlessParams:
-    """p, q, k, delta with q = 2 k a and delta = hbar^2 / (8 m a^2).
-
-    k and q are arrays when reduce_params was given an array of energies.
-    """
+    """p and q = 2 k a; q is an array when reduce_params was given an
+    array of energies."""
 
     p: float
     q: float
-    k: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -110,21 +84,21 @@ class FluxTriple:
     j_transmitted: float
 
 
-def reduce_params(params: PhysicalParams, energy) -> DimensionlessParams:
-    """Physical inputs to the dimensionless working variables.
+def reduce_params(
+    model: PotentialModel, energy, units: Units = DEFAULT_UNITS
+) -> DimensionlessParams:
+    """An exponential model, its units and energy to (p, q).
 
-    q = 2ka and q = sqrt(E/delta) agree identically; the former is used.
-    An array of energies gives arrays k and q (np.sqrt rounds like
-    math.sqrt, so each entry has the bits of the scalar call).
+    An array of energies gives an array q (np.sqrt rounds like math.sqrt,
+    so each entry has the bits of the scalar call).
     """
     _require(energy, _finite_positive, "energy must be finite and > 0, got {!r}")
+    p = potentials.exponential_p(model, units)
     sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
     with np.errstate(over="ignore"):  # k or q overflowing to inf is refused later
-        k = sqrt(2.0 * params.mass * energy) / params.hbar
-        q = 2.0 * k * params.a
-    p = math.sqrt(8.0 * params.mass * params.v0) * params.a / params.hbar
-    delta = params.hbar**2 / (8.0 * params.mass * params.a**2)
-    return DimensionlessParams(p=p, q=q, k=k, delta=delta)
+        k = sqrt(2.0 * units.mass * energy) / units.hbar
+        q = 2.0 * k * model.a
+    return DimensionlessParams(p=p, q=q)
 
 
 def transmission_reflection(q):
@@ -140,7 +114,7 @@ def transmission_reflection(q):
     return t, r
 
 
-def fluxes(p: float, q: float, params: PhysicalParams) -> FluxTriple:
+def fluxes(p: float, q: float, a: float, units: Units) -> FluxTriple:
     """The three flux magnitudes of the scattering solution, left incidence.
 
     Their ratios reproduce (T, R) exactly; j_incident = j_reflected +
@@ -152,7 +126,8 @@ def fluxes(p: float, q: float, params: PhysicalParams) -> FluxTriple:
         raise DomainError(f"q must be > 0, got {q!r} (sinh(pi q) vanishes)")
     if math.pi * q > 700.0:
         raise DomainError(f"q = {q!r} overflows exp(pi q) in double precision")
-    hbar, m, a = params.hbar, params.mass, params.a
+    _require(a, _finite_positive, "a must be finite and > 0, got {!r}")
+    hbar, m = units.hbar, units.mass
     k = q / (2.0 * a)
     s = math.sinh(math.pi * q)
     j_inc = hbar * k * math.exp(2.0 * math.pi * q) / (math.pi * m * q * s)

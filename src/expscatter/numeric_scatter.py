@@ -12,7 +12,8 @@ the samples.  An exponential's default window is fixed in z = p exp(x/(2a)),
 where its depth and offset only translate the problem.  ``match`` then
 projects u and v, at each window end, onto that end's travelling pair
 (rightward, leftward): plane waves exp(+-ikx) where the potential vanishes,
-the exact pair {H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), where it dives.
+the exact pair {H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), where it dives,
+at z = 12 however far the window runs past it.
 The matched solution is the one with no wave arriving from infinity on the
 transmitted end, and the incident, reflected and transmitted waves are read
 off the same two projections for either incidence side.
@@ -33,17 +34,15 @@ import numpy as np
 
 from . import potentials, specfun, waves
 from .errors import AccuracyError, DomainError
-from .exp_barrier import PhysicalParams, reduce_params
-from .potentials import PotentialModel
+from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
-
-DEFAULT_UNITS = PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0)
 
 _QUARTER_PI = math.pi / 4.0
 _MAX_NODES = 5_000_000
 # plane waves stand in for the asymptote at a window end only where
 # |V| <= ASYMPTOTE_EPSILON * E there
 ASYMPTOTE_EPSILON = 1e-6
+DRIFT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class SolverConfig:
     x_left: float
     x_right: float
     step: float
-    match_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (-math.inf < self.x_left < self.x_right < math.inf):
@@ -68,8 +66,6 @@ class SolverConfig:
             )
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise DomainError(f"step must be finite and > 0, got {self.step!r}")
-        if not self.match_tolerance > 0.0:
-            raise DomainError(f"match_tolerance must be > 0, got {self.match_tolerance!r}")
         self.node_counts()
 
     @property
@@ -97,7 +93,7 @@ class BasisPair:
     v: WaveSolution
     potential: PotentialModel
     energy: float
-    units: PhysicalParams
+    units: Units
     config: SolverConfig
 
 
@@ -135,20 +131,11 @@ _Z_LEFT = 2.0 * math.exp(-10.0)
 _Z_MATCH = 12.0
 
 
-def default_config(
-    potential: PotentialModel, units: Optional[PhysicalParams] = None
-) -> SolverConfig:
+def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> SolverConfig:
     """Window/step defaults that keep every catalog model well resolved."""
-    units = units or DEFAULT_UNITS
     if potential.kind == "exponential":
-        v0_eff, a = potentials.effective_exponential(potential)
-        p_eff = math.sqrt(8.0 * units.mass * v0_eff) * a / units.hbar
-        if not 0.0 < p_eff < math.inf:
-            raise DomainError(
-                f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p_eff!r} is out of range; "
-                "it must be a finite float > 0, so rescale v0, a, mass or hbar"
-            )
-        x_left, x_right = (2.0 * a * math.log(z / p_eff) for z in (_Z_LEFT, _Z_MATCH))
+        p, a = potentials.exponential_p(potential, units), potential.a
+        x_left, x_right = (2.0 * a * math.log(z / p) for z in (_Z_LEFT, _Z_MATCH))
         return SolverConfig(x_left=x_left, x_right=x_right, step=a / 2000.0)
     if potential.kind == "rectangular":
         hw = potential.half_width
@@ -164,7 +151,7 @@ def integrate_basis(
     potential: PotentialModel,
     energy: float,
     config: SolverConfig,
-    units: Optional[PhysicalParams] = None,
+    units: Units = DEFAULT_UNITS,
 ) -> BasisPair:
     """March the basis pair across [x_left, x_right] with fixed-step RK4.
 
@@ -179,7 +166,6 @@ def integrate_basis(
         energy < 1e-6 * delta (the reduction degenerates there), or if the
         potential is not finite anywhere on the grid.
     """
-    units = units or DEFAULT_UNITS
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be finite and > 0, got {energy!r}")
     if potential.kind == "exponential":
@@ -215,10 +201,10 @@ def integrate_basis(
             f"Wronskian drift {drift:.3e}: the basis overflowed on the window "
             f"[{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
         )
-    if drift > config.match_tolerance:
+    if drift > DRIFT_TOLERANCE:
         raise AccuracyError(
-            f"Wronskian drift {drift:.3e} exceeds match_tolerance "
-            f"{config.match_tolerance:.3e}; refine the step (drift falls as h^4)"
+            f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
+            f"{DRIFT_TOLERANCE:.3e}; refine the step (drift falls as h^4)"
         )
     zeros = np.zeros_like(grid)
     u_sol = WaveSolution(grid=grid, psi=u, dpsi=du, flux_profile=zeros, wronskian_drift=drift)
@@ -281,10 +267,9 @@ def solve(
     energy: float,
     side: str = "left",
     config: Optional[SolverConfig] = None,
-    units: Optional[PhysicalParams] = None,
+    units: Units = DEFAULT_UNITS,
 ) -> NumericScatteringResult:
     """Integrate the basis over the window, then ``match``."""
-    units = units or DEFAULT_UNITS
     config = config or default_config(potential, units)
     return match(integrate_basis(potential, energy, config, units), side)
 
@@ -430,7 +415,8 @@ def _plane_pair(basis: BasisPair, i: int) -> _Pair:
 
 
 def _hankel_pair(basis: BasisPair) -> _Pair:
-    """{H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), at the right window end.
+    """{H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), at the first node at or
+    past z = _Z_MATCH (the last node of a shorter window).
 
     Projection is by Wronskians,
 
@@ -440,13 +426,12 @@ def _hankel_pair(basis: BasisPair) -> _Pair:
     exp(-x/(4a)) exp(+-i z), the closed forms' convention.  The residual is
     the relative error of W[H1, H2] against its exact value.
     """
-    units = basis.units
-    v0_eff, a = potentials.effective_exponential(basis.potential)
-    d = reduce_params(
-        PhysicalParams(v0=v0_eff, a=a, mass=units.mass, hbar=units.hbar), basis.energy
-    )
-    p, q = d.p, d.q
-    z_r = p * math.exp(float(basis.u.grid[-1]) / (2.0 * a))
+    units, a, grid = basis.units, basis.potential.a, basis.u.grid
+    p = potentials.exponential_p(basis.potential, units)
+    k = math.sqrt(2.0 * units.mass * basis.energy) / units.hbar
+    q = 2.0 * k * a
+    i = min(int(np.searchsorted(grid, 2.0 * a * math.log(_Z_MATCH / p))), grid.size - 1)
+    z_r = p * math.exp(float(grid[i]) / (2.0 * a))
     h1 = specfun.hankel_imag_order(q, z_r, kind=1)
     h2 = specfun.hankel_imag_order(q, z_r, kind=2)
     dz_dx = z_r / (2.0 * a)
@@ -456,11 +441,11 @@ def _hankel_pair(basis: BasisPair) -> _Pair:
     w_exact = -2j / (math.pi * a)
     if abs(w_basis) < 0.1 * abs(w_exact):
         raise AccuracyError(
-            f"travelling basis nearly degenerate at x_right (W = {w_basis:.3e})"
+            f"travelling basis nearly degenerate at z = {z_r:.3g} (W = {w_basis:.3e})"
         )
 
     def coeffs(w: WaveSolution) -> tuple[complex, complex]:
-        f, df = complex(w.psi[-1]), complex(w.dpsi[-1])
+        f, df = complex(w.psi[i]), complex(w.dpsi[i])
         return (f * db2 - df * b2) / w_basis, -(f * db1 - df * b1) / w_basis
 
     kappa_out = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-1j * _QUARTER_PI)

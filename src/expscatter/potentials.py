@@ -1,4 +1,5 @@
-"""Catalog of 1-D potentials the solver knows how to scatter off.
+"""Catalog of 1-D potentials the solver knows how to scatter off, and the
+units both lanes share.
 
 Each model is a frozen value object; ``evaluate`` returns V(x).
 """
@@ -12,6 +13,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
+
+
+@dataclass(frozen=True)
+class Units:
+    """Particle mass and hbar, both finite and > 0; the numeric lane squares hbar."""
+
+    mass: float
+    hbar: float
+
+    def __post_init__(self):
+        _require_positive("mass", self.mass)
+        _require_positive("hbar", self.hbar)
+        if not 0.0 < self.hbar * self.hbar < math.inf:
+            raise DomainError(
+                f"hbar = {self.hbar!r} is out of range: hbar^2 must be a finite float > 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -36,7 +53,7 @@ def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
 
     Args:
         v0: depth scale, must be > 0.
-        a: range, must be > 0 with a^2 finite and > 0 (both lanes square it).
+        a: range, must be > 0 with a^2 finite and > 0 (the numeric lane squares it).
         b: offset, finite, such that the depth v0 * exp(-b/a) at x = 0 is
             finite and > 0.
     """
@@ -57,6 +74,20 @@ def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
             "it must be finite and > 0, so move b toward 0"
         )
     return model
+
+
+def exponential_p(model: PotentialModel, units: Units) -> float:
+    """p = sqrt(8 m v0 e^(-b/a)) a / hbar of an exponential model, which
+    enters only through z = p exp(x/(2a)); refused where it overflows or
+    vanishes."""
+    v0_eff, a = effective_exponential(model)
+    p = math.sqrt(8.0 * units.mass * v0_eff) * a / units.hbar
+    if not 0.0 < p < math.inf:
+        raise DomainError(
+            f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p!r} is out of range; "
+            "it must be a finite float > 0, so rescale v0, a, mass or hbar"
+        )
+    return p
 
 
 def rectangular(v0: float, half_width: float) -> PotentialModel:
@@ -108,3 +139,6 @@ def _safe_exp(arg):
 def _require_positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
+DEFAULT_UNITS = Units(mass=0.5, hbar=1.0)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exp_barrier, numeric_scatter, potentials, specfun
-from .exp_barrier import PhysicalParams
 from .numeric_scatter import SolverConfig
 from .waves import angle_distance
 
@@ -179,7 +178,7 @@ def check_flux_wronskian_rk4() -> CheckResult:
     energy = 0.25  # q = 1
     config = numeric_scatter.default_config(model)
     basis = numeric_scatter.integrate_basis(model, energy, config)
-    d = exp_barrier.reduce_params(PhysicalParams(1.0, 1.0, 0.5, 1.0), energy)
+    d = exp_barrier.reduce_params(model, energy)
     result = numeric_scatter.match(basis)
     wave = numeric_scatter.scattering_wavefunction(basis, result)
     profile = wave.flux_profile
@@ -195,9 +194,7 @@ def check_flux_wronskian_rk4() -> CheckResult:
     steps = [1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0]
     errors = []
     for h in steps:
-        coarse = SolverConfig(
-            x_left=-4.0, x_right=x_probe, step=h, match_tolerance=1e-2
-        )
+        coarse = SolverConfig(x_left=-4.0, x_right=x_probe, step=h)
         marched = numeric_scatter.integrate_basis(model, energy, coarse)
         errors.append(abs(float(marched.u.psi[-1].real) - reference))
     slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
@@ -279,11 +276,10 @@ def check_rect_barrier_oracle() -> CheckResult:
 
 def check_eq13_flux_ratios() -> CheckResult:
     """Closed-form flux ratios reproduce T and R; fluxes conserve exactly."""
-    params = PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0)
     worst = 0.0
     for q in (0.25, 0.5, 1.0, 2.0, 4.0):
         t, r = exp_barrier.transmission_reflection(q)
-        triple = exp_barrier.fluxes(2.0, q, params)
+        triple = exp_barrier.fluxes(2.0, q, 1.0, potentials.DEFAULT_UNITS)
         worst = max(worst, abs(triple.j_transmitted / triple.j_incident - t))
         worst = max(worst, abs(triple.j_reflected / triple.j_incident - r))
         conservation = abs(
@@ -305,7 +301,7 @@ def check_cli_determinism() -> CheckResult:
         spacing="log",
         sides="both",
         methods="both",
-        units=numeric_scatter.DEFAULT_UNITS,
+        units=potentials.DEFAULT_UNITS,
     )
     csv_a = cli.format_sweep_csv(spec, cli.run_sweep(spec))
     csv_b = cli.format_sweep_csv(spec, cli.run_sweep(spec))

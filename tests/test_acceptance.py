@@ -21,10 +21,8 @@ from expscatter import (
     specfun,
     waves,
 )
-from expscatter.exp_barrier import PhysicalParams
 from expscatter.numeric_scatter import SolverConfig
-
-UNITS = PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0)
+from expscatter.potentials import DEFAULT_UNITS
 Q_GRID = np.logspace(math.log10(0.01), math.log10(5.0), 200)
 
 
@@ -187,7 +185,7 @@ def test_criterion_08_flux_wronskian_order(capsys):
     steps = [1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0]
     errors = []
     for h in steps:
-        coarse = SolverConfig(x_left=-4.0, x_right=x_probe, step=h, match_tolerance=1e-2)
+        coarse = SolverConfig(x_left=-4.0, x_right=x_probe, step=h)
         marched = numeric_scatter.integrate_basis(model, energy, coarse)
         errors.append(abs(float(marched.u.psi[-1].real) - reference))
     order = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
@@ -257,7 +255,7 @@ def test_criterion_10_rectangular_oracle(capsys):
 def test_criterion_11_flux_ratios(capsys):
     worst_ratio, worst_conservation = 0.0, 0.0
     for q in (0.25, 0.5, 1.0, 2.0, 4.0):
-        fl = exp_barrier.fluxes(2.0, q, UNITS)
+        fl = exp_barrier.fluxes(2.0, q, 1.0, DEFAULT_UNITS)
         t, r = exp_barrier.transmission_reflection(q)
         worst_ratio = max(worst_ratio, abs(fl.j_transmitted / fl.j_incident - t))
         worst_ratio = max(worst_ratio, abs(fl.j_reflected / fl.j_incident - r))

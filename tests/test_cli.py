@@ -64,7 +64,7 @@ class TestSweepTable:
             spacing="log",
             sides="both",
             methods="both",
-            units=exp_barrier.PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0),
+            units=potentials.Units(mass=0.5, hbar=1.0),
         )
         fields.update(overrides)
         return cli.SweepSpec(**fields)
@@ -236,15 +236,35 @@ class TestCommands:
         ],
         ids=["sweep", "wavefunction", "verify", "plot"],
     )
-    def test_out_into_missing_directory_refused(self, argv, tmp_path, capsys):
+    def test_out_into_missing_directory_refused(self, argv, tmp_path, capsys, monkeypatch):
         table = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.5", "--emax", "1",
                          "--n", "2", "--out", str(table)]) == 0
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        # refused before any work: every command's computation is out of reach
+        for owner, name in ((cli, "run_sweep"), (cli, "render_sweep_chart"),
+                            (cli.verification, "run_all"), (numeric_scatter, "integrate_basis")):
+            monkeypatch.setattr(owner, name, computed)
         target = str(tmp_path / "missing" / "out.txt")
         argv = [str(table) if arg == "SWEEP" else arg for arg in argv]
         code, out, err = run_cli([*argv, "--out", target], capsys)
         assert code == 1 and out == ""
         assert err == f"error: cannot write {target!r}: No such file or directory\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_check_leaves_an_existing_file_alone(self, tmp_path, capsys):
+        # a command refused after the --out check neither creates nor truncates
+        existing, fresh = tmp_path / "keep.csv", tmp_path / "fresh.csv"
+        existing.write_text("keep\n", encoding="utf-8")
+        for target in (existing, fresh):
+            code, _, err = run_cli(["sweep", "--model", "exp:v0=1,a=1", "--emin", "1",
+                                    "--emax", "0.1", "--out", str(target)], capsys)
+            assert code == 1 and "emin" in err
+        assert existing.read_text(encoding="utf-8") == "keep\n"
+        assert not fresh.exists()
 
     # frozen from the free model before it became a zero-height rectangle
     @pytest.mark.parametrize(
@@ -362,6 +382,27 @@ class TestCommands:
             assert ca[1] == pytest.approx(cn[1], abs=1e-6)
             assert ca[2] == pytest.approx(cn[2], abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "model, energy, xmin, xmax",
+        [("exp:v0=200,a=1", "1", "-5", "0"), ("exp:v0=200,a=1", "1", "-5", "1"),
+         ("exp:v0=1,a=1", "0.25", "-20", "5.5")],
+    )
+    def test_wavefunction_numeric_window_past_z12(self, model, energy, xmin, xmax, capsys):
+        # the windows reach z = 28, 47 and 31; the right end still matches at
+        # z = 12 (a series range error or a 2.7e-6 error in T before)
+        code, out, err = run_cli(
+            ["wavefunction", "--method", "numeric", "--model", model, "--energy", energy,
+             "--xmin", xmin, "--xmax", xmax, "--n", "50"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        flux = np.array([float(line.split(",")[4]) for line in out.splitlines()[2:]])
+        assert np.ptp(flux) <= 1e-9 * abs(flux.mean())
+        # unit incident wave: flux = T hbar k / m, and q = 2ka = hbar k / m here
+        q = 2.0 * math.sqrt(float(energy))
+        t_exact, _ = exp_barrier.transmission_reflection(q)
+        assert abs(flux.mean() / q - t_exact) <= 1e-9
+
     def test_wavefunction_series_domain_exit_code(self, capsys):
         code, _, err = run_cli(
             ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "0.25",
@@ -475,6 +516,9 @@ class TestCommands:
               "--n", "3", "--method", "numeric"], "about 2e+303 nodes"),
             (["sweep", "--model", "exp:v0=1e308,a=1", "--emin", "1", "--emax", "2",
               "--n", "3", "--method", "numeric"], "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf"),
+            # the analytic lane used to print a row error per row and exit 2
+            (["sweep", "--model", "exp:v0=1e308,a=1", "--emin", "1", "--emax", "2",
+              "--n", "3", "--method", "analytic"], "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf"),
             (["sweep", "--model", "exp:v0=1e-300,a=1", "--mass", "1e-300", "--emin", "1",
               "--emax", "2", "--n", "3", "--method", "numeric"],
              "p = sqrt(8 m v0 e^(-b/a)) a / hbar = 0.0"),
@@ -547,11 +591,10 @@ class TestCommands:
         assert code == 0
         rows = cli.parse_sweep_table(out.splitlines())
         assert len(rows) == 3000
-        v0_eff = 2.5 * math.exp(-0.3 / 0.7)
-        params = exp_barrier.PhysicalParams(v0=v0_eff, a=0.7, mass=0.5, hbar=1.0)
+        model = potentials.exponential(2.5, 0.7, 0.3)
         energies = np.logspace(math.log10(0.01), math.log10(5.0), 3000).tolist()
         for row, energy in zip(rows, energies):
-            d = exp_barrier.reduce_params(params, energy)
+            d = exp_barrier.reduce_params(model, energy)
             assert (row["E"], row["q"]) == (energy, d.q)
             t, r = exp_barrier.transmission_reflection(d.q)
             assert abs(row["T_analytic"] - t) <= 2 * math.ulp(t)

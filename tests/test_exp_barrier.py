@@ -11,53 +11,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expscatter import exp_barrier, specfun, waves
+from expscatter import exp_barrier, potentials, specfun, waves
 from expscatter.errors import DegenerateOrderError, DomainError, SeriesRangeError
-from expscatter.exp_barrier import PhysicalParams
+from expscatter.potentials import DEFAULT_UNITS, Units
 
 # Frozen from a 40-digit evaluation of 1 - e^{-2 pi q} at q = 1/2.
 T_AT_HALF = 0.95678608173622775023
 
-UNITS = PhysicalParams(v0=1.0, a=1.0, mass=0.5, hbar=1.0)
+EXP_MODEL = potentials.exponential(1.0, 1.0)
 
 
 class TestReduceParams:
     def test_reference_units(self):
-        # v0=1, a=1, m=1/2, hbar=1: delta = 1/4, E = 1/4 gives k = 1/2,
-        # q = 1, p = 2
-        d = exp_barrier.reduce_params(UNITS, 0.25)
-        assert d.delta == pytest.approx(0.25, rel=1e-15)
-        assert d.k == pytest.approx(0.5, rel=1e-15)
+        # v0=1, a=1, m=1/2, hbar=1: E = 1/4 gives k = 1/2, q = 1, p = 2
+        d = exp_barrier.reduce_params(EXP_MODEL, 0.25)
         assert d.q == pytest.approx(1.0, rel=1e-15)
         assert d.p == pytest.approx(2.0, rel=1e-15)
 
     def test_q_is_sqrt_energy_over_delta(self):
-        d = exp_barrier.reduce_params(UNITS, 1.0)
-        assert d.q == pytest.approx(math.sqrt(1.0 / d.delta), rel=1e-15)
+        delta = DEFAULT_UNITS.hbar**2 / (8.0 * DEFAULT_UNITS.mass * EXP_MODEL.a**2)
+        d = exp_barrier.reduce_params(EXP_MODEL, 1.0)
+        assert d.q == pytest.approx(math.sqrt(1.0 / delta), rel=1e-15)
 
     def test_p_ignores_energy(self):
-        p1 = exp_barrier.reduce_params(UNITS, 0.1).p
-        p2 = exp_barrier.reduce_params(UNITS, 3.0).p
+        p1 = exp_barrier.reduce_params(EXP_MODEL, 0.1).p
+        p2 = exp_barrier.reduce_params(EXP_MODEL, 3.0).p
         assert p1 == p2
+
+    def test_p_folds_in_offset_and_units(self):
+        model = potentials.exponential(2.5, 0.7, 0.3)
+        units = Units(mass=3.0, hbar=2.0)
+        d = exp_barrier.reduce_params(model, 1.0, units)
+        want = math.sqrt(8.0 * 3.0 * 2.5 * math.exp(-0.3 / 0.7)) * 0.7 / 2.0
+        assert d.p == pytest.approx(want, rel=1e-15)
+        assert d.q == pytest.approx(2.0 * 0.7 * math.sqrt(2.0 * 3.0) / 2.0, rel=1e-15)
 
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(DomainError):
-            exp_barrier.reduce_params(UNITS, 0.0)
+            exp_barrier.reduce_params(EXP_MODEL, 0.0)
         with pytest.raises(DomainError):
-            exp_barrier.reduce_params(UNITS, -1.0)
+            exp_barrier.reduce_params(EXP_MODEL, -1.0)
 
     def test_params_validation(self):
+        # the model and the units record refuse what PhysicalParams refused
         with pytest.raises(DomainError):
-            PhysicalParams(v0=1.0, a=-1.0, mass=0.5, hbar=1.0)
+            potentials.exponential(1.0, -1.0)
+        with pytest.raises(DomainError):
+            Units(mass=-0.5, hbar=1.0)
 
-    @pytest.mark.parametrize(
-        "name, value", [("a", 1e200), ("a", 1e-200), ("hbar", 1e200), ("hbar", 1e-200)]
-    )
-    def test_params_refuse_unrepresentable_squares(self, name, value):
-        # delta = hbar^2 / (8 m a^2) used to raise OverflowError or ZeroDivisionError
-        fields = {"v0": 1.0, "a": 1.0, "mass": 0.5, "hbar": 1.0, name: value}
-        with pytest.raises(DomainError, match=f"{name}\\^2 must be a finite float > 0"):
-            PhysicalParams(**fields)
+    @pytest.mark.parametrize("v0, mass", [(1e308, 0.5), (1e-300, 1e-300)])
+    def test_refuses_p_out_of_range(self, v0, mass):
+        # p overflows to inf or vanishes: refused before any closed form sees it
+        with pytest.raises(DomainError, match=r"^p = sqrt\(8 m v0 e\^\(-b/a\)\) a / hbar = "):
+            exp_barrier.reduce_params(potentials.exponential(v0, 1.0), 1.0, Units(mass, 1.0))
 
 
 class TestTransmissionReflection:
@@ -90,11 +96,10 @@ class TestArrayColumns:
 
     def test_reduce_params_bits(self):
         energies = np.logspace(-20, 5, 500)
-        d = exp_barrier.reduce_params(UNITS, energies)
-        for e, k, q in zip(energies.tolist(), d.k.tolist(), d.q.tolist()):
-            one = exp_barrier.reduce_params(UNITS, e)
-            assert (k, q) == (one.k, one.q)
-        assert d.p == exp_barrier.reduce_params(UNITS, 1.0).p
+        d = exp_barrier.reduce_params(EXP_MODEL, energies)
+        for e, q in zip(energies.tolist(), d.q.tolist()):
+            assert q == exp_barrier.reduce_params(EXP_MODEL, e).q
+        assert d.p == exp_barrier.reduce_params(EXP_MODEL, 1.0).p
 
     def test_transmission_reflection(self):
         t, r = exp_barrier.transmission_reflection(self.Q)
@@ -124,7 +129,7 @@ class TestArrayColumns:
         with pytest.raises(DomainError, match=r"got -0.1$"):
             exp_barrier.transmission_reflection(np.array([0.2, -0.1]))
         with pytest.raises(DomainError, match=r"energy must be finite and > 0, got inf$"):
-            exp_barrier.reduce_params(UNITS, np.array([1.0, math.inf]))
+            exp_barrier.reduce_params(EXP_MODEL, np.array([1.0, math.inf]))
 
     def test_domain_mask_is_the_scalar_check(self):
         q = np.array([-1.0, 0.0, 1e-8, 1.0000001e-8, 1.0, 700.0 / math.pi,
@@ -186,28 +191,29 @@ class TestAmplitudes:
 class TestFluxes:
     def test_ratios_reproduce_probabilities(self):
         for q in (0.25, 1.0, 3.0):
-            fl = exp_barrier.fluxes(2.0, q, UNITS)
+            fl = exp_barrier.fluxes(2.0, q, 1.0, DEFAULT_UNITS)
             t, r = exp_barrier.transmission_reflection(q)
             assert fl.j_transmitted / fl.j_incident == pytest.approx(t, rel=1e-13)
             assert fl.j_reflected / fl.j_incident == pytest.approx(r, rel=1e-13)
 
     def test_conservation(self):
-        fl = exp_barrier.fluxes(2.0, 0.7, UNITS)
+        fl = exp_barrier.fluxes(2.0, 0.7, 1.0, DEFAULT_UNITS)
         assert fl.j_incident == pytest.approx(fl.j_reflected + fl.j_transmitted, rel=1e-13)
 
     def test_incident_closed_form(self):
-        p, q = 2.0, 1.0
-        fl = exp_barrier.fluxes(p, q, UNITS)
-        k = q / (2.0 * UNITS.a)
+        p, q, a = 2.0, 1.0, 1.5
+        units = Units(mass=0.5, hbar=1.0)
+        fl = exp_barrier.fluxes(p, q, a, units)
+        k = q / (2.0 * a)
         want = (
-            UNITS.hbar * k * math.exp(2.0 * math.pi * q)
-            / (math.pi * UNITS.mass * q * math.sinh(math.pi * q))
+            units.hbar * k * math.exp(2.0 * math.pi * q)
+            / (math.pi * units.mass * q * math.sinh(math.pi * q))
         )
         assert fl.j_incident == pytest.approx(want, rel=1e-13)
 
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
-            exp_barrier.fluxes(2.0, 300.0, UNITS)
+            exp_barrier.fluxes(2.0, 300.0, 1.0, DEFAULT_UNITS)
 
 
 class TestExactWavefunction:

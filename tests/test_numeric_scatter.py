@@ -2,6 +2,9 @@
 the closed forms and an independently derived rectangular-barrier oracle.
 """
 
+import ast
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +12,6 @@ import pytest
 
 from expscatter import exp_barrier, numeric_scatter, potentials, waves
 from expscatter.errors import AccuracyError, DomainError
-from expscatter.exp_barrier import PhysicalParams
 from expscatter.numeric_scatter import DEFAULT_UNITS, SolverConfig
 
 EXP_MODEL = potentials.exponential(1.0, 1.0)
@@ -63,9 +65,7 @@ class TestBasisIntegration:
     def test_drift_improves_with_step(self):
         drifts = []
         for div in (250, 500):
-            config = SolverConfig(
-                x_left=-8.0, x_right=3.0, step=1.0 / div, match_tolerance=1e-3
-            )
+            config = SolverConfig(x_left=-8.0, x_right=3.0, step=1.0 / div)
             drifts.append(
                 numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config).u.wronskian_drift
             )
@@ -511,6 +511,35 @@ class TestHankelMatching:
         assert abs(t_values[0] - t_values[1]) < 1e-8
 
 
+class TestRightEndMatchNode:
+    """A window grown past z = 12 (as ``wavefunction --xmax`` grows it) still
+    projects onto the Hankel pair at z = 12; the basis runs on past it."""
+
+    @pytest.mark.parametrize("x_right", [0.0, 1.0])  # z = 28 and z = 47
+    def test_grown_window_keeps_the_accuracy(self, x_right):
+        model = potentials.exponential(200.0, 1.0)
+        config = dataclasses.replace(numeric_scatter.default_config(model), x_right=x_right)
+        basis = numeric_scatter.integrate_basis(model, 1.0, config)  # q = 2
+        t_exact, _ = exp_barrier.transmission_reflection(2.0)
+        for side in ("left", "right"):
+            res = numeric_scatter.match(basis, side)
+            assert abs(res.t_coeff - t_exact) <= 1e-10
+            assert res.wronskian_drift <= 1e-10
+
+    @pytest.mark.parametrize("x_right", [4.0, 5.5])
+    def test_grown_window_matches_like_the_default(self, x_right):
+        base = numeric_scatter.default_config(EXP_MODEL)
+        grown = dataclasses.replace(base, x_right=x_right)
+        for side in ("left", "right"):
+            want, got = (
+                numeric_scatter.solve(EXP_MODEL, 0.25, side=side, config=config)
+                for config in (base, grown)
+            )
+            assert abs(got.t_coeff - want.t_coeff) <= 1e-13
+            assert waves.angle_distance(got.phi, want.phi) <= 1e-12
+            assert waves.angle_distance(got.theta, want.theta) <= 1e-12
+
+
 class TestHardRegimes:
     """Depths and offsets that only translate the problem in x: on the
     z-window they are solved to the README model's accuracy."""
@@ -525,7 +554,7 @@ class TestHardRegimes:
         config = numeric_scatter.default_config(model)
         for energy in (0.01, 0.1, 1.0, 5.0):
             basis = numeric_scatter.integrate_basis(model, energy, config)
-            q = exp_barrier.reduce_params(PhysicalParams(1.0, 1.0, 0.5, 1.0), energy).q
+            q = exp_barrier.reduce_params(model, energy).q
             t_exact, _ = exp_barrier.transmission_reflection(q)
             for side in ("left", "right"):
                 res = numeric_scatter.match(basis, side)
@@ -609,3 +638,16 @@ class TestDefaultConfig:
         bad = dataclasses.replace(potentials.free(), kind="mystery")
         with pytest.raises(DomainError):
             numeric_scatter.default_config(bad)
+
+
+def test_numeric_lane_imports_nothing_from_exp_barrier():
+    # the closed-form lane is what the numeric lane is checked against
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(numeric_scatter))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "potentials" in imported
+    assert "exp_barrier" not in imported

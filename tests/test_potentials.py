@@ -98,3 +98,32 @@ class TestEffectiveExponential:
         # v0 e^{-b/a} overflows (b = -800) or underflows to 0 (b = 1e308)
         with pytest.raises(DomainError, match="offset b"):
             potentials.exponential(1.0, 1.0, b)
+
+
+class TestUnits:
+    @pytest.mark.parametrize(
+        "mass, hbar, message",
+        [
+            (-1.0, 1.0, "mass must be finite and > 0, got -1.0"),
+            (0.0, 1.0, "mass must be finite and > 0, got 0.0"),
+            (math.inf, 1.0, "mass must be finite and > 0, got inf"),
+            (0.5, math.nan, "hbar must be finite and > 0, got nan"),
+            (0.5, 1e200, "hbar = 1e+200 is out of range: hbar^2 must be a finite float > 0"),
+            (0.5, 1e-200, "hbar = 1e-200 is out of range: hbar^2 must be a finite float > 0"),
+        ],
+    )
+    def test_refuses_with_the_flag_messages(self, mass, hbar, message):
+        # the CLI prints these for a bad --mass or --hbar
+        with pytest.raises(DomainError) as info:
+            potentials.Units(mass=mass, hbar=hbar)
+        assert str(info.value) == message
+
+
+class TestExponentialP:
+    def test_formula(self):
+        m = potentials.exponential(2.0, 1.5, -0.4)
+        units = potentials.Units(mass=0.3, hbar=1.7)
+        want = math.sqrt(8.0 * 0.3 * 2.0 * math.exp(0.4 / 1.5)) * 1.5 / 1.7
+        assert potentials.exponential_p(m, units) == pytest.approx(want, rel=1e-15)
+        readme = potentials.exponential(1.0, 1.0)
+        assert potentials.exponential_p(readme, potentials.DEFAULT_UNITS) == 2.0
