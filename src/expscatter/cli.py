@@ -413,7 +413,19 @@ def cmd_wavefunction(args) -> int:
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
         )
-        basis = numeric_scatter.integrate_basis(model, args.energy, config, units)
+        try:
+            basis = numeric_scatter.integrate_basis(model, args.energy, config, units)
+        except AccuracyError as exc:
+            # the step is fixed at a/2000, so on a window grown to the right
+            # only --xmax can bring a finite drift back under the tolerance
+            drift, _, advice = str(exc).partition(";")
+            if not (exp_family and config.x_right > base.x_right and "refine the step" in advice):
+                raise
+            z = potentials.exponential_p(model, units) * math.exp(args.xmax / (2.0 * model.a))
+            raise AccuracyError(
+                f"{drift} at --xmax {args.xmax:g} (z = {z:.3g}), where the fixed step a/2000 "
+                f"is too coarse; lower --xmax toward the default x = {base.x_right:.6g} (z = 12)"
+            ) from None
         result = numeric_scatter.match(basis, args.side)
         wave = numeric_scatter.scattering_wavefunction(basis, result)
         # snap the requested grid to integration nodes; x reports the node

@@ -10,16 +10,18 @@ prefix products, the node values, straight into one array.  The potential
 is sampled once per window and step, and every energy of a sweep reuses
 the samples.  An exponential's default window is fixed in z = p exp(x/(2a)),
 where its depth and offset only translate the problem.  ``match`` then
-projects u and v, at each window end, onto that end's travelling pair
-(rightward, leftward): plane waves exp(+-ikx) where the potential vanishes,
-the exact pair {H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), where it dives,
-at z = 12 however far the window runs past it.
-The matched solution is the one with no wave arriving from infinity on the
-transmitted end, and the incident, reflected and transmitted waves are read
-off the same two projections for either incidence side.
+projects u and v, at each window end, onto that end's rightward unit wave
+R: exp(ikx) where the potential vanishes, H1_{iq}(z) over its large-z
+normalization, ~ exp(-x/(4a)) exp(iz), where it dives (z = p exp(x/(2a)),
+at z = 12 however far the window runs past it).  The basis is real, so
+along the leftward wave conj(R) its coefficients are the conjugates.  The
+matched solution has no wave arriving from infinity on the transmitted
+end; incident, reflected and transmitted waves are read off the same two
+projections for either incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
-meaningful when the two asymptotic waveforms differ.
+meaningful when the two asymptotic waveforms differ; on the diving end the
+flux is measured, as (hbar/m) Im(conj(R) R').
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
 
-_QUARTER_PI = math.pi / 4.0
 _MAX_NODES = 5_000_000
 # plane waves stand in for the asymptote at a window end only where
 # |V| <= ASYMPTOTE_EPSILON * E there
@@ -104,8 +105,8 @@ class NumericScatteringResult:
     t_coeff and r_coeff are flux ratios; r_amp and t_amp the complex
     amplitudes under the same waveform conventions as the closed forms;
     phi and theta their principal arguments.  c_u and c_v give the matched
-    solution psi = c_u * u + c_v * v, and ``incident`` its incident-wave
-    amplitude, so the normalized wave is reconstructible from the basis.
+    solution psi = c_u * u + c_v * v, and ``incident`` its coefficient on the
+    incident unit wave, so the normalized wave is reconstructible from them.
     """
 
     energy: float
@@ -216,40 +217,38 @@ def integrate_basis(
 def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     """Scattering data for incidence from ``side``, read off one basis.
 
-    Both window ends are projected onto their travelling pair (rightward,
-    leftward).  The matched psi = c_u u + c_v v has no wave arriving from
-    infinity at the transmitted end; the incident and reflected waves are
-    its two components at the other end.  The basis carries the potential,
-    energy, units and config it was integrated with, so one basis serves
-    both incidence sides.
+    Each window end gives u's and v's coefficients along its rightward unit
+    wave R, conjugated along conj(R).  The matched psi = c_u u + c_v v has
+    no wave arriving from infinity at the transmitted end; the incident and
+    reflected waves are its two components at the other end.  The basis
+    carries the potential, energy, units and config it was integrated with,
+    so one basis serves both incidence sides.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    left = _plane_pair(basis, 0)
+    left = _plane_end(basis, 0)
     # only the exponential dives, and only on the right
     diverging = basis.potential.kind == "exponential"
-    right = _hankel_pair(basis) if diverging else _plane_pair(basis, -1)
-    # index 0 of a pair is the rightward wave, 1 the leftward one
-    source, sink, inc, out = (left, right, 0, 1) if side == "left" else (right, left, 1, 0)
+    right = _hankel_end(basis) if diverging else _plane_end(basis, -1)
+    # incidence from the left arrives along R, from the right along conj(R)
+    source, sink, inc = (left, right, True) if side == "left" else (right, left, False)
+
+    def along(end: _End, rightward: bool) -> tuple[complex, complex]:
+        return (end.u, end.v) if rightward else (end.u.conjugate(), end.v.conjugate())
 
     # nothing may ride in from infinity on the transmitted end
-    cu, cv = sink.v[out], -sink.u[out]
-    norm = max(abs(cu), abs(cv))
+    sink_u, sink_v = along(sink, not inc)
+    norm = max(abs(sink_u), abs(sink_v))
     if norm == 0.0:
         raise AccuracyError("matching produced a null solution")
-    cu, cv = cu / norm, cv / norm
-
-    def coeff(pair: _Pair, direction: int) -> complex:
-        return cu * pair.u[direction] + cv * pair.v[direction]
-
-    c_inc, c_ref, c_tra = coeff(source, inc), coeff(source, out), coeff(sink, inc)
-    incident = c_inc * source.unit[inc]
-    r_amp = c_ref * source.unit[out] / incident
-    t_amp = c_tra * sink.unit[inc] / incident
-    j_inc = source.flux[inc] * abs(c_inc) ** 2
-    j_ref = source.flux[out] * abs(c_ref) ** 2
-    j_tra = sink.flux[inc] * abs(c_tra) ** 2
-    forbidden = abs(coeff(sink, out)) / max(abs(c_tra), 1e-300)
+    cu, cv = sink_v / norm, -sink_u / norm
+    c_inc, c_ref, c_tra, c_out = (cu * u + cv * v for u, v in (
+        along(source, inc), along(source, not inc), along(sink, inc), (sink_u, sink_v)))
+    r_amp, t_amp = c_ref / c_inc, c_tra / c_inc
+    j_inc = source.flux * abs(c_inc) ** 2
+    j_ref = source.flux * abs(c_ref) ** 2
+    j_tra = sink.flux * abs(c_tra) ** 2
+    forbidden = abs(c_out) / max(abs(c_tra), 1e-300)
     return NumericScatteringResult(
         energy=basis.energy, side=side,
         t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
@@ -258,7 +257,7 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
         flux_imbalance=abs(j_inc - j_ref - j_tra) / j_inc,
         wronskian_drift=basis.u.wronskian_drift,
         match_residual=max(left.residual, right.residual, forbidden),
-        c_u=cu, c_v=cv, incident=incident,
+        c_u=cu, c_v=cv, incident=c_inc,
     )
 
 
@@ -373,24 +372,23 @@ def _rk4_step(u, du, g0, g1, g2, h):
     )
 
 
-class _Pair(NamedTuple):
-    """One window end's travelling pair; every field is (rightward, leftward).
+class _End(NamedTuple):
+    """One window end, read along its rightward unit wave R.
 
-    u and v are the basis solutions' coefficients along the pair, flux the
-    probability flux per |coefficient|^2, unit the factor from a coefficient
-    to the amplitude of the unit waveform.  residual says how far the pair
-    is from exact at this end.
+    u and v are the basis solutions' coefficients along R; the basis is
+    real, so their coefficients along the leftward wave conj(R) are the
+    conjugates.  flux is the probability flux of R, which conj(R) carries
+    the other way, and residual says how far R is from exact at this end.
     """
 
-    u: tuple[complex, complex]
-    v: tuple[complex, complex]
-    flux: tuple[float, float]
-    unit: tuple[complex, complex]
+    u: complex
+    v: complex
+    flux: float
     residual: float
 
 
-def _plane_pair(basis: BasisPair, i: int) -> _Pair:
-    """exp(+-ikx) at node i (0 or -1), valid while |V| <= ASYMPTOTE_EPSILON * E."""
+def _plane_end(basis: BasisPair, i: int) -> _End:
+    """R = exp(ikx) at node i (0 or -1), valid while |V| <= ASYMPTOTE_EPSILON * E."""
     which = "x_left" if i == 0 else "x_right"
     x = float(basis.u.grid[i])
     energy = basis.energy
@@ -398,33 +396,29 @@ def _plane_pair(basis: BasisPair, i: int) -> _Pair:
     if v > ASYMPTOTE_EPSILON * energy:
         raise DomainError(
             f"|V({which})| = {v:.3e} exceeds ASYMPTOTE_EPSILON * E = "
-            f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out"
+            f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out, or keep "
+            f"E >= |V({which})| / ASYMPTOTE_EPSILON = {v / ASYMPTOTE_EPSILON:.3e}"
         )
     hbar, m = basis.units.hbar, basis.units.mass
     k = math.sqrt(2.0 * m * energy) / hbar
 
-    def coeffs(w: WaveSolution) -> tuple[complex, complex]:
+    def coeff(w: WaveSolution) -> complex:
         f, df = complex(w.psi[i]), complex(w.dpsi[i])
-        return (
-            0.5 * (f + df / (1j * k)) * cmath.exp(-1j * k * x),
-            0.5 * (f - df / (1j * k)) * cmath.exp(1j * k * x),
-        )
+        return 0.5 * (f + df / (1j * k)) * cmath.exp(-1j * k * x)
 
-    flux_k = hbar * k / m
-    return _Pair(coeffs(basis.u), coeffs(basis.v), (flux_k, flux_k), (1.0, 1.0), v / energy)
+    return _End(coeff(basis.u), coeff(basis.v), hbar * k / m, v / energy)
 
 
-def _hankel_pair(basis: BasisPair) -> _Pair:
-    """{H1_{iq}(z), H2_{iq}(z)}, z = p exp(x/(2a)), at the first node at or
-    past z = _Z_MATCH (the last node of a shorter window).
+def _hankel_end(basis: BasisPair) -> _End:
+    """R = H1_{iq}(z) / N, z = p exp(x/(2a)), at the first node at or past
+    z = _Z_MATCH (the last node of a shorter window).
 
-    Projection is by Wronskians,
-
-        c1 = W[psi, H2] / W[H1, H2],   c2 = -W[psi, H1] / W[H1, H2],
-
-    and unit converts c1, c2 to amplitudes of the unit travelling envelope
-    exp(-x/(4a)) exp(+-i z), the closed forms' convention.  The residual is
-    the relative error of W[H1, H2] against its exact value.
+    N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} is H1's large-z normalization,
+    so R ~ exp(-x/(4a)) exp(iz), the closed forms' unit envelope.  A real
+    solution w projects onto R by Wronskians, c = W[w, conj R] / W[R, conj R],
+    and W[R, conj R] = -2i Im(conj(R) R').  R's flux is measured as
+    (hbar/m) Im(conj(R) R'); the residual is its relative gap from the
+    envelope's exact p hbar / (2 m a).
     """
     units, a, grid = basis.units, basis.potential.a, basis.u.grid
     p = potentials.exponential_p(basis.potential, units)
@@ -433,27 +427,15 @@ def _hankel_pair(basis: BasisPair) -> _Pair:
     i = min(int(np.searchsorted(grid, 2.0 * a * math.log(_Z_MATCH / p))), grid.size - 1)
     z_r = p * math.exp(float(grid[i]) / (2.0 * a))
     h1 = specfun.hankel_imag_order(q, z_r, kind=1)
-    h2 = specfun.hankel_imag_order(q, z_r, kind=2)
-    dz_dx = z_r / (2.0 * a)
-    b1, db1 = h1.value, h1.dvalue * dz_dx
-    b2, db2 = h2.value, h2.dvalue * dz_dx
-    w_basis = b1 * db2 - db1 * b2
-    w_exact = -2j / (math.pi * a)
-    if abs(w_basis) < 0.1 * abs(w_exact):
-        raise AccuracyError(
-            f"travelling basis nearly degenerate at z = {z_r:.3g} (W = {w_basis:.3e})"
-        )
+    norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-0.25j * math.pi)
+    r, dr = h1.value / norm, h1.dvalue * (z_r / (2.0 * a)) / norm
+    im = (r.conjugate() * dr).imag
+    flux, exact = units.hbar / units.mass * im, p * units.hbar / (2.0 * units.mass * a)
+    if not flux > 0.1 * exact:
+        raise AccuracyError(f"unit wave at z = {z_r:.3g} carries flux {flux:.3e}, not {exact:.3e}")
 
-    def coeffs(w: WaveSolution) -> tuple[complex, complex]:
-        f, df = complex(w.psi[i]), complex(w.dpsi[i])
-        return (f * db2 - df * b2) / w_basis, -(f * db1 - df * b1) / w_basis
+    def coeff(w: WaveSolution) -> complex:
+        f, df = float(w.psi[i]), float(w.dpsi[i])
+        return (f * dr.conjugate() - df * r.conjugate()) / (-2j * im)
 
-    kappa_out = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-1j * _QUARTER_PI)
-    kappa_in = math.sqrt(2.0 / (math.pi * p)) * math.exp(-0.5 * math.pi * q) * cmath.exp(1j * _QUARTER_PI)
-    hbar, m = units.hbar, units.mass
-    flux_h1 = (hbar / (math.pi * m * a)) * math.exp(math.pi * q)
-    flux_h2 = (hbar / (math.pi * m * a)) * math.exp(-math.pi * q)
-    return _Pair(
-        coeffs(basis.u), coeffs(basis.v), (flux_h1, flux_h2), (kappa_out, kappa_in),
-        abs(w_basis - w_exact) / abs(w_exact),
-    )
+    return _End(coeff(basis.u), coeff(basis.v), flux, abs(flux - exact) / exact)

@@ -266,7 +266,8 @@ class TestCommands:
         assert existing.read_text(encoding="utf-8") == "keep\n"
         assert not fresh.exists()
 
-    # frozen from the free model before it became a zero-height rectangle
+    # the free pins were frozen before the free model became a zero-height
+    # rectangle, the rect pins before the matcher measured its fluxes
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -279,8 +280,15 @@ class TestCommands:
             (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
               "--xmin", "-2", "--xmax", "2"],
              "4c03cfc8269c08f54aef17d11ef06419adc2163e6e877479489c0f935d2e2e41"),
+            (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
+              "--method", "numeric"],
+             "490464fe0af710268f59d1dc5484c4ba45701dca0a66ffeb631d65ec6c327871"),
+            (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
+              "--xmin", "-3", "--xmax", "3", "--n", "50"],
+             "f07acc4d91551dbe51549e207d775412a1644846b9686e05004563830d7e6002"),
         ],
-        ids=["sweep", "wavefunction-left", "wavefunction-right"],
+        ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
+             "rect-wavefunction-right"],
     )
     def test_free_output_bytes_unchanged(self, argv, digest, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -402,6 +410,27 @@ class TestCommands:
         q = 2.0 * math.sqrt(float(energy))
         t_exact, _ = exp_barrier.transmission_reflection(q)
         assert abs(flux.mean() / q - t_exact) <= 1e-9
+
+    def test_wavefunction_drift_refusal_names_xmax(self, capsys):
+        # the step is fixed, so the advice is about the grown window end
+        code, _, err = run_cli(
+            ["wavefunction", "--method", "numeric", "--model", "exp:v0=1,a=1",
+             "--energy", "0.25", "--xmin", "-20", "--xmax", "9"],
+            capsys,
+        )
+        assert code == 2
+        assert "Wronskian drift 7.697e-08 exceeds DRIFT_TOLERANCE 1.000e-08" in err
+        assert "--xmax 9 (z = 180)" in err and "refine the step" not in err
+
+    def test_low_energy_refusal_names_the_lowest_energy(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-7", "--emax", "1e-6",
+             "--n", "2"],
+            capsys,
+        )
+        assert code == 2
+        # |V(x_left)| = 2.061e-09 on the default window
+        assert "E >= |V(x_left)| / ASYMPTOTE_EPSILON = 2.061e-03" in out
 
     def test_wavefunction_series_domain_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from expscatter import exp_barrier, numeric_scatter, potentials, waves
+from expscatter import exp_barrier, numeric_scatter, potentials, specfun, waves
 from expscatter.errors import AccuracyError, DomainError
 from expscatter.numeric_scatter import DEFAULT_UNITS, SolverConfig
 
@@ -498,6 +498,36 @@ class TestHankelMatching:
     def test_flux_conservation(self):
         res = numeric_scatter.solve(EXP_MODEL, 0.25, side="left")
         assert res.flux_imbalance < 1e-10
+
+    @pytest.mark.parametrize("q", [0.25, 1.0, 2.0])
+    def test_gamma_scale_error_moves_no_flux_ratio(self, q, monkeypatch):
+        # a scale error in Gamma rescales H1 as a whole; the fluxes are
+        # measured on the rescaled wave, so no flux ratio may follow it
+        basis = numeric_scatter.integrate_basis(EXP_MODEL, q * q / 4.0,
+                                                numeric_scatter.default_config(EXP_MODEL))
+
+        def ratios():
+            results = [numeric_scatter.match(basis, side) for side in ("left", "right")]
+            return np.array([[r.t_coeff, r.r_coeff, r.flux_imbalance] for r in results])
+
+        want = ratios()
+        gamma = specfun.complex_gamma
+        monkeypatch.setattr(specfun, "complex_gamma", lambda w: 1.001 * gamma(w))
+        assert np.max(np.abs(ratios() - want)) <= 1e-11
+        # the mutation does reach H1: its measured flux is off by 2e-3
+        assert numeric_scatter.match(basis, "left").match_residual > 1e-3
+
+    def test_one_hankel_evaluation_of_the_first_kind(self, monkeypatch):
+        kinds = []
+        hankel = specfun.hankel_imag_order
+
+        def counted(q, z, kind=1):
+            kinds.append(kind)
+            return hankel(q, z, kind)
+
+        monkeypatch.setattr(specfun, "hankel_imag_order", counted)
+        numeric_scatter.solve(EXP_MODEL, 0.25, side="right")
+        assert kinds == [1]
 
     def test_window_depth_insensitive(self):
         # (p, q) = (2, 1.5): answers must not depend on where the tail is cut
