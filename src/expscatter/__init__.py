@@ -24,6 +24,7 @@ from .numeric_scatter import (
     SolverConfig,
     default_config,
     integrate_basis,
+    integrate_ends,
     match,
     scattering_wavefunction,
     solve,
@@ -77,6 +78,7 @@ __all__ = [
     "hankel_imag_order",
     "incident_amplitude",
     "integrate_basis",
+    "integrate_ends",
     "match",
     "phase_shifts",
     "principal_angle",

@@ -219,7 +219,7 @@ def _sweep_row(spec: SweepSpec, row: SweepRow, config: numeric_scatter.SolverCon
     is NA and the row carries the message."""
     sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
     try:
-        basis = numeric_scatter.integrate_basis(spec.model, row.energy, config, spec.units)
+        basis = numeric_scatter.integrate_ends(spec.model, row.energy, config, spec.units)
         results = [numeric_scatter.match(basis, s) for s in sides]
     except (DomainError, AccuracyError) as exc:
         return SweepRow(row.energy, row.q, *[None] * 10, error=str(exc))

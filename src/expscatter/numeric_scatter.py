@@ -5,10 +5,13 @@ real basis {u, v} with u = 1, u' = 0, v = 0, v' = 1 at the seed, the window
 point nearest x = 0, by marching a classical fixed-step RK4 outward from
 it (so W[u, v] = 1 exactly at the seed and its drift measures integrator
 error).  The equation is linear, so every RK4 step is a 2x2 transfer
-matrix; the march builds all of them at once with numpy and writes their
-prefix products, the node values, straight into one array.  The potential
-is sampled once per window and step, and every energy of a sweep reuses
-the samples.  An exponential's default window is fixed in z = p exp(x/(2a)),
+matrix; one product stage (``_march``) builds all of them at once with
+numpy and takes their products in a blocked scan.  ``integrate_basis``
+writes out every node, for wavefunctions and the verification checks;
+``integrate_ends``, behind ``solve`` and the sweep rows, forms only the
+Wronskian drift and the two nodes ``match`` reads.  The potential is
+sampled once per window and step, and every energy of a sweep reuses the
+samples.  An exponential's default window is fixed in z = p exp(x/(2a)),
 where its depth and offset only translate the problem.  ``match`` then
 projects u and v, at each window end, onto that end's rightward unit wave
 R: exp(ikx) where the potential vanishes, H1_{iq}(z) over its large-z
@@ -40,6 +43,8 @@ from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
 
 _MAX_NODES = 5_000_000
+# array elements per chunk of march rows: each temporary (64 KB) stays in cache
+_CHUNK = 8192
 # plane waves stand in for the asymptote at a window end only where
 # |V| <= ASYMPTOTE_EPSILON * E there
 ASYMPTOTE_EPSILON = 1e-6
@@ -157,8 +162,8 @@ def integrate_basis(
     """March the basis pair across [x_left, x_right] with fixed-step RK4.
 
     Each half-window is one numpy march outward from the seed: the RK4
-    transfer matrices of all its steps, then their prefix products (see
-    ``_march``).
+    transfer matrices of all its steps and their products (see ``_march``),
+    written out node by node (``_write_nodes``).
 
     Raises
     ------
@@ -167,6 +172,71 @@ def integrate_basis(
         energy < 1e-6 * delta (the reduction degenerates there), or if the
         potential is not finite anywhere on the grid.
     """
+    _check_energy(potential, energy, units)
+    n_left, n_right = config.node_counts()
+    # rows u, u', v, v'; both marches start at the seed, the left one through a reversed view
+    nodes = np.empty((4, n_left + n_right + 1))
+    # on a deep window the basis can overflow; the drift check refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (samples, step, n), out in zip(_half_windows(potential, config),
+                                           (nodes[:, n_left:], nodes[:, n_left::-1])):
+            _write_nodes(*_march(samples, energy, step, units), n, out)
+        u, du, v, dv = nodes
+        drift = float(np.max(np.abs(u * dv - du * v - 1.0)))
+    _check_drift(drift, config)
+    grid = config.seed + config.step * np.arange(-n_left, n_right + 1)
+    return _basis_pair(grid, nodes, drift, potential, energy, units, config)
+
+
+def integrate_ends(
+    potential: PotentialModel,
+    energy: float,
+    config: SolverConfig,
+    units: Units = DEFAULT_UNITS,
+) -> BasisPair:
+    """The basis of ``integrate_basis`` at just the two nodes ``match`` reads.
+
+    Those are node 0 and the right end's node: the last one, or on a
+    diving end the first at or past z = _Z_MATCH.  The Wronskian drift
+    still covers every node, so ``match`` gives the same bits on this pair
+    as on the whole basis, but no node array is built (``_read_ends``).  A
+    plane-wave end that ``match`` would refuse is refused before the march,
+    with the same message (so it takes precedence over a march that would
+    also fail).
+    """
+    _check_energy(potential, energy, units)
+    n_left, n_right = config.node_counts()
+    # steps from the seed, negative to the left
+    ends = (-n_left, _right_end(potential, units, config))
+    grid = config.seed + config.step * np.array(ends, dtype=float)
+    _plane_potential(potential, float(energy), float(grid[0]), "x_left")
+    if potential.kind != "exponential":
+        _plane_potential(potential, float(energy), float(grid[-1]), "x_right")
+    # an end on the seed keeps the seed values
+    nodes = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    drifts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign, (samples, step, n) in zip((1, -1), _half_windows(potential, config)):
+            picked = [i for i, end in enumerate(ends) if sign * end > 0]
+            at = [sign * ends[i] for i in picked]
+            drift, nodes[:, picked] = _read_ends(*_march(samples, energy, step, units), n, at)
+            drifts.append(drift)
+    drift = float(np.max(drifts))
+    _check_drift(drift, config)
+    return _basis_pair(grid, nodes, drift, potential, energy, units, config)
+
+
+def _basis_pair(grid, nodes, drift, potential, energy, units, config) -> BasisPair:
+    """The pair (u, v) from node rows u, u', v, v' on grid."""
+    u, du, v, dv = nodes
+    zeros = np.zeros_like(grid)
+    u_sol = WaveSolution(grid=grid, psi=u, dpsi=du, flux_profile=zeros, wronskian_drift=drift)
+    v_sol = WaveSolution(grid=grid, psi=v, dpsi=dv, flux_profile=zeros, wronskian_drift=drift)
+    return BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy),
+                     units=units, config=config)
+
+
+def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be finite and > 0, got {energy!r}")
     if potential.kind == "exponential":
@@ -177,26 +247,8 @@ def integrate_basis(
                 "the long-wave limit is not resolvable by this grid"
             )
 
-    n_left, n_right = config.node_counts()
-    h, seed = config.step, config.seed
-    # g = 2m (V - E)/hbar^2 at three samples per step
-    two_m_over_h2 = 2.0 * units.mass / units.hbar**2
-    v_left, v_right = _potential_samples(potential, seed, n_left, n_right, h)
-    g_left, g_right = two_m_over_h2 * (v_left - energy), two_m_over_h2 * (v_right - energy)
-    if not (np.all(np.isfinite(g_right)) and np.all(np.isfinite(g_left))):
-        raise DomainError("potential is not finite on the integration grid")
 
-    # rows u, u', v, v'; both marches start at the seed, the left one through a reversed view
-    nodes = np.empty((4, n_left + n_right + 1))
-    # on a deep window the basis can overflow; the drift check refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        _march(g_right, h, nodes[:, n_left:])
-        _march(g_left, -h, nodes[:, n_left::-1])
-        u, du, v, dv = nodes
-        w_profile = u * dv - du * v
-    grid = seed + h * np.arange(-n_left, n_right + 1)
-
-    drift = float(np.max(np.abs(w_profile - 1.0)))
+def _check_drift(drift: float, config: SolverConfig) -> None:
     if not math.isfinite(drift):
         raise AccuracyError(
             f"Wronskian drift {drift:.3e}: the basis overflowed on the window "
@@ -207,11 +259,6 @@ def integrate_basis(
             f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
             f"{DRIFT_TOLERANCE:.3e}; refine the step (drift falls as h^4)"
         )
-    zeros = np.zeros_like(grid)
-    u_sol = WaveSolution(grid=grid, psi=u, dpsi=du, flux_profile=zeros, wronskian_drift=drift)
-    v_sol = WaveSolution(grid=grid, psi=v, dpsi=dv, flux_profile=zeros, wronskian_drift=drift)
-    return BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy),
-                     units=units, config=config)
 
 
 def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
@@ -268,9 +315,9 @@ def solve(
     config: Optional[SolverConfig] = None,
     units: Units = DEFAULT_UNITS,
 ) -> NumericScatteringResult:
-    """Integrate the basis over the window, then ``match``."""
+    """Integrate the basis ends over the window, then ``match``."""
     config = config or default_config(potential, units)
-    return match(integrate_basis(potential, energy, config, units), side)
+    return match(integrate_ends(potential, energy, config, units), side)
 
 
 def scattering_wavefunction(basis: BasisPair, result: NumericScatteringResult) -> WaveSolution:
@@ -313,63 +360,118 @@ def _step_samples(n: int, h: float) -> np.ndarray:
     return (step + np.array([1e-9, 0.5, 1.0 - 1e-9])[:, None, None]) * h
 
 
-def _march(g: np.ndarray, h: float, out: np.ndarray) -> None:
-    """March u'' = g(x) u for the (u, v) pair over n = out.shape[1] - 1 steps.
+def _half_windows(potential: PotentialModel, config: SolverConfig):
+    """(V samples, step, step count) of the right, then the left half-window."""
+    n_left, n_right = config.node_counts()
+    h = config.step
+    v_left, v_right = _potential_samples(potential, config.seed, n_left, n_right, h)
+    return (v_right, h, n_right), (v_left, -h, n_left)
 
-    g holds three samples per step in the layout of ``_step_samples``.  The
-    rows of out (a reversed view for the left march) receive (u, u', v, v')
-    at the n + 1 nodes, u seeded (1, 0) and v (0, 1): each RK4 step is a 2x2
-    transfer matrix M_i, and node i holds P_i = M_{i-1} ... M_0 (P_0 = I).
 
-    The products use a blocked scan: sequential inside blocks of width
-    steps, vectorised across blocks, then each block carried by the product
-    of all earlier block totals.  Every product is formed in step order,
-    which keeps the Wronskian's round-off drift as low as a plain loop's; a
-    log-depth tree scan would not.
+def _march(v: np.ndarray, energy: float, h: float, units: Units):
+    """The products of one march of u'' = g(x) u, g = 2m (V - energy)/hbar^2.
+
+    v holds V at three samples per step in the layout of ``_step_samples``.
+    Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
+    applied to seed c, (1, 0) for u and (0, 1) for v; node i holds
+    P_i = M_{i-1} ... M_0 (P_0 = I).  Returns (m, carried): m[j, :, :, k]
+    is the product of steps 0..j of block k (step k * width + j), carried[:, :, k]
+    the product of all blocks before k, so P_{1 + k * width + j} is
+    m[j, :, :, k] @ carried[:, :, k] (see ``_prefix``).
+
+    The scan runs sequentially inside blocks of width steps, vectorised
+    across blocks, then carries each block by the earlier block totals.
+    Every product is formed in step order, which keeps the Wronskian's
+    round-off drift as low as a plain loop's; a log-depth tree scan would
+    not.
     """
-    n = out.shape[1] - 1
-    width, blocks = g.shape[1:]
-    # m[j, r, c, k]: entry (r, c) of step k * width + j, column c the step applied to
-    # seed c; built a few rows at a time so each stage temporary (64 KB) stays in cache
+    width, blocks = v.shape[1:]
+    scale = 2.0 * units.mass / units.hbar**2
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    # m[j, r, c, k]: entry (r, c) of step k * width + j, built a chunk of rows at a time
     m = np.empty((width, 2, 2, blocks))
-    rows = max(1, 8192 // blocks)
+    rows = max(1, _CHUNK // blocks)
+    # one g buffer for every chunk: a fresh 200 KB g per chunk fragments
+    # the heap (peak RSS +1 MB over repeated numeric wavefunctions)
+    g_rows = np.empty((3, rows, blocks))
     for j in range(0, width, rows):
-        mj, gj = m[j : j + rows], g[:, j : j + rows]
-        mj[:, 0, 0], mj[:, 1, 0] = _rk4_step(1.0, 0.0, *gj, h)
-        mj[:, 0, 1], mj[:, 1, 1] = _rk4_step(0.0, 1.0, *gj, h)
-    # in place, m[j] becomes the product of its block's steps 0..j
-    lhs, rhs = np.empty((2, 2, 2, blocks))
-    for mj, col0, col1, row0, row1 in zip(m[1:], m[1:, :, :1], m[1:, :, 1:], m[:-1, 0], m[:-1, 1]):
-        np.add(np.multiply(col0, row0, out=lhs), np.multiply(col1, row1, out=rhs), out=mj)
+        mj = m[j : j + rows]
+        g0, g1, g2 = g = g_rows[:, : len(mj)]
+        np.multiply(scale, np.subtract(v[:, j : j + rows], energy, out=g), out=g)
+        if not np.all(np.isfinite(g)):
+            raise DomainError("potential is not finite on the integration grid")
+        # classical RK4 on the seeds, less the operations that are exact
+        # no-ops there: seed (1, 0) has slopes k1 = (0, g0), k2 = (k2u, g1);
+        # seed (0, 1) has k1 = (1, 0), k2 = (1, k2q) and k3 = (k3v, k2q)
+        k2u, k3u = half_h * g0, half_h * g1
+        k3p = g1 * (1.0 + half_h * k2u)
+        k4p = g2 * (1.0 + h * k3u)
+        np.add(1.0, sixth_h * (2.0 * (k2u + k3u) + h * k3p), out=mj[:, 0, 0])
+        np.multiply(sixth_h, g0 + 2.0 * (g1 + k3p) + k4p, out=mj[:, 1, 0])
+        k2q = g1 * half_h
+        k3v = 1.0 + half_h * k2q
+        k4q = g2 * (h * k3v)
+        np.multiply(sixth_h, 1.0 + 2.0 * (1.0 + k3v) + (1.0 + h * k2q), out=mj[:, 0, 1])
+        np.add(1.0, sixth_h * (2.0 * (k2q + k2q) + k4q), out=mj[:, 1, 1])
+    # in place, m[j] becomes the product of its block's steps 0..j:
+    # terms[t, r, c] = M_j[r, t] * m[j - 1][t, c], summed over t in order
+    terms = np.empty((2, 2, 2, blocks))
+    term0, term1 = terms
+    steps, prods = m.transpose(0, 2, 1, 3)[:, :, :, None], m[:, :, None]
+    for mj, step, prod in zip(m[1:], steps[1:], prods[:-1]):
+        np.multiply(step, prod, out=terms)
+        np.add(term0, term1, out=mj)
     carry = [(1.0, 0.0, 0.0, 1.0)]
     # the last block's total, which may include pad steps, carries nothing
     for t00, t01, t10, t11 in m[-1].reshape(4, blocks).T.tolist()[:-1]:
         c00, c01, c10, c11 = carry[-1]
         carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
                       t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
-    carried = np.array(carry).T.reshape(2, 2, blocks)
-    # out row r + 2c takes entry (r, c); node 1 + k * width + j is step j of block k
+    return m, np.array(carry).T.reshape(2, 2, blocks)
+
+
+# node rows u, u', v, v' take product entries (r, c)
+_ROWS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _prefix(m: np.ndarray, carried: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Entry (r, c) of the node products m[j] @ carried over rows j of m."""
+    return m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
+
+
+def _write_nodes(m: np.ndarray, carried: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Node writer: rows (u, u', v, v') of out (a reversed view for the left
+    march) get the n + 1 nodes of one march."""
+    width = m.shape[0]
+    # node 1 + k * width + j is step j of block k
     full = n // width
     out[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    for row, (r, c) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-        prefix = m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
+    for row, (r, c) in enumerate(_ROWS):
+        prefix = _prefix(m, carried, r, c)
         out[row, 1 : 1 + full * width].reshape(full, width).T[...] = prefix[:, :full]
         out[row, 1 + full * width :] = prefix[: n - full * width, -1]
 
 
-def _rk4_step(u, du, g0, g1, g2, h):
-    """One classical RK4 step of (u, u') for u'' = g u, with g sampled at
-    the start, middle and end of the step; works on scalars and arrays."""
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    k1u = du;                k1p = g0 * u
-    k2u = du + half_h * k1p; k2p = g1 * (u + half_h * k1u)
-    k3u = du + half_h * k2p; k3p = g1 * (u + half_h * k2u)
-    k4u = du + h * k3p;      k4p = g2 * (u + h * k3u)
-    return (
-        u + sixth_h * (k1u + 2.0 * (k2u + k3u) + k4u),
-        du + sixth_h * (k1p + 2.0 * (k2p + k3p) + k4p),
-    )
+def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks: list[int]):
+    """Drift-and-ends reader: max |W[u, v] - 1| over the n nodes of one
+    march, formed a chunk of rows at a time in scan layout, and the nodes
+    picks (each in 1..n) as columns (u, u', v, v')."""
+    width, _, _, blocks = m.shape
+    # real steps in the last block; its other rows are pad steps
+    last = n - (blocks - 1) * width
+    rows = max(1, _CHUNK // blocks)
+    maxima = [0.0]
+    for j in range(0, width, rows):
+        u, du, v, dv = (_prefix(m[j : j + rows], carried, r, c) for r, c in _ROWS)
+        error = np.abs(u * dv - du * v - 1.0)
+        error[max(last - j, 0) :, -1] = 0.0
+        maxima.append(np.max(error))
+    nodes = np.empty((4, len(picks)))
+    for i, node in enumerate(picks):
+        k, j = divmod(node - 1, width)
+        one = m[j : j + 1, :, :, k : k + 1], carried[:, :, k : k + 1]
+        nodes[:, i] = [_prefix(*one, r, c)[0, 0] for r, c in _ROWS]
+    return np.max(maxima), nodes
 
 
 class _End(NamedTuple):
@@ -389,16 +491,8 @@ class _End(NamedTuple):
 
 def _plane_end(basis: BasisPair, i: int) -> _End:
     """R = exp(ikx) at node i (0 or -1), valid while |V| <= ASYMPTOTE_EPSILON * E."""
-    which = "x_left" if i == 0 else "x_right"
-    x = float(basis.u.grid[i])
-    energy = basis.energy
-    v = abs(float(potentials.evaluate(basis.potential, x)))
-    if v > ASYMPTOTE_EPSILON * energy:
-        raise DomainError(
-            f"|V({which})| = {v:.3e} exceeds ASYMPTOTE_EPSILON * E = "
-            f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out, or keep "
-            f"E >= |V({which})| / ASYMPTOTE_EPSILON = {v / ASYMPTOTE_EPSILON:.3e}"
-        )
+    x, energy = float(basis.u.grid[i]), basis.energy
+    v = _plane_potential(basis.potential, energy, x, "x_left" if i == 0 else "x_right")
     hbar, m = basis.units.hbar, basis.units.mass
     k = math.sqrt(2.0 * m * energy) / hbar
 
@@ -407,6 +501,39 @@ def _plane_end(basis: BasisPair, i: int) -> _End:
         return 0.5 * (f + df / (1j * k)) * cmath.exp(-1j * k * x)
 
     return _End(coeff(basis.u), coeff(basis.v), hbar * k / m, v / energy)
+
+
+def _plane_potential(potential: PotentialModel, energy: float, x: float, which: str) -> float:
+    """|V(x)| at a plane-wave end, refused past ASYMPTOTE_EPSILON * E."""
+    v = abs(float(potentials.evaluate(potential, x)))
+    if v > ASYMPTOTE_EPSILON * energy:
+        raise DomainError(
+            f"|V({which})| = {v:.3e} exceeds ASYMPTOTE_EPSILON * E = "
+            f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out, or keep "
+            f"E >= |V({which})| / ASYMPTOTE_EPSILON = {v / ASYMPTOTE_EPSILON:.3e}"
+        )
+    return v
+
+
+def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> int:
+    """Steps from the seed to the right-end node ``match`` reads: the last
+    one, or on a diving end the first at or past z = _Z_MATCH (the last if
+    none is), found on the grid values seed + step * k without the grid."""
+    n_left, n_right = config.node_counts()
+    if potential.kind != "exponential":
+        return n_right
+    x, seed, h = _x_match(potential, units), config.seed, config.step
+    k = min(max(math.ceil((x - seed) / h), -n_left), n_right)
+    while k > -n_left and seed + h * (k - 1) >= x:
+        k -= 1
+    while k < n_right and seed + h * k < x:
+        k += 1
+    return k
+
+
+def _x_match(potential: PotentialModel, units: Units) -> float:
+    """x of z = _Z_MATCH on an exponential."""
+    return 2.0 * potential.a * math.log(_Z_MATCH / potentials.exponential_p(potential, units))
 
 
 def _hankel_end(basis: BasisPair) -> _End:
@@ -424,7 +551,7 @@ def _hankel_end(basis: BasisPair) -> _End:
     p = potentials.exponential_p(basis.potential, units)
     k = math.sqrt(2.0 * units.mass * basis.energy) / units.hbar
     q = 2.0 * k * a
-    i = min(int(np.searchsorted(grid, 2.0 * a * math.log(_Z_MATCH / p))), grid.size - 1)
+    i = min(int(np.searchsorted(grid, _x_match(basis.potential, units))), grid.size - 1)
     z_r = p * math.exp(float(grid[i]) / (2.0 * a))
     h1 = specfun.hankel_imag_order(q, z_r, kind=1)
     norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-0.25j * math.pi)

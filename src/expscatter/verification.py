@@ -114,8 +114,8 @@ def check_reciprocity() -> CheckResult:
             worst_analytic = max(worst_analytic, angle_distance(left.theta, right.theta))
     model = potentials.exponential(1.0, 1.0)
     energy = 0.75**2 / 4.0
-    res_l = numeric_scatter.solve(model, energy, side="left")
-    res_r = numeric_scatter.solve(model, energy, side="right")
+    basis = numeric_scatter.integrate_ends(model, energy, numeric_scatter.default_config(model))
+    res_l, res_r = (numeric_scatter.match(basis, side) for side in ("left", "right"))
     theta_gap = angle_distance(res_l.theta, res_r.theta)
     t_gap = abs(res_l.t_coeff - res_r.t_coeff)
     parts = [(worst_analytic, 1e-10), (theta_gap, 1e-6), (t_gap, 1e-8)]

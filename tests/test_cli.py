@@ -267,7 +267,8 @@ class TestCommands:
         assert not fresh.exists()
 
     # the free pins were frozen before the free model became a zero-height
-    # rectangle, the rect pins before the matcher measured its fluxes
+    # rectangle, the rect pins before the matcher measured its fluxes, the
+    # E == v0 pin before sweep rows stopped building the node array
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -286,9 +287,13 @@ class TestCommands:
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
              "f07acc4d91551dbe51549e207d775412a1644846b9686e05004563830d7e6002"),
+            # E == v0 on the second row: g is exactly zero inside the barrier
+            (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
+              "--spacing", "linear", "--method", "numeric"],
+             "1f19939e2b791be4a7b230563e2334e41231895b3fd6599a2b67e6c0f8b9bc72"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
-             "rect-wavefunction-right"],
+             "rect-wavefunction-right", "rect-sweep-at-v0"],
     )
     def test_free_output_bytes_unchanged(self, argv, digest, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -431,6 +436,20 @@ class TestCommands:
         assert code == 2
         # |V(x_left)| = 2.061e-09 on the default window
         assert "E >= |V(x_left)| / ASYMPTOTE_EPSILON = 2.061e-03" in out
+
+    def test_low_energy_rows_refused_without_marching(self, monkeypatch, capsys):
+        # E = 1e-6 lies between 1e-6 * delta and |V(x_left)| / ASYMPTOTE_EPSILON;
+        # its row is refused at the plane-wave end before any RK4 step, and
+        # the output keeps its bytes (digest taken before the early refusal)
+        monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
+        code, out, err = run_cli(
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-7", "--emax", "1e-6",
+             "--n", "2"],
+            capsys,
+        )
+        assert (code, err) == (2, "error: every sweep row failed\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e5f33c75c05d369fa0dce6678519011aa214d1035b098206b2502c03baade0af")
 
     def test_wavefunction_series_domain_exit_code(self, capsys):
         code, _, err = run_cli(

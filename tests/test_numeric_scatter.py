@@ -6,11 +6,12 @@ import ast
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from expscatter import exp_barrier, numeric_scatter, potentials, specfun, waves
+from expscatter import cli, exp_barrier, numeric_scatter, potentials, specfun, waves
 from expscatter.errors import AccuracyError, DomainError
 from expscatter.numeric_scatter import DEFAULT_UNITS, SolverConfig
 
@@ -172,7 +173,7 @@ def loop_basis(potential, energy, config):
 
 
 def to_scan(g):
-    """Step-ordered samples (three per step) in the scan layout of _march:
+    """Step-ordered samples (three per step) in the scan layout of the march:
     [s, j, k] is sample s of step k * width + j, width = isqrt(n); the pad
     steps of the last block repeat the last step."""
     n = g.size // 3
@@ -183,10 +184,16 @@ def to_scan(g):
     return padded.reshape(blocks, width, 3).transpose(2, 1, 0)
 
 
+def products(scan, h):
+    """The product stage on samples that are g itself: with m = 1/2 and
+    hbar = 1, g = 1.0 * (g - 0.0)."""
+    return numeric_scatter._march(scan, 0.0, h, DEFAULT_UNITS)
+
+
 def march(g, h):
-    """(u, u', v, v') of numeric_scatter._march for step-ordered samples g."""
+    """(u, u', v, v') that the node writer gives for step-ordered samples g."""
     out = np.empty((4, g.size // 3 + 1))
-    numeric_scatter._march(to_scan(g), h, out)
+    numeric_scatter._write_nodes(*products(to_scan(g), h), g.size // 3, out)
     return list(out)
 
 
@@ -206,18 +213,49 @@ class TestStepMatrixMarch:
 
     def test_no_steps_is_the_seed(self):
         out = np.empty((4, 1))
-        numeric_scatter._march(np.zeros((3, 1, 1)), 1e-3, out)
+        m, carried = products(np.zeros((3, 1, 1)), 1e-3)
+        numeric_scatter._write_nodes(m, carried, 0, out)
         assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
+        drift, nodes = numeric_scatter._read_ends(m, carried, 0, [])
+        assert drift == 0.0 and nodes.shape == (4, 0)
 
     def test_pad_steps_do_not_reach_the_nodes(self):
-        # n = 17: width 4, five blocks, the last one step and three pad steps
+        # n = 17: width 4, five blocks, the last one step and three pad
+        # steps; g = 1e300 overflows the pad steps' matrices to inf and nan
+        # (the stage refuses a non-finite g itself)
         g = np.random.default_rng(17).uniform(-2.0, 1.0, 3 * 17)
         want = march(g, 1e-3)
         scan = to_scan(g).copy()
-        scan[:, 1:, -1] = np.nan
+        scan[:, 1:, -1] = 1e300
         out = np.empty((4, 18))
-        numeric_scatter._march(scan, 1e-3, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, carried = products(scan, 1e-3)
+            assert not np.all(np.isfinite(m[1:, :, :, -1]))
+            numeric_scatter._write_nodes(m, carried, 17, out)
+            drift, nodes = numeric_scatter._read_ends(m, carried, 17, [17])
         assert np.array_equal(out, want)
+        assert drift == np.max(np.abs(want[0] * want[3] - want[1] * want[2] - 1.0))
+        assert nodes[:, 0].tolist() == out[:, 17].tolist()
+
+    def test_non_finite_samples_refused(self):
+        g = np.random.default_rng(3).uniform(-2.0, 1.0, 3 * 40)
+        for bad in (np.nan, np.inf):
+            scan = to_scan(g).copy()
+            scan[2, 3, 1] = bad
+            with pytest.raises(DomainError, match="potential is not finite"):
+                products(scan, 1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
+    def test_reader_equals_the_node_writer(self, n):
+        # the drift and any picked node, bit for bit, without the node array
+        g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
+        picks = sorted({1, n // 2 + 1, n})
+        for h in (1e-3, -1e-3):
+            nodes = np.array(march(g, h))
+            drift, picked = numeric_scatter._read_ends(*products(to_scan(g), h), n, picks)
+            u, du, v, dv = nodes
+            assert drift == np.max(np.abs(u * dv - du * v - 1.0))
+            assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_step_samples_are_step_ordered_abscissae_in_scan_layout(self, n):
@@ -340,19 +378,27 @@ def basis_bytes(basis):
 
 
 PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, step=1.0 / 997.0)
+DEEP = potentials.exponential(200.0, 1.0)  # z = 12 at x = -1.71, left of x = 0
 BIT_CASES = {
     # default window: the 40,000-step left tail and the diving right end
     "exp": (EXP_MODEL, 0.25, None),
     "exp-q4": (EXP_MODEL, 4.0, None),
     "expshift": (potentials.exponential(1.0, 1.0, -1.5), 1.3, None),
     "rect-edges-on-nodes": (potentials.rectangular(1.0, 1.0), 0.5, None),
+    # E == v0: g is exactly zero inside the barrier
+    "rect-at-v0": (potentials.rectangular(1.0, 1.0), 1.0, None),
     "free": (potentials.free(), 1.0, None),
     "partial-last-block": (EXP_MODEL, 0.7, PARTIAL),
+    # windows grown past z = 12: its node inside the right, then the left march
+    "exp-grown": (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5, step=1.0 / 2000.0)),
+    "exp-deep-grown": (DEEP, 1.0, SolverConfig(x_left=-21.71, x_right=1.0, step=1.0 / 2000.0)),
 }
+# the oracle seeds at x = 0; here the seed is x_right, the z = 12 node
+ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
 
 
 def bit_case(name):
-    potential, energy, config = BIT_CASES[name]
+    potential, energy, config = ENDS_CASES[name]
     return potential, energy, config or numeric_scatter.default_config(potential)
 
 
@@ -404,6 +450,123 @@ class TestBitExactMarch:
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0, 0, 0] = 0.0
+
+
+def result_bits(result):
+    """Every field of a NumericScatteringResult, floats and complexes by their bits."""
+    def bits(x):
+        if isinstance(x, complex):
+            return x.real.hex(), x.imag.hex()
+        return x.hex() if isinstance(x, float) else x
+
+    return [bits(getattr(result, field.name)) for field in dataclasses.fields(result)]
+
+
+def outcomes(solve_sides, sides=("left", "right")):
+    """The bits of each side's result, or the refusal that stops them."""
+    try:
+        return [result_bits(r) for r in solve_sides(sides)]
+    except (DomainError, AccuracyError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestEndsReader:
+    """``integrate_ends`` serves ``solve`` and the sweep rows: ``match`` on it
+    must give the bits it gives on the whole basis, refusals included."""
+
+    @staticmethod
+    def whole_basis(potential, energy, config):
+        def solve_sides(sides):
+            basis = numeric_scatter.integrate_basis(potential, energy, config)
+            return [numeric_scatter.match(basis, side) for side in sides]
+
+        return solve_sides
+
+    @pytest.mark.parametrize("name", sorted(ENDS_CASES))
+    def test_solve_equals_match_on_the_whole_basis(self, name):
+        potential, energy, config = bit_case(name)
+        want = outcomes(self.whole_basis(potential, energy, config))
+        got = outcomes(lambda sides: [
+            numeric_scatter.solve(potential, energy, side, config) for side in sides])
+        assert got == want
+        assert (name == "partial-last-block") == isinstance(want, tuple)
+
+    @pytest.mark.parametrize("name", sorted(ENDS_CASES))
+    def test_sweep_rows_equal_match_on_the_whole_basis(self, name, monkeypatch):
+        potential, energy, config = bit_case(name)
+        seen = []
+        match = numeric_scatter.match
+        monkeypatch.setattr(numeric_scatter, "match",
+                            lambda basis, side: seen.append(match(basis, side)) or seen[-1])
+        monkeypatch.setattr(numeric_scatter, "default_config", lambda *args: config)
+        spec = cli.SweepSpec(potential, energy, 2.0 * energy, 2, "linear", "both", "numeric",
+                             DEFAULT_UNITS)
+        rows = cli.run_sweep(spec)
+        monkeypatch.undo()
+        assert rows[0].energy == energy
+        for row in rows:
+            want = outcomes(self.whole_basis(potential, row.energy, config))
+            if isinstance(want, tuple):
+                assert row.error == want[1]
+            else:
+                got = [result_bits(r) for r in seen[:2]]
+                del seen[:2]
+                assert row.error is None and got == want
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "potential, energy, config, message",
+        [
+            # kappa w = 800 across the barrier: u and v overflow to a NaN Wronskian
+            (potentials.rectangular(1.0e4, 4.0), 1.0, None, "drift nan: the basis overflowed"),
+            # V = -e^x overflows past x = 709.8
+            (EXP_MODEL, 1.0, SolverConfig(x_left=-40.0, x_right=720.0, step=0.05),
+             "potential is not finite on the integration grid"),
+            (EXP_MODEL, 0.25, SolverConfig(x_left=-30.0, x_right=3.0, step=1.0 / 40.0),
+             "exceeds DRIFT_TOLERANCE"),
+        ],
+        ids=["overflow", "non-finite-potential", "coarse-step"],
+    )
+    def test_march_refusals_equal_on_both_consumers(self, potential, energy, config, message):
+        config = config or numeric_scatter.default_config(potential)
+        refusals = []
+        for integrate in (numeric_scatter.integrate_basis, numeric_scatter.integrate_ends):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises((DomainError, AccuracyError)) as caught:
+                    integrate(potential, energy, config)
+            refusals.append((caught.type, str(caught.value)))
+        assert refusals[0] == refusals[1] and message in refusals[0][1]
+
+    def test_only_the_matched_nodes_are_built(self):
+        for name in ("exp", "rect-edges-on-nodes", "exp-grown", "exp-deep", "exp-deep-grown"):
+            potential, energy, config = bit_case(name)
+            ends = numeric_scatter.integrate_ends(potential, energy, config)
+            whole = numeric_scatter.integrate_basis(potential, energy, config)
+            i = -1
+            if potential.kind == "exponential":
+                p = potentials.exponential_p(potential, DEFAULT_UNITS)
+                x_match = 2.0 * math.log(12.0 / p)
+                i = min(int(np.searchsorted(whole.u.grid, x_match)), whole.u.grid.size - 1)
+            assert ends.u.grid.tolist() == whole.u.grid[[0, i]].tolist()
+            for got, want in ((ends.u, whole.u), (ends.v, whole.v)):
+                assert got.psi.tobytes() == whole_nodes(want.psi, i)
+                assert got.dpsi.tobytes() == whole_nodes(want.dpsi, i)
+                assert got.wronskian_drift == want.wronskian_drift
+
+    def test_refused_plane_end_is_not_marched(self, monkeypatch):
+        # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
+        # at the plane-wave end; only 1e-6 * delta = 2.5e-7 is refused earlier
+        config = numeric_scatter.default_config(EXP_MODEL)
+        want = outcomes(self.whole_basis(EXP_MODEL, 1e-6, config))
+        monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
+        got = outcomes(lambda sides: [numeric_scatter.solve(EXP_MODEL, 1e-6, side)
+                                      for side in sides])
+        assert got == want and "x_left" in want[1]
+
+
+def whole_nodes(column, i):
+    return np.ascontiguousarray(column[[0, i]]).tobytes()
 
 
 class TestPlaneWaveMatching:
