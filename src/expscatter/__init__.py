@@ -23,10 +23,8 @@ from .numeric_scatter import (
     NumericScatteringResult,
     SolverConfig,
     default_config,
-    integrate_basis,
     integrate_ends,
     match,
-    scattering_wavefunction,
     solve,
 )
 from .potentials import (
@@ -77,7 +75,6 @@ __all__ = [
     "free",
     "hankel_imag_order",
     "incident_amplitude",
-    "integrate_basis",
     "integrate_ends",
     "match",
     "phase_shifts",
@@ -85,7 +82,6 @@ __all__ = [
     "rectangular",
     "reduce_params",
     "run_all",
-    "scattering_wavefunction",
     "solve",
     "transmission_reflection",
 ]

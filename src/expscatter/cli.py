@@ -403,7 +403,7 @@ def cmd_wavefunction(args) -> int:
         wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, grid_xi)
         incident = exp_barrier.incident_amplitude(d.p, d.q, args.side)
         psi = wave.psi / incident
-        xs = grid_xi * model.a
+        xs, re, im = grid_xi * model.a, psi.real, psi.imag
         # exact_wavefunction fluxes use hbar/m = 1 and d/d(x/a)
         flux_scale = units.hbar / (units.mass * model.a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
@@ -413,8 +413,10 @@ def cmd_wavefunction(args) -> int:
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
         )
+        # snap the requested grid to integration nodes; x reports the node
+        steps = config.steps_at(np.linspace(args.xmin, args.xmax, args.n))
         try:
-            basis = numeric_scatter.integrate_basis(model, args.energy, config, units)
+            basis = numeric_scatter.integrate_ends(model, args.energy, config, units, steps)
         except AccuracyError as exc:
             # the step is fixed at a/2000, so on a window grown to the right
             # only --xmax can bring a finite drift back under the tolerance
@@ -427,27 +429,19 @@ def cmd_wavefunction(args) -> int:
                 f"is too coarse; lower --xmax toward the default x = {base.x_right:.6g} (z = 12)"
             ) from None
         result = numeric_scatter.match(basis, args.side)
-        wave = numeric_scatter.scattering_wavefunction(basis, result)
-        # snap the requested grid to integration nodes; x reports the node
-        request = np.linspace(args.xmin, args.xmax, args.n)
-        idx = np.unique(np.searchsorted(wave.grid, request).clip(0, wave.grid.size - 1))
-        xs = wave.grid[idx]
-        psi = wave.psi[idx]
-        flux_vals = wave.flux_profile[idx]
+        xs = config.seed + config.step * steps
+        at = np.searchsorted(basis.u.grid, xs)
+        u, du, v, dv = (w[at] for w in (basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi))
+        # psi = a_u u + a_v v on the real basis, a = c / incident, in real arithmetic
+        a_u, a_v = result.c_u / result.incident, result.c_v / result.incident
+        re, im = a_u.real * u + a_v.real * v, a_u.imag * u + a_v.imag * v
+        dre, dim = a_u.real * du + a_v.real * dv, a_u.imag * du + a_v.imag * dv
+        flux_vals = (units.hbar / units.mass) * (re * dim - im * dre)
 
     lines = [f"# hbar={units.hbar:g} mass={units.mass:g}", WAVE_HEADER]
-    for x, value, j in zip(xs, psi, flux_vals):
-        lines.append(
-            ",".join(
-                (
-                    _cell(float(x)),
-                    _cell(float(value.real)),
-                    _cell(float(value.imag)),
-                    _cell(abs(value)),
-                    _cell(float(j)),
-                )
-            )
-        )
+    rows = zip(xs.tolist(), re.tolist(), im.tolist(), flux_vals.tolist())
+    lines += ["%.16e,%.16e,%.16e,%.16e,%.16e" % (x, r, i, abs(complex(r, i)), j)
+              for x, r, i, j in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -6,13 +6,14 @@ point nearest x = 0, by marching a classical fixed-step RK4 outward from
 it (so W[u, v] = 1 exactly at the seed and its drift measures integrator
 error).  The equation is linear, so every RK4 step is a 2x2 transfer
 matrix; one product stage (``_march``) builds all of them at once with
-numpy and takes their products in a blocked scan.  ``integrate_basis``
-writes out every node, for wavefunctions and the verification checks;
-``integrate_ends``, behind ``solve`` and the sweep rows, forms only the
-Wronskian drift and the two nodes ``match`` reads.  The potential is
-sampled once per window and step, and every energy of a sweep reuses the
-samples.  An exponential's default window is fixed in z = p exp(x/(2a)),
-where its depth and offset only translate the problem.  ``match`` then
+numpy and takes their products in a blocked scan.  One reader
+(``_read_ends``, behind ``integrate_ends``) forms the Wronskian over every
+node a chunk at a time, and only the nodes its caller asks for (a
+wavefunction's samples) plus the two ``match`` reads; no node array of the
+window is built.  The potential is sampled once per window and step, and
+every energy of a sweep reuses the samples.  An exponential's default
+window is fixed in z = p exp(x/(2a)), where its depth and offset only
+translate the problem.  ``match`` then
 projects u and v, at each window end, onto that end's rightward unit wave
 R: exp(ikx) where the potential vanishes, H1_{iq}(z) over its large-z
 normalization, ~ exp(-x/(4a)) exp(iz), where it dives (z = p exp(x/(2a)),
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import potentials, specfun, waves
+from . import potentials, specfun
 from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
@@ -90,10 +91,31 @@ class SolverConfig:
             )
         return n_left, n_right
 
+    def steps_at(self, xs) -> np.ndarray:
+        """Steps from the seed to the first node at or past each of the
+        ascending xs, or to the last node for an x past it, without repeats:
+        the nodes ``np.searchsorted`` finds on the grid seed + step * k,
+        found on those values without the grid."""
+        n_left, n_right = self.node_counts()
+        xs = np.asarray(xs, dtype=float)
+        k = np.clip(np.ceil((xs - self.seed) / self.step), -n_left, n_right).astype(np.int64)
+        while True:
+            down = (k > -n_left) & (self.seed + self.step * (k - 1) >= xs)
+            up = (k < n_right) & (self.seed + self.step * k < xs)
+            if not (down.any() or up.any()):
+                return k[np.diff(k, prepend=k[:1] - 1) > 0]
+            k += up.astype(np.int64) - down
+
 
 @dataclass(frozen=True)
 class BasisPair:
-    """Two real solutions (float64 psi, dpsi) with unit Wronskian, plus their provenance."""
+    """Two real solutions (float64 psi, dpsi) with unit Wronskian, plus their provenance.
+
+    wronskian_spread is max W - min W of W = u v' - u' v over every node of
+    the window, where W is 1 at the seed.  The basis is real, so any
+    psi = c_u u + c_v v carries the flux (hbar/m) Im(conj(c_u) c_v) W, node
+    by node: this is its spread relative to its value at the seed.
+    """
 
     u: WaveSolution
     v: WaveSolution
@@ -101,6 +123,7 @@ class BasisPair:
     energy: float
     units: Units
     config: SolverConfig
+    wronskian_spread: float
 
 
 @dataclass(frozen=True)
@@ -153,87 +176,68 @@ def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> S
     raise DomainError(f"unknown potential kind {potential.kind!r}")
 
 
-def integrate_basis(
-    potential: PotentialModel,
-    energy: float,
-    config: SolverConfig,
-    units: Units = DEFAULT_UNITS,
-) -> BasisPair:
-    """March the basis pair across [x_left, x_right] with fixed-step RK4.
-
-    Each half-window is one numpy march outward from the seed: the RK4
-    transfer matrices of all its steps and their products (see ``_march``),
-    written out node by node (``_write_nodes``).
-
-    Raises
-    ------
-    DomainError
-        For energy <= 0, for exponential models with
-        energy < 1e-6 * delta (the reduction degenerates there), or if the
-        potential is not finite anywhere on the grid.
-    """
-    _check_energy(potential, energy, units)
-    n_left, n_right = config.node_counts()
-    # rows u, u', v, v'; both marches start at the seed, the left one through a reversed view
-    nodes = np.empty((4, n_left + n_right + 1))
-    # on a deep window the basis can overflow; the drift check refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (samples, step, n), out in zip(_half_windows(potential, config),
-                                           (nodes[:, n_left:], nodes[:, n_left::-1])):
-            _write_nodes(*_march(samples, energy, step, units), n, out)
-        u, du, v, dv = nodes
-        drift = float(np.max(np.abs(u * dv - du * v - 1.0)))
-    _check_drift(drift, config)
-    grid = config.seed + config.step * np.arange(-n_left, n_right + 1)
-    return _basis_pair(grid, nodes, drift, potential, energy, units, config)
-
-
 def integrate_ends(
     potential: PotentialModel,
     energy: float,
     config: SolverConfig,
     units: Units = DEFAULT_UNITS,
+    steps=(),
 ) -> BasisPair:
-    """The basis of ``integrate_basis`` at just the two nodes ``match`` reads.
+    """March the basis pair across [x_left, x_right] with fixed-step RK4 and
+    read it at the nodes ``steps`` (steps from the seed, negative to the
+    left) and the two nodes ``match`` reads.
 
-    Those are node 0 and the right end's node: the last one, or on a
-    diving end the first at or past z = _Z_MATCH.  The Wronskian drift
-    still covers every node, so ``match`` gives the same bits on this pair
-    as on the whole basis, but no node array is built (``_read_ends``).  A
-    plane-wave end that ``match`` would refuse is refused before the march,
-    with the same message (so it takes precedence over a march that would
-    also fail).
+    Each half-window is one numpy march outward from the seed: the RK4
+    transfer matrices of all its steps and their products (``_march``).
+    One reader (``_read_ends``) forms the Wronskian over every node, a
+    chunk at a time, and only the nodes asked for; no node array of the
+    window is built.  The basis comes on the ascending grid of those nodes:
+    node 0 is the left end, and the right end ``match`` reads is the last
+    node, or on a diving end the first at or past z = _Z_MATCH.
+
+    Raises
+    ------
+    DomainError
+        For energy <= 0, for exponential models with
+        energy < 1e-6 * delta (the reduction degenerates there), for a step
+        outside the window, if the potential is not finite anywhere on the
+        grid, or for a plane-wave end that ``match`` would refuse: that is
+        refused before the march, with the same message (so it takes
+        precedence over a march that would also fail).
+    AccuracyError
+        If the Wronskian drifts past DRIFT_TOLERANCE or is not finite.
     """
     _check_energy(potential, energy, units)
     n_left, n_right = config.node_counts()
-    # steps from the seed, negative to the left
-    ends = (-n_left, _right_end(potential, units, config))
-    grid = config.seed + config.step * np.array(ends, dtype=float)
+    # ascending, without repeats, sorted in Python: np.unique would import
+    # numpy.ma (12 ms, 1 MB) and np.sort page in its kernels (0.4 MB)
+    ends = {-n_left, _right_end(potential, units, config)}
+    at = np.array(sorted(ends.union(np.asarray(steps, dtype=np.int64).tolist())), dtype=np.int64)
+    if not (-n_left <= at[0] and at[-1] <= n_right):
+        raise DomainError(f"steps must lie in [{-n_left}, {n_right}], got [{at[0]}, {at[-1]}]")
+    grid = config.seed + config.step * at
     _plane_potential(potential, float(energy), float(grid[0]), "x_left")
     if potential.kind != "exponential":
         _plane_potential(potential, float(energy), float(grid[-1]), "x_right")
-    # an end on the seed keeps the seed values
-    nodes = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    drifts = []
+    # rows u, u', v, v'; a node on the seed keeps the seed values
+    nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
+    errors = []
     with np.errstate(over="ignore", invalid="ignore"):
         for sign, (samples, step, n) in zip((1, -1), _half_windows(potential, config)):
-            picked = [i for i, end in enumerate(ends) if sign * end > 0]
-            at = [sign * ends[i] for i in picked]
-            drift, nodes[:, picked] = _read_ends(*_march(samples, energy, step, units), n, at)
-            drifts.append(drift)
-    drift = float(np.max(drifts))
+            picked = sign * at > 0
+            chunks, nodes[:, picked] = _read_ends(*_march(samples, energy, step, units), n,
+                                                  sign * at[picked])
+            errors.append(chunks)
+        errors = np.concatenate(errors)
+        drift = float(np.abs(errors).max())
     _check_drift(drift, config)
-    return _basis_pair(grid, nodes, drift, potential, energy, units, config)
-
-
-def _basis_pair(grid, nodes, drift, potential, energy, units, config) -> BasisPair:
-    """The pair (u, v) from node rows u, u', v, v' on grid."""
+    spread = float(errors[:, 1].max() - errors[:, 0].min())
     u, du, v, dv = nodes
     zeros = np.zeros_like(grid)
     u_sol = WaveSolution(grid=grid, psi=u, dpsi=du, flux_profile=zeros, wronskian_drift=drift)
     v_sol = WaveSolution(grid=grid, psi=v, dpsi=dv, flux_profile=zeros, wronskian_drift=drift)
-    return BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy),
-                     units=units, config=config)
+    return BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy), units=units,
+                     config=config, wronskian_spread=spread)
 
 
 def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
@@ -318,18 +322,6 @@ def solve(
     """Integrate the basis ends over the window, then ``match``."""
     config = config or default_config(potential, units)
     return match(integrate_ends(potential, energy, config, units), side)
-
-
-def scattering_wavefunction(basis: BasisPair, result: NumericScatteringResult) -> WaveSolution:
-    """Matched solution psi = c_u u + c_v v, normalized to unit incident wave."""
-    scale = 1.0 / result.incident
-    psi = scale * (result.c_u * basis.u.psi + result.c_v * basis.v.psi)
-    dpsi = scale * (result.c_u * basis.u.dpsi + result.c_v * basis.v.dpsi)
-    profile = waves.flux(psi, dpsi, basis.units.mass, basis.units.hbar)
-    return WaveSolution(
-        grid=basis.u.grid, psi=psi, dpsi=dpsi,
-        flux_profile=profile, wronskian_drift=basis.u.wronskian_drift,
-    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -439,39 +431,34 @@ def _prefix(m: np.ndarray, carried: np.ndarray, r: int, c: int) -> np.ndarray:
     return m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
 
 
-def _write_nodes(m: np.ndarray, carried: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Node writer: rows (u, u', v, v') of out (a reversed view for the left
-    march) get the n + 1 nodes of one march."""
-    width = m.shape[0]
-    # node 1 + k * width + j is step j of block k
-    full = n // width
-    out[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    for row, (r, c) in enumerate(_ROWS):
-        prefix = _prefix(m, carried, r, c)
-        out[row, 1 : 1 + full * width].reshape(full, width).T[...] = prefix[:, :full]
-        out[row, 1 + full * width :] = prefix[: n - full * width, -1]
-
-
-def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks: list[int]):
-    """Drift-and-ends reader: max |W[u, v] - 1| over the n nodes of one
-    march, formed a chunk of rows at a time in scan layout, and the nodes
-    picks (each in 1..n) as columns (u, u', v, v')."""
+def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[np.ndarray, np.ndarray]:
+    """The reader of one march: the least and greatest W[u, v] - 1 over its
+    nodes 0..n, as rows of errors (the seed's exact 0, then one per chunk
+    of rows in scan layout), and the nodes picks (each in 1..n, in any
+    order) as columns (u, u', v, v') of nodes, from the chunk each is in."""
     width, _, _, blocks = m.shape
     # real steps in the last block; its other rows are pad steps
     last = n - (blocks - 1) * width
     rows = max(1, _CHUNK // blocks)
-    maxima = [0.0]
-    for j in range(0, width, rows):
-        u, du, v, dv = (_prefix(m[j : j + rows], carried, r, c) for r, c in _ROWS)
-        error = np.abs(u * dv - du * v - 1.0)
-        error[max(last - j, 0) :, -1] = 0.0
-        maxima.append(np.max(error))
-    nodes = np.empty((4, len(picks)))
-    for i, node in enumerate(picks):
-        k, j = divmod(node - 1, width)
-        one = m[j : j + 1, :, :, k : k + 1], carried[:, :, k : k + 1]
-        nodes[:, i] = [_prefix(*one, r, c)[0, 0] for r, c in _ROWS]
-    return np.max(maxima), nodes
+    # node 1 + k * width + j is row j of block k, in chunk j // rows
+    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
+    chunk = j // rows
+    starts = range(0, width, rows)
+    counts = np.bincount(chunk, minlength=len(starts))
+    errors = np.zeros((1 + len(starts), 2))
+    nodes = np.empty((4, k.size))
+    for i, j0 in enumerate(starts):
+        columns = [_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS]
+        u, du, v, dv = columns
+        error = u * dv - du * v - 1.0
+        # pad steps take the seed's value
+        error[max(last - j0, 0) :, -1] = 0.0
+        errors[1 + i] = error.min(), error.max()
+        if counts[i]:
+            here = (chunk == i).nonzero()[0]
+            at = (j[here] - j0) * blocks + k[here]
+            nodes[:, here] = [c.ravel()[at] for c in columns]
+    return errors, nodes
 
 
 class _End(NamedTuple):
@@ -518,7 +505,8 @@ def _plane_potential(potential: PotentialModel, energy: float, x: float, which: 
 def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> int:
     """Steps from the seed to the right-end node ``match`` reads: the last
     one, or on a diving end the first at or past z = _Z_MATCH (the last if
-    none is), found on the grid values seed + step * k without the grid."""
+    none is): ``SolverConfig.steps_at`` for one x, in Python arithmetic,
+    which costs a sweep row 4 us against numpy's 30 us."""
     n_left, n_right = config.node_counts()
     if potential.kind != "exponential":
         return n_right

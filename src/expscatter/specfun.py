@@ -65,12 +65,6 @@ class BesselEval:
 
     Attributes
     ----------
-    order_q : float
-        Non-negative order magnitude; the order itself is sign * i * q.
-    sign : int
-        +1 or -1, the sign attached to iq.
-    z : float
-        Argument the series was summed at.
     value : complex
     dvalue : complex
         Derivative with respect to z, from the term-wise differentiated
@@ -81,9 +75,6 @@ class BesselEval:
         neglected tail is below this bound.
     """
 
-    order_q: float
-    sign: int
-    z: float
     value: complex
     dvalue: complex
     terms_used: int
@@ -196,9 +187,6 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
         total += term
         dtotal += term * (2.0 * k + nu)
     return BesselEval(
-        order_q=q,
-        sign=sign,
-        z=z,
         value=total,
         dvalue=dtotal / z,
         terms_used=k + 1,
@@ -244,9 +232,6 @@ def hankel_imag_order(q: float, z: float, kind: int = 1) -> BesselEval:
         dvalue = (jm.dvalue - w * jp.dvalue) / s
         bound = (jm.truncation_bound + w * jp.truncation_bound) / s
     return BesselEval(
-        order_q=q,
-        sign=1,
-        z=z,
         value=value,
         dvalue=dvalue,
         terms_used=max(jp.terms_used, jm.terms_used),

