@@ -505,18 +505,10 @@ def _plane_potential(potential: PotentialModel, energy: float, x: float, which: 
 def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> int:
     """Steps from the seed to the right-end node ``match`` reads: the last
     one, or on a diving end the first at or past z = _Z_MATCH (the last if
-    none is): ``SolverConfig.steps_at`` for one x, in Python arithmetic,
-    which costs a sweep row 4 us against numpy's 30 us."""
-    n_left, n_right = config.node_counts()
+    none is)."""
     if potential.kind != "exponential":
-        return n_right
-    x, seed, h = _x_match(potential, units), config.seed, config.step
-    k = min(max(math.ceil((x - seed) / h), -n_left), n_right)
-    while k > -n_left and seed + h * (k - 1) >= x:
-        k -= 1
-    while k < n_right and seed + h * k < x:
-        k += 1
-    return k
+        return config.node_counts()[1]
+    return int(config.steps_at([_x_match(potential, units)])[0])
 
 
 def _x_match(potential: PotentialModel, units: Units) -> float:
