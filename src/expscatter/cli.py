@@ -430,8 +430,7 @@ def cmd_wavefunction(args) -> int:
             ) from None
         result = numeric_scatter.match(basis, args.side)
         xs = config.seed + config.step * steps
-        at = np.searchsorted(basis.u.grid, xs)
-        u, du, v, dv = (w[at] for w in (basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi))
+        u, du, v, dv = basis.nodes
         # psi = a_u u + a_v v on the real basis, a = c / incident, in real arithmetic
         a_u, a_v = result.c_u / result.incident, result.c_v / result.incident
         re, im = a_u.real * u + a_v.real * v, a_u.imag * u + a_v.imag * v

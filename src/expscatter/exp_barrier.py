@@ -248,9 +248,7 @@ def exact_wavefunction(
     Left incidence: psi = H1_{iq}(z); right incidence:
     psi = 2 e^{-pi q} J_{-iq}(z), both with z = p exp(x/(2a)).  Derivatives
     are with respect to x/a (chain rule dz/d(x/a) = z/2) from the
-    term-wise differentiated series; flux_profile uses hbar/m = 1 and the
-    wronskian_drift slot reports the relative flux spread, the natural
-    constancy diagnostic for a closed-form solution.
+    term-wise differentiated series; flux_profile uses hbar/m = 1.
     """
     _check_pq(p, q)
     if side not in ("left", "right"):
@@ -282,14 +280,7 @@ def exact_wavefunction(
             psi[i] = scale * ev.value
             dpsi[i] = scale * ev.dvalue * (0.5 * z)
     profile = np.imag(np.conj(psi) * dpsi)
-    mean = float(np.mean(profile))
-    if mean == 0.0:
-        spread = float(np.max(np.abs(profile)))
-    else:
-        spread = float((np.max(profile) - np.min(profile)) / abs(mean))
-    return WaveSolution(
-        grid=grid, psi=psi, dpsi=dpsi, flux_profile=profile, wronskian_drift=spread
-    )
+    return WaveSolution(grid=grid, psi=psi, dpsi=dpsi, flux_profile=profile)
 
 
 def closed_form_domain(p: float, q):

@@ -8,20 +8,20 @@ error).  The equation is linear, so every RK4 step is a 2x2 transfer
 matrix; one product stage (``_march``) builds all of them at once with
 numpy and takes their products in a blocked scan.  One reader
 (``_read_ends``, behind ``integrate_ends``) forms the Wronskian over every
-node a chunk at a time, and only the nodes its caller asks for (a
-wavefunction's samples) plus the two ``match`` reads; no node array of the
-window is built.  The potential is sampled once per window and step, and
-every energy of a sweep reuses the samples.  An exponential's default
-window is fixed in z = p exp(x/(2a)), where its depth and offset only
-translate the problem.  ``match`` then
-projects u and v, at each window end, onto that end's rightward unit wave
-R: exp(ikx) where the potential vanishes, H1_{iq}(z) over its large-z
-normalization, ~ exp(-x/(4a)) exp(iz), where it dives (z = p exp(x/(2a)),
-at z = 12 however far the window runs past it).  The basis is real, so
-along the leftward wave conj(R) its coefficients are the conjugates.  The
-matched solution has no wave arriving from infinity on the transmitted
-end; incident, reflected and transmitted waves are read off the same two
-projections for either incidence side.
+node a chunk at a time, and only the nodes its caller asks for: the two
+match nodes and, for a wavefunction, its samples.  The basis record holds
+those nodes and the drift; no node array of the window is built.  The
+potential is sampled once per window and step, and every energy of a
+sweep reuses the samples.  An exponential's default window is fixed in
+z = p exp(x/(2a)), where its depth and offset only translate the problem.
+``match`` then projects u and v, at each window end, onto that end's
+rightward unit wave R: exp(ikx) where the potential vanishes, H1_{iq}(z)
+over its large-z normalization, ~ exp(-x/(4a)) exp(iz), where it dives
+(z = p exp(x/(2a)), at z = 12 however far the window runs past it).  The
+basis is real, so along the leftward wave conj(R) its coefficients are the
+conjugates.  The matched solution has no wave arriving from infinity on
+the transmitted end; incident, reflected and transmitted waves are read
+off the same two projections for either incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ; on the diving end the
@@ -41,7 +41,7 @@ import numpy as np
 from . import potentials, specfun
 from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
-from .waves import WaveSolution, principal_angle
+from .waves import principal_angle
 
 _MAX_NODES = 5_000_000
 # array elements per chunk of march rows: each temporary (64 KB) stays in cache
@@ -109,21 +109,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BasisPair:
-    """Two real solutions (float64 psi, dpsi) with unit Wronskian, plus their provenance.
+    """Two real solutions u, v, W[u, v] = 1 at the seed, read at a few nodes.
 
-    wronskian_spread is max W - min W of W = u v' - u' v over every node of
-    the window, where W is 1 at the seed.  The basis is real, so any
-    psi = c_u u + c_v v carries the flux (hbar/m) Im(conj(c_u) c_v) W, node
-    by node: this is its spread relative to its value at the seed.
+    Each node is a column of rows u, u', v, v' (float64).  ends holds the
+    left end node and the right end node ``match`` reads, at x_ends; nodes
+    holds the steps a caller asked for, in the order asked.  drift is
+    max |W[u, v] - 1| over every node of the window.
     """
 
-    u: WaveSolution
-    v: WaveSolution
+    x_ends: tuple[float, float]
+    ends: np.ndarray
+    nodes: np.ndarray
+    drift: float
     potential: PotentialModel
     energy: float
     units: Units
-    config: SolverConfig
-    wronskian_spread: float
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,17 @@ def integrate_ends(
     steps=(),
 ) -> BasisPair:
     """March the basis pair across [x_left, x_right] with fixed-step RK4 and
-    read it at the nodes ``steps`` (steps from the seed, negative to the
-    left) and the two nodes ``match`` reads.
+    read it at the two nodes ``match`` reads and at the nodes ``steps``
+    (steps from the seed, negative to the left).
 
     Each half-window is one numpy march outward from the seed: the RK4
     transfer matrices of all its steps and their products (``_march``).
     One reader (``_read_ends``) forms the Wronskian over every node, a
     chunk at a time, and only the nodes asked for; no node array of the
-    window is built.  The basis comes on the ascending grid of those nodes:
-    node 0 is the left end, and the right end ``match`` reads is the last
-    node, or on a diving end the first at or past z = _Z_MATCH.
+    window is built.  The ends are the left end node and the right end
+    node: the last one, or on a diving end the first at or past
+    z = _Z_MATCH.  The nodes come in the order of ``steps``, repeats
+    included.
 
     Raises
     ------
@@ -209,35 +210,28 @@ def integrate_ends(
     """
     _check_energy(potential, energy, units)
     n_left, n_right = config.node_counts()
-    # ascending, without repeats, sorted in Python: np.unique would import
-    # numpy.ma (12 ms, 1 MB) and np.sort page in its kernels (0.4 MB)
-    ends = {-n_left, _right_end(potential, units, config)}
-    at = np.array(sorted(ends.union(np.asarray(steps, dtype=np.int64).tolist())), dtype=np.int64)
-    if not (-n_left <= at[0] and at[-1] <= n_right):
-        raise DomainError(f"steps must lie in [{-n_left}, {n_right}], got [{at[0]}, {at[-1]}]")
-    grid = config.seed + config.step * at
-    _plane_potential(potential, float(energy), float(grid[0]), "x_left")
+    # steps from the seed: the two ends, then the asked-for nodes as given
+    at = np.concatenate(([-n_left, _right_end(potential, units, config)],
+                         np.asarray(steps, dtype=np.int64)))
+    if not (-n_left <= at.min() and at.max() <= n_right):
+        raise DomainError(f"steps must lie in [{-n_left}, {n_right}], got [{at.min()}, {at.max()}]")
+    x_ends = tuple((config.seed + config.step * at[:2]).tolist())
+    _plane_potential(potential, float(energy), x_ends[0], "x_left")
     if potential.kind != "exponential":
-        _plane_potential(potential, float(energy), float(grid[-1]), "x_right")
+        _plane_potential(potential, float(energy), x_ends[1], "x_right")
     # rows u, u', v, v'; a node on the seed keeps the seed values
     nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
-    errors = []
+    drifts = []
     with np.errstate(over="ignore", invalid="ignore"):
         for sign, (samples, step, n) in zip((1, -1), _half_windows(potential, config)):
             picked = sign * at > 0
-            chunks, nodes[:, picked] = _read_ends(*_march(samples, energy, step, units), n,
-                                                  sign * at[picked])
-            errors.append(chunks)
-        errors = np.concatenate(errors)
-        drift = float(np.abs(errors).max())
+            drift, nodes[:, picked] = _read_ends(*_march(samples, energy, step, units), n,
+                                                 sign * at[picked])
+            drifts.append(drift)
+    drift = float(np.max(drifts))
     _check_drift(drift, config)
-    spread = float(errors[:, 1].max() - errors[:, 0].min())
-    u, du, v, dv = nodes
-    zeros = np.zeros_like(grid)
-    u_sol = WaveSolution(grid=grid, psi=u, dpsi=du, flux_profile=zeros, wronskian_drift=drift)
-    v_sol = WaveSolution(grid=grid, psi=v, dpsi=dv, flux_profile=zeros, wronskian_drift=drift)
-    return BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy), units=units,
-                     config=config, wronskian_spread=spread)
+    return BasisPair(x_ends=x_ends, ends=nodes[:, :2], nodes=nodes[:, 2:], drift=drift,
+                     potential=potential, energy=float(energy), units=units)
 
 
 def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
@@ -272,15 +266,15 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     wave R, conjugated along conj(R).  The matched psi = c_u u + c_v v has
     no wave arriving from infinity at the transmitted end; the incident and
     reflected waves are its two components at the other end.  The basis
-    carries the potential, energy, units and config it was integrated with,
-    so one basis serves both incidence sides.
+    carries the potential, energy and units it was integrated with, so one
+    basis serves both incidence sides.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     left = _plane_end(basis, 0)
     # only the exponential dives, and only on the right
     diverging = basis.potential.kind == "exponential"
-    right = _hankel_end(basis) if diverging else _plane_end(basis, -1)
+    right = _hankel_end(basis) if diverging else _plane_end(basis, 1)
     # incidence from the left arrives along R, from the right along conj(R)
     source, sink, inc = (left, right, True) if side == "left" else (right, left, False)
 
@@ -306,7 +300,7 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),
         flux_imbalance=abs(j_inc - j_ref - j_tra) / j_inc,
-        wronskian_drift=basis.u.wronskian_drift,
+        wronskian_drift=basis.drift,
         match_residual=max(left.residual, right.residual, forbidden),
         c_u=cu, c_v=cv, incident=c_inc,
     )
@@ -431,11 +425,11 @@ def _prefix(m: np.ndarray, carried: np.ndarray, r: int, c: int) -> np.ndarray:
     return m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
 
 
-def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[np.ndarray, np.ndarray]:
-    """The reader of one march: the least and greatest W[u, v] - 1 over its
-    nodes 0..n, as rows of errors (the seed's exact 0, then one per chunk
-    of rows in scan layout), and the nodes picks (each in 1..n, in any
-    order) as columns (u, u', v, v') of nodes, from the chunk each is in."""
+def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[float, np.ndarray]:
+    """The reader of one march: max |W[u, v] - 1| over its nodes 0..n,
+    formed a chunk of rows at a time in scan layout, and the nodes picks
+    (each in 1..n, in any order, repeats included) as columns
+    (u, u', v, v'), from the chunk each is in."""
     width, _, _, blocks = m.shape
     # real steps in the last block; its other rows are pad steps
     last = n - (blocks - 1) * width
@@ -445,20 +439,21 @@ def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[np.nd
     chunk = j // rows
     starts = range(0, width, rows)
     counts = np.bincount(chunk, minlength=len(starts))
-    errors = np.zeros((1 + len(starts), 2))
+    # the seed's W - 1 is exactly 0
+    maxima = [0.0]
     nodes = np.empty((4, k.size))
     for i, j0 in enumerate(starts):
         columns = [_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS]
         u, du, v, dv = columns
-        error = u * dv - du * v - 1.0
+        error = np.abs(u * dv - du * v - 1.0)
         # pad steps take the seed's value
         error[max(last - j0, 0) :, -1] = 0.0
-        errors[1 + i] = error.min(), error.max()
+        maxima.append(error.max())
         if counts[i]:
             here = (chunk == i).nonzero()[0]
             at = (j[here] - j0) * blocks + k[here]
             nodes[:, here] = [c.ravel()[at] for c in columns]
-    return errors, nodes
+    return np.max(maxima), nodes
 
 
 class _End(NamedTuple):
@@ -477,17 +472,17 @@ class _End(NamedTuple):
 
 
 def _plane_end(basis: BasisPair, i: int) -> _End:
-    """R = exp(ikx) at node i (0 or -1), valid while |V| <= ASYMPTOTE_EPSILON * E."""
-    x, energy = float(basis.u.grid[i]), basis.energy
-    v = _plane_potential(basis.potential, energy, x, "x_left" if i == 0 else "x_right")
+    """R = exp(ikx) at end i (0 left, 1 right), valid while |V| <= ASYMPTOTE_EPSILON * E."""
+    x, energy = basis.x_ends[i], basis.energy
+    v_end = _plane_potential(basis.potential, energy, x, ("x_left", "x_right")[i])
     hbar, m = basis.units.hbar, basis.units.mass
     k = math.sqrt(2.0 * m * energy) / hbar
 
-    def coeff(w: WaveSolution) -> complex:
-        f, df = complex(w.psi[i]), complex(w.dpsi[i])
-        return 0.5 * (f + df / (1j * k)) * cmath.exp(-1j * k * x)
+    def coeff(f: float, df: float) -> complex:
+        return 0.5 * (complex(f) + complex(df) / (1j * k)) * cmath.exp(-1j * k * x)
 
-    return _End(coeff(basis.u), coeff(basis.v), hbar * k / m, v / energy)
+    u, du, v, dv = basis.ends[:, i].tolist()
+    return _End(coeff(u, du), coeff(v, dv), hbar * k / m, v_end / energy)
 
 
 def _plane_potential(potential: PotentialModel, energy: float, x: float, which: str) -> float:
@@ -517,8 +512,7 @@ def _x_match(potential: PotentialModel, units: Units) -> float:
 
 
 def _hankel_end(basis: BasisPair) -> _End:
-    """R = H1_{iq}(z) / N, z = p exp(x/(2a)), at the first node at or past
-    z = _Z_MATCH (the last node of a shorter window).
+    """R = H1_{iq}(z) / N, z = p exp(x/(2a)), at the right end node.
 
     N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} is H1's large-z normalization,
     so R ~ exp(-x/(4a)) exp(iz), the closed forms' unit envelope.  A real
@@ -527,12 +521,11 @@ def _hankel_end(basis: BasisPair) -> _End:
     (hbar/m) Im(conj(R) R'); the residual is its relative gap from the
     envelope's exact p hbar / (2 m a).
     """
-    units, a, grid = basis.units, basis.potential.a, basis.u.grid
+    units, a = basis.units, basis.potential.a
     p = potentials.exponential_p(basis.potential, units)
     k = math.sqrt(2.0 * units.mass * basis.energy) / units.hbar
     q = 2.0 * k * a
-    i = min(int(np.searchsorted(grid, _x_match(basis.potential, units))), grid.size - 1)
-    z_r = p * math.exp(float(grid[i]) / (2.0 * a))
+    z_r = p * math.exp(basis.x_ends[1] / (2.0 * a))
     h1 = specfun.hankel_imag_order(q, z_r, kind=1)
     norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-0.25j * math.pi)
     r, dr = h1.value / norm, h1.dvalue * (z_r / (2.0 * a)) / norm
@@ -541,8 +534,8 @@ def _hankel_end(basis: BasisPair) -> _End:
     if not flux > 0.1 * exact:
         raise AccuracyError(f"unit wave at z = {z_r:.3g} carries flux {flux:.3e}, not {exact:.3e}")
 
-    def coeff(w: WaveSolution) -> complex:
-        f, df = float(w.psi[i]), float(w.dpsi[i])
+    def coeff(f: float, df: float) -> complex:
         return (f * dr.conjugate() - df * r.conjugate()) / (-2j * im)
 
-    return _End(coeff(basis.u), coeff(basis.v), flux, abs(flux - exact) / exact)
+    u, du, v, dv = basis.ends[:, 1].tolist()
+    return _End(coeff(u, du), coeff(v, dv), flux, abs(flux - exact) / exact)

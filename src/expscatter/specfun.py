@@ -70,15 +70,13 @@ class BesselEval:
         Derivative with respect to z, from the term-wise differentiated
         series.
     terms_used : int
-    truncation_bound : float
-        Magnitude of the term that satisfied the stopping rule; the
-        neglected tail is below this bound.
+        Series terms summed (the larger count of the J pair for a Hankel
+        function).
     """
 
     value: complex
     dvalue: complex
     terms_used: int
-    truncation_bound: float
 
 
 def complex_gamma(z):
@@ -151,7 +149,7 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
     Returns
     -------
     BesselEval
-        Value, term-wise derivative, and the truncation bound actually met.
+        Value, term-wise derivative, and the number of terms summed.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign!r}")
@@ -171,11 +169,9 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
     zsq_quarter = 0.25 * z * z
     total = term
     dtotal = term * nu  # accumulates sum of term_k * (2k + nu)
-    bound = abs(term)
     k = 0
     while True:
         if abs(term) < TOL_ABS + TOL_REL * abs(total):
-            bound = abs(term)
             break
         if k + 1 >= MAX_TERMS:
             raise AccuracyError(
@@ -186,12 +182,7 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
         term *= -zsq_quarter / (k * (k + nu))
         total += term
         dtotal += term * (2.0 * k + nu)
-    return BesselEval(
-        value=total,
-        dvalue=dtotal / z,
-        terms_used=k + 1,
-        truncation_bound=bound,
-    )
+    return BesselEval(value=total, dvalue=dtotal / z, terms_used=k + 1)
 
 
 def hankel_imag_order(q: float, z: float, kind: int = 1) -> BesselEval:
@@ -225,15 +216,8 @@ def hankel_imag_order(q: float, z: float, kind: int = 1) -> BesselEval:
         w = math.exp(q * math.pi)
         value = (w * jp.value - jm.value) / s
         dvalue = (w * jp.dvalue - jm.dvalue) / s
-        bound = (w * jp.truncation_bound + jm.truncation_bound) / s
     else:
         w = math.exp(-q * math.pi)
         value = (jm.value - w * jp.value) / s
         dvalue = (jm.dvalue - w * jp.dvalue) / s
-        bound = (jm.truncation_bound + w * jp.truncation_bound) / s
-    return BesselEval(
-        value=value,
-        dvalue=dvalue,
-        terms_used=max(jp.terms_used, jm.terms_used),
-        truncation_bound=bound,
-    )
+    return BesselEval(value=value, dvalue=dvalue, terms_used=max(jp.terms_used, jm.terms_used))

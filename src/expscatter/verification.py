@@ -173,17 +173,18 @@ def check_v0_independence() -> CheckResult:
 
 
 def check_flux_wronskian_rk4() -> CheckResult:
-    """Flux profile constancy, Wronskian drift, and measured RK4 order."""
+    """Wronskian drift and measured RK4 order.
+
+    The drift also bounds the flux: the basis is real, so the flux of any
+    psi = c_u u + c_v v is (hbar/m) Im(conj(c_u) c_v) W[u, v] node by node,
+    and W = 1 at the seed.  Its spread relative to the seed's flux is at
+    most twice the drift, so the drift's tolerance covers it.
+    """
     model = potentials.exponential(1.0, 1.0)
     energy = 0.25  # q = 1
     config = numeric_scatter.default_config(model)
-    basis = numeric_scatter.integrate_ends(model, energy, config)
+    drift = numeric_scatter.integrate_ends(model, energy, config).drift
     d = exp_barrier.reduce_params(model, energy)
-    # the basis is real, so the flux of the matched psi = c_u u + c_v v is
-    # (hbar/m) Im(conj(c_u) c_v) W[u, v] node by node, and W = 1 at the
-    # seed: its spread relative to the seed's flux is W's spread
-    flux_spread = basis.wronskian_spread
-    drift = basis.u.wronskian_drift
 
     # order study: error of the marched u at x = 3 against the closed-form
     # solution with the same seed values; drift itself superconverges near
@@ -198,13 +199,10 @@ def check_flux_wronskian_rk4() -> CheckResult:
         # is the default one, where plane waves hold
         coarse = SolverConfig(x_left=config.x_left, x_right=x_probe, step=h)
         marched = numeric_scatter.integrate_ends(model, energy, coarse)
-        errors.append(abs(float(marched.u.psi[-1]) - reference))
+        errors.append(abs(float(marched.ends[0, 1]) - reference))
     slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
-    parts = [(flux_spread, 1e-8), (drift, 1e-8), (abs(slope - 4.0), 0.3)]
-    detail = (
-        f"flux spread={flux_spread:.3e}, drift={drift:.3e}, "
-        f"order={slope:.3f} from steps a/100..a/400"
-    )
+    parts = [(drift, 1e-8), (abs(slope - 4.0), 0.3)]
+    detail = f"drift={drift:.3e}, order={slope:.3f} from steps a/100..a/400"
     return _ratio("flux-wronskian-rk4", parts, detail)
 
 

@@ -20,36 +20,25 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class WaveSolution:
-    """A wavefunction sampled on an ascending grid.
+    """A closed-form wavefunction sampled on an ascending grid.
 
     Attributes
     ----------
     grid : ndarray
-        Sample positions x, strictly ascending.
-    psi : ndarray of complex, or of float64 for an integrated basis
-        Wavefunction values.  A basis solution is real; combining it with
-        complex coefficients promotes it to complex on the same values.
-    dpsi : ndarray, the dtype of psi
-        d(psi)/dx at the same positions.
+        Sample positions, strictly ascending.
+    psi : ndarray of complex
+        Wavefunction values.
+    dpsi : ndarray of complex
+        Derivative of psi at the same positions.
     flux_profile : ndarray of float
-        Probability flux at each sample.  Constant up to solver error
-        for any solution of the stationary equation.
-    wronskian_drift : float
-        Quality figure of the solution.  For an integrated basis this is
-        max |W[u, v] - 1| over the grid; closed-form solutions report the
-        relative spread of their flux profile instead.
+        Probability flux at each sample, constant for a solution of the
+        stationary equation.
     """
 
     grid: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
     flux_profile: np.ndarray
-    wronskian_drift: float
-
-
-def flux(psi, dpsi, mass: float, hbar: float):
-    """Probability flux (hbar/m) Im(psi* dpsi) for scalars or arrays."""
-    return (hbar / mass) * np.imag(np.conjugate(psi) * dpsi)
 
 
 def principal_angle(angle):

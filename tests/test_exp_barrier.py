@@ -239,7 +239,6 @@ class TestExactWavefunction:
         wave = exp_barrier.exact_wavefunction(2.0, 1.0, "left", [-10.0, 0.0, 2.0])
         spread = np.max(wave.flux_profile) - np.min(wave.flux_profile)
         assert spread < 1e-10 * abs(np.mean(wave.flux_profile))
-        assert wave.wronskian_drift < 1e-10
 
     def test_decaying_envelope_tracks_quarter_exponent(self):
         # |psi| ~ sqrt(2/(pi z)) e^{q pi / 2} means |psi| e^{xi/4} is

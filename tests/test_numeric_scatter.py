@@ -38,40 +38,39 @@ class TestBasisIntegration:
     def test_free_basis_is_cos_sin(self):
         # V = 0, E = 1, m = 1/2: u'' = -u, so u = cos x, v = sin x
         config = SolverConfig(x_left=-2.0, x_right=2.0, step=1e-3)
-        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, config,
-                                               steps=config.steps_at([0.5]))
-        idx = np.searchsorted(basis.u.grid, 0.5)
-        x = float(basis.u.grid[idx])
-        assert basis.u.psi[idx].real == pytest.approx(math.cos(x), abs=1e-10)
-        assert basis.v.psi[idx].real == pytest.approx(math.sin(x), abs=1e-10)
-        assert basis.u.dpsi[idx].real == pytest.approx(-math.sin(x), abs=1e-10)
+        steps = config.steps_at([0.5])
+        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, config, steps=steps)
+        x = float(config.seed + config.step * steps[0])
+        u, du, v, _ = basis.nodes[:, 0]
+        assert u == pytest.approx(math.cos(x), abs=1e-10)
+        assert v == pytest.approx(math.sin(x), abs=1e-10)
+        assert du == pytest.approx(-math.sin(x), abs=1e-10)
 
     def test_square_well_interior_basis(self):
         # V = -1 inside |x| <= 1, E = 1: u'' = -2u there, u = cos(sqrt(2) x)
         well = potentials.rectangular(-1.0, 1.0)
         config = SolverConfig(x_left=-3.0, x_right=3.0, step=1e-3)
-        basis = numeric_scatter.integrate_ends(well, 1.0, config, steps=config.steps_at([0.5]))
-        idx = np.searchsorted(basis.u.grid, 0.5)
-        x = float(basis.u.grid[idx])
+        steps = config.steps_at([0.5])
+        basis = numeric_scatter.integrate_ends(well, 1.0, config, steps=steps)
+        x = float(config.seed + config.step * steps[0])
+        u, _, v, _ = basis.nodes[:, 0]
         root2 = math.sqrt(2.0)
-        assert basis.u.psi[idx].real == pytest.approx(math.cos(root2 * x), abs=1e-10)
-        assert basis.v.psi[idx].real == pytest.approx(
-            math.sin(root2 * x) / root2, abs=1e-10
-        )
+        assert u == pytest.approx(math.cos(root2 * x), abs=1e-10)
+        assert v == pytest.approx(math.sin(root2 * x) / root2, abs=1e-10)
 
     def test_wronskian_pinned_to_one(self):
         config = numeric_scatter.default_config(EXP_MODEL)
         basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, config)
-        w_end = basis.u.psi[-1] * basis.v.dpsi[-1] - basis.u.dpsi[-1] * basis.v.psi[-1]
-        assert abs(w_end - 1.0) < 1e-9
-        assert basis.u.wronskian_drift < 1e-9
+        u, du, v, dv = basis.ends[:, 1]
+        assert abs(u * dv - du * v - 1.0) < 1e-9
+        assert basis.drift < 1e-9
 
     def test_drift_improves_with_step(self):
         # x_left = -8 fails the plane-wave end that integrate_ends checks
         drifts = []
         for div in (250, 500):
             config = SolverConfig(x_left=-8.0, x_right=3.0, step=1.0 / div)
-            drifts.append(oracle_integrate_basis(EXP_MODEL, 0.25, config).u.wronskian_drift)
+            drifts.append(oracle_integrate_basis(EXP_MODEL, 0.25, config).drift)
         assert drifts[0] / drifts[1] > 8.0
 
     def test_coarse_step_raises_accuracy_error(self):
@@ -149,8 +148,8 @@ class TestBasisIntegration:
         config = SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
         # the oracle: integrate_ends also evaluates V at the plane-wave ends
         basis = oracle_integrate_basis(potentials.rectangular(1.0, 0.5), 0.5, config)
-        assert basis.u.grid[0] == 1.0 and basis.u.grid.size == 1001
-        assert basis.u.psi[0] == 1.0 and basis.v.dpsi[0] == 1.0
+        assert basis.x_ends[0] == 1.0 and basis.nodes.shape == (4, 1001)
+        assert basis.nodes[0, 0] == 1.0 and basis.nodes[3, 0] == 1.0
         assert seen and all(1.0 < np.min(x) and np.max(x) < 2.0 for x in seen)
 
 
@@ -221,9 +220,10 @@ def march(g, h):
     return list(out)
 
 
-def extremes(errors):
-    """The least and greatest W - 1 in the reader's rows."""
-    return np.min(errors[:, 0]), np.max(errors[:, 1])
+def drift_of(nodes):
+    """max |W - 1| over node rows u, u', v, v'."""
+    u, du, v, dv = nodes
+    return np.max(np.abs(u * dv - du * v - 1.0))
 
 
 def assert_same_march(got, want, rel=1e-12):
@@ -245,8 +245,8 @@ class TestStepMatrixMarch:
         m, carried = products(np.zeros((3, 1, 1)), 1e-3)
         oracle_write_nodes(m, carried, 0, out)
         assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
-        errors, nodes = numeric_scatter._read_ends(m, carried, 0, [])
-        assert errors.tolist() == [[0.0, 0.0], [0.0, 0.0]] and nodes.shape == (4, 0)
+        drift, nodes = numeric_scatter._read_ends(m, carried, 0, [])
+        assert drift == 0.0 and nodes.shape == (4, 0)
 
     def test_pad_steps_do_not_reach_the_nodes(self):
         # n = 17: width 4, five blocks, the last one step and three pad
@@ -261,11 +261,9 @@ class TestStepMatrixMarch:
             m, carried = products(scan, 1e-3)
             assert not np.all(np.isfinite(m[1:, :, :, -1]))
             oracle_write_nodes(m, carried, 17, out)
-            errors, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
+            drift, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
         assert np.array_equal(out, want)
-        error = want[0] * want[3] - want[1] * want[2] - 1.0
-        assert np.all(np.isfinite(errors))
-        assert extremes(errors) == (np.min(error), np.max(error))
+        assert np.isfinite(drift) and drift == drift_of(want)
         assert nodes.tobytes() == out[:, 1:].tobytes()
 
     def test_non_finite_samples_refused(self):
@@ -278,18 +276,16 @@ class TestStepMatrixMarch:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_reader_equals_the_node_writer(self, n):
-        # W's extremes and the picked nodes, every node in any order
-        # included, bit for bit, without the node array
+        # the drift and the picked nodes, every node in any order and
+        # repeats included, bit for bit, without the node array
         g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
         every = np.random.default_rng(n).permutation(np.arange(1, n + 1))
         for h in (1e-3, -1e-3):
             nodes = np.array(march(g, h))
-            u, du, v, dv = nodes
-            error = u * dv - du * v - 1.0
             made = products(to_scan(g), h)
-            for picks in (every, sorted({1, n // 2 + 1, n}), []):
-                errors, picked = numeric_scatter._read_ends(*made, n, picks)
-                assert extremes(errors) == (np.min(error), np.max(error))
+            for picks in (every, sorted({1, n // 2 + 1, n}), [n, 1, n, n // 2 + 1, 1], []):
+                drift, picked = numeric_scatter._read_ends(*made, n, picks)
+                assert drift == drift_of(nodes)
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
@@ -314,15 +310,14 @@ class TestStepMatrixMarch:
     def test_basis_equals_scalar_loop(self, potential, energy):
         config = numeric_scatter.default_config(potential)
         basis = integrate_every_node(potential, energy, config)
-        got = [basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi]
-        assert_same_march(got, loop_basis(potential, energy, config))
+        assert_same_march(list(basis.nodes), loop_basis(potential, energy, config))
 
     def test_drift_floor_on_default_exp_window(self):
         # round-off floor (~3e-14) of products formed in step order; a
         # log-depth tree scan over the 40,000-step left tail gives ~1e-12
         config = numeric_scatter.default_config(EXP_MODEL)
         basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
-        assert basis.u.wronskian_drift <= 2e-13
+        assert basis.drift <= 2e-13
 
 
 # The march before the scan layout, kept verbatim (bar the oracle_ names)
@@ -400,10 +395,26 @@ def oracle_write_nodes(m, carried, n, out):
         out[row, 1 + full * width :] = prefix[: n - full * width, -1]
 
 
+def whole_grid(config):
+    """x of every node of the window, ascending."""
+    n_left, n_right = config.node_counts()
+    return config.seed + config.step * np.arange(-n_left, n_right + 1)
+
+
+def right_index(potential, grid, units=DEFAULT_UNITS):
+    """Index on the ascending grid of the right end node ``match`` reads:
+    the last, or on a diving end the first at or past z = 12 (the last if
+    none is), found by a search over the whole grid."""
+    if potential.kind != "exponential":
+        return grid.size - 1
+    x_match = 2.0 * potential.a * math.log(12.0 / potentials.exponential_p(potential, units))
+    return min(int(np.searchsorted(grid, x_match)), grid.size - 1)
+
+
 def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
     """The whole-window basis: every node from the oracle writer, the left
-    half through a reversed view.  It checks the energy and the drift but
-    no plane-wave end."""
+    half through a reversed view, as the nodes of the record.  It checks
+    the energy and the drift but no plane-wave end."""
     numeric_scatter._check_energy(potential, energy, units)
     n_left, n_right = config.node_counts()
     nodes = np.empty((4, n_left + n_right + 1))
@@ -411,28 +422,24 @@ def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
         for (samples, step, n), out in zip(numeric_scatter._half_windows(potential, config),
                                            (nodes[:, n_left:], nodes[:, n_left::-1])):
             oracle_write_nodes(*numeric_scatter._march(samples, energy, step, units), n, out)
-        u, du, v, dv = nodes
-        error = u * dv - du * v - 1.0
-        drift = float(np.max(np.abs(error)))
-        spread = float(np.max(error) - np.min(error))
+        drift = float(drift_of(nodes))
     numeric_scatter._check_drift(drift, config)
-    grid = config.seed + config.step * np.arange(-n_left, n_right + 1)
-    zeros = np.zeros_like(grid)
-    u_sol, v_sol = (waves.WaveSolution(grid=grid, psi=f, dpsi=df, flux_profile=zeros,
-                                       wronskian_drift=drift) for f, df in ((u, du), (v, dv)))
-    return numeric_scatter.BasisPair(u=u_sol, v=v_sol, potential=potential, energy=float(energy),
-                                     units=units, config=config, wronskian_spread=spread)
+    grid = whole_grid(config)
+    ends = [0, right_index(potential, grid, units)]
+    return numeric_scatter.BasisPair(
+        x_ends=tuple(grid[ends].tolist()), ends=nodes[:, ends], nodes=nodes, drift=drift,
+        potential=potential, energy=float(energy), units=units)
 
 
 def oracle_scattering_wavefunction(basis, result):
-    """Matched solution psi = c_u u + c_v v over the whole basis, normalized
-    to unit incident wave, in complex arithmetic, with its flux profile."""
+    """Matched solution psi = c_u u + c_v v at the basis nodes, normalized
+    to unit incident wave, in complex arithmetic: (psi, dpsi, flux)."""
+    u, du, v, dv = basis.nodes
     scale = 1.0 / result.incident
-    psi = scale * (result.c_u * basis.u.psi + result.c_v * basis.v.psi)
-    dpsi = scale * (result.c_u * basis.u.dpsi + result.c_v * basis.v.dpsi)
-    profile = waves.flux(psi, dpsi, basis.units.mass, basis.units.hbar)
-    return waves.WaveSolution(grid=basis.u.grid, psi=psi, dpsi=dpsi, flux_profile=profile,
-                              wronskian_drift=basis.u.wronskian_drift)
+    psi = scale * (result.c_u * u + result.c_v * v)
+    dpsi = scale * (result.c_u * du + result.c_v * dv)
+    flux = (basis.units.hbar / basis.units.mass) * np.imag(np.conj(psi) * dpsi)
+    return psi, dpsi, flux
 
 
 def integrate_every_node(potential, energy, config):
@@ -443,7 +450,8 @@ def integrate_every_node(potential, energy, config):
 
 
 def oracle_basis(potential, energy, config):
-    """(u, u', v, v', grid) and the drift, as the oracle march gives them."""
+    """The bytes of the rows u, u', v, v' and of the two ends, the ends' x
+    and the drift, as the oracle march gives them."""
     n_left, n_right = config.node_counts()
     h = config.step
     two_m_over_h2 = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
@@ -454,17 +462,17 @@ def oracle_basis(potential, energy, config):
     with np.errstate(over="ignore", invalid="ignore"):
         right = oracle_march(g_right, h)
         left = oracle_march(g_left, -h)
-        u, du, v, dv = (np.concatenate((l[:0:-1], r)) for l, r in zip(left, right))
-        w_profile = u * dv - du * v
+        nodes = np.array([np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)])
+        drift = float(drift_of(nodes))
     grid = np.concatenate((-h * np.arange(n_left, 0, -1), h * np.arange(n_right + 1)))
-    drift = float(np.max(np.abs(w_profile - 1.0)))
-    return [c.tobytes() for c in (u, du, v, dv, grid)], drift
+    ends = [0, right_index(potential, grid)]
+    return [c.tobytes() for c in nodes], nodes[:, ends].tobytes(), tuple(grid[ends].tolist()), drift
 
 
 def basis_bytes(basis):
-    columns = (basis.u.psi, basis.u.dpsi, basis.v.psi, basis.v.dpsi, basis.u.grid)
-    assert all(c.dtype == np.float64 for c in columns)  # an integrated basis is real
-    return [c.tobytes() for c in columns], basis.u.wronskian_drift
+    # an integrated basis is real
+    assert basis.nodes.dtype == basis.ends.dtype == np.float64
+    return [c.tobytes() for c in basis.nodes], basis.ends.tobytes(), basis.x_ends, basis.drift
 
 
 PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, step=1.0 / 997.0)
@@ -513,16 +521,14 @@ class TestBitExactMarch:
             made = numeric_scatter._march(samples, energy, step, DEFAULT_UNITS)
             out = np.empty((4, n + 1))
             oracle_write_nodes(*made, n, out)
-            errors, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
+            drift, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
             assert nodes.tobytes() == out[:, 1:].tobytes()
-            u, du, v, dv = out
-            error = u * dv - du * v - 1.0
-            assert extremes(errors) == (np.min(error), np.max(error))
+            assert drift == drift_of(out)
 
     @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"partial-last-block"}))
-    def test_wronskian_spread_equals_the_whole_window_one(self, name):
-        want = oracle_integrate_basis(*bit_case(name)).wronskian_spread
-        assert numeric_scatter.integrate_ends(*bit_case(name)).wronskian_spread == want
+    def test_drift_equals_the_whole_window_one(self, name):
+        want = oracle_integrate_basis(*bit_case(name)).drift
+        assert numeric_scatter.integrate_ends(*bit_case(name)).drift == want
 
     def test_partial_case_leaves_partial_blocks(self):
         for n in PARTIAL.node_counts():
@@ -658,27 +664,46 @@ class TestEndsReader:
             potential, energy, config = bit_case(name)
             ends = numeric_scatter.integrate_ends(potential, energy, config)
             whole = oracle_integrate_basis(potential, energy, config)
-            i = -1
-            if potential.kind == "exponential":
-                p = potentials.exponential_p(potential, DEFAULT_UNITS)
-                x_match = 2.0 * math.log(12.0 / p)
-                i = min(int(np.searchsorted(whole.u.grid, x_match)), whole.u.grid.size - 1)
-            assert ends.u.grid.tolist() == whole.u.grid[[0, i]].tolist()
-            for got, want in ((ends.u, whole.u), (ends.v, whole.v)):
-                assert got.psi.tobytes() == whole_nodes(want.psi, i)
-                assert got.dpsi.tobytes() == whole_nodes(want.dpsi, i)
-                assert got.wronskian_drift == want.wronskian_drift
+            # the oracle finds the right end node by a search over every node
+            i = right_index(potential, whole_grid(config))
+            assert ends.x_ends == tuple(whole_grid(config)[[0, i]].tolist()) == whole.x_ends
+            assert ends.ends.tobytes() == whole.nodes[:, [0, i]].tobytes()
+            assert ends.nodes.shape == (4, 0)
+            assert ends.drift == whole.drift
 
-    @pytest.mark.parametrize("name", sorted(set(ENDS_CASES) - {"partial-last-block"}))
-    def test_requested_nodes_leave_the_match_alone(self, name):
-        # match finds its two nodes among every node of the window
+    @pytest.mark.parametrize("name, picks", [
+        *((name, "every") for name in sorted(set(ENDS_CASES) - {"partial-last-block"})),
+        # picks on both sides of the z = 12 node, out of order and repeated
+        ("exp-grown", "around-z12"),
+        ("exp-deep-grown", "around-z12"),
+    ])
+    def test_requested_nodes_leave_the_match_alone(self, name, picks):
         potential, energy, config = bit_case(name)
         want = outcomes(lambda sides: [
             numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config), side)
             for side in sides])
-        basis = integrate_every_node(potential, energy, config)
-        assert basis.u.grid.size == sum(config.node_counts()) + 1
+        n_left, n_right = config.node_counts()
+        if picks == "every":
+            steps = np.arange(-n_left, n_right + 1)
+        else:
+            match_step = right_index(potential, whole_grid(config)) - n_left
+            assert match_step + 2000 <= n_right
+            steps = match_step + np.array([1, -1, 0, 2000, -2000, 1, 0])
+        basis = numeric_scatter.integrate_ends(potential, energy, config, steps=steps)
+        assert basis.nodes.shape == (4, steps.size)
         assert outcomes(lambda sides: [numeric_scatter.match(basis, side) for side in sides]) == want
+
+    @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep-grown", "rect-edges-on-nodes"])
+    def test_nodes_come_in_the_asked_order(self, name):
+        # repeats included, each node bit for bit the oracle writer's
+        potential, energy, config = bit_case(name)
+        n_left, n_right = config.node_counts()
+        rng = np.random.default_rng(11)
+        steps = rng.integers(-n_left, n_right + 1, 300)
+        steps = np.concatenate((steps, steps[::-3], [-n_left, 0, n_right, 0]))
+        basis = numeric_scatter.integrate_ends(potential, energy, config, steps=steps)
+        whole = oracle_integrate_basis(potential, energy, config)
+        assert basis.nodes.tobytes() == whole.nodes[:, steps + n_left].tobytes()
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
         # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
@@ -689,10 +714,6 @@ class TestEndsReader:
         got = outcomes(lambda sides: [numeric_scatter.solve(EXP_MODEL, 1e-6, side)
                                       for side in sides])
         assert got == want and "x_left" in want[1]
-
-
-def whole_nodes(column, i):
-    return np.ascontiguousarray(column[[0, i]]).tobytes()
 
 
 class TestPlaneWaveMatching:
@@ -991,3 +1012,18 @@ def test_numeric_lane_imports_nothing_from_exp_barrier():
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert "potentials" in imported
     assert "exp_barrier" not in imported
+
+
+def test_numeric_lane_snaps_its_match_node_once():
+    # the basis record holds nodes, not solutions on a grid: nothing in the
+    # lane searches a grid, and only _right_end decides the right end node
+    tree = ast.parse(inspect.getsource(numeric_scatter))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "WaveSolution" not in imported
+    called = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not any(isinstance(f, ast.Attribute) and f.attr == "searchsorted" for f in called)
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_x_match"}
+    assert callers == {"_right_end"}

@@ -1,4 +1,4 @@
-"""Shared wave utilities: flux and angle arithmetic."""
+"""Shared wave utilities: angle arithmetic."""
 
 import math
 
@@ -6,34 +6,6 @@ import numpy as np
 import pytest
 
 from expscatter import waves
-
-
-class TestFlux:
-    def test_plane_wave(self):
-        # psi = e^{ikx}: flux = hbar k / m
-        k, mass, hbar = 1.3, 0.5, 1.0
-        x = np.linspace(0.0, 2.0, 7)
-        psi = np.exp(1j * k * x)
-        dpsi = 1j * k * psi
-        out = waves.flux(psi, dpsi, mass, hbar)
-        np.testing.assert_allclose(out, hbar * k / mass, rtol=1e-14)
-
-    def test_counterpropagating_mix(self):
-        # A e^{ikx} + B e^{-ikx}: flux = (hbar k/m)(|A|^2 - |B|^2), x-independent
-        k, mass, hbar = 0.7, 0.5, 1.0
-        A, B = 1.0, 0.5
-        x = np.linspace(-3.0, 3.0, 11)
-        psi = A * np.exp(1j * k * x) + B * np.exp(-1j * k * x)
-        dpsi = 1j * k * (A * np.exp(1j * k * x) - B * np.exp(-1j * k * x))
-        out = waves.flux(psi, dpsi, mass, hbar)
-        want = hbar * k / mass * (A**2 - B**2)
-        np.testing.assert_allclose(out, want, rtol=1e-13)
-
-    def test_real_solution_carries_none(self):
-        x = np.linspace(0.0, 1.0, 5)
-        psi = np.cos(2.0 * x).astype(complex)
-        dpsi = (-2.0 * np.sin(2.0 * x)).astype(complex)
-        np.testing.assert_allclose(waves.flux(psi, dpsi, 0.5, 1.0), 0.0, atol=1e-15)
 
 
 class TestAngles:
