@@ -31,7 +31,7 @@ import numpy as np
 
 from . import chart, exp_barrier, numeric_scatter, potentials, verification
 from .errors import AccuracyError, DomainError, SeriesRangeError
-from .potentials import PotentialModel, Units
+from .potentials import Exponential, PotentialModel, Units
 
 SWEEP_HEADER = (
     "E,q,T_analytic,R_analytic,T_numeric,R_numeric,phi_left,theta_left,"
@@ -80,10 +80,9 @@ class SweepSpec:
             raise UsageError(
                 f"methods must be analytic, numeric, or both, got {self.methods!r}"
             )
-        if self.methods != "numeric" and self.model.kind != "exponential":
-            raise UsageError(
-                f"analytic method is not defined for the {self.model.kind!r} model"
-            )
+        if self.methods != "numeric" and not isinstance(self.model, Exponential):
+            name = type(self.model).__name__.lower()
+            raise UsageError(f"analytic method is not defined for the {name!r} model")
 
     def energies(self) -> np.ndarray:
         if self.spacing == "linear":
@@ -169,7 +168,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     energies = spec.energies()
     blank = [None] * energies.size
     columns = dict.fromkeys(SweepRow._fields[1:], blank)
-    if spec.model.kind == "exponential":
+    if isinstance(spec.model, Exponential):
         columns.update(_analytic_columns(spec, energies))
     rows = [SweepRow(*cells) for cells in zip(energies.tolist(), *columns.values())]
     if spec.methods == "analytic":
@@ -384,10 +383,11 @@ def cmd_verify(args) -> int:
 def cmd_wavefunction(args) -> int:
     model = _resolve_model(args)
     units = Units(mass=args.mass, hbar=args.hbar)
-    exp_family = model.kind == "exponential"
+    exp_family = isinstance(model, Exponential)
     method = args.method or ("analytic" if exp_family else "numeric")
     if method == "analytic" and not exp_family:
-        raise UsageError(f"analytic wavefunction is not defined for the {model.kind!r} model")
+        name = type(model).__name__.lower()
+        raise UsageError(f"analytic wavefunction is not defined for the {name!r} model")
     _require_finite(("--xmin", args.xmin), ("--xmax", args.xmax))
     if not (args.xmin < args.xmax):
         raise UsageError(f"need xmin < xmax, got {args.xmin!r}, {args.xmax!r}")
@@ -397,7 +397,6 @@ def cmd_wavefunction(args) -> int:
         raise UsageError(f"energy must be finite and > 0, got {args.energy!r}")
 
     if method == "analytic":
-        # p folds in the offset b: z = p exp(x/(2a))
         d = exp_barrier.reduce_params(model, args.energy, units)
         grid_xi = np.linspace(args.xmin, args.xmax, args.n) / model.a
         wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, grid_xi)
@@ -449,7 +448,7 @@ def cmd_plot(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.input!r}: {exc}") from None
     table = parse_sweep_table(lines)
     svg = render_sweep_chart(table, log_x=(args.spacing == "log"))
@@ -493,13 +492,15 @@ def _cell(value: Optional[float]) -> str:
 
 
 def _check_out(out: Optional[str]) -> None:
-    """Refuse an --out before any work if its directory is missing, or if it
-    (when it exists) or its directory is not writable; creates nothing."""
+    """Refuse an --out before any work if its directory is missing, if it is a
+    directory, or if it or its directory is not writable; creates nothing."""
     if out is None:
         return
     directory = os.path.dirname(out) or os.curdir
     if not os.path.isdir(directory):
         reason = "No such file or directory"
+    elif os.path.isdir(out):
+        reason = "Is a directory"
     elif not os.access(out if os.path.exists(out) else directory, os.W_OK):
         reason = "Permission denied"
     else:

@@ -13,7 +13,7 @@ match nodes and, for a wavefunction, its samples.  The basis record holds
 those nodes and the drift; no node array of the window is built.  The
 potential is sampled once per window and step, and every energy of a
 sweep reuses the samples.  An exponential's default window is fixed in
-z = p exp(x/(2a)), where its depth and offset only translate the problem.
+z = p exp(x/(2a)), where its depth only translates the problem.
 ``match`` then projects u and v, at each window end, onto that end's
 rightward unit wave R: exp(ikx) where the potential vanishes, H1_{iq}(z)
 over its large-z normalization, ~ exp(-x/(4a)) exp(iz), where it dives
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import potentials, specfun
 from .errors import AccuracyError, DomainError
-from .potentials import DEFAULT_UNITS, PotentialModel, Units
+from .potentials import DEFAULT_UNITS, Exponential, PotentialModel, Units
 from .waves import principal_angle
 
 _MAX_NODES = 5_000_000
@@ -162,18 +162,16 @@ _Z_MATCH = 12.0
 
 def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> SolverConfig:
     """Window/step defaults that keep every catalog model well resolved."""
-    if potential.kind == "exponential":
+    if isinstance(potential, Exponential):
         p, a = potentials.exponential_p(potential, units), potential.a
         x_left, x_right = (2.0 * a * math.log(z / p) for z in (_Z_LEFT, _Z_MATCH))
         return SolverConfig(x_left=x_left, x_right=x_right, step=a / 2000.0)
-    if potential.kind == "rectangular":
-        hw = potential.half_width
-        # land the discontinuities exactly on nodes, unless the window is
-        # past the node cap anyway (the config refuses it)
-        cells = hw / 5.0e-4
-        step = hw / math.ceil(cells) if cells < _MAX_NODES else 5.0e-4
-        return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0, step=step)
-    raise DomainError(f"unknown potential kind {potential.kind!r}")
+    hw = potential.half_width
+    # land the discontinuities exactly on nodes, unless the window is
+    # past the node cap anyway (the config refuses it)
+    cells = hw / 5.0e-4
+    step = hw / math.ceil(cells) if cells < _MAX_NODES else 5.0e-4
+    return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0, step=step)
 
 
 def integrate_ends(
@@ -217,7 +215,7 @@ def integrate_ends(
         raise DomainError(f"steps must lie in [{-n_left}, {n_right}], got [{at.min()}, {at.max()}]")
     x_ends = tuple((config.seed + config.step * at[:2]).tolist())
     _plane_potential(potential, float(energy), x_ends[0], "x_left")
-    if potential.kind != "exponential":
+    if not isinstance(potential, Exponential):
         _plane_potential(potential, float(energy), x_ends[1], "x_right")
     # rows u, u', v, v'; a node on the seed keeps the seed values
     nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
@@ -237,7 +235,7 @@ def integrate_ends(
 def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be finite and > 0, got {energy!r}")
-    if potential.kind == "exponential":
+    if isinstance(potential, Exponential):
         delta = units.hbar**2 / (8.0 * units.mass * potential.a**2)
         if energy < 1e-6 * delta:
             raise DomainError(
@@ -273,7 +271,7 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     left = _plane_end(basis, 0)
     # only the exponential dives, and only on the right
-    diverging = basis.potential.kind == "exponential"
+    diverging = isinstance(basis.potential, Exponential)
     right = _hankel_end(basis) if diverging else _plane_end(basis, 1)
     # incidence from the left arrives along R, from the right along conj(R)
     source, sink, inc = (left, right, True) if side == "left" else (right, left, False)
@@ -501,12 +499,12 @@ def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) ->
     """Steps from the seed to the right-end node ``match`` reads: the last
     one, or on a diving end the first at or past z = _Z_MATCH (the last if
     none is)."""
-    if potential.kind != "exponential":
+    if not isinstance(potential, Exponential):
         return config.node_counts()[1]
     return int(config.steps_at([_x_match(potential, units)])[0])
 
 
-def _x_match(potential: PotentialModel, units: Units) -> float:
+def _x_match(potential: Exponential, units: Units) -> float:
     """x of z = _Z_MATCH on an exponential."""
     return 2.0 * potential.a * math.log(_Z_MATCH / potentials.exponential_p(potential, units))
 

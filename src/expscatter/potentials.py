@@ -1,14 +1,15 @@
 """Catalog of 1-D potentials the solver knows how to scatter off, and the
 units both lanes share.
 
-Each model is a frozen value object; ``evaluate`` returns V(x).
+A model is a frozen record of just the fields its physics reads,
+``Exponential(v0, a)`` or ``Rectangular(v0, half_width)``; ``evaluate``
+returns V(x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,24 +33,29 @@ class Units:
 
 
 @dataclass(frozen=True)
-class PotentialModel:
-    """A potential from the catalog.
+class Exponential:
+    """V(x) = -v0 * exp(x/a); build it with ``exponential``."""
 
-    kind is "exponential" or "rectangular"; unused parameters stay None.
-    """
-
-    kind: str
-    v0: Optional[float] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-    half_width: Optional[float] = None
+    v0: float
+    a: float
 
 
-def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
+@dataclass(frozen=True)
+class Rectangular:
+    """V(x) = v0 for |x| <= half_width, else 0; build it with ``rectangular``."""
+
+    v0: float
+    half_width: float
+
+
+PotentialModel = Exponential | Rectangular
+
+
+def exponential(v0: float, a: float, b: float = 0.0) -> Exponential:
     """V(x) = -v0 * exp((x-b)/a): vanishes to the left, dives to -inf on the right.
 
-    The offset b only relabels the origin: this is the potential
-    exponential(v0 * exp(-b/a), a), so observables cannot depend on it.
+    The offset b only relabels the origin, so it is folded into the depth:
+    the record is Exponential(v0 * exp(-b/a), a), with v0 itself at b = 0.
 
     Args:
         v0: depth scale, must be > 0.
@@ -63,9 +69,8 @@ def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
         raise DomainError(f"a = {a!r} is out of range: a^2 must be a finite float > 0")
     if not (isinstance(b, (int, float)) and math.isfinite(b)):
         raise DomainError(f"offset b must be finite, got {b!r}")
-    model = PotentialModel(kind="exponential", v0=float(v0), a=float(a), b=float(b))
     try:
-        depth, _ = effective_exponential(model)
+        depth = float(v0) * math.exp(-float(b) / float(a))
     except OverflowError:
         depth = math.inf
     if not (math.isfinite(depth) and depth > 0.0):
@@ -73,15 +78,14 @@ def exponential(v0: float, a: float, b: float = 0.0) -> PotentialModel:
             f"offset b = {b!r} makes the depth v0 * exp(-b/a) = {depth!r}; "
             "it must be finite and > 0, so move b toward 0"
         )
-    return model
+    return Exponential(depth, float(a))
 
 
-def exponential_p(model: PotentialModel, units: Units) -> float:
-    """p = sqrt(8 m v0 e^(-b/a)) a / hbar of an exponential model, which
-    enters only through z = p exp(x/(2a)); refused where it overflows or
+def exponential_p(model: Exponential, units: Units) -> float:
+    """p = sqrt(8 m v0) a / hbar of an exponential model, which enters
+    only through z = p exp(x/(2a)); refused where it overflows or
     vanishes."""
-    v0_eff, a = effective_exponential(model)
-    p = math.sqrt(8.0 * units.mass * v0_eff) * a / units.hbar
+    p = math.sqrt(8.0 * units.mass * model.v0) * model.a / units.hbar
     if not 0.0 < p < math.inf:
         raise DomainError(
             f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p!r} is out of range; "
@@ -90,7 +94,7 @@ def exponential_p(model: PotentialModel, units: Units) -> float:
     return p
 
 
-def rectangular(v0: float, half_width: float) -> PotentialModel:
+def rectangular(v0: float, half_width: float) -> Rectangular:
     """V(x) = v0 for |x| <= half_width, else 0.
 
     Args:
@@ -100,10 +104,10 @@ def rectangular(v0: float, half_width: float) -> PotentialModel:
     if not math.isfinite(v0):
         raise DomainError(f"v0 must be finite, got {v0!r}")
     _require_positive("half_width", half_width)
-    return PotentialModel(kind="rectangular", v0=float(v0), half_width=float(half_width))
+    return Rectangular(float(v0), float(half_width))
 
 
-def free() -> PotentialModel:
+def free() -> Rectangular:
     """V(x) = 0 everywhere: a rectangle of zero height, whose default
     numeric window is [-5, 5] at step 5e-4."""
     return rectangular(0.0, 3.0)
@@ -115,18 +119,10 @@ def evaluate(model: PotentialModel, x):
     The exponential saturates to -inf once exp overflows; the solver
     treats non-finite values as out of domain.
     """
-    if model.kind == "exponential":
-        return -model.v0 * _safe_exp((np.asarray(x, dtype=float) - model.b) / model.a)
-    if model.kind == "rectangular":
-        xarr = np.asarray(x, dtype=float)
-        v = np.where(np.abs(xarr) <= model.half_width, model.v0, 0.0)
-        return v if v.ndim else float(v)
-    raise DomainError(f"unknown potential kind {model.kind!r}")
-
-
-def effective_exponential(model: PotentialModel) -> tuple[float, float]:
-    """(v0 * exp(-b/a), a): the exponential model rewritten with b = 0."""
-    return model.v0 * math.exp(-model.b / model.a), model.a
+    if isinstance(model, Exponential):
+        return -model.v0 * _safe_exp(np.asarray(x, dtype=float) / model.a)
+    v = np.where(np.abs(np.asarray(x, dtype=float)) <= model.half_width, model.v0, 0.0)
+    return v if v.ndim else float(v)
 
 
 def _safe_exp(arg):

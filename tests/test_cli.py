@@ -23,11 +23,28 @@ def run_cli(args, capsys):
 class TestModelGrammar:
     def test_exponential(self):
         m = cli.parse_model("exp:v0=2,a=0.5")
-        assert m.kind == "exponential" and m.v0 == 2.0 and m.a == 0.5
+        assert type(m) is potentials.Exponential and m.v0 == 2.0 and m.a == 0.5
 
     def test_shifted(self):
+        # the offset folds into the depth: v0 e^{-b/a} = e^2
         m = cli.parse_model("expshift:v0=1,a=1,b=-2")
-        assert m.kind == "exponential" and m.b == -2.0
+        assert type(m) is potentials.Exponential and m.v0 == math.exp(2.0) and m.a == 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--emin", "0.05", "--emax", "5", "--n", "6", "--method", "both"],
+            ["wavefunction", "--method", "numeric", "--energy", "0.7",
+             "--xmin", "-10", "--xmax", "3", "--n", "21"],
+        ],
+        ids=["sweep", "wavefunction"],
+    )
+    def test_offset_is_the_folded_depth(self, argv, capsys):
+        # expshift with offset b is exp with depth v0 e^{-b/a}: the same bytes
+        shifted = run_cli([*argv, "--model", "expshift:v0=1,a=1,b=0.3"], capsys)
+        folded = run_cli([*argv, "--model", f"exp:v0={math.exp(-0.3)!r},a=1"], capsys)
+        assert shifted[0] == 0 and "row-error" not in shifted[1]
+        assert shifted == folded
 
     def test_rect_width_is_full_width(self):
         m = cli.parse_model("rect:v0=1,w=2")
@@ -248,12 +265,15 @@ class TestCommands:
         for owner, name in ((cli, "run_sweep"), (cli, "render_sweep_chart"),
                             (cli.verification, "run_all"), (numeric_scatter, "integrate_ends")):
             monkeypatch.setattr(owner, name, computed)
-        target = str(tmp_path / "missing" / "out.txt")
         argv = [str(table) if arg == "SWEEP" else arg for arg in argv]
-        code, out, err = run_cli([*argv, "--out", target], capsys)
-        assert code == 1 and out == ""
-        assert err == f"error: cannot write {target!r}: No such file or directory\n"
+        (tmp_path / "adir").mkdir()
+        for target, reason in ((tmp_path / "missing" / "out.txt", "No such file or directory"),
+                               (tmp_path / "adir", "Is a directory")):
+            code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+            assert code == 1 and out == ""
+            assert err == f"error: cannot write {str(target)!r}: {reason}\n"
         assert not (tmp_path / "missing").exists()
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_out_check_leaves_an_existing_file_alone(self, tmp_path, capsys):
         # a command refused after the --out check neither creates nor truncates
@@ -309,6 +329,13 @@ class TestCommands:
             capsys,
         )
         assert code == 1 and "cannot read" in err
+
+    def test_plot_file_not_utf8(self, tmp_path, capsys):
+        bad, out = tmp_path / "bad.csv", tmp_path / "x.svg"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(["plot", str(bad), "--out", str(out)], capsys)
+        assert code == 1 and err.startswith(f"error: cannot read {str(bad)!r}: ")
+        assert not out.exists()
 
     def test_plot_parse_error_has_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

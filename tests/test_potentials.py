@@ -1,19 +1,29 @@
 """Potential catalog: constructors, evaluation, the exponential offset."""
 
+import ast
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from expscatter import potentials
+from expscatter import cli, numeric_scatter, potentials
 from expscatter.errors import DomainError
 
 
 class TestConstructors:
     def test_exponential_fields(self):
         m = potentials.exponential(2.0, 0.5)
-        assert m.kind == "exponential"
-        assert m.v0 == 2.0 and m.a == 0.5 and m.b == 0.0
+        assert type(m) is potentials.Exponential
+        assert [f.name for f in dataclasses.fields(m)] == ["v0", "a"]
+        assert m.v0 == 2.0 and m.a == 0.5
+
+    def test_rectangular_fields(self):
+        m = potentials.rectangular(-1.5, 0.25)
+        assert type(m) is potentials.Rectangular
+        assert [f.name for f in dataclasses.fields(m)] == ["v0", "half_width"]
+        assert m.v0 == -1.5 and m.half_width == 0.25
 
     def test_positive_scale_required(self):
         with pytest.raises(DomainError):
@@ -78,20 +88,19 @@ class TestEvaluate:
         assert out[0] == -math.inf
 
 
-class TestEffectiveExponential:
+class TestOffsetFold:
     def test_shift_folds_into_strength(self):
         # v0 e^{(x-b)/a} = (v0 e^{-b/a}) e^{x/a}
         m = potentials.exponential(2.0, 1.0, 1.0)
-        v0_eff, a = potentials.effective_exponential(m)
-        assert v0_eff == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
-        assert a == 1.0
+        assert m == potentials.Exponential(2.0 * math.exp(-1.0), 1.0)
 
     def test_zero_offset_is_exact(self):
         # b = 0 must leave v0 and every sample bit-for-bit unchanged
-        m = potentials.exponential(0.7, 1.3)
-        assert potentials.effective_exponential(m) == (0.7, 1.3)
-        xs = np.linspace(-30.0, 5.0, 101)
-        np.testing.assert_array_equal(potentials.evaluate(m, xs), -0.7 * np.exp(xs / 1.3))
+        for b in (0.0, -0.0, 0):
+            m = potentials.exponential(0.7, 1.3, b)
+            assert m == potentials.Exponential(0.7, 1.3)
+            xs = np.linspace(-30.0, 5.0, 101)
+            np.testing.assert_array_equal(potentials.evaluate(m, xs), -0.7 * np.exp(xs / 1.3))
 
     @pytest.mark.parametrize("b", [-800.0, 1e308, math.inf, math.nan])
     def test_rejects_unrepresentable_depth(self, b):
@@ -127,3 +136,12 @@ class TestExponentialP:
         assert potentials.exponential_p(m, units) == pytest.approx(want, rel=1e-15)
         readme = potentials.exponential(1.0, 1.0)
         assert potentials.exponential_p(readme, potentials.DEFAULT_UNITS) == 2.0
+
+
+@pytest.mark.parametrize("module", [potentials, numeric_scatter, cli], ids=lambda m: m.__name__)
+def test_no_model_kind_is_read(module):
+    # a model is its record type: no code branches on a kind attribute
+    tree = ast.parse(inspect.getsource(module))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert reads == []
