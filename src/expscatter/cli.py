@@ -108,11 +108,18 @@ class SweepRow(NamedTuple):
     error: Optional[str] = None
 
 
+def _rectangle(v0: float, w: float) -> PotentialModel:
+    """rect:v0,w takes the full width w, refused under its own name."""
+    if not (math.isfinite(w) and w > 0.0):
+        raise DomainError(f"w must be finite and > 0, got {w!r}")
+    return potentials.rectangular(v0, w / 2.0)
+
+
 # descriptor head -> (field names, constructor taking them as keywords)
 _GRAMMAR = {
     "exp": (("v0", "a"), potentials.exponential),
     "expshift": (("v0", "a", "b"), potentials.exponential),
-    "rect": (("v0", "w"), lambda v0, w: potentials.rectangular(v0, w / 2.0)),
+    "rect": (("v0", "w"), _rectangle),
     "free": ((), potentials.free),
 }
 
@@ -330,7 +337,9 @@ def build_parser() -> _Parser:
                       help="default: analytic for exponential models, else numeric")
     wave.add_argument("--xmin", type=float, required=True)
     wave.add_argument("--xmax", type=float, required=True)
-    wave.add_argument("--n", type=int, default=201)
+    wave.add_argument("--n", type=int, default=201,
+                      help="grid points on [xmin, xmax] (default 201); the numeric method "
+                           "snaps each to an integration node and prints each distinct node once")
     wave.add_argument("--out", help="output file (default stdout)")
 
     plot = sub.add_parser("plot", help="render a sweep table as an SVG chart")

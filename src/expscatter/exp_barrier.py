@@ -60,8 +60,7 @@ class ScatteringData:
 
     t_coeff and r_coeff come from flux ratios; r_amp and t_amp are the
     complex amplitudes; phi = Arg r_amp and theta = Arg t_amp reduced to
-    (-pi, pi]; alpha = q ln(p/2) and beta = Arg Gamma(1+iq) are the
-    building blocks of every phase formula.
+    (-pi, pi].
     """
 
     side: str
@@ -71,8 +70,6 @@ class ScatteringData:
     t_amp: complex
     phi: float
     theta: float
-    alpha: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ def fluxes(p: float, q: float, a: float, units: Units) -> FluxTriple:
 
 
 def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
-    """Complex r and t plus flux-ratio T, R and the phase decomposition.
+    """Complex r and t plus flux-ratio T, R and the phases phi, theta.
 
     Left incidence:
 
@@ -159,7 +156,6 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
     t_coeff, r_coeff = transmission_reflection(q)
     alpha = q * math.log(0.5 * p)
     gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
-    beta = cmath.phase(gamma_plus)
     phase_p = cmath.exp(-1j * alpha)  # (p/2)^{-iq}
     if side == "left":
         r_amp = -math.exp(-math.pi * q) * phase_p**2 * gamma_plus / gamma_plus.conjugate()
@@ -189,8 +185,6 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
         t_amp=t_amp,
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),
-        alpha=alpha,
-        beta=beta,
     )
 
 

@@ -14,18 +14,20 @@ those nodes and the drift; no node array of the window is built.  The
 potential is sampled once per window and step, and every energy of a
 sweep reuses the samples.  An exponential's default window is fixed in
 z = p exp(x/(2a)), where its depth only translates the problem.
-``match`` then projects u and v, at each window end, onto that end's
-rightward unit wave R: exp(ikx) where the potential vanishes, H1_{iq}(z)
-over its large-z normalization, ~ exp(-x/(4a)) exp(iz), where it dives
-(z = p exp(x/(2a)), at z = 12 however far the window runs past it).  The
-basis is real, so along the leftward wave conj(R) its coefficients are the
-conjugates.  The matched solution has no wave arriving from infinity on
-the transmitted end; incident, reflected and transmitted waves are read
-off the same two projections for either incidence side.
+``match`` then projects u and v, at each window end and by one Wronskian
+projection (``_end``), onto that end's rightward unit wave R: exp(ikx)
+where the potential vanishes, H1_{iq}(z) / N where it dives, with
+N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} H1's large-z normalization, so
+R ~ exp(-x/(4a)) exp(iz) (z = p exp(x/(2a)), at z = 12 however far the
+window runs past it).  The basis is real, so along the leftward wave
+conj(R) its coefficients are the conjugates.  The matched solution has no
+wave arriving from infinity on the transmitted end; incident, reflected
+and transmitted waves are read off the same two projections for either
+incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
-meaningful when the two asymptotic waveforms differ; on the diving end the
-flux is measured, as (hbar/m) Im(conj(R) R').
+meaningful when the two asymptotic waveforms differ; at both ends the flux
+is measured, as (hbar/m) Im(conj(R) R').
 """
 
 from __future__ import annotations
@@ -147,7 +149,6 @@ class NumericScatteringResult:
     theta: float
     flux_imbalance: float
     wronskian_drift: float
-    match_residual: float
     c_u: complex
     c_v: complex
     incident: complex
@@ -158,6 +159,9 @@ class NumericScatteringResult:
 # series behind the right-end match loses digits like e^z eps
 _Z_LEFT = 2.0 * math.exp(-10.0)
 _Z_MATCH = 12.0
+# full widths w of a rectangle whose default grid fits the node cap: every
+# float in the range fits, and the float just past either end does not
+_RECT_WIDTHS = (1.6000012800010233e-06, 2495.998)
 
 
 def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> SolverConfig:
@@ -167,10 +171,14 @@ def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> S
         x_left, x_right = (2.0 * a * math.log(z / p) for z in (_Z_LEFT, _Z_MATCH))
         return SolverConfig(x_left=x_left, x_right=x_right, step=a / 2000.0)
     hw = potential.half_width
-    # land the discontinuities exactly on nodes, unless the window is
-    # past the node cap anyway (the config refuses it)
-    cells = hw / 5.0e-4
-    step = hw / math.ceil(cells) if cells < _MAX_NODES else 5.0e-4
+    if not _RECT_WIDTHS[0] <= 2.0 * hw <= _RECT_WIDTHS[1]:
+        raise DomainError(
+            f"rectangle width w = {2.0 * hw:g} is outside {_RECT_WIDTHS[0]!r} <= w <= "
+            f"{_RECT_WIDTHS[1]!r}, the widths whose default grid (edges on nodes, step "
+            f"<= 5e-4, 2 units past each edge) fits the {_MAX_NODES:,} node cap"
+        )
+    # land the discontinuities exactly on nodes
+    step = hw / math.ceil(hw / 5.0e-4)
     return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0, step=step)
 
 
@@ -269,10 +277,7 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    left = _plane_end(basis, 0)
-    # only the exponential dives, and only on the right
-    diverging = isinstance(basis.potential, Exponential)
-    right = _hankel_end(basis) if diverging else _plane_end(basis, 1)
+    left, right = _end(basis, 0), _end(basis, 1)
     # incidence from the left arrives along R, from the right along conj(R)
     source, sink, inc = (left, right, True) if side == "left" else (right, left, False)
 
@@ -285,13 +290,12 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     if norm == 0.0:
         raise AccuracyError("matching produced a null solution")
     cu, cv = sink_v / norm, -sink_u / norm
-    c_inc, c_ref, c_tra, c_out = (cu * u + cv * v for u, v in (
-        along(source, inc), along(source, not inc), along(sink, inc), (sink_u, sink_v)))
+    c_inc, c_ref, c_tra = (cu * u + cv * v for u, v in (
+        along(source, inc), along(source, not inc), along(sink, inc)))
     r_amp, t_amp = c_ref / c_inc, c_tra / c_inc
     j_inc = source.flux * abs(c_inc) ** 2
     j_ref = source.flux * abs(c_ref) ** 2
     j_tra = sink.flux * abs(c_tra) ** 2
-    forbidden = abs(c_out) / max(abs(c_tra), 1e-300)
     return NumericScatteringResult(
         energy=basis.energy, side=side,
         t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
@@ -299,7 +303,6 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
         theta=principal_angle(cmath.phase(t_amp)),
         flux_imbalance=abs(j_inc - j_ref - j_tra) / j_inc,
         wronskian_drift=basis.drift,
-        match_residual=max(left.residual, right.residual, forbidden),
         c_u=cu, c_v=cv, incident=c_inc,
     )
 
@@ -460,31 +463,53 @@ class _End(NamedTuple):
     u and v are the basis solutions' coefficients along R; the basis is
     real, so their coefficients along the leftward wave conj(R) are the
     conjugates.  flux is the probability flux of R, which conj(R) carries
-    the other way, and residual says how far R is from exact at this end.
+    the other way.
     """
 
     u: complex
     v: complex
     flux: float
-    residual: float
 
 
-def _plane_end(basis: BasisPair, i: int) -> _End:
-    """R = exp(ikx) at end i (0 left, 1 right), valid while |V| <= ASYMPTOTE_EPSILON * E."""
-    x, energy = basis.x_ends[i], basis.energy
-    v_end = _plane_potential(basis.potential, energy, x, ("x_left", "x_right")[i])
-    hbar, m = basis.units.hbar, basis.units.mass
-    k = math.sqrt(2.0 * m * energy) / hbar
+def _end(basis: BasisPair, i: int) -> _End:
+    """End i (0 left, 1 right) along its rightward unit wave R, exp(ikx) or
+    H1_{iq}(z) / N (see the module notes).  A real solution f projects onto
+    R by Wronskians, c = W[f, conj R] / W[R, conj R], and
+    W[R, conj R] = -2i Im(conj(R) R') also gives R's flux,
+    (hbar/m) Im(conj(R) R')."""
+    x, units = basis.x_ends[i], basis.units
+    k = math.sqrt(2.0 * units.mass * basis.energy) / units.hbar
+    # only the exponential dives, and only on the right
+    diving = i == 1 and isinstance(basis.potential, Exponential)
+    if diving:
+        a = basis.potential.a
+        p, q = potentials.exponential_p(basis.potential, units), 2.0 * k * a
+        z = p * math.exp(x / (2.0 * a))
+        h1 = specfun.hankel_imag_order(q, z, kind=1)
+        norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q)
+        norm *= cmath.exp(-0.25j * math.pi)
+        r, dr = h1.value / norm, h1.dvalue * (z / (2.0 * a)) / norm
+    else:
+        _plane_potential(basis.potential, basis.energy, x, ("x_left", "x_right")[i])
+        r = cmath.exp(1j * k * x)
+        dr = 1j * k * r
+    im = (r.conjugate() * dr).imag
+    flux = units.hbar / units.mass * im
+    if diving:
+        exact = p * units.hbar / (2.0 * units.mass * a)
+        if not flux > 0.1 * exact:
+            raise AccuracyError(
+                f"unit wave at z = {z:.3g} carries flux {flux:.3e}, not {exact:.3e}")
 
     def coeff(f: float, df: float) -> complex:
-        return 0.5 * (complex(f) + complex(df) / (1j * k)) * cmath.exp(-1j * k * x)
+        return (f * dr.conjugate() - df * r.conjugate()) / (-2j * im)
 
     u, du, v, dv = basis.ends[:, i].tolist()
-    return _End(coeff(u, du), coeff(v, dv), hbar * k / m, v_end / energy)
+    return _End(coeff(u, du), coeff(v, dv), flux)
 
 
-def _plane_potential(potential: PotentialModel, energy: float, x: float, which: str) -> float:
-    """|V(x)| at a plane-wave end, refused past ASYMPTOTE_EPSILON * E."""
+def _plane_potential(potential: PotentialModel, energy: float, x: float, which: str) -> None:
+    """Refuse a plane-wave end where |V(x)| > ASYMPTOTE_EPSILON * E."""
     v = abs(float(potentials.evaluate(potential, x)))
     if v > ASYMPTOTE_EPSILON * energy:
         raise DomainError(
@@ -492,7 +517,6 @@ def _plane_potential(potential: PotentialModel, energy: float, x: float, which: 
             f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out, or keep "
             f"E >= |V({which})| / ASYMPTOTE_EPSILON = {v / ASYMPTOTE_EPSILON:.3e}"
         )
-    return v
 
 
 def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> int:
@@ -507,33 +531,3 @@ def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) ->
 def _x_match(potential: Exponential, units: Units) -> float:
     """x of z = _Z_MATCH on an exponential."""
     return 2.0 * potential.a * math.log(_Z_MATCH / potentials.exponential_p(potential, units))
-
-
-def _hankel_end(basis: BasisPair) -> _End:
-    """R = H1_{iq}(z) / N, z = p exp(x/(2a)), at the right end node.
-
-    N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} is H1's large-z normalization,
-    so R ~ exp(-x/(4a)) exp(iz), the closed forms' unit envelope.  A real
-    solution w projects onto R by Wronskians, c = W[w, conj R] / W[R, conj R],
-    and W[R, conj R] = -2i Im(conj(R) R').  R's flux is measured as
-    (hbar/m) Im(conj(R) R'); the residual is its relative gap from the
-    envelope's exact p hbar / (2 m a).
-    """
-    units, a = basis.units, basis.potential.a
-    p = potentials.exponential_p(basis.potential, units)
-    k = math.sqrt(2.0 * units.mass * basis.energy) / units.hbar
-    q = 2.0 * k * a
-    z_r = p * math.exp(basis.x_ends[1] / (2.0 * a))
-    h1 = specfun.hankel_imag_order(q, z_r, kind=1)
-    norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q) * cmath.exp(-0.25j * math.pi)
-    r, dr = h1.value / norm, h1.dvalue * (z_r / (2.0 * a)) / norm
-    im = (r.conjugate() * dr).imag
-    flux, exact = units.hbar / units.mass * im, p * units.hbar / (2.0 * units.mass * a)
-    if not flux > 0.1 * exact:
-        raise AccuracyError(f"unit wave at z = {z_r:.3g} carries flux {flux:.3e}, not {exact:.3e}")
-
-    def coeff(f: float, df: float) -> complex:
-        return (f * dr.conjugate() - df * r.conjugate()) / (-2j * im)
-
-    u, du, v, dv = basis.ends[:, 1].tolist()
-    return _End(coeff(u, du), coeff(v, dv), flux, abs(flux - exact) / exact)

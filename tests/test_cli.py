@@ -50,6 +50,16 @@ class TestModelGrammar:
         m = cli.parse_model("rect:v0=1,w=2")
         assert m.half_width == 1.0
 
+    @pytest.mark.parametrize("w, shown", [("-2", "-2.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_rect_width_refused_under_its_own_name(self, w, shown, capsys):
+        # not as the half width the model stores (half_width ... -1.0 before)
+        with pytest.raises(UsageError, match=f"^w must be finite and > 0, got {shown}$"):
+            cli.parse_model(f"rect:v0=1,w={w}")
+        code, out, err = run_cli(["sweep", "--model", f"rect:v0=1,w={w}", "--emin", "0.1",
+                                  "--emax", "1", "--method", "numeric"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: w must be finite and > 0, got {shown}\n"
+
     def test_free(self):
         assert cli.parse_model("free") == potentials.rectangular(0.0, 3.0)
 
@@ -291,29 +301,36 @@ class TestCommands:
     # E == v0 pin before sweep rows stopped building the node array; the
     # three numeric wavefunction pins were re-frozen when psi and its flux
     # came to be formed in real arithmetic at the printed nodes only (they
-    # moved by <= 3.2e-16 relative in psi and <= 4.2e-16 in flux)
+    # moved by <= 3.2e-16 relative in psi and <= 4.2e-16 in flux).  All six
+    # were re-frozen when one Wronskian projection came to read both plane
+    # ends; the largest cell moves were, in order: free sweep |dR| 6.7e-32
+    # (phi by up to 0.32 rad, the phase of an |r| near 1e-16: |r dphi| 1.1e-16);
+    # free wavefunctions psi 3.3e-16 and 1.1e-16 of abs_psi, flux 7.8e-16
+    # and 2.7e-16 relative; rect sweep |dT|, |dR| 4.4e-16, |r dphi| 2.2e-16;
+    # rect wavefunction psi 6.5e-16 of abs_psi, flux 1.0e-15 relative; the
+    # E == v0 pin |dT| and flux_imbalance 1.1e-16
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
               "--method", "numeric"],
-             "ea127a029d8b7d5d2635bf6be091807824a8e52f3febf4f1a744122e1b464c16"),
+             "81ebe4323fe0e10063542332d9a2a6149aa9181fcd6cfddc3bc35305de5156dc"),
             (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
               "--xmax", "6", "--n", "300"],
-             "efc3c73957ca28d0bde0ca4c49c1553ad90c60f6564c9d4698abda8af1b17953"),
+             "912f78bddf626aabd506e5e03b8d112b6b080706cb4f2506fafdf97b125e0c37"),
             (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
               "--xmin", "-2", "--xmax", "2"],
-             "f7e6cfe131ad08d18c41a7afde90be1ae229d476ffa873a8be256a437b2f2972"),
+             "9bbb837eb15a9c31ea43f3c4665cdb699904ebd4e59612999b4ca76a73664c4b"),
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "490464fe0af710268f59d1dc5484c4ba45701dca0a66ffeb631d65ec6c327871"),
+             "495d30bb6f98b9f1d6724c66dae01431ac97b92cf4f2a49173b341651cc829a7"),
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "c6e0edc1e4e4fe06b53795a605c9c8ba3146a90c123aeb0d7f45c41b82c45916"),
+             "8a3e4156c2a418717fb88cb401069f74274755774a4c1cf3996ac89ea4c45106"),
             # E == v0 on the second row: g is exactly zero inside the barrier
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
-             "1f19939e2b791be4a7b230563e2334e41231895b3fd6599a2b67e6c0f8b9bc72"),
+             "5b4f999d1be34cac542fb40b80b3719d6a5fa9db49e2e1bd3a6fec0ac7c61527"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
              "rect-wavefunction-right", "rect-sweep-at-v0"],
@@ -445,6 +462,18 @@ class TestCommands:
         q = 2.0 * math.sqrt(float(energy))
         t_exact, _ = exp_barrier.transmission_reflection(q)
         assert abs(flux.mean() / q - t_exact) <= 1e-9
+
+    def test_wavefunction_numeric_prints_each_node_once(self, capsys):
+        # 400 requested x on [0, 1e-3] snap to the 3 nodes of step a/2000
+        # there; the analytic method prints every requested x
+        argv = ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "0.5",
+                "--xmin", "0", "--xmax", "0.001", "--n", "400", "--method"]
+        code_n, out_n, _ = run_cli(argv + ["numeric"], capsys)
+        code_a, out_a, _ = run_cli(argv + ["analytic"], capsys)
+        assert code_n == code_a == 0
+        xs = [float(line.split(",")[0]) for line in out_n.splitlines()[2:]]
+        assert xs == [0.0, 5e-4, 1e-3]
+        assert len(out_a.splitlines()[2:]) == 400
 
     def test_wavefunction_drift_refusal_names_xmax(self, capsys):
         # the step is fixed, so the advice is about the grown window end
@@ -591,7 +620,15 @@ class TestCommands:
             (["sweep", "--model", "rect:v0=1,w=1e308", "--emin", "1", "--emax", "2",
               "--n", "3", "--method", "numeric"], "5,000,000 node cap"),
             (["sweep", "--model", "rect:v0=1,w=1e300", "--emin", "1", "--emax", "2",
-              "--n", "3", "--method", "numeric"], "about 2e+303 nodes"),
+              "--n", "3", "--method", "numeric"], "width w = 1e+300 is outside"),
+            # no flag sets a sweep's step or window, so a rectangle its default
+            # grid cannot hold is refused by width ("increase step" before)
+            (["sweep", "--model", "rect:v0=1,w=1e-300", "--emin", "0.1", "--emax", "1",
+              "--method", "numeric"],
+             "width w = 1e-300 is outside 1.6000012800010233e-06 <= w <= 2495.998,"),
+            (["sweep", "--model", "rect:v0=1,w=1e6", "--emin", "0.1", "--emax", "1",
+              "--method", "numeric"],
+             "width w = 1e+06 is outside 1.6000012800010233e-06 <= w <= 2495.998,"),
             (["sweep", "--model", "exp:v0=1e308,a=1", "--emin", "1", "--emax", "2",
               "--n", "3", "--method", "numeric"], "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf"),
             # the analytic lane used to print a row error per row and exit 2

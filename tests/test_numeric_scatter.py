@@ -109,6 +109,22 @@ class TestBasisIntegration:
             with pytest.raises(DomainError, match="finite"):
                 SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
 
+    def test_rect_widths_are_the_default_grid_edges(self):
+        # default_config holds a rectangle exactly while the grid it builds
+        # (edges on nodes, step <= 5e-4, 2 past each edge) fits the node cap
+        def grid(w):
+            hw = w / 2.0
+            return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0,
+                                step=hw / math.ceil(hw / 5.0e-4))
+
+        for w, outward in zip(numeric_scatter._RECT_WIDTHS, (0.0, math.inf)):
+            assert numeric_scatter.default_config(potentials.rectangular(1.0, w / 2.0)) == grid(w)
+            past = float(np.nextafter(w, outward))
+            with pytest.raises(DomainError, match="node cap; increase step"):
+                grid(past)
+            with pytest.raises(DomainError, match=f"width w = {past:g} is outside"):
+                numeric_scatter.default_config(potentials.rectangular(1.0, past / 2.0))
+
     @pytest.mark.parametrize(
         "ends, seed, counts",
         [((-1.0, 2.0), 0.0, (1000, 2000)), ((1.0, 2.0), 1.0, (0, 1000)),
@@ -801,13 +817,16 @@ class TestHankelMatching:
         assert waves.angle_distance(res.phi, phi) < 1e-5
         assert waves.angle_distance(res.theta, theta) < 1e-5
 
-    def test_forbidden_component_stays_small(self):
-        # with a deep tail the endpoint term is negligible and the residual
-        # is dominated by the coefficient along the disallowed direction
+    def test_deep_window_amplitudes_agree_with_closed_form(self):
+        # with a deep tail the plane waves are exact to round-off on the
+        # left, so both complex amplitudes carry the closed forms' digits
+        config = SolverConfig(x_left=-30.0, x_right=3.5, step=1.0 / 2000.0)
         for q in (0.25, 1.0):
-            config = SolverConfig(x_left=-30.0, x_right=3.5, step=1.0 / 2000.0)
-            res = numeric_scatter.solve(EXP_MODEL, q * q / 4.0, side="left", config=config)
-            assert res.match_residual < 1e-8
+            for side in ("left", "right"):
+                res = numeric_scatter.solve(EXP_MODEL, q * q / 4.0, side=side, config=config)
+                want = exp_barrier.amplitudes(2.0, q, side)
+                assert abs(res.t_amp - want.t_amp) <= 1e-10 * abs(want.t_amp)
+                assert abs(res.r_amp - want.r_amp) <= 1e-10 * abs(want.r_amp)
 
     def test_flux_conservation(self):
         res = numeric_scatter.solve(EXP_MODEL, 0.25, side="left")
@@ -824,12 +843,18 @@ class TestHankelMatching:
             results = [numeric_scatter.match(basis, side) for side in ("left", "right")]
             return np.array([[r.t_coeff, r.r_coeff, r.flux_imbalance] for r in results])
 
-        want = ratios()
+        def moduli():
+            return [abs(numeric_scatter.match(basis, side).t_amp) for side in ("left", "right")]
+
+        want, t_mod = ratios(), moduli()
         gamma = specfun.complex_gamma
         monkeypatch.setattr(specfun, "complex_gamma", lambda w: 1.001 * gamma(w))
         assert np.max(np.abs(ratios() - want)) <= 1e-11
-        # the mutation does reach H1: its measured flux is off by 2e-3
-        assert numeric_scatter.match(basis, "left").match_residual > 1e-3
+        # the mutation does reach H1: |t| rides on the transmitted end's R
+        # from the left, and on the incident end's from the right
+        left, right = (new / old for new, old in zip(moduli(), t_mod))
+        assert left == pytest.approx(1.001, rel=1e-9)
+        assert right == pytest.approx(1.0 / 1.001, rel=1e-9)
 
     def test_one_hankel_evaluation_of_the_first_kind(self, monkeypatch):
         kinds = []
@@ -1020,3 +1045,15 @@ def test_numeric_lane_snaps_its_match_node_once():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_x_match"}
     assert callers == {"_right_end"}
+
+
+def test_one_projection_reads_both_window_ends():
+    # one reader, _end, projects either window end onto its unit wave, and
+    # the result record carries no match residual
+    tree = ast.parse(inspect.getsource(numeric_scatter))
+    defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert "_end" in defined and not defined & {"_plane_end", "_hankel_end"}
+    result = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "NumericScatteringResult")
+    fields = {node.target.id for node in result.body if isinstance(node, ast.AnnAssign)}
+    assert "t_amp" in fields and "match_residual" not in fields
