@@ -112,6 +112,8 @@ def _rectangle(v0: float, w: float) -> PotentialModel:
     """rect:v0,w takes the full width w, refused under its own name."""
     if not (math.isfinite(w) and w > 0.0):
         raise DomainError(f"w must be finite and > 0, got {w!r}")
+    if w / 2.0 == 0.0:
+        raise DomainError(f"w = {w!r} is too small: its half width w/2 underflows to 0")
     return potentials.rectangular(v0, w / 2.0)
 
 
@@ -170,7 +172,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     For exponential models q and the analytic cells are computed once, as
     numpy columns over the whole energy grid; only the numeric solve runs
-    row by row, every row on the same default window and step.
+    row by row, every row on the same default window, each on its own grid.
     """
     energies = spec.energies()
     blank = [None] * energies.size
@@ -339,7 +341,7 @@ def build_parser() -> _Parser:
     wave.add_argument("--xmax", type=float, required=True)
     wave.add_argument("--n", type=int, default=201,
                       help="grid points on [xmin, xmax] (default 201); the numeric method "
-                           "snaps each to an integration node and prints each distinct node once")
+                           "makes each an integration node and prints each distinct x once")
     wave.add_argument("--out", help="output file (default stdout)")
 
     plot = sub.add_parser("plot", help="render a sweep table as an SVG chart")
@@ -416,28 +418,15 @@ def cmd_wavefunction(args) -> int:
         flux_scale = units.hbar / (units.mass * model.a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
     else:
-        # the default window, grown to cover [xmin, xmax]
+        # the default window, grown to cover [xmin, xmax]; every distinct
+        # requested x is a node of the grid
         base = numeric_scatter.default_config(model, units)
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
         )
-        # snap the requested grid to integration nodes; x reports the node
-        steps = config.steps_at(np.linspace(args.xmin, args.xmax, args.n))
-        try:
-            basis = numeric_scatter.integrate_ends(model, args.energy, config, units, steps)
-        except AccuracyError as exc:
-            # the step is fixed at a/2000, so on a window grown to the right
-            # only --xmax can bring a finite drift back under the tolerance
-            drift, _, advice = str(exc).partition(";")
-            if not (exp_family and config.x_right > base.x_right and "refine the step" in advice):
-                raise
-            z = potentials.exponential_p(model, units) * math.exp(args.xmax / (2.0 * model.a))
-            raise AccuracyError(
-                f"{drift} at --xmax {args.xmax:g} (z = {z:.3g}), where the fixed step a/2000 "
-                f"is too coarse; lower --xmax toward the default x = {base.x_right:.6g} (z = 12)"
-            ) from None
+        xs = np.array(sorted(set(np.linspace(args.xmin, args.xmax, args.n).tolist())))
+        basis = numeric_scatter.integrate_ends(model, args.energy, config, units, xs)
         result = numeric_scatter.match(basis, args.side)
-        xs = config.seed + config.step * steps
         u, du, v, dv = basis.nodes
         # psi = a_u u + a_v v on the real basis, a = c / incident, in real arithmetic
         a_u, a_v = result.c_u / result.incident, result.c_v / result.incident

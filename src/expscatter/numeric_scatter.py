@@ -2,18 +2,22 @@
 
 The solver never trusts the closed forms it is meant to check.  It builds a
 real basis {u, v} with u = 1, u' = 0, v = 0, v' = 1 at the seed, the window
-point nearest x = 0, by marching a classical fixed-step RK4 outward from
-it (so W[u, v] = 1 exactly at the seed and its drift measures integrator
-error).  The equation is linear, so every RK4 step is a 2x2 transfer
-matrix; one product stage (``_march``) builds all of them at once with
-numpy and takes their products in a blocked scan.  One reader
-(``_read_ends``, behind ``integrate_ends``) forms the Wronskian over every
-node a chunk at a time, and only the nodes its caller asks for: the two
-match nodes and, for a wavefunction, its samples.  The basis record holds
-those nodes and the drift; no node array of the window is built.  The
-potential is sampled once per window and step, and every energy of a
-sweep reuses the samples.  An exponential's default window is fixed in
-z = p exp(x/(2a)), where its depth only translates the problem.
+point nearest x = 0, by marching a classical RK4 outward from it (so
+W[u, v] = 1 exactly at the seed and its drift measures integrator error).
+Each row gets its own graded grid (``_grid``): the step at x is
+kh * min(l, 1/K(x)), K the local wavenumber and l the model's length (a,
+or a rectangle's half width), so the near-free tail of an exponential is
+crossed in steps of kh * a while its dive keeps K h = kh.  The match
+point, the rectangle edges and a wavefunction's samples are exact nodes.
+The equation is linear, so every RK4 step is a 2x2 transfer matrix; one
+product stage (``_march``) builds all of them a chunk at a time with numpy
+and takes their products in a blocked scan.  One reader (``_read_ends``,
+behind ``integrate_ends``) forms the Wronskian over every node a chunk at
+a time, and only the nodes its caller asks for: the two match nodes and,
+for a wavefunction, its samples.  The basis record holds those nodes and
+the drift; no node array of the window is built.  An exponential's
+default window is fixed in z = p exp(x/(2a)), where its depth only
+translates the problem.
 ``match`` then projects u and v, at each window end and by one Wronskian
 projection (``_end``), onto that end's rightward unit wave R: exp(ikx)
 where the potential vanishes, H1_{iq}(z) / N where it dives, with
@@ -33,7 +37,6 @@ is measured, as (hbar/m) Im(conj(R) R').
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -52,61 +55,45 @@ _CHUNK = 8192
 # |V| <= ASYMPTOTE_EPSILON * E there
 ASYMPTOTE_EPSILON = 1e-6
 DRIFT_TOLERANCE = 1e-8
+# K h per step: what the step a/2000 spends at z = 12, where K = 6/a
+KH = 0.003
+# points per length l of the table that s(x) is integrated on, and a cap on
+# its size that no window under the node cap reaches at kh = KH
+_TABLE_PER_L = 8
+_TABLE_MAX = 1 << 17
+# a scan row costs about as much as this many block carries, so blocks of
+# isqrt(n / _SCAN_BALANCE) steps balance the two loops of ``_march``
+_SCAN_BALANCE = 8
+# sample offsets within a step, as fractions of it: strictly inside, so a
+# jump on a node is seen one-sided by both neighbouring steps
+_SAMPLES = (1e-9, 0.5, 1.0 - 1e-9)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integration window and step.
+    """Integration window and step rule.
 
-    The basis is seeded at ``seed``, the window point nearest x = 0, and
-    the nodes are seed + k * step: each end is extended outward to the
-    nearest node.  Pick a step that divides any interior discontinuity
-    (the rectangular edge) for clean fourth order.
+    The basis is seeded at ``seed``, the window point nearest x = 0.  The
+    step at x is kh * min(l, 1/K(x)), K^2 = |2m (E - V(x))| / hbar^2 the
+    local wavenumber, l = a for an exponential and the half width for a
+    rectangle (see ``_grid``); the error falls as kh^4.
     """
 
     x_left: float
     x_right: float
-    step: float
+    kh: float = KH
 
     def __post_init__(self):
         if not (-math.inf < self.x_left < self.x_right < math.inf):
             raise DomainError(
                 f"need finite x_left < x_right, got [{self.x_left!r}, {self.x_right!r}]"
             )
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise DomainError(f"step must be finite and > 0, got {self.step!r}")
-        self.node_counts()
+        if not (self.kh > 0.0 and math.isfinite(self.kh)):
+            raise DomainError(f"kh must be finite and > 0, got {self.kh!r}")
 
     @property
     def seed(self) -> float:
         return min(max(0.0, self.x_left), self.x_right)
-
-    def node_counts(self) -> tuple[int, int]:
-        """(n_left, n_right) steps from the seed to the extended window ends."""
-        spans = ((self.seed - self.x_left) / self.step, (self.x_right - self.seed) / self.step)
-        n_left, n_right = (math.ceil(min(span, _MAX_NODES) - 1e-9) for span in spans)
-        if n_left + n_right + 1 > _MAX_NODES:
-            raise DomainError(
-                f"grid of about {sum(spans) + 1:.3g} nodes on [{self.x_left:g}, "
-                f"{self.x_right:g}] at step {self.step:g} exceeds the {_MAX_NODES:,} node "
-                "cap; increase step or shrink the window"
-            )
-        return n_left, n_right
-
-    def steps_at(self, xs) -> np.ndarray:
-        """Steps from the seed to the first node at or past each of the
-        ascending xs, or to the last node for an x past it, without repeats:
-        the nodes ``np.searchsorted`` finds on the grid seed + step * k,
-        found on those values without the grid."""
-        n_left, n_right = self.node_counts()
-        xs = np.asarray(xs, dtype=float)
-        k = np.clip(np.ceil((xs - self.seed) / self.step), -n_left, n_right).astype(np.int64)
-        while True:
-            down = (k > -n_left) & (self.seed + self.step * (k - 1) >= xs)
-            up = (k < n_right) & (self.seed + self.step * k < xs)
-            if not (down.any() or up.any()):
-                return k[np.diff(k, prepend=k[:1] - 1) > 0]
-            k += up.astype(np.int64) - down
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,7 @@ class BasisPair:
 
     Each node is a column of rows u, u', v, v' (float64).  ends holds the
     left end node and the right end node ``match`` reads, at x_ends; nodes
-    holds the steps a caller asked for, in the order asked.  drift is
+    holds the xs a caller asked for, in the order asked.  drift is
     max |W[u, v] - 1| over every node of the window.
     """
 
@@ -159,27 +146,17 @@ class NumericScatteringResult:
 # series behind the right-end match loses digits like e^z eps
 _Z_LEFT = 2.0 * math.exp(-10.0)
 _Z_MATCH = 12.0
-# full widths w of a rectangle whose default grid fits the node cap: every
-# float in the range fits, and the float just past either end does not
-_RECT_WIDTHS = (1.6000012800010233e-06, 2495.998)
 
 
 def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> SolverConfig:
-    """Window/step defaults that keep every catalog model well resolved."""
+    """Default windows: an exponential's runs over z in [_Z_LEFT, _Z_MATCH],
+    a rectangle's 2 units past each edge."""
     if isinstance(potential, Exponential):
         p, a = potentials.exponential_p(potential, units), potential.a
         x_left, x_right = (2.0 * a * math.log(z / p) for z in (_Z_LEFT, _Z_MATCH))
-        return SolverConfig(x_left=x_left, x_right=x_right, step=a / 2000.0)
+        return SolverConfig(x_left=x_left, x_right=x_right)
     hw = potential.half_width
-    if not _RECT_WIDTHS[0] <= 2.0 * hw <= _RECT_WIDTHS[1]:
-        raise DomainError(
-            f"rectangle width w = {2.0 * hw:g} is outside {_RECT_WIDTHS[0]!r} <= w <= "
-            f"{_RECT_WIDTHS[1]!r}, the widths whose default grid (edges on nodes, step "
-            f"<= 5e-4, 2 units past each edge) fits the {_MAX_NODES:,} node cap"
-        )
-    # land the discontinuities exactly on nodes
-    step = hw / math.ceil(hw / 5.0e-4)
-    return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0, step=step)
+    return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0)
 
 
 def integrate_ends(
@@ -187,52 +164,56 @@ def integrate_ends(
     energy: float,
     config: SolverConfig,
     units: Units = DEFAULT_UNITS,
-    steps=(),
+    xs=(),
 ) -> BasisPair:
-    """March the basis pair across [x_left, x_right] with fixed-step RK4 and
-    read it at the two nodes ``match`` reads and at the nodes ``steps``
-    (steps from the seed, negative to the left).
+    """March the basis pair across [x_left, x_right] with RK4 on the row's
+    graded grid (``_grid``) and read it at the two nodes ``match`` reads
+    and at ``xs``, each of which the grid holds as a node.
 
     Each half-window is one numpy march outward from the seed: the RK4
     transfer matrices of all its steps and their products (``_march``).
     One reader (``_read_ends``) forms the Wronskian over every node, a
     chunk at a time, and only the nodes asked for; no node array of the
-    window is built.  The ends are the left end node and the right end
-    node: the last one, or on a diving end the first at or past
-    z = _Z_MATCH.  The nodes come in the order of ``steps``, repeats
-    included.
+    window is built.  The ends are x_left and x_right, or on a diving end
+    the point z = _Z_MATCH if the window holds it.  The nodes come in the
+    order of ``xs``, repeats included.
 
     Raises
     ------
     DomainError
         For energy <= 0, for exponential models with
-        energy < 1e-6 * delta (the reduction degenerates there), for a step
+        energy < 1e-6 * delta (the reduction degenerates there), for an x
         outside the window, if the potential is not finite anywhere on the
-        grid, or for a plane-wave end that ``match`` would refuse: that is
-        refused before the march, with the same message (so it takes
-        precedence over a march that would also fail).
+        window, for a grid past the node cap, or for a plane-wave end that
+        ``match`` would refuse: that is refused before the grid is built,
+        with the same message (so it takes precedence over a march that
+        would also fail).
     AccuracyError
         If the Wronskian drifts past DRIFT_TOLERANCE or is not finite.
     """
     _check_energy(potential, energy, units)
-    n_left, n_right = config.node_counts()
-    # steps from the seed: the two ends, then the asked-for nodes as given
-    at = np.concatenate(([-n_left, _right_end(potential, units, config)],
-                         np.asarray(steps, dtype=np.int64)))
-    if not (-n_left <= at.min() and at.max() <= n_right):
-        raise DomainError(f"steps must lie in [{-n_left}, {n_right}], got [{at.min()}, {at.max()}]")
-    x_ends = tuple((config.seed + config.step * at[:2]).tolist())
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if xs.size and not (config.x_left <= xs.min() and xs.max() <= config.x_right):
+        raise DomainError(
+            f"xs must lie in [{config.x_left!r}, {config.x_right!r}], "
+            f"got [{xs.min()!r}, {xs.max()!r}]"
+        )
+    x_ends = (config.x_left, _right_end(potential, units, config))
     _plane_potential(potential, float(energy), x_ends[0], "x_left")
     if not isinstance(potential, Exponential):
         _plane_potential(potential, float(energy), x_ends[1], "x_right")
+    x, at = _grid(potential, float(energy), config, units,
+                  np.concatenate((x_ends, [config.seed], xs)))
+    # node indices of the two ends, then the asked-for nodes as given
+    seed, at = at[2], np.delete(at, 2)
     # rows u, u', v, v'; a node on the seed keeps the seed values
     nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
     drifts = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for sign, (samples, step, n) in zip((1, -1), _half_windows(potential, config)):
-            picked = sign * at > 0
-            drift, nodes[:, picked] = _read_ends(*_march(samples, energy, step, units), n,
-                                                 sign * at[picked])
+        for sign, half in ((1, x[seed:]), (-1, x[seed::-1])):
+            picked = sign * (at - seed) > 0
+            drift, nodes[:, picked] = _read_ends(*_march(potential, energy, half, units),
+                                                 half.size - 1, sign * (at[picked] - seed))
             drifts.append(drift)
     drift = float(np.max(drifts))
     _check_drift(drift, config)
@@ -261,7 +242,7 @@ def _check_drift(drift: float, config: SolverConfig) -> None:
     if drift > DRIFT_TOLERANCE:
         raise AccuracyError(
             f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
-            f"{DRIFT_TOLERANCE:.3e}; refine the step (drift falls as h^4)"
+            f"{DRIFT_TOLERANCE:.3e}; lower kh = {config.kh:g} (drift falls as kh^4)"
         )
 
 
@@ -319,77 +300,117 @@ def solve(
     return match(integrate_ends(potential, energy, config, units), side)
 
 
-@functools.lru_cache(maxsize=1)
-def _potential_samples(potential: PotentialModel, seed: float, n_left: int, n_right: int, h: float):
-    """V at the step samples of the (left, right) half-windows from the
-    seed, shared read-only by all energies; a half-window of no steps
-    samples nothing and gets zeros its march never reads."""
-    samples = tuple(
-        potentials.evaluate(potential, seed + _step_samples(n, step)) if n else np.zeros((3, 1, 1))
-        for n, step in ((n_left, -h), (n_right, h))
-    )
-    for values in samples:
-        values.flags.writeable = False
-    return samples
+def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units: Units,
+          pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending nodes of one row's grid, and the node index of each
+    of pins (window points, repeats allowed).
+
+    The step at x is kh * min(l, 1/K(x)): the nodes sit at whole steps of
+    s(x) = int max(1/l, K) dx / kh.  s is summed by the midpoint rule on a
+    table l / _TABLE_PER_L apart and inverted by ``np.interp``.  The window
+    ends, the seed, the right end ``match`` reads and the rectangle edges
+    bound segments, in which the nodes split s evenly, in the fewest steps
+    whose s increments are at most 1.  A pin that is not a node yet splits
+    the step that holds it, so asking for nodes of the grid leaves it as it
+    is.  A grid past the node cap is refused before it is built.
+    """
+    lo, hi, kh = config.x_left, config.x_right, config.kh
+    ell = potential.a if isinstance(potential, Exponential) else potential.half_width
+    edges = [] if isinstance(potential, Exponential) else [x for x in (-ell, ell) if lo < x < hi]
+    bounds = np.array(sorted({lo, config.seed, _right_end(potential, units, config), hi, *edges}))
+    # no step is longer than kh * l
+    _check_nodes((hi - lo) / (kh * ell), energy, config, ell)
+    count = min(math.ceil(_TABLE_PER_L * (hi - lo) / ell), _TABLE_MAX)
+    # a table point twice is an interval of zero width, which adds nothing to s
+    table = np.sort(np.concatenate((np.linspace(lo, hi, count + 1), bounds)))
+    if not np.all(np.isfinite(potentials.evaluate(potential, table))):
+        raise DomainError("potential is not finite on the integration grid")
+    mid = 0.5 * (table[1:] + table[:-1])
+    scale = 2.0 * units.mass / units.hbar**2
+    with np.errstate(over="ignore"):
+        k = np.sqrt(np.abs(scale * (energy - potentials.evaluate(potential, mid))))
+        s_table = np.concatenate(([0.0], np.cumsum(np.maximum(1.0 / ell, k) * np.diff(table))))
+        s_table /= kh
+    _check_nodes(s_table[-1] + bounds.size + pins.size, energy, config, ell)
+    s_bounds = np.interp(bounds, table, s_table)
+    spans = np.diff(s_bounds)
+    steps = np.maximum(1, np.ceil(spans - 1e-6)).astype(np.int64)
+    # s at every node past the first, in even increments between bounds
+    s_nodes = np.repeat(spans / steps, steps)
+    s_nodes[0] += s_bounds[0]
+    x = np.empty(s_nodes.size + 1)
+    x[1:] = np.interp(np.cumsum(s_nodes), s_table, table)
+    x[np.concatenate(([0], np.cumsum(steps)))] = bounds
+    # the first node at or past each pin: the pin itself, once inserted
+    at = np.searchsorted(x, pins)
+    if not np.array_equal(x[at], pins):
+        # np.union1d, as np.unique, imports numpy.ma on its first call
+        x = np.sort(np.concatenate((x, pins)))
+        x = x[np.concatenate(([True], x[1:] > x[:-1]))]
+        at = np.searchsorted(x, pins)
+    return x, at
 
 
-def _step_samples(n: int, h: float) -> np.ndarray:
-    """Offsets from the seed of n steps of size h (h < 0 marches left) in
-    the scan layout of ``_march``: [s, j, k] is sample s of step
-    k * width + j, width = isqrt(n).  Steps past n pad the last block and
-    repeat step n - 1.  Each sample lies strictly inside its step, so a
-    jump on a node is seen one-sided by both neighbouring steps; the inward
-    nudge moves smooth potentials by ~1e-13 * step, far below the
-    truncation error."""
-    width = max(1, math.isqrt(n))
-    blocks = max(1, -(-n // width))
-    step = np.minimum(np.arange(blocks) * width + np.arange(width)[:, None], max(n - 1, 0))
-    return (step + np.array([1e-9, 0.5, 1.0 - 1e-9])[:, None, None]) * h
+def _check_nodes(count: float, energy: float, config: SolverConfig, ell: float) -> None:
+    if not count <= _MAX_NODES:
+        raise DomainError(
+            f"the grid at E = {energy:g} needs about {count:.3g} nodes on "
+            f"[{config.x_left:g}, {config.x_right:g}], past the {_MAX_NODES:,} node cap "
+            f"(step kh min(l, 1/K), kh = {config.kh:g}, l = {ell:g}); lower E, "
+            "shrink the window, or raise l or kh"
+        )
 
 
-def _half_windows(potential: PotentialModel, config: SolverConfig):
-    """(V samples, step, step count) of the right, then the left half-window."""
-    n_left, n_right = config.node_counts()
-    h = config.step
-    v_left, v_right = _potential_samples(potential, config.seed, n_left, n_right, h)
-    return (v_right, h, n_right), (v_left, -h, n_left)
+def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units):
+    """The products of one march of u'' = g(x) u, g = 2m (V - energy)/hbar^2,
+    over the nodes x, from x[0] (the seed) outward.
 
-
-def _march(v: np.ndarray, energy: float, h: float, units: Units):
-    """The products of one march of u'' = g(x) u, g = 2m (V - energy)/hbar^2.
-
-    v holds V at three samples per step in the layout of ``_step_samples``.
+    Step i runs from x[i] to x[i + 1] and samples V at its _SAMPLES.
     Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
     applied to seed c, (1, 0) for u and (0, 1) for v; node i holds
-    P_i = M_{i-1} ... M_0 (P_0 = I).  Returns (m, carried): m[j, :, :, k]
-    is the product of steps 0..j of block k (step k * width + j), carried[:, :, k]
-    the product of all blocks before k, so P_{1 + k * width + j} is
-    m[j, :, :, k] @ carried[:, :, k] (see ``_prefix``).
+    P_i = M_{i-1} ... M_0 (P_0 = I).  Steps are laid out in blocks of
+    width = isqrt(n / _SCAN_BALANCE) steps: step k * width + j is row j of
+    block k, and steps past n pad the last block and repeat step n - 1 (a
+    zero step when there is none).  Returns (m, carried): m[j, :, :, k] is
+    the product of steps 0..j of block k, carried[:, :, k] the product of
+    all blocks before k, so P_{1 + k * width + j} is m[j, :, :, k] @
+    carried[:, :, k] (see ``_prefix``).
 
-    The scan runs sequentially inside blocks of width steps, vectorised
-    across blocks, then carries each block by the earlier block totals.
-    Every product is formed in step order, which keeps the Wronskian's
-    round-off drift as low as a plain loop's; a log-depth tree scan would
-    not.
+    The scan runs sequentially inside blocks, vectorised across blocks,
+    then carries each block by the earlier block totals.  Every product is
+    formed in step order, which keeps the Wronskian's round-off drift as
+    low as a plain loop's; a log-depth tree scan would not.
     """
-    width, blocks = v.shape[1:]
+    n = x.size - 1
+    width = max(1, math.isqrt(n // _SCAN_BALANCE))
+    blocks = max(1, -(-n // width))
     scale = 2.0 * units.mass / units.hbar**2
-    half_h, sixth_h = 0.5 * h, h / 6.0
     # m[j, r, c, k]: entry (r, c) of step k * width + j, built a chunk of rows at a time
     m = np.empty((width, 2, 2, blocks))
     rows = max(1, _CHUNK // blocks)
-    # one g buffer for every chunk: a fresh 200 KB g per chunk fragments
-    # the heap (peak RSS +1 MB over repeated numeric wavefunctions)
-    g_rows = np.empty((3, rows, blocks))
+    # the start and end node of every step in scan layout: pad steps repeat
+    # the last step, or are a zero step on the seed when there is none
+    last, pad = max(n - 1, 0), blocks * width - n
+    x0s, x1s = (np.concatenate((x[i : n + i], np.full(pad, x[min(last + i, n)])))
+                .reshape(blocks, width).T for i in (0, 1))
+    # one buffer for every chunk's h, start node and samples: fresh 200 KB
+    # temporaries per chunk fragment the heap and raise the peak RSS
+    buffer = np.empty((5, rows, blocks))
     for j in range(0, width, rows):
         mj = m[j : j + rows]
-        g0, g1, g2 = g = g_rows[:, : len(mj)]
-        np.multiply(scale, np.subtract(v[:, j : j + rows], energy, out=g), out=g)
+        h, x0 = buffer[:2, : len(mj)]
+        g0, g1, g2 = g = buffer[2:, : len(mj)]
+        np.copyto(x0, x0s[j : j + rows])
+        np.subtract(x1s[j : j + rows], x0, out=h)
+        for gs, offset in zip(g, _SAMPLES):
+            np.add(x0, np.multiply(offset, h, out=gs), out=gs)
+        np.multiply(scale, np.subtract(potentials.evaluate(potential, g), energy, out=g), out=g)
         if not np.all(np.isfinite(g)):
             raise DomainError("potential is not finite on the integration grid")
         # classical RK4 on the seeds, less the operations that are exact
         # no-ops there: seed (1, 0) has slopes k1 = (0, g0), k2 = (k2u, g1);
         # seed (0, 1) has k1 = (1, 0), k2 = (1, k2q) and k3 = (k3v, k2q)
+        half_h, sixth_h = 0.5 * h, h / 6.0
         k2u, k3u = half_h * g0, half_h * g1
         k3p = g1 * (1.0 + half_h * k2u)
         k4p = g2 * (1.0 + h * k3u)
@@ -519,15 +540,10 @@ def _plane_potential(potential: PotentialModel, energy: float, x: float, which: 
         )
 
 
-def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> int:
-    """Steps from the seed to the right-end node ``match`` reads: the last
-    one, or on a diving end the first at or past z = _Z_MATCH (the last if
-    none is)."""
+def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> float:
+    """x of the right end ``match`` reads: x_right, or on a diving end
+    z = _Z_MATCH, moved into the window if it lies outside."""
     if not isinstance(potential, Exponential):
-        return config.node_counts()[1]
-    return int(config.steps_at([_x_match(potential, units)])[0])
-
-
-def _x_match(potential: Exponential, units: Units) -> float:
-    """x of z = _Z_MATCH on an exponential."""
-    return 2.0 * potential.a * math.log(_Z_MATCH / potentials.exponential_p(potential, units))
+        return config.x_right
+    a, p = potential.a, potentials.exponential_p(potential, units)
+    return min(max(2.0 * a * math.log(_Z_MATCH / p), config.x_left), config.x_right)

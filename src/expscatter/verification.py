@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exp_barrier, numeric_scatter, potentials, specfun
-from .numeric_scatter import SolverConfig
+from .numeric_scatter import KH, SolverConfig
 from .waves import angle_distance
 
 _Q_GRID = np.logspace(np.log10(0.01), np.log10(5.0), 200)
@@ -187,22 +187,23 @@ def check_flux_wronskian_rk4() -> CheckResult:
     d = exp_barrier.reduce_params(model, energy)
 
     # order study: error of the marched u at x = 3 against the closed-form
-    # solution with the same seed values; drift itself superconverges near
-    # h^5 here (its per-step errors concentrate at the stiff right edge),
-    # so the solution value is the honest h^4 observable
+    # solution with the same seed values, on grids 8, 4 and 2 times coarser
+    # than the default; drift itself superconverges near kh^5 here (its
+    # per-step errors concentrate at the stiff right edge), so the solution
+    # value is the honest kh^4 observable
     x_probe = 3.0
     reference = _seeded_closed_form(d.p, d.q, x_probe)
-    steps = [1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0]
+    khs = [8.0 * KH, 4.0 * KH, 2.0 * KH]
     errors = []
-    for h in steps:
+    for kh in khs:
         # u(x_probe) is marched rightward from the seed x = 0; the left end
         # is the default one, where plane waves hold
-        coarse = SolverConfig(x_left=config.x_left, x_right=x_probe, step=h)
+        coarse = SolverConfig(x_left=config.x_left, x_right=x_probe, kh=kh)
         marched = numeric_scatter.integrate_ends(model, energy, coarse)
         errors.append(abs(float(marched.ends[0, 1]) - reference))
-    slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+    slope = float(np.polyfit(np.log(khs), np.log(errors), 1)[0])
     parts = [(drift, 1e-8), (abs(slope - 4.0), 0.3)]
-    detail = f"drift={drift:.3e}, order={slope:.3f} from steps a/100..a/400"
+    detail = f"drift={drift:.3e}, order={slope:.3f} from kh = 8, 4, 2 x {KH:g}"
     return _ratio("flux-wronskian-rk4", parts, detail)
 
 

@@ -184,13 +184,13 @@ def test_criterion_08_flux_wronskian_order(capsys):
     reference = float(
         ((b2_0.dvalue / det) * b1.value - (b1_0.dvalue / det) * b2.value).real
     )
-    steps = [1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0]
+    khs = [8.0 * numeric_scatter.KH, 4.0 * numeric_scatter.KH, 2.0 * numeric_scatter.KH]
     errors = []
-    for h in steps:
-        coarse = SolverConfig(x_left=-4.0, x_right=x_probe, step=h)
+    for kh in khs:
+        coarse = SolverConfig(x_left=-4.0, x_right=x_probe, kh=kh)
         marched = oracle_integrate_basis(model, energy, coarse)
         errors.append(abs(float(marched.ends[0, 1]) - reference))
-    order = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+    order = float(np.polyfit(np.log(khs), np.log(errors), 1)[0])
 
     passed = spread < 1e-8 and drift < 1e-8 and abs(order - 4.0) <= 0.3
     report(

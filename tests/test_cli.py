@@ -46,6 +46,13 @@ class TestModelGrammar:
         assert shifted[0] == 0 and "row-error" not in shifted[1]
         assert shifted == folded
 
+    def test_rect_width_whose_half_underflows_refused_under_its_own_name(self, capsys):
+        # its half width was refused before: "half_width must be ... got 0.0"
+        with pytest.raises(UsageError, match="^w = 5e-324 is too small: its half width w/2 "
+                                             "underflows to 0$"):
+            cli.parse_model("rect:v0=1,w=5e-324")
+        assert cli.parse_model("rect:v0=1,w=1e-323").half_width == 5e-324
+
     def test_rect_width_is_full_width(self):
         m = cli.parse_model("rect:v0=1,w=2")
         assert m.half_width == 1.0
@@ -308,29 +315,37 @@ class TestCommands:
     # free wavefunctions psi 3.3e-16 and 1.1e-16 of abs_psi, flux 7.8e-16
     # and 2.7e-16 relative; rect sweep |dT|, |dR| 4.4e-16, |r dphi| 2.2e-16;
     # rect wavefunction psi 6.5e-16 of abs_psi, flux 1.0e-15 relative; the
-    # E == v0 pin |dT| and flux_imbalance 1.1e-16
+    # E == v0 pin |dT| and flux_imbalance 1.1e-16.  All six were re-frozen
+    # again when each row got its graded grid, steps kh min(l, 1/K): the
+    # wavefunctions now print the requested x, not the nodes they snapped
+    # to.  Against the exact answers, parent -> graded: free sweep |dT| 0 ->
+    # 3.4e-13, drift 1.1e-12 -> 2.7e-13; free wavefunctions |psi - e^{ikx}|
+    # 4.9e-13 -> 7.7e-12 and 3.3e-13 -> 3.7e-12, flux spread 9.9e-13 ->
+    # 5.4e-14 and 2.7e-13 -> 3.3e-14; rect sweep |dT| 7.8e-16 -> 1.2e-13;
+    # rect wavefunction flux spread 2.7e-13 -> 3.8e-14; the E == v0 pin
+    # |dT| 2.5e-16 -> 8.9e-14
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
               "--method", "numeric"],
-             "81ebe4323fe0e10063542332d9a2a6149aa9181fcd6cfddc3bc35305de5156dc"),
+             "6e1d50de433958c3f1b5c8fa6f7ca8402838106c4d772e5380449dac8eaf37ae"),
             (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
               "--xmax", "6", "--n", "300"],
-             "912f78bddf626aabd506e5e03b8d112b6b080706cb4f2506fafdf97b125e0c37"),
+             "bf69f9e8056600b820b72cf19d82164ea045727100edda3d82ee916b76a88370"),
             (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
               "--xmin", "-2", "--xmax", "2"],
-             "9bbb837eb15a9c31ea43f3c4665cdb699904ebd4e59612999b4ca76a73664c4b"),
+             "17d18fd4b58a206db30b266c01dd5ce1902cd1345b69c503fe5d8db199f05d3d"),
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "495d30bb6f98b9f1d6724c66dae01431ac97b92cf4f2a49173b341651cc829a7"),
+             "679723a82e4fe2235033d4a204a998d87cedfa72b067640cf0019ccf1627fae7"),
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "8a3e4156c2a418717fb88cb401069f74274755774a4c1cf3996ac89ea4c45106"),
+             "3c2bfd927565751e9f3075da51667bcfc8ecf8502667b06fabdb390856ec58b4"),
             # E == v0 on the second row: g is exactly zero inside the barrier
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
-             "5b4f999d1be34cac542fb40b80b3719d6a5fa9db49e2e1bd3a6fec0ac7c61527"),
+             "92f87953468c3fba578116f6d3c2aea98cba8741c584290cfb09dbb4b82dca61"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
              "rect-wavefunction-right", "rect-sweep-at-v0"],
@@ -463,28 +478,43 @@ class TestCommands:
         t_exact, _ = exp_barrier.transmission_reflection(q)
         assert abs(flux.mean() / q - t_exact) <= 1e-9
 
-    def test_wavefunction_numeric_prints_each_node_once(self, capsys):
-        # 400 requested x on [0, 1e-3] snap to the 3 nodes of step a/2000
-        # there; the analytic method prints every requested x
+    def test_wavefunction_numeric_prints_each_requested_x(self, capsys):
+        # 400 requested x on [0, 1e-3], 2.5e-6 apart, are each a node of the
+        # graded grid (they snapped to the 3 nodes 0, 5e-4, 1e-3 of the
+        # uniform step a/2000 before): both methods print the same x
         argv = ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "0.5",
                 "--xmin", "0", "--xmax", "0.001", "--n", "400", "--method"]
         code_n, out_n, _ = run_cli(argv + ["numeric"], capsys)
         code_a, out_a, _ = run_cli(argv + ["analytic"], capsys)
         assert code_n == code_a == 0
-        xs = [float(line.split(",")[0]) for line in out_n.splitlines()[2:]]
-        assert xs == [0.0, 5e-4, 1e-3]
-        assert len(out_a.splitlines()[2:]) == 400
+        xs = [[line.split(",")[0] for line in out.splitlines()[2:]] for out in (out_n, out_a)]
+        assert xs[0] == xs[1] and len(xs[0]) == 400
+        assert [float(x) for x in xs[0]] == np.linspace(0.0, 1e-3, 400).tolist()
 
-    def test_wavefunction_drift_refusal_names_xmax(self, capsys):
-        # the step is fixed, so the advice is about the grown window end
-        code, _, err = run_cli(
+    def test_wavefunction_numeric_prints_each_distinct_x_once(self, capsys):
+        # 5 requested x within 2 ulps of 1 are 3 distinct floats
+        code, out, _ = run_cli(["wavefunction", "--method", "numeric", "--model", "free",
+                                "--energy", "1", "--xmin", "1", "--xmax",
+                                repr(float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))),
+                                "--n", "5"], capsys)
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in out.splitlines()[2:]]
+        assert xs == sorted(set(xs)) and len(xs) == 3
+
+    def test_wavefunction_to_z180_is_solved(self, capsys):
+        # the fixed step a/2000 drifted 7.7e-8 here and the window was
+        # refused (exit 2); the graded step keeps K h = kh out to z = 180
+        code, out, err = run_cli(
             ["wavefunction", "--method", "numeric", "--model", "exp:v0=1,a=1",
              "--energy", "0.25", "--xmin", "-20", "--xmax", "9"],
             capsys,
         )
-        assert code == 2
-        assert "Wronskian drift 7.697e-08 exceeds DRIFT_TOLERANCE 1.000e-08" in err
-        assert "--xmax 9 (z = 180)" in err and "refine the step" not in err
+        assert (code, err) == (0, "")
+        flux = np.array([float(line.split(",")[4]) for line in out.splitlines()[2:]])
+        assert flux.size == 201 and np.ptp(flux) <= 1e-9 * abs(flux.mean())
+        # unit incident wave: flux = T hbar k / m = T q here, q = 1
+        t_exact, _ = exp_barrier.transmission_reflection(1.0)
+        assert abs(flux.mean() / 1.0 - t_exact) <= 1e-9
 
     def test_low_energy_refusal_names_the_lowest_energy(self, capsys):
         code, out, _ = run_cli(
@@ -615,20 +645,16 @@ class TestCommands:
               "--n", "3"], "a = 1e-200 is out of range"),
             (["sweep", "--model", "rect:v0=1,w=2", "--hbar", "1e200", "--emin", "1",
               "--emax", "2", "--n", "3", "--method", "numeric"], "hbar = 1e+200 is out of range"),
-            # windows too wide for any grid, and p = sqrt(8 m v0) a / hbar out of range:
-            # OverflowError, ValueError and ZeroDivisionError tracebacks before
-            (["sweep", "--model", "rect:v0=1,w=1e308", "--emin", "1", "--emax", "2",
-              "--n", "3", "--method", "numeric"], "5,000,000 node cap"),
-            (["sweep", "--model", "rect:v0=1,w=1e300", "--emin", "1", "--emax", "2",
-              "--n", "3", "--method", "numeric"], "width w = 1e+300 is outside"),
-            # no flag sets a sweep's step or window, so a rectangle its default
-            # grid cannot hold is refused by width ("increase step" before)
-            (["sweep", "--model", "rect:v0=1,w=1e-300", "--emin", "0.1", "--emax", "1",
-              "--method", "numeric"],
-             "width w = 1e-300 is outside 1.6000012800010233e-06 <= w <= 2495.998,"),
-            (["sweep", "--model", "rect:v0=1,w=1e6", "--emin", "0.1", "--emax", "1",
-              "--method", "numeric"],
-             "width w = 1e+06 is outside 1.6000012800010233e-06 <= w <= 2495.998,"),
+            # windows too wide or rectangles too narrow for any grid, and
+            # p = sqrt(8 m v0) a / hbar out of range: OverflowError, ValueError
+            # and ZeroDivisionError tracebacks before
+            # the default window's ends round onto the edges of this rectangle
+            (["wavefunction", "--model", "rect:v0=1,w=1e308", "--energy", "1", "--xmin", "-1",
+              "--xmax", "1"], "|V(x_left)| = 1.000e+00 exceeds ASYMPTOTE_EPSILON"),
+            (["wavefunction", "--model", "rect:v0=1,w=1e-300", "--energy", "1", "--xmin", "-1",
+              "--xmax", "1"], "past the 5,000,000 node cap"),
+            (["sweep", "--model", "rect:v0=1,w=5e-324", "--emin", "0.1", "--emax", "1",
+              "--method", "numeric"], "w = 5e-324 is too small: its half width w/2 underflows"),
             (["sweep", "--model", "exp:v0=1e308,a=1", "--emin", "1", "--emax", "2",
               "--n", "3", "--method", "numeric"], "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf"),
             # the analytic lane used to print a row error per row and exit 2
@@ -646,8 +672,28 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
 
+    @pytest.mark.parametrize(
+        "model, emin, emax",
+        [("rect:v0=1,w=1e-300", "0.1", "1"), ("rect:v0=1,w=1e6", "0.1", "0.5"),
+         ("exp:v0=1,a=1", "1e6", "1e7")],
+    )
+    def test_rows_past_the_node_cap_refused_before_the_march(self, model, emin, emax,
+                                                             monkeypatch, capsys):
+        # a grid is built per row, so the cap refuses rows and names their E;
+        # no RK4 step is taken first
+        monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
+        code, out, err = run_cli(["sweep", "--model", model, "--emin", emin, "--emax", emax,
+                                  "--n", "3", "--method", "numeric"], capsys)
+        assert (code, err) == (2, "error: every sweep row failed\n")
+        errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
+        energies = np.logspace(math.log10(float(emin)), math.log10(float(emax)), 3)
+        assert len(errors) == 3
+        for line, energy in zip(errors, energies):
+            assert f"the grid at E = {energy:g} needs about " in line
+            assert "past the 5,000,000 node cap" in line
+
     def test_sweep_builds_one_solver_config(self, monkeypatch, capsys):
-        # the window and step do not depend on the energy
+        # the window does not depend on the energy; each row grids it
         calls = []
         build = numeric_scatter.default_config
         monkeypatch.setattr(

@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from expscatter import cli, exp_barrier, numeric_scatter, potentials, specfun, waves
 from expscatter.errors import AccuracyError, DomainError
-from expscatter.numeric_scatter import DEFAULT_UNITS, SolverConfig
+from expscatter.numeric_scatter import DEFAULT_UNITS, KH, SolverConfig
 
 EXP_MODEL = potentials.exponential(1.0, 1.0)
 
@@ -34,29 +35,40 @@ def rect_transmission(energy, v0, width, mass=0.5, hbar=1.0):
 RECT_T_FROZEN = 0.21077109396613053509
 
 
+def grid(potential, energy, config, units=DEFAULT_UNITS):
+    """(every node of the row's grid, ascending; the seed's index; the right
+    end's index), as ``integrate_ends`` builds it for no asked-for x."""
+    right = numeric_scatter._right_end(potential, units, config)
+    x, at = numeric_scatter._grid(potential, energy, config, units,
+                                  np.array([config.x_left, right, config.seed]))
+    assert at[0] == 0
+    return x, int(at[2]), int(at[1])
+
+
+def local_wavenumber(potential, energy, x, units=DEFAULT_UNITS):
+    scale = 2.0 * units.mass / units.hbar**2
+    return np.sqrt(np.abs(scale * (energy - potentials.evaluate(potential, x))))
+
+
 class TestBasisIntegration:
     def test_free_basis_is_cos_sin(self):
         # V = 0, E = 1, m = 1/2: u'' = -u, so u = cos x, v = sin x
-        config = SolverConfig(x_left=-2.0, x_right=2.0, step=1e-3)
-        steps = config.steps_at([0.5])
-        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, config, steps=steps)
-        x = float(config.seed + config.step * steps[0])
+        config = SolverConfig(x_left=-2.0, x_right=2.0)
+        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, config, xs=[0.5])
         u, du, v, _ = basis.nodes[:, 0]
-        assert u == pytest.approx(math.cos(x), abs=1e-10)
-        assert v == pytest.approx(math.sin(x), abs=1e-10)
-        assert du == pytest.approx(-math.sin(x), abs=1e-10)
+        assert u == pytest.approx(math.cos(0.5), abs=1e-10)
+        assert v == pytest.approx(math.sin(0.5), abs=1e-10)
+        assert du == pytest.approx(-math.sin(0.5), abs=1e-10)
 
     def test_square_well_interior_basis(self):
         # V = -1 inside |x| <= 1, E = 1: u'' = -2u there, u = cos(sqrt(2) x)
         well = potentials.rectangular(-1.0, 1.0)
-        config = SolverConfig(x_left=-3.0, x_right=3.0, step=1e-3)
-        steps = config.steps_at([0.5])
-        basis = numeric_scatter.integrate_ends(well, 1.0, config, steps=steps)
-        x = float(config.seed + config.step * steps[0])
+        config = SolverConfig(x_left=-3.0, x_right=3.0)
+        basis = numeric_scatter.integrate_ends(well, 1.0, config, xs=[0.5])
         u, _, v, _ = basis.nodes[:, 0]
         root2 = math.sqrt(2.0)
-        assert u == pytest.approx(math.cos(root2 * x), abs=1e-10)
-        assert v == pytest.approx(math.sin(root2 * x) / root2, abs=1e-10)
+        assert u == pytest.approx(math.cos(root2 * 0.5), abs=1e-10)
+        assert v == pytest.approx(math.sin(root2 * 0.5) / root2, abs=1e-10)
 
     def test_wronskian_pinned_to_one(self):
         config = numeric_scatter.default_config(EXP_MODEL)
@@ -65,17 +77,17 @@ class TestBasisIntegration:
         assert abs(u * dv - du * v - 1.0) < 1e-9
         assert basis.drift < 1e-9
 
-    def test_drift_improves_with_step(self):
+    def test_drift_improves_with_kh(self):
         # x_left = -8 fails the plane-wave end that integrate_ends checks
         drifts = []
-        for div in (250, 500):
-            config = SolverConfig(x_left=-8.0, x_right=3.0, step=1.0 / div)
+        for kh in (8.0 * KH, 4.0 * KH):
+            config = SolverConfig(x_left=-8.0, x_right=3.0, kh=kh)
             drifts.append(oracle_integrate_basis(EXP_MODEL, 0.25, config).drift)
         assert drifts[0] / drifts[1] > 8.0
 
-    def test_coarse_step_raises_accuracy_error(self):
-        config = SolverConfig(x_left=-8.0, x_right=3.0, step=1.0 / 40.0)
-        with pytest.raises(AccuracyError, match="refine"):
+    def test_coarse_kh_raises_accuracy_error(self):
+        config = SolverConfig(x_left=-8.0, x_right=3.0, kh=0.1)
+        with pytest.raises(AccuracyError, match="lower kh = 0.1"):
             oracle_integrate_basis(EXP_MODEL, 0.25, config)
 
     def test_overflowing_basis_refused(self):
@@ -102,81 +114,142 @@ class TestBasisIntegration:
     def test_config_validation(self):
         for ends in ((1.0, 1.0), (2.0, 1.0), (0.0, -1e-3)):
             with pytest.raises(DomainError, match="x_left < x_right"):
-                SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
-        with pytest.raises(DomainError):
-            SolverConfig(x_left=-1.0, x_right=1.0, step=0.0)
+                SolverConfig(x_left=ends[0], x_right=ends[1])
+        for kh in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(DomainError, match="kh must be finite and > 0"):
+                SolverConfig(x_left=-1.0, x_right=1.0, kh=kh)
         for ends in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="finite"):
-                SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
-
-    def test_rect_widths_are_the_default_grid_edges(self):
-        # default_config holds a rectangle exactly while the grid it builds
-        # (edges on nodes, step <= 5e-4, 2 past each edge) fits the node cap
-        def grid(w):
-            hw = w / 2.0
-            return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0,
-                                step=hw / math.ceil(hw / 5.0e-4))
-
-        for w, outward in zip(numeric_scatter._RECT_WIDTHS, (0.0, math.inf)):
-            assert numeric_scatter.default_config(potentials.rectangular(1.0, w / 2.0)) == grid(w)
-            past = float(np.nextafter(w, outward))
-            with pytest.raises(DomainError, match="node cap; increase step"):
-                grid(past)
-            with pytest.raises(DomainError, match=f"width w = {past:g} is outside"):
-                numeric_scatter.default_config(potentials.rectangular(1.0, past / 2.0))
+                SolverConfig(x_left=ends[0], x_right=ends[1])
 
     @pytest.mark.parametrize(
-        "ends, seed, counts",
-        [((-1.0, 2.0), 0.0, (1000, 2000)), ((1.0, 2.0), 1.0, (0, 1000)),
-         ((-2.0, -1.0), -1.0, (1000, 0)), ((0.0, 1.0), 0.0, (0, 1000))],
+        "potential, energy, config",
+        [
+            # a narrow rectangle: every step is at most kh * w/2 = 1.5e-9
+            (potentials.rectangular(1.0, 5e-7), 1.0, None),
+            # K h = kh across a window of 2e7 wavelengths
+            (potentials.free(), 1.0, SolverConfig(x_left=-1e5, x_right=1e5)),
+            # K = 1e4 and 1e3 over the default windows
+            (potentials.rectangular(1.0, 1.0), 1e8, None),
+            (EXP_MODEL, 1e6, None),
+        ],
+        ids=["narrow-rect", "wide-window", "high-energy-rect", "high-energy-exp"],
     )
-    def test_seed_is_the_window_point_nearest_zero(self, ends, seed, counts):
-        config = SolverConfig(x_left=ends[0], x_right=ends[1], step=1e-3)
-        assert config.seed == seed and config.node_counts() == counts
+    def test_grid_past_the_node_cap_refused_before_the_march(
+            self, potential, energy, config, monkeypatch):
+        config = config or numeric_scatter.default_config(potential)
+        monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
+        with pytest.raises(DomainError, match=re.escape(f"the grid at E = {energy:g} needs about")
+                           + ".* past the 5,000,000 node cap"):
+            numeric_scatter.integrate_ends(potential, energy, config)
 
     @pytest.mark.parametrize(
-        "ends, step",
-        [((-20.0, 3.5835189384561099), 5e-4), ((1.0, 2.0), 1e-3), ((-2.0, -1.0), 1.0 / 997.0),
-         ((-3.0, 2.0), 1.0 / 997.0)],
+        "ends, seed",
+        [((-1.0, 2.0), 0.0), ((1.0, 2.0), 1.0), ((-2.0, -1.0), -1.0), ((0.0, 1.0), 0.0)],
     )
-    def test_steps_at_are_the_nodes_searchsorted_finds(self, ends, step):
-        config = SolverConfig(x_left=ends[0], x_right=ends[1], step=step)
-        n_left, n_right = config.node_counts()
-        grid = config.seed + config.step * np.arange(-n_left, n_right + 1)
-        xs = np.sort(np.concatenate((
-            np.random.default_rng(7).uniform(ends[0] - 1.0, ends[1] + 1.0, 2000),
-            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf))))
-        want = np.unique(np.searchsorted(grid, xs).clip(0, grid.size - 1)) - n_left
-        assert config.steps_at(xs).tolist() == want.tolist()
+    def test_seed_is_the_window_point_nearest_zero(self, ends, seed):
+        config = SolverConfig(x_left=ends[0], x_right=ends[1])
+        x, i_seed, _ = grid(potentials.free(), 1.0, config)
+        assert config.seed == seed and x[i_seed] == seed
+        assert (x[0], x[-1]) == ends
 
-    def test_steps_outside_the_window_refused(self):
-        config = SolverConfig(x_left=-2.0, x_right=2.0, step=1e-3)
-        for steps in ([-2001], [2001], [0, 2001]):
-            with pytest.raises(DomainError, match="steps must lie in"):
-                numeric_scatter.integrate_ends(potentials.free(), 1.0, config, steps=steps)
+    @pytest.mark.parametrize(
+        "potential, energy, config",
+        [
+            (EXP_MODEL, 0.01, None), (EXP_MODEL, 0.25, None), (EXP_MODEL, 5.0, None),
+            (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5)),
+            (potentials.exponential(200.0, 1.0), 1.0, None),
+            (potentials.rectangular(1.0, 1.0), 0.5, None),
+            (potentials.rectangular(1.0, 1.0), 1.0, None),
+            (potentials.rectangular(-3.0, 0.2), 4.0, SolverConfig(x_left=-1.0, x_right=5.0)),
+            (potentials.free(), 0.1, None),
+        ],
+    )
+    def test_steps_follow_the_rule(self, potential, energy, config):
+        # h = kh min(l, 1/K) at each step's midpoint, to the table's 7%:
+        # K varies by e^{1/16} over a table interval l/8 wide
+        config = config or numeric_scatter.default_config(potential)
+        x, _, _ = grid(potential, energy, config)
+        h = np.diff(x)
+        ell = getattr(potential, "a", None) or potential.half_width
+        k_mid = local_wavenumber(potential, energy, x[:-1] + 0.5 * h)
+        ratio = h * np.maximum(1.0 / ell, k_mid) / config.kh
+        assert np.all(h > 0.0)
+        assert 0.93 <= ratio.min() and ratio.max() <= 1.07
+
+    def test_pins_are_exact_nodes(self):
+        # the ends, the seed, the match point, the edges and any x asked for
+        rect = potentials.rectangular(1.0, 0.7)
+        xs = np.array([0.3, -0.3, 2.0, 0.7, 0.3, 1e-13, -2.7])
+        for potential, config in ((rect, numeric_scatter.default_config(rect)),
+                                  (EXP_MODEL, SolverConfig(x_left=-20.0, x_right=5.5))):
+            pins = np.concatenate(([config.x_left, config.seed, config.x_right], xs))
+            x, at = numeric_scatter._grid(potential, 0.5, config, DEFAULT_UNITS, pins)
+            assert x[at].tolist() == pins.tolist()
+            assert np.all(np.diff(x) > 0.0)
+        x, _, i_right = grid(rect, 0.5, numeric_scatter.default_config(rect))
+        assert {-0.7, 0.7} <= set(x.tolist()) and i_right == x.size - 1
+        x, _, i_right = grid(EXP_MODEL, 0.5, SolverConfig(x_left=-20.0, x_right=5.5))
+        assert x[i_right] == 2.0 * math.log(6.0)
+
+    @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep", "rect-edges-on-nodes"])
+    def test_pinning_nodes_of_the_grid_leaves_it_alone(self, name):
+        # an asked-for x splits the step that holds it, so asking for nodes
+        # splits no step
+        potential, energy, config = bit_case(name)
+        x, i_seed, i_right = grid(potential, energy, config)
+        some = x[np.random.default_rng(5).integers(0, x.size, 50)]
+        for xs in (x[::-1], some):
+            pins = np.concatenate(([config.x_left, x[i_right], config.seed], xs))
+            again, at = numeric_scatter._grid(potential, energy, config, DEFAULT_UNITS, pins)
+            assert again.tobytes() == x.tobytes()
+            assert at[:3].tolist() == [0, i_right, i_seed] and x[at[3:]].tobytes() == xs.tobytes()
+        # an x off the grid splits one step
+        xs = 0.5 * (x[:-1] + x[1:])[::997]
+        pins = np.concatenate(([config.x_left, x[i_right], config.seed], xs))
+        again, at = numeric_scatter._grid(potential, energy, config, DEFAULT_UNITS, pins)
+        assert again.tobytes() == np.union1d(x, xs).tobytes()
+        assert again[at].tobytes() == pins.tobytes()
+
+    def test_nodes_grow_with_the_wavenumber(self):
+        # README rows: the step is kh a in the tail while K < 1/a, kh / K past it
+        config = numeric_scatter.default_config(EXP_MODEL)
+        counts = [grid(EXP_MODEL, energy, config)[0].size for energy in (0.01, 1.0, 5.0, 100.0)]
+        assert counts == [10_004, 10_408, 19_376, 79_189]
+
+    def test_xs_outside_the_window_refused(self):
+        config = SolverConfig(x_left=-2.0, x_right=2.0)
+        for xs in ([-2.001], [2.001], [0.0, 2.001], [math.nan]):
+            with pytest.raises(DomainError, match="xs must lie in"):
+                numeric_scatter.integrate_ends(potentials.free(), 1.0, config, xs=xs)
 
     def test_window_off_zero_samples_only_inside(self, monkeypatch):
         # the seed is x_left, so the left half-window has no steps
         seen = []
         evaluate = potentials.evaluate
-        monkeypatch.setattr(potentials, "evaluate", lambda m, x: seen.append(x) or evaluate(m, x))
-        numeric_scatter._potential_samples.cache_clear()
-        config = SolverConfig(x_left=1.0, x_right=2.0, step=1e-3)
+        monkeypatch.setattr(potentials, "evaluate",
+                            lambda m, x: seen.append(np.array(x)) or evaluate(m, x))
+        config = SolverConfig(x_left=1.0, x_right=2.0)
         # the oracle: integrate_ends also evaluates V at the plane-wave ends
         basis = oracle_integrate_basis(potentials.rectangular(1.0, 0.5), 0.5, config)
-        assert basis.x_ends[0] == 1.0 and basis.nodes.shape == (4, 1001)
+        assert basis.x_ends[0] == 1.0 and basis.nodes.shape[1] > 1
         assert basis.nodes[0, 0] == 1.0 and basis.nodes[3, 0] == 1.0
-        assert seen and all(1.0 < np.min(x) and np.max(x) < 2.0 for x in seen)
+        # the grid's table reads the window ends, the march only inside
+        # but for the left half's zero step, which samples the seed itself
+        assert seen and all(1.0 <= np.min(x) and np.max(x) <= 2.0 for x in seen)
+        marched = [x for x in seen if np.ndim(x) == 3]
+        assert [x.tolist() for x in marched if x.size == 3] == [[[[1.0]], [[1.0]], [[1.0]]]]
+        assert all(1.0 < np.min(x) and np.max(x) < 2.0 for x in marched if x.size > 3)
 
 
-def loop_march(g, h):
+def loop_march(g, hs):
     """Scalar RK4 march of the (u, v) pair, one step at a time: the oracle
-    for the step-matrix march.  g holds 3 samples per step."""
+    for the step-matrix march.  g holds 3 samples per step, hs the steps."""
     u, du, v, dv = 1.0, 0.0, 0.0, 1.0
     us = [u]; dus = [du]; vs = [v]; dvs = [dv]
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    for i in range(len(g) // 3):
+    for i, h in enumerate(hs):
+        half_h = 0.5 * h
+        sixth_h = h / 6.0
         g0 = g[3 * i]; g1 = g[3 * i + 1]; g2 = g[3 * i + 2]
         k1u = du;                k1p = g0 * u
         k2u = du + half_h * k1p; k2p = g1 * (u + half_h * k1u)
@@ -195,44 +268,46 @@ def loop_march(g, h):
 
 
 def loop_basis(potential, energy, config):
-    """(u, u', v, v') over the whole window from the scalar oracle, sampled
+    """(u, u', v, v') over the whole grid from the scalar oracle, sampled
     exactly as integrate_ends samples."""
-    n_left, n_right = config.node_counts()
-    h = config.step
+    x, i_seed, _ = grid(potential, energy, config)
     scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
 
-    def g(n, step):
-        # the scan layout back in step order: [s, j, k] is step k * width + j
-        xs = numeric_scatter._step_samples(n, step).transpose(2, 1, 0).reshape(-1)[: 3 * n]
-        return (scale * (potentials.evaluate(potential, xs) - energy)).tolist()
+    def half(nodes):
+        g = scale * (potentials.evaluate(potential, oracle_samples(nodes)) - energy)
+        return loop_march(g.tolist(), np.diff(nodes).tolist())
 
-    right = loop_march(g(n_right, h), h)
-    left = loop_march(g(n_left, -h), -h)
+    right, left = half(x[i_seed:]), half(x[i_seed::-1])
     return [np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)]
 
 
-def to_scan(g):
-    """Step-ordered samples (three per step) in the scan layout of the march:
-    [s, j, k] is sample s of step k * width + j, width = isqrt(n); the pad
-    steps of the last block repeat the last step."""
-    n = g.size // 3
-    width = max(1, math.isqrt(n))
-    blocks = -(-n // width)
-    steps = g.reshape(n, 3)
-    padded = np.concatenate((steps, np.repeat(steps[-1:], blocks * width - n, axis=0)))
-    return padded.reshape(blocks, width, 3).transpose(2, 1, 0)
+def rough(model, x):
+    """A stand-in potential for the march tests, rough on every scale of
+    their steps."""
+    x = np.asarray(x, dtype=float)
+    return np.cos(977.0 * x) + 0.5 * np.sin(31.0 * x) - 0.5
 
 
-def products(scan, h):
-    """The product stage on samples that are g itself: with m = 1/2 and
-    hbar = 1, g = 1.0 * (g - 0.0)."""
-    return numeric_scatter._march(scan, 0.0, h, DEFAULT_UNITS)
+@pytest.fixture
+def rough_potential(monkeypatch):
+    monkeypatch.setattr(potentials, "evaluate", rough)
 
 
-def march(g, h):
-    """(u, u', v, v') that the oracle node writer gives for step-ordered samples g."""
-    out = np.empty((4, g.size // 3 + 1))
-    oracle_write_nodes(*products(to_scan(g), h), g.size // 3, out)
+def random_nodes(n, direction, seed=None):
+    """n + 1 nodes from the seed x = 0.25 outward, steps 5e-4 to 1.5e-3."""
+    steps = np.random.default_rng(n if seed is None else seed).uniform(5e-4, 1.5e-3, n)
+    return 0.25 + direction * np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def products(x):
+    """The product stage on the rough potential at E = 0, m = 1/2, hbar = 1."""
+    return numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS)
+
+
+def march(x):
+    """(u, u', v, v') that the oracle node writer gives for the nodes x."""
+    out = np.empty((4, x.size))
+    oracle_write_nodes(*products(x), x.size - 1, out)
     return list(out)
 
 
@@ -248,76 +323,86 @@ def assert_same_march(got, want, rel=1e-12):
         assert np.max(np.abs(g_col - w_col)) <= rel * np.max(np.abs(w_col))
 
 
+@pytest.mark.usefixtures("rough_potential")
 class TestStepMatrixMarch:
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 40000])
     def test_equals_scalar_loop(self, n):
-        # block widths of about sqrt(n) with full, partial and single blocks
-        g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
-        for h in (1e-3, -1e-3):
-            assert_same_march(march(g, h), loop_march(g.tolist(), h))
+        # block widths of about sqrt(n / 8) with full, partial and single blocks
+        for direction in (1.0, -1.0):
+            x = random_nodes(n, direction)
+            g = 1.0 * (rough(None, oracle_samples(x)) - 0.0)
+            assert_same_march(march(x), loop_march(g.tolist(), np.diff(x).tolist()))
 
     def test_no_steps_is_the_seed(self):
         out = np.empty((4, 1))
-        m, carried = products(np.zeros((3, 1, 1)), 1e-3)
+        m, carried = products(np.array([0.25]))
         oracle_write_nodes(m, carried, 0, out)
         assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
         drift, nodes = numeric_scatter._read_ends(m, carried, 0, [])
         assert drift == 0.0 and nodes.shape == (4, 0)
 
     def test_pad_steps_do_not_reach_the_nodes(self):
-        # n = 17: width 4, five blocks, the last one step and three pad
-        # steps; g = 1e300 overflows the pad steps' matrices to inf and nan
-        # (the stage refuses a non-finite g itself)
-        g = np.random.default_rng(17).uniform(-2.0, 1.0, 3 * 17)
-        want = march(g, 1e-3)
-        scan = to_scan(g).copy()
-        scan[:, 1:, -1] = 1e300
-        out = np.empty((4, 18))
-        with np.errstate(over="ignore", invalid="ignore"):
-            m, carried = products(scan, 1e-3)
-            assert not np.all(np.isfinite(m[1:, :, :, -1]))
-            oracle_write_nodes(m, carried, 17, out)
-            drift, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
+        # n = 35: width 2, 18 blocks, the last one step and one pad step;
+        # a non-finite pad product must reach neither the drift nor a node
+        x = random_nodes(35, 1.0)
+        want = march(x)
+        m, carried = products(x)
+        assert m.shape == (2, 2, 2, 18)
+        m[1, :, :, -1] = np.nan
+        out = np.empty((4, 36))
+        oracle_write_nodes(m, carried, 35, out)
+        drift, nodes = numeric_scatter._read_ends(m, carried, 35, np.arange(1, 36))
         assert np.array_equal(out, want)
         assert np.isfinite(drift) and drift == drift_of(want)
         assert nodes.tobytes() == out[:, 1:].tobytes()
 
-    def test_non_finite_samples_refused(self):
-        g = np.random.default_rng(3).uniform(-2.0, 1.0, 3 * 40)
+    def test_non_finite_samples_refused(self, monkeypatch):
+        x = random_nodes(120, 1.0, seed=3)
         for bad in (np.nan, np.inf):
-            scan = to_scan(g).copy()
-            scan[2, 3, 1] = bad
+            monkeypatch.setattr(potentials, "evaluate",
+                                lambda m, xs, bad=bad: np.where(xs > x[70], bad, rough(m, xs)))
             with pytest.raises(DomainError, match="potential is not finite"):
-                products(scan, 1e-3)
+                products(x)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_reader_equals_the_node_writer(self, n):
         # the drift and the picked nodes, every node in any order and
         # repeats included, bit for bit, without the node array
-        g = np.random.default_rng(n).uniform(-2.0, 1.0, 3 * n)
         every = np.random.default_rng(n).permutation(np.arange(1, n + 1))
-        for h in (1e-3, -1e-3):
-            nodes = np.array(march(g, h))
-            made = products(to_scan(g), h)
+        for direction in (1.0, -1.0):
+            x = random_nodes(n, direction)
+            nodes = np.array(march(x))
+            made = products(x)
             for picks in (every, sorted({1, n // 2 + 1, n}), [n, 1, n, n // 2 + 1, 1], []):
                 drift, picked = numeric_scatter._read_ends(*made, n, picks)
                 assert drift == drift_of(nodes)
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
-    def test_step_samples_are_step_ordered_abscissae_in_scan_layout(self, n):
-        # same floats as the step-ordered samples; the pad adds no abscissa
-        for h in (5e-4, -5e-4):
-            want = to_scan(math.copysign(1.0, h) * oracle_step_samples(n, abs(h)))
-            got = numeric_scatter._step_samples(n, h)
-            assert got.shape == want.shape
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-            assert 0.0 < np.min(got / h) and np.max(got / h) < n
+    def test_samples_are_the_step_offsets(self, n, monkeypatch):
+        # the march samples each step at its _SAMPLES, the same floats as
+        # the step-ordered oracle; the pad adds no abscissa
+        seen = []
+        monkeypatch.setattr(potentials, "evaluate",
+                            lambda m, xs: seen.append(xs.copy()) or rough(m, xs))
+        for direction in (1.0, -1.0):
+            x = random_nodes(n, direction)
+            seen.clear()
+            m, _ = products(x)
+            width, blocks = m.shape[0], m.shape[-1]
+            # back from scan layout to step order: [s, j, k] is step k * width + j
+            got = np.concatenate(seen, axis=1).transpose(2, 1, 0).reshape(-1)[: 3 * n]
+            assert got.tobytes() == oracle_samples(x).tobytes()
+            assert width == max(1, math.isqrt(n // 8)) and blocks == -(-n // width)
+            inside = (got.reshape(n, 3) - x[:-1, None]) / np.diff(x)[:, None]
+            assert 0.0 < inside.min() and inside.max() < 1.0
 
+
+class TestMarchOnModels:
     @pytest.mark.parametrize(
         "potential, energy",
         [
-            (EXP_MODEL, 0.25),  # 40,000 steps of near-free left tail
+            (EXP_MODEL, 0.25),  # 6,673 steps of near-free left tail
             (potentials.rectangular(1.0, 1.0), 0.5),  # across both barrier edges
             (potentials.free(), 1.0),
         ],
@@ -330,33 +415,36 @@ class TestStepMatrixMarch:
 
     def test_drift_floor_on_default_exp_window(self):
         # round-off floor (~3e-14) of products formed in step order; a
-        # log-depth tree scan over the 40,000-step left tail gives ~1e-12
+        # log-depth tree scan over the left tail gives ~1e-12
         config = numeric_scatter.default_config(EXP_MODEL)
         basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
         assert basis.drift <= 2e-13
 
 
-# The march before the scan layout, kept verbatim (bar the oracle_ names)
-# as the oracle that the current march must reproduce bit for bit.
+# The march before the scan layout, kept (bar the oracle_ names and the
+# step per node) as the oracle that the current march must reproduce bit
+# for bit.
 
 
-def oracle_step_samples(n: int, h: float) -> np.ndarray:
-    """Sample abscissae for n steps of size h: three per step, all interior."""
-    base = np.repeat(np.arange(n, dtype=float), 3)
-    offsets = np.tile(np.array([1e-9, 0.5, 1.0 - 1e-9]), n)
-    return (base + offsets) * h
+def oracle_samples(x: np.ndarray) -> np.ndarray:
+    """Sample abscissae of the steps between the nodes x: three per step, all interior."""
+    x0, h = x[:-1], x[1:] - x[:-1]
+    return (x0[:, None] + np.multiply.outer(h, numeric_scatter._SAMPLES)).reshape(-1)
 
 
-def oracle_march(g: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
-    """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step."""
-    n = g.size // 3
-    width = max(1, math.isqrt(n))
+def oracle_march(g: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step, hs the steps."""
+    n = hs.size
+    width = max(1, math.isqrt(n // 8))
     blocks = max(1, -(-n // width))
     # samples[s, j, k]: sample s of step k * width + j.  The zero samples
-    # past step n only pad the last block, whose total no carry uses.
+    # and steps past step n only pad the last block, whose total no carry uses.
     samples = np.zeros((blocks * width, 3))
     samples[:n] = g.reshape(n, 3)
     samples = np.ascontiguousarray(samples.reshape(blocks, width, 3).T)
+    h = np.zeros(blocks * width)
+    h[:n] = hs
+    h = h.reshape(blocks, width).T
     # m[r, c, j, k]: entry (r, c) of that step's matrix; column c is the
     # step applied to seed c, (1, 0) or (0, 1)
     m = np.empty((2, 2, width, blocks))
@@ -411,39 +499,22 @@ def oracle_write_nodes(m, carried, n, out):
         out[row, 1 + full * width :] = prefix[: n - full * width, -1]
 
 
-def whole_grid(config):
-    """x of every node of the window, ascending."""
-    n_left, n_right = config.node_counts()
-    return config.seed + config.step * np.arange(-n_left, n_right + 1)
-
-
-def right_index(potential, grid, units=DEFAULT_UNITS):
-    """Index on the ascending grid of the right end node ``match`` reads:
-    the last, or on a diving end the first at or past z = 12 (the last if
-    none is), found by a search over the whole grid."""
-    if not isinstance(potential, potentials.Exponential):
-        return grid.size - 1
-    x_match = 2.0 * potential.a * math.log(12.0 / potentials.exponential_p(potential, units))
-    return min(int(np.searchsorted(grid, x_match)), grid.size - 1)
-
-
 def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
-    """The whole-window basis: every node from the oracle writer, the left
+    """The whole-grid basis: every node from the oracle writer, the left
     half through a reversed view, as the nodes of the record.  It checks
     the energy and the drift but no plane-wave end."""
     numeric_scatter._check_energy(potential, energy, units)
-    n_left, n_right = config.node_counts()
-    nodes = np.empty((4, n_left + n_right + 1))
+    x, i_seed, i_right = grid(potential, energy, config, units)
+    nodes = np.empty((4, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for (samples, step, n), out in zip(numeric_scatter._half_windows(potential, config),
-                                           (nodes[:, n_left:], nodes[:, n_left::-1])):
-            oracle_write_nodes(*numeric_scatter._march(samples, energy, step, units), n, out)
+        for half, out in ((x[i_seed:], nodes[:, i_seed:]), (x[i_seed::-1], nodes[:, i_seed::-1])):
+            made = numeric_scatter._march(potential, energy, half, units)
+            oracle_write_nodes(*made, half.size - 1, out)
         drift = float(drift_of(nodes))
     numeric_scatter._check_drift(drift, config)
-    grid = whole_grid(config)
-    ends = [0, right_index(potential, grid, units)]
+    ends = [0, i_right]
     return numeric_scatter.BasisPair(
-        x_ends=tuple(grid[ends].tolist()), ends=nodes[:, ends], nodes=nodes, drift=drift,
+        x_ends=tuple(x[ends].tolist()), ends=nodes[:, ends], nodes=nodes, drift=drift,
         potential=potential, energy=float(energy), units=units)
 
 
@@ -459,30 +530,27 @@ def oracle_scattering_wavefunction(basis, result):
 
 
 def integrate_every_node(potential, energy, config):
-    """``integrate_ends`` asked for every node of the window."""
-    n_left, n_right = config.node_counts()
-    return numeric_scatter.integrate_ends(potential, energy, config,
-                                          steps=np.arange(-n_left, n_right + 1))
+    """``integrate_ends`` asked for every node of the grid."""
+    x, _, _ = grid(potential, energy, config)
+    return numeric_scatter.integrate_ends(potential, energy, config, xs=x)
 
 
 def oracle_basis(potential, energy, config):
     """The bytes of the rows u, u', v, v' and of the two ends, the ends' x
-    and the drift, as the oracle march gives them."""
-    n_left, n_right = config.node_counts()
-    h = config.step
+    and the drift, as the oracle march gives them on the row's grid."""
+    x, i_seed, i_right = grid(potential, energy, config)
     two_m_over_h2 = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
-    x_right_samples = oracle_step_samples(n_right, h)
-    x_left_samples = -oracle_step_samples(n_left, h)
-    g_right = two_m_over_h2 * (potentials.evaluate(potential, x_right_samples) - energy)
-    g_left = two_m_over_h2 * (potentials.evaluate(potential, x_left_samples) - energy)
+
+    def half(nodes):
+        g = two_m_over_h2 * (potentials.evaluate(potential, oracle_samples(nodes)) - energy)
+        return oracle_march(g, nodes[1:] - nodes[:-1])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        right = oracle_march(g_right, h)
-        left = oracle_march(g_left, -h)
+        right, left = half(x[i_seed:]), half(x[i_seed::-1])
         nodes = np.array([np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)])
         drift = float(drift_of(nodes))
-    grid = np.concatenate((-h * np.arange(n_left, 0, -1), h * np.arange(n_right + 1)))
-    ends = [0, right_index(potential, grid)]
-    return [c.tobytes() for c in nodes], nodes[:, ends].tobytes(), tuple(grid[ends].tolist()), drift
+    ends = [0, i_right]
+    return [c.tobytes() for c in nodes], nodes[:, ends].tobytes(), tuple(x[ends].tolist()), drift
 
 
 def basis_bytes(basis):
@@ -491,10 +559,10 @@ def basis_bytes(basis):
     return [c.tobytes() for c in basis.nodes], basis.ends.tobytes(), basis.x_ends, basis.drift
 
 
-PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, step=1.0 / 997.0)
+PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, kh=0.01)
 DEEP = potentials.exponential(200.0, 1.0)  # z = 12 at x = -1.71, left of x = 0
 BIT_CASES = {
-    # default window: the 40,000-step left tail and the diving right end
+    # default window: the left tail and the diving right end
     "exp": (EXP_MODEL, 0.25, None),
     "exp-q4": (EXP_MODEL, 4.0, None),
     "expshift": (potentials.exponential(1.0, 1.0, -1.5), 1.3, None),
@@ -504,11 +572,19 @@ BIT_CASES = {
     "free": (potentials.free(), 1.0, None),
     "partial-last-block": (EXP_MODEL, 0.7, PARTIAL),
     # windows grown past z = 12: its node inside the right, then the left march
-    "exp-grown": (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5, step=1.0 / 2000.0)),
-    "exp-deep-grown": (DEEP, 1.0, SolverConfig(x_left=-21.71, x_right=1.0, step=1.0 / 2000.0)),
+    "exp-grown": (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5)),
+    "exp-deep-grown": (DEEP, 1.0, SolverConfig(x_left=-21.71, x_right=1.0)),
 }
 # the oracle seeds at x = 0; here the seed is x_right, the z = 12 node
 ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
+
+
+def x_right_end(potential, config):
+    """z = 12 on an exponential if the window holds it, else x_right."""
+    if not isinstance(potential, potentials.Exponential):
+        return config.x_right
+    x = 2.0 * potential.a * math.log(12.0 / potentials.exponential_p(potential, DEFAULT_UNITS))
+    return min(max(x, config.x_left), config.x_right)
 
 
 def bit_case(name):
@@ -533,8 +609,10 @@ class TestBitExactMarch:
     def test_reader_equals_the_oracle_writer(self, name):
         # every node of both half-windows, pad steps included
         potential, energy, config = bit_case(name)
-        for samples, step, n in numeric_scatter._half_windows(potential, config):
-            made = numeric_scatter._march(samples, energy, step, DEFAULT_UNITS)
+        x, i_seed, _ = grid(potential, energy, config)
+        for half in (x[i_seed:], x[i_seed::-1]):
+            n = half.size - 1
+            made = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)
             out = np.empty((4, n + 1))
             oracle_write_nodes(*made, n, out)
             drift, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
@@ -547,46 +625,34 @@ class TestBitExactMarch:
         assert numeric_scatter.integrate_ends(*bit_case(name)).drift == want
 
     def test_partial_case_leaves_partial_blocks(self):
-        for n in PARTIAL.node_counts():
-            assert n % math.isqrt(n) != 0
+        x, i_seed, _ = grid(EXP_MODEL, 0.7, PARTIAL)
+        for n in (i_seed, x.size - 1 - i_seed):
+            assert n % math.isqrt(n // 8) != 0
 
     def test_alternating_windows_equal_fresh_calls(self):
-        # the shared samples must follow the model and the window
+        # nothing a call leaves behind may reach the next one
         names = ["exp", "rect-edges-on-nodes", "partial-last-block", "expshift"]
-        fresh = {}
-        for name in names:
-            numeric_scatter._potential_samples.cache_clear()
-            fresh[name] = basis_bytes(oracle_integrate_basis(*bit_case(name)))
+        fresh = {name: basis_bytes(oracle_integrate_basis(*bit_case(name))) for name in names}
         for name in names + names[::-1] + names:
             assert basis_bytes(oracle_integrate_basis(*bit_case(name))) == fresh[name]
 
-    def test_samples_follow_the_seed(self):
-        # two windows with equal step counts and step but different seeds
-        near, far = (SolverConfig(x_left=x, x_right=x + 2.0, step=1e-3) for x in (1.0, 3.0))
-        numeric_scatter._potential_samples.cache_clear()
+    def test_windows_follow_the_seed(self):
+        # two windows of equal width but different seeds
+        near, far = (SolverConfig(x_left=x, x_right=x + 2.0) for x in (1.0, 3.0))
         fresh = basis_bytes(oracle_integrate_basis(EXP_MODEL, 0.5, far))
         oracle_integrate_basis(EXP_MODEL, 0.5, near)
         assert basis_bytes(oracle_integrate_basis(EXP_MODEL, 0.5, far)) == fresh
 
-    def test_energies_share_one_sampling(self):
+    def test_each_energy_grids_its_own_row(self, monkeypatch):
+        # no sampling is shared: every energy builds its grid and marches it
+        seen = []
+        build = numeric_scatter._grid
+        monkeypatch.setattr(numeric_scatter, "_grid",
+                            lambda *args: seen.append(args[1]) or build(*args))
         config = numeric_scatter.default_config(EXP_MODEL)
-        numeric_scatter._potential_samples.cache_clear()
         for energy in (0.25, 0.5, 1.0):
             numeric_scatter.integrate_ends(EXP_MODEL, energy, config)
-        info = numeric_scatter._potential_samples.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
-    def test_shared_samples_are_read_only(self):
-        config = numeric_scatter.default_config(EXP_MODEL)
-        numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
-        shared = numeric_scatter._potential_samples(
-            EXP_MODEL, config.seed, *config.node_counts(), config.step
-        )
-        assert numeric_scatter._potential_samples.cache_info().hits >= 1
-        for values in shared:
-            assert not values.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                values[0, 0, 0] = 0.0
+        assert seen == [0.25, 0.5, 1.0]
 
 
 def result_bits(result):
@@ -657,9 +723,9 @@ class TestEndsReader:
             # kappa w = 800 across the barrier: u and v overflow to a NaN Wronskian
             (potentials.rectangular(1.0e4, 4.0), 1.0, None, "drift nan: the basis overflowed"),
             # V = -e^x overflows past x = 709.8
-            (EXP_MODEL, 1.0, SolverConfig(x_left=-40.0, x_right=720.0, step=0.05),
+            (EXP_MODEL, 1.0, SolverConfig(x_left=-40.0, x_right=720.0),
              "potential is not finite on the integration grid"),
-            (EXP_MODEL, 0.25, SolverConfig(x_left=-30.0, x_right=3.0, step=1.0 / 40.0),
+            (EXP_MODEL, 0.25, SolverConfig(x_left=-30.0, x_right=3.0, kh=0.1),
              "exceeds DRIFT_TOLERANCE"),
         ],
         ids=["overflow", "non-finite-potential", "coarse-step"],
@@ -680,9 +746,10 @@ class TestEndsReader:
             potential, energy, config = bit_case(name)
             ends = numeric_scatter.integrate_ends(potential, energy, config)
             whole = oracle_integrate_basis(potential, energy, config)
-            # the oracle finds the right end node by a search over every node
-            i = right_index(potential, whole_grid(config))
-            assert ends.x_ends == tuple(whole_grid(config)[[0, i]].tolist()) == whole.x_ends
+            # the right end is z = 12 where the window holds it, else x_right
+            x, _, i = grid(potential, energy, config)
+            x_match = x_right_end(potential, config)
+            assert ends.x_ends == (x[0], x[i]) == (config.x_left, x_match) == whole.x_ends
             assert ends.ends.tobytes() == whole.nodes[:, [0, i]].tobytes()
             assert ends.nodes.shape == (4, 0)
             assert ends.drift == whole.drift
@@ -698,28 +765,42 @@ class TestEndsReader:
         want = outcomes(lambda sides: [
             numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config), side)
             for side in sides])
-        n_left, n_right = config.node_counts()
+        # nodes of the grid: asking for them leaves the grid as it is
+        x, _, i_right = grid(potential, energy, config)
         if picks == "every":
-            steps = np.arange(-n_left, n_right + 1)
+            xs = x
         else:
-            match_step = right_index(potential, whole_grid(config)) - n_left
-            assert match_step + 2000 <= n_right
-            steps = match_step + np.array([1, -1, 0, 2000, -2000, 1, 0])
-        basis = numeric_scatter.integrate_ends(potential, energy, config, steps=steps)
-        assert basis.nodes.shape == (4, steps.size)
+            assert i_right + 2000 < x.size
+            xs = x[i_right + np.array([1, -1, 0, 2000, -2000, 1, 0])]
+        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
+        assert basis.nodes.shape == (4, xs.size)
         assert outcomes(lambda sides: [numeric_scatter.match(basis, side) for side in sides]) == want
 
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep-grown", "rect-edges-on-nodes"])
     def test_nodes_come_in_the_asked_order(self, name):
         # repeats included, each node bit for bit the oracle writer's
         potential, energy, config = bit_case(name)
-        n_left, n_right = config.node_counts()
+        x, i_seed, _ = grid(potential, energy, config)
         rng = np.random.default_rng(11)
-        steps = rng.integers(-n_left, n_right + 1, 300)
-        steps = np.concatenate((steps, steps[::-3], [-n_left, 0, n_right, 0]))
-        basis = numeric_scatter.integrate_ends(potential, energy, config, steps=steps)
+        picks = rng.integers(0, x.size, 300)
+        picks = np.concatenate((picks, picks[::-3], [0, i_seed, x.size - 1, i_seed]))
+        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=x[picks])
         whole = oracle_integrate_basis(potential, energy, config)
-        assert basis.nodes.tobytes() == whole.nodes[:, steps + n_left].tobytes()
+        assert basis.nodes.tobytes() == whole.nodes[:, picks].tobytes()
+
+    @pytest.mark.parametrize("name", ["exp", "exp-q4", "exp-grown", "rect-edges-on-nodes"])
+    def test_xs_off_the_grid_move_the_match_by_round_off(self, name):
+        # x off the grid splits steps: T and the phases move at round-off
+        potential, energy, config = bit_case(name)
+        want = [numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config),
+                                      side) for side in ("left", "right")]
+        xs = np.linspace(config.x_left, config.x_right, 401)[1:-1] + 1e-7
+        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
+        for side, old in zip(("left", "right"), want):
+            new = numeric_scatter.match(basis, side)
+            assert abs(new.t_coeff - old.t_coeff) <= 1e-12
+            assert waves.angle_distance(new.theta, old.theta) <= 1e-11
+            assert new.wronskian_drift <= 1e-12
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
         # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
@@ -755,7 +836,7 @@ class TestPlaneWaveMatching:
         assert waves.angle_distance(left.theta, right.theta) < 1e-10
 
     def test_endpoint_precondition_names_offender(self):
-        config = SolverConfig(x_left=-1.0, x_right=3.0, step=1e-3)
+        config = SolverConfig(x_left=-1.0, x_right=3.0)
         rect = potentials.rectangular(1.0, 2.0)  # edge at the window end
         basis = oracle_integrate_basis(rect, 0.5, config)
         with pytest.raises(DomainError, match="x_left"):
@@ -764,7 +845,7 @@ class TestPlaneWaveMatching:
             numeric_scatter.solve(rect, 0.5, "left", config)
 
     def test_right_endpoint_precondition_names_offender(self):
-        config = SolverConfig(x_left=-3.0, x_right=1.0, step=1e-3)
+        config = SolverConfig(x_left=-3.0, x_right=1.0)
         rect = potentials.rectangular(1.0, 2.0)  # edge past the right end
         basis = oracle_integrate_basis(rect, 0.5, config)
         for side in ("left", "right"):
@@ -779,8 +860,7 @@ class TestPlaneWaveMatching:
         # referred to x = 0, not to the window ends
         rect = potentials.rectangular(1.0, 1.0)
         want = numeric_scatter.solve(rect, 0.5, side=side)
-        step = numeric_scatter.default_config(rect).step  # edges on nodes
-        config = SolverConfig(x_left=-3.0, x_right=5.0, step=step)
+        config = SolverConfig(x_left=-3.0, x_right=5.0)
         got = numeric_scatter.solve(rect, 0.5, side=side, config=config)
         assert got.t_coeff == pytest.approx(want.t_coeff, abs=1e-10)
         assert abs(got.r_amp - want.r_amp) < 1e-10
@@ -820,7 +900,7 @@ class TestHankelMatching:
     def test_deep_window_amplitudes_agree_with_closed_form(self):
         # with a deep tail the plane waves are exact to round-off on the
         # left, so both complex amplitudes carry the closed forms' digits
-        config = SolverConfig(x_left=-30.0, x_right=3.5, step=1.0 / 2000.0)
+        config = SolverConfig(x_left=-30.0, x_right=3.5)
         for q in (0.25, 1.0):
             for side in ("left", "right"):
                 res = numeric_scatter.solve(EXP_MODEL, q * q / 4.0, side=side, config=config)
@@ -873,7 +953,7 @@ class TestHankelMatching:
         energy = 1.5**2 / 4.0
         t_values = []
         for x_left in (-15.0, -25.0):
-            config = SolverConfig(x_left=x_left, x_right=3.5, step=1.0 / 2000.0)
+            config = SolverConfig(x_left=x_left, x_right=3.5)
             t_values.append(
                 numeric_scatter.solve(EXP_MODEL, energy, side="left", config=config).t_coeff
             )
@@ -945,7 +1025,7 @@ def numeric_wave(model, energy, xmin, xmax, n):
 
 @pytest.fixture(scope="module")
 def every_node_wave():
-    # 50,000 requests over the default window snap to each of its 47,169 nodes
+    # 50,000 requests over the default window, each a node of the grid
     config = numeric_scatter.default_config(EXP_MODEL)
     return numeric_wave("exp:v0=1,a=1", 0.25, config.x_left, config.x_right, 50_000)
 
@@ -956,18 +1036,24 @@ class TestScatteringWavefunction:
 
     def test_flux_profile_matches_transmission(self, every_node_wave):
         res = numeric_scatter.solve(EXP_MODEL, 0.25, side="left")
-        assert len(every_node_wave) == 47_169
+        assert len(every_node_wave) == 50_000
         flux = np.array([float(row[4]) for row in every_node_wave])
         # unit incident amplitude: flux = T * (hbar k / m) everywhere
         k = math.sqrt(2.0 * DEFAULT_UNITS.mass * 0.25) / DEFAULT_UNITS.hbar
         want = res.t_coeff * DEFAULT_UNITS.hbar * k / DEFAULT_UNITS.mass
         np.testing.assert_allclose(flux, want, rtol=1e-7)
 
-    @pytest.mark.parametrize("pair", [(0, 1), (12_345, 40_000), (40_001, 47_168)])
+    @pytest.mark.parametrize("pair", [(0, 1), (12_345, 40_000), (40_001, 49_999)])
     def test_a_node_prints_the_same_cells_alone_or_among_all(self, pair, every_node_wave):
-        want = [every_node_wave[i] for i in pair]
-        xs = [float(row[0]) for row in want]
-        assert numeric_wave("exp:v0=1,a=1", 0.25, *xs, 2) == want
+        # the x are the ones asked for; psi and its flux move at round-off
+        # with the steps the other 49,998 nodes split
+        want = [[float(cell) for cell in every_node_wave[i]] for i in pair]
+        xs = [row[0] for row in want]
+        got = [[float(cell) for cell in row] for row in numeric_wave("exp:v0=1,a=1", 0.25, *xs, 2)]
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            assert abs(complex(g[1], g[2]) - complex(w[1], w[2])) <= 1e-11 * w[3]
+            assert abs(g[4] - w[4]) <= 1e-11 * abs(w[4])
 
     def test_shifted_model_is_phase_times_translation(self):
         # V(x - b) solutions are e^{ikb} psi(x - b) after unit-incident
@@ -981,6 +1067,27 @@ class TestScatteringWavefunction:
             assert float(row_b[0]) == float(row_0[0]) + b
             psi_0, psi_b = (complex(float(row[1]), float(row[2])) for row in (row_0, row_b))
             assert abs(psi_b - phase * psi_0) < 1e-8
+
+
+def test_readme_family_sweep_guard(monkeypatch):
+    # 20 rows of the README sweep: no row marches past 20,000 nodes (47,169
+    # at the uniform step a/2000), and no digit is lost on the way
+    counts = []
+    build = numeric_scatter._grid
+
+    def counted(*args):
+        x, at = build(*args)
+        counts.append(x.size)
+        return x, at
+
+    monkeypatch.setattr(numeric_scatter, "_grid", counted)
+    spec = cli.SweepSpec(EXP_MODEL, 0.01, 5.0, 20, "log", "both", "both", DEFAULT_UNITS)
+    rows = cli.run_sweep(spec)
+    assert len(counts) == 20 and max(counts) <= 20_000
+    assert all(row.error is None for row in rows)
+    assert max(abs(row.t_numeric - row.t_analytic) for row in rows) <= 6.5e-9
+    assert max(row.wronskian_drift for row in rows) <= 1e-12
+    assert max(row.flux_imbalance for row in rows) <= 1e-12
 
 
 class TestDefaultConfig:
@@ -998,25 +1105,28 @@ class TestDefaultConfig:
     )
     def test_exponential_window_is_one_z_window(self, v0, b):
         # z = p e^{(x - b)/2a} runs from 2e^-10 to 12 for every depth and
-        # offset, so every exponential row marches the same node count
+        # offset, so every exponential row marches the same node count (one
+        # more where the seed x = 0 splits a step)
         model = potentials.exponential(v0, 1.0, b)
         config = numeric_scatter.default_config(model)
         p_eff = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0 * math.exp(-b))
         z_left, z_right = (p_eff * math.exp(x / 2.0) for x in (config.x_left, config.x_right))
         assert z_left == pytest.approx(2.0 * math.exp(-10.0), rel=1e-12)
         assert z_right == pytest.approx(12.0, rel=1e-12)
-        assert config.step == 1.0 / 2000.0
-        assert sum(config.node_counts()) + 1 == 47_169
+        assert config.kh == KH
+        assert grid(model, 0.25, config)[0].size in (10_074, 10_075)
 
     def test_readme_window_keeps_its_nodes(self):
         config = numeric_scatter.default_config(EXP_MODEL)
-        assert (config.x_left, config.seed, config.node_counts()) == (-20.0, 0.0, (40_000, 7_168))
+        x, i_seed, i_right = grid(EXP_MODEL, 0.25, config)
+        assert (config.x_left, config.seed, x.size, i_seed, i_right) == (
+            -20.0, 0.0, 10_075, 6_673, 10_074)
 
     def test_rect_edges_land_on_nodes(self):
         model = potentials.rectangular(1.0, 0.7)
         config = numeric_scatter.default_config(model)
-        ratio = model.half_width / config.step
-        assert abs(ratio - round(ratio)) < 1e-9
+        x, _, _ = grid(model, 0.5, config)
+        assert {-0.7, 0.7} <= set(x.tolist())
 
 
 def test_numeric_lane_imports_nothing_from_exp_barrier():
@@ -1032,19 +1142,24 @@ def test_numeric_lane_imports_nothing_from_exp_barrier():
     assert "exp_barrier" not in imported
 
 
-def test_numeric_lane_snaps_its_match_node_once():
-    # the basis record holds nodes, not solutions on a grid: nothing in the
-    # lane searches a grid, and only _right_end decides the right end node
+def test_numeric_lane_places_its_match_node_once():
+    # the basis record holds nodes, not solutions on a grid: only _grid
+    # searches its nodes, and only _right_end decides the right end node
     tree = ast.parse(inspect.getsource(numeric_scatter))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "WaveSolution" not in imported
-    called = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    assert not any(isinstance(f, ast.Attribute) and f.attr == "searchsorted" for f in called)
+    searchers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr == "searchsorted"}
+    assert searchers == {"_grid"}
     callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name) and node.func.id == "_x_match"}
-    assert callers == {"_right_end"}
+               and isinstance(node.func, ast.Name) and node.func.id == "_right_end"}
+    assert callers == {"integrate_ends", "_grid"}
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "_Z_MATCH"}
+    assert readers == {"default_config", "_right_end"}
 
 
 def test_one_projection_reads_both_window_ends():
