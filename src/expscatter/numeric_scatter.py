@@ -5,10 +5,12 @@ real basis {u, v} with u = 1, u' = 0, v = 0, v' = 1 at the seed, the window
 point nearest x = 0, by marching a classical RK4 outward from it (so
 W[u, v] = 1 exactly at the seed and its drift measures integrator error).
 Each row gets its own graded grid (``_grid``): the step at x is
-kh * min(l, 1/K(x)), K the local wavenumber and l the model's length (a,
-or a rectangle's half width), so the near-free tail of an exponential is
+kh * min(l, 1/K(x)), K the local wavenumber and l a length (a, or a
+rectangle's window length), so the near-free tail of an exponential is
 crossed in steps of kh * a while its dive keeps K h = kh.  The match
-point, the rectangle edges and a wavefunction's samples are exact nodes.
+point and the rectangle edges are exact nodes; a wavefunction's samples
+are read by one partial RK4 step from the node below each, so they leave
+the grid as it is.
 The equation is linear, so every RK4 step is a 2x2 transfer matrix; one
 product stage (``_march``) builds all of them a chunk at a time with numpy
 and takes their products in a blocked scan.  One reader (``_read_ends``,
@@ -57,13 +59,8 @@ ASYMPTOTE_EPSILON = 1e-6
 DRIFT_TOLERANCE = 1e-8
 # K h per step: what the step a/2000 spends at z = 12, where K = 6/a
 KH = 0.003
-# points per length l of the table that s(x) is integrated on, and a cap on
-# its size that no window under the node cap reaches at kh = KH
+# points per length l of the table that s(x) is integrated on
 _TABLE_PER_L = 8
-_TABLE_MAX = 1 << 17
-# a scan row costs about as much as this many block carries, so blocks of
-# isqrt(n / _SCAN_BALANCE) steps balance the two loops of ``_march``
-_SCAN_BALANCE = 8
 # sample offsets within a step, as fractions of it: strictly inside, so a
 # jump on a node is seen one-sided by both neighbouring steps
 _SAMPLES = (1e-9, 0.5, 1.0 - 1e-9)
@@ -75,8 +72,9 @@ class SolverConfig:
 
     The basis is seeded at ``seed``, the window point nearest x = 0.  The
     step at x is kh * min(l, 1/K(x)), K^2 = |2m (E - V(x))| / hbar^2 the
-    local wavenumber, l = a for an exponential and the half width for a
-    rectangle (see ``_grid``); the error falls as kh^4.
+    local wavenumber, l = a for an exponential and the window length
+    x_right - x_left for a rectangle (see ``_grid``); the error falls as
+    kh^4.
     """
 
     x_left: float
@@ -102,8 +100,8 @@ class BasisPair:
 
     Each node is a column of rows u, u', v, v' (float64).  ends holds the
     left end node and the right end node ``match`` reads, at x_ends; nodes
-    holds the xs a caller asked for, in the order asked.  drift is
-    max |W[u, v] - 1| over every node of the window.
+    holds the basis at the xs a caller asked for, in the order asked.
+    drift is max |W[u, v] - 1| over every node of the window.
     """
 
     x_ends: tuple[float, float]
@@ -168,15 +166,17 @@ def integrate_ends(
 ) -> BasisPair:
     """March the basis pair across [x_left, x_right] with RK4 on the row's
     graded grid (``_grid``) and read it at the two nodes ``match`` reads
-    and at ``xs``, each of which the grid holds as a node.
+    and at ``xs``.
 
     Each half-window is one numpy march outward from the seed: the RK4
     transfer matrices of all its steps and their products (``_march``).
     One reader (``_read_ends``) forms the Wronskian over every node, a
     chunk at a time, and only the nodes asked for; no node array of the
     window is built.  The ends are x_left and x_right, or on a diving end
-    the point z = _Z_MATCH if the window holds it.  The nodes come in the
-    order of ``xs``, repeats included.
+    the point z = _Z_MATCH if the window holds it.  Each x is read by one
+    RK4 step from the node at or below it (``_step_from``), a step of zero
+    on a node, so the grid, the ends and the drift do not depend on
+    ``xs``.  The nodes come in the order of ``xs``, repeats included.
 
     Raises
     ------
@@ -202,9 +202,8 @@ def integrate_ends(
     _plane_potential(potential, float(energy), x_ends[0], "x_left")
     if not isinstance(potential, Exponential):
         _plane_potential(potential, float(energy), x_ends[1], "x_right")
-    x, at = _grid(potential, float(energy), config, units,
-                  np.concatenate((x_ends, [config.seed], xs)))
-    # node indices of the two ends, then the asked-for nodes as given
+    x, at = _grid(potential, float(energy), config, units, (*x_ends, config.seed), xs)
+    # node indices of the two ends, then of the node below each asked-for x
     seed, at = at[2], np.delete(at, 2)
     # rows u, u', v, v'; a node on the seed keeps the seed values
     nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
@@ -217,6 +216,9 @@ def integrate_ends(
             drifts.append(drift)
     drift = float(np.max(drifts))
     _check_drift(drift, config)
+    if xs.size:
+        below = x[at[2:]]
+        nodes[:, 2:] = _step_from(potential, float(energy), below, xs - below, units, nodes[:, 2:])
     return BasisPair(x_ends=x_ends, ends=nodes[:, :2], nodes=nodes[:, 2:], drift=drift,
                      potential=potential, energy=float(energy), units=units)
 
@@ -301,26 +303,30 @@ def solve(
 
 
 def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units: Units,
-          pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending nodes of one row's grid, and the node index of each
-    of pins (window points, repeats allowed).
+          pins, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending nodes of one row's grid, the node index of each of
+    pins (window points made nodes), then of the node at or below each of
+    xs.
 
     The step at x is kh * min(l, 1/K(x)): the nodes sit at whole steps of
     s(x) = int max(1/l, K) dx / kh.  s is summed by the midpoint rule on a
-    table l / _TABLE_PER_L apart and inverted by ``np.interp``.  The window
-    ends, the seed, the right end ``match`` reads and the rectangle edges
-    bound segments, in which the nodes split s evenly, in the fewest steps
-    whose s increments are at most 1.  A pin that is not a node yet splits
-    the step that holds it, so asking for nodes of the grid leaves it as it
-    is.  A grid past the node cap is refused before it is built.
+    table l / _TABLE_PER_L apart and inverted by ``np.interp``.  The
+    pins, x_right and the rectangle edges bound segments, in which the
+    nodes split s evenly, in the fewest steps whose s increments are at
+    most 1.  A rectangle's K is constant between those edges, so its l
+    is the window length: only K ~ 0 needs a cap there.  A grid past the
+    node cap is refused before it is built.
     """
     lo, hi, kh = config.x_left, config.x_right, config.kh
-    ell = potential.a if isinstance(potential, Exponential) else potential.half_width
-    edges = [] if isinstance(potential, Exponential) else [x for x in (-ell, ell) if lo < x < hi]
-    bounds = np.array(sorted({lo, config.seed, _right_end(potential, units, config), hi, *edges}))
+    if isinstance(potential, Exponential):
+        ell, edges = potential.a, []
+    else:
+        ell, hw = hi - lo, potential.half_width
+        edges = [x for x in (-hw, hw) if lo < x < hi]
+    bounds = np.array(sorted({*pins, hi, *edges}))
     # no step is longer than kh * l
     _check_nodes((hi - lo) / (kh * ell), energy, config, ell)
-    count = min(math.ceil(_TABLE_PER_L * (hi - lo) / ell), _TABLE_MAX)
+    count = math.ceil(_TABLE_PER_L * (hi - lo) / ell)
     # a table point twice is an interval of zero width, which adds nothing to s
     table = np.sort(np.concatenate((np.linspace(lo, hi, count + 1), bounds)))
     if not np.all(np.isfinite(potentials.evaluate(potential, table))):
@@ -331,7 +337,7 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
         k = np.sqrt(np.abs(scale * (energy - potentials.evaluate(potential, mid))))
         s_table = np.concatenate(([0.0], np.cumsum(np.maximum(1.0 / ell, k) * np.diff(table))))
         s_table /= kh
-    _check_nodes(s_table[-1] + bounds.size + pins.size, energy, config, ell)
+    _check_nodes(s_table[-1] + bounds.size, energy, config, ell)
     s_bounds = np.interp(bounds, table, s_table)
     spans = np.diff(s_bounds)
     steps = np.maximum(1, np.ceil(spans - 1e-6)).astype(np.int64)
@@ -341,14 +347,7 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     x = np.empty(s_nodes.size + 1)
     x[1:] = np.interp(np.cumsum(s_nodes), s_table, table)
     x[np.concatenate(([0], np.cumsum(steps)))] = bounds
-    # the first node at or past each pin: the pin itself, once inserted
-    at = np.searchsorted(x, pins)
-    if not np.array_equal(x[at], pins):
-        # np.union1d, as np.unique, imports numpy.ma on its first call
-        x = np.sort(np.concatenate((x, pins)))
-        x = x[np.concatenate(([True], x[1:] > x[:-1]))]
-        at = np.searchsorted(x, pins)
-    return x, at
+    return x, np.searchsorted(x, np.concatenate((pins, xs)), side="right") - 1
 
 
 def _check_nodes(count: float, energy: float, config: SolverConfig, ell: float) -> None:
@@ -357,7 +356,7 @@ def _check_nodes(count: float, energy: float, config: SolverConfig, ell: float) 
             f"the grid at E = {energy:g} needs about {count:.3g} nodes on "
             f"[{config.x_left:g}, {config.x_right:g}], past the {_MAX_NODES:,} node cap "
             f"(step kh min(l, 1/K), kh = {config.kh:g}, l = {ell:g}); lower E, "
-            "shrink the window, or raise l or kh"
+            "shrink the window or raise kh"
         )
 
 
@@ -369,11 +368,11 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
     Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
     applied to seed c, (1, 0) for u and (0, 1) for v; node i holds
     P_i = M_{i-1} ... M_0 (P_0 = I).  Steps are laid out in blocks of
-    width = isqrt(n / _SCAN_BALANCE) steps: step k * width + j is row j of
-    block k, and steps past n pad the last block and repeat step n - 1 (a
-    zero step when there is none).  Returns (m, carried): m[j, :, :, k] is
-    the product of steps 0..j of block k, carried[:, :, k] the product of
-    all blocks before k, so P_{1 + k * width + j} is m[j, :, :, k] @
+    width = isqrt(n) steps: step k * width + j is row j of block k, and
+    steps past n pad the last block and repeat step n - 1 (a zero step
+    when there is none).  Returns (m, carried): m[j, :, :, k] is the
+    product of steps 0..j of block k, carried[:, :, k] the product of all
+    blocks before k, so P_{1 + k * width + j} is m[j, :, :, k] @
     carried[:, :, k] (see ``_prefix``).
 
     The scan runs sequentially inside blocks, vectorised across blocks,
@@ -382,7 +381,7 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
     low as a plain loop's; a log-depth tree scan would not.
     """
     n = x.size - 1
-    width = max(1, math.isqrt(n // _SCAN_BALANCE))
+    width = max(1, math.isqrt(n))
     blocks = max(1, -(-n // width))
     scale = 2.0 * units.mass / units.hbar**2
     # m[j, r, c, k]: entry (r, c) of step k * width + j, built a chunk of rows at a time
@@ -399,28 +398,10 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
     for j in range(0, width, rows):
         mj = m[j : j + rows]
         h, x0 = buffer[:2, : len(mj)]
-        g0, g1, g2 = g = buffer[2:, : len(mj)]
+        g = buffer[2:, : len(mj)]
         np.copyto(x0, x0s[j : j + rows])
         np.subtract(x1s[j : j + rows], x0, out=h)
-        for gs, offset in zip(g, _SAMPLES):
-            np.add(x0, np.multiply(offset, h, out=gs), out=gs)
-        np.multiply(scale, np.subtract(potentials.evaluate(potential, g), energy, out=g), out=g)
-        if not np.all(np.isfinite(g)):
-            raise DomainError("potential is not finite on the integration grid")
-        # classical RK4 on the seeds, less the operations that are exact
-        # no-ops there: seed (1, 0) has slopes k1 = (0, g0), k2 = (k2u, g1);
-        # seed (0, 1) has k1 = (1, 0), k2 = (1, k2q) and k3 = (k3v, k2q)
-        half_h, sixth_h = 0.5 * h, h / 6.0
-        k2u, k3u = half_h * g0, half_h * g1
-        k3p = g1 * (1.0 + half_h * k2u)
-        k4p = g2 * (1.0 + h * k3u)
-        np.add(1.0, sixth_h * (2.0 * (k2u + k3u) + h * k3p), out=mj[:, 0, 0])
-        np.multiply(sixth_h, g0 + 2.0 * (g1 + k3p) + k4p, out=mj[:, 1, 0])
-        k2q = g1 * half_h
-        k3v = 1.0 + half_h * k2q
-        k4q = g2 * (h * k3v)
-        np.multiply(sixth_h, 1.0 + 2.0 * (1.0 + k3v) + (1.0 + h * k2q), out=mj[:, 0, 1])
-        np.add(1.0, sixth_h * (2.0 * (k2q + k2q) + k4q), out=mj[:, 1, 1])
+        _step_matrices(potential, energy, scale, x0, h, g, mj.transpose(1, 2, 0, 3))
     # in place, m[j] becomes the product of its block's steps 0..j:
     # terms[t, r, c] = M_j[r, t] * m[j - 1][t, c], summed over t in order
     terms = np.empty((2, 2, 2, blocks))
@@ -436,6 +417,45 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
         carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
                       t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
     return m, np.array(carry).T.reshape(2, 2, blocks)
+
+
+def _step_matrices(potential: PotentialModel, energy: float, scale: float, x0: np.ndarray,
+                   h: np.ndarray, g: np.ndarray, out) -> None:
+    """The RK4 transfer matrices of the steps h from x0 into out[r][c]
+    (column c the step applied to seed c), g a buffer shaped as h for
+    2m (V - energy)/hbar^2 at the three _SAMPLES of each step."""
+    for gs, offset in zip(g, _SAMPLES):
+        np.add(x0, np.multiply(offset, h, out=gs), out=gs)
+    np.multiply(scale, np.subtract(potentials.evaluate(potential, g), energy, out=g), out=g)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("potential is not finite on the integration grid")
+    g0, g1, g2 = g
+    # classical RK4 on the seeds, less the operations that are exact
+    # no-ops there: seed (1, 0) has slopes k1 = (0, g0), k2 = (k2u, g1);
+    # seed (0, 1) has k1 = (1, 0), k2 = (1, k2q) and k3 = (k3v, k2q)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    k2u, k3u = half_h * g0, half_h * g1
+    k3p = g1 * (1.0 + half_h * k2u)
+    k4p = g2 * (1.0 + h * k3u)
+    np.add(1.0, sixth_h * (2.0 * (k2u + k3u) + h * k3p), out=out[0][0])
+    np.multiply(sixth_h, g0 + 2.0 * (g1 + k3p) + k4p, out=out[1][0])
+    k2q = g1 * half_h
+    k3v = 1.0 + half_h * k2q
+    k4q = g2 * (h * k3v)
+    np.multiply(sixth_h, 1.0 + 2.0 * (1.0 + k3v) + (1.0 + h * k2q), out=out[0][1])
+    np.add(1.0, sixth_h * (2.0 * (k2q + k2q) + k4q), out=out[1][1])
+
+
+def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, h: np.ndarray,
+               units: Units, nodes: np.ndarray) -> np.ndarray:
+    """The columns u, u', v, v' of nodes, at x0, carried by one RK4 step
+    of h each (h = 0 keeps them bit for bit)."""
+    m = np.empty((2, 2, h.size))
+    scale = 2.0 * units.mass / units.hbar**2
+    _step_matrices(potential, energy, scale, x0, h, np.empty((3, h.size)), m)
+    u, du, v, dv = nodes
+    return np.array([m[0, 0] * u + m[0, 1] * du, m[1, 0] * u + m[1, 1] * du,
+                     m[0, 0] * v + m[0, 1] * dv, m[1, 0] * v + m[1, 1] * dv])
 
 
 # node rows u, u', v, v' take product entries (r, c)

@@ -316,36 +316,37 @@ class TestCommands:
     # and 2.7e-16 relative; rect sweep |dT|, |dR| 4.4e-16, |r dphi| 2.2e-16;
     # rect wavefunction psi 6.5e-16 of abs_psi, flux 1.0e-15 relative; the
     # E == v0 pin |dT| and flux_imbalance 1.1e-16.  All six were re-frozen
-    # again when each row got its graded grid, steps kh min(l, 1/K): the
-    # wavefunctions now print the requested x, not the nodes they snapped
-    # to.  Against the exact answers, parent -> graded: free sweep |dT| 0 ->
-    # 3.4e-13, drift 1.1e-12 -> 2.7e-13; free wavefunctions |psi - e^{ikx}|
-    # 4.9e-13 -> 7.7e-12 and 3.3e-13 -> 3.7e-12, flux spread 9.9e-13 ->
-    # 5.4e-14 and 2.7e-13 -> 3.3e-14; rect sweep |dT| 7.8e-16 -> 1.2e-13;
-    # rect wavefunction flux spread 2.7e-13 -> 3.8e-14; the E == v0 pin
-    # |dT| 2.5e-16 -> 8.9e-14
+    # again when each row got its graded grid, steps kh min(l, 1/K) with l
+    # the window length for these models: the wavefunctions now print the
+    # requested x, each one RK4 step from its node below, not the nodes
+    # they snapped to.  Against the exact answers, uniform -> graded: free
+    # sweep |dT| 0 -> 2.9e-13, drift 1.1e-12 -> 2.7e-13; free wavefunctions
+    # |psi - e^{ikx}| 4.9e-13 -> 8.1e-12 and 3.3e-13 -> 3.9e-12, flux spread
+    # 9.9e-13 -> 1.4e-14 and 2.7e-13 -> 3.6e-14; rect sweep |dT| 7.8e-16 ->
+    # 4.0e-13; rect wavefunction flux spread 2.7e-13 -> 4.3e-14; the E == v0
+    # pin |dT| 2.5e-16 -> 3.6e-13
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
               "--method", "numeric"],
-             "6e1d50de433958c3f1b5c8fa6f7ca8402838106c4d772e5380449dac8eaf37ae"),
+             "84d262f2403b0684022b7cfa86101797b1c6b425688d8e1d2ecaafaec3bac177"),
             (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
               "--xmax", "6", "--n", "300"],
-             "bf69f9e8056600b820b72cf19d82164ea045727100edda3d82ee916b76a88370"),
+             "4e78fc74fcf2ecfb5de775a9110c32765bdfddabdd692f35aa20ca86ff76d742"),
             (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
               "--xmin", "-2", "--xmax", "2"],
-             "17d18fd4b58a206db30b266c01dd5ce1902cd1345b69c503fe5d8db199f05d3d"),
+             "445757d384204b18b4a5f7d1138a337f08c1ea9f837500d1d20714a7987e5f39"),
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "679723a82e4fe2235033d4a204a998d87cedfa72b067640cf0019ccf1627fae7"),
+             "61c49dc5872820eaaa71d75c28a24e6ac903964bd6b746bae8b4bd2c4948bdc1"),
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "3c2bfd927565751e9f3075da51667bcfc8ecf8502667b06fabdb390856ec58b4"),
+             "8696595b16ea6cbb5fd3585f593616a1c5d6f11de0115b8434ca6ea082b4985e"),
             # E == v0 on the second row: g is exactly zero inside the barrier
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
-             "92f87953468c3fba578116f6d3c2aea98cba8741c584290cfb09dbb4b82dca61"),
+             "db3db5308ce366f36e4f04c7d61460ba6365cb68441e3da24ed95c5b50378051"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
              "rect-wavefunction-right", "rect-sweep-at-v0"],
@@ -479,8 +480,8 @@ class TestCommands:
         assert abs(flux.mean() / q - t_exact) <= 1e-9
 
     def test_wavefunction_numeric_prints_each_requested_x(self, capsys):
-        # 400 requested x on [0, 1e-3], 2.5e-6 apart, are each a node of the
-        # graded grid (they snapped to the 3 nodes 0, 5e-4, 1e-3 of the
+        # 400 requested x on [0, 1e-3], 2.5e-6 apart, are each read from the
+        # node below (they snapped to the 3 nodes 0, 5e-4, 1e-3 of the
         # uniform step a/2000 before): both methods print the same x
         argv = ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "0.5",
                 "--xmin", "0", "--xmax", "0.001", "--n", "400", "--method"]
@@ -645,14 +646,14 @@ class TestCommands:
               "--n", "3"], "a = 1e-200 is out of range"),
             (["sweep", "--model", "rect:v0=1,w=2", "--hbar", "1e200", "--emin", "1",
               "--emax", "2", "--n", "3", "--method", "numeric"], "hbar = 1e+200 is out of range"),
-            # windows too wide or rectangles too narrow for any grid, and
-            # p = sqrt(8 m v0) a / hbar out of range: OverflowError, ValueError
-            # and ZeroDivisionError tracebacks before
+            # windows too wide for any grid, and p = sqrt(8 m v0) a / hbar out
+            # of range: OverflowError, ValueError and ZeroDivisionError
+            # tracebacks before
             # the default window's ends round onto the edges of this rectangle
             (["wavefunction", "--model", "rect:v0=1,w=1e308", "--energy", "1", "--xmin", "-1",
               "--xmax", "1"], "|V(x_left)| = 1.000e+00 exceeds ASYMPTOTE_EPSILON"),
-            (["wavefunction", "--model", "rect:v0=1,w=1e-300", "--energy", "1", "--xmin", "-1",
-              "--xmax", "1"], "past the 5,000,000 node cap"),
+            (["wavefunction", "--model", "free", "--energy", "1", "--xmin", "-100000",
+              "--xmax", "100000"], "past the 5,000,000 node cap"),
             (["sweep", "--model", "rect:v0=1,w=5e-324", "--emin", "0.1", "--emax", "1",
               "--method", "numeric"], "w = 5e-324 is too small: its half width w/2 underflows"),
             (["sweep", "--model", "exp:v0=1e308,a=1", "--emin", "1", "--emax", "2",
@@ -674,8 +675,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "model, emin, emax",
-        [("rect:v0=1,w=1e-300", "0.1", "1"), ("rect:v0=1,w=1e6", "0.1", "0.5"),
-         ("exp:v0=1,a=1", "1e6", "1e7")],
+        [("rect:v0=1,w=1e6", "0.1", "0.5"), ("exp:v0=1,a=1", "1e6", "1e7")],
     )
     def test_rows_past_the_node_cap_refused_before_the_march(self, model, emin, emax,
                                                              monkeypatch, capsys):

@@ -40,7 +40,7 @@ def grid(potential, energy, config, units=DEFAULT_UNITS):
     end's index), as ``integrate_ends`` builds it for no asked-for x."""
     right = numeric_scatter._right_end(potential, units, config)
     x, at = numeric_scatter._grid(potential, energy, config, units,
-                                  np.array([config.x_left, right, config.seed]))
+                                  (config.x_left, right, config.seed), ())
     assert at[0] == 0
     return x, int(at[2]), int(at[1])
 
@@ -125,15 +125,15 @@ class TestBasisIntegration:
     @pytest.mark.parametrize(
         "potential, energy, config",
         [
-            # a narrow rectangle: every step is at most kh * w/2 = 1.5e-9
-            (potentials.rectangular(1.0, 5e-7), 1.0, None),
+            # K = 0.71 across a barrier 2e5 wide
+            (potentials.rectangular(1.0, 1e5), 0.5, None),
             # K h = kh across a window of 2e7 wavelengths
             (potentials.free(), 1.0, SolverConfig(x_left=-1e5, x_right=1e5)),
             # K = 1e4 and 1e3 over the default windows
             (potentials.rectangular(1.0, 1.0), 1e8, None),
             (EXP_MODEL, 1e6, None),
         ],
-        ids=["narrow-rect", "wide-window", "high-energy-rect", "high-energy-exp"],
+        ids=["wide-rect", "wide-window", "high-energy-rect", "high-energy-exp"],
     )
     def test_grid_past_the_node_cap_refused_before_the_march(
             self, potential, energy, config, monkeypatch):
@@ -171,21 +171,23 @@ class TestBasisIntegration:
         config = config or numeric_scatter.default_config(potential)
         x, _, _ = grid(potential, energy, config)
         h = np.diff(x)
-        ell = getattr(potential, "a", None) or potential.half_width
+        ell = getattr(potential, "a", None) or config.x_right - config.x_left
         k_mid = local_wavenumber(potential, energy, x[:-1] + 0.5 * h)
         ratio = h * np.maximum(1.0 / ell, k_mid) / config.kh
         assert np.all(h > 0.0)
         assert 0.93 <= ratio.min() and ratio.max() <= 1.07
 
     def test_pins_are_exact_nodes(self):
-        # the ends, the seed, the match point, the edges and any x asked for
+        # the ends, the seed, the match point and the edges; an asked-for x
+        # takes the node at or below it
         rect = potentials.rectangular(1.0, 0.7)
         xs = np.array([0.3, -0.3, 2.0, 0.7, 0.3, 1e-13, -2.7])
         for potential, config in ((rect, numeric_scatter.default_config(rect)),
                                   (EXP_MODEL, SolverConfig(x_left=-20.0, x_right=5.5))):
-            pins = np.concatenate(([config.x_left, config.seed, config.x_right], xs))
-            x, at = numeric_scatter._grid(potential, 0.5, config, DEFAULT_UNITS, pins)
-            assert x[at].tolist() == pins.tolist()
+            pins = (config.x_left, config.seed, config.x_right)
+            x, at = numeric_scatter._grid(potential, 0.5, config, DEFAULT_UNITS, pins, xs)
+            assert x[at[:3]].tolist() == list(pins)
+            assert np.all(x[at[3:]] <= xs) and np.all(xs < x[at[3:] + 1])
             assert np.all(np.diff(x) > 0.0)
         x, _, i_right = grid(rect, 0.5, numeric_scatter.default_config(rect))
         assert {-0.7, 0.7} <= set(x.tolist()) and i_right == x.size - 1
@@ -193,23 +195,20 @@ class TestBasisIntegration:
         assert x[i_right] == 2.0 * math.log(6.0)
 
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep", "rect-edges-on-nodes"])
-    def test_pinning_nodes_of_the_grid_leaves_it_alone(self, name):
-        # an asked-for x splits the step that holds it, so asking for nodes
-        # splits no step
+    def test_xs_leave_the_grid_alone(self, name):
+        # an asked-for x is read from the node at or below it, which is the
+        # x itself on a node: no x moves a node
         potential, energy, config = bit_case(name)
         x, i_seed, i_right = grid(potential, energy, config)
+        pins = (config.x_left, x[i_right], config.seed)
         some = x[np.random.default_rng(5).integers(0, x.size, 50)]
-        for xs in (x[::-1], some):
-            pins = np.concatenate(([config.x_left, x[i_right], config.seed], xs))
-            again, at = numeric_scatter._grid(potential, energy, config, DEFAULT_UNITS, pins)
+        off = 0.5 * (x[:-1] + x[1:])[::997]
+        for xs, below in ((x[::-1], np.arange(x.size)[::-1]),
+                          (some, np.searchsorted(x, some)),
+                          (off, np.arange(x.size - 1)[::997])):
+            again, at = numeric_scatter._grid(potential, energy, config, DEFAULT_UNITS, pins, xs)
             assert again.tobytes() == x.tobytes()
-            assert at[:3].tolist() == [0, i_right, i_seed] and x[at[3:]].tobytes() == xs.tobytes()
-        # an x off the grid splits one step
-        xs = 0.5 * (x[:-1] + x[1:])[::997]
-        pins = np.concatenate(([config.x_left, x[i_right], config.seed], xs))
-        again, at = numeric_scatter._grid(potential, energy, config, DEFAULT_UNITS, pins)
-        assert again.tobytes() == np.union1d(x, xs).tobytes()
-        assert again[at].tobytes() == pins.tobytes()
+            assert at[:3].tolist() == [0, i_right, i_seed] and at[3:].tolist() == below.tolist()
 
     def test_nodes_grow_with_the_wavenumber(self):
         # README rows: the step is kh a in the tail while K < 1/a, kh / K past it
@@ -327,7 +326,7 @@ def assert_same_march(got, want, rel=1e-12):
 class TestStepMatrixMarch:
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 40000])
     def test_equals_scalar_loop(self, n):
-        # block widths of about sqrt(n / 8) with full, partial and single blocks
+        # block widths of about sqrt(n) with full, partial and single blocks
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
             g = 1.0 * (rough(None, oracle_samples(x)) - 0.0)
@@ -342,16 +341,17 @@ class TestStepMatrixMarch:
         assert drift == 0.0 and nodes.shape == (4, 0)
 
     def test_pad_steps_do_not_reach_the_nodes(self):
-        # n = 35: width 2, 18 blocks, the last one step and one pad step;
-        # a non-finite pad product must reach neither the drift nor a node
-        x = random_nodes(35, 1.0)
+        # n = 17: width 4, five blocks, the last one step and three pad
+        # steps; a non-finite pad product must reach neither the drift nor
+        # a node
+        x = random_nodes(17, 1.0)
         want = march(x)
         m, carried = products(x)
-        assert m.shape == (2, 2, 2, 18)
-        m[1, :, :, -1] = np.nan
-        out = np.empty((4, 36))
-        oracle_write_nodes(m, carried, 35, out)
-        drift, nodes = numeric_scatter._read_ends(m, carried, 35, np.arange(1, 36))
+        assert m.shape == (4, 2, 2, 5)
+        m[1:, :, :, -1] = np.nan
+        out = np.empty((4, 18))
+        oracle_write_nodes(m, carried, 17, out)
+        drift, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
         assert np.array_equal(out, want)
         assert np.isfinite(drift) and drift == drift_of(want)
         assert nodes.tobytes() == out[:, 1:].tobytes()
@@ -393,7 +393,7 @@ class TestStepMatrixMarch:
             # back from scan layout to step order: [s, j, k] is step k * width + j
             got = np.concatenate(seen, axis=1).transpose(2, 1, 0).reshape(-1)[: 3 * n]
             assert got.tobytes() == oracle_samples(x).tobytes()
-            assert width == max(1, math.isqrt(n // 8)) and blocks == -(-n // width)
+            assert width == max(1, math.isqrt(n)) and blocks == -(-n // width)
             inside = (got.reshape(n, 3) - x[:-1, None]) / np.diff(x)[:, None]
             assert 0.0 < inside.min() and inside.max() < 1.0
 
@@ -435,7 +435,7 @@ def oracle_samples(x: np.ndarray) -> np.ndarray:
 def oracle_march(g: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, ...]:
     """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step, hs the steps."""
     n = hs.size
-    width = max(1, math.isqrt(n // 8))
+    width = max(1, math.isqrt(n))
     blocks = max(1, -(-n // width))
     # samples[s, j, k]: sample s of step k * width + j.  The zero samples
     # and steps past step n only pad the last block, whose total no carry uses.
@@ -579,14 +579,6 @@ BIT_CASES = {
 ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
 
 
-def x_right_end(potential, config):
-    """z = 12 on an exponential if the window holds it, else x_right."""
-    if not isinstance(potential, potentials.Exponential):
-        return config.x_right
-    x = 2.0 * potential.a * math.log(12.0 / potentials.exponential_p(potential, DEFAULT_UNITS))
-    return min(max(x, config.x_left), config.x_right)
-
-
 def bit_case(name):
     potential, energy, config = ENDS_CASES[name]
     return potential, energy, config or numeric_scatter.default_config(potential)
@@ -627,7 +619,7 @@ class TestBitExactMarch:
     def test_partial_case_leaves_partial_blocks(self):
         x, i_seed, _ = grid(EXP_MODEL, 0.7, PARTIAL)
         for n in (i_seed, x.size - 1 - i_seed):
-            assert n % math.isqrt(n // 8) != 0
+            assert n % math.isqrt(n) != 0
 
     def test_alternating_windows_equal_fresh_calls(self):
         # nothing a call leaves behind may reach the next one
@@ -748,8 +740,7 @@ class TestEndsReader:
             whole = oracle_integrate_basis(potential, energy, config)
             # the right end is z = 12 where the window holds it, else x_right
             x, _, i = grid(potential, energy, config)
-            x_match = x_right_end(potential, config)
-            assert ends.x_ends == (x[0], x[i]) == (config.x_left, x_match) == whole.x_ends
+            assert ends.x_ends == (x[0], x[i]) == whole.x_ends and x[0] == config.x_left
             assert ends.ends.tobytes() == whole.nodes[:, [0, i]].tobytes()
             assert ends.nodes.shape == (4, 0)
             assert ends.drift == whole.drift
@@ -789,18 +780,32 @@ class TestEndsReader:
         assert basis.nodes.tobytes() == whole.nodes[:, picks].tobytes()
 
     @pytest.mark.parametrize("name", ["exp", "exp-q4", "exp-grown", "rect-edges-on-nodes"])
-    def test_xs_off_the_grid_move_the_match_by_round_off(self, name):
-        # x off the grid splits steps: T and the phases move at round-off
+    def test_xs_off_the_grid_leave_the_match_alone(self, name):
+        # the grid does not depend on xs, so neither do T, the phases or
+        # the drift, bit for bit
         potential, energy, config = bit_case(name)
-        want = [numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config),
-                                      side) for side in ("left", "right")]
+        want = outcomes(lambda sides: [
+            numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config), side)
+            for side in sides])
         xs = np.linspace(config.x_left, config.x_right, 401)[1:-1] + 1e-7
         basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
-        for side, old in zip(("left", "right"), want):
-            new = numeric_scatter.match(basis, side)
-            assert abs(new.t_coeff - old.t_coeff) <= 1e-12
-            assert waves.angle_distance(new.theta, old.theta) <= 1e-11
-            assert new.wronskian_drift <= 1e-12
+        assert outcomes(lambda sides: [numeric_scatter.match(basis, side) for side in sides]) == want
+
+    @pytest.mark.parametrize("name", ["exp", "exp-grown", "rect-edges-on-nodes", "free"])
+    def test_an_x_off_the_grid_is_one_step_from_the_node_below(self, name):
+        potential, energy, config = bit_case(name)
+        x, _, _ = grid(potential, energy, config)
+        rng = np.random.default_rng(7)
+        below = rng.integers(0, x.size - 1, 300)
+        xs = x[below] + rng.uniform(0.0, 1.0, below.size) * (x[below + 1] - x[below])
+        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
+        u, du, v, dv = oracle_integrate_basis(potential, energy, config).nodes[:, below]
+        h = xs - x[below]
+        scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
+        samples = x[below] + np.multiply.outer(numeric_scatter._SAMPLES, h)
+        g = scale * (potentials.evaluate(potential, samples) - energy)
+        want = [*oracle_rk4_step(u, du, *g, h), *oracle_rk4_step(v, dv, *g, h)]
+        assert_same_march(list(basis.nodes), want)
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
         # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
@@ -826,6 +831,16 @@ class TestPlaneWaveMatching:
         assert want == pytest.approx(RECT_T_FROZEN, abs=1e-15)
         assert res.t_coeff == pytest.approx(want, abs=1e-10)
         assert res.t_coeff + res.r_coeff == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("width", [1e-4, 1.6e-6, 1e-300])
+    def test_narrow_rect_matches_hand_oracle(self, width):
+        # the flat pads step at kh min(L, 1/k), L the window length, so a
+        # narrow barrier costs no more nodes than a wide one
+        model = potentials.rectangular(1.0, width / 2.0)
+        res = numeric_scatter.solve(model, 0.5, side="left")
+        assert res.t_coeff == pytest.approx(rect_transmission(0.5, 1.0, width), abs=1e-12)
+        assert res.flux_imbalance <= 1e-12 and res.wronskian_drift <= 1e-12
+        assert grid(model, 0.5, numeric_scatter.default_config(model))[0].size < 2_000
 
     def test_symmetric_model_side_independent(self):
         rect = potentials.rectangular(1.0, 1.0)
@@ -1025,7 +1040,7 @@ def numeric_wave(model, energy, xmin, xmax, n):
 
 @pytest.fixture(scope="module")
 def every_node_wave():
-    # 50,000 requests over the default window, each a node of the grid
+    # 50,000 requests over the default window, each read from its node below
     config = numeric_scatter.default_config(EXP_MODEL)
     return numeric_wave("exp:v0=1,a=1", 0.25, config.x_left, config.x_right, 50_000)
 
@@ -1045,15 +1060,9 @@ class TestScatteringWavefunction:
 
     @pytest.mark.parametrize("pair", [(0, 1), (12_345, 40_000), (40_001, 49_999)])
     def test_a_node_prints_the_same_cells_alone_or_among_all(self, pair, every_node_wave):
-        # the x are the ones asked for; psi and its flux move at round-off
-        # with the steps the other 49,998 nodes split
-        want = [[float(cell) for cell in every_node_wave[i]] for i in pair]
-        xs = [row[0] for row in want]
-        got = [[float(cell) for cell in row] for row in numeric_wave("exp:v0=1,a=1", 0.25, *xs, 2)]
-        for g, w in zip(got, want):
-            assert g[0] == w[0]
-            assert abs(complex(g[1], g[2]) - complex(w[1], w[2])) <= 1e-11 * w[3]
-            assert abs(g[4] - w[4]) <= 1e-11 * abs(w[4])
+        want = [every_node_wave[i] for i in pair]
+        xs = [float(row[0]) for row in want]
+        assert numeric_wave("exp:v0=1,a=1", 0.25, *xs, 2) == want
 
     def test_shifted_model_is_phase_times_translation(self):
         # V(x - b) solutions are e^{ikb} psi(x - b) after unit-incident
@@ -1144,7 +1153,8 @@ def test_numeric_lane_imports_nothing_from_exp_barrier():
 
 def test_numeric_lane_places_its_match_node_once():
     # the basis record holds nodes, not solutions on a grid: only _grid
-    # searches its nodes, and only _right_end decides the right end node
+    # searches its nodes, and only _right_end decides the right end node,
+    # once per row
     tree = ast.parse(inspect.getsource(numeric_scatter))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
@@ -1156,7 +1166,7 @@ def test_numeric_lane_places_its_match_node_once():
     callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_right_end"}
-    assert callers == {"integrate_ends", "_grid"}
+    assert callers == {"integrate_ends"}
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "_Z_MATCH"}
     assert readers == {"default_config", "_right_end"}
