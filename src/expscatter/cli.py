@@ -341,7 +341,8 @@ def build_parser() -> _Parser:
     wave.add_argument("--xmax", type=float, required=True)
     wave.add_argument("--n", type=int, default=201,
                       help="grid points on [xmin, xmax] (default 201); the numeric method "
-                           "makes each an integration node and prints each distinct x once")
+                           "reads each by one RK4 step from the integration node at or below "
+                           "it and prints each distinct x once")
     wave.add_argument("--out", help="output file (default stdout)")
 
     plot = sub.add_parser("plot", help="render a sweep table as an SVG chart")
@@ -419,7 +420,7 @@ def cmd_wavefunction(args) -> int:
         flux_vals = wave.flux_profile * flux_scale
     else:
         # the default window, grown to cover [xmin, xmax]; every distinct
-        # requested x is a node of the grid
+        # requested x is read by one RK4 step from the node at or below it
         base = numeric_scatter.default_config(model, units)
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)

@@ -5,9 +5,10 @@ real basis {u, v} with u = 1, u' = 0, v = 0, v' = 1 at the seed, the window
 point nearest x = 0, by marching a classical RK4 outward from it (so
 W[u, v] = 1 exactly at the seed and its drift measures integrator error).
 Each row gets its own graded grid (``_grid``): the step at x is
-kh * min(l, 1/K(x)), K the local wavenumber and l a length (a, or a
-rectangle's window length), so the near-free tail of an exponential is
-crossed in steps of kh * a while its dive keeps K h = kh.  The match
+kh * min(l, 1/K(x)), K the local wavenumber and l a length (a / sqrt(2z)
+for an exponential, a rectangle's window length), so an exponential's
+dive keeps K h = kh while the cap on its step fades with the potential
+into the near-free tail.  The match
 point and the rectangle edges are exact nodes; a wavefunction's samples
 are read by one partial RK4 step from the node below each, so they leave
 the grid as it is.
@@ -59,8 +60,11 @@ ASYMPTOTE_EPSILON = 1e-6
 DRIFT_TOLERANCE = 1e-8
 # K h per step: what the step a/2000 spends at z = 12, where K = 6/a
 KH = 0.003
-# points per length l of the table that s(x) is integrated on
+# points per a (or per rectangle window) of the table that s(x) is
+# integrated on, and the most it may hold: a step of kh a passed the node
+# cap on a window wider than _MAX_TABLE / _TABLE_PER_L = 15,000 a
 _TABLE_PER_L = 8
+_MAX_TABLE = 120_000
 # sample offsets within a step, as fractions of it: strictly inside, so a
 # jump on a node is seen one-sided by both neighbouring steps
 _SAMPLES = (1e-9, 0.5, 1.0 - 1e-9)
@@ -72,9 +76,9 @@ class SolverConfig:
 
     The basis is seeded at ``seed``, the window point nearest x = 0.  The
     step at x is kh * min(l, 1/K(x)), K^2 = |2m (E - V(x))| / hbar^2 the
-    local wavenumber, l = a for an exponential and the window length
-    x_right - x_left for a rectangle (see ``_grid``); the error falls as
-    kh^4.
+    local wavenumber, l = a / sqrt(2z) for an exponential (z = p e^{x/2a},
+    so l = a at z = 1/2) and the window length x_right - x_left for a
+    rectangle (see ``_grid``); the error falls as kh^4.
     """
 
     x_left: float
@@ -244,7 +248,8 @@ def _check_drift(drift: float, config: SolverConfig) -> None:
     if drift > DRIFT_TOLERANCE:
         raise AccuracyError(
             f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
-            f"{DRIFT_TOLERANCE:.3e}; lower kh = {config.kh:g} (drift falls as kh^4)"
+            f"{DRIFT_TOLERANCE:.3e}; lower kh = {config.kh:g} "
+            "(on the exponential, drift falls as kh^5)"
         )
 
 
@@ -309,24 +314,32 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     xs.
 
     The step at x is kh * min(l, 1/K(x)): the nodes sit at whole steps of
-    s(x) = int max(1/l, K) dx / kh.  s is summed by the midpoint rule on a
-    table l / _TABLE_PER_L apart and inverted by ``np.interp``.  The
-    pins, x_right and the rectangle edges bound segments, in which the
-    nodes split s evenly, in the fewest steps whose s increments are at
-    most 1.  A rectangle's K is constant between those edges, so its l
-    is the window length: only K ~ 0 needs a cap there.  A grid past the
-    node cap is refused before it is built.
+    s(x) = int max(1/l, K) dx / kh.  An exponential's l = a / sqrt(2z),
+    z = p e^{x/2a}, which is a at z = 1/2 and grows as e^{-x/4a} into its
+    near-free tail, where V's own rate sets the step; with
+    K_V = sqrt(2m |V|) / hbar = z / 2a, 1/l = 2 sqrt(K_V / a).  A
+    rectangle's K is constant between its edges, so its l is the window
+    length: only K ~ 0 needs a cap there.  s is summed by the midpoint
+    rule on a table a / _TABLE_PER_L (or the window / _TABLE_PER_L) apart
+    and inverted by ``np.interp``.  The pins, x_right and the rectangle
+    edges bound segments, in which the nodes split s evenly, in the fewest
+    steps whose s increments are at most 1.  A table past _MAX_TABLE
+    points, or a grid past the node cap, is refused before it is built.
     """
     lo, hi, kh = config.x_left, config.x_right, config.kh
-    if isinstance(potential, Exponential):
-        ell, edges = potential.a, []
+    exponential = isinstance(potential, Exponential)
+    if exponential:
+        span, edges = potential.a, []
     else:
-        ell, hw = hi - lo, potential.half_width
+        span, hw = hi - lo, potential.half_width
         edges = [x for x in (-hw, hw) if lo < x < hi]
     bounds = np.array(sorted({*pins, hi, *edges}))
-    # no step is longer than kh * l
-    _check_nodes((hi - lo) / (kh * ell), energy, config, ell)
-    count = math.ceil(_TABLE_PER_L * (hi - lo) / ell)
+    count = math.ceil(_TABLE_PER_L * (hi - lo) / span)
+    if not count <= _MAX_TABLE:
+        raise DomainError(
+            f"the window [{lo:g}, {hi:g}] is {(hi - lo) / span:.3g} a wide, past the "
+            f"{_MAX_TABLE // _TABLE_PER_L:,} a its step table holds; shrink the window"
+        )
     # a table point twice is an interval of zero width, which adds nothing to s
     table = np.sort(np.concatenate((np.linspace(lo, hi, count + 1), bounds)))
     if not np.all(np.isfinite(potentials.evaluate(potential, table))):
@@ -334,10 +347,17 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     mid = 0.5 * (table[1:] + table[:-1])
     scale = 2.0 * units.mass / units.hbar**2
     with np.errstate(over="ignore"):
-        k = np.sqrt(np.abs(scale * (energy - potentials.evaluate(potential, mid))))
-        s_table = np.concatenate(([0.0], np.cumsum(np.maximum(1.0 / ell, k) * np.diff(table))))
+        v = potentials.evaluate(potential, mid)
+        k = np.sqrt(np.abs(scale * (energy - v)))
+        floor = 2.0 * np.sqrt(np.sqrt(scale * np.abs(v)) / span) if exponential else 1.0 / span
+        s_table = np.concatenate(([0.0], np.cumsum(np.maximum(floor, k) * np.diff(table))))
         s_table /= kh
-    _check_nodes(s_table[-1] + bounds.size, energy, config, ell)
+    if not s_table[-1] + bounds.size <= _MAX_NODES:
+        raise DomainError(
+            f"the grid at E = {energy:g} needs about {s_table[-1] + bounds.size:.3g} nodes "
+            f"on [{lo:g}, {hi:g}], past the {_MAX_NODES:,} node cap (step kh min(l, 1/K), "
+            f"kh = {kh:g}); lower E, shrink the window or raise kh"
+        )
     s_bounds = np.interp(bounds, table, s_table)
     spans = np.diff(s_bounds)
     steps = np.maximum(1, np.ceil(spans - 1e-6)).astype(np.int64)
@@ -348,16 +368,6 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     x[1:] = np.interp(np.cumsum(s_nodes), s_table, table)
     x[np.concatenate(([0], np.cumsum(steps)))] = bounds
     return x, np.searchsorted(x, np.concatenate((pins, xs)), side="right") - 1
-
-
-def _check_nodes(count: float, energy: float, config: SolverConfig, ell: float) -> None:
-    if not count <= _MAX_NODES:
-        raise DomainError(
-            f"the grid at E = {energy:g} needs about {count:.3g} nodes on "
-            f"[{config.x_left:g}, {config.x_right:g}], past the {_MAX_NODES:,} node cap "
-            f"(step kh min(l, 1/K), kh = {config.kh:g}, l = {ell:g}); lower E, "
-            "shrink the window or raise kh"
-        )
 
 
 def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units):

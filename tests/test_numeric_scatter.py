@@ -143,6 +143,17 @@ class TestBasisIntegration:
                            + ".* past the 5,000,000 node cap"):
             numeric_scatter.integrate_ends(potential, energy, config)
 
+    def test_table_past_its_cap_refused_before_it_is_built(self, monkeypatch):
+        # the step table is a/8 apart; a window 20,000 a wide would hold
+        # 160,000 points, and V is not sampled on it
+        config = SolverConfig(x_left=-2e4, x_right=5.0)
+        evaluate = potentials.evaluate
+        monkeypatch.setattr(potentials, "evaluate",
+                            lambda m, x: pytest.fail() if np.size(x) > 2 else evaluate(m, x))
+        with pytest.raises(DomainError, match=re.escape("[-20000, 5] is 2e+04 a wide, past the "
+                                                        "15,000 a its step table holds")):
+            numeric_scatter.integrate_ends(EXP_MODEL, 0.01, config)
+
     @pytest.mark.parametrize(
         "ends, seed",
         [((-1.0, 2.0), 0.0), ((1.0, 2.0), 1.0), ((-2.0, -1.0), -1.0), ((0.0, 1.0), 0.0)],
@@ -167,13 +178,20 @@ class TestBasisIntegration:
     )
     def test_steps_follow_the_rule(self, potential, energy, config):
         # h = kh min(l, 1/K) at each step's midpoint, to the table's 7%:
-        # K varies by e^{1/16} over a table interval l/8 wide
+        # K varies by e^{1/16} over a table interval a/8 wide.  An
+        # exponential's l is a / sqrt(2z), z = p e^{x/2a}; a rectangle's is
+        # its window length
         config = config or numeric_scatter.default_config(potential)
         x, _, _ = grid(potential, energy, config)
         h = np.diff(x)
-        ell = getattr(potential, "a", None) or config.x_right - config.x_left
-        k_mid = local_wavenumber(potential, energy, x[:-1] + 0.5 * h)
-        ratio = h * np.maximum(1.0 / ell, k_mid) / config.kh
+        mid = x[:-1] + 0.5 * h
+        if isinstance(potential, potentials.Exponential):
+            a = potential.a
+            z = potentials.exponential_p(potential, DEFAULT_UNITS) * np.exp(mid / (2.0 * a))
+            floor = np.sqrt(2.0 * z) / a
+        else:
+            floor = 1.0 / (config.x_right - config.x_left)
+        ratio = h * np.maximum(floor, local_wavenumber(potential, energy, mid)) / config.kh
         assert np.all(h > 0.0)
         assert 0.93 <= ratio.min() and ratio.max() <= 1.07
 
@@ -211,10 +229,11 @@ class TestBasisIntegration:
             assert at[:3].tolist() == [0, i_right, i_seed] and at[3:].tolist() == below.tolist()
 
     def test_nodes_grow_with_the_wavenumber(self):
-        # README rows: the step is kh a in the tail while K < 1/a, kh / K past it
+        # README rows: the step is kh a / sqrt(2z) where K < sqrt(2z) / a,
+        # kh / K elsewhere (10,004 and 10,408 nodes at the fixed cap l = a)
         config = numeric_scatter.default_config(EXP_MODEL)
         counts = [grid(EXP_MODEL, energy, config)[0].size for energy in (0.01, 1.0, 5.0, 100.0)]
-        assert counts == [10_004, 10_408, 19_376, 79_189]
+        assert counts == [6_802, 11_118, 19_376, 79_189]
 
     def test_xs_outside_the_window_refused(self):
         config = SolverConfig(x_left=-2.0, x_right=2.0)
@@ -1080,7 +1099,8 @@ class TestScatteringWavefunction:
 
 def test_readme_family_sweep_guard(monkeypatch):
     # 20 rows of the README sweep: no row marches past 20,000 nodes (47,169
-    # at the uniform step a/2000), and no digit is lost on the way
+    # at the uniform step a/2000), all 20 march 200,000 at most (226,806 at
+    # the fixed cap l = a), and no digit is lost on the way
     counts = []
     build = numeric_scatter._grid
 
@@ -1092,11 +1112,38 @@ def test_readme_family_sweep_guard(monkeypatch):
     monkeypatch.setattr(numeric_scatter, "_grid", counted)
     spec = cli.SweepSpec(EXP_MODEL, 0.01, 5.0, 20, "log", "both", "both", DEFAULT_UNITS)
     rows = cli.run_sweep(spec)
-    assert len(counts) == 20 and max(counts) <= 20_000
+    assert len(counts) == 20 and max(counts) <= 20_000 and sum(counts) <= 200_000
     assert all(row.error is None for row in rows)
     assert max(abs(row.t_numeric - row.t_analytic) for row in rows) <= 6.5e-9
     assert max(row.wronskian_drift for row in rows) <= 1e-12
     assert max(row.flux_imbalance for row in rows) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "v0, a, bounds",
+    [(1.0, 1.0, (1.8e-13, 3.7e-11, 9.9e-12)),
+     (0.1, 0.5, (1.8e-13, 2.2e-11, 9.9e-12)),
+     (10.0, 2.0, (5.7e-13, 6.9e-11, 9.9e-12))],
+)
+def test_step_error_stays_within_the_fixed_cap(v0, a, bounds):
+    # kh against kh/2, on both sides and at 8 energies from the plane-wave
+    # refusal edge up to 5: the |dT|, |d theta| and |r| |d phi| of the fixed
+    # cap l = a, rounded up, bound those of l = a / sqrt(2z)
+    model = potentials.exponential(v0, a)
+    config = numeric_scatter.default_config(model)
+    v_left = abs(float(potentials.evaluate(model, config.x_left)))
+    edge = v_left / numeric_scatter.ASYMPTOTE_EPSILON
+    half = dataclasses.replace(config, kh=0.5 * config.kh)
+    worst = [0.0, 0.0, 0.0]
+    for energy in np.geomspace(edge * (1.0 + 1e-9), 5.0, 8).tolist():
+        bases = [numeric_scatter.integrate_ends(model, energy, c) for c in (config, half)]
+        for side in ("left", "right"):
+            coarse, fine = (numeric_scatter.match(basis, side) for basis in bases)
+            worst = np.maximum(worst, [
+                abs(fine.t_coeff - coarse.t_coeff),
+                waves.angle_distance(fine.theta, coarse.theta),
+                abs(coarse.r_amp) * waves.angle_distance(fine.phi, coarse.phi)])
+    assert np.all(worst <= bounds)
 
 
 class TestDefaultConfig:
@@ -1123,13 +1170,13 @@ class TestDefaultConfig:
         assert z_left == pytest.approx(2.0 * math.exp(-10.0), rel=1e-12)
         assert z_right == pytest.approx(12.0, rel=1e-12)
         assert config.kh == KH
-        assert grid(model, 0.25, config)[0].size in (10_074, 10_075)
+        assert grid(model, 0.25, config)[0].size in (8_418, 8_419)
 
     def test_readme_window_keeps_its_nodes(self):
         config = numeric_scatter.default_config(EXP_MODEL)
         x, i_seed, i_right = grid(EXP_MODEL, 0.25, config)
         assert (config.x_left, config.seed, x.size, i_seed, i_right) == (
-            -20.0, 0.0, 10_075, 6_673, 10_074)
+            -20.0, 0.0, 8_419, 4_411, 8_418)
 
     def test_rect_edges_land_on_nodes(self):
         model = potentials.rectangular(1.0, 0.7)
