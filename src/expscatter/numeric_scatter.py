@@ -16,21 +16,21 @@ The equation is linear, so every RK4 step is a 2x2 transfer matrix; one
 product stage (``_march``) builds all of them a chunk at a time with numpy
 and takes their products in a blocked scan.  One reader (``_read_ends``,
 behind ``integrate_ends``) forms the Wronskian over every node a chunk at
-a time, and only the nodes its caller asks for: the two match nodes and,
-for a wavefunction, its samples.  The basis record holds those nodes and
-the drift; no node array of the window is built.  An exponential's
-default window is fixed in z = p exp(x/(2a)), where its depth only
-translates the problem.
-``match`` then projects u and v, at each window end and by one Wronskian
-projection (``_end``), onto that end's rightward unit wave R: exp(ikx)
+a time, and only the nodes its caller asks for: the two end nodes and,
+for a wavefunction, its samples.  No node array of the window is built.
+An exponential's default window is fixed in z = p exp(x/(2a)), where its
+depth only translates the problem.
+``integrate_ends`` then projects u and v, at each window end and by one
+Wronskian projection (``_end``), onto that end's rightward unit wave R: exp(ikx)
 where the potential vanishes, H1_{iq}(z) / N where it dives, with
 N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} H1's large-z normalization, so
 R ~ exp(-x/(4a)) exp(iz) (z = p exp(x/(2a)), at z = 12 however far the
 window runs past it).  The basis is real, so along the leftward wave
-conj(R) its coefficients are the conjugates.  The matched solution has no
-wave arriving from infinity on the transmitted end; incident, reflected
-and transmitted waves are read off the same two projections for either
-incidence side.
+conj(R) its coefficients are the conjugates.  The basis record holds the
+two projected ends, the asked-for nodes and the drift.  ``match`` is
+algebra on the ends: the matched solution has no wave arriving from
+infinity on the transmitted end; incident, reflected and transmitted
+waves are read off the same two projections for either incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ; at both ends the flux
@@ -98,23 +98,34 @@ class SolverConfig:
         return min(max(0.0, self.x_left), self.x_right)
 
 
+class _End(NamedTuple):
+    """One window end, read along its rightward unit wave R.
+
+    u and v are the basis solutions' coefficients along R; the basis is
+    real, so their coefficients along the leftward wave conj(R) are the
+    conjugates.  flux is the probability flux of R, which conj(R) carries
+    the other way.
+    """
+
+    u: complex
+    v: complex
+    flux: float
+
+
 @dataclass(frozen=True)
 class BasisPair:
     """Two real solutions u, v, W[u, v] = 1 at the seed, read at a few nodes.
 
-    Each node is a column of rows u, u', v, v' (float64).  ends holds the
-    left end node and the right end node ``match`` reads, at x_ends; nodes
-    holds the basis at the xs a caller asked for, in the order asked.
+    ends holds the left and the right window end, each projected onto its
+    unit waves (``_End``).  nodes holds the basis at the xs a caller asked
+    for, in the order asked, each a column of rows u, u', v, v' (float64).
     drift is max |W[u, v] - 1| over every node of the window.
     """
 
-    x_ends: tuple[float, float]
-    ends: np.ndarray
+    ends: tuple[_End, _End]
     nodes: np.ndarray
     drift: float
-    potential: PotentialModel
     energy: float
-    units: Units
 
 
 @dataclass(frozen=True)
@@ -169,8 +180,8 @@ def integrate_ends(
     xs=(),
 ) -> BasisPair:
     """March the basis pair across [x_left, x_right] with RK4 on the row's
-    graded grid (``_grid``) and read it at the two nodes ``match`` reads
-    and at ``xs``.
+    graded grid (``_grid``), project its two end nodes onto their unit
+    waves (``_end``) and read it at ``xs``.
 
     Each half-window is one numpy march outward from the seed: the RK4
     transfer matrices of all its steps and their products (``_march``).
@@ -188,14 +199,15 @@ def integrate_ends(
         For energy <= 0, for exponential models with
         energy < 1e-6 * delta (the reduction degenerates there), for an x
         outside the window, if the potential is not finite anywhere on the
-        window, for a grid past the node cap, or for a plane-wave end that
-        ``match`` would refuse: that is refused before the grid is built,
-        with the same message (so it takes precedence over a march that
-        would also fail).
+        window, for a grid past the node cap, for a plane-wave end where
+        |V| > ASYMPTOTE_EPSILON * E (refused before the grid is built), or
+        for a diving end whose q overflows exp(q pi) in its H1.
     AccuracyError
-        If the Wronskian drifts past DRIFT_TOLERANCE or is not finite.
+        If the Wronskian drifts past DRIFT_TOLERANCE or is not finite, or
+        if the diving end's unit wave carries a flux far from its own.
     """
     _check_energy(potential, energy, units)
+    energy = float(energy)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if xs.size and not (config.x_left <= xs.min() and xs.max() <= config.x_right):
         raise DomainError(
@@ -203,10 +215,10 @@ def integrate_ends(
             f"got [{xs.min()!r}, {xs.max()!r}]"
         )
     x_ends = (config.x_left, _right_end(potential, units, config))
-    _plane_potential(potential, float(energy), x_ends[0], "x_left")
+    _plane_potential(potential, energy, x_ends[0], "x_left")
     if not isinstance(potential, Exponential):
-        _plane_potential(potential, float(energy), x_ends[1], "x_right")
-    x, at = _grid(potential, float(energy), config, units, (*x_ends, config.seed), xs)
+        _plane_potential(potential, energy, x_ends[1], "x_right")
+    x, at = _grid(potential, energy, config, units, (*x_ends, config.seed), xs)
     # node indices of the two ends, then of the node below each asked-for x
     seed, at = at[2], np.delete(at, 2)
     # rows u, u', v, v'; a node on the seed keeps the seed values
@@ -219,12 +231,15 @@ def integrate_ends(
                                                  half.size - 1, sign * (at[picked] - seed))
             drifts.append(drift)
     drift = float(np.max(drifts))
-    _check_drift(drift, config)
+    _check_drift(drift, config, nodes[:, :2])
+    # only the exponential dives, and only on the right
+    dives = isinstance(potential, Exponential)
+    ends = (_end(potential, energy, units, x_ends[0], nodes[:, 0], False),
+            _end(potential, energy, units, x_ends[1], nodes[:, 1], dives))
     if xs.size:
         below = x[at[2:]]
-        nodes[:, 2:] = _step_from(potential, float(energy), below, xs - below, units, nodes[:, 2:])
-    return BasisPair(x_ends=x_ends, ends=nodes[:, :2], nodes=nodes[:, 2:], drift=drift,
-                     potential=potential, energy=float(energy), units=units)
+        nodes[:, 2:] = _step_from(potential, energy, below, xs - below, units, nodes[:, 2:])
+    return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift, energy=energy)
 
 
 def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
@@ -239,18 +254,23 @@ def _check_energy(potential: PotentialModel, energy: float, units: Units) -> Non
             )
 
 
-def _check_drift(drift: float, config: SolverConfig) -> None:
+def _check_drift(drift: float, config: SolverConfig, ends: np.ndarray) -> None:
+    """Refuse a drift that is not finite or past DRIFT_TOLERANCE, blaming
+    the step unless W's round-off at the raw end nodes passes it too."""
     if not math.isfinite(drift):
         raise AccuracyError(
             f"Wronskian drift {drift:.3e}: the basis overflowed on the window "
             f"[{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
         )
     if drift > DRIFT_TOLERANCE:
-        raise AccuracyError(
-            f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
-            f"{DRIFT_TOLERANCE:.3e}; lower kh = {config.kh:g} "
-            "(on the exponential, drift falls as kh^5)"
-        )
+        u, du, v, dv = ends
+        roundoff = np.finfo(float).eps * float(np.max(np.abs(u * dv) + np.abs(du * v)))
+        advice = (f"W carries round-off eps max(|u v'| + |u' v|) = {roundoff:.3e} at the "
+                  "window ends on its own, which a smaller kh cannot lower; raise E or "
+                  "narrow the barrier" if roundoff > DRIFT_TOLERANCE else
+                  f"lower kh = {config.kh:g} (on the exponential, drift falls as kh^5)")
+        raise AccuracyError(f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
+                            f"{DRIFT_TOLERANCE:.3e}; {advice}")
 
 
 def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
@@ -260,12 +280,11 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     wave R, conjugated along conj(R).  The matched psi = c_u u + c_v v has
     no wave arriving from infinity at the transmitted end; the incident and
     reflected waves are its two components at the other end.  The basis
-    carries the potential, energy and units it was integrated with, so one
-    basis serves both incidence sides.
+    carries both ends projected, so one basis serves both incidence sides.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    left, right = _end(basis, 0), _end(basis, 1)
+    left, right = basis.ends
     # incidence from the left arrives along R, from the right along conj(R)
     source, sink, inc = (left, right, True) if side == "left" else (right, left, False)
 
@@ -481,67 +500,42 @@ def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[float
     """The reader of one march: max |W[u, v] - 1| over its nodes 0..n,
     formed a chunk of rows at a time in scan layout, and the nodes picks
     (each in 1..n, in any order, repeats included) as columns
-    (u, u', v, v'), from the chunk each is in."""
+    (u, u', v, v'), by the same products."""
     width, _, _, blocks = m.shape
     # real steps in the last block; its other rows are pad steps
     last = n - (blocks - 1) * width
     rows = max(1, _CHUNK // blocks)
-    # node 1 + k * width + j is row j of block k, in chunk j // rows
-    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
-    chunk = j // rows
-    starts = range(0, width, rows)
-    counts = np.bincount(chunk, minlength=len(starts))
     # the seed's W - 1 is exactly 0
     maxima = [0.0]
-    nodes = np.empty((4, k.size))
-    for i, j0 in enumerate(starts):
-        columns = [_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS]
-        u, du, v, dv = columns
+    for j0 in range(0, width, rows):
+        u, du, v, dv = (_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS)
         error = np.abs(u * dv - du * v - 1.0)
         # pad steps take the seed's value
         error[max(last - j0, 0) :, -1] = 0.0
         maxima.append(error.max())
-        if counts[i]:
-            here = (chunk == i).nonzero()[0]
-            at = (j[here] - j0) * blocks + k[here]
-            nodes[:, here] = [c.ravel()[at] for c in columns]
-    return np.max(maxima), nodes
+    # node 1 + k * width + j is row j of block k
+    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
+    return np.max(maxima), np.array([_prefix(m[j, :, :, k], carried[:, :, k], r, c)
+                                     for r, c in _ROWS])
 
 
-class _End(NamedTuple):
-    """One window end, read along its rightward unit wave R.
-
-    u and v are the basis solutions' coefficients along R; the basis is
-    real, so their coefficients along the leftward wave conj(R) are the
-    conjugates.  flux is the probability flux of R, which conj(R) carries
-    the other way.
-    """
-
-    u: complex
-    v: complex
-    flux: float
-
-
-def _end(basis: BasisPair, i: int) -> _End:
-    """End i (0 left, 1 right) along its rightward unit wave R, exp(ikx) or
-    H1_{iq}(z) / N (see the module notes).  A real solution f projects onto
-    R by Wronskians, c = W[f, conj R] / W[R, conj R], and
-    W[R, conj R] = -2i Im(conj(R) R') also gives R's flux,
-    (hbar/m) Im(conj(R) R')."""
-    x, units = basis.x_ends[i], basis.units
-    k = math.sqrt(2.0 * units.mass * basis.energy) / units.hbar
-    # only the exponential dives, and only on the right
-    diving = i == 1 and isinstance(basis.potential, Exponential)
+def _end(potential: PotentialModel, energy: float, units: Units, x: float, node: np.ndarray,
+         diving: bool) -> _End:
+    """The end node (u, u', v, v') at x along its rightward unit wave R,
+    H1_{iq}(z) / N on a diving end, else exp(ikx) (see the module notes).
+    A real solution f projects onto R by Wronskians,
+    c = W[f, conj R] / W[R, conj R], and W[R, conj R] = -2i Im(conj(R) R')
+    also gives R's flux, (hbar/m) Im(conj(R) R')."""
+    k = math.sqrt(2.0 * units.mass * energy) / units.hbar
     if diving:
-        a = basis.potential.a
-        p, q = potentials.exponential_p(basis.potential, units), 2.0 * k * a
+        a = potential.a
+        p, q = potentials.exponential_p(potential, units), 2.0 * k * a
         z = p * math.exp(x / (2.0 * a))
         h1 = specfun.hankel_imag_order(q, z, kind=1)
         norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q)
         norm *= cmath.exp(-0.25j * math.pi)
         r, dr = h1.value / norm, h1.dvalue * (z / (2.0 * a)) / norm
     else:
-        _plane_potential(basis.potential, basis.energy, x, ("x_left", "x_right")[i])
         r = cmath.exp(1j * k * x)
         dr = 1j * k * r
     im = (r.conjugate() * dr).imag
@@ -555,7 +549,7 @@ def _end(basis: BasisPair, i: int) -> _End:
     def coeff(f: float, df: float) -> complex:
         return (f * dr.conjugate() - df * r.conjugate()) / (-2j * im)
 
-    u, du, v, dv = basis.ends[:, i].tolist()
+    u, du, v, dv = node.tolist()
     return _End(coeff(u, du), coeff(v, dv), flux)
 
 

@@ -109,7 +109,7 @@ def rectangular(v0: float, half_width: float) -> Rectangular:
 
 def free() -> Rectangular:
     """V(x) = 0 everywhere: a rectangle of zero height, whose default
-    numeric window is [-5, 5] at step 5e-4."""
+    numeric window is [-5, 5], stepped at kh min(10, 1/k)."""
     return rectangular(0.0, 3.0)
 
 

@@ -199,8 +199,8 @@ def check_flux_wronskian_rk4() -> CheckResult:
         # u(x_probe) is marched rightward from the seed x = 0; the left end
         # is the default one, where plane waves hold
         coarse = SolverConfig(x_left=config.x_left, x_right=x_probe, kh=kh)
-        marched = numeric_scatter.integrate_ends(model, energy, coarse)
-        errors.append(abs(float(marched.ends[0, 1]) - reference))
+        marched = numeric_scatter.integrate_ends(model, energy, coarse, xs=[x_probe])
+        errors.append(abs(float(marched.nodes[0, 0]) - reference))
     slope = float(np.polyfit(np.log(khs), np.log(errors), 1)[0])
     parts = [(drift, 1e-8), (abs(slope - 4.0), 0.3)]
     detail = f"drift={drift:.3e}, order={slope:.3f} from kh = 8, 4, 2 x {KH:g}"

@@ -188,8 +188,9 @@ def test_criterion_08_flux_wronskian_order(capsys):
     errors = []
     for kh in khs:
         coarse = SolverConfig(x_left=-4.0, x_right=x_probe, kh=kh)
+        # x_probe = x_right is the last node
         marched = oracle_integrate_basis(model, energy, coarse)
-        errors.append(abs(float(marched.ends[0, 1]) - reference))
+        errors.append(abs(float(marched.nodes[0, -1]) - reference))
     order = float(np.polyfit(np.log(khs), np.log(errors), 1)[0])
 
     passed = spread < 1e-8 and drift < 1e-8 and abs(order - 4.0) <= 0.3

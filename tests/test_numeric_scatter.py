@@ -72,8 +72,9 @@ class TestBasisIntegration:
 
     def test_wronskian_pinned_to_one(self):
         config = numeric_scatter.default_config(EXP_MODEL)
-        basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, config)
-        u, du, v, dv = basis.ends[:, 1]
+        # the right end, z = 12, is x_right on the default window
+        basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, config, xs=[config.x_right])
+        u, du, v, dv = basis.nodes[:, 0]
         assert abs(u * dv - du * v - 1.0) < 1e-9
         assert basis.drift < 1e-9
 
@@ -89,6 +90,24 @@ class TestBasisIntegration:
         config = SolverConfig(x_left=-8.0, x_right=3.0, kh=0.1)
         with pytest.raises(AccuracyError, match="lower kh = 0.1"):
             oracle_integrate_basis(EXP_MODEL, 0.25, config)
+
+    def test_drift_refusal_names_its_cause(self):
+        # the exponential at kh = 0.1 drifts 1.7e-6 from its step, while
+        # eps max(|u v'| + |u' v|) at its ends is 2.3e-16
+        coarse = SolverConfig(x_left=-30.0, x_right=3.0, kh=0.1)
+        with pytest.raises(AccuracyError, match=re.escape(
+                "drift 1.733e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
+            numeric_scatter.integrate_ends(EXP_MODEL, 0.25, coarse)
+        # across rect:v0=50,w=4 at E = 1 the basis grows until W's round-off
+        # at the ends alone passes the tolerance: halving kh does not help
+        rect = potentials.rectangular(50.0, 2.0)
+        config = numeric_scatter.default_config(rect)
+        for kh in (config.kh, 0.5 * config.kh):
+            with pytest.raises(AccuracyError, match=re.escape(
+                    "W carries round-off eps max(|u v'| + |u' v|) = 5.216e-04 at the window "
+                    "ends on its own, which a smaller kh cannot lower; raise E or narrow "
+                    "the barrier")):
+                numeric_scatter.integrate_ends(rect, 1.0, dataclasses.replace(config, kh=kh))
 
     def test_overflowing_basis_refused(self):
         # u and v grow like e^{kappa w} = e^{800} across this barrier; the
@@ -248,12 +267,12 @@ class TestBasisIntegration:
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, x: seen.append(np.array(x)) or evaluate(m, x))
         config = SolverConfig(x_left=1.0, x_right=2.0)
-        # the oracle: integrate_ends also evaluates V at the plane-wave ends
-        basis = oracle_integrate_basis(potentials.rectangular(1.0, 0.5), 0.5, config)
-        assert basis.x_ends[0] == 1.0 and basis.nodes.shape[1] > 1
-        assert basis.nodes[0, 0] == 1.0 and basis.nodes[3, 0] == 1.0
-        # the grid's table reads the window ends, the march only inside
-        # but for the left half's zero step, which samples the seed itself
+        basis = numeric_scatter.integrate_ends(potentials.rectangular(1.0, 0.5), 0.5, config,
+                                               xs=[1.0, 2.0])
+        assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+        # the plane-wave checks and the grid's table read the window ends,
+        # an asked-for x its own node, the march only inside but for the
+        # left half's zero step, which samples the seed itself
         assert seen and all(1.0 <= np.min(x) and np.max(x) <= 2.0 for x in seen)
         marched = [x for x in seen if np.ndim(x) == 3]
         assert [x.tolist() for x in marched if x.size == 3] == [[[[1.0]], [[1.0]], [[1.0]]]]
@@ -518,10 +537,19 @@ def oracle_write_nodes(m, carried, n, out):
         out[row, 1 + full * width :] = prefix[: n - full * width, -1]
 
 
+def project_ends(potential, energy, x, i_right, nodes, units=DEFAULT_UNITS):
+    """The left end node and the right end node i_right of nodes, on the
+    grid x, projected onto their unit waves as ``integrate_ends`` does."""
+    diving = isinstance(potential, potentials.Exponential)
+    return tuple(numeric_scatter._end(potential, float(energy), units, x[i], nodes[:, i], dives)
+                 for i, dives in ((0, False), (i_right, diving)))
+
+
 def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
     """The whole-grid basis: every node from the oracle writer, the left
-    half through a reversed view, as the nodes of the record.  It checks
-    the energy and the drift but no plane-wave end."""
+    half through a reversed view, as the nodes of the record, and its two
+    end nodes projected.  It checks the energy and the drift but no
+    plane-wave end."""
     numeric_scatter._check_energy(potential, energy, units)
     x, i_seed, i_right = grid(potential, energy, config, units)
     nodes = np.empty((4, x.size))
@@ -530,21 +558,20 @@ def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
             made = numeric_scatter._march(potential, energy, half, units)
             oracle_write_nodes(*made, half.size - 1, out)
         drift = float(drift_of(nodes))
-    numeric_scatter._check_drift(drift, config)
-    ends = [0, i_right]
+    numeric_scatter._check_drift(drift, config, nodes[:, [0, i_right]])
     return numeric_scatter.BasisPair(
-        x_ends=tuple(x[ends].tolist()), ends=nodes[:, ends], nodes=nodes, drift=drift,
-        potential=potential, energy=float(energy), units=units)
+        ends=project_ends(potential, energy, x, i_right, nodes, units), nodes=nodes,
+        drift=drift, energy=float(energy))
 
 
-def oracle_scattering_wavefunction(basis, result):
+def oracle_scattering_wavefunction(basis, result, units=DEFAULT_UNITS):
     """Matched solution psi = c_u u + c_v v at the basis nodes, normalized
     to unit incident wave, in complex arithmetic: (psi, dpsi, flux)."""
     u, du, v, dv = basis.nodes
     scale = 1.0 / result.incident
     psi = scale * (result.c_u * u + result.c_v * v)
     dpsi = scale * (result.c_u * du + result.c_v * dv)
-    flux = (basis.units.hbar / basis.units.mass) * np.imag(np.conj(psi) * dpsi)
+    flux = (units.hbar / units.mass) * np.imag(np.conj(psi) * dpsi)
     return psi, dpsi, flux
 
 
@@ -555,8 +582,8 @@ def integrate_every_node(potential, energy, config):
 
 
 def oracle_basis(potential, energy, config):
-    """The bytes of the rows u, u', v, v' and of the two ends, the ends' x
-    and the drift, as the oracle march gives them on the row's grid."""
+    """The bytes of the rows u, u', v, v', the bits of the two projected
+    ends and the drift, as the oracle march gives them on the row's grid."""
     x, i_seed, i_right = grid(potential, energy, config)
     two_m_over_h2 = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
 
@@ -568,14 +595,20 @@ def oracle_basis(potential, energy, config):
         right, left = half(x[i_seed:]), half(x[i_seed::-1])
         nodes = np.array([np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)])
         drift = float(drift_of(nodes))
-    ends = [0, i_right]
-    return [c.tobytes() for c in nodes], nodes[:, ends].tobytes(), tuple(x[ends].tolist()), drift
+    ends = project_ends(potential, energy, x, i_right, nodes)
+    return [c.tobytes() for c in nodes], [end_bits(end) for end in ends], drift
+
+
+def end_bits(end):
+    """A projected end's u, v and flux by their bits."""
+    return [end.u.real.hex(), end.u.imag.hex(), end.v.real.hex(), end.v.imag.hex(),
+            end.flux.hex()]
 
 
 def basis_bytes(basis):
     # an integrated basis is real
-    assert basis.nodes.dtype == basis.ends.dtype == np.float64
-    return [c.tobytes() for c in basis.nodes], basis.ends.tobytes(), basis.x_ends, basis.drift
+    assert basis.nodes.dtype == np.float64
+    return [c.tobytes() for c in basis.nodes], [end_bits(end) for end in basis.ends], basis.drift
 
 
 PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, kh=0.01)
@@ -691,6 +724,13 @@ class TestEndsReader:
     @staticmethod
     def whole_basis(potential, energy, config):
         def solve_sides(sides):
+            # the plane-wave ends are refused before the grid, as
+            # integrate_ends refuses them
+            numeric_scatter._check_energy(potential, energy, DEFAULT_UNITS)
+            numeric_scatter._plane_potential(potential, float(energy), config.x_left, "x_left")
+            if not isinstance(potential, potentials.Exponential):
+                numeric_scatter._plane_potential(potential, float(energy), config.x_right,
+                                                 "x_right")
             basis = oracle_integrate_basis(potential, energy, config)
             return [numeric_scatter.match(basis, side) for side in sides]
 
@@ -757,12 +797,13 @@ class TestEndsReader:
             potential, energy, config = bit_case(name)
             ends = numeric_scatter.integrate_ends(potential, energy, config)
             whole = oracle_integrate_basis(potential, energy, config)
+            assert ends.nodes.shape == (4, 0)
+            assert basis_bytes(ends)[1:] == basis_bytes(whole)[1:]
             # the right end is z = 12 where the window holds it, else x_right
             x, _, i = grid(potential, energy, config)
-            assert ends.x_ends == (x[0], x[i]) == whole.x_ends and x[0] == config.x_left
-            assert ends.ends.tobytes() == whole.nodes[:, [0, i]].tobytes()
-            assert ends.nodes.shape == (4, 0)
-            assert ends.drift == whole.drift
+            read = numeric_scatter.integrate_ends(potential, energy, config, xs=x[[0, i]])
+            assert x[0] == config.x_left
+            assert read.nodes.tobytes() == whole.nodes[:, [0, i]].tobytes()
 
     @pytest.mark.parametrize("name, picks", [
         *((name, "every") for name in sorted(set(ENDS_CASES) - {"partial-last-block"})),
@@ -826,6 +867,19 @@ class TestEndsReader:
         want = [*oracle_rk4_step(u, du, *g, h), *oracle_rk4_step(v, dv, *g, h)]
         assert_same_march(list(basis.nodes), want)
 
+    @pytest.mark.parametrize("name", ["exp", "exp-deep-grown", "rect-edges-on-nodes", "free"])
+    def test_match_is_algebra_on_the_projected_ends(self, name, monkeypatch):
+        # the basis carries both ends projected: match evaluates no wave
+        # and no potential, and gives the same bits on either side
+        potential, energy, config = bit_case(name)
+        basis = numeric_scatter.integrate_ends(potential, energy, config)
+        want = [result_bits(numeric_scatter.match(basis, side)) for side in ("left", "right")]
+        for module, attr in ((specfun, "hankel_imag_order"), (potentials, "evaluate"),
+                             (potentials, "exponential_p")):
+            monkeypatch.setattr(module, attr, pytest.fail)
+        got = [result_bits(numeric_scatter.match(basis, side)) for side in ("left", "right")]
+        assert got == want
+
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
         # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
         # at the plane-wave end; only 1e-6 * delta = 2.5e-7 is refused earlier
@@ -872,21 +926,21 @@ class TestPlaneWaveMatching:
     def test_endpoint_precondition_names_offender(self):
         config = SolverConfig(x_left=-1.0, x_right=3.0)
         rect = potentials.rectangular(1.0, 2.0)  # edge at the window end
-        basis = oracle_integrate_basis(rect, 0.5, config)
-        with pytest.raises(DomainError, match="x_left"):
-            numeric_scatter.match(basis, side="left")
-        with pytest.raises(DomainError, match="x_left"):
+        with pytest.raises(DomainError, match="x_left") as integrated:
+            numeric_scatter.integrate_ends(rect, 0.5, config)
+        with pytest.raises(DomainError, match="x_left") as solved:
             numeric_scatter.solve(rect, 0.5, "left", config)
+        assert str(solved.value) == str(integrated.value)
 
     def test_right_endpoint_precondition_names_offender(self):
         config = SolverConfig(x_left=-3.0, x_right=1.0)
         rect = potentials.rectangular(1.0, 2.0)  # edge past the right end
-        basis = oracle_integrate_basis(rect, 0.5, config)
+        with pytest.raises(DomainError, match="x_right") as integrated:
+            numeric_scatter.integrate_ends(rect, 0.5, config)
         for side in ("left", "right"):
-            with pytest.raises(DomainError, match="x_right"):
-                numeric_scatter.match(basis, side=side)
-            with pytest.raises(DomainError, match="x_right"):
+            with pytest.raises(DomainError, match="x_right") as solved:
                 numeric_scatter.solve(rect, 0.5, side, config)
+            assert str(solved.value) == str(integrated.value)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_off_centre_window_matches_default(self, side):
@@ -950,23 +1004,24 @@ class TestHankelMatching:
     def test_gamma_scale_error_moves_no_flux_ratio(self, q, monkeypatch):
         # a scale error in Gamma rescales H1 as a whole; the fluxes are
         # measured on the rescaled wave, so no flux ratio may follow it
-        basis = numeric_scatter.integrate_ends(EXP_MODEL, q * q / 4.0,
-                                               numeric_scatter.default_config(EXP_MODEL))
+        config = numeric_scatter.default_config(EXP_MODEL)
 
-        def ratios():
-            results = [numeric_scatter.match(basis, side) for side in ("left", "right")]
+        def results():
+            # the ends are projected where the basis is integrated
+            basis = numeric_scatter.integrate_ends(EXP_MODEL, q * q / 4.0, config)
+            return [numeric_scatter.match(basis, side) for side in ("left", "right")]
+
+        def ratios(results):
             return np.array([[r.t_coeff, r.r_coeff, r.flux_imbalance] for r in results])
 
-        def moduli():
-            return [abs(numeric_scatter.match(basis, side).t_amp) for side in ("left", "right")]
-
-        want, t_mod = ratios(), moduli()
+        want = results()
         gamma = specfun.complex_gamma
         monkeypatch.setattr(specfun, "complex_gamma", lambda w: 1.001 * gamma(w))
-        assert np.max(np.abs(ratios() - want)) <= 1e-11
+        got = results()
+        assert np.max(np.abs(ratios(got) - ratios(want))) <= 1e-11
         # the mutation does reach H1: |t| rides on the transmitted end's R
         # from the left, and on the incident end's from the right
-        left, right = (new / old for new, old in zip(moduli(), t_mod))
+        left, right = (abs(new.t_amp) / abs(old.t_amp) for new, old in zip(got, want))
         assert left == pytest.approx(1.001, rel=1e-9)
         assert right == pytest.approx(1.0 / 1.001, rel=1e-9)
 
@@ -1100,8 +1155,11 @@ class TestScatteringWavefunction:
 def test_readme_family_sweep_guard(monkeypatch):
     # 20 rows of the README sweep: no row marches past 20,000 nodes (47,169
     # at the uniform step a/2000), all 20 march 200,000 at most (226,806 at
-    # the fixed cap l = a), and no digit is lost on the way
+    # the fixed cap l = a), and no digit is lost on the way; each row
+    # projects its diving end onto H1 once and checks its plane-wave end
+    # once for both sides (40 and 60 calls when match projected them)
     counts = []
+    calls = {"hankel": 0, "plane": 0}
     build = numeric_scatter._grid
 
     def counted(*args):
@@ -1109,10 +1167,20 @@ def test_readme_family_sweep_guard(monkeypatch):
         counts.append(x.size)
         return x, at
 
+    def tally(name, fn):
+        def called(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return called
+
     monkeypatch.setattr(numeric_scatter, "_grid", counted)
+    monkeypatch.setattr(specfun, "hankel_imag_order", tally("hankel", specfun.hankel_imag_order))
+    monkeypatch.setattr(numeric_scatter, "_plane_potential",
+                        tally("plane", numeric_scatter._plane_potential))
     spec = cli.SweepSpec(EXP_MODEL, 0.01, 5.0, 20, "log", "both", "both", DEFAULT_UNITS)
     rows = cli.run_sweep(spec)
     assert len(counts) == 20 and max(counts) <= 20_000 and sum(counts) <= 200_000
+    assert calls == {"hankel": 20, "plane": 20}
     assert all(row.error is None for row in rows)
     assert max(abs(row.t_numeric - row.t_analytic) for row in rows) <= 6.5e-9
     assert max(row.wronskian_drift for row in rows) <= 1e-12
@@ -1221,7 +1289,9 @@ def test_numeric_lane_places_its_match_node_once():
 
 def test_one_projection_reads_both_window_ends():
     # one reader, _end, projects either window end onto its unit wave, and
-    # the result record carries no match residual
+    # the result record carries no match residual; only integrate_ends
+    # projects the ends and checks a plane-wave end, and the basis record
+    # keeps the projected ends, not end nodes, the model or the units
     tree = ast.parse(inspect.getsource(numeric_scatter))
     defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
     assert "_end" in defined and not defined & {"_plane_end", "_hankel_end"}
@@ -1229,3 +1299,10 @@ def test_one_projection_reads_both_window_ends():
                   if isinstance(node, ast.ClassDef) and node.name == "NumericScatteringResult")
     fields = {node.target.id for node in result.body if isinstance(node, ast.AnnAssign)}
     assert "t_amp" in fields and "match_residual" not in fields
+    assert [field.name for field in dataclasses.fields(numeric_scatter.BasisPair)] == [
+        "ends", "nodes", "drift", "energy"]
+    for name in ("_end", "_plane_potential"):
+        callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id == name}
+        assert callers == {"integrate_ends"}
