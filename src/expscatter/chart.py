@@ -29,7 +29,7 @@ def render_probability_chart(
     """SVG text with exactly two polylines (T first, then R) over energy.
 
     None or non-finite samples are dropped from their polyline only; the
-    energy range comes from the finite samples that remain.
+    energy axis spans every energy given, plotted or not.
     """
     if not (len(energies) == len(t_values) == len(r_values)):
         raise DomainError("energies, t_values, r_values must have equal length")
@@ -39,26 +39,20 @@ def render_probability_chart(
     if log_x and any(x <= 0.0 for x in xs):
         raise DomainError("log axis needs all energies > 0")
 
-    fwd = (lambda x: math.log10(x)) if log_x else (lambda x: x)
-    lo = min(fwd(x) for x in xs)
-    hi = max(fwd(x) for x in xs)
+    # each energy's axis coordinate, and its pixel cell, once for both curves
+    coords = [math.log10(x) for x in xs] if log_x else xs
+    lo, hi = min(coords), max(coords)
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
-
-    def px(x: float) -> float:
-        return _ML + (fwd(x) - lo) / (hi - lo) * _PLOT_W
+    cells = [f"{_ML + (c - lo) / (hi - lo) * _PLOT_W:.2f}" for c in coords]
 
     def py(y: float) -> float:
         y = min(max(y, 0.0), 1.0)
         return _MT + (1.0 - y) * _PLOT_H
 
     def points(vals: Sequence[Optional[float]]) -> str:
-        pts = []
-        for x, y in zip(xs, vals):
-            if y is None or not math.isfinite(y):
-                continue
-            pts.append(f"{px(x):.2f},{py(float(y)):.2f}")
-        return " ".join(pts)
+        return " ".join(f"{cell},{py(float(y)):.2f}" for cell, y in zip(cells, vals)
+                        if y is not None and math.isfinite(y))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '

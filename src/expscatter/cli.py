@@ -10,9 +10,10 @@ with a leading `# hbar=<v> mass=<v>` units comment, `NA` for inapplicable
 cells, numbers as %.16e, LF line endings, UTF-8.  A row whose solve fails
 keeps its E and q cells, fills the rest with NA, and is followed by a
 `# row-error:` comment carrying the message; the sweep itself continues.
-Analytic cells are evaluated as numpy columns over the energy grid, so
-T/R and phase cells can differ in their last digit from one scalar
-exp_barrier call per energy.
+Analytic cells are evaluated as numpy columns over the energy grid, and
+an analytic wavefunction's samples as one series call over its whole
+grid, so T/R and phase cells and psi samples can differ in their last
+digits from one scalar exp_barrier or specfun call per energy or point.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-accuracy failure,
 3 invariant failure from verify.
@@ -248,15 +249,8 @@ def _sweep_row(spec: SweepSpec, row: SweepRow, config: numeric_scatter.SolverCon
 def format_sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     lines = [f"# hbar={spec.units.hbar:g} mass={spec.units.mass:g}", SWEEP_HEADER]
     for row in rows:
-        cells = [
-            _cell(row.energy), _cell(row.q),
-            _cell(row.t_analytic), _cell(row.r_analytic),
-            _cell(row.t_numeric), _cell(row.r_numeric),
-            _cell(row.phi_left), _cell(row.theta_left),
-            _cell(row.phi_right), _cell(row.theta_right),
-            _cell(row.flux_imbalance), _cell(row.wronskian_drift),
-        ]
-        lines.append(",".join(cells))
+        # every field but the error, in SWEEP_HEADER's order
+        lines.append(",".join("NA" if v is None else "%.16e" % v for v in row[:-1]))
         if row.error is not None:
             lines.append(f"# row-error: E={row.energy:.16e} {row.error}")
     return "\n".join(lines) + "\n"
@@ -482,12 +476,6 @@ def _require_finite(*flags: tuple[str, float]) -> None:
     for flag, value in flags:
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value!r}")
-
-
-def _cell(value: Optional[float]) -> str:
-    if value is None:
-        return "NA"
-    return f"{value:.16e}"
 
 
 def _check_out(out: Optional[str]) -> None:

@@ -18,6 +18,9 @@ and takes their products in a blocked scan.  One reader (``_read_ends``,
 behind ``integrate_ends``) forms the Wronskian over every node a chunk at
 a time, and only the nodes its caller asks for: the two end nodes and,
 for a wavefunction, its samples.  No node array of the window is built.
+Only a half-window whose drift is refused takes a second pass, for W's
+round-off scale max(|u v'| + |u' v|), which tells the refusal's advice
+whether a smaller step can help.
 An exponential's default window is fixed in z = p exp(x/(2a)), where its
 depth only translates the problem.
 ``integrate_ends`` then projects u and v, at each window end and by one
@@ -186,7 +189,8 @@ def integrate_ends(
     Each half-window is one numpy march outward from the seed: the RK4
     transfer matrices of all its steps and their products (``_march``).
     One reader (``_read_ends``) forms the Wronskian over every node, a
-    chunk at a time, and only the nodes asked for; no node array of the
+    chunk at a time (a refused half twice, the second time for W's
+    round-off scale), and only the nodes asked for; no node array of the
     window is built.  The ends are x_left and x_right, or on a diving end
     the point z = _Z_MATCH if the window holds it.  Each x is read by one
     RK4 step from the node at or below it (``_step_from``), a step of zero
@@ -223,15 +227,17 @@ def integrate_ends(
     seed, at = at[2], np.delete(at, 2)
     # rows u, u', v, v'; a node on the seed keeps the seed values
     nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
-    drifts = []
+    drifts, scales = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for sign, half in ((1, x[seed:]), (-1, x[seed::-1])):
             picked = sign * (at - seed) > 0
-            drift, nodes[:, picked] = _read_ends(*_march(potential, energy, half, units),
-                                                 half.size - 1, sign * (at[picked] - seed))
+            drift, scale, nodes[:, picked] = _read_ends(
+                *_march(potential, energy, half, units), half.size - 1,
+                sign * (at[picked] - seed))
             drifts.append(drift)
+            scales.append(scale)
     drift = float(np.max(drifts))
-    _check_drift(drift, config, nodes[:, :2])
+    _check_drift(drift, config, float(np.max(scales)))
     # only the exponential dives, and only on the right
     dives = isinstance(potential, Exponential)
     ends = (_end(potential, energy, units, x_ends[0], nodes[:, 0], False),
@@ -254,19 +260,19 @@ def _check_energy(potential: PotentialModel, energy: float, units: Units) -> Non
             )
 
 
-def _check_drift(drift: float, config: SolverConfig, ends: np.ndarray) -> None:
+def _check_drift(drift: float, config: SolverConfig, scale: float) -> None:
     """Refuse a drift that is not finite or past DRIFT_TOLERANCE, blaming
-    the step unless W's round-off at the raw end nodes passes it too."""
+    the step unless W's round-off, eps times ``scale`` = max(|u v'| +
+    |u' v|) over the nodes of the drifting half-windows, passes it too."""
     if not math.isfinite(drift):
         raise AccuracyError(
             f"Wronskian drift {drift:.3e}: the basis overflowed on the window "
             f"[{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
         )
     if drift > DRIFT_TOLERANCE:
-        u, du, v, dv = ends
-        roundoff = np.finfo(float).eps * float(np.max(np.abs(u * dv) + np.abs(du * v)))
-        advice = (f"W carries round-off eps max(|u v'| + |u' v|) = {roundoff:.3e} at the "
-                  "window ends on its own, which a smaller kh cannot lower; raise E or "
+        roundoff = np.finfo(float).eps * scale
+        advice = (f"W carries round-off eps max(|u v'| + |u' v|) = {roundoff:.3e} inside the "
+                  "window on its own, which a smaller kh cannot lower; raise E or "
                   "narrow the barrier" if roundoff > DRIFT_TOLERANCE else
                   f"lower kh = {config.kh:g} (on the exponential, drift falls as kh^5)")
         raise AccuracyError(f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
@@ -496,11 +502,26 @@ def _prefix(m: np.ndarray, carried: np.ndarray, r: int, c: int) -> np.ndarray:
     return m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
 
 
-def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[float, np.ndarray]:
+def _read_ends(m: np.ndarray, carried: np.ndarray, n: int,
+               picks) -> tuple[float, float, np.ndarray]:
     """The reader of one march: max |W[u, v] - 1| over its nodes 0..n,
-    formed a chunk of rows at a time in scan layout, and the nodes picks
-    (each in 1..n, in any order, repeats included) as columns
-    (u, u', v, v'), by the same products."""
+    formed a chunk of rows at a time in scan layout; where that passes
+    DRIFT_TOLERANCE, max(|u v'| + |u' v|) over nodes 1..n in a second
+    pass (else 0.0); and the nodes picks (each in 1..n, in any order,
+    repeats included) as columns (u, u', v, v'), by the same products."""
+    drift = _chunk_max(m, carried, n, lambda u, du, v, dv: np.abs(u * dv - du * v - 1.0))
+    scale = (_chunk_max(m, carried, n, lambda u, du, v, dv: np.abs(u * dv) + np.abs(du * v))
+             if drift > DRIFT_TOLERANCE else 0.0)
+    width = m.shape[0]
+    # node 1 + k * width + j is row j of block k
+    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
+    return drift, scale, np.array([_prefix(m[j, :, :, k], carried[:, :, k], r, c)
+                                   for r, c in _ROWS])
+
+
+def _chunk_max(m: np.ndarray, carried: np.ndarray, n: int, of) -> float:
+    """The max of of(u, u', v, v') over nodes 1..n of one march and 0.0,
+    formed a chunk of rows at a time in scan layout."""
     width, _, _, blocks = m.shape
     # real steps in the last block; its other rows are pad steps
     last = n - (blocks - 1) * width
@@ -508,15 +529,11 @@ def _read_ends(m: np.ndarray, carried: np.ndarray, n: int, picks) -> tuple[float
     # the seed's W - 1 is exactly 0
     maxima = [0.0]
     for j0 in range(0, width, rows):
-        u, du, v, dv = (_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS)
-        error = np.abs(u * dv - du * v - 1.0)
+        values = of(*(_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS))
         # pad steps take the seed's value
-        error[max(last - j0, 0) :, -1] = 0.0
-        maxima.append(error.max())
-    # node 1 + k * width + j is row j of block k
-    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
-    return np.max(maxima), np.array([_prefix(m[j, :, :, k], carried[:, :, k], r, c)
-                                     for r, c in _ROWS])
+        values[max(last - j0, 0) :, -1] = 0.0
+        maxima.append(values.max())
+    return np.max(maxima)
 
 
 def _end(potential: PotentialModel, energy: float, units: Units, x: float, node: np.ndarray,

@@ -13,6 +13,14 @@ The series is summed in double precision.  Its alternating terms grow
 like e^z, so cancellation costs digits as z grows; about four remain at
 z = 30 (see Z_SERIES_MAX), and that radius is enforced as a hard domain
 bound rather than silently returning fewer.
+
+z may also be an ndarray, as an exact wavefunction's grid passes it: the
+same loop then runs on the whole array, until every entry meets the
+stopping test.  A scalar z keeps CPython arithmetic bit for bit; array
+entries agree with it to rounding (numpy's log, exp and complex division
+round differently), which the series' cancellation amplifies like
+eps e^z, and an entry that converges early takes a few more terms, each
+below its tolerance.
 """
 
 from __future__ import annotations
@@ -65,13 +73,14 @@ class BesselEval:
 
     Attributes
     ----------
-    value : complex
-    dvalue : complex
+    value : complex or ndarray
+        Shaped like z.
+    dvalue : complex or ndarray
         Derivative with respect to z, from the term-wise differentiated
-        series.
+        series, shaped like z.
     terms_used : int
-        Series terms summed (the larger count of the J pair for a Hankel
-        function).
+        Series terms summed: for an array z the most any entry needed, for
+        a Hankel function the larger count of the J pair.
     """
 
     value: complex
@@ -133,7 +142,7 @@ def _lanczos(z, lib):
     return _SQRT_TWO_PI * t ** (w + 0.5) * lib.exp(-t) * acc
 
 
-def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
+def bessel_j_imag_order(q: float, z, sign: int = 1) -> BesselEval:
     """J with order sign * i * q for real z > 0, by the ascending series.
 
     Parameters
@@ -141,8 +150,11 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
     q : float
         Non-negative imaginary-order magnitude.  q = 0 degenerates to the
         ordinary J_0 series, which is a convenient oracle anchor.
-    z : float
-        Argument, 0 < z <= Z_SERIES_MAX.
+    z : float or ndarray
+        Argument, 0 < z <= Z_SERIES_MAX.  An array is summed in one loop
+        until every entry meets the stopping test (see the module notes);
+        it is refused with the scalar message of its first entry out of
+        range or, after MAX_TERMS terms, not converged.
     sign : int
         +1 for order +iq, -1 for order -iq.
 
@@ -155,6 +167,42 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
         raise DomainError(f"sign must be +-1, got {sign!r}")
     if not (q >= 0.0) or not math.isfinite(q):
         raise DomainError(f"order magnitude q must be finite and >= 0, got {q!r}")
+    array = isinstance(z, np.ndarray)
+    _check_series_z(z)
+
+    nu = 1j * sign * q
+    log, exp, every = (np.log, np.exp, np.ndarray.all) if array else (math.log, cmath.exp, bool)
+    # leading term (z/2)^nu / Gamma(1 + nu)
+    term = exp(nu * log(0.5 * z)) / complex_gamma(1.0 + nu)
+    zsq_quarter = 0.25 * z * z
+    total = term
+    dtotal = term * nu  # accumulates sum of term_k * (2k + nu)
+    k = 0
+    while True:
+        met = abs(term) < TOL_ABS + TOL_REL * abs(total)
+        if every(met):
+            break
+        if k + 1 >= MAX_TERMS:
+            at, last = (z[~met][0], term[~met][0]) if array else (z, term)
+            raise AccuracyError(
+                f"series for J_(i{sign * q:g})({at:g}) did not meet tolerance in "
+                f"{MAX_TERMS} terms; last |term| = {abs(last):.3e}"
+            )
+        k += 1
+        # not in place: an array total starts as the same object as term
+        term = term * (-zsq_quarter / (k * (k + nu)))
+        total = total + term
+        dtotal = dtotal + term * (2.0 * k + nu)
+    return BesselEval(value=total, dvalue=dtotal / z, terms_used=k + 1)
+
+
+def _check_series_z(z) -> None:
+    """Refuse z outside (0, Z_SERIES_MAX]; an array by its first such entry."""
+    if isinstance(z, np.ndarray):
+        outside = ~((z > 0.0) & (z <= Z_SERIES_MAX))
+        if not outside.any():
+            return
+        z = z[outside][0].item()
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"series argument requires real z > 0, got {z!r}")
     if z > Z_SERIES_MAX:
@@ -163,30 +211,10 @@ def bessel_j_imag_order(q: float, z: float, sign: int = 1) -> BesselEval:
             "reduce the argument (smaller x_max or smaller p)"
         )
 
-    nu = 1j * sign * q
-    # leading term (z/2)^nu / Gamma(1 + nu)
-    term = cmath.exp(nu * math.log(0.5 * z)) / complex_gamma(1.0 + nu)
-    zsq_quarter = 0.25 * z * z
-    total = term
-    dtotal = term * nu  # accumulates sum of term_k * (2k + nu)
-    k = 0
-    while True:
-        if abs(term) < TOL_ABS + TOL_REL * abs(total):
-            break
-        if k + 1 >= MAX_TERMS:
-            raise AccuracyError(
-                f"series for J_(i{sign * q:g})({z:g}) did not meet tolerance in "
-                f"{MAX_TERMS} terms; last |term| = {abs(term):.3e}"
-            )
-        k += 1
-        term *= -zsq_quarter / (k * (k + nu))
-        total += term
-        dtotal += term * (2.0 * k + nu)
-    return BesselEval(value=total, dvalue=dtotal / z, terms_used=k + 1)
 
-
-def hankel_imag_order(q: float, z: float, kind: int = 1) -> BesselEval:
-    """Hankel function of order i*q, first or second kind.
+def hankel_imag_order(q: float, z, kind: int = 1) -> BesselEval:
+    """Hankel function of order i*q, first or second kind, at a z > 0 or
+    an ndarray of them (summed as in ``bessel_j_imag_order``).
 
     Assembled from the J pair with sin(i q pi) = i sinh(q pi):
 

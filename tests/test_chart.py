@@ -1,5 +1,8 @@
 """SVG chart rendering: structure, determinism, and input validation."""
 
+import math
+import re
+
 import pytest
 
 from expscatter import chart
@@ -40,6 +43,21 @@ class TestStructure:
             [0.1, 1.0], [1.5, 0.5], [-0.2, 0.4], log_x=False
         )
         assert svg.count("<polyline") == 2
+
+
+class TestAxis:
+    def test_axis_spans_unplotted_energies(self):
+        # E = 0.01 has neither T nor R: it draws no point, yet the energy
+        # axis starts there, so the first plotted point leaves the left edge
+        def first_points(svg):
+            return [line.split(" ")[0] for line in re.findall(r'points="([^"]*)"', svg)]
+
+        assert first_points(render(log_x=True)) == ["76.00,338.40", "76.00,105.60"]
+        svg = chart.render_probability_chart(
+            [0.01, 0.1, 0.5, 1.0, 2.0], [None, 0.2, 0.6, 0.9, 0.99],
+            [math.nan, 0.8, 0.4, 0.1, 0.01], log_x=True)
+        assert first_points(svg) == ["345.44,338.40", "345.44,105.60"]
+        assert ">0.01</text>" in svg
 
 
 class TestValidation:

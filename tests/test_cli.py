@@ -356,6 +356,34 @@ class TestCommands:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "200",
+              "--method", "analytic"],
+             "e87f4b402a10ca035d48622359aa7fd3af476d3bfec0c9efdff635aea1f98da3"),
+            (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "20",
+              "--method", "numeric"],
+             "993e03b2b54319c8786df66da6f8e4e8ce1c34483ca58361b883e766adf861c8"),
+        ],
+        ids=["readme-analytic", "readme-numeric-n20"],
+    )
+    def test_readme_sweep_bytes_unchanged(self, argv, digest, capsys):
+        # the inline cell format and the numeric lane move no byte
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_readme_plot_bytes_unchanged(self, tmp_path, capsys):
+        # the chart's coordinates, computed once per energy, move no byte
+        table, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        argv = ["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5",
+                "--n", "200", "--method", "analytic", "--out", str(table)]
+        assert run_cli(argv, capsys) == (0, "", "")
+        assert run_cli(["plot", str(table), "--out", str(svg)], capsys) == (0, "", "")
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "8806311832d8c1ec05c835a4d4a16135c72b96970be9984221c9044a0a8d752a")
+
     def test_plot_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.svg")],

@@ -216,6 +216,25 @@ class TestFluxes:
             exp_barrier.fluxes(2.0, 300.0, 1.0, DEFAULT_UNITS)
 
 
+def oracle_exact_wavefunction(p, q, side, grid):
+    """The per-point assembly exact_wavefunction replaced: one scalar series
+    call per sample, (psi, dpsi, flux_profile)."""
+    psi = np.empty(len(grid), dtype=complex)
+    dpsi = np.empty(len(grid), dtype=complex)
+    for i, xi in enumerate(grid):
+        z = p * math.exp(0.5 * float(xi))
+        if side == "left":
+            ev = specfun.hankel_imag_order(q, z, kind=1)
+            psi[i] = ev.value
+            dpsi[i] = ev.dvalue * (0.5 * z)
+        else:
+            ev = specfun.bessel_j_imag_order(q, z, sign=-1)
+            scale = 2.0 * math.exp(-math.pi * q)
+            psi[i] = scale * ev.value
+            dpsi[i] = scale * ev.dvalue * (0.5 * z)
+    return psi, dpsi, np.imag(np.conj(psi) * dpsi)
+
+
 class TestExactWavefunction:
     def test_far_left_is_two_plane_waves(self):
         # the series value deep in the tail must reduce to
@@ -259,6 +278,25 @@ class TestExactWavefunction:
         wave = exp_barrier.exact_wavefunction(p, q, "left", grid)
         fd = (wave.psi[2] - wave.psi[0]) / (2.0 * h)
         assert abs(wave.dpsi[1] - fd) < 1e-8 * abs(fd)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("x_max, bound", [(-2.0, 1e-13), (3.5, 1e-10)])
+    def test_one_array_call_matches_the_per_point_oracle(self, side, x_max, bound, monkeypatch):
+        # p = 2: z runs from 6e-9 to 0.74 (x/a <= -2) or to 11.5 (x/a <= 3.5)
+        p, q = 2.0, 0.7
+        grid = np.linspace(-40.0, x_max, 301)
+        want = oracle_exact_wavefunction(p, q, side, grid)
+        # every series call takes the whole grid: H1 sums its J pair
+        sizes = []
+        real = specfun.bessel_j_imag_order
+        monkeypatch.setattr(specfun, "bessel_j_imag_order",
+                            lambda q, z, sign: sizes.append(np.size(z)) or real(q, z, sign))
+        got = exp_barrier.exact_wavefunction(p, q, side, grid)
+        assert sizes == [grid.size] * (2 if side == "left" else 1)
+        for field, scale in (("psi", want[0]), ("dpsi", want[1])):
+            gap = np.abs(getattr(got, field) - scale) / np.abs(scale)
+            assert np.max(gap) <= bound, field
+        assert np.max(np.abs(got.flux_profile - want[2])) <= bound * np.abs(want[2]).max()
 
     def test_grid_must_increase(self):
         with pytest.raises(DomainError):

@@ -99,15 +99,26 @@ class TestBasisIntegration:
                 "drift 1.733e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
             numeric_scatter.integrate_ends(EXP_MODEL, 0.25, coarse)
         # across rect:v0=50,w=4 at E = 1 the basis grows until W's round-off
-        # at the ends alone passes the tolerance: halving kh does not help
+        # alone passes the tolerance: halving kh does not help
         rect = potentials.rectangular(50.0, 2.0)
         config = numeric_scatter.default_config(rect)
         for kh in (config.kh, 0.5 * config.kh):
             with pytest.raises(AccuracyError, match=re.escape(
-                    "W carries round-off eps max(|u v'| + |u' v|) = 5.216e-04 at the window "
-                    "ends on its own, which a smaller kh cannot lower; raise E or narrow "
+                    "W carries round-off eps max(|u v'| + |u' v|) = 5.735e-04 inside the "
+                    "window on its own, which a smaller kh cannot lower; raise E or narrow "
                     "the barrier")):
                 numeric_scatter.integrate_ends(rect, 1.0, dataclasses.replace(config, kh=kh))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_roundoff_inside_the_window_is_named(self, side):
+        # at E = 26.5 the drift, 8.2e-8, reads 8.2e-8 and 6.0e-8 at kh/2
+        # and kh/4: round-off.  The basis peaks inside the window, where
+        # eps max(|u v'| + |u' v|) reads 2.9e-8 against 6.7e-9 at the ends
+        rect = potentials.rectangular(50.0, 2.0)
+        with pytest.raises(AccuracyError, match=re.escape(
+                "drift 8.196e-08 exceeds DRIFT_TOLERANCE 1.000e-08; W carries round-off "
+                "eps max(|u v'| + |u' v|) = 2.934e-08 inside the window on its own")):
+            numeric_scatter.solve(rect, 26.5, side)
 
     def test_overflowing_basis_refused(self):
         # u and v grow like e^{kappa w} = e^{800} across this barrier; the
@@ -354,6 +365,12 @@ def drift_of(nodes):
     return np.max(np.abs(u * dv - du * v - 1.0))
 
 
+def roundoff_scale_of(nodes):
+    """max |u v'| + |u' v| over node rows u, u', v, v'."""
+    u, du, v, dv = nodes
+    return np.max(np.abs(u * dv) + np.abs(du * v))
+
+
 def assert_same_march(got, want, rel=1e-12):
     for g_col, w_col in zip(got, want):
         assert g_col.shape == w_col.shape
@@ -375,7 +392,7 @@ class TestStepMatrixMarch:
         m, carried = products(np.array([0.25]))
         oracle_write_nodes(m, carried, 0, out)
         assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
-        drift, nodes = numeric_scatter._read_ends(m, carried, 0, [])
+        drift, _, nodes = numeric_scatter._read_ends(m, carried, 0, [])
         assert drift == 0.0 and nodes.shape == (4, 0)
 
     def test_pad_steps_do_not_reach_the_nodes(self):
@@ -389,7 +406,7 @@ class TestStepMatrixMarch:
         m[1:, :, :, -1] = np.nan
         out = np.empty((4, 18))
         oracle_write_nodes(m, carried, 17, out)
-        drift, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
+        drift, _, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
         assert np.array_equal(out, want)
         assert np.isfinite(drift) and drift == drift_of(want)
         assert nodes.tobytes() == out[:, 1:].tobytes()
@@ -412,9 +429,24 @@ class TestStepMatrixMarch:
             nodes = np.array(march(x))
             made = products(x)
             for picks in (every, sorted({1, n // 2 + 1, n}), [n, 1, n, n // 2 + 1, 1], []):
-                drift, picked = numeric_scatter._read_ends(*made, n, picks)
+                drift, _, picked = numeric_scatter._read_ends(*made, n, picks)
                 assert drift == drift_of(nodes)
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
+    def test_refused_half_reads_the_roundoff_scale(self, n, monkeypatch):
+        # only a drift past DRIFT_TOLERANCE pays for the second pass; it
+        # reads max |u v'| + |u' v| over nodes 1..n bit for bit, pad steps
+        # (made non-finite here) excluded
+        x = random_nodes(n, 1.0)
+        nodes = np.array(march(x))
+        m, carried = products(x)
+        m[n - (m.shape[3] - 1) * m.shape[0]:, :, :, -1] = np.nan
+        assert numeric_scatter._read_ends(m, carried, n, [])[1] == 0.0
+        monkeypatch.setattr(numeric_scatter, "DRIFT_TOLERANCE", -1.0)
+        drift, scale, _ = numeric_scatter._read_ends(m, carried, n, [])
+        assert drift == drift_of(nodes)
+        assert scale == roundoff_scale_of(nodes[:, 1:])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_samples_are_the_step_offsets(self, n, monkeypatch):
@@ -553,12 +585,16 @@ def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
     numeric_scatter._check_energy(potential, energy, units)
     x, i_seed, i_right = grid(potential, energy, config, units)
     nodes = np.empty((4, x.size))
+    # W's round-off scale over the nodes of each half whose drift is refused
+    scale = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for half, out in ((x[i_seed:], nodes[:, i_seed:]), (x[i_seed::-1], nodes[:, i_seed::-1])):
             made = numeric_scatter._march(potential, energy, half, units)
             oracle_write_nodes(*made, half.size - 1, out)
+            if drift_of(out) > numeric_scatter.DRIFT_TOLERANCE:
+                scale = max(scale, float(roundoff_scale_of(out[:, 1:])))
         drift = float(drift_of(nodes))
-    numeric_scatter._check_drift(drift, config, nodes[:, [0, i_right]])
+    numeric_scatter._check_drift(drift, config, scale)
     return numeric_scatter.BasisPair(
         ends=project_ends(potential, energy, x, i_right, nodes, units), nodes=nodes,
         drift=drift, energy=float(energy))
@@ -659,7 +695,7 @@ class TestBitExactMarch:
             made = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)
             out = np.empty((4, n + 1))
             oracle_write_nodes(*made, n, out)
-            drift, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
+            drift, _, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
             assert nodes.tobytes() == out[:, 1:].tobytes()
             assert drift == drift_of(out)
 

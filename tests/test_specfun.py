@@ -4,6 +4,7 @@ frozen high-precision reference values, and exact identities.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -226,6 +227,119 @@ class TestHankelPair:
     def test_bad_kind_rejected(self):
         with pytest.raises(DomainError):
             specfun.hankel_imag_order(1.0, 2.0, kind=3)
+
+
+# Bits of the scalar series (value, then derivative, real and imaginary
+# parts, and the terms summed) as CPython arithmetic gives them; the
+# numeric lane's H1 at z = 12 and verify's checks rely on them.
+SCALAR_J_BITS = [
+    (0.05, 0.1, 1, ("0x1.fc0aaabf34940p-1", "-0x1.ed9579b4da8d6p-4",
+                    "0x1.68852d19df3ddp-7", "0x1.025f6cc7fa1dfp-1"), 6),
+    (1.0, 2.0, -1, ("0x1.98aa23b3931ffp-1", "-0x1.f723edbb89c3fp-1",
+                    "-0x1.5d9547d931152p+0", "-0x1.3e3ca15fdff11p-1"), 12),
+    (0.5, 12.0, 1, ("0x1.ebe2b8f1cb55fp-5", "-0x1.91647ae803b95p-3",
+                    "0x1.3001fb0e652dfp-2", "0x1.85cd2f156f501p-5"), 30),
+    (8.0, 29.5, -1, ("-0x1.0301d8472b2a7p+14", "-0x1.82f82e48fc4a1p+13",
+                     "-0x1.88cd20df70d70p+13", "0x1.0f70533dbc3f0p+14"), 50),
+]
+SCALAR_H1_BITS = [
+    (0.05, 0.1, ("0x1.11ee3fe54d28dp+0", "-0x1.a87017dd54af9p+0",
+                 "0x1.84c6ff58a8a7ap-7", "0x1.bc5ad2c448856p+2"), 6),
+    (0.5, 12.0, ("0x1.973b0e90d5e03p-4", "-0x1.fabb4e55c19e0p-2",
+                 "0x1.f75fcec15e348p-2", "0x1.ec194a1c0066bp-4"), 30),
+    (3.0, 20.0, ("0x1.391bcdd396bf9p+4", "0x1.52fe516990d10p+1",
+                 "-0x1.9417c6f62c179p+1", "0x1.3ba8f154eddcdp+4"), 40),
+]
+
+
+def bits(ev):
+    return tuple(x.hex() for x in (ev.value.real, ev.value.imag, ev.dvalue.real, ev.dvalue.imag))
+
+
+def mp_rel_error(q, sign, z, got):
+    """Relative error of a J value against 40-digit mpmath."""
+    with mpmath.workdps(40):
+        ref = complex(mpmath.besselj(1j * sign * q, z))
+    return abs(got - ref) / abs(ref)
+
+
+class TestSeriesArray:
+    @pytest.mark.parametrize("q, z, sign, want, terms", SCALAR_J_BITS)
+    def test_scalar_j_bits_frozen(self, q, z, sign, want, terms):
+        ev = specfun.bessel_j_imag_order(q, z, sign)
+        assert type(ev.value) is complex and type(ev.dvalue) is complex
+        assert bits(ev) == want and ev.terms_used == terms
+
+    @pytest.mark.parametrize("q, z, want, terms", SCALAR_H1_BITS)
+    def test_scalar_hankel_bits_frozen(self, q, z, want, terms):
+        ev = specfun.hankel_imag_order(q, z, kind=1)
+        assert bits(ev) == want and ev.terms_used == terms
+
+    @pytest.mark.parametrize("z_max, bound", [(1.0, 1e-13), (12.0, 1e-10)])
+    def test_array_matches_scalar_calls(self, z_max, bound):
+        z = np.linspace(0.01, z_max, 60)
+        for q in (0.05, 0.5, 2.0, 8.0):
+            for sign in (1, -1):
+                got = specfun.bessel_j_imag_order(q, z, sign)
+                for i, zi in enumerate(z.tolist()):
+                    want = specfun.bessel_j_imag_order(q, zi, sign)
+                    assert abs(got.value[i] - want.value) <= bound * abs(want.value)
+                    assert abs(got.dvalue[i] - want.dvalue) <= bound * abs(want.dvalue)
+            h1 = specfun.hankel_imag_order(q, z)
+            want = [specfun.hankel_imag_order(q, zi).value for zi in z.tolist()]
+            assert np.max(np.abs(h1.value - want) / np.abs(want)) <= bound
+
+    @pytest.mark.parametrize("z, bound", [(np.linspace(0.05, 12.0, 12), 2e-11),
+                                          (np.linspace(13.0, 20.0, 6), 1e-8)])
+    def test_both_paths_match_mpmath(self, z, bound):
+        for q in (0.05, 0.5, 2.0, 8.0):
+            for sign in (1, -1):
+                got = specfun.bessel_j_imag_order(q, z, sign).value
+                for zi, gi in zip(z.tolist(), got.tolist()):
+                    scalar = specfun.bessel_j_imag_order(q, zi, sign).value
+                    assert mp_rel_error(q, sign, zi, scalar) <= bound
+                    assert mp_rel_error(q, sign, zi, gi) <= bound
+
+    def test_fields_shaped_like_z(self):
+        z = np.array([[0.5, 3.0, 29.0], [12.0, 1e-3, 7.5]])
+        for ev in (specfun.bessel_j_imag_order(1.5, z), specfun.hankel_imag_order(1.5, z)):
+            assert ev.value.shape == z.shape and ev.dvalue.shape == z.shape
+            assert ev.value.dtype == complex and ev.dvalue.dtype == complex
+        # the most terms any point summed: the largest z's count
+        terms = [specfun.bessel_j_imag_order(1.5, zi).terms_used for zi in z.flat]
+        assert specfun.bessel_j_imag_order(1.5, z).terms_used == max(terms) == terms[2]
+        h_terms = [specfun.hankel_imag_order(1.5, zi).terms_used for zi in z.flat]
+        assert specfun.hankel_imag_order(1.5, z).terms_used == max(h_terms)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (-1.0, DomainError, "series argument requires real z > 0, got -1.0"),
+        (0.0, DomainError, "series argument requires real z > 0, got 0.0"),
+        (math.nan, DomainError, "series argument requires real z > 0, got nan"),
+        (math.inf, DomainError, "series argument requires real z > 0, got inf"),
+        (31.0, SeriesRangeError, "z = 31 exceeds the certified series domain z <= 30; "
+                                 "reduce the argument (smaller x_max or smaller p)"),
+    ])
+    def test_array_refusal_names_first_bad_entry(self, bad, error, message):
+        # the scalar message, and for an array the one of its first bad entry
+        for z in (bad, np.array([0.5, bad, 2.0, -7.0, 45.0])):
+            for call in (specfun.bessel_j_imag_order, specfun.hankel_imag_order):
+                with pytest.raises(error) as caught:
+                    call(1.0, z)
+                assert str(caught.value) == message
+
+    def test_non_convergence_names_first_bad_entry(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", 8)
+        scalar = "series for J_(i1)(5) did not meet tolerance in 8 terms; last |term| = "
+        with pytest.raises(AccuracyError, match=re.escape(scalar)) as caught:
+            specfun.bessel_j_imag_order(1.0, 5.0)
+        # 0.01 converges in 8 terms, 5 and 9 do not
+        with pytest.raises(AccuracyError) as in_array:
+            specfun.bessel_j_imag_order(1.0, np.array([0.01, 5.0, 9.0]))
+        assert str(in_array.value) == str(caught.value)
+
+    def test_empty_array(self):
+        ev = specfun.bessel_j_imag_order(1.0, np.array([]))
+        assert ev.value.shape == (0,) and ev.dvalue.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)
