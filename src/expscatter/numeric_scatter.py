@@ -13,14 +13,14 @@ point and the rectangle edges are exact nodes; a wavefunction's samples
 are read by one partial RK4 step from the node below each, so they leave
 the grid as it is.
 The equation is linear, so every RK4 step is a 2x2 transfer matrix; one
-product stage (``_march``) builds all of them a chunk at a time with numpy
-and takes their products in a blocked scan.  One reader (``_read_ends``,
-behind ``integrate_ends``) forms the Wronskian over every node a chunk at
-a time, and only the nodes its caller asks for: the two end nodes and,
-for a wavefunction, its samples.  No node array of the window is built.
-Only a half-window whose drift is refused takes a second pass, for W's
-round-off scale max(|u v'| + |u' v|), which tells the refusal's advice
-whether a smaller step can help.
+product stage (``_march``) builds all of them a chunk at a time with numpy,
+each with its det M - 1, and takes their products in a blocked scan.  RK4
+does not keep area, so W[u, v] drifts from 1 by the product of the dets:
+their sums give the drift and W at the window ends, free of the round-off
+the products gather where the basis grows.  One reader (``_read_ends``)
+forms only the nodes asked for, the two end nodes and a wavefunction's
+samples (refused where W formed from them is off 1 past DRIFT_TOLERANCE);
+no node array of the window is built.
 An exponential's default window is fixed in z = p exp(x/(2a)), where its
 depth only translates the problem.
 ``integrate_ends`` then projects u and v, at each window end and by one
@@ -37,7 +37,8 @@ waves are read off the same two projections for either incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ; at both ends the flux
-is measured, as (hbar/m) Im(conj(R) R').
+is measured, as (hbar/m) Im(conj(R) R'), and the transmitted wave is read
+off W[u, v] at its end rather than off the products there.
 """
 
 from __future__ import annotations
@@ -106,13 +107,14 @@ class _End(NamedTuple):
 
     u and v are the basis solutions' coefficients along R; the basis is
     real, so their coefficients along the leftward wave conj(R) are the
-    conjugates.  flux is the probability flux of R, which conj(R) carries
-    the other way.
+    conjugates.  w_r is W[R, conj R] = -2i Im(conj(R) R'), which gives R's
+    flux (hbar/m) |w_r| / 2; w_uv is W[u, v] there (see ``integrate_ends``).
     """
 
     u: complex
     v: complex
-    flux: float
+    w_r: complex
+    w_uv: float
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,8 @@ class BasisPair:
     ends holds the left and the right window end, each projected onto its
     unit waves (``_End``).  nodes holds the basis at the xs a caller asked
     for, in the order asked, each a column of rows u, u', v, v' (float64).
-    drift is max |W[u, v] - 1| over every node of the window.
+    drift is sum |det M_i - 1| over the RK4 steps of the worse half-window,
+    which bounds |W[u, v] - 1| at every node in exact arithmetic.
     """
 
     ends: tuple[_End, _End]
@@ -187,10 +190,10 @@ def integrate_ends(
     waves (``_end``) and read it at ``xs``.
 
     Each half-window is one numpy march outward from the seed: the RK4
-    transfer matrices of all its steps and their products (``_march``).
-    One reader (``_read_ends``) forms the Wronskian over every node, a
-    chunk at a time (a refused half twice, the second time for W's
-    round-off scale), and only the nodes asked for; no node array of the
+    transfer matrices of all its steps, each det M - 1 and their products
+    (``_march``).  W[u, v] at each end is 1 plus the dets of the steps from
+    the seed, which the products' round-off does not reach.  One reader
+    (``_read_ends``) forms only the nodes asked for; no node array of the
     window is built.  The ends are x_left and x_right, or on a diving end
     the point z = _Z_MATCH if the window holds it.  Each x is read by one
     RK4 step from the node at or below it (``_step_from``), a step of zero
@@ -207,8 +210,10 @@ def integrate_ends(
         |V| > ASYMPTOTE_EPSILON * E (refused before the grid is built), or
         for a diving end whose q overflows exp(q pi) in its H1.
     AccuracyError
-        If the Wronskian drifts past DRIFT_TOLERANCE or is not finite, or
-        if the diving end's unit wave carries a flux far from its own.
+        If the drift is past DRIFT_TOLERANCE, if W[u, v] is not finite at
+        a window end, if the diving end's unit wave carries a flux far
+        from its own, or if W[u, v] formed from the nodes at an x of xs is
+        off 1 by more than DRIFT_TOLERANCE.
     """
     _check_energy(potential, energy, units)
     energy = float(energy)
@@ -227,24 +232,24 @@ def integrate_ends(
     seed, at = at[2], np.delete(at, 2)
     # rows u, u', v, v'; a node on the seed keeps the seed values
     nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
-    drifts, scales = [], []
+    drift, w_uv = 0.0, [1.0, 1.0]
     with np.errstate(over="ignore", invalid="ignore"):
         for sign, half in ((1, x[seed:]), (-1, x[seed::-1])):
             picked = sign * (at - seed) > 0
-            drift, scale, nodes[:, picked] = _read_ends(
-                *_march(potential, energy, half, units), half.size - 1,
-                sign * (at[picked] - seed))
-            drifts.append(drift)
-            scales.append(scale)
-    drift = float(np.max(drifts))
-    _check_drift(drift, config, float(np.max(scales)))
+            m, carried, dets = _march(potential, energy, half, units)
+            nodes[:, picked] = _read_ends(m, carried, sign * (at[picked] - seed))
+            # W[u, v] at an end: 1 plus the dets of the steps from the seed
+            for end in np.flatnonzero(picked[:2]):
+                w_uv[end] += float(dets[: sign * (at[end] - seed)].sum())
+            drift = max(drift, float(np.abs(dets, out=dets).sum()))
+        if xs.size:
+            below = x[at[2:]]
+            nodes[:, 2:] = _step_from(potential, energy, below, xs - below, units, nodes[:, 2:])
+        _check_drift(drift, config, nodes, xs)
     # only the exponential dives, and only on the right
-    dives = isinstance(potential, Exponential)
-    ends = (_end(potential, energy, units, x_ends[0], nodes[:, 0], False),
-            _end(potential, energy, units, x_ends[1], nodes[:, 1], dives))
-    if xs.size:
-        below = x[at[2:]]
-        nodes[:, 2:] = _step_from(potential, energy, below, xs - below, units, nodes[:, 2:])
+    dives = (False, isinstance(potential, Exponential))
+    ends = tuple(_End(*_end(potential, energy, units, x_ends[i], nodes[:, i], dives[i]), w_uv[i])
+                 for i in (0, 1))
     return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift, energy=energy)
 
 
@@ -260,23 +265,30 @@ def _check_energy(potential: PotentialModel, energy: float, units: Units) -> Non
             )
 
 
-def _check_drift(drift: float, config: SolverConfig, scale: float) -> None:
-    """Refuse a drift that is not finite or past DRIFT_TOLERANCE, blaming
-    the step unless W's round-off, eps times ``scale`` = max(|u v'| +
-    |u' v|) over the nodes of the drifting half-windows, passes it too."""
-    if not math.isfinite(drift):
+def _check_drift(drift: float, config: SolverConfig, nodes: np.ndarray, xs: np.ndarray) -> None:
+    """Refuse a basis whose W[u, v] is not finite at the window ends (the
+    first two columns u, u', v, v' of ``nodes``), whose drift is past
+    DRIFT_TOLERANCE, or whose W formed from the nodes at xs (the other
+    columns, which psi and its flux are formed from) is off 1 by more."""
+    u, du, v, dv = nodes
+    w = u * dv - du * v
+    ends, off = w[:2], np.abs(w[2:] - 1.0)
+    if not np.all(np.isfinite(ends)):
         raise AccuracyError(
-            f"Wronskian drift {drift:.3e}: the basis overflowed on the window "
-            f"[{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
+            f"Wronskian {ends[~np.isfinite(ends)][0]:.3e} at a window end: the basis overflowed "
+            f"on the window [{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
         )
-    if drift > DRIFT_TOLERANCE:
-        roundoff = np.finfo(float).eps * scale
-        advice = (f"W carries round-off eps max(|u v'| + |u' v|) = {roundoff:.3e} inside the "
-                  "window on its own, which a smaller kh cannot lower; raise E or "
-                  "narrow the barrier" if roundoff > DRIFT_TOLERANCE else
-                  f"lower kh = {config.kh:g} (on the exponential, drift falls as kh^5)")
+    if not drift <= DRIFT_TOLERANCE:
         raise AccuracyError(f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
-                            f"{DRIFT_TOLERANCE:.3e}; {advice}")
+                            f"{DRIFT_TOLERANCE:.3e}; lower kh = {config.kh:g} "
+                            "(on the exponential, drift falls as kh^5)")
+    if not np.all(off <= DRIFT_TOLERANCE):
+        i = int(np.argmax(off))  # a NaN counts as the worst
+        raise AccuracyError(
+            f"W[u, v] at x = {xs[i]:g} is off 1 by {off[i]:.3e}, past DRIFT_TOLERANCE "
+            f"{DRIFT_TOLERANCE:.3e}, and the step's drift is {drift:.3e} of it at most: "
+            "the rest is round-off where the basis grows, which psi and its flux there "
+            "carry too; raise E or narrow the barrier")
 
 
 def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
@@ -285,8 +297,10 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     Each window end gives u's and v's coefficients along its rightward unit
     wave R, conjugated along conj(R).  The matched psi = c_u u + c_v v has
     no wave arriving from infinity at the transmitted end; the incident and
-    reflected waves are its two components at the other end.  The basis
-    carries both ends projected, so one basis serves both incidence sides.
+    reflected waves are its two components at the other end, and the
+    transmitted one is read off W[u, v] = (s_u conj(s_v) - conj(s_u) s_v)
+    W[R, conj R] there (s the coefficients along R).  The basis carries
+    both ends projected, so one basis serves both incidence sides.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -303,12 +317,12 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     if norm == 0.0:
         raise AccuracyError("matching produced a null solution")
     cu, cv = sink_v / norm, -sink_u / norm
-    c_inc, c_ref, c_tra = (cu * u + cv * v for u, v in (
-        along(source, inc), along(source, not inc), along(sink, inc)))
+    c_inc, c_ref = (cu * u + cv * v for u, v in (along(source, inc), along(source, not inc)))
+    c_tra = (1.0 if inc else -1.0) * sink.w_uv / (sink.w_r * norm)
     r_amp, t_amp = c_ref / c_inc, c_tra / c_inc
-    j_inc = source.flux * abs(c_inc) ** 2
-    j_ref = source.flux * abs(c_ref) ** 2
-    j_tra = sink.flux * abs(c_tra) ** 2
+    # fluxes over hbar / 2m, which their ratios cancel
+    j_inc, j_ref = (abs(source.w_r) * abs(c) ** 2 for c in (c_inc, c_ref))
+    j_tra = abs(sink.w_r) * abs(c_tra) ** 2
     return NumericScatteringResult(
         energy=basis.energy, side=side,
         t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
@@ -405,10 +419,11 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
     P_i = M_{i-1} ... M_0 (P_0 = I).  Steps are laid out in blocks of
     width = isqrt(n) steps: step k * width + j is row j of block k, and
     steps past n pad the last block and repeat step n - 1 (a zero step
-    when there is none).  Returns (m, carried): m[j, :, :, k] is the
-    product of steps 0..j of block k, carried[:, :, k] the product of all
-    blocks before k, so P_{1 + k * width + j} is m[j, :, :, k] @
-    carried[:, :, k] (see ``_prefix``).
+    when there is none).  Returns (m, carried, dets): m[j, :, :, k] is
+    the product of steps 0..j of block k, carried[:, :, k] the product of
+    all blocks before k, so P_{1 + k * width + j} is m[j, :, :, k] @
+    carried[:, :, k] (see ``_prefix``); dets[i] is det M_i - 1, in step
+    order.
 
     The scan runs sequentially inside blocks, vectorised across blocks,
     then carries each block by the earlier block totals.  Every product is
@@ -430,13 +445,15 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
     # one buffer for every chunk's h, start node and samples: fresh 200 KB
     # temporaries per chunk fragment the heap and raise the peak RSS
     buffer = np.empty((5, rows, blocks))
+    dets = np.empty(blocks * width)
     for j in range(0, width, rows):
         mj = m[j : j + rows]
         h, x0 = buffer[:2, : len(mj)]
         g = buffer[2:, : len(mj)]
         np.copyto(x0, x0s[j : j + rows])
         np.subtract(x1s[j : j + rows], x0, out=h)
-        _step_matrices(potential, energy, scale, x0, h, g, mj.transpose(1, 2, 0, 3))
+        dets.reshape(blocks, width).T[j : j + rows] = _step_matrices(
+            potential, energy, scale, x0, h, g, mj.transpose(1, 2, 0, 3))
     # in place, m[j] becomes the product of its block's steps 0..j:
     # terms[t, r, c] = M_j[r, t] * m[j - 1][t, c], summed over t in order
     terms = np.empty((2, 2, 2, blocks))
@@ -451,14 +468,17 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
         c00, c01, c10, c11 = carry[-1]
         carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
                       t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
-    return m, np.array(carry).T.reshape(2, 2, blocks)
+    return m, np.array(carry).T.reshape(2, 2, blocks), dets[:n]
 
 
 def _step_matrices(potential: PotentialModel, energy: float, scale: float, x0: np.ndarray,
-                   h: np.ndarray, g: np.ndarray, out) -> None:
+                   h: np.ndarray, g: np.ndarray, out) -> np.ndarray:
     """The RK4 transfer matrices of the steps h from x0 into out[r][c]
     (column c the step applied to seed c), g a buffer shaped as h for
-    2m (V - energy)/hbar^2 at the three _SAMPLES of each step."""
+    2m (V - energy)/hbar^2 at the three _SAMPLES of each step.  Returns
+    each det M - 1, x^3/72 + x^4/576 for a constant g, x = g h^2 (Hairer,
+    Lubich & Wanner, Geometric Numerical Integration, ch. VI), formed as
+    a + d + a d - b c from the diagonal's parts below 1."""
     for gs, offset in zip(g, _SAMPLES):
         np.add(x0, np.multiply(offset, h, out=gs), out=gs)
     np.multiply(scale, np.subtract(potentials.evaluate(potential, g), energy, out=g), out=g)
@@ -472,13 +492,16 @@ def _step_matrices(potential: PotentialModel, energy: float, scale: float, x0: n
     k2u, k3u = half_h * g0, half_h * g1
     k3p = g1 * (1.0 + half_h * k2u)
     k4p = g2 * (1.0 + h * k3u)
-    np.add(1.0, sixth_h * (2.0 * (k2u + k3u) + h * k3p), out=out[0][0])
+    a = sixth_h * (2.0 * (k2u + k3u) + h * k3p)
+    np.add(1.0, a, out=out[0][0])
     np.multiply(sixth_h, g0 + 2.0 * (g1 + k3p) + k4p, out=out[1][0])
     k2q = g1 * half_h
     k3v = 1.0 + half_h * k2q
     k4q = g2 * (h * k3v)
     np.multiply(sixth_h, 1.0 + 2.0 * (1.0 + k3v) + (1.0 + h * k2q), out=out[0][1])
-    np.add(1.0, sixth_h * (2.0 * (k2q + k2q) + k4q), out=out[1][1])
+    d = sixth_h * (2.0 * (k2q + k2q) + k4q)
+    np.add(1.0, d, out=out[1][1])
+    return a + d + a * d - out[0][1] * out[1][0]
 
 
 def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, h: np.ndarray,
@@ -502,47 +525,21 @@ def _prefix(m: np.ndarray, carried: np.ndarray, r: int, c: int) -> np.ndarray:
     return m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
 
 
-def _read_ends(m: np.ndarray, carried: np.ndarray, n: int,
-               picks) -> tuple[float, float, np.ndarray]:
-    """The reader of one march: max |W[u, v] - 1| over its nodes 0..n,
-    formed a chunk of rows at a time in scan layout; where that passes
-    DRIFT_TOLERANCE, max(|u v'| + |u' v|) over nodes 1..n in a second
-    pass (else 0.0); and the nodes picks (each in 1..n, in any order,
-    repeats included) as columns (u, u', v, v'), by the same products."""
-    drift = _chunk_max(m, carried, n, lambda u, du, v, dv: np.abs(u * dv - du * v - 1.0))
-    scale = (_chunk_max(m, carried, n, lambda u, du, v, dv: np.abs(u * dv) + np.abs(du * v))
-             if drift > DRIFT_TOLERANCE else 0.0)
+def _read_ends(m: np.ndarray, carried: np.ndarray, picks) -> np.ndarray:
+    """The nodes picks of one march (each in 1..n, in any order, repeats
+    included) as columns (u, u', v, v'), from its products (``_march``)."""
     width = m.shape[0]
     # node 1 + k * width + j is row j of block k
     k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
-    return drift, scale, np.array([_prefix(m[j, :, :, k], carried[:, :, k], r, c)
-                                   for r, c in _ROWS])
-
-
-def _chunk_max(m: np.ndarray, carried: np.ndarray, n: int, of) -> float:
-    """The max of of(u, u', v, v') over nodes 1..n of one march and 0.0,
-    formed a chunk of rows at a time in scan layout."""
-    width, _, _, blocks = m.shape
-    # real steps in the last block; its other rows are pad steps
-    last = n - (blocks - 1) * width
-    rows = max(1, _CHUNK // blocks)
-    # the seed's W - 1 is exactly 0
-    maxima = [0.0]
-    for j0 in range(0, width, rows):
-        values = of(*(_prefix(m[j0 : j0 + rows], carried, r, c) for r, c in _ROWS))
-        # pad steps take the seed's value
-        values[max(last - j0, 0) :, -1] = 0.0
-        maxima.append(values.max())
-    return np.max(maxima)
+    return np.array([_prefix(m[j, :, :, k], carried[:, :, k], r, c) for r, c in _ROWS])
 
 
 def _end(potential: PotentialModel, energy: float, units: Units, x: float, node: np.ndarray,
-         diving: bool) -> _End:
-    """The end node (u, u', v, v') at x along its rightward unit wave R,
-    H1_{iq}(z) / N on a diving end, else exp(ikx) (see the module notes).
-    A real solution f projects onto R by Wronskians,
-    c = W[f, conj R] / W[R, conj R], and W[R, conj R] = -2i Im(conj(R) R')
-    also gives R's flux, (hbar/m) Im(conj(R) R')."""
+         diving: bool) -> tuple[complex, complex, complex]:
+    """u's and v's coefficients along the rightward unit wave R at x (H1_{iq}(z)
+    / N on a diving end, else exp(ikx)), from the end node (u, u', v, v'),
+    and W[R, conj R] = -2i Im(conj(R) R'): c = W[f, conj R] / W[R, conj R]
+    projects a real f onto R, and R's flux is (hbar/m) Im(conj(R) R')."""
     k = math.sqrt(2.0 * units.mass * energy) / units.hbar
     if diving:
         a = potential.a
@@ -556,7 +553,7 @@ def _end(potential: PotentialModel, energy: float, units: Units, x: float, node:
         r = cmath.exp(1j * k * x)
         dr = 1j * k * r
     im = (r.conjugate() * dr).imag
-    flux = units.hbar / units.mass * im
+    flux, w_r = units.hbar / units.mass * im, -2j * im
     if diving:
         exact = p * units.hbar / (2.0 * units.mass * a)
         if not flux > 0.1 * exact:
@@ -564,10 +561,10 @@ def _end(potential: PotentialModel, energy: float, units: Units, x: float, node:
                 f"unit wave at z = {z:.3g} carries flux {flux:.3e}, not {exact:.3e}")
 
     def coeff(f: float, df: float) -> complex:
-        return (f * dr.conjugate() - df * r.conjugate()) / (-2j * im)
+        return (f * dr.conjugate() - df * r.conjugate()) / w_r
 
     u, du, v, dv = node.tolist()
-    return _End(coeff(u, du), coeff(v, dv), flux)
+    return coeff(u, du), coeff(v, dv), w_r
 
 
 def _plane_potential(potential: PotentialModel, energy: float, x: float, which: str) -> None:

@@ -175,10 +175,12 @@ def check_v0_independence() -> CheckResult:
 def check_flux_wronskian_rk4() -> CheckResult:
     """Wronskian drift and measured RK4 order.
 
-    The drift also bounds the flux: the basis is real, so the flux of any
-    psi = c_u u + c_v v is (hbar/m) Im(conj(c_u) c_v) W[u, v] node by node,
-    and W = 1 at the seed.  Its spread relative to the seed's flux is at
-    most twice the drift, so the drift's tolerance covers it.
+    The drift also bounds the flux, up to round-off: the basis is real, so
+    the flux of any psi = c_u u + c_v v is (hbar/m) Im(conj(c_u) c_v)
+    W[u, v] node by node, W = 1 at the seed, and the drift bounds |W - 1|
+    at every node in exact arithmetic.  So the flux's spread relative to
+    the seed's is at most twice the drift plus the round-off of the
+    products that form the nodes, and the drift's tolerance covers it.
     """
     model = potentials.exponential(1.0, 1.0)
     energy = 0.25  # q = 1

@@ -324,13 +324,18 @@ class TestCommands:
     # |psi - e^{ikx}| 4.9e-13 -> 8.1e-12 and 3.3e-13 -> 3.9e-12, flux spread
     # 9.9e-13 -> 1.4e-14 and 2.7e-13 -> 3.6e-14; rect sweep |dT| 7.8e-16 ->
     # 4.0e-13; rect wavefunction flux spread 2.7e-13 -> 4.3e-14; the E == v0
-    # pin |dT| 2.5e-16 -> 3.6e-13
+    # pin |dT| 2.5e-16 -> 3.6e-13.  The three sweeps were re-frozen when T
+    # came to be read off W[u, v] as the march carries it (1 plus the sum of
+    # det M - 1 over the steps from the seed) and the drift became the sum
+    # of |det M - 1|; the wavefunctions did not move.  Largest moves: T and
+    # flux_imbalance 4.9e-13 (free), 1.6e-13 (rect), 1.9e-14 (E == v0);
+    # drift 2.4e-13, 9.1e-14 and 1.7e-14; theta 1.3e-15; R and phi none
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
               "--method", "numeric"],
-             "84d262f2403b0684022b7cfa86101797b1c6b425688d8e1d2ecaafaec3bac177"),
+             "9dde4ad30987be04778f05c8d70c51d3c17900a2fb7b85059ae372a480dbecc1"),
             (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
               "--xmax", "6", "--n", "300"],
              "4e78fc74fcf2ecfb5de775a9110c32765bdfddabdd692f35aa20ca86ff76d742"),
@@ -339,14 +344,14 @@ class TestCommands:
              "445757d384204b18b4a5f7d1138a337f08c1ea9f837500d1d20714a7987e5f39"),
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "61c49dc5872820eaaa71d75c28a24e6ac903964bd6b746bae8b4bd2c4948bdc1"),
+             "c510ab577f5830768e36eb234a6a0e249c5ab276785da2d09098a9fb80b03338"),
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
              "8696595b16ea6cbb5fd3585f593616a1c5d6f11de0115b8434ca6ea082b4985e"),
             # E == v0 on the second row: g is exactly zero inside the barrier
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
-             "db3db5308ce366f36e4f04c7d61460ba6365cb68441e3da24ed95c5b50378051"),
+             "85aa22d19504328e063a34b49416185d0be08ac4b4b28f7cd27debd953eefc47"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
              "rect-wavefunction-right", "rect-sweep-at-v0"],
@@ -364,12 +369,15 @@ class TestCommands:
              "e87f4b402a10ca035d48622359aa7fd3af476d3bfec0c9efdff635aea1f98da3"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "993e03b2b54319c8786df66da6f8e4e8ce1c34483ca58361b883e766adf861c8"),
+             "16b4a0ecfc5c6db4ef42dc07e150fac692cd1aaab555fbfd3ebd04ddd2648e50"),
         ],
         ids=["readme-analytic", "readme-numeric-n20"],
     )
     def test_readme_sweep_bytes_unchanged(self, argv, digest, capsys):
-        # the inline cell format and the numeric lane move no byte
+        # the inline cell format and the numeric lane move no byte; the
+        # numeric pin was re-frozen when T came to be read off the march's
+        # W[u, v] and the drift off its dets: T moved <= 2.4e-14,
+        # flux_imbalance 2.1e-14, the drift 2.4e-14, theta 2.2e-16
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -544,6 +552,43 @@ class TestCommands:
         # unit incident wave: flux = T hbar k / m = T q here, q = 1
         t_exact, _ = exp_barrier.transmission_reflection(1.0)
         assert abs(flux.mean() / 1.0 - t_exact) <= 1e-9
+
+    @pytest.mark.parametrize("energy", ["1", "6.3", "26.5", "30"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_deep_rectangle_wavefunction_refused_at_its_roundoff(self, energy, side, capsys):
+        # rect:v0=50,w=4: u and v grow like e^14 each way from the seed, so
+        # W formed from the nodes is off 1 by 1e-3 at E = 1 and 2.6e-8 at
+        # E = 30, and psi and its flux would carry that; a sweep's T and
+        # theta are read without these nodes and solve
+        code, out, err = run_cli(
+            ["wavefunction", "--model", "rect:v0=50,w=4", "--energy", energy,
+             "--xmin", "-4", "--xmax", "4", "--n", "201", "--side", side], capsys)
+        assert (code, out) == (2, "")
+        assert "round-off where the basis grows" in err and "raise E or narrow" in err
+
+    @pytest.mark.parametrize("energy", ["40", "45", "60"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_deep_rectangle_wavefunction_meets_the_hand_formula(self, energy, side, capsys):
+        # rect:v0=50,w=4, m = 1/2, hbar = 1: past the barrier psi = t e^{ikx}
+        # up to phase, so |psi| = |t| and the flux is T hbar k / m = 2 k T,
+        # each within 1e-9 relative (measured 3e-10); before it the flux is
+        # formed from a near-standing wave, |psi| ~ 1 against a flux ~ T, which
+        # carries eps / T of round-off (measured 1.2 eps / T at E = 40)
+        code, out, err = run_cli(
+            ["wavefunction", "--model", "rect:v0=50,w=4", "--energy", energy,
+             "--xmin", "-4", "--xmax", "4", "--n", "201", "--side", side], capsys)
+        assert (code, err) == (0, "")
+        rows = np.array([[float(c) for c in line.split(",")] for line in out.splitlines()[2:]])
+        e = float(energy)
+        k, kappa = math.sqrt(e), np.sqrt(complex(50.0 - e))
+        mix = 1j * (kappa**2 - k**2) / (2.0 * k * kappa)
+        t = 1.0 / (np.cosh(4.0 * kappa) + mix * np.sinh(4.0 * kappa))
+        t_coeff = abs(t) ** 2
+        flux = rows[:, 4] / (2.0 * k * t_coeff * (1.0 if side == "left" else -1.0)) - 1.0
+        past = rows[:, 0] > 2.0 if side == "left" else rows[:, 0] < -2.0
+        assert np.max(np.abs(rows[past, 3] / abs(t) - 1.0)) <= 1e-9
+        assert np.max(np.abs(flux[past])) <= 1e-9
+        assert np.max(np.abs(flux)) <= 1e-9 + 10.0 * np.finfo(float).eps / t_coeff
 
     def test_low_energy_refusal_names_the_lowest_energy(self, capsys):
         code, out, _ = run_cli(

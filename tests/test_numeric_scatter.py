@@ -3,6 +3,7 @@ the closed forms and an independently derived rectangular-barrier oracle.
 """
 
 import ast
+import cmath
 import contextlib
 import dataclasses
 import inspect
@@ -33,6 +34,24 @@ def rect_transmission(energy, v0, width, mass=0.5, hbar=1.0):
 # Frozen value of the formula above at E=0.5, v0=1, w=2, m=1/2, hbar=1,
 # recomputed at 40 digits; guards the formula transcription as well.
 RECT_T_FROZEN = 0.21077109396613053509
+
+
+def rect_amplitude(energy, v0, width, mass=0.5, hbar=1.0):
+    # the transmitted amplitude of a rectangle of any sign, derived by hand
+    # in the same way, kappa = sqrt(2m (v0 - E)) / hbar imaginary above it:
+    # t = e^{-ikw} / (cosh kappa w + i (kappa^2 - k^2) / (2 k kappa) sinh kappa w)
+    k = math.sqrt(2.0 * mass * energy) / hbar
+    kappa = cmath.sqrt(2.0 * mass * (v0 - energy)) / hbar
+    mix = 1j * (kappa**2 - k**2) / (2.0 * k * kappa)
+    return cmath.exp(-1j * k * width) / (cmath.cosh(kappa * width)
+                                         + mix * cmath.sinh(kappa * width))
+
+
+def assert_rect_formula(result, energy, v0, width):
+    """T within 1e-9 relative and theta within 1e-9 of the hand formula."""
+    t = rect_amplitude(energy, v0, width)
+    assert abs(result.t_coeff / abs(t) ** 2 - 1.0) <= 1e-9
+    assert waves.angle_distance(result.theta, cmath.phase(t)) <= 1e-9
 
 
 def grid(potential, energy, config, units=DEFAULT_UNITS):
@@ -92,42 +111,46 @@ class TestBasisIntegration:
             oracle_integrate_basis(EXP_MODEL, 0.25, config)
 
     def test_drift_refusal_names_its_cause(self):
-        # the exponential at kh = 0.1 drifts 1.7e-6 from its step, while
-        # eps max(|u v'| + |u' v|) at its ends is 2.3e-16
+        # kh = 0.1 costs digits on the exponential (1.7e-6, from its step)
+        # and on the deep rectangle at E = 1, which kh = 0.003 solves to
+        # 4e-11 (see test_deep_rectangle_matches_hand_formula)
         coarse = SolverConfig(x_left=-30.0, x_right=3.0, kh=0.1)
         with pytest.raises(AccuracyError, match=re.escape(
                 "drift 1.733e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
             numeric_scatter.integrate_ends(EXP_MODEL, 0.25, coarse)
-        # across rect:v0=50,w=4 at E = 1 the basis grows until W's round-off
-        # alone passes the tolerance: halving kh does not help
         rect = potentials.rectangular(50.0, 2.0)
-        config = numeric_scatter.default_config(rect)
-        for kh in (config.kh, 0.5 * config.kh):
-            with pytest.raises(AccuracyError, match=re.escape(
-                    "W carries round-off eps max(|u v'| + |u' v|) = 5.735e-04 inside the "
-                    "window on its own, which a smaller kh cannot lower; raise E or narrow "
-                    "the barrier")):
-                numeric_scatter.integrate_ends(rect, 1.0, dataclasses.replace(config, kh=kh))
+        config = dataclasses.replace(numeric_scatter.default_config(rect), kh=0.1)
+        with pytest.raises(AccuracyError, match=re.escape(
+                "drift 2.224e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
+            numeric_scatter.integrate_ends(rect, 1.0, config)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_roundoff_inside_the_window_is_named(self, side):
-        # at E = 26.5 the drift, 8.2e-8, reads 8.2e-8 and 6.0e-8 at kh/2
-        # and kh/4: round-off.  The basis peaks inside the window, where
-        # eps max(|u v'| + |u' v|) reads 2.9e-8 against 6.7e-9 at the ends
+        # at E = 26.5 the basis peaks inside the window, near the barrier's
+        # edges, where W formed from the nodes carries round-off
+        # eps max(|u v'| + |u' v|) = 2.9e-8 (2.929e-8 on these xs), past
+        # DRIFT_TOLERANCE; the drift the march carries does not see it, and
+        # the row solves
         rect = potentials.rectangular(50.0, 2.0)
-        with pytest.raises(AccuracyError, match=re.escape(
-                "drift 8.196e-08 exceeds DRIFT_TOLERANCE 1.000e-08; W carries round-off "
-                "eps max(|u v'| + |u' v|) = 2.934e-08 inside the window on its own")):
-            numeric_scatter.solve(rect, 26.5, side)
+        config = numeric_scatter.default_config(rect)
+        xs = np.linspace(-2.5, 2.5, 21)
+        basis = numeric_scatter.integrate_ends(rect, 26.5, config, xs=list(xs))
+        u, du, v, dv = basis.nodes
+        scale = np.finfo(float).eps * np.max(np.abs(u * dv) + np.abs(du * v))
+        assert scale == pytest.approx(2.929e-8, rel=1e-3)
+        assert scale > numeric_scatter.DRIFT_TOLERANCE
+        assert basis.drift <= 1e-12
+        assert_rect_formula(numeric_scatter.solve(rect, 26.5, side), 26.5, 50.0, 4.0)
 
     def test_overflowing_basis_refused(self):
-        # u and v grow like e^{kappa w} = e^{800} across this barrier; the
-        # Wronskian overflows to NaN, which must fail the drift check
+        # u and v grow like e^{kappa w} = e^{800} across this barrier; W[u, v]
+        # overflows to NaN at the window ends, a clean refusal: no numpy
+        # warning, no OverflowError
         rect = potentials.rectangular(1.0e4, 4.0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            AccuracyError, match="drift nan"
-        ):
-            numeric_scatter.integrate_ends(rect, 1.0, numeric_scatter.default_config(rect))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError, match="basis overflowed on the window"):
+                numeric_scatter.integrate_ends(rect, 1.0, numeric_scatter.default_config(rect))
 
     def test_long_wave_refused(self):
         with pytest.raises(DomainError, match="delta"):
@@ -355,20 +378,42 @@ def products(x):
 def march(x):
     """(u, u', v, v') that the oracle node writer gives for the nodes x."""
     out = np.empty((4, x.size))
-    oracle_write_nodes(*products(x), x.size - 1, out)
+    m, carried, _ = products(x)
+    oracle_write_nodes(m, carried, x.size - 1, out)
     return list(out)
 
 
+def step_dets(x):
+    """The step-order oracle's det M - 1 of the steps between the nodes x
+    on the rough potential."""
+    return oracle_step_dets(1.0 * (rough(None, oracle_samples(x)) - 0.0), np.diff(x))
+
+
+def poison_pad_steps(monkeypatch, n):
+    """Make the pad steps of a march of n steps non-finite: their matrices
+    and their det M - 1, as ``_step_matrices`` hands them to the march."""
+    width = max(1, math.isqrt(n))
+    blocks = max(1, -(-n // width))
+    real = n - (blocks - 1) * width
+    step_matrices = numeric_scatter._step_matrices
+    done = [0]
+
+    def poisoned(potential, energy, scale, x0, h, g, out):
+        det = step_matrices(potential, energy, scale, x0, h, g, out)
+        first = max(real - done[0], 0)
+        done[0] += h.shape[0]
+        for entry in (*out[0], *out[1], det):
+            entry[first:, -1] = np.nan
+        return det
+
+    monkeypatch.setattr(numeric_scatter, "_step_matrices", poisoned)
+
+
 def drift_of(nodes):
-    """max |W - 1| over node rows u, u', v, v'."""
+    """max |W - 1| over node rows u, u', v, v': the gate that the det sum
+    replaced, and the reference it must never be looser than."""
     u, du, v, dv = nodes
     return np.max(np.abs(u * dv - du * v - 1.0))
-
-
-def roundoff_scale_of(nodes):
-    """max |u v'| + |u' v| over node rows u, u', v, v'."""
-    u, du, v, dv = nodes
-    return np.max(np.abs(u * dv) + np.abs(du * v))
 
 
 def assert_same_march(got, want, rel=1e-12):
@@ -389,26 +434,25 @@ class TestStepMatrixMarch:
 
     def test_no_steps_is_the_seed(self):
         out = np.empty((4, 1))
-        m, carried = products(np.array([0.25]))
+        m, carried, dets = products(np.array([0.25]))
         oracle_write_nodes(m, carried, 0, out)
         assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
-        drift, _, nodes = numeric_scatter._read_ends(m, carried, 0, [])
-        assert drift == 0.0 and nodes.shape == (4, 0)
+        nodes = numeric_scatter._read_ends(m, carried, [])
+        assert dets.shape == (0,) and nodes.shape == (4, 0)
 
-    def test_pad_steps_do_not_reach_the_nodes(self):
+    def test_pad_steps_do_not_reach_the_nodes(self, monkeypatch):
         # n = 17: width 4, five blocks, the last one step and three pad
-        # steps; a non-finite pad product must reach neither the drift nor
-        # a node
+        # steps; non-finite pad steps must reach neither a det nor a node
         x = random_nodes(17, 1.0)
         want = march(x)
-        m, carried = products(x)
-        assert m.shape == (4, 2, 2, 5)
-        m[1:, :, :, -1] = np.nan
+        poison_pad_steps(monkeypatch, 17)
+        m, carried, dets = products(x)
+        assert m.shape == (4, 2, 2, 5) and np.all(np.isnan(m[1:, :, :, -1]))
         out = np.empty((4, 18))
         oracle_write_nodes(m, carried, 17, out)
-        drift, _, nodes = numeric_scatter._read_ends(m, carried, 17, np.arange(1, 18))
+        nodes = numeric_scatter._read_ends(m, carried, np.arange(1, 18))
         assert np.array_equal(out, want)
-        assert np.isfinite(drift) and drift == drift_of(want)
+        assert dets.tobytes() == step_dets(x).tobytes()
         assert nodes.tobytes() == out[:, 1:].tobytes()
 
     def test_non_finite_samples_refused(self, monkeypatch):
@@ -421,32 +465,30 @@ class TestStepMatrixMarch:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_reader_equals_the_node_writer(self, n):
-        # the drift and the picked nodes, every node in any order and
+        # the dets and the picked nodes, every node in any order and
         # repeats included, bit for bit, without the node array
         every = np.random.default_rng(n).permutation(np.arange(1, n + 1))
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
             nodes = np.array(march(x))
-            made = products(x)
+            m, carried, dets = products(x)
+            assert dets.tobytes() == step_dets(x).tobytes()
             for picks in (every, sorted({1, n // 2 + 1, n}), [n, 1, n, n // 2 + 1, 1], []):
-                drift, _, picked = numeric_scatter._read_ends(*made, n, picks)
-                assert drift == drift_of(nodes)
+                picked = numeric_scatter._read_ends(m, carried, picks)
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
-    def test_refused_half_reads_the_roundoff_scale(self, n, monkeypatch):
-        # only a drift past DRIFT_TOLERANCE pays for the second pass; it
-        # reads max |u v'| + |u' v| over nodes 1..n bit for bit, pad steps
-        # (made non-finite here) excluded
-        x = random_nodes(n, 1.0)
-        nodes = np.array(march(x))
-        m, carried = products(x)
-        m[n - (m.shape[3] - 1) * m.shape[0]:, :, :, -1] = np.nan
-        assert numeric_scatter._read_ends(m, carried, n, [])[1] == 0.0
-        monkeypatch.setattr(numeric_scatter, "DRIFT_TOLERANCE", -1.0)
-        drift, scale, _ = numeric_scatter._read_ends(m, carried, n, [])
-        assert drift == drift_of(nodes)
-        assert scale == roundoff_scale_of(nodes[:, 1:])
+    def test_dets_are_the_real_steps(self, n, monkeypatch):
+        # det M_i - 1 of steps 0..n-1 in step order, bit for bit the
+        # step-order oracle's, with the pad steps (made non-finite here)
+        # left out
+        for direction in (1.0, -1.0):
+            x = random_nodes(n, direction)
+            want = step_dets(x)
+            with monkeypatch.context() as patched:
+                poison_pad_steps(patched, n)
+                dets = products(x)[2]
+            assert dets.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_samples_are_the_step_offsets(self, n, monkeypatch):
@@ -458,7 +500,7 @@ class TestStepMatrixMarch:
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
             seen.clear()
-            m, _ = products(x)
+            m = products(x)[0]
             width, blocks = m.shape[0], m.shape[-1]
             # back from scan layout to step order: [s, j, k] is step k * width + j
             got = np.concatenate(seen, axis=1).transpose(2, 1, 0).reshape(-1)[: 3 * n]
@@ -541,19 +583,58 @@ def oracle_march(g: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, ...]:
     return u, du, v, dv
 
 
-def oracle_rk4_step(u, du, g0, g1, g2, h):
-    """One classical RK4 step of (u, u') for u'' = g u, with g sampled at
-    the start, middle and end of the step; works on scalars and arrays."""
+def oracle_rk4_increments(u, du, g0, g1, g2, h):
+    """What one classical RK4 step of (u, u') for u'' = g u adds to them,
+    with g sampled at the start, middle and end of the step; works on
+    scalars and arrays."""
     half_h = 0.5 * h
     sixth_h = h / 6.0
     k1u = du;                k1p = g0 * u
     k2u = du + half_h * k1p; k2p = g1 * (u + half_h * k1u)
     k3u = du + half_h * k2p; k3p = g1 * (u + half_h * k2u)
     k4u = du + h * k3p;      k4p = g2 * (u + h * k3u)
-    return (
-        u + sixth_h * (k1u + 2.0 * (k2u + k3u) + k4u),
-        du + sixth_h * (k1p + 2.0 * (k2p + k3p) + k4p),
-    )
+    return sixth_h * (k1u + 2.0 * (k2u + k3u) + k4u), sixth_h * (k1p + 2.0 * (k2p + k3p) + k4p)
+
+
+def oracle_rk4_step(u, du, g0, g1, g2, h):
+    """One classical RK4 step of (u, u') for u'' = g u."""
+    step_u, step_du = oracle_rk4_increments(u, du, g0, g1, g2, h)
+    return u + step_u, du + step_du
+
+
+def oracle_step_dets(g: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """det M_i - 1 of the RK4 steps hs in step order, g holding 3 samples
+    per step, each formed from what the step adds to the seeds (1, 0) and
+    (0, 1), M - I = [[a, b], [c, d]], as a + d + a d - b c."""
+    g0, g1, g2 = g.reshape(hs.size, 3).T
+    a, c = oracle_rk4_increments(1.0, 0.0, g0, g1, g2, hs)
+    b, d = oracle_rk4_increments(0.0, 1.0, g0, g1, g2, hs)
+    return a + d + a * d - b * c
+
+
+def oracle_walk_dets(potential, energy, walk, units=DEFAULT_UNITS):
+    """The step-order dets of a march over the nodes walk."""
+    return oracle_step_dets(oracle_g(potential, energy, walk, units), walk[1:] - walk[:-1])
+
+
+def oracle_g(potential, energy, x, units=DEFAULT_UNITS):
+    """2m (V - energy) / hbar^2 at the samples of the steps between the nodes x."""
+    scale = 2.0 * units.mass / units.hbar**2
+    return scale * (potentials.evaluate(potential, oracle_samples(x)) - energy)
+
+
+def oracle_window_drift(potential, energy, x, i_seed, units=DEFAULT_UNITS):
+    """sum |det M_i - 1| over the steps of the worse half-window of the
+    grid x, from the step-order dets."""
+    return max(float(np.abs(oracle_walk_dets(potential, energy, half, units)).sum())
+               for half in (x[i_seed:], x[i_seed::-1]))
+
+
+def oracle_w_uv(potential, energy, x, i_seed, i, units=DEFAULT_UNITS):
+    """W[u, v] at node i as the march carries it without round-off: 1 plus
+    the step-order dets of the steps from the seed to node i."""
+    walk = x[i_seed : i + 1] if i >= i_seed else x[i_seed::-1][: i_seed - i + 1]
+    return 1.0 + float(oracle_walk_dets(potential, energy, walk, units).sum())
 
 
 def oracle_write_nodes(m, carried, n, out):
@@ -569,34 +650,42 @@ def oracle_write_nodes(m, carried, n, out):
         out[row, 1 + full * width :] = prefix[: n - full * width, -1]
 
 
-def project_ends(potential, energy, x, i_right, nodes, units=DEFAULT_UNITS):
+def project_ends(potential, energy, x, i_seed, i_right, nodes, units=DEFAULT_UNITS):
     """The left end node and the right end node i_right of nodes, on the
-    grid x, projected onto their unit waves as ``integrate_ends`` does."""
+    grid x seeded at i_seed, projected onto their unit waves as
+    ``integrate_ends`` does, each with its step-order W[u, v]."""
     diving = isinstance(potential, potentials.Exponential)
-    return tuple(numeric_scatter._end(potential, float(energy), units, x[i], nodes[:, i], dives)
-                 for i, dives in ((0, False), (i_right, diving)))
+    return tuple(numeric_scatter._End(
+        *numeric_scatter._end(potential, float(energy), units, x[i], nodes[:, i], dives),
+        oracle_w_uv(potential, energy, x, i_seed, i, units))
+        for i, dives in ((0, False), (i_right, diving)))
+
+
+def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
+    """Every node of the row's grid from the oracle writer, the left half
+    through a reversed view: (x, the seed's index, the right end's index,
+    the nodes)."""
+    x, i_seed, i_right = grid(potential, energy, config, units)
+    nodes = np.empty((4, x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for half, out in ((x[i_seed:], nodes[:, i_seed:]), (x[i_seed::-1], nodes[:, i_seed::-1])):
+            m, carried, _ = numeric_scatter._march(potential, energy, half, units)
+            oracle_write_nodes(m, carried, half.size - 1, out)
+    return x, i_seed, i_right, nodes
 
 
 def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
-    """The whole-grid basis: every node from the oracle writer, the left
-    half through a reversed view, as the nodes of the record, and its two
-    end nodes projected.  It checks the energy and the drift but no
-    plane-wave end."""
+    """The whole-grid basis: every node from the oracle writer as the nodes
+    of the record, its two end nodes projected, and the step-order drift.
+    It checks the energy and gates the basis as integrate_ends does, but
+    checks no plane-wave end."""
     numeric_scatter._check_energy(potential, energy, units)
-    x, i_seed, i_right = grid(potential, energy, config, units)
-    nodes = np.empty((4, x.size))
-    # W's round-off scale over the nodes of each half whose drift is refused
-    scale = 0.0
+    x, i_seed, i_right, nodes = oracle_nodes(potential, energy, config, units)
+    drift = oracle_window_drift(potential, energy, x, i_seed, units)
     with np.errstate(over="ignore", invalid="ignore"):
-        for half, out in ((x[i_seed:], nodes[:, i_seed:]), (x[i_seed::-1], nodes[:, i_seed::-1])):
-            made = numeric_scatter._march(potential, energy, half, units)
-            oracle_write_nodes(*made, half.size - 1, out)
-            if drift_of(out) > numeric_scatter.DRIFT_TOLERANCE:
-                scale = max(scale, float(roundoff_scale_of(out[:, 1:])))
-        drift = float(drift_of(nodes))
-    numeric_scatter._check_drift(drift, config, scale)
+        numeric_scatter._check_drift(drift, config, nodes[:, [0, i_right]], ())
     return numeric_scatter.BasisPair(
-        ends=project_ends(potential, energy, x, i_right, nodes, units), nodes=nodes,
+        ends=project_ends(potential, energy, x, i_seed, i_right, nodes, units), nodes=nodes,
         drift=drift, energy=float(energy))
 
 
@@ -619,26 +708,24 @@ def integrate_every_node(potential, energy, config):
 
 def oracle_basis(potential, energy, config):
     """The bytes of the rows u, u', v, v', the bits of the two projected
-    ends and the drift, as the oracle march gives them on the row's grid."""
+    ends and the drift, as the oracle march and the step-order drift give
+    them on the row's grid."""
     x, i_seed, i_right = grid(potential, energy, config)
-    two_m_over_h2 = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
 
     def half(nodes):
-        g = two_m_over_h2 * (potentials.evaluate(potential, oracle_samples(nodes)) - energy)
-        return oracle_march(g, nodes[1:] - nodes[:-1])
+        return oracle_march(oracle_g(potential, energy, nodes), nodes[1:] - nodes[:-1])
 
     with np.errstate(over="ignore", invalid="ignore"):
         right, left = half(x[i_seed:]), half(x[i_seed::-1])
         nodes = np.array([np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)])
-        drift = float(drift_of(nodes))
-    ends = project_ends(potential, energy, x, i_right, nodes)
+    ends = project_ends(potential, energy, x, i_seed, i_right, nodes)
+    drift = oracle_window_drift(potential, energy, x, i_seed)
     return [c.tobytes() for c in nodes], [end_bits(end) for end in ends], drift
 
 
 def end_bits(end):
-    """A projected end's u, v and flux by their bits."""
-    return [end.u.real.hex(), end.u.imag.hex(), end.v.real.hex(), end.v.imag.hex(),
-            end.flux.hex()]
+    """A projected end's u, v, W[R, conj R] and W[u, v] by their bits."""
+    return [z.hex() for c in end for z in (c.real, c.imag)]
 
 
 def basis_bytes(basis):
@@ -692,12 +779,12 @@ class TestBitExactMarch:
         x, i_seed, _ = grid(potential, energy, config)
         for half in (x[i_seed:], x[i_seed::-1]):
             n = half.size - 1
-            made = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)
+            m, carried, dets = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)
             out = np.empty((4, n + 1))
-            oracle_write_nodes(*made, n, out)
-            drift, _, nodes = numeric_scatter._read_ends(*made, n, np.arange(1, n + 1))
+            oracle_write_nodes(m, carried, n, out)
+            nodes = numeric_scatter._read_ends(m, carried, np.arange(1, n + 1))
             assert nodes.tobytes() == out[:, 1:].tobytes()
-            assert drift == drift_of(out)
+            assert dets.tobytes() == oracle_walk_dets(potential, energy, half).tobytes()
 
     @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"partial-last-block"}))
     def test_drift_equals_the_whole_window_one(self, name):
@@ -733,6 +820,48 @@ class TestBitExactMarch:
         for energy in (0.25, 0.5, 1.0):
             numeric_scatter.integrate_ends(EXP_MODEL, energy, config)
         assert seen == [0.25, 0.5, 1.0]
+
+
+def det_drift(potential, energy, config):
+    """The drift integrate_ends gates, read off the march whether or not
+    the row is refused."""
+    x, i_seed, _ = grid(potential, energy, config)
+    return max(float(np.abs(numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)[2]).sum())
+               for half in (x[i_seed:], x[i_seed::-1]))
+
+
+def w_drift(potential, energy, config):
+    """max |W - 1| over every node of the whole window from the oracle
+    writer: the gate that the det sum replaced."""
+    nodes = oracle_nodes(potential, energy, config)[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(drift_of(nodes))
+
+
+# the BIT_CASES, then a kh ladder on the exponential and a shallow rectangle
+GATE_CASES = [bit_case(name) for name in sorted(BIT_CASES)] + [
+    (model, energy, dataclasses.replace(numeric_scatter.default_config(model), kh=kh))
+    for model in (EXP_MODEL, potentials.rectangular(1.0, 1.0))
+    for kh in (0.003, 0.03, 0.1) for energy in (0.05, 0.5, 5.0)]
+
+
+def test_det_gate_is_never_looser_than_the_w_gate():
+    # where the products' round-off is small, max |W - 1| reads the step
+    # too: there the det sum reads at least as much (0.99 for the last
+    # digits), and every row the W gate refuses stays refused
+    refused = {"w": set(), "det": set()}
+    for case, (potential, energy, config) in enumerate(GATE_CASES):
+        old, new = w_drift(potential, energy, config), det_drift(potential, energy, config)
+        assert old <= 1e-11 or new >= 0.99 * old
+        if not old <= numeric_scatter.DRIFT_TOLERANCE:
+            refused["w"].add(case)
+        try:
+            oracle_integrate_basis(potential, energy, config)
+        except AccuracyError as exc:
+            assert "lower kh" in str(exc)
+            refused["det"].add(case)
+    # exp at kh = 0.03 and E = 5, and every kh = 0.1 row
+    assert len(refused["w"]) == 7 and refused["w"] <= refused["det"]
 
 
 def result_bits(result):
@@ -808,7 +937,8 @@ class TestEndsReader:
         "potential, energy, config, message",
         [
             # kappa w = 800 across the barrier: u and v overflow to a NaN Wronskian
-            (potentials.rectangular(1.0e4, 4.0), 1.0, None, "drift nan: the basis overflowed"),
+            (potentials.rectangular(1.0e4, 4.0), 1.0, None,
+             "Wronskian nan at a window end: the basis overflowed"),
             # V = -e^x overflows past x = 709.8
             (EXP_MODEL, 1.0, SolverConfig(x_left=-40.0, x_right=720.0),
              "potential is not finite on the integration grid"),
@@ -989,6 +1119,26 @@ class TestPlaneWaveMatching:
         assert got.t_coeff == pytest.approx(want.t_coeff, abs=1e-10)
         assert abs(got.r_amp - want.r_amp) < 1e-10
         assert abs(got.t_amp - want.t_amp) < 1e-10
+
+    @pytest.mark.parametrize("energy", [1.0, 6.3, 26.5, 30.0, 40.0])
+    def test_deep_rectangle_matches_hand_formula(self, energy):
+        # rect:v0=50,w=4: u and v grow like e^14 each way from the seed, so
+        # W formed from the nodes carries round-off (max |W - 1| read 9.8e-4
+        # at E = 1 and 8.2e-8 at E = 26.5, and refused both); T and theta
+        # read off W[u, v] as the march carries it are good to 4e-11
+        rect = potentials.rectangular(50.0, 2.0)
+        basis = numeric_scatter.integrate_ends(rect, energy, numeric_scatter.default_config(rect))
+        assert basis.drift <= 1e-12
+        for side in ("left", "right"):
+            assert_rect_formula(numeric_scatter.match(basis, side), energy, 50.0, 4.0)
+
+    def test_deep_tunnelling_matches_hand_formula(self):
+        # rect:v0=1e3,w=4 at E = 1: u and v grow like e^63
+        t = rect_amplitude(1.0, 1e3, 4.0)
+        assert abs(t) ** 2 == pytest.approx(2.45e-112, rel=1e-3)
+        for side in ("left", "right"):
+            result = numeric_scatter.solve(potentials.rectangular(1e3, 2.0), 1.0, side)
+            assert abs(result.t_coeff / abs(t) ** 2 - 1.0) <= 1e-9
 
     def test_side_must_be_named(self):
         basis = numeric_scatter.integrate_ends(
@@ -1342,3 +1492,28 @@ def test_one_projection_reads_both_window_ends():
                    for node in ast.walk(fn) if isinstance(node, ast.Call)
                    and isinstance(node.func, ast.Name) and node.func.id == name}
         assert callers == {"integrate_ends"}
+
+
+def test_rectangle_regime_map():
+    # 200 rectangles drawn with numpy seed 7, the ranges fixed before any
+    # result was read: v0 uniform in [-50, 50], w log-uniform in [1e-3, 4]
+    # and E log-uniform in [0.01, 60].  On both sides each solves to the
+    # hand formula (T within 1e-9 relative, theta within 1e-9) or is
+    # refused with a message that names what to change
+    rng = np.random.default_rng(7)
+    v0s = rng.uniform(-50.0, 50.0, 200)
+    widths = np.exp(rng.uniform(math.log(1e-3), math.log(4.0), 200))
+    energies = np.exp(rng.uniform(math.log(0.01), math.log(60.0), 200))
+    solved = 0
+    for v0, width, energy in zip(v0s.tolist(), widths.tolist(), energies.tolist()):
+        model = potentials.rectangular(v0, width / 2.0)
+        try:
+            basis = numeric_scatter.integrate_ends(model, energy,
+                                                   numeric_scatter.default_config(model))
+        except (DomainError, AccuracyError) as exc:
+            assert re.search(r"lower kh|raise kh|lower E|keep E|push x_|shrink", str(exc))
+            continue
+        for side in ("left", "right"):
+            assert_rect_formula(numeric_scatter.match(basis, side), energy, v0, width)
+        solved += 1
+    assert solved == 200
