@@ -423,11 +423,13 @@ def cmd_wavefunction(args) -> int:
         basis = numeric_scatter.integrate_ends(model, args.energy, config, units, xs)
         result = numeric_scatter.match(basis, args.side)
         u, du, v, dv = basis.nodes
-        # psi = a_u u + a_v v on the real basis, a = c / incident, in real arithmetic
+        # psi = a_u u + a_v v on the real basis, a = c / incident, in real
+        # arithmetic; its flux Im(conj(a_u) a_v) W[u, v] does not cancel
+        # |psi|^2 down to T in front of a deep barrier, as Im(conj(psi) psi') would
         a_u, a_v = result.c_u / result.incident, result.c_v / result.incident
         re, im = a_u.real * u + a_v.real * v, a_u.imag * u + a_v.imag * v
-        dre, dim = a_u.real * du + a_v.real * dv, a_u.imag * du + a_v.imag * dv
-        flux_vals = (units.hbar / units.mass) * (re * dim - im * dre)
+        im_uv = a_u.real * a_v.imag - a_u.imag * a_v.real
+        flux_vals = (units.hbar / units.mass) * im_uv * (u * dv - du * v)
 
     lines = [f"# hbar={units.hbar:g} mass={units.mass:g}", WAVE_HEADER]
     rows = zip(xs.tolist(), re.tolist(), im.tolist(), flux_vals.tolist())

@@ -150,9 +150,7 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
     |t|^2 differs from T on purpose (unequal asymptotic waveforms); |r|^2
     equals R on both sides.
     """
-    _check_pq(p, q)
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    _check_pq(p, q, side)
     t_coeff, r_coeff = transmission_reflection(q)
     alpha = q * math.log(0.5 * p)
     gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
@@ -198,9 +196,7 @@ def phase_shifts(p: float, q, side: str = "left"):
     is then an array of its shape, and agrees with the scalar calls to
     rounding (numpy's complex power in Gamma).
     """
-    _check_pq(p, q)
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    _check_pq(p, q, side)
     alpha = q * math.log(0.5 * p)
     gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
     beta = np.angle(gamma_plus) if isinstance(q, np.ndarray) else cmath.phase(gamma_plus)
@@ -220,18 +216,13 @@ def incident_amplitude(p: float, q: float, side: str = "left") -> complex:
     Right: amplitude of the incoming unit envelope in 2 e^{-pi q} J_{-iq}(z).
     Used to normalize exact_wavefunction output to unit incident wave.
     """
-    _check_pq(p, q)
-    gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
+    _check_pq(p, q, side)
     if side == "left":
         phase_p = cmath.exp(1j * q * math.log(0.5 * p))  # (p/2)^{+iq}
+        gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
         return math.exp(math.pi * q) * phase_p / (math.sinh(math.pi * q) * gamma_plus)
-    if side == "right":
-        return (
-            math.sqrt(2.0 / (math.pi * p))
-            * math.exp(-0.5 * math.pi * q)
-            * cmath.exp(1j * _QUARTER_PI)
-        )
-    raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    return (math.sqrt(2.0 / (math.pi * p)) * math.exp(-0.5 * math.pi * q)
+            * cmath.exp(1j * _QUARTER_PI))
 
 
 def exact_wavefunction(
@@ -246,9 +237,7 @@ def exact_wavefunction(
     whole grid goes to the series as one array of z, so samples agree
     with one scalar series call per point to rounding.
     """
-    _check_pq(p, q)
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    _check_pq(p, q, side)
     grid = np.asarray(x_over_a, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise DomainError("x_over_a must be a finite non-empty 1-d grid")
@@ -277,7 +266,7 @@ def closed_form_domain(p: float, q):
     return _finite_positive(p) & _finite(q) & _resolvable(q) & _representable(q)
 
 
-def _check_pq(p: float, q) -> None:
+def _check_pq(p: float, q, side: str = "left") -> None:
     _require(p, _finite_positive, "p must be finite and > 0, got {!r}")
     _require(q, _finite, "q must be finite, got {!r}")
     _require(
@@ -286,6 +275,8 @@ def _check_pq(p: float, q) -> None:
         DegenerateOrderError,
     )
     _require(q, _representable, "q = {!r} overflows exp(pi q) in double precision")
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
 
 
 # elementwise tests for scalars and arrays alike; NaN fails every one

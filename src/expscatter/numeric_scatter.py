@@ -13,14 +13,14 @@ point and the rectangle edges are exact nodes; a wavefunction's samples
 are read by one partial RK4 step from the node below each, so they leave
 the grid as it is.
 The equation is linear, so every RK4 step is a 2x2 transfer matrix; one
-product stage (``_march``) builds all of them a chunk at a time with numpy,
-each with its det M - 1, and takes their products in a blocked scan.  RK4
-does not keep area, so W[u, v] drifts from 1 by the product of the dets:
-their sums give the drift and W at the window ends, free of the round-off
-the products gather where the basis grows.  One reader (``_read_ends``)
-forms only the nodes asked for, the two end nodes and a wavefunction's
-samples (refused where W formed from them is off 1 past DRIFT_TOLERANCE);
-no node array of the window is built.
+march (``_march``) builds all of them a chunk at a time with numpy, each
+with its det M - 1, takes their products in a blocked scan, and hands back
+only the nodes asked for, the two end nodes and a wavefunction's samples
+(refused where W formed from them is off 1 past DRIFT_TOLERANCE), with the
+dets; no node array of the window is built, and nothing else sees the
+scan's layout.  RK4 does not keep area, so W[u, v] drifts from 1 by the
+product of the dets: their sums give the drift and W at the window ends,
+free of the round-off the products gather where the basis grows.
 An exponential's default window is fixed in z = p exp(x/(2a)), where its
 depth only translates the problem.
 ``integrate_ends`` then projects u and v, at each window end and by one
@@ -189,16 +189,16 @@ def integrate_ends(
     graded grid (``_grid``), project its two end nodes onto their unit
     waves (``_end``) and read it at ``xs``.
 
-    Each half-window is one numpy march outward from the seed: the RK4
-    transfer matrices of all its steps, each det M - 1 and their products
-    (``_march``).  W[u, v] at each end is 1 plus the dets of the steps from
-    the seed, which the products' round-off does not reach.  One reader
-    (``_read_ends``) forms only the nodes asked for; no node array of the
-    window is built.  The ends are x_left and x_right, or on a diving end
-    the point z = _Z_MATCH if the window holds it.  Each x is read by one
-    RK4 step from the node at or below it (``_step_from``), a step of zero
-    on a node, so the grid, the ends and the drift do not depend on
-    ``xs``.  The nodes come in the order of ``xs``, repeats included.
+    Each half-window is one numpy march outward from the seed
+    (``_march``), which returns that half's asked-for nodes and each step's
+    det M - 1; no node array of the window is built.  W[u, v] at each end
+    is 1 plus the dets of the steps from the seed, which the products'
+    round-off does not reach.  The ends are x_left and x_right, or on a
+    diving end the point z = _Z_MATCH if the window holds it.  Each x is
+    read by one RK4 step from the node at or below it (``_step_from``), a
+    step of zero on a node, so the grid, the ends and the drift do not
+    depend on ``xs``.  The nodes come in the order of ``xs``, repeats
+    included.
 
     Raises
     ------
@@ -236,8 +236,8 @@ def integrate_ends(
     with np.errstate(over="ignore", invalid="ignore"):
         for sign, half in ((1, x[seed:]), (-1, x[seed::-1])):
             picked = sign * (at - seed) > 0
-            m, carried, dets = _march(potential, energy, half, units)
-            nodes[:, picked] = _read_ends(m, carried, sign * (at[picked] - seed))
+            nodes[:, picked], dets = _march(potential, energy, half, units,
+                                            sign * (at[picked] - seed))
             # W[u, v] at an end: 1 plus the dets of the steps from the seed
             for end in np.flatnonzero(picked[:2]):
                 w_uv[end] += float(dets[: sign * (at[end] - seed)].sum())
@@ -409,9 +409,11 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     return x, np.searchsorted(x, np.concatenate((pins, xs)), side="right") - 1
 
 
-def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units):
-    """The products of one march of u'' = g(x) u, g = 2m (V - energy)/hbar^2,
-    over the nodes x, from x[0] (the seed) outward.
+def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units, picks):
+    """One march of u'' = g(x) u, g = 2m (V - energy)/hbar^2, over the nodes
+    x from x[0] (the seed) outward: the nodes picks (each in 1..n, in any
+    order, repeats included) as columns (u, u', v, v'), and each step's
+    det M - 1 in step order.
 
     Step i runs from x[i] to x[i + 1] and samples V at its _SAMPLES.
     Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
@@ -419,16 +421,11 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
     P_i = M_{i-1} ... M_0 (P_0 = I).  Steps are laid out in blocks of
     width = isqrt(n) steps: step k * width + j is row j of block k, and
     steps past n pad the last block and repeat step n - 1 (a zero step
-    when there is none).  Returns (m, carried, dets): m[j, :, :, k] is
-    the product of steps 0..j of block k, carried[:, :, k] the product of
-    all blocks before k, so P_{1 + k * width + j} is m[j, :, :, k] @
-    carried[:, :, k] (see ``_prefix``); dets[i] is det M_i - 1, in step
-    order.
-
-    The scan runs sequentially inside blocks, vectorised across blocks,
-    then carries each block by the earlier block totals.  Every product is
-    formed in step order, which keeps the Wronskian's round-off drift as
-    low as a plain loop's; a log-depth tree scan would not.
+    when there is none).  The scan runs sequentially inside blocks,
+    vectorised across blocks, then carries each block by the earlier block
+    totals; only the picked nodes are formed from the two.  Every product
+    is formed in step order, which keeps the Wronskian's round-off drift
+    as low as a plain loop's; a log-depth tree scan would not.
     """
     n = x.size - 1
     width = max(1, math.isqrt(n))
@@ -468,7 +465,12 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
         c00, c01, c10, c11 = carry[-1]
         carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
                       t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
-    return m, np.array(carry).T.reshape(2, 2, blocks), dets[:n]
+    # node 1 + k * width + j is P = m[j, :, :, k] @ (the carry of block k)
+    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
+    block, carried = m[j, :, :, k], np.array(carry)[k].reshape(-1, 2, 2)
+    p = block[:, :, 0, None] * carried[:, None, 0] + block[:, :, 1, None] * carried[:, None, 1]
+    # p[i, r, c]: column c = 0 holds u, u', column c = 1 holds v, v'
+    return p.transpose(2, 1, 0).reshape(4, -1), dets[:n]
 
 
 def _step_matrices(potential: PotentialModel, energy: float, scale: float, x0: np.ndarray,
@@ -514,24 +516,6 @@ def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, h: np.n
     u, du, v, dv = nodes
     return np.array([m[0, 0] * u + m[0, 1] * du, m[1, 0] * u + m[1, 1] * du,
                      m[0, 0] * v + m[0, 1] * dv, m[1, 0] * v + m[1, 1] * dv])
-
-
-# node rows u, u', v, v' take product entries (r, c)
-_ROWS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def _prefix(m: np.ndarray, carried: np.ndarray, r: int, c: int) -> np.ndarray:
-    """Entry (r, c) of the node products m[j] @ carried over rows j of m."""
-    return m[:, r, 0] * carried[0, c] + m[:, r, 1] * carried[1, c]
-
-
-def _read_ends(m: np.ndarray, carried: np.ndarray, picks) -> np.ndarray:
-    """The nodes picks of one march (each in 1..n, in any order, repeats
-    included) as columns (u, u', v, v'), from its products (``_march``)."""
-    width = m.shape[0]
-    # node 1 + k * width + j is row j of block k
-    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
-    return np.array([_prefix(m[j, :, :, k], carried[:, :, k], r, c) for r, c in _ROWS])
 
 
 def _end(potential: PotentialModel, energy: float, units: Units, x: float, node: np.ndarray,

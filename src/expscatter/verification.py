@@ -313,13 +313,7 @@ def check_cli_determinism() -> CheckResult:
     svg_b = cli.render_sweep_chart(table, log_x=True)
     same = csv_a == csv_b and svg_a == svg_b
     detail = f"sweep bytes {'match' if csv_a == csv_b else 'differ'}, plot bytes {'match' if svg_a == svg_b else 'differ'}"
-    return CheckResult(
-        name="cli-determinism",
-        passed=same,
-        residual=0.0 if same else 1.0,
-        tolerance=0.5,
-        detail=detail,
-    )
+    return _single("cli-determinism", 0.0 if same else 1.0, 0.5, detail)
 
 
 def _single(name: str, residual: float, tolerance: float, detail: str) -> CheckResult:

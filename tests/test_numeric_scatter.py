@@ -370,17 +370,21 @@ def random_nodes(n, direction, seed=None):
     return 0.25 + direction * np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def products(x):
-    """The product stage on the rough potential at E = 0, m = 1/2, hbar = 1."""
-    return numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS)
+def products(x, picks=()):
+    """The march on the rough potential at E = 0, m = 1/2, hbar = 1: the
+    nodes picks and the dets."""
+    return numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS, picks)
 
 
 def march(x):
-    """(u, u', v, v') that the oracle node writer gives for the nodes x."""
-    out = np.empty((4, x.size))
-    m, carried, _ = products(x)
-    oracle_write_nodes(m, carried, x.size - 1, out)
-    return list(out)
+    """(u, u', v, v') that the march gives at every node of x, the seed first."""
+    nodes = products(x, np.arange(1, x.size))[0]
+    return [np.concatenate(([seed], row)) for seed, row in zip((1.0, 0.0, 0.0, 1.0), nodes)]
+
+
+def rough_march(x):
+    """The oracle march's (u, u', v, v') at every node of x on the rough potential."""
+    return np.array(oracle_march(1.0 * (rough(None, oracle_samples(x)) - 0.0), np.diff(x)))
 
 
 def step_dets(x):
@@ -433,27 +437,19 @@ class TestStepMatrixMarch:
             assert_same_march(march(x), loop_march(g.tolist(), np.diff(x).tolist()))
 
     def test_no_steps_is_the_seed(self):
-        out = np.empty((4, 1))
-        m, carried, dets = products(np.array([0.25]))
-        oracle_write_nodes(m, carried, 0, out)
-        assert out.tolist() == [[1.0], [0.0], [0.0], [1.0]]
-        nodes = numeric_scatter._read_ends(m, carried, [])
+        # a march of no steps has no node past the seed to pick and no det
+        nodes, dets = products(np.array([0.25]))
         assert dets.shape == (0,) and nodes.shape == (4, 0)
+        assert np.array(march(np.array([0.25]))).tolist() == [[1.0], [0.0], [0.0], [1.0]]
 
     def test_pad_steps_do_not_reach_the_nodes(self, monkeypatch):
         # n = 17: width 4, five blocks, the last one step and three pad
         # steps; non-finite pad steps must reach neither a det nor a node
         x = random_nodes(17, 1.0)
-        want = march(x)
         poison_pad_steps(monkeypatch, 17)
-        m, carried, dets = products(x)
-        assert m.shape == (4, 2, 2, 5) and np.all(np.isnan(m[1:, :, :, -1]))
-        out = np.empty((4, 18))
-        oracle_write_nodes(m, carried, 17, out)
-        nodes = numeric_scatter._read_ends(m, carried, np.arange(1, 18))
-        assert np.array_equal(out, want)
+        nodes, dets = products(x, np.arange(1, 18))
         assert dets.tobytes() == step_dets(x).tobytes()
-        assert nodes.tobytes() == out[:, 1:].tobytes()
+        assert nodes.tobytes() == rough_march(x)[:, 1:].tobytes()
 
     def test_non_finite_samples_refused(self, monkeypatch):
         x = random_nodes(120, 1.0, seed=3)
@@ -466,15 +462,14 @@ class TestStepMatrixMarch:
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_reader_equals_the_node_writer(self, n):
         # the dets and the picked nodes, every node in any order and
-        # repeats included, bit for bit, without the node array
+        # repeats included, bit for bit the step-order oracle's
         every = np.random.default_rng(n).permutation(np.arange(1, n + 1))
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
-            nodes = np.array(march(x))
-            m, carried, dets = products(x)
-            assert dets.tobytes() == step_dets(x).tobytes()
+            nodes = rough_march(x)
             for picks in (every, sorted({1, n // 2 + 1, n}), [n, 1, n, n // 2 + 1, 1], []):
-                picked = numeric_scatter._read_ends(m, carried, picks)
+                picked, dets = products(x, picks)
+                assert dets.tobytes() == step_dets(x).tobytes()
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
@@ -487,7 +482,7 @@ class TestStepMatrixMarch:
             want = step_dets(x)
             with monkeypatch.context() as patched:
                 poison_pad_steps(patched, n)
-                dets = products(x)[2]
+                dets = products(x)[1]
             assert dets.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
@@ -500,12 +495,14 @@ class TestStepMatrixMarch:
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
             seen.clear()
-            m = products(x)[0]
-            width, blocks = m.shape[0], m.shape[-1]
+            products(x)
+            width = max(1, math.isqrt(n))
+            blocks = -(-n // width)
             # back from scan layout to step order: [s, j, k] is step k * width + j
-            got = np.concatenate(seen, axis=1).transpose(2, 1, 0).reshape(-1)[: 3 * n]
+            samples = np.concatenate(seen, axis=1)
+            assert samples.shape == (3, width, blocks)
+            got = samples.transpose(2, 1, 0).reshape(-1)[: 3 * n]
             assert got.tobytes() == oracle_samples(x).tobytes()
-            assert width == max(1, math.isqrt(n)) and blocks == -(-n // width)
             inside = (got.reshape(n, 3) - x[:-1, None]) / np.diff(x)[:, None]
             assert 0.0 < inside.min() and inside.max() < 1.0
 
@@ -637,19 +634,6 @@ def oracle_w_uv(potential, energy, x, i_seed, i, units=DEFAULT_UNITS):
     return 1.0 + float(oracle_walk_dets(potential, energy, walk, units).sum())
 
 
-def oracle_write_nodes(m, carried, n, out):
-    """The node writer the reader replaced: rows (u, u', v, v') of out (a
-    reversed view for the left march) get the n + 1 nodes of one march."""
-    width = m.shape[0]
-    # node 1 + k * width + j is step j of block k
-    full = n // width
-    out[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    for row, (r, c) in enumerate(numeric_scatter._ROWS):
-        prefix = numeric_scatter._prefix(m, carried, r, c)
-        out[row, 1 : 1 + full * width].reshape(full, width).T[...] = prefix[:, :full]
-        out[row, 1 + full * width :] = prefix[: n - full * width, -1]
-
-
 def project_ends(potential, energy, x, i_seed, i_right, nodes, units=DEFAULT_UNITS):
     """The left end node and the right end node i_right of nodes, on the
     grid x seeded at i_seed, projected onto their unit waves as
@@ -662,15 +646,16 @@ def project_ends(potential, energy, x, i_seed, i_right, nodes, units=DEFAULT_UNI
 
 
 def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
-    """Every node of the row's grid from the oracle writer, the left half
-    through a reversed view: (x, the seed's index, the right end's index,
-    the nodes)."""
+    """Every node of the row's grid, each half picked whole from its march,
+    the left half through a reversed view: (x, the seed's index, the right
+    end's index, the nodes)."""
     x, i_seed, i_right = grid(potential, energy, config, units)
     nodes = np.empty((4, x.size))
+    nodes[:, i_seed] = (1.0, 0.0, 0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for half, out in ((x[i_seed:], nodes[:, i_seed:]), (x[i_seed::-1], nodes[:, i_seed::-1])):
-            m, carried, _ = numeric_scatter._march(potential, energy, half, units)
-            oracle_write_nodes(m, carried, half.size - 1, out)
+            out[:, 1:] = numeric_scatter._march(potential, energy, half, units,
+                                                np.arange(1, half.size))[0]
     return x, i_seed, i_right, nodes
 
 
@@ -774,16 +759,15 @@ class TestBitExactMarch:
 
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
     def test_reader_equals_the_oracle_writer(self, name):
-        # every node of both half-windows, pad steps included
+        # every node of both half-windows, bit for bit the oracle march's
         potential, energy, config = bit_case(name)
         x, i_seed, _ = grid(potential, energy, config)
         for half in (x[i_seed:], x[i_seed::-1]):
-            n = half.size - 1
-            m, carried, dets = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)
-            out = np.empty((4, n + 1))
-            oracle_write_nodes(m, carried, n, out)
-            nodes = numeric_scatter._read_ends(m, carried, np.arange(1, n + 1))
-            assert nodes.tobytes() == out[:, 1:].tobytes()
+            picks = np.arange(1, half.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes, dets = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS, picks)
+                want = np.array(oracle_march(oracle_g(potential, energy, half), np.diff(half)))
+            assert nodes.tobytes() == want[:, 1:].tobytes()
             assert dets.tobytes() == oracle_walk_dets(potential, energy, half).tobytes()
 
     @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"partial-last-block"}))
@@ -826,8 +810,9 @@ def det_drift(potential, energy, config):
     """The drift integrate_ends gates, read off the march whether or not
     the row is refused."""
     x, i_seed, _ = grid(potential, energy, config)
-    return max(float(np.abs(numeric_scatter._march(potential, energy, half, DEFAULT_UNITS)[2]).sum())
-               for half in (x[i_seed:], x[i_seed::-1]))
+    dets = (numeric_scatter._march(potential, energy, half, DEFAULT_UNITS, ())[1]
+            for half in (x[i_seed:], x[i_seed::-1]))
+    return max(float(np.abs(d).sum()) for d in dets)
 
 
 def w_drift(potential, energy, config):
