@@ -15,8 +15,10 @@ an analytic wavefunction's samples as one series call over its whole
 grid, so T/R and phase cells and psi samples can differ in their last
 digits from one scalar exp_barrier or specfun call per energy or point.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-accuracy failure,
-3 invariant failure from verify.
+Exit codes: 0 success; 1 for a UsageError or any DomainError other than
+SeriesRangeError (a model, lane or chart refusing its input, with its own
+message); 2 for a SeriesRangeError or an AccuracyError; 3 for an invariant
+failure from verify.  ``main`` alone maps errors to these codes.
 """
 
 from __future__ import annotations
@@ -112,9 +114,9 @@ class SweepRow(NamedTuple):
 def _rectangle(v0: float, w: float) -> PotentialModel:
     """rect:v0,w takes the full width w, refused under its own name."""
     if not (math.isfinite(w) and w > 0.0):
-        raise DomainError(f"w must be finite and > 0, got {w!r}")
+        raise UsageError(f"w must be finite and > 0, got {w!r}")
     if w / 2.0 == 0.0:
-        raise DomainError(f"w = {w!r} is too small: its half width w/2 underflows to 0")
+        raise UsageError(f"w = {w!r} is too small: its half width w/2 underflows to 0")
     return potentials.rectangular(v0, w / 2.0)
 
 
@@ -162,10 +164,7 @@ def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> Pote
     unknown = sorted(set(overrides) - set(names))
     if unknown:
         raise UsageError(f"flags {unknown} do not apply to the {head!r} model")
-    try:
-        return build(**{**fields, **overrides})
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    return build(**{**fields, **overrides})
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -302,10 +301,7 @@ def render_sweep_chart(table: list[dict[str, Optional[float]]], log_x: bool) -> 
     have_data = any(v is not None for v in t_vals) or any(v is not None for v in r_vals)
     if not energies or not have_data:
         raise UsageError("empty data region: no plottable rows in the input table")
-    try:
-        return chart.render_probability_chart(energies, t_vals, r_vals, log_x=log_x)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    return chart.render_probability_chart(energies, t_vals, r_vals, log_x=log_x)
 
 
 def build_parser() -> _Parser:
@@ -399,16 +395,14 @@ def cmd_wavefunction(args) -> int:
         raise UsageError(f"need xmin < xmax, got {args.xmin!r}, {args.xmax!r}")
     if args.n < 2:
         raise UsageError(f"need at least 2 grid points, got {args.n}")
-    if not (isinstance(args.energy, float) and math.isfinite(args.energy) and args.energy > 0):
-        raise UsageError(f"energy must be finite and > 0, got {args.energy!r}")
 
+    xs = np.linspace(args.xmin, args.xmax, args.n)
     if method == "analytic":
         d = exp_barrier.reduce_params(model, args.energy, units)
-        grid_xi = np.linspace(args.xmin, args.xmax, args.n) / model.a
-        wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, grid_xi)
+        wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, xs / model.a)
         incident = exp_barrier.incident_amplitude(d.p, d.q, args.side)
         psi = wave.psi / incident
-        xs, re, im = grid_xi * model.a, psi.real, psi.imag
+        re, im = psi.real, psi.imag
         # exact_wavefunction fluxes use hbar/m = 1 and d/d(x/a)
         flux_scale = units.hbar / (units.mass * model.a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
@@ -419,7 +413,7 @@ def cmd_wavefunction(args) -> int:
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
         )
-        xs = np.array(sorted(set(np.linspace(args.xmin, args.xmax, args.n).tolist())))
+        xs = np.array(sorted(set(xs.tolist())))
         basis = numeric_scatter.integrate_ends(model, args.energy, config, units, xs)
         result = numeric_scatter.match(basis, args.side)
         u, du, v, dv = basis.nodes
@@ -463,13 +457,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "plot": cmd_plot,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SeriesRangeError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

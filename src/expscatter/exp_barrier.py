@@ -60,10 +60,9 @@ class ScatteringData:
 
     t_coeff and r_coeff come from flux ratios; r_amp and t_amp are the
     complex amplitudes; phi = Arg r_amp and theta = Arg t_amp reduced to
-    (-pi, pi].
+    (-pi, pi].  The incidence side is the caller's argument.
     """
 
-    side: str
     t_coeff: float
     r_coeff: float
     r_amp: complex
@@ -115,19 +114,17 @@ def fluxes(p: float, q: float, a: float, units: Units) -> FluxTriple:
     """The three flux magnitudes of the scattering solution, left incidence.
 
     Their ratios reproduce (T, R) exactly; j_incident = j_reflected +
-    j_transmitted is an identity of the closed forms.
+    j_transmitted is an identity of the closed forms.  They hold on the
+    whole domain of the closed forms, q > Q_MIN and pi q <= 700.
     """
-    if not (p > 0):
-        raise DomainError(f"p must be > 0, got {p!r}")
-    if not (q > 0):
-        raise DomainError(f"q must be > 0, got {q!r} (sinh(pi q) vanishes)")
-    if math.pi * q > 700.0:
-        raise DomainError(f"q = {q!r} overflows exp(pi q) in double precision")
+    _check_pq(p, q)
     _require(a, _finite_positive, "a must be finite and > 0, got {!r}")
     hbar, m = units.hbar, units.mass
     k = q / (2.0 * a)
     s = math.sinh(math.pi * q)
-    j_inc = hbar * k * math.exp(2.0 * math.pi * q) / (math.pi * m * q * s)
+    # e^{2 pi q} / sinh(pi q), never e^{2 pi q}, which overflows past q ~ 113
+    j_inc = hbar * k * 2.0 * math.exp(math.pi * q) / (
+        math.pi * m * q * -math.expm1(-2.0 * math.pi * q))
     j_ref = hbar * k / (math.pi * m * q * s)
     j_tra = hbar * math.exp(math.pi * q) / (math.pi * m * a)
     return FluxTriple(j_incident=j_inc, j_reflected=j_ref, j_transmitted=j_tra)
@@ -176,7 +173,6 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
             / gamma_plus.conjugate()
         )
     return ScatteringData(
-        side=side,
         t_coeff=t_coeff,
         r_coeff=r_coeff,
         r_amp=r_amp,

@@ -125,13 +125,13 @@ class BasisPair:
     unit waves (``_End``).  nodes holds the basis at the xs a caller asked
     for, in the order asked, each a column of rows u, u', v, v' (float64).
     drift is sum |det M_i - 1| over the RK4 steps of the worse half-window,
-    which bounds |W[u, v] - 1| at every node in exact arithmetic.
+    which bounds |W[u, v] - 1| at every node in exact arithmetic.  The
+    energy is the caller's argument.
     """
 
     ends: tuple[_End, _End]
     nodes: np.ndarray
     drift: float
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,9 @@ class NumericScatteringResult:
     phi and theta their principal arguments.  c_u and c_v give the matched
     solution psi = c_u * u + c_v * v, and ``incident`` its coefficient on the
     incident unit wave, so the normalized wave is reconstructible from them.
+    The energy and the incidence side are the caller's arguments.
     """
 
-    energy: float
-    side: str
     t_coeff: float
     r_coeff: float
     r_amp: complex
@@ -250,7 +249,7 @@ def integrate_ends(
     dives = (False, isinstance(potential, Exponential))
     ends = tuple(_End(*_end(potential, energy, units, x_ends[i], nodes[:, i], dives[i]), w_uv[i])
                  for i in (0, 1))
-    return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift, energy=energy)
+    return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift)
 
 
 def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
@@ -324,7 +323,6 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     j_inc, j_ref = (abs(source.w_r) * abs(c) ** 2 for c in (c_inc, c_ref))
     j_tra = abs(sink.w_r) * abs(c_tra) ** 2
     return NumericScatteringResult(
-        energy=basis.energy, side=side,
         t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),

@@ -219,7 +219,11 @@ def hankel_imag_order(q: float, z, kind: int = 1) -> BesselEval:
     Assembled from the J pair with sin(i q pi) = i sinh(q pi):
 
         H1_{iq}(z) = (e^{q pi} J_{iq}(z) - J_{-iq}(z)) / sinh(q pi)
+                   = (J_{iq}(z) - e^{-q pi} J_{-iq}(z)) * 2 / (1 - e^{-2 q pi})
         H2_{iq}(z) = (J_{-iq}(z) - e^{-q pi} J_{iq}(z)) / sinh(q pi)
+
+    H1 is formed by the second line: |J_{iq}| grows like e^{q pi / 2}, so
+    e^{q pi} J_{iq} would overflow past q ~ 151, inside q pi <= 700.
 
     The pair is linearly independent (Wronskian -4i / (pi z)) and conjugate
     up to a real factor: conj(H1_{iq}(z)) = e^{q pi} H2_{iq}(z).
@@ -239,13 +243,13 @@ def hankel_imag_order(q: float, z, kind: int = 1) -> BesselEval:
         raise DomainError(f"q = {q:g} overflows exp(q pi)")
     jp = bessel_j_imag_order(q, z, sign=1)
     jm = bessel_j_imag_order(q, z, sign=-1)
-    s = math.sinh(q * math.pi)
+    w = math.exp(-q * math.pi)
     if kind == 1:
-        w = math.exp(q * math.pi)
-        value = (w * jp.value - jm.value) / s
-        dvalue = (w * jp.dvalue - jm.dvalue) / s
+        scale = -2.0 / math.expm1(-2.0 * q * math.pi)
+        value = (jp.value - w * jm.value) * scale
+        dvalue = (jp.dvalue - w * jm.dvalue) * scale
     else:
-        w = math.exp(-q * math.pi)
+        s = math.sinh(q * math.pi)
         value = (jm.value - w * jp.value) / s
         dvalue = (jm.dvalue - w * jp.dvalue) / s
     return BesselEval(value=value, dvalue=dvalue, terms_used=max(jp.terms_used, jm.terms_used))

@@ -5,6 +5,7 @@ sweep/plot/wavefunction/verify flows end to end.
 import hashlib
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from expscatter import cli, exp_barrier, numeric_scatter, potentials
 from expscatter.cli import SWEEP_HEADER, UsageError
+from expscatter.errors import DomainError
 
 
 def run_cli(args, capsys):
@@ -78,7 +80,6 @@ class TestModelGrammar:
             "exp:v0=1,a=abc",
             "exp:v0=1,a=1,b=1",
             "exp:v0=1,a=1,v0=3",
-            "expshift:v0=1,a=1,b=-800",
             "gauss:v0=1,a=1",
             "rect:v0=1,w=-2",
         ],
@@ -86,6 +87,20 @@ class TestModelGrammar:
     def test_rejects_malformed(self, text):
         with pytest.raises(UsageError):
             cli.parse_model(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("expshift:v0=1,a=1,b=-800", "offset b = -800.0 makes the depth"),
+            ("exp:v0=-1,a=1", "v0 must be finite and > 0, got -1.0"),
+        ],
+        ids=["expshift:v0=1,a=1,b=-800", "exp:v0=-1,a=1"],
+    )
+    def test_model_refusal_passes_through(self, text, message):
+        # the model's own refusal reaches main as it is, not re-wrapped
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}") as caught:
+            cli.parse_model(text)
+        assert not isinstance(caught.value, UsageError)
 
 
 class TestSweepTable:
@@ -373,7 +388,7 @@ class TestCommands:
              "e87f4b402a10ca035d48622359aa7fd3af476d3bfec0c9efdff635aea1f98da3"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "16b4a0ecfc5c6db4ef42dc07e150fac692cd1aaab555fbfd3ebd04ddd2648e50"),
+             "2c64ef10a0c48096aa5a1aebcf2017a540d246134c2ab46d5bdb7be001c1f4ae"),
         ],
         ids=["readme-analytic", "readme-numeric-n20"],
     )
@@ -381,7 +396,10 @@ class TestCommands:
         # the inline cell format and the numeric lane move no byte; the
         # numeric pin was re-frozen when T came to be read off the march's
         # W[u, v] and the drift off its dets: T moved <= 2.4e-14,
-        # flux_imbalance 2.1e-14, the drift 2.4e-14, theta 2.2e-16
+        # flux_imbalance 2.1e-14, the drift 2.4e-14, theta 2.2e-16; and
+        # again when H1 stopped overflowing past q ~ 151: T moved <= 5.6e-16,
+        # R 1.7e-16, flux_imbalance 5.6e-16, theta 4.4e-16, phi 5.3e-14
+        # where R >= 1e-6 (1.2e-10 where R is round-off), the drift not at all
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -531,6 +549,55 @@ class TestCommands:
         xs = [[line.split(",")[0] for line in out.splitlines()[2:]] for out in (out_n, out_a)]
         assert xs[0] == xs[1] and len(xs[0]) == 400
         assert [float(x) for x in xs[0]] == np.linspace(0.0, 1e-3, 400).tolist()
+
+    def test_wavefunction_both_methods_print_the_requested_x(self, capsys):
+        # the analytic method printed (x / a) * a, which at a = 0.3 differed
+        # from the requested x in 69 of these 400 cells
+        argv = ["wavefunction", "--model", "exp:v0=1,a=0.3", "--energy", "0.5",
+                "--xmin", "-2", "--xmax", "1", "--n", "400", "--method"]
+        outs = [run_cli(argv + [method], capsys) for method in ("analytic", "numeric")]
+        assert [code for code, _, _ in outs] == [0, 0]
+        xs = [[float(line.split(",")[0]) for line in out.splitlines()[2:]] for _, out, _ in outs]
+        assert xs[0] == xs[1] == np.linspace(-2.0, 1.0, 400).tolist()
+
+    def test_wavefunction_analytic_past_q151_is_finite(self, capsys):
+        # q = 155: e^{q pi} J_{iq} overflowed in H1 and every psi and flux
+        # cell was nan; unit incident wave and T = 1 - e^{-2 pi q} = 1, so
+        # the flux is hbar k / m = 2 sqrt(E) here
+        code, out, err = run_cli(
+            ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "6000",
+             "--xmin", "-3", "--xmax", "0", "--n", "50"], capsys)
+        assert (code, err) == (0, "")
+        rows = np.array([[float(c) for c in line.split(",")] for line in out.splitlines()[2:]])
+        assert rows.shape == (50, 5) and np.all(np.isfinite(rows))
+        assert np.max(np.abs(rows[:, 4] / (2.0 * math.sqrt(6000.0)) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["sweep", "--model", "expshift:v0=1,a=1,b=-800", "--emin", "0.1", "--emax", "1"],
+             "offset b = -800.0 makes the depth v0 * exp(-b/a) = inf; it must be finite "
+             "and > 0, so move b toward 0"),
+            (["sweep", "--model", "rect:v0=1,w=-2", "--method", "numeric", "--emin", "0.1",
+              "--emax", "1"], "w must be finite and > 0, got -2.0"),
+            (["plot", "TABLE", "--out", "SVG"], "log axis needs all energies > 0"),
+            *[(["wavefunction", "--model", "exp:v0=1,a=1", "--energy", energy, "--xmin", "-1",
+                "--xmax", "1", "--method", method], f"energy must be finite and > 0, got {shown}")
+              for method in ("analytic", "numeric") for energy, shown in (("0", "0.0"),
+                                                                          ("nan", "nan"))],
+        ],
+        ids=["expshift-b", "rect-w", "plot-log-axis", "analytic-energy-0", "analytic-energy-nan",
+             "numeric-energy-0", "numeric-energy-nan"],
+    )
+    def test_refusals_keep_their_text_and_exit_code(self, argv, err, tmp_path, capsys):
+        # each refusal is raised by the code that knows its condition and
+        # mapped to exit code 1 by main alone
+        table, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        table.write_text(SWEEP_HEADER + "\n" + ",".join(["-1.0", "NA", "0.5", "0.5"] + ["NA"] * 8)
+                         + "\n", encoding="utf-8")
+        argv = [{"TABLE": str(table), "SVG": str(svg)}.get(arg, arg) for arg in argv]
+        assert run_cli(argv, capsys) == (1, "", f"error: {err}\n")
+        assert not svg.exists()
 
     def test_wavefunction_numeric_prints_each_distinct_x_once(self, capsys):
         # 5 requested x within 2 ulps of 1 are 3 distinct floats

@@ -6,6 +6,7 @@ routes (series far field vs closed-form amplitudes) and frozen references.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,19 @@ class TestFluxes:
             / (math.pi * units.mass * q * math.sinh(math.pi * q))
         )
         assert fl.j_incident == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [113.5, 150.0, 222.0])
+    def test_finite_up_to_the_overflow_guard(self, q):
+        # e^{2 pi q} alone overflows past q ~ 113, inside pi q <= 700
+        fl = exp_barrier.fluxes(2.0, q, 1.0, DEFAULT_UNITS)
+        with mpmath.workdps(40):
+            k, m, pq = mpmath.mpf(q) / 2, mpmath.mpf(DEFAULT_UNITS.mass), mpmath.pi * q
+            want = (k * mpmath.exp(2 * pq) / (mpmath.pi * m * q * mpmath.sinh(pq)),
+                    k / (mpmath.pi * m * q * mpmath.sinh(pq)),
+                    mpmath.exp(pq) / (mpmath.pi * m))
+        for got, ref in zip((fl.j_incident, fl.j_reflected, fl.j_transmitted), want):
+            assert abs(got - ref) <= 1e-13 * ref
+        assert fl.j_incident == pytest.approx(fl.j_reflected + fl.j_transmitted, rel=1e-15)
 
     def test_overflow_guard(self):
         with pytest.raises(DomainError):

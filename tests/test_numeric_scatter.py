@@ -671,7 +671,7 @@ def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
         numeric_scatter._check_drift(drift, config, nodes[:, [0, i_right]], ())
     return numeric_scatter.BasisPair(
         ends=project_ends(potential, energy, x, i_seed, i_right, nodes, units), nodes=nodes,
-        drift=drift, energy=float(energy))
+        drift=drift)
 
 
 def oracle_scattering_wavefunction(basis, result, units=DEFAULT_UNITS):
@@ -1270,6 +1270,16 @@ class TestHardRegimes:
                 assert abs(res.t_coeff - t_exact) <= 1e-8
                 assert res.wronskian_drift <= 1e-12
 
+    @pytest.mark.parametrize("energy", [6000.0, 12000.0])
+    def test_solved_where_e_to_the_q_pi_times_j_overflows(self, energy):
+        # q = 155 and 219: the right end's H1 stays finite past q ~ 151
+        q = exp_barrier.reduce_params(EXP_MODEL, energy).q
+        for side in ("left", "right"):
+            res = numeric_scatter.solve(EXP_MODEL, energy, side)
+            want = exp_barrier.amplitudes(2.0, q, side)
+            assert abs(res.t_coeff - want.t_coeff) <= 1e-10
+            assert waves.angle_distance(res.theta, want.theta) <= 1e-8
+
 
 def numeric_wave(model, energy, xmin, xmax, n):
     """The rows of ``wavefunction --method numeric`` (left incidence) as
@@ -1471,7 +1481,7 @@ def test_one_projection_reads_both_window_ends():
     fields = {node.target.id for node in result.body if isinstance(node, ast.AnnAssign)}
     assert "t_amp" in fields and "match_residual" not in fields
     assert [field.name for field in dataclasses.fields(numeric_scatter.BasisPair)] == [
-        "ends", "nodes", "drift", "energy"]
+        "ends", "nodes", "drift"]
     for name in ("_end", "_plane_potential"):
         callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                    for node in ast.walk(fn) if isinstance(node, ast.Call)

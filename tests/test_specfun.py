@@ -220,6 +220,19 @@ class TestHankelPair:
         with pytest.raises(DegenerateOrderError):
             specfun.hankel_imag_order(0.0, 2.0, kind=1)
 
+    @pytest.mark.parametrize("q", [151.5, 180.0, 222.0])
+    def test_h1_finite_up_to_the_overflow_guard(self, q):
+        # |J_{iq}| ~ e^{q pi / 2}: e^{q pi} J_{iq} would overflow past q ~ 151,
+        # while H1 itself, near e^{q pi / 2}, fits a double up to q pi = 700
+        z = np.array([0.1, 1.0, 5.0, 12.0])
+        ev = specfun.hankel_imag_order(q, z)
+        for zi, value, dvalue in zip(z.tolist(), ev.value.tolist(), ev.dvalue.tolist()):
+            with mpmath.workdps(40):
+                ref = complex(mpmath.hankel1(1j * q, zi))
+                dref = complex(mpmath.diff(lambda t: mpmath.hankel1(1j * q, t), zi))
+            assert abs(value - ref) <= 5e-13 * abs(ref)
+            assert abs(dvalue - dref) <= 5e-13 * abs(dref)
+
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
             specfun.hankel_imag_order(250.0, 2.0, kind=1)
@@ -242,13 +255,15 @@ SCALAR_J_BITS = [
     (8.0, 29.5, -1, ("-0x1.0301d8472b2a7p+14", "-0x1.82f82e48fc4a1p+13",
                      "-0x1.88cd20df70d70p+13", "0x1.0f70533dbc3f0p+14"), 50),
 ]
+# re-frozen when H1 came to be formed as (J_{iq} - e^{-q pi} J_{-iq}) * 2 /
+# (1 - e^{-2 q pi}): the values moved by at most 4.5e-16 relative
 SCALAR_H1_BITS = [
-    (0.05, 0.1, ("0x1.11ee3fe54d28dp+0", "-0x1.a87017dd54af9p+0",
-                 "0x1.84c6ff58a8a7ap-7", "0x1.bc5ad2c448856p+2"), 6),
-    (0.5, 12.0, ("0x1.973b0e90d5e03p-4", "-0x1.fabb4e55c19e0p-2",
-                 "0x1.f75fcec15e348p-2", "0x1.ec194a1c0066bp-4"), 30),
-    (3.0, 20.0, ("0x1.391bcdd396bf9p+4", "0x1.52fe516990d10p+1",
-                 "-0x1.9417c6f62c179p+1", "0x1.3ba8f154eddcdp+4"), 40),
+    (0.05, 0.1, ("0x1.11ee3fe54d291p+0", "-0x1.a87017dd54af9p+0",
+                 "0x1.84c6ff58a8a7bp-7", "0x1.bc5ad2c448857p+2"), 6),
+    (0.5, 12.0, ("0x1.973b0e90d5e03p-4", "-0x1.fabb4e55c19e2p-2",
+                 "0x1.f75fcec15e349p-2", "0x1.ec194a1c0066dp-4"), 30),
+    (3.0, 20.0, ("0x1.391bcdd396bf7p+4", "0x1.52fe516990d0fp+1",
+                 "-0x1.9417c6f62c178p+1", "0x1.3ba8f154eddcdp+4"), 40),
 ]
 
 
