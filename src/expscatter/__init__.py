@@ -5,7 +5,7 @@ V(x) = -v0 * exp(x/a), plus an ODE solver that cross-checks them and
 handles rectangular models (the free particle among them) on the side.
 """
 
-from .errors import AccuracyError, DegenerateOrderError, DomainError, SeriesRangeError
+from .errors import AccuracyError, DomainError
 from .exp_barrier import (
     DimensionlessParams,
     FluxTriple,
@@ -51,14 +51,12 @@ __all__ = [
     "BesselEval",
     "CheckResult",
     "DEFAULT_UNITS",
-    "DegenerateOrderError",
     "DimensionlessParams",
     "DomainError",
     "FluxTriple",
     "NumericScatteringResult",
     "PotentialModel",
     "ScatteringData",
-    "SeriesRangeError",
     "SolverConfig",
     "Units",
     "WaveSolution",

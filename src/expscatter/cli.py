@@ -15,10 +15,11 @@ an analytic wavefunction's samples as one series call over its whole
 grid, so T/R and phase cells and psi samples can differ in their last
 digits from one scalar exp_barrier or specfun call per energy or point.
 
-Exit codes: 0 success; 1 for a UsageError or any DomainError other than
-SeriesRangeError (a model, lane or chart refusing its input, with its own
-message); 2 for a SeriesRangeError or an AccuracyError; 3 for an invariant
-failure from verify.  ``main`` alone maps errors to these codes.
+Exit codes: 0 success; 1 for a UsageError or a DomainError (a model, lane
+or chart refusing its input, with its own message); 2 for an
+AccuracyError (a series asked past its certified bound, or a result that
+cannot vouch for its accuracy); 3 for an invariant failure from verify.
+``main`` alone maps errors to these codes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import chart, exp_barrier, numeric_scatter, potentials, verification
-from .errors import AccuracyError, DomainError, SeriesRangeError
+from .errors import AccuracyError, DomainError
 from .potentials import Exponential, PotentialModel, Units
 
 SWEEP_HEADER = (
@@ -129,13 +130,11 @@ _GRAMMAR = {
 }
 
 
-def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> PotentialModel:
+def parse_model(text: str) -> PotentialModel:
     """Model descriptor grammar.
 
     exp:v0=<f>,a=<f> | expshift:v0=<f>,a=<f>,b=<f> | rect:v0=<f>,w=<f> | free
-    where w is the full width of the rectangular region.  ``overrides`` (the
-    --v0/--a flags) replace descriptor fields before the model is built; a
-    field the model lacks is refused.
+    where w is the full width of the rectangular region.
     """
     text = text.strip()
     head, sep, tail = text.partition(":")
@@ -160,11 +159,7 @@ def parse_model(text: str, overrides: Optional[dict[str, float]] = None) -> Pote
     missing = [name for name in names if name not in fields]
     if missing:
         raise UsageError(f"model {head!r} is missing fields: {', '.join(missing)}")
-    overrides = overrides or {}
-    unknown = sorted(set(overrides) - set(names))
-    if unknown:
-        raise UsageError(f"flags {unknown} do not apply to the {head!r} model")
-    return build(**{**fields, **overrides})
+    return build(**fields)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -235,7 +230,7 @@ def _sweep_row(spec: SweepSpec, row: SweepRow, config: numeric_scatter.SolverCon
         t_numeric=results[0].t_coeff,
         r_numeric=results[0].r_coeff,
         flux_imbalance=max(r.flux_imbalance for r in results),
-        wronskian_drift=max(r.wronskian_drift for r in results),
+        wronskian_drift=basis.drift,
     )
     for s, result in zip(sides, results):
         # analytic phases take precedence when both methods run
@@ -330,9 +325,9 @@ def build_parser() -> _Parser:
     wave.add_argument("--xmin", type=float, required=True)
     wave.add_argument("--xmax", type=float, required=True)
     wave.add_argument("--n", type=int, default=201,
-                      help="grid points on [xmin, xmax] (default 201); the numeric method "
-                           "reads each by one RK4 step from the integration node at or below "
-                           "it and prints each distinct x once")
+                      help="grid points on [xmin, xmax] (default 201), each distinct x "
+                           "printed once; the numeric method reads each by one RK4 step "
+                           "from the integration node at or below it")
     wave.add_argument("--out", help="output file (default stdout)")
 
     plot = sub.add_parser("plot", help="render a sweep table as an SVG chart")
@@ -346,20 +341,13 @@ def build_parser() -> _Parser:
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", required=True,
                      help="exp:v0=<f>,a=<f> | expshift:v0=<f>,a=<f>,b=<f> | rect:v0=<f>,w=<f> | free")
-    sub.add_argument("--v0", type=float, default=None, help="override the model's v0")
-    sub.add_argument("--a", type=float, default=None, help="override the model's a")
     sub.add_argument("--hbar", type=float, default=1.0)
     sub.add_argument("--mass", type=float, default=0.5)
 
 
-def _resolve_model(args) -> PotentialModel:
-    flags = {"v0": args.v0, "a": args.a}
-    return parse_model(args.model, {k: v for k, v in flags.items() if v is not None})
-
-
 def cmd_sweep(args) -> int:
     spec = SweepSpec(
-        model=_resolve_model(args),
+        model=parse_model(args.model),
         e_min=args.emin,
         e_max=args.emax,
         n_points=args.n,
@@ -383,7 +371,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
-    model = _resolve_model(args)
+    model = parse_model(args.model)
     units = Units(mass=args.mass, hbar=args.hbar)
     exp_family = isinstance(model, Exponential)
     method = args.method or ("analytic" if exp_family else "numeric")
@@ -396,7 +384,10 @@ def cmd_wavefunction(args) -> int:
     if args.n < 2:
         raise UsageError(f"need at least 2 grid points, got {args.n}")
 
+    # linspace repeats an x where [xmin, xmax] holds fewer than n doubles;
+    # keep each x once (np.unique would import numpy.ma on its first call)
     xs = np.linspace(args.xmin, args.xmax, args.n)
+    xs = xs[np.append(True, np.diff(xs) > 0)]
     if method == "analytic":
         d = exp_barrier.reduce_params(model, args.energy, units)
         wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, xs / model.a)
@@ -407,13 +398,12 @@ def cmd_wavefunction(args) -> int:
         flux_scale = units.hbar / (units.mass * model.a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
     else:
-        # the default window, grown to cover [xmin, xmax]; every distinct
-        # requested x is read by one RK4 step from the node at or below it
+        # the default window, grown to cover [xmin, xmax]; every requested
+        # x is read by one RK4 step from the node at or below it
         base = numeric_scatter.default_config(model, units)
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
         )
-        xs = np.array(sorted(set(xs.tolist())))
         basis = numeric_scatter.integrate_ends(model, args.energy, config, units, xs)
         result = numeric_scatter.match(basis, args.side)
         u, du, v, dv = basis.nodes
@@ -457,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "plot": cmd_plot,
         }[args.command]
         return handler(args)
-    except (SeriesRangeError, AccuracyError) as exc:
+    except AccuracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, DomainError) as exc:

@@ -5,13 +5,7 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class DegenerateOrderError(DomainError):
-    """Imaginary order too close to zero for a stable Hankel assembly."""
-
-
-class SeriesRangeError(DomainError):
-    """Argument outside the certified domain of the ascending power series."""
-
-
 class AccuracyError(RuntimeError):
-    """A computation finished but cannot vouch for its own accuracy."""
+    """A computation that cannot vouch for its accuracy: a series asked
+    past its certified bound, or a result that finished without meeting
+    its tolerance."""

@@ -38,7 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import potentials, specfun
-from .errors import DegenerateOrderError, DomainError, SeriesRangeError
+from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
 
@@ -242,7 +242,7 @@ def exact_wavefunction(
     z = p * np.exp(0.5 * grid)
     if z[-1] > specfun.Z_SERIES_MAX:
         x_bound = 2.0 * math.log(specfun.Z_SERIES_MAX / p)
-        raise SeriesRangeError(
+        raise AccuracyError(
             f"z reaches {z[-1]:.3g} beyond the certified series bound "
             f"{specfun.Z_SERIES_MAX:g}; keep x/a below {x_bound:.3g}"
         )
@@ -266,9 +266,7 @@ def _check_pq(p: float, q, side: str = "left") -> None:
     _require(p, _finite_positive, "p must be finite and > 0, got {!r}")
     _require(q, _finite, "q must be finite, got {!r}")
     _require(
-        q, _resolvable,
-        f"q = {{!r}} at or below the degenerate-order threshold {specfun.Q_MIN:g}",
-        DegenerateOrderError,
+        q, _resolvable, f"q = {{!r}} at or below the degenerate-order threshold {specfun.Q_MIN:g}"
     )
     _require(q, _representable, "q = {!r} overflows exp(pi q) in double precision")
     if side not in ("left", "right"):
@@ -293,7 +291,7 @@ def _representable(q):
     return math.pi * q <= 700.0  # exp(pi q) fits a double
 
 
-def _require(value, test, message: str, error=DomainError) -> None:
+def _require(value, test, message: str) -> None:
     """Refuse a scalar that is not a real number or fails ``test``, or an
     array with an entry that fails it; ``message`` is formatted with the
     scalar, or with the array's first failing entry."""
@@ -304,4 +302,4 @@ def _require(value, test, message: str, error=DomainError) -> None:
         value = failed.flat[0].item()
     elif isinstance(value, (int, float)) and test(value):
         return
-    raise error(message.format(value))
+    raise DomainError(message.format(value))

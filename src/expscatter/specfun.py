@@ -8,6 +8,8 @@ the ascending power series
 with (z/2)^(+-iq) = exp(+-i q ln(z/2)).  Hankel functions of the first and
 second kind are assembled from the J pair.  Derivatives come from
 differentiating the series term by term, never from finite differences.
+Gamma is served on Re z >= 0.5 only: the series' lead term and the closed
+forms need it at 1 +- iq.
 
 The series is summed in double precision.  Its alternating terms grow
 like e^z, so cancellation costs digits as z grows; about four remain at
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateOrderError, DomainError, SeriesRangeError
+from .errors import AccuracyError, DomainError
 
 # Series truncation policy: stop once |term| < TOL_ABS + TOL_REL * |partial sum|.
 MAX_TERMS = 500
@@ -51,8 +53,7 @@ Z_SERIES_MAX = 30.0
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 # Lanczos coefficients, g = 7, 9 terms.  Against 40-digit mpmath values on
-# z = 1 + iq, q from 0.01 to 100, the relative error reaches 2.1e-13; the
-# reflection formula covers Re(z) < 0.5.
+# z = 1 + iq, q from 0.01 to 100, the relative error reaches 2.1e-13.
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -89,51 +90,28 @@ class BesselEval:
 
 
 def complex_gamma(z):
-    """Gamma function for a complex argument or an array of them.
+    """Gamma function for a complex argument or an array of them, on
+    Re(z) >= 0.5, where the closed forms' 1 +- iq lie.
 
-    Lanczos rational approximation on Re(z) >= 0.5, reflected through
-    Gamma(z) Gamma(1-z) = pi / sin(pi z) elsewhere.  Real coefficients keep
-    the evaluation conjugate-symmetric, so Gamma(conj(z)) == conj(Gamma(z))
-    holds to the last bit.  A scalar is evaluated with CPython complex
-    arithmetic and cmath, an array elementwise with numpy; the two agree
-    to rounding (numpy's complex power rounds differently).
+    Lanczos rational approximation.  Real coefficients keep the evaluation
+    conjugate-symmetric, so Gamma(conj(z)) == conj(Gamma(z)) holds to the
+    last bit.  A scalar is evaluated with CPython complex arithmetic and
+    cmath, an array elementwise with numpy; the two agree to rounding
+    (numpy's complex power rounds differently).
 
     Raises
     ------
     DomainError
-        At the poles z = 0, -1, -2, ... (for an array, naming the first).
+        For Re(z) < 0.5 (for an array, naming the first such entry).
     """
-    if not isinstance(z, np.ndarray):
-        z = complex(z)
-        _refuse_poles(z)
-        return _reflected(z, cmath) if z.real < 0.5 else _lanczos(z, cmath)
-    z = z.astype(complex)
-    _refuse_poles(z)
-    reflect = z.real < 0.5
-    out = np.empty_like(z)
-    out[~reflect] = _lanczos(z[~reflect], np)
-    out[reflect] = _reflected(z[reflect], np)
-    return out
-
-
-def _refuse_poles(z) -> None:
-    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real % 1.0 == 0.0)
     if isinstance(z, np.ndarray):
-        if not pole.any():
-            return
-        z = z[pole][0]
-    elif not pole:
-        return
-    raise DomainError(f"gamma pole at z = {z.real:g}")
-
-
-def _reflected(z, lib):
-    # sin(pi z) is never 0 here because poles were refused
-    return math.pi / (lib.sin(math.pi * z) * _lanczos(1.0 - z, lib))
-
-
-def _lanczos(z, lib):
-    """Lanczos sum for Re(z) >= 0.5; lib supplies exp (cmath or numpy)."""
+        z, lib = z.astype(complex), np
+        below = z[~(z.real >= 0.5)].tolist()
+    else:
+        z, lib = complex(z), cmath
+        below = [] if z.real >= 0.5 else [z]
+    if below:
+        raise DomainError(f"complex_gamma needs Re z >= 0.5, got z = {below[0]}")
     w = z - 1.0
     acc = complex(_LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):
@@ -206,7 +184,7 @@ def _check_series_z(z) -> None:
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"series argument requires real z > 0, got {z!r}")
     if z > Z_SERIES_MAX:
-        raise SeriesRangeError(
+        raise AccuracyError(
             f"z = {z:g} exceeds the certified series domain z <= {Z_SERIES_MAX:g}; "
             "reduce the argument (smaller x_max or smaller p)"
         )
@@ -230,13 +208,13 @@ def hankel_imag_order(q: float, z, kind: int = 1) -> BesselEval:
 
     Raises
     ------
-    DegenerateOrderError
+    DomainError
         For q < Q_MIN, where sinh(q pi) washes out.
     """
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
     if not (q >= Q_MIN):
-        raise DegenerateOrderError(
+        raise DomainError(
             f"q = {q!r} below {Q_MIN:g}: Hankel assembly degenerate, treat the order as real"
         )
     if q * math.pi > 700.0:

@@ -2,6 +2,7 @@
 sweep/plot/wavefunction/verify flows end to end.
 """
 
+import ast
 import hashlib
 import math
 import os
@@ -573,31 +574,51 @@ class TestCommands:
         assert np.max(np.abs(rows[:, 4] / (2.0 * math.sqrt(6000.0)) - 1.0)) <= 1e-9
 
     @pytest.mark.parametrize(
-        "argv, err",
+        "argv, code, err",
         [
-            (["sweep", "--model", "expshift:v0=1,a=1,b=-800", "--emin", "0.1", "--emax", "1"],
+            (["sweep", "--model", "expshift:v0=1,a=1,b=-800", "--emin", "0.1", "--emax", "1"], 1,
              "offset b = -800.0 makes the depth v0 * exp(-b/a) = inf; it must be finite "
              "and > 0, so move b toward 0"),
             (["sweep", "--model", "rect:v0=1,w=-2", "--method", "numeric", "--emin", "0.1",
-              "--emax", "1"], "w must be finite and > 0, got -2.0"),
-            (["plot", "TABLE", "--out", "SVG"], "log axis needs all energies > 0"),
+              "--emax", "1"], 1, "w must be finite and > 0, got -2.0"),
+            (["plot", "TABLE", "--out", "SVG"], 1, "log axis needs all energies > 0"),
             *[(["wavefunction", "--model", "exp:v0=1,a=1", "--energy", energy, "--xmin", "-1",
-                "--xmax", "1", "--method", method], f"energy must be finite and > 0, got {shown}")
+                "--xmax", "1", "--method", method], 1,
+               f"energy must be finite and > 0, got {shown}")
               for method in ("analytic", "numeric") for energy, shown in (("0", "0.0"),
                                                                           ("nan", "nan"))],
+            (["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "0.7", "--xmin", "-30",
+              "--xmax", "6", "--n", "30"], 2,
+             "z reaches 40.2 beyond the certified series bound 30; keep x/a below 5.42"),
+            (["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "1e-300", "--xmin", "-1",
+              "--xmax", "1"], 1, "q = 2e-150 at or below the degenerate-order threshold 1e-08"),
+            (["sweep", "--model", "exp:v0=1,a=1", "--v0", "4", "--emin", "0.1", "--emax", "1"], 1,
+             "unrecognized arguments: --v0 4"),
         ],
         ids=["expshift-b", "rect-w", "plot-log-axis", "analytic-energy-0", "analytic-energy-nan",
-             "numeric-energy-0", "numeric-energy-nan"],
+             "numeric-energy-0", "numeric-energy-nan", "analytic-past-series-bound",
+             "degenerate-order", "v0-flag"],
     )
-    def test_refusals_keep_their_text_and_exit_code(self, argv, err, tmp_path, capsys):
+    def test_refusals_keep_their_text_and_exit_code(self, argv, code, err, tmp_path, capsys):
         # each refusal is raised by the code that knows its condition and
-        # mapped to exit code 1 by main alone
+        # mapped to its exit code by main alone: AccuracyError to 2,
+        # UsageError and DomainError to 1
         table, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
         table.write_text(SWEEP_HEADER + "\n" + ",".join(["-1.0", "NA", "0.5", "0.5"] + ["NA"] * 8)
                          + "\n", encoding="utf-8")
         argv = [{"TABLE": str(table), "SVG": str(svg)}.get(arg, arg) for arg in argv]
-        assert run_cli(argv, capsys) == (1, "", f"error: {err}\n")
+        assert run_cli(argv, capsys) == (code, "", f"error: {err}\n")
         assert not svg.exists()
+
+    def test_wavefunction_both_methods_print_each_distinct_x_once(self, capsys):
+        # 5 requested x between 1 and the next double are 2 distinct floats;
+        # the analytic method refused the repeats as a non-increasing grid
+        argv = ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "1", "--xmin", "1",
+                "--xmax", repr(float(np.nextafter(1.0, 2.0))), "--n", "5", "--method"]
+        outs = [run_cli(argv + [method], capsys) for method in ("analytic", "numeric")]
+        assert [(code, err) for code, _, err in outs] == [(0, ""), (0, "")]
+        xs = [[line.split(",")[0] for line in out.splitlines()[2:]] for _, out, _ in outs]
+        assert xs[0] == xs[1] == ["1.0000000000000000e+00", "1.0000000000000002e+00"]
 
     def test_wavefunction_numeric_prints_each_distinct_x_once(self, capsys):
         # 5 requested x within 2 ulps of 1 are 3 distinct floats
@@ -707,38 +728,6 @@ class TestCommands:
         first = lines[2].split(",")
         assert float(first[1]) == pytest.approx(math.sqrt(8.0 * 2.0 * 0.5), rel=1e-12)
 
-    def test_v0_override_flag(self, capsys):
-        code, out, _ = run_cli(
-            ["sweep", "--model", "exp:v0=1,a=1", "--v0", "4.0", "--emin", "0.25",
-             "--emax", "1.0", "--n", "2", "--spacing", "linear",
-             "--method", "analytic"],
-            capsys,
-        )
-        assert code == 0
-        # q depends only on E and a, never v0: the override must not move it
-        q_cell = float(out.splitlines()[2].split(",")[1])
-        assert q_cell == pytest.approx(2.0 * math.sqrt(2.0 * 0.5 * 0.25), rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "descriptor, flags, written",
-        [
-            ("exp:v0=1,a=1", ["--v0", "4.0", "--a", "0.5"], "exp:v0=4,a=0.5"),
-            ("exp:v0=1,a=1", ["--a", "0.5"], "exp:v0=1,a=0.5"),
-            ("expshift:v0=1,a=1,b=0.3", ["--v0", "2.5", "--a", "0.8"],
-             "expshift:v0=2.5,a=0.8,b=0.3"),
-            ("rect:v0=1,w=2", ["--v0", "2"], "rect:v0=2,w=2"),
-        ],
-    )
-    def test_override_flags_equal_written_fields(self, descriptor, flags, written, capsys):
-        # numeric cells depend on v0 through the window and the series; the
-        # flags must give exactly what writing the values in the descriptor
-        # gives
-        method = "both" if descriptor.startswith("exp") else "numeric"
-        sweep = ["--emin", "0.1", "--emax", "1.0", "--n", "3", "--method", method]
-        got = run_cli(["sweep", "--model", descriptor, *flags, *sweep], capsys)
-        want = run_cli(["sweep", "--model", written, *sweep], capsys)
-        assert got[0] == 0 and got == want
-
     @pytest.mark.parametrize(
         "model, flags",
         [
@@ -748,13 +737,14 @@ class TestCommands:
         ],
     )
     def test_override_flag_the_model_lacks_refused(self, model, flags, capsys):
+        # a model's fields are written only in its descriptor: --v0 and --a
+        # are refused by the parser on every model, before anything runs
         code, out, err = run_cli(
             ["sweep", "--model", model, *flags, "--emin", "0.1", "--emax", "1.0",
              "--n", "2", "--method", "numeric"],
             capsys,
         )
-        assert code == 1 and out == ""
-        assert "do not apply" in err
+        assert (code, out, err) == (1, "", f"error: unrecognized arguments: {' '.join(flags)}\n")
 
     @pytest.mark.parametrize(
         "argv, needle",
@@ -920,3 +910,25 @@ class TestCommands:
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert "13/13 checks passed" in out
+
+
+def test_every_raise_names_a_class_main_maps():
+    # main maps AccuracyError to exit 2 and UsageError and DomainError to 1;
+    # the one other raise is _refusal's invariant, which no input reaches
+    package = os.path.dirname(cli.__file__)
+    raised, invariants = set(), set()
+    for module in sorted(os.listdir(package)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(package, module), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else ast.unparse(node))
+        invariants.update(
+            f"{module}:{fn.name}" for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Raise)
+            and "AssertionError" in ast.unparse(node))
+    assert raised == {"DomainError", "AccuracyError", "UsageError", "AssertionError"}
+    assert invariants == {"cli.py:_refusal"}

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from expscatter import specfun
-from expscatter.errors import (
-    AccuracyError,
-    DegenerateOrderError,
-    DomainError,
-    SeriesRangeError,
-)
+from expscatter.errors import AccuracyError, DomainError
 
 # Frozen from 40-digit evaluations, independent of the code under test.
 J0_AT_1 = 0.76519768655796655145
@@ -54,20 +49,20 @@ class TestComplexGamma:
         rhs = z * specfun.complex_gamma(z)
         assert abs(lhs - rhs) < 1e-13 * abs(lhs)
 
-    def test_reflection_region(self):
-        # Re z < 0.5 goes through the reflection branch
-        z = -1.3 + 0.4j
-        lhs = specfun.complex_gamma(z) * specfun.complex_gamma(1.0 - z)
-        import cmath
-
-        rhs = math.pi / cmath.sin(math.pi * z)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+    @pytest.mark.parametrize("z", [-1.3 + 0.4j, -2.5 + 0j, 0.25 - 3j])
+    def test_refused_below_half(self, z):
+        # every caller passes 1 +- iq; Re z < 0.5, alone or in an array, is
+        # refused by name
+        for arg in (z, np.array([1 + 1j, z, -4.0])):
+            with pytest.raises(DomainError) as caught:
+                specfun.complex_gamma(arg)
+            assert str(caught.value) == f"complex_gamma needs Re z >= 0.5, got z = {z}"
 
     def test_pole_rejected(self):
-        with pytest.raises(DomainError):
-            specfun.complex_gamma(0.0 + 0.0j)
-        with pytest.raises(DomainError):
-            specfun.complex_gamma(-2.0 + 0.0j)
+        for z in (0.0 + 0.0j, -2.0 + 0.0j):
+            with pytest.raises(DomainError) as caught:
+                specfun.complex_gamma(z)
+            assert str(caught.value) == f"complex_gamma needs Re z >= 0.5, got z = {z}"
 
 
 # Bits of scalar Gamma(z) as the CPython-arithmetic Lanczos path gives them;
@@ -77,9 +72,6 @@ SCALAR_GAMMA_BITS = [
     (1 + 0.05j, "0x1.febcb55564573p-1", "-0x1.d70066eeec042p-6"),
     (1 + 20j, "-0x1.1ba45770ac01ep-42", "0x1.4af38587feadep-45"),
     (0.7 + 1.3j, "0x1.1ac17c51d68bap-2", "-0x1.9a5b46c0f719cp-3"),
-    (-1.3 + 0.4j, "0x1.16b28b3a80e4bp+0", "0x1.1cdf2bfc2f1c9p+0"),
-    (-2.5 + 0j, "-0x1.e3ff812e32181p-1", "-0x0.0p+0"),
-    (0.25 - 3j, "0x1.175a3debc3212p-6", "0x1.a29ca12f5e54bp-10"),
 ]
 
 
@@ -95,24 +87,31 @@ class TestComplexGammaArray:
         z = np.concatenate((
             1.0 + 1j * np.logspace(-8, math.log10(222.0), 400),  # sweep q range
             rng.uniform(-20, 20, 400) + 1j * rng.uniform(-50, 50, 400),
-            np.array([0.5, -0.5, -2.5, 0.3 - 2j, 0.499999 + 1j]),  # Re z < 0.5 reflects
+            np.array([0.5, -0.5, -2.5, 0.3 - 2j, 0.499999 + 1j]),
         ))
+        # the whole array is refused by its first entry with Re z < 0.5 ...
+        with pytest.raises(DomainError) as caught:
+            specfun.complex_gamma(z)
+        first = complex(z[z.real < 0.5][0])
+        assert str(caught.value) == f"complex_gamma needs Re z >= 0.5, got z = {first}"
+        # ... and the rest agrees with one scalar call per entry
+        z = z[z.real >= 0.5]
         got = specfun.complex_gamma(z)
         want = np.array([specfun.complex_gamma(complex(v)) for v in z])
         assert got.shape == z.shape and got.dtype == complex
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
     def test_array_keeps_shape(self):
-        z = np.array([[1 + 1j, -1.3 + 0.4j], [2.0, 0.5 + 7j]])
+        z = np.array([[1 + 1j, 2.3 - 0.4j], [2.0, 0.5 + 7j]])
         got = specfun.complex_gamma(z)
         assert got.shape == (2, 2)
         assert got[1, 0] == pytest.approx(1.0, abs=1e-14)  # Gamma(2) = 1
         assert specfun.complex_gamma(np.array([], dtype=complex)).size == 0
 
     def test_array_pole_names_first(self):
-        with pytest.raises(DomainError, match="pole at z = -3$"):
+        with pytest.raises(DomainError, match=r"got z = \(-3\+0j\)$"):
             specfun.complex_gamma(np.array([1 + 1j, -3.0, -4.0]))
-        with pytest.raises(DomainError, match="pole at z = 0$"):
+        with pytest.raises(DomainError, match="got z = 0j$"):
             specfun.complex_gamma(np.array([-0.0 + 0j]))
 
 
@@ -172,7 +171,7 @@ class TestBesselSeries:
         assert abs(minus - plus.conjugate()) < 1e-14 * abs(plus)
 
     def test_series_domain_bound(self):
-        with pytest.raises(SeriesRangeError):
+        with pytest.raises(AccuracyError):
             specfun.bessel_j_imag_order(1.0, 31.0)
 
     def test_rejects_bad_arguments(self):
@@ -217,7 +216,7 @@ class TestHankelPair:
         assert abs(w - (-4j / (math.pi * z))) < 1e-12
 
     def test_degenerate_order_rejected(self):
-        with pytest.raises(DegenerateOrderError):
+        with pytest.raises(DomainError, match="^q = 0.0 below 1e-08"):
             specfun.hankel_imag_order(0.0, 2.0, kind=1)
 
     @pytest.mark.parametrize("q", [151.5, 180.0, 222.0])
@@ -331,8 +330,8 @@ class TestSeriesArray:
         (0.0, DomainError, "series argument requires real z > 0, got 0.0"),
         (math.nan, DomainError, "series argument requires real z > 0, got nan"),
         (math.inf, DomainError, "series argument requires real z > 0, got inf"),
-        (31.0, SeriesRangeError, "z = 31 exceeds the certified series domain z <= 30; "
-                                 "reduce the argument (smaller x_max or smaller p)"),
+        (31.0, AccuracyError, "z = 31 exceeds the certified series domain z <= 30; "
+                              "reduce the argument (smaller x_max or smaller p)"),
     ])
     def test_array_refusal_names_first_bad_entry(self, bad, error, message):
         # the scalar message, and for an array the one of its first bad entry
