@@ -84,9 +84,6 @@ class SweepSpec:
             raise UsageError(
                 f"methods must be analytic, numeric, or both, got {self.methods!r}"
             )
-        if self.methods != "numeric" and not isinstance(self.model, Exponential):
-            name = type(self.model).__name__.lower()
-            raise UsageError(f"analytic method is not defined for the {name!r} model")
 
     def energies(self) -> np.ndarray:
         if self.spacing == "linear":
@@ -167,7 +164,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     For exponential models q and the analytic cells are computed once, as
     numpy columns over the whole energy grid; only the numeric solve runs
-    row by row, every row on the same default window, each on its own grid.
+    row by row, each row on its own default window and grid.
     """
     energies = spec.energies()
     blank = [None] * energies.size
@@ -177,8 +174,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rows = [SweepRow(*cells) for cells in zip(energies.tolist(), *columns.values())]
     if spec.methods == "analytic":
         return rows
-    config = numeric_scatter.default_config(spec.model, spec.units)
-    return [row if row.error else _sweep_row(spec, row, config) for row in rows]
+    return [row if row.error else _sweep_row(spec, row) for row in rows]
 
 
 def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
@@ -217,11 +213,12 @@ def _refusal(p: float, q: float) -> str:
     raise AssertionError(f"closed forms accept q = {q!r} outside closed_form_domain")
 
 
-def _sweep_row(spec: SweepSpec, row: SweepRow, config: numeric_scatter.SolverConfig) -> SweepRow:
+def _sweep_row(spec: SweepSpec, row: SweepRow) -> SweepRow:
     """Fill the numeric cells of one row; on failure every cell but E and q
     is NA and the row carries the message."""
     sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
     try:
+        config = numeric_scatter.default_config(spec.model, row.energy, spec.units)
         basis = numeric_scatter.integrate_ends(spec.model, row.energy, config, spec.units)
         results = [numeric_scatter.match(basis, s) for s in sides]
     except (DomainError, AccuracyError) as exc:
@@ -345,6 +342,14 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mass", type=float, default=0.5)
 
 
+def _require_exponential(descriptor: str, model: PotentialModel, what: str) -> None:
+    """Refuse an analytic ``what`` for a model the closed forms do not
+    cover, named by the descriptor's head as the user wrote it."""
+    if not isinstance(model, Exponential):
+        head = descriptor.strip().partition(":")[0]
+        raise UsageError(f"{what} is not defined for the {head!r} model")
+
+
 def cmd_sweep(args) -> int:
     spec = SweepSpec(
         model=parse_model(args.model),
@@ -356,6 +361,8 @@ def cmd_sweep(args) -> int:
         methods=args.method,
         units=Units(mass=args.mass, hbar=args.hbar),
     )
+    if spec.methods != "numeric":
+        _require_exponential(args.model, spec.model, "analytic method")
     rows = run_sweep(spec)
     _emit(format_sweep_csv(spec, rows), args.out)
     if all(row.error is not None for row in rows):
@@ -373,11 +380,9 @@ def cmd_verify(args) -> int:
 def cmd_wavefunction(args) -> int:
     model = parse_model(args.model)
     units = Units(mass=args.mass, hbar=args.hbar)
-    exp_family = isinstance(model, Exponential)
-    method = args.method or ("analytic" if exp_family else "numeric")
-    if method == "analytic" and not exp_family:
-        name = type(model).__name__.lower()
-        raise UsageError(f"analytic wavefunction is not defined for the {name!r} model")
+    method = args.method or ("analytic" if isinstance(model, Exponential) else "numeric")
+    if method == "analytic":
+        _require_exponential(args.model, model, "analytic wavefunction")
     _require_finite(("--xmin", args.xmin), ("--xmax", args.xmax))
     if not (args.xmin < args.xmax):
         raise UsageError(f"need xmin < xmax, got {args.xmin!r}, {args.xmax!r}")
@@ -400,7 +405,7 @@ def cmd_wavefunction(args) -> int:
     else:
         # the default window, grown to cover [xmin, xmax]; every requested
         # x is read by one RK4 step from the node at or below it
-        base = numeric_scatter.default_config(model, units)
+        base = numeric_scatter.default_config(model, args.energy, units)
         config = replace(
             base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
         )

@@ -21,13 +21,17 @@ dets; no node array of the window is built, and nothing else sees the
 scan's layout.  RK4 does not keep area, so W[u, v] drifts from 1 by the
 product of the dets: their sums give the drift and W at the window ends,
 free of the round-off the products gather where the basis grows.
-An exponential's default window is fixed in z = p exp(x/(2a)), where its
-depth only translates the problem.
+An exponential's default window depends on the row's energy: it starts
+where |V| = ASYMPTOTE_EPSILON * E, z = sqrt(ASYMPTOTE_EPSILON) q in
+z = p exp(x/(2a)), and ends at z = 8, so depth and offset only translate
+the problem.
 ``integrate_ends`` then projects u and v, at each window end and by one
-Wronskian projection (``_end``), onto that end's rightward unit wave R: exp(ikx)
-where the potential vanishes, H1_{iq}(z) / N where it dives, with
+Wronskian projection (``_end``), onto that end's rightward unit wave R:
+exp(ikx) (1 + phi) where the potential fades, phi = w / (lam^2 + 2ik lam)
+the first Born term of a tail w = 2mV/hbar^2 of rate lam (phi = 0 where
+V = 0), and H1_{iq}(z) / N where it dives, with
 N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} H1's large-z normalization, so
-R ~ exp(-x/(4a)) exp(iz) (z = p exp(x/(2a)), at z = 12 however far the
+R ~ exp(-x/(4a)) exp(iz) (z = p exp(x/(2a)), at z = 8 however far the
 window runs past it).  The basis is real, so along the leftward wave
 conj(R) its coefficients are the conjugates.  The basis record holds the
 two projected ends, the asked-for nodes and the drift.  ``match`` is
@@ -153,28 +157,45 @@ class NumericScatteringResult:
     phi: float
     theta: float
     flux_imbalance: float
-    wronskian_drift: float
     c_u: complex
     c_v: complex
     incident: complex
 
 
-# exponential windows run over z = p e^{x/2a} from _Z_LEFT (|V| = delta z^2
-# is 8e-9 delta there; x = -20a at p = 2) to _Z_MATCH, past which the
-# series behind the right-end match loses digits like e^z eps
-_Z_LEFT = 2.0 * math.exp(-10.0)
-_Z_MATCH = 12.0
+# an exponential's diving end is matched at z = p e^{x/2a} = _Z_MATCH, past
+# which the series behind the match loses digits like e^z eps
+_Z_MATCH = 8.0
 
 
-def default_config(potential: PotentialModel, units: Units = DEFAULT_UNITS) -> SolverConfig:
-    """Default windows: an exponential's runs over z in [_Z_LEFT, _Z_MATCH],
-    a rectangle's 2 units past each edge."""
-    if isinstance(potential, Exponential):
-        p, a = potentials.exponential_p(potential, units), potential.a
-        x_left, x_right = (2.0 * a * math.log(z / p) for z in (_Z_LEFT, _Z_MATCH))
-        return SolverConfig(x_left=x_left, x_right=x_right)
-    hw = potential.half_width
-    return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0)
+def default_config(potential: PotentialModel, energy: float,
+                   units: Units = DEFAULT_UNITS) -> SolverConfig:
+    """Default window at ``energy``.
+
+    An exponential's runs from where its plane-wave end holds,
+    |V| <= ASYMPTOTE_EPSILON * E as ``_is_plane`` tests it (about
+    x = a ln(ASYMPTOTE_EPSILON E / v0), z = sqrt(ASYMPTOTE_EPSILON) q), to
+    z = _Z_MATCH; past q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON) that leaves
+    no window and the energy is refused.  A rectangle's runs 2 units past
+    each edge at any energy.  ``_check_energy`` runs first, as in
+    ``integrate_ends``.
+    """
+    _check_energy(potential, energy, units)
+    if not isinstance(potential, Exponential):
+        hw = potential.half_width
+        return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0)
+    a = potential.a
+    x_left = a * (math.log(ASYMPTOTE_EPSILON) + math.log(energy) - math.log(potential.v0))
+    # the logarithms round; widen by doubling steps until the end passes
+    step = math.ulp(x_left)
+    while not _is_plane(potential, energy, x_left):
+        x_left, step = x_left - step, 2.0 * step
+    x_right = 2.0 * a * math.log(_Z_MATCH / potentials.exponential_p(potential, units))
+    if not x_left < x_right:
+        raise DomainError(
+            f"at E = {energy:g}, |V| <= ASYMPTOTE_EPSILON * E already at z = {_Z_MATCH:g}, "
+            "where the diving end is matched; lower E"
+        )
+    return SolverConfig(x_left=x_left, x_right=x_right)
 
 
 def integrate_ends(
@@ -327,7 +348,6 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),
         flux_imbalance=abs(j_inc - j_ref - j_tra) / j_inc,
-        wronskian_drift=basis.drift,
         c_u=cu, c_v=cv, incident=c_inc,
     )
 
@@ -340,7 +360,7 @@ def solve(
     units: Units = DEFAULT_UNITS,
 ) -> NumericScatteringResult:
     """Integrate the basis ends over the window, then ``match``."""
-    config = config or default_config(potential, units)
+    config = config or default_config(potential, energy, units)
     return match(integrate_ends(potential, energy, config, units), side)
 
 
@@ -532,8 +552,17 @@ def _end(potential: PotentialModel, energy: float, units: Units, x: float, node:
         norm *= cmath.exp(-0.25j * math.pi)
         r, dr = h1.value / norm, h1.dvalue * (z / (2.0 * a)) / norm
     else:
-        r = cmath.exp(1j * k * x)
-        dr = 1j * k * r
+        # R = e^{ikx} (1 + phi): phi = w / (lam^2 + 2ik lam) solves the ODE to
+        # first order in a tail w = 2mV/hbar^2 of rate lam = V'/V (1/a on an
+        # exponential); phi = 0 where V = 0
+        lam = phi = 0.0
+        if isinstance(potential, Exponential):
+            lam = 1.0 / potential.a
+            w = 2.0 * units.mass * float(potentials.evaluate(potential, x)) / units.hbar**2
+            phi = w / (lam * lam + 2j * k * lam)
+        wave = cmath.exp(1j * k * x)
+        r = wave * (1.0 + phi)
+        dr = wave * (1j * k * (1.0 + phi) + lam * phi)
     im = (r.conjugate() * dr).imag
     flux, w_r = units.hbar / units.mass * im, -2j * im
     if diving:
@@ -549,10 +578,15 @@ def _end(potential: PotentialModel, energy: float, units: Units, x: float, node:
     return coeff(u, du), coeff(v, dv), w_r
 
 
+def _is_plane(potential: PotentialModel, energy: float, x: float) -> bool:
+    """Whether a plane wave may stand in at x: |V(x)| <= ASYMPTOTE_EPSILON * E."""
+    return abs(float(potentials.evaluate(potential, x))) <= ASYMPTOTE_EPSILON * energy
+
+
 def _plane_potential(potential: PotentialModel, energy: float, x: float, which: str) -> None:
     """Refuse a plane-wave end where |V(x)| > ASYMPTOTE_EPSILON * E."""
-    v = abs(float(potentials.evaluate(potential, x)))
-    if v > ASYMPTOTE_EPSILON * energy:
+    if not _is_plane(potential, energy, x):
+        v = abs(float(potentials.evaluate(potential, x)))
         raise DomainError(
             f"|V({which})| = {v:.3e} exceeds ASYMPTOTE_EPSILON * E = "
             f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out, or keep "

@@ -114,7 +114,8 @@ def check_reciprocity() -> CheckResult:
             worst_analytic = max(worst_analytic, angle_distance(left.theta, right.theta))
     model = potentials.exponential(1.0, 1.0)
     energy = 0.75**2 / 4.0
-    basis = numeric_scatter.integrate_ends(model, energy, numeric_scatter.default_config(model))
+    basis = numeric_scatter.integrate_ends(model, energy,
+                                           numeric_scatter.default_config(model, energy))
     res_l, res_r = (numeric_scatter.match(basis, side) for side in ("left", "right"))
     theta_gap = angle_distance(res_l.theta, res_r.theta)
     t_gap = abs(res_l.t_coeff - res_r.t_coeff)
@@ -184,7 +185,7 @@ def check_flux_wronskian_rk4() -> CheckResult:
     """
     model = potentials.exponential(1.0, 1.0)
     energy = 0.25  # q = 1
-    config = numeric_scatter.default_config(model)
+    config = numeric_scatter.default_config(model, energy)
     drift = numeric_scatter.integrate_ends(model, energy, config).drift
     d = exp_barrier.reduce_params(model, energy)
 

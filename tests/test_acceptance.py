@@ -164,7 +164,7 @@ def test_criterion_07_v0_independence(capsys):
 def test_criterion_08_flux_wronskian_order(capsys):
     model = potentials.exponential(1.0, 1.0)
     energy = 0.25
-    config = numeric_scatter.default_config(model)
+    config = numeric_scatter.default_config(model, energy)
     # the whole-window basis and wave of the tests' oracle writer
     basis = oracle_integrate_basis(model, energy, config)
     result = numeric_scatter.solve(model, energy, side="left")

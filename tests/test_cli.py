@@ -148,9 +148,11 @@ class TestSweepTable:
         assert cells["wronskian_drift"] == "NA"
         assert cells["T_analytic"] != "NA"
 
-    def test_analytic_invalid_for_rect(self):
-        with pytest.raises(UsageError):
-            self.make_spec(model=cli.parse_model("rect:v0=1,w=2"), methods="both")
+    def test_analytic_invalid_for_rect(self, capsys):
+        # refused before any row runs, naming the model as it was written
+        argv = ["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.05", "--emax", "1"]
+        assert run_cli(argv, capsys) == (
+            1, "", "error: analytic method is not defined for the 'rect' model\n")
 
     def test_free_sweep_is_transparent(self):
         spec = self.make_spec(model=cli.parse_model("free"), methods="numeric")
@@ -372,9 +374,19 @@ class TestCommands:
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
              "85aa22d19504328e063a34b49416185d0be08ac4b4b28f7cd27debd953eefc47"),
+            # a rectangle's window and plane waves do not depend on E: these
+            # two digests were taken before each exponential row got its own
+            # window and its plane wave a tail term
+            (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7",
+              "--xmin", "-3", "--xmax", "3", "--n", "50"],
+             "9a6a4015af23af2d0c122ceb0d1a0243c15016c06f6bb7655085ab190fc57d43"),
+            (["sweep", "--model", "rect:v0=50,w=4", "--emin", "1", "--emax", "40", "--n", "9",
+              "--spacing", "linear", "--method", "numeric"],
+             "13e39f7b815ae144528e5ebf4c89da127dc499bacdf8fa700434f37279804280"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
-             "rect-wavefunction-right", "rect-sweep-at-v0"],
+             "rect-wavefunction-right", "rect-sweep-at-v0", "rect-wavefunction-left",
+             "deep-rect-sweep"],
     )
     def test_free_output_bytes_unchanged(self, argv, digest, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -389,7 +401,7 @@ class TestCommands:
              "e87f4b402a10ca035d48622359aa7fd3af476d3bfec0c9efdff635aea1f98da3"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "2c64ef10a0c48096aa5a1aebcf2017a540d246134c2ab46d5bdb7be001c1f4ae"),
+             "31490cda14ea999b2894d564afd3968db5bf1d2bab92d7a1bc88490b3b75c540"),
         ],
         ids=["readme-analytic", "readme-numeric-n20"],
     )
@@ -400,7 +412,11 @@ class TestCommands:
         # flux_imbalance 2.1e-14, the drift 2.4e-14, theta 2.2e-16; and
         # again when H1 stopped overflowing past q ~ 151: T moved <= 5.6e-16,
         # R 1.7e-16, flux_imbalance 5.6e-16, theta 4.4e-16, phi 5.3e-14
-        # where R >= 1e-6 (1.2e-10 where R is round-off), the drift not at all
+        # where R >= 1e-6 (1.2e-10 where R is round-off), the drift not at all;
+        # and again when each row's window came to start where |V| = 1e-6 E,
+        # with the tail term on its plane wave, and to match at z = 8: T and
+        # R moved <= 6.3e-9 (the old window's error), theta 1.4e-8, phi 1.0e-4
+        # (where R is round-off), flux_imbalance 4.7e-14, the drift 5.9e-14
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -524,7 +540,7 @@ class TestCommands:
     )
     def test_wavefunction_numeric_window_past_z12(self, model, energy, xmin, xmax, capsys):
         # the windows reach z = 28, 47 and 31; the right end still matches at
-        # z = 12 (a series range error or a 2.7e-6 error in T before)
+        # z = 8 (a series range error or a 2.7e-6 error in T before)
         code, out, err = run_cli(
             ["wavefunction", "--method", "numeric", "--model", model, "--energy", energy,
              "--xmin", xmin, "--xmax", xmax, "--n", "50"],
@@ -594,10 +610,21 @@ class TestCommands:
               "--xmax", "1"], 1, "q = 2e-150 at or below the degenerate-order threshold 1e-08"),
             (["sweep", "--model", "exp:v0=1,a=1", "--v0", "4", "--emin", "0.1", "--emax", "1"], 1,
              "unrecognized arguments: --v0 4"),
+            # the closed forms cover the exponential family only; the refusal
+            # names the model as the user wrote it
+            (["sweep", "--model", "free", "--method", "analytic", "--emin", "0.1",
+              "--emax", "1"], 1, "analytic method is not defined for the 'free' model"),
+            (["wavefunction", "--model", "free", "--method", "analytic", "--energy", "1",
+              "--xmin", "-1", "--xmax", "1"], 1,
+             "analytic wavefunction is not defined for the 'free' model"),
+            (["wavefunction", "--model", " rect:v0=1,w=2", "--method", "analytic",
+              "--energy", "1", "--xmin", "-1", "--xmax", "1"], 1,
+             "analytic wavefunction is not defined for the 'rect' model"),
         ],
         ids=["expshift-b", "rect-w", "plot-log-axis", "analytic-energy-0", "analytic-energy-nan",
              "numeric-energy-0", "numeric-energy-nan", "analytic-past-series-bound",
-             "degenerate-order", "v0-flag"],
+             "degenerate-order", "v0-flag", "analytic-sweep-free", "analytic-wavefunction-free",
+             "analytic-wavefunction-rect"],
     )
     def test_refusals_keep_their_text_and_exit_code(self, argv, code, err, tmp_path, capsys):
         # each refusal is raised by the code that knows its condition and
@@ -683,28 +710,31 @@ class TestCommands:
         assert np.max(np.abs(flux)) <= 1e-9
 
     def test_low_energy_refusal_names_the_lowest_energy(self, capsys):
+        # each row's window starts where |V| = 1e-6 E, so no plane-wave end
+        # refuses a row; only E < 1e-6 * delta = 2.5e-7 is refused
         code, out, _ = run_cli(
-            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-7", "--emax", "1e-6",
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-8", "--emax", "2e-7",
              "--n", "2"],
             capsys,
         )
         assert code == 2
-        # |V(x_left)| = 2.061e-09 on the default window
-        assert "E >= |V(x_left)| / ASYMPTOTE_EPSILON = 2.061e-03" in out
+        errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
+        assert len(errors) == 2
+        assert all("below 1e-6 * delta = 2.5e-07" in line for line in errors)
 
     def test_low_energy_rows_refused_without_marching(self, monkeypatch, capsys):
-        # E = 1e-6 lies between 1e-6 * delta and |V(x_left)| / ASYMPTOTE_EPSILON;
-        # its row is refused at the plane-wave end before any RK4 step, and
-        # the output keeps its bytes (digest taken before the early refusal)
+        # E below 1e-6 * delta is refused before the window is placed and
+        # before any RK4 step, and the output keeps its bytes (digest taken
+        # when those rows were refused at the plane-wave end of one window)
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
         code, out, err = run_cli(
-            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-7", "--emax", "1e-6",
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-8", "--emax", "2e-7",
              "--n", "2"],
             capsys,
         )
         assert (code, err) == (2, "error: every sweep row failed\n")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e5f33c75c05d369fa0dce6678519011aa214d1035b098206b2502c03baade0af")
+            "e1083d13173cabd05131d043191cc47ebfbbe82022e9d10991b2e6c08fa37adc")
 
     def test_wavefunction_series_domain_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -809,7 +839,10 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "model, emin, emax",
-        [("rect:v0=1,w=1e6", "0.1", "0.5"), ("exp:v0=1,a=1", "1e6", "1e7")],
+        # an exponential's default window, z from 1e-3 q to 8, holds at most
+        # q ln(8000 / q) / kh < 1e6 nodes (exp:v0=1,a=1 from E = 1e6 was
+        # refused here); the free particle's [-5, 5] passes the cap at K > 1,500
+        [("rect:v0=1,w=1e6", "0.1", "0.5"), ("free", "1e13", "1e14")],
     )
     def test_rows_past_the_node_cap_refused_before_the_march(self, model, emin, emax,
                                                              monkeypatch, capsys):
@@ -826,8 +859,9 @@ class TestCommands:
             assert f"the grid at E = {energy:g} needs about " in line
             assert "past the 5,000,000 node cap" in line
 
-    def test_sweep_builds_one_solver_config(self, monkeypatch, capsys):
-        # the window does not depend on the energy; each row grids it
+    def test_sweep_rows_build_their_own_solver_config(self, monkeypatch, capsys):
+        # an exponential's window depends on the energy: each row places
+        # its own, from its own energy, and grids it
         calls = []
         build = numeric_scatter.default_config
         monkeypatch.setattr(
@@ -837,7 +871,9 @@ class TestCommands:
                 "--n", "3", "--method", "numeric"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and "row-error" not in out
-        assert len(calls) == 1
+        energies = np.logspace(math.log10(0.5), 0.0, 3).tolist()
+        assert calls == [(potentials.exponential(1.0, 1.0), energy, potentials.Units(0.5, 1.0))
+                         for energy in energies]
 
     def test_deep_window_overflow_refused_without_warnings(self, capsys):
         # kappa w = 800 across the barrier: the basis overflows on the default window

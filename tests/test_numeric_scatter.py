@@ -90,8 +90,8 @@ class TestBasisIntegration:
         assert v == pytest.approx(math.sin(root2 * 0.5) / root2, abs=1e-10)
 
     def test_wronskian_pinned_to_one(self):
-        config = numeric_scatter.default_config(EXP_MODEL)
-        # the right end, z = 12, is x_right on the default window
+        config = numeric_scatter.default_config(EXP_MODEL, 1.0)
+        # the right end, z = 8, is x_right on the default window
         basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, config, xs=[config.x_right])
         u, du, v, dv = basis.nodes[:, 0]
         assert abs(u * dv - du * v - 1.0) < 1e-9
@@ -119,7 +119,7 @@ class TestBasisIntegration:
                 "drift 1.733e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
             numeric_scatter.integrate_ends(EXP_MODEL, 0.25, coarse)
         rect = potentials.rectangular(50.0, 2.0)
-        config = dataclasses.replace(numeric_scatter.default_config(rect), kh=0.1)
+        config = dataclasses.replace(numeric_scatter.default_config(rect, 1.0), kh=0.1)
         with pytest.raises(AccuracyError, match=re.escape(
                 "drift 2.224e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
             numeric_scatter.integrate_ends(rect, 1.0, config)
@@ -132,7 +132,7 @@ class TestBasisIntegration:
         # DRIFT_TOLERANCE; the drift the march carries does not see it, and
         # the row solves
         rect = potentials.rectangular(50.0, 2.0)
-        config = numeric_scatter.default_config(rect)
+        config = numeric_scatter.default_config(rect, 26.5)
         xs = np.linspace(-2.5, 2.5, 21)
         basis = numeric_scatter.integrate_ends(rect, 26.5, config, xs=list(xs))
         u, du, v, dv = basis.nodes
@@ -150,19 +150,21 @@ class TestBasisIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AccuracyError, match="basis overflowed on the window"):
-                numeric_scatter.integrate_ends(rect, 1.0, numeric_scatter.default_config(rect))
+                numeric_scatter.integrate_ends(rect, 1.0, numeric_scatter.default_config(rect, 1.0))
 
     def test_long_wave_refused(self):
-        with pytest.raises(DomainError, match="delta"):
-            numeric_scatter.integrate_ends(
-                EXP_MODEL, 1e-9, numeric_scatter.default_config(EXP_MODEL)
-            )
+        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
+        for refuse in (lambda: numeric_scatter.default_config(EXP_MODEL, 1e-9),
+                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 1e-9, config)):
+            with pytest.raises(DomainError, match="delta"):
+                refuse()
 
     def test_nonpositive_energy_refused(self):
-        with pytest.raises(DomainError):
-            numeric_scatter.integrate_ends(
-                EXP_MODEL, 0.0, numeric_scatter.default_config(EXP_MODEL)
-            )
+        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
+        for refuse in (lambda: numeric_scatter.default_config(EXP_MODEL, 0.0),
+                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 0.0, config)):
+            with pytest.raises(DomainError, match="energy must be finite and > 0"):
+                refuse()
 
     def test_config_validation(self):
         for ends in ((1.0, 1.0), (2.0, 1.0), (0.0, -1e-3)):
@@ -182,15 +184,17 @@ class TestBasisIntegration:
             (potentials.rectangular(1.0, 1e5), 0.5, None),
             # K h = kh across a window of 2e7 wavelengths
             (potentials.free(), 1.0, SolverConfig(x_left=-1e5, x_right=1e5)),
-            # K = 1e4 and 1e3 over the default windows
+            # K = 1e4 over the default window, and K = 1e3 over a window
+            # 32 a wide: an exponential's default window, z from 1e-3 q to
+            # 8, holds at most q ln(8000 / q) / kh < 1e6 nodes
             (potentials.rectangular(1.0, 1.0), 1e8, None),
-            (EXP_MODEL, 1e6, None),
+            (EXP_MODEL, 1e6, SolverConfig(x_left=-30.0, x_right=2.0)),
         ],
         ids=["wide-rect", "wide-window", "high-energy-rect", "high-energy-exp"],
     )
     def test_grid_past_the_node_cap_refused_before_the_march(
             self, potential, energy, config, monkeypatch):
-        config = config or numeric_scatter.default_config(potential)
+        config = config or numeric_scatter.default_config(potential, energy)
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
         with pytest.raises(DomainError, match=re.escape(f"the grid at E = {energy:g} needs about")
                            + ".* past the 5,000,000 node cap"):
@@ -234,7 +238,7 @@ class TestBasisIntegration:
         # K varies by e^{1/16} over a table interval a/8 wide.  An
         # exponential's l is a / sqrt(2z), z = p e^{x/2a}; a rectangle's is
         # its window length
-        config = config or numeric_scatter.default_config(potential)
+        config = config or numeric_scatter.default_config(potential, energy)
         x, _, _ = grid(potential, energy, config)
         h = np.diff(x)
         mid = x[:-1] + 0.5 * h
@@ -253,17 +257,17 @@ class TestBasisIntegration:
         # takes the node at or below it
         rect = potentials.rectangular(1.0, 0.7)
         xs = np.array([0.3, -0.3, 2.0, 0.7, 0.3, 1e-13, -2.7])
-        for potential, config in ((rect, numeric_scatter.default_config(rect)),
+        for potential, config in ((rect, numeric_scatter.default_config(rect, 0.5)),
                                   (EXP_MODEL, SolverConfig(x_left=-20.0, x_right=5.5))):
             pins = (config.x_left, config.seed, config.x_right)
             x, at = numeric_scatter._grid(potential, 0.5, config, DEFAULT_UNITS, pins, xs)
             assert x[at[:3]].tolist() == list(pins)
             assert np.all(x[at[3:]] <= xs) and np.all(xs < x[at[3:] + 1])
             assert np.all(np.diff(x) > 0.0)
-        x, _, i_right = grid(rect, 0.5, numeric_scatter.default_config(rect))
+        x, _, i_right = grid(rect, 0.5, numeric_scatter.default_config(rect, 0.5))
         assert {-0.7, 0.7} <= set(x.tolist()) and i_right == x.size - 1
         x, _, i_right = grid(EXP_MODEL, 0.5, SolverConfig(x_left=-20.0, x_right=5.5))
-        assert x[i_right] == 2.0 * math.log(6.0)
+        assert x[i_right] == 2.0 * math.log(4.0)
 
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep", "rect-edges-on-nodes"])
     def test_xs_leave_the_grid_alone(self, name):
@@ -283,10 +287,11 @@ class TestBasisIntegration:
 
     def test_nodes_grow_with_the_wavenumber(self):
         # README rows: the step is kh a / sqrt(2z) where K < sqrt(2z) / a,
-        # kh / K elsewhere (10,004 and 10,408 nodes at the fixed cap l = a)
-        config = numeric_scatter.default_config(EXP_MODEL)
-        counts = [grid(EXP_MODEL, energy, config)[0].size for energy in (0.01, 1.0, 5.0, 100.0)]
-        assert counts == [6_802, 11_118, 19_376, 79_189]
+        # kh / K elsewhere (10,004 and 10,408 nodes at the fixed cap l = a;
+        # 6,802, 11,118, 19,376 and 79,189 on the one window z = 2e^-10 to 12)
+        counts = [grid(EXP_MODEL, energy, numeric_scatter.default_config(EXP_MODEL, energy))[0].size
+                  for energy in (0.01, 1.0, 5.0, 100.0)]
+        assert counts == [5_416, 7_697, 12_102, 40_206]
 
     def test_xs_outside_the_window_refused(self):
         config = SolverConfig(x_left=-2.0, x_right=2.0)
@@ -518,14 +523,14 @@ class TestMarchOnModels:
         ids=["exp-left-tail", "rect-edge", "free"],
     )
     def test_basis_equals_scalar_loop(self, potential, energy):
-        config = numeric_scatter.default_config(potential)
+        config = numeric_scatter.default_config(potential, energy)
         basis = integrate_every_node(potential, energy, config)
         assert_same_march(list(basis.nodes), loop_basis(potential, energy, config))
 
     def test_drift_floor_on_default_exp_window(self):
         # round-off floor (~3e-14) of products formed in step order; a
         # log-depth tree scan over the left tail gives ~1e-12
-        config = numeric_scatter.default_config(EXP_MODEL)
+        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
         basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
         assert basis.drift <= 2e-13
 
@@ -720,7 +725,7 @@ def basis_bytes(basis):
 
 
 PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, kh=0.01)
-DEEP = potentials.exponential(200.0, 1.0)  # z = 12 at x = -1.71, left of x = 0
+DEEP = potentials.exponential(200.0, 1.0)  # z = 8 at x = -2.53, left of x = 0
 BIT_CASES = {
     # default window: the left tail and the diving right end
     "exp": (EXP_MODEL, 0.25, None),
@@ -731,17 +736,17 @@ BIT_CASES = {
     "rect-at-v0": (potentials.rectangular(1.0, 1.0), 1.0, None),
     "free": (potentials.free(), 1.0, None),
     "partial-last-block": (EXP_MODEL, 0.7, PARTIAL),
-    # windows grown past z = 12: its node inside the right, then the left march
+    # windows grown past z = 8: its node inside the right, then the left march
     "exp-grown": (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5)),
     "exp-deep-grown": (DEEP, 1.0, SolverConfig(x_left=-21.71, x_right=1.0)),
 }
-# the oracle seeds at x = 0; here the seed is x_right, the z = 12 node
+# the oracle seeds at x = 0; here the seed is x_right, the z = 8 node
 ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
 
 
 def bit_case(name):
     potential, energy, config = ENDS_CASES[name]
-    return potential, energy, config or numeric_scatter.default_config(potential)
+    return potential, energy, config or numeric_scatter.default_config(potential, energy)
 
 
 class TestBitExactMarch:
@@ -800,9 +805,9 @@ class TestBitExactMarch:
         build = numeric_scatter._grid
         monkeypatch.setattr(numeric_scatter, "_grid",
                             lambda *args: seen.append(args[1]) or build(*args))
-        config = numeric_scatter.default_config(EXP_MODEL)
         for energy in (0.25, 0.5, 1.0):
-            numeric_scatter.integrate_ends(EXP_MODEL, energy, config)
+            numeric_scatter.integrate_ends(EXP_MODEL, energy,
+                                           numeric_scatter.default_config(EXP_MODEL, energy))
         assert seen == [0.25, 0.5, 1.0]
 
 
@@ -825,7 +830,7 @@ def w_drift(potential, energy, config):
 
 # the BIT_CASES, then a kh ladder on the exponential and a shallow rectangle
 GATE_CASES = [bit_case(name) for name in sorted(BIT_CASES)] + [
-    (model, energy, dataclasses.replace(numeric_scatter.default_config(model), kh=kh))
+    (model, energy, dataclasses.replace(numeric_scatter.default_config(model, energy), kh=kh))
     for model in (EXP_MODEL, potentials.rectangular(1.0, 1.0))
     for kh in (0.003, 0.03, 0.1) for energy in (0.05, 0.5, 5.0)]
 
@@ -845,8 +850,9 @@ def test_det_gate_is_never_looser_than_the_w_gate():
         except AccuracyError as exc:
             assert "lower kh" in str(exc)
             refused["det"].add(case)
-    # exp at kh = 0.03 and E = 5, and every kh = 0.1 row
-    assert len(refused["w"]) == 7 and refused["w"] <= refused["det"]
+    # every kh = 0.1 row (exp at kh = 0.03 and E = 5 drifts 9.2e-9 on its
+    # window from z = 4.5e-3; it was refused from z = 9.1e-5)
+    assert len(refused["w"]) == 6 and refused["w"] <= refused["det"]
 
 
 def result_bits(result):
@@ -933,7 +939,7 @@ class TestEndsReader:
         ids=["overflow", "non-finite-potential", "coarse-step"],
     )
     def test_march_refusals_equal_on_both_consumers(self, potential, energy, config, message):
-        config = config or numeric_scatter.default_config(potential)
+        config = config or numeric_scatter.default_config(potential, energy)
         refusals = []
         for integrate in (oracle_integrate_basis, numeric_scatter.integrate_ends):
             with warnings.catch_warnings():
@@ -950,7 +956,7 @@ class TestEndsReader:
             whole = oracle_integrate_basis(potential, energy, config)
             assert ends.nodes.shape == (4, 0)
             assert basis_bytes(ends)[1:] == basis_bytes(whole)[1:]
-            # the right end is z = 12 where the window holds it, else x_right
+            # the right end is z = 8 where the window holds it, else x_right
             x, _, i = grid(potential, energy, config)
             read = numeric_scatter.integrate_ends(potential, energy, config, xs=x[[0, i]])
             assert x[0] == config.x_left
@@ -958,9 +964,9 @@ class TestEndsReader:
 
     @pytest.mark.parametrize("name, picks", [
         *((name, "every") for name in sorted(set(ENDS_CASES) - {"partial-last-block"})),
-        # picks on both sides of the z = 12 node, out of order and repeated
-        ("exp-grown", "around-z12"),
-        ("exp-deep-grown", "around-z12"),
+        # picks on both sides of the z = 8 node, out of order and repeated
+        ("exp-grown", "around-match"),
+        ("exp-deep-grown", "around-match"),
     ])
     def test_requested_nodes_leave_the_match_alone(self, name, picks):
         potential, energy, config = bit_case(name)
@@ -1032,14 +1038,17 @@ class TestEndsReader:
         assert got == want
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
-        # |V(x_left)| = 2.06e-9 on the default window refuses E < 2.06e-3
-        # at the plane-wave end; only 1e-6 * delta = 2.5e-7 is refused earlier
-        config = numeric_scatter.default_config(EXP_MODEL)
+        # |V(x_left)| = 2.06e-9 on a window from x = -20 refuses E < 2.06e-3
+        # at the plane-wave end; the default window at E starts where
+        # |V| <= 1e-6 E, so there only 1e-6 * delta = 2.5e-7 is refused
+        config = SolverConfig(x_left=-20.0, x_right=2.0)
         want = outcomes(self.whole_basis(EXP_MODEL, 1e-6, config))
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
-        got = outcomes(lambda sides: [numeric_scatter.solve(EXP_MODEL, 1e-6, side)
+        got = outcomes(lambda sides: [numeric_scatter.solve(EXP_MODEL, 1e-6, side, config)
                                       for side in sides])
         assert got == want and "x_left" in want[1]
+        with pytest.raises(DomainError, match=re.escape("below 1e-6 * delta = 2.5e-07")):
+            numeric_scatter.solve(EXP_MODEL, 2.5e-7 * (1.0 - 1e-9))
 
 
 class TestPlaneWaveMatching:
@@ -1061,10 +1070,12 @@ class TestPlaneWaveMatching:
         # the flat pads step at kh min(L, 1/k), L the window length, so a
         # narrow barrier costs no more nodes than a wide one
         model = potentials.rectangular(1.0, width / 2.0)
-        res = numeric_scatter.solve(model, 0.5, side="left")
+        config = numeric_scatter.default_config(model, 0.5)
+        basis = numeric_scatter.integrate_ends(model, 0.5, config)
+        res = numeric_scatter.match(basis, "left")
         assert res.t_coeff == pytest.approx(rect_transmission(0.5, 1.0, width), abs=1e-12)
-        assert res.flux_imbalance <= 1e-12 and res.wronskian_drift <= 1e-12
-        assert grid(model, 0.5, numeric_scatter.default_config(model))[0].size < 2_000
+        assert res.flux_imbalance <= 1e-12 and basis.drift <= 1e-12
+        assert grid(model, 0.5, config)[0].size < 2_000
 
     def test_symmetric_model_side_independent(self):
         rect = potentials.rectangular(1.0, 1.0)
@@ -1112,7 +1123,8 @@ class TestPlaneWaveMatching:
         # at E = 1 and 8.2e-8 at E = 26.5, and refused both); T and theta
         # read off W[u, v] as the march carries it are good to 4e-11
         rect = potentials.rectangular(50.0, 2.0)
-        basis = numeric_scatter.integrate_ends(rect, energy, numeric_scatter.default_config(rect))
+        config = numeric_scatter.default_config(rect, energy)
+        basis = numeric_scatter.integrate_ends(rect, energy, config)
         assert basis.drift <= 1e-12
         for side in ("left", "right"):
             assert_rect_formula(numeric_scatter.match(basis, side), energy, 50.0, 4.0)
@@ -1127,7 +1139,7 @@ class TestPlaneWaveMatching:
 
     def test_side_must_be_named(self):
         basis = numeric_scatter.integrate_ends(
-            potentials.free(), 1.0, numeric_scatter.default_config(potentials.free())
+            potentials.free(), 1.0, numeric_scatter.default_config(potentials.free(), 1.0)
         )
         with pytest.raises(DomainError, match="side"):
             numeric_scatter.match(basis, side="up")
@@ -1175,7 +1187,7 @@ class TestHankelMatching:
     def test_gamma_scale_error_moves_no_flux_ratio(self, q, monkeypatch):
         # a scale error in Gamma rescales H1 as a whole; the fluxes are
         # measured on the rescaled wave, so no flux ratio may follow it
-        config = numeric_scatter.default_config(EXP_MODEL)
+        config = numeric_scatter.default_config(EXP_MODEL, q * q / 4.0)
 
         def results():
             # the ends are projected where the basis is integrated
@@ -1221,23 +1233,23 @@ class TestHankelMatching:
 
 
 class TestRightEndMatchNode:
-    """A window grown past z = 12 (as ``wavefunction --xmax`` grows it) still
-    projects onto the Hankel pair at z = 12; the basis runs on past it."""
+    """A window grown past z = 8 (as ``wavefunction --xmax`` grows it) still
+    projects onto the Hankel pair at z = 8; the basis runs on past it."""
 
     @pytest.mark.parametrize("x_right", [0.0, 1.0])  # z = 28 and z = 47
     def test_grown_window_keeps_the_accuracy(self, x_right):
         model = potentials.exponential(200.0, 1.0)
-        config = dataclasses.replace(numeric_scatter.default_config(model), x_right=x_right)
+        config = dataclasses.replace(numeric_scatter.default_config(model, 1.0), x_right=x_right)
         basis = numeric_scatter.integrate_ends(model, 1.0, config)  # q = 2
+        assert basis.drift <= 1e-10
         t_exact, _ = exp_barrier.transmission_reflection(2.0)
         for side in ("left", "right"):
             res = numeric_scatter.match(basis, side)
             assert abs(res.t_coeff - t_exact) <= 1e-10
-            assert res.wronskian_drift <= 1e-10
 
     @pytest.mark.parametrize("x_right", [4.0, 5.5])
     def test_grown_window_matches_like_the_default(self, x_right):
-        base = numeric_scatter.default_config(EXP_MODEL)
+        base = numeric_scatter.default_config(EXP_MODEL, 0.25)
         grown = dataclasses.replace(base, x_right=x_right)
         for side in ("left", "right"):
             want, got = (
@@ -1260,15 +1272,15 @@ class TestHardRegimes:
     )
     def test_solved_on_the_default_window(self, v0, b):
         model = potentials.exponential(v0, 1.0, b)
-        config = numeric_scatter.default_config(model)
         for energy in (0.01, 0.1, 1.0, 5.0):
+            config = numeric_scatter.default_config(model, energy)
             basis = numeric_scatter.integrate_ends(model, energy, config)
+            assert basis.drift <= 1e-12
             q = exp_barrier.reduce_params(model, energy).q
             t_exact, _ = exp_barrier.transmission_reflection(q)
             for side in ("left", "right"):
                 res = numeric_scatter.match(basis, side)
                 assert abs(res.t_coeff - t_exact) <= 1e-8
-                assert res.wronskian_drift <= 1e-12
 
     @pytest.mark.parametrize("energy", [6000.0, 12000.0])
     def test_solved_where_e_to_the_q_pi_times_j_overflows(self, energy):
@@ -1296,7 +1308,7 @@ def numeric_wave(model, energy, xmin, xmax, n):
 @pytest.fixture(scope="module")
 def every_node_wave():
     # 50,000 requests over the default window, each read from its node below
-    config = numeric_scatter.default_config(EXP_MODEL)
+    config = numeric_scatter.default_config(EXP_MODEL, 0.25)
     return numeric_wave("exp:v0=1,a=1", 0.25, config.x_left, config.x_right, 50_000)
 
 
@@ -1368,6 +1380,38 @@ def test_readme_family_sweep_guard(monkeypatch):
     assert max(row.flux_imbalance for row in rows) <= 1e-12
 
 
+def test_readme_sweep_floor_and_nodes(monkeypatch):
+    # the 200 README rows, each on its own window from |V| = 1e-6 E to the
+    # match at z = 8, with the tail term on its plane wave: |dT| 6.48e-9
+    # and 1,943,256 nodes on one window from z = 2e^-10 to 12 before
+    # (1.34e-13 and 1,391,851 measured)
+    counts = []
+    build = numeric_scatter._grid
+
+    def counted(*args):
+        x, at = build(*args)
+        counts.append(x.size)
+        return x, at
+
+    monkeypatch.setattr(numeric_scatter, "_grid", counted)
+    spec = cli.SweepSpec(EXP_MODEL, 0.01, 5.0, 200, "log", "both", "both", DEFAULT_UNITS)
+    rows = cli.run_sweep(spec)
+    assert all(row.error is None for row in rows)
+    assert len(counts) == 200 and sum(counts) <= 1_450_000
+    assert max(abs(row.t_numeric - row.t_analytic) for row in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("energy", [1e-6, 1e-5, 1e-4])
+def test_low_energy_limit(energy):
+    # the paper's long-wave limit T = 1 - e^{-2 pi q} ~ 2 pi q, q = sqrt(8 m E) a
+    # / hbar, on both sides: rows below E = 2.06e-3 were refused at the
+    # plane-wave end of the one window from z = 2e^-10
+    q = math.sqrt(8.0 * DEFAULT_UNITS.mass * energy) * EXP_MODEL.a / DEFAULT_UNITS.hbar
+    for side in ("left", "right"):
+        result = numeric_scatter.solve(EXP_MODEL, energy, side)
+        assert abs(result.t_coeff - -math.expm1(-2.0 * math.pi * q)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "v0, a, bounds",
     [(1.0, 1.0, (1.8e-13, 3.7e-11, 9.9e-12)),
@@ -1375,16 +1419,16 @@ def test_readme_family_sweep_guard(monkeypatch):
      (10.0, 2.0, (5.7e-13, 6.9e-11, 9.9e-12))],
 )
 def test_step_error_stays_within_the_fixed_cap(v0, a, bounds):
-    # kh against kh/2, on both sides and at 8 energies from the plane-wave
-    # refusal edge up to 5: the |dT|, |d theta| and |r| |d phi| of the fixed
-    # cap l = a, rounded up, bound those of l = a / sqrt(2z)
+    # kh against kh/2, on both sides and at 8 energies from the low-energy
+    # refusal edge 1e-6 delta up to 5, each on its default window: the |dT|,
+    # |d theta| and |r| |d phi| of the fixed cap l = a, rounded up, bound
+    # those of l = a / sqrt(2z)
     model = potentials.exponential(v0, a)
-    config = numeric_scatter.default_config(model)
-    v_left = abs(float(potentials.evaluate(model, config.x_left)))
-    edge = v_left / numeric_scatter.ASYMPTOTE_EPSILON
-    half = dataclasses.replace(config, kh=0.5 * config.kh)
+    edge = 1e-6 * DEFAULT_UNITS.hbar**2 / (8.0 * DEFAULT_UNITS.mass * a * a)
     worst = [0.0, 0.0, 0.0]
     for energy in np.geomspace(edge * (1.0 + 1e-9), 5.0, 8).tolist():
+        config = numeric_scatter.default_config(model, energy)
+        half = dataclasses.replace(config, kh=0.5 * config.kh)
         bases = [numeric_scatter.integrate_ends(model, energy, c) for c in (config, half)]
         for side in ("left", "right"):
             coarse, fine = (numeric_scatter.match(basis, side) for basis in bases)
@@ -1400,7 +1444,7 @@ class TestDefaultConfig:
         # stronger potentials pull the right edge in so p e^{x/2a} stays put
         for v0 in (0.5, 1.0, math.e, 10.0):
             model = potentials.exponential(v0, 1.0)
-            config = numeric_scatter.default_config(model)
+            config = numeric_scatter.default_config(model, 0.25)
             p = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0)
             z_r = p * math.exp(config.x_right / 2.0)
             assert z_r < 13.0
@@ -1409,27 +1453,48 @@ class TestDefaultConfig:
         "v0, b", [(1e-300, 0.0), (1.0, 0.0), (200.0, 0.0), (1e4, 0.0), (1.0, -700.0), (1.0, 700.0)]
     )
     def test_exponential_window_is_one_z_window(self, v0, b):
-        # z = p e^{(x - b)/2a} runs from 2e^-10 to 12 for every depth and
-        # offset, so every exponential row marches the same node count (one
-        # more where the seed x = 0 splits a step)
+        # z = p e^{(x - b)/2a} runs from 1e-3 q, where |V| = 1e-6 E, to 8 for
+        # every depth and offset, so every exponential row marches the same
+        # node count (one more where the seed x = 0 splits a step)
         model = potentials.exponential(v0, 1.0, b)
-        config = numeric_scatter.default_config(model)
+        config = numeric_scatter.default_config(model, 0.25)  # q = 1
         p_eff = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0 * math.exp(-b))
         z_left, z_right = (p_eff * math.exp(x / 2.0) for x in (config.x_left, config.x_right))
-        assert z_left == pytest.approx(2.0 * math.exp(-10.0), rel=1e-12)
-        assert z_right == pytest.approx(12.0, rel=1e-12)
+        assert z_left == pytest.approx(1e-3, rel=1e-12)
+        assert z_right == pytest.approx(8.0, rel=1e-12)
         assert config.kh == KH
-        assert grid(model, 0.25, config)[0].size in (8_418, 8_419)
+        assert grid(model, 0.25, config)[0].size in (6_279, 6_280)
 
     def test_readme_window_keeps_its_nodes(self):
-        config = numeric_scatter.default_config(EXP_MODEL)
+        # x_left = ln(0.25e-6), one double further out than the logarithms
+        # place it, where |V| <= 1e-6 E holds as integrate_ends checks it
+        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
         x, i_seed, i_right = grid(EXP_MODEL, 0.25, config)
         assert (config.x_left, config.seed, x.size, i_seed, i_right) == (
-            -20.0, 0.0, 8_419, 4_411, 8_418)
+            -15.201804919084166, 0.0, 6_279, 3_611, 6_278)
+
+    def test_left_end_passes_the_plane_wave_check(self):
+        # the placement and the check are one computation: placed at exactly
+        # |V| = 1e-6 E, 101 of the README sweep's 200 ends failed the check
+        # by rounding; each end now passes it within a few doubles of
+        # x = a ln(1e-6 E / v0)
+        for energy in np.geomspace(0.01, 5.0, 200).tolist():
+            x_left = numeric_scatter.default_config(EXP_MODEL, energy).x_left
+            bound = numeric_scatter.ASYMPTOTE_EPSILON * energy
+            assert abs(potentials.evaluate(EXP_MODEL, x_left)) <= bound
+            assert 0.0 <= math.log(bound) - x_left <= 4.0 * math.ulp(x_left)
+
+    def test_window_past_the_match_refused(self):
+        # past q = 8000 the left end, z = 1e-3 q, lies right of the match
+        # at z = 8
+        for energy in (1.7e7, 1e300):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"at E = {energy:g}, |V| <= ASYMPTOTE_EPSILON * E already at z = 8")):
+                numeric_scatter.default_config(EXP_MODEL, energy)
 
     def test_rect_edges_land_on_nodes(self):
         model = potentials.rectangular(1.0, 0.7)
-        config = numeric_scatter.default_config(model)
+        config = numeric_scatter.default_config(model, 0.5)
         x, _, _ = grid(model, 0.5, config)
         assert {-0.7, 0.7} <= set(x.tolist())
 
@@ -1504,7 +1569,7 @@ def test_rectangle_regime_map():
         model = potentials.rectangular(v0, width / 2.0)
         try:
             basis = numeric_scatter.integrate_ends(model, energy,
-                                                   numeric_scatter.default_config(model))
+                                                   numeric_scatter.default_config(model, energy))
         except (DomainError, AccuracyError) as exc:
             assert re.search(r"lower kh|raise kh|lower E|keep E|push x_|shrink", str(exc))
             continue

@@ -243,7 +243,7 @@ class TestHankelPair:
 
 # Bits of the scalar series (value, then derivative, real and imaginary
 # parts, and the terms summed) as CPython arithmetic gives them; the
-# numeric lane's H1 at z = 12 and verify's checks rely on them.
+# numeric lane's H1 at z = 8 and verify's checks rely on them.
 SCALAR_J_BITS = [
     (0.05, 0.1, 1, ("0x1.fc0aaabf34940p-1", "-0x1.ed9579b4da8d6p-4",
                     "0x1.68852d19df3ddp-7", "0x1.025f6cc7fa1dfp-1"), 6),
