@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import potentials, specfun
+from . import specfun
 from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
@@ -86,10 +86,14 @@ def reduce_params(
     """An exponential model, its units and energy to (p, q).
 
     An array of energies gives an array q (np.sqrt rounds like math.sqrt,
-    so each entry has the bits of the scalar call).
+    so each entry has the bits of the scalar call).  p = sqrt(8 m v0) a /
+    hbar is refused where it overflows or vanishes.
     """
     _require(energy, _finite_positive, "energy must be finite and > 0, got {!r}")
-    p = potentials.exponential_p(model, units)
+    p = math.sqrt(8.0 * units.mass * model.v0) * model.a / units.hbar
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p!r} is out of range; it must "
+                          "be a finite float > 0, so rescale v0, a, mass or hbar")
     sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
     with np.errstate(over="ignore"):  # k or q overflowing to inf is refused later
         k = sqrt(2.0 * units.mass * energy) / units.hbar

@@ -1,43 +1,38 @@
 """Direct integration of the stationary Schroedinger equation plus matching.
 
-The solver never trusts the closed forms it is meant to check.  It builds a
-real basis {u, v} with u = 1, u' = 0, v = 0, v' = 1 at the seed, the window
-point nearest x = 0, by marching a classical RK4 outward from it (so
-W[u, v] = 1 exactly at the seed and its drift measures integrator error).
-Each row gets its own graded grid (``_grid``): the step at x is
-kh * min(l, 1/K(x)), K the local wavenumber and l a length (a / sqrt(2z)
-for an exponential, a rectangle's window length), so an exponential's
-dive keeps K h = kh while the cap on its step fades with the potential
-into the near-free tail.  The match
-point and the rectangle edges are exact nodes; a wavefunction's samples
-are read by one partial RK4 step from the node below each, so they leave
-the grid as it is.
-The equation is linear, so every RK4 step is a 2x2 transfer matrix; one
-march (``_march``) builds all of them a chunk at a time with numpy, each
-with its det M - 1, takes their products in a blocked scan, and hands back
-only the nodes asked for, the two end nodes and a wavefunction's samples
-(refused where W formed from them is off 1 past DRIFT_TOLERANCE), with the
-dets; no node array of the window is built, and nothing else sees the
-scan's layout.  RK4 does not keep area, so W[u, v] drifts from 1 by the
-product of the dets: their sums give the drift and W at the window ends,
-free of the round-off the products gather where the basis grows.
-An exponential's default window depends on the row's energy: it starts
-where |V| = ASYMPTOTE_EPSILON * E, z = sqrt(ASYMPTOTE_EPSILON) q in
-z = p exp(x/(2a)), and ends at z = 8, so depth and offset only translate
-the problem.
-``integrate_ends`` then projects u and v, at each window end and by one
-Wronskian projection (``_end``), onto that end's rightward unit wave R:
-exp(ikx) (1 + phi) where the potential fades, phi = w / (lam^2 + 2ik lam)
-the first Born term of a tail w = 2mV/hbar^2 of rate lam (phi = 0 where
-V = 0), and H1_{iq}(z) / N where it dives, with
-N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} H1's large-z normalization, so
-R ~ exp(-x/(4a)) exp(iz) (z = p exp(x/(2a)), at z = 8 however far the
-window runs past it).  The basis is real, so along the leftward wave
-conj(R) its coefficients are the conjugates.  The basis record holds the
-two projected ends, the asked-for nodes and the drift.  ``match`` is
-algebra on the ends: the matched solution has no wave arriving from
-infinity on the transmitted end; incident, reflected and transmitted
-waves are read off the same two projections for either incidence side.
+The solver never trusts the closed forms it is meant to check.  It reads a
+model only through V (``potentials.evaluate``), its tail length ``tail``
+and its ``jumps``: a finite tail length a means V = V(0) e^{x/a}, a tail
+fading at rate 1/a to the left and a dive to the right; an infinite one
+means V is flat off its jumps.  Each row's window and graded grid follow
+from these and its energy (``default_config``, ``_grid``), so depth and
+offset only translate the problem; V's jumps and the match point are
+exact nodes.  It builds a real basis {u, v} with u = 1, u' = 0, v = 0,
+v' = 1 at the seed, the window point nearest x = 0, by marching a
+classical RK4 outward from it (so W[u, v] = 1 exactly at the seed and its
+drift measures integrator error).  The equation is linear, so every RK4
+step is a 2x2 transfer matrix; one march (``_march``) builds all of them
+a chunk at a time with numpy, each with its det M - 1, takes their
+products in a blocked scan, and hands back only the nodes asked for, the
+two end nodes and a wavefunction's samples (each one partial RK4 step
+from the node below it, refused where W formed from them is off 1 past
+DRIFT_TOLERANCE), with the dets.  RK4 does not keep area, so W[u, v]
+drifts from 1 by the product of the dets: their sums give the drift and
+W at the window ends, free of the round-off the products gather where
+the basis grows.
+``integrate_ends`` forms each window end's rightward unit wave R
+(``_wave``) before the march, and projects u and v there onto it
+(``_project``): R = exp(ikx) (1 + phi) where the potential fades,
+phi = w / (lam^2 + 2ik lam) the first Born term of a tail w = 2mV/hbar^2
+of rate lam = 1/tail (phi = 0 where lam = 0), and H1_{iq}(z) / N where it
+dives, N = sqrt(2/(pi p)) e^{pi q/2} e^{-i pi/4} H1's large-z
+normalization, so R ~ exp(-x/(4a)) exp(iz) (z = p exp(x/(2a)), at z = 8
+however far the window runs past it).  The basis is real, so along the
+leftward wave conj(R) its coefficients are the conjugates.  ``match`` is
+algebra on the two projected ends: the matched solution has no wave
+arriving from infinity on the transmitted end; incident, reflected and
+transmitted waves are read off the same two projections for either
+incidence side.
 
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ; at both ends the flux
@@ -56,7 +51,7 @@ import numpy as np
 
 from . import potentials, specfun
 from .errors import AccuracyError, DomainError
-from .potentials import DEFAULT_UNITS, Exponential, PotentialModel, Units
+from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import principal_angle
 
 _MAX_NODES = 5_000_000
@@ -83,10 +78,8 @@ class SolverConfig:
     """Integration window and step rule.
 
     The basis is seeded at ``seed``, the window point nearest x = 0.  The
-    step at x is kh * min(l, 1/K(x)), K^2 = |2m (E - V(x))| / hbar^2 the
-    local wavenumber, l = a / sqrt(2z) for an exponential (z = p e^{x/2a},
-    so l = a at z = 1/2) and the window length x_right - x_left for a
-    rectangle (see ``_grid``); the error falls as kh^4.
+    step at x is kh * min(l, 1/K(x)), K the local wavenumber and l a length
+    set by V's tail length (see ``_grid``); the error falls as kh^4.
     """
 
     x_left: float
@@ -169,27 +162,25 @@ _Z_MATCH = 8.0
 
 def default_config(potential: PotentialModel, energy: float,
                    units: Units = DEFAULT_UNITS) -> SolverConfig:
-    """Default window at ``energy``.
-
-    An exponential's runs from where its plane-wave end holds,
+    """Default window at ``energy``: 2 units past the outer jumps of a V
+    flat off them; for a diving V, from where its plane-wave end holds,
     |V| <= ASYMPTOTE_EPSILON * E as ``_is_plane`` tests it (about
-    x = a ln(ASYMPTOTE_EPSILON E / v0), z = sqrt(ASYMPTOTE_EPSILON) q), to
-    z = _Z_MATCH; past q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON) that leaves
-    no window and the energy is refused.  A rectangle's runs 2 units past
-    each edge at any energy.  ``_check_energy`` runs first, as in
-    ``integrate_ends``.
+    x = tail ln(ASYMPTOTE_EPSILON E / |V(0)|), z = sqrt(ASYMPTOTE_EPSILON) q),
+    to z = _Z_MATCH, which leaves no window past
+    q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON), where the energy is refused.
+    ``_check_energy`` runs first, as in ``integrate_ends``.
     """
     _check_energy(potential, energy, units)
-    if not isinstance(potential, Exponential):
-        hw = potential.half_width
-        return SolverConfig(x_left=-(hw + 2.0), x_right=hw + 2.0)
-    a = potential.a
-    x_left = a * (math.log(ASYMPTOTE_EPSILON) + math.log(energy) - math.log(potential.v0))
+    tail = potential.tail
+    if not math.isfinite(tail):
+        return SolverConfig(x_left=potential.jumps[0] - 2.0, x_right=potential.jumps[-1] + 2.0)
+    depth = abs(potentials.evaluate(potential, 0.0))
+    x_left = tail * (math.log(ASYMPTOTE_EPSILON) + math.log(energy) - math.log(depth))
     # the logarithms round; widen by doubling steps until the end passes
     step = math.ulp(x_left)
     while not _is_plane(potential, energy, x_left):
         x_left, step = x_left - step, 2.0 * step
-    x_right = 2.0 * a * math.log(_Z_MATCH / potentials.exponential_p(potential, units))
+    x_right = 2.0 * tail * math.log(_Z_MATCH / _p(potential, units))
     if not x_left < x_right:
         raise DomainError(
             f"at E = {energy:g}, |V| <= ASYMPTOTE_EPSILON * E already at z = {_Z_MATCH:g}, "
@@ -207,7 +198,7 @@ def integrate_ends(
 ) -> BasisPair:
     """March the basis pair across [x_left, x_right] with RK4 on the row's
     graded grid (``_grid``), project its two end nodes onto their unit
-    waves (``_end``) and read it at ``xs``.
+    waves (``_wave``, ``_project``) and read it at ``xs``.
 
     Each half-window is one numpy march outward from the seed
     (``_march``), which returns that half's asked-for nodes and each step's
@@ -218,17 +209,18 @@ def integrate_ends(
     read by one RK4 step from the node at or below it (``_step_from``), a
     step of zero on a node, so the grid, the ends and the drift do not
     depend on ``xs``.  The nodes come in the order of ``xs``, repeats
-    included.
+    included.  Refusals come in this order: the plane-wave ends, the
+    grid's caps, the unit waves (before any RK4 step), then the drift.
 
     Raises
     ------
     DomainError
-        For energy <= 0, for exponential models with
-        energy < 1e-6 * delta (the reduction degenerates there), for an x
-        outside the window, if the potential is not finite anywhere on the
-        window, for a grid past the node cap, for a plane-wave end where
-        |V| > ASYMPTOTE_EPSILON * E (refused before the grid is built), or
-        for a diving end whose q overflows exp(q pi) in its H1.
+        For energy <= 0, for energy < 1e-6 * hbar^2 / (8 m tail^2) (the
+        long-wave limit), for an x outside the window, if the potential is
+        not finite anywhere on the window, for a grid past the node cap,
+        for a plane-wave end where |V| > ASYMPTOTE_EPSILON * E (refused
+        before the grid is built), or for a diving end whose q overflows
+        exp(q pi) in its H1.
     AccuracyError
         If the drift is past DRIFT_TOLERANCE, if W[u, v] is not finite at
         a window end, if the diving end's unit wave carries a flux far
@@ -244,10 +236,14 @@ def integrate_ends(
             f"got [{xs.min()!r}, {xs.max()!r}]"
         )
     x_ends = (config.x_left, _right_end(potential, units, config))
+    # only a finite tail dives, and only on the right
+    dives = math.isfinite(potential.tail)
     _plane_potential(potential, energy, x_ends[0], "x_left")
-    if not isinstance(potential, Exponential):
+    if not dives:
         _plane_potential(potential, energy, x_ends[1], "x_right")
     x, at = _grid(potential, energy, config, units, (*x_ends, config.seed), xs)
+    waves = [_wave(potential, energy, units, end, diving)
+             for end, diving in zip(x_ends, (False, dives))]
     # node indices of the two ends, then of the node below each asked-for x
     seed, at = at[2], np.delete(at, 2)
     # rows u, u', v, v'; a node on the seed keeps the seed values
@@ -266,23 +262,19 @@ def integrate_ends(
             below = x[at[2:]]
             nodes[:, 2:] = _step_from(potential, energy, below, xs - below, units, nodes[:, 2:])
         _check_drift(drift, config, nodes, xs)
-    # only the exponential dives, and only on the right
-    dives = (False, isinstance(potential, Exponential))
-    ends = tuple(_End(*_end(potential, energy, units, x_ends[i], nodes[:, i], dives[i]), w_uv[i])
-                 for i in (0, 1))
+    ends = tuple(_End(*_project(waves[i], nodes[:, i]), waves[i][2], w_uv[i]) for i in (0, 1))
     return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift)
 
 
 def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be finite and > 0, got {energy!r}")
-    if isinstance(potential, Exponential):
-        delta = units.hbar**2 / (8.0 * units.mass * potential.a**2)
-        if energy < 1e-6 * delta:
-            raise DomainError(
-                f"energy {energy:g} below 1e-6 * delta = {1e-6 * delta:g}; "
-                "the long-wave limit is not resolvable by this grid"
-            )
+    delta = units.hbar**2 / (8.0 * units.mass * potential.tail**2)
+    if energy < 1e-6 * delta:
+        raise DomainError(
+            f"energy {energy:g} below 1e-6 * delta = {1e-6 * delta:g}; "
+            "the long-wave limit is not resolvable by this grid"
+        )
 
 
 def _check_drift(drift: float, config: SolverConfig, nodes: np.ndarray, xs: np.ndarray) -> None:
@@ -371,25 +363,23 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     xs.
 
     The step at x is kh * min(l, 1/K(x)): the nodes sit at whole steps of
-    s(x) = int max(1/l, K) dx / kh.  An exponential's l = a / sqrt(2z),
-    z = p e^{x/2a}, which is a at z = 1/2 and grows as e^{-x/4a} into its
-    near-free tail, where V's own rate sets the step; with
-    K_V = sqrt(2m |V|) / hbar = z / 2a, 1/l = 2 sqrt(K_V / a).  A
-    rectangle's K is constant between its edges, so its l is the window
-    length: only K ~ 0 needs a cap there.  s is summed by the midpoint
-    rule on a table a / _TABLE_PER_L (or the window / _TABLE_PER_L) apart
-    and inverted by ``np.interp``.  The pins, x_right and the rectangle
-    edges bound segments, in which the nodes split s evenly, in the fewest
-    steps whose s increments are at most 1.  A table past _MAX_TABLE
-    points, or a grid past the node cap, is refused before it is built.
+    s(x) = int max(1/l, K) dx / kh.  For a finite tail length a,
+    l = a / sqrt(2z), z = p e^{x/2a}, which is a at z = 1/2 and grows as
+    e^{-x/4a} into the near-free tail, where V's own rate sets the step;
+    with K_V = sqrt(2m |V|) / hbar = z / 2a, 1/l = 2 sqrt(K_V / a).  V
+    flat off its jumps (an infinite tail length) keeps K constant between
+    them, so l is the window length: only K ~ 0 needs a cap there.  s is
+    summed by the midpoint rule on a table a / _TABLE_PER_L (or the
+    window / _TABLE_PER_L) apart and inverted by ``np.interp``.  The pins,
+    x_right and the jumps inside the window bound segments, in which the
+    nodes split s evenly, in the fewest steps whose s increments are at
+    most 1.  A table past _MAX_TABLE points, or a grid past the node cap,
+    is refused before it is built.
     """
     lo, hi, kh = config.x_left, config.x_right, config.kh
-    exponential = isinstance(potential, Exponential)
-    if exponential:
-        span, edges = potential.a, []
-    else:
-        span, hw = hi - lo, potential.half_width
-        edges = [x for x in (-hw, hw) if lo < x < hi]
+    dives = math.isfinite(potential.tail)
+    span = potential.tail if dives else hi - lo
+    edges = [x for x in potential.jumps if lo < x < hi]
     bounds = np.array(sorted({*pins, hi, *edges}))
     count = math.ceil(_TABLE_PER_L * (hi - lo) / span)
     if not count <= _MAX_TABLE:
@@ -406,7 +396,7 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     with np.errstate(over="ignore"):
         v = potentials.evaluate(potential, mid)
         k = np.sqrt(np.abs(scale * (energy - v)))
-        floor = 2.0 * np.sqrt(np.sqrt(scale * np.abs(v)) / span) if exponential else 1.0 / span
+        floor = 2.0 * np.sqrt(np.sqrt(scale * np.abs(v)) / span) if dives else 1.0 / span
         s_table = np.concatenate(([0.0], np.cumsum(np.maximum(floor, k) * np.diff(table))))
         s_table /= kh
     if not s_table[-1] + bounds.size <= _MAX_NODES:
@@ -536,16 +526,15 @@ def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, h: np.n
                      m[0, 0] * v + m[0, 1] * dv, m[1, 0] * v + m[1, 1] * dv])
 
 
-def _end(potential: PotentialModel, energy: float, units: Units, x: float, node: np.ndarray,
-         diving: bool) -> tuple[complex, complex, complex]:
-    """u's and v's coefficients along the rightward unit wave R at x (H1_{iq}(z)
-    / N on a diving end, else exp(ikx)), from the end node (u, u', v, v'),
-    and W[R, conj R] = -2i Im(conj(R) R'): c = W[f, conj R] / W[R, conj R]
-    projects a real f onto R, and R's flux is (hbar/m) Im(conj(R) R')."""
+def _wave(potential: PotentialModel, energy: float, units: Units, x: float,
+          diving: bool) -> tuple[complex, complex, complex]:
+    """The rightward unit wave R at x and R' there (H1_{iq}(z) / N on a
+    diving end, else exp(ikx) (1 + phi)), and W[R, conj R] =
+    -2i Im(conj(R) R'): R's flux is (hbar/m) Im(conj(R) R')."""
     k = math.sqrt(2.0 * units.mass * energy) / units.hbar
     if diving:
-        a = potential.a
-        p, q = potentials.exponential_p(potential, units), 2.0 * k * a
+        a = potential.tail
+        p, q = _p(potential, units), 2.0 * k * a
         z = p * math.exp(x / (2.0 * a))
         h1 = specfun.hankel_imag_order(q, z, kind=1)
         norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q)
@@ -553,29 +542,31 @@ def _end(potential: PotentialModel, energy: float, units: Units, x: float, node:
         r, dr = h1.value / norm, h1.dvalue * (z / (2.0 * a)) / norm
     else:
         # R = e^{ikx} (1 + phi): phi = w / (lam^2 + 2ik lam) solves the ODE to
-        # first order in a tail w = 2mV/hbar^2 of rate lam = V'/V (1/a on an
-        # exponential); phi = 0 where V = 0
-        lam = phi = 0.0
-        if isinstance(potential, Exponential):
-            lam = 1.0 / potential.a
+        # first order in a tail w = 2mV/hbar^2 of rate lam = V'/V = 1/tail;
+        # phi = 0 where lam = 0
+        lam, phi = 1.0 / potential.tail, 0.0
+        if lam:
             w = 2.0 * units.mass * float(potentials.evaluate(potential, x)) / units.hbar**2
             phi = w / (lam * lam + 2j * k * lam)
         wave = cmath.exp(1j * k * x)
         r = wave * (1.0 + phi)
         dr = wave * (1j * k * (1.0 + phi) + lam * phi)
     im = (r.conjugate() * dr).imag
-    flux, w_r = units.hbar / units.mass * im, -2j * im
     if diving:
-        exact = p * units.hbar / (2.0 * units.mass * a)
+        flux, exact = units.hbar / units.mass * im, p * units.hbar / (2.0 * units.mass * a)
         if not flux > 0.1 * exact:
             raise AccuracyError(
                 f"unit wave at z = {z:.3g} carries flux {flux:.3e}, not {exact:.3e}")
+    return r, dr, -2j * im
 
-    def coeff(f: float, df: float) -> complex:
-        return (f * dr.conjugate() - df * r.conjugate()) / w_r
 
+def _project(wave: tuple[complex, complex, complex], node: np.ndarray) -> tuple[complex, complex]:
+    """u's and v's coefficients along the unit wave (R, R', W[R, conj R]) of
+    ``_wave``, from the end node (u, u', v, v'): c = W[f, conj R] /
+    W[R, conj R] projects a real f onto R."""
+    r, dr, w_r = wave
     u, du, v, dv = node.tolist()
-    return coeff(u, du), coeff(v, dv), w_r
+    return tuple((f * dr.conjugate() - df * r.conjugate()) / w_r for f, df in ((u, du), (v, dv)))
 
 
 def _is_plane(potential: PotentialModel, energy: float, x: float) -> bool:
@@ -597,7 +588,18 @@ def _plane_potential(potential: PotentialModel, energy: float, x: float, which: 
 def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> float:
     """x of the right end ``match`` reads: x_right, or on a diving end
     z = _Z_MATCH, moved into the window if it lies outside."""
-    if not isinstance(potential, Exponential):
+    if not math.isfinite(potential.tail):
         return config.x_right
-    a, p = potential.a, potentials.exponential_p(potential, units)
-    return min(max(2.0 * a * math.log(_Z_MATCH / p), config.x_left), config.x_right)
+    x = 2.0 * potential.tail * math.log(_Z_MATCH / _p(potential, units))
+    return min(max(x, config.x_left), config.x_right)
+
+
+def _p(potential: PotentialModel, units: Units) -> float:
+    """p = sqrt(8 m |V(0)|) tail / hbar, z = p e^{x/(2 tail)} on a diving
+    end; refused where it overflows or vanishes."""
+    depth = abs(potentials.evaluate(potential, 0.0))
+    p = math.sqrt(8.0 * units.mass * depth) * potential.tail / units.hbar
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p!r} is out of range; it must "
+                          "be a finite float > 0, so rescale v0, a, mass or hbar")
+    return p

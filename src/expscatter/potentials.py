@@ -3,7 +3,9 @@ units both lanes share.
 
 A model is a frozen record of just the fields its physics reads,
 ``Exponential(v0, a)`` or ``Rectangular(v0, half_width)``; ``evaluate``
-returns V(x).
+returns V(x).  Each also states the two facts about V that the numeric lane
+reads besides V: ``tail``, the length over which V's tail fades (infinite
+where V is flat off its jumps), and ``jumps``, the points where V jumps.
 """
 
 from __future__ import annotations
@@ -34,18 +36,24 @@ class Units:
 
 @dataclass(frozen=True)
 class Exponential:
-    """V(x) = -v0 * exp(x/a); build it with ``exponential``."""
+    """V(x) = -v0 * exp(x/a), whose tail fades over a to the left and which
+    never jumps; build it with ``exponential``."""
 
     v0: float
     a: float
+    tail = property(lambda self: self.a)
+    jumps = ()
 
 
 @dataclass(frozen=True)
 class Rectangular:
-    """V(x) = v0 for |x| <= half_width, else 0; build it with ``rectangular``."""
+    """V(x) = v0 for |x| <= half_width, else 0: it jumps at its edges and is
+    flat off them, an infinite tail length; build it with ``rectangular``."""
 
     v0: float
     half_width: float
+    tail = math.inf
+    jumps = property(lambda self: (-self.half_width, self.half_width))
 
 
 PotentialModel = Exponential | Rectangular
@@ -81,19 +89,6 @@ def exponential(v0: float, a: float, b: float = 0.0) -> Exponential:
     return Exponential(depth, float(a))
 
 
-def exponential_p(model: Exponential, units: Units) -> float:
-    """p = sqrt(8 m v0) a / hbar of an exponential model, which enters
-    only through z = p exp(x/(2a)); refused where it overflows or
-    vanishes."""
-    p = math.sqrt(8.0 * units.mass * model.v0) * model.a / units.hbar
-    if not 0.0 < p < math.inf:
-        raise DomainError(
-            f"p = sqrt(8 m v0 e^(-b/a)) a / hbar = {p!r} is out of range; "
-            "it must be a finite float > 0, so rescale v0, a, mass or hbar"
-        )
-    return p
-
-
 def rectangular(v0: float, half_width: float) -> Rectangular:
     """V(x) = v0 for |x| <= half_width, else 0.
 
@@ -119,17 +114,14 @@ def evaluate(model: PotentialModel, x):
     The exponential saturates to -inf once exp overflows; the solver
     treats non-finite values as out of domain.
     """
+    x = np.asarray(x, dtype=float)
     if isinstance(model, Exponential):
-        return -model.v0 * _safe_exp(np.asarray(x, dtype=float) / model.a)
-    v = np.where(np.abs(np.asarray(x, dtype=float)) <= model.half_width, model.v0, 0.0)
+        with np.errstate(over="ignore"):
+            grow = np.exp(x / model.a)
+        # a float, not a numpy scalar: a scalar product saturates silently
+        return -model.v0 * (grow if grow.ndim else float(grow))
+    v = np.where(np.abs(x) <= model.half_width, model.v0, 0.0)
     return v if v.ndim else float(v)
-
-
-def _safe_exp(arg):
-    arr = np.asarray(arg, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.exp(arr)
-    return out if out.ndim else float(out)
 
 
 def _require_positive(name: str, value: float) -> None:

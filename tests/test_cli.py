@@ -610,6 +610,14 @@ class TestCommands:
               "--xmax", "1"], 1, "q = 2e-150 at or below the degenerate-order threshold 1e-08"),
             (["sweep", "--model", "exp:v0=1,a=1", "--v0", "4", "--emin", "0.1", "--emax", "1"], 1,
              "unrecognized arguments: --v0 4"),
+            # p overflows: both lanes refuse it with the same text
+            (["wavefunction", "--method", "numeric", "--model", "exp:v0=1e10,a=1", "--mass",
+              "1e300", "--energy", "1", "--xmin", "-1", "--xmax", "1"], 1,
+             "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf is out of range; it must be a finite "
+             "float > 0, so rescale v0, a, mass or hbar"),
+            # every row's q overflows the diving end's H1: each row is refused
+            (["sweep", "--model", "exp:v0=1,a=1", "--emin", "2e4", "--emax", "1e6", "--n", "3",
+              "--method", "numeric", "--out", "TABLE"], 2, "every sweep row failed"),
             # the closed forms cover the exponential family only; the refusal
             # names the model as the user wrote it
             (["sweep", "--model", "free", "--method", "analytic", "--emin", "0.1",
@@ -623,7 +631,8 @@ class TestCommands:
         ],
         ids=["expshift-b", "rect-w", "plot-log-axis", "analytic-energy-0", "analytic-energy-nan",
              "numeric-energy-0", "numeric-energy-nan", "analytic-past-series-bound",
-             "degenerate-order", "v0-flag", "analytic-sweep-free", "analytic-wavefunction-free",
+             "degenerate-order", "v0-flag", "numeric-p-overflow", "numeric-q-overflow",
+             "analytic-sweep-free", "analytic-wavefunction-free",
              "analytic-wavefunction-rect"],
     )
     def test_refusals_keep_their_text_and_exit_code(self, argv, code, err, tmp_path, capsys):
@@ -858,6 +867,19 @@ class TestCommands:
         for line, energy in zip(errors, energies):
             assert f"the grid at E = {energy:g} needs about " in line
             assert "past the 5,000,000 node cap" in line
+
+    def test_q_overflow_rows_refused_before_the_march(self, monkeypatch, capsys):
+        # each row's diving end needs H1 at q pi > 700, which is refused
+        # with its q before any RK4 step is taken
+        monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
+        code, out, err = run_cli(["sweep", "--model", "exp:v0=1,a=1", "--emin", "2e4",
+                                  "--emax", "1e6", "--n", "3", "--method", "numeric"], capsys)
+        assert (code, err) == (2, "error: every sweep row failed\n")
+        errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
+        assert errors == [
+            "# row-error: E=2.0000000000000004e+04 q = 282.843 overflows exp(q pi)",
+            "# row-error: E=1.4142135623730952e+05 q = 752.121 overflows exp(q pi)",
+            "# row-error: E=1.0000000000000000e+06 q = 2000 overflows exp(q pi)"]
 
     def test_sweep_rows_build_their_own_solver_config(self, monkeypatch, capsys):
         # an exponential's window depends on the energy: each row places

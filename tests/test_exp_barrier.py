@@ -47,6 +47,13 @@ class TestReduceParams:
         assert d.p == pytest.approx(want, rel=1e-15)
         assert d.q == pytest.approx(2.0 * 0.7 * math.sqrt(2.0 * 3.0) / 2.0, rel=1e-15)
 
+    def test_p_formula(self):
+        m = potentials.exponential(2.0, 1.5, -0.4)
+        units = Units(mass=0.3, hbar=1.7)
+        want = math.sqrt(8.0 * 0.3 * 2.0 * math.exp(0.4 / 1.5)) * 1.5 / 1.7
+        assert exp_barrier.reduce_params(m, 1.0, units).p == pytest.approx(want, rel=1e-15)
+        assert exp_barrier.reduce_params(EXP_MODEL, 1.0).p == 2.0
+
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(DomainError):
             exp_barrier.reduce_params(EXP_MODEL, 0.0)

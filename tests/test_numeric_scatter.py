@@ -244,7 +244,7 @@ class TestBasisIntegration:
         mid = x[:-1] + 0.5 * h
         if isinstance(potential, potentials.Exponential):
             a = potential.a
-            z = potentials.exponential_p(potential, DEFAULT_UNITS) * np.exp(mid / (2.0 * a))
+            z = exp_barrier.reduce_params(potential, energy).p * np.exp(mid / (2.0 * a))
             floor = np.sqrt(2.0 * z) / a
         else:
             floor = 1.0 / (config.x_right - config.x_left)
@@ -642,12 +642,15 @@ def oracle_w_uv(potential, energy, x, i_seed, i, units=DEFAULT_UNITS):
 def project_ends(potential, energy, x, i_seed, i_right, nodes, units=DEFAULT_UNITS):
     """The left end node and the right end node i_right of nodes, on the
     grid x seeded at i_seed, projected onto their unit waves as
-    ``integrate_ends`` does, each with its step-order W[u, v]."""
+    ``integrate_ends`` does, each with its step-order W[u, v]; only an
+    exponential's right end dives."""
     diving = isinstance(potential, potentials.Exponential)
-    return tuple(numeric_scatter._End(
-        *numeric_scatter._end(potential, float(energy), units, x[i], nodes[:, i], dives),
-        oracle_w_uv(potential, energy, x, i_seed, i, units))
-        for i, dives in ((0, False), (i_right, diving)))
+    ends = []
+    for i, dives in ((0, False), (i_right, diving)):
+        wave = numeric_scatter._wave(potential, float(energy), units, x[i], dives)
+        ends.append(numeric_scatter._End(*numeric_scatter._project(wave, nodes[:, i]), wave[2],
+                                         oracle_w_uv(potential, energy, x, i_seed, i, units)))
+    return tuple(ends)
 
 
 def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
@@ -667,16 +670,15 @@ def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
 def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
     """The whole-grid basis: every node from the oracle writer as the nodes
     of the record, its two end nodes projected, and the step-order drift.
-    It checks the energy and gates the basis as integrate_ends does, but
-    checks no plane-wave end."""
+    It checks the energy, forms the end waves and gates the basis in the
+    order integrate_ends does, but checks no plane-wave end."""
     numeric_scatter._check_energy(potential, energy, units)
     x, i_seed, i_right, nodes = oracle_nodes(potential, energy, config, units)
+    ends = project_ends(potential, energy, x, i_seed, i_right, nodes, units)
     drift = oracle_window_drift(potential, energy, x, i_seed, units)
     with np.errstate(over="ignore", invalid="ignore"):
         numeric_scatter._check_drift(drift, config, nodes[:, [0, i_right]], ())
-    return numeric_scatter.BasisPair(
-        ends=project_ends(potential, energy, x, i_seed, i_right, nodes, units), nodes=nodes,
-        drift=drift)
+    return numeric_scatter.BasisPair(ends=ends, nodes=nodes, drift=drift)
 
 
 def oracle_scattering_wavefunction(basis, result, units=DEFAULT_UNITS):
@@ -1032,7 +1034,7 @@ class TestEndsReader:
         basis = numeric_scatter.integrate_ends(potential, energy, config)
         want = [result_bits(numeric_scatter.match(basis, side)) for side in ("left", "right")]
         for module, attr in ((specfun, "hankel_imag_order"), (potentials, "evaluate"),
-                             (potentials, "exponential_p")):
+                             (numeric_scatter, "_wave")):
             monkeypatch.setattr(module, attr, pytest.fail)
         got = [result_bits(numeric_scatter.match(basis, side)) for side in ("left", "right")]
         assert got == want
@@ -1049,6 +1051,14 @@ class TestEndsReader:
         assert got == want and "x_left" in want[1]
         with pytest.raises(DomainError, match=re.escape("below 1e-6 * delta = 2.5e-07")):
             numeric_scatter.solve(EXP_MODEL, 2.5e-7 * (1.0 - 1e-9))
+
+    @pytest.mark.parametrize("energy, q", [(2e4, "282.843"), (1e6, "2000")])
+    def test_q_overflow_refused_before_the_march(self, energy, q, monkeypatch):
+        # the diving end's unit wave needs only the end's x, so its H1
+        # refuses q pi > 700 before any RK4 step is taken
+        monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
+        with pytest.raises(DomainError, match=re.escape(f"q = {q} overflows exp(q pi)")):
+            numeric_scatter.solve(EXP_MODEL, energy)
 
 
 class TestPlaneWaveMatching:
@@ -1512,6 +1522,49 @@ def test_numeric_lane_imports_nothing_from_exp_barrier():
     assert "exp_barrier" not in imported
 
 
+def test_numeric_lane_reads_a_model_only_through_v_tail_and_jumps():
+    # the lane never asks which record a model is, nor reads a field of
+    # one: V, its tail length and its jumps are all it sees; p is its own
+    tree = ast.parse(inspect.getsource(numeric_scatter))
+    records = {"Exponential", "Rectangular"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not imported & records and not names & records
+    assert "exponential_p" not in names | attrs
+    assert not attrs & {"a", "v0", "half_width"}
+    checked = [ast.unparse(node.args[0]) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "isinstance"]
+    assert checked == ["energy"]
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "potential"}
+    assert read == {"tail", "jumps"}
+
+
+@pytest.mark.parametrize("model", [EXP_MODEL, potentials.exponential(2.0, 0.7, 1.3)],
+                         ids=["exp", "expshift"])
+def test_numeric_lane_runs_without_the_closed_form_p(model, monkeypatch):
+    # the closed-form lane's p is not the numeric lane's: with reduce_params
+    # refusing every call, a solve on either side and a basis read at xs
+    # keep their bits
+    config = numeric_scatter.default_config(model, 0.3)
+    xs = np.linspace(config.x_left, config.x_right, 9)
+
+    def run():
+        solved = [numeric_scatter.solve(model, 0.3, side) for side in ("left", "right")]
+        basis = numeric_scatter.integrate_ends(model, 0.3, config, xs=xs)
+        return [result_bits(result) for result in solved], basis_bytes(basis)
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric lane called exp_barrier.reduce_params")
+
+    monkeypatch.setattr(exp_barrier, "reduce_params", refuse)
+    assert run() == want
+
+
 def test_numeric_lane_places_its_match_node_once():
     # the basis record holds nodes, not solutions on a grid: only _grid
     # searches its nodes, and only _right_end decides the right end node,
@@ -1534,20 +1587,22 @@ def test_numeric_lane_places_its_match_node_once():
 
 
 def test_one_projection_reads_both_window_ends():
-    # one reader, _end, projects either window end onto its unit wave, and
-    # the result record carries no match residual; only integrate_ends
-    # projects the ends and checks a plane-wave end, and the basis record
-    # keeps the projected ends, not end nodes, the model or the units
+    # one wave builder, _wave, and one reader, _project, serve either window
+    # end, and the result record carries no match residual; only
+    # integrate_ends forms the waves, projects the ends and checks a
+    # plane-wave end, and the basis record keeps the projected ends, not
+    # end nodes, the model or the units
     tree = ast.parse(inspect.getsource(numeric_scatter))
     defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    assert "_end" in defined and not defined & {"_plane_end", "_hankel_end"}
+    assert {"_wave", "_project"} <= defined
+    assert not defined & {"_end", "_plane_end", "_hankel_end"}
     result = next(node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "NumericScatteringResult")
     fields = {node.target.id for node in result.body if isinstance(node, ast.AnnAssign)}
     assert "t_amp" in fields and "match_residual" not in fields
     assert [field.name for field in dataclasses.fields(numeric_scatter.BasisPair)] == [
         "ends", "nodes", "drift"]
-    for name in ("_end", "_plane_potential"):
+    for name in ("_wave", "_project", "_plane_potential"):
         callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                    for node in ast.walk(fn) if isinstance(node, ast.Call)
                    and isinstance(node.func, ast.Name) and node.func.id == name}

@@ -25,6 +25,24 @@ class TestConstructors:
         assert [f.name for f in dataclasses.fields(m)] == ["v0", "half_width"]
         assert m.v0 == -1.5 and m.half_width == 0.25
 
+    def test_tail_and_jumps(self):
+        # the two facts about V the numeric lane reads besides V: the
+        # exponential fades over a to the left and never jumps; a rectangle
+        # jumps at its edges and is flat off them
+        exp = potentials.exponential(2.0, 0.7, 1.3)
+        assert exp.tail == 0.7 and exp.jumps == ()
+        xs = np.linspace(-10.0, 2.0, 13)
+        np.testing.assert_allclose(potentials.evaluate(exp, xs),
+                                   potentials.evaluate(exp, 0.0) * np.exp(xs / exp.tail),
+                                   rtol=1e-14)
+        rect = potentials.rectangular(-3.0, 0.2)
+        assert rect.tail == math.inf and rect.jumps == (-0.2, 0.2)
+        assert potentials.free().tail == math.inf and potentials.free().jumps == (-3.0, 3.0)
+        left, right = rect.jumps
+        before = [float(np.nextafter(left, -math.inf)), float(np.nextafter(right, math.inf))]
+        assert potentials.evaluate(rect, np.array([left, right])).tolist() == [-3.0, -3.0]
+        assert potentials.evaluate(rect, np.array(before)).tolist() == [0.0, 0.0]
+
     def test_positive_scale_required(self):
         with pytest.raises(DomainError):
             potentials.exponential(1.0, 0.0)
@@ -126,16 +144,6 @@ class TestUnits:
         with pytest.raises(DomainError) as info:
             potentials.Units(mass=mass, hbar=hbar)
         assert str(info.value) == message
-
-
-class TestExponentialP:
-    def test_formula(self):
-        m = potentials.exponential(2.0, 1.5, -0.4)
-        units = potentials.Units(mass=0.3, hbar=1.7)
-        want = math.sqrt(8.0 * 0.3 * 2.0 * math.exp(0.4 / 1.5)) * 1.5 / 1.7
-        assert potentials.exponential_p(m, units) == pytest.approx(want, rel=1e-15)
-        readme = potentials.exponential(1.0, 1.0)
-        assert potentials.exponential_p(readme, potentials.DEFAULT_UNITS) == 2.0
 
 
 @pytest.mark.parametrize("module", [potentials, numeric_scatter, cli], ids=lambda m: m.__name__)
