@@ -21,8 +21,6 @@ from .exp_barrier import (
 from .numeric_scatter import (
     BasisPair,
     NumericScatteringResult,
-    SolverConfig,
-    default_config,
     integrate_ends,
     match,
     solve,
@@ -57,14 +55,12 @@ __all__ = [
     "NumericScatteringResult",
     "PotentialModel",
     "ScatteringData",
-    "SolverConfig",
     "Units",
     "WaveSolution",
     "amplitudes",
     "angle_distance",
     "bessel_j_imag_order",
     "complex_gamma",
-    "default_config",
     "evaluate",
     "exact_wavefunction",
     "exponential",

@@ -28,7 +28,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -190,7 +190,7 @@ def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
         q = d.q[accepted]
         found = dict(zip(("t_analytic", "r_analytic"), exp_barrier.transmission_reflection(q)))
         for side in ("left", "right") if spec.sides == "both" else (spec.sides,):
-            phi, theta, _, _ = exp_barrier.phase_shifts(d.p, q, side)
+            phi, theta = exp_barrier.phase_shifts(d.p, q, side)
             found[f"phi_{side}"], found[f"theta_{side}"] = phi, theta
         for name, values in found.items():
             column = np.full(energies.size, None, dtype=object)
@@ -218,8 +218,7 @@ def _sweep_row(spec: SweepSpec, row: SweepRow) -> SweepRow:
     is NA and the row carries the message."""
     sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
     try:
-        config = numeric_scatter.default_config(spec.model, row.energy, spec.units)
-        basis = numeric_scatter.integrate_ends(spec.model, row.energy, config, spec.units)
+        basis = numeric_scatter.integrate_ends(spec.model, row.energy, spec.units)
         results = [numeric_scatter.match(basis, s) for s in sides]
     except (DomainError, AccuracyError) as exc:
         return SweepRow(row.energy, row.q, *[None] * 10, error=str(exc))
@@ -234,7 +233,7 @@ def _sweep_row(spec: SweepSpec, row: SweepRow) -> SweepRow:
         if getattr(row, f"phi_{s}") is None:
             cells[f"phi_{s}"] = result.phi
             cells[f"theta_{s}"] = result.theta
-    return row._replace(**cells)
+    return SweepRow(**{**row._asdict(), **cells})
 
 
 def format_sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
@@ -403,13 +402,10 @@ def cmd_wavefunction(args) -> int:
         flux_scale = units.hbar / (units.mass * model.a * abs(incident) ** 2)
         flux_vals = wave.flux_profile * flux_scale
     else:
-        # the default window, grown to cover [xmin, xmax]; every requested
-        # x is read by one RK4 step from the node at or below it
-        base = numeric_scatter.default_config(model, args.energy, units)
-        config = replace(
-            base, x_left=min(base.x_left, args.xmin), x_right=max(base.x_right, args.xmax)
-        )
-        basis = numeric_scatter.integrate_ends(model, args.energy, config, units, xs)
+        # the numeric lane's window at this energy, grown to cover
+        # [xmin, xmax]; every requested x is read by one RK4 step from the
+        # node at or below it
+        basis = numeric_scatter.integrate_ends(model, args.energy, units, xs)
         result = numeric_scatter.match(basis, args.side)
         u, du, v, dv = basis.nodes
         # psi = a_u u + a_v v on the real basis, a = c / incident, in real

@@ -187,13 +187,14 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
 
 
 def phase_shifts(p: float, q, side: str = "left"):
-    """(phi, theta, alpha, beta) from the closed phase formulas.
+    """(phi, theta) from the closed phase formulas.
 
     phi_left = -2 alpha + 2 beta + pi,  phi_right = 3 pi/2,
-    theta = -alpha + beta - pi/4 on both sides; all reduced to (-pi, pi].
+    theta = -alpha + beta - pi/4 on both sides, each reduced to (-pi, pi],
+    with alpha = q ln(p/2) and beta = Arg Gamma(1+iq).
     These equal the arguments of the amplitudes identically; tests assert
-    the agreement.  q may be an array (a sweep's q column): every output
-    is then an array of its shape, and agrees with the scalar calls to
+    the agreement.  q may be an array (a sweep's q column): both outputs
+    are then arrays of its shape, and agree with the scalar calls to
     rounding (numpy's complex power in Gamma).
     """
     _check_pq(p, q, side)
@@ -206,7 +207,7 @@ def phase_shifts(p: float, q, side: str = "left"):
     else:
         # + 0.0 * q: an array q gives a column of the constant
         phi = principal_angle(1.5 * math.pi + 0.0 * q)
-    return phi, theta, alpha, beta
+    return phi, theta
 
 
 def incident_amplitude(p: float, q: float, side: str = "left") -> complex:

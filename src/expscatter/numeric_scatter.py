@@ -5,21 +5,23 @@ model only through V (``potentials.evaluate``), its tail length ``tail``
 and its ``jumps``: a finite tail length a means V = V(0) e^{x/a}, a tail
 fading at rate 1/a to the left and a dive to the right; an infinite one
 means V is flat off its jumps.  Each row's window and graded grid follow
-from these and its energy (``default_config``, ``_grid``), so depth and
-offset only translate the problem; V's jumps and the match point are
-exact nodes.  It builds a real basis {u, v} with u = 1, u' = 0, v = 0,
-v' = 1 at the seed, the window point nearest x = 0, by marching a
-classical RK4 outward from it (so W[u, v] = 1 exactly at the seed and its
-drift measures integrator error).  The equation is linear, so every RK4
-step is a 2x2 transfer matrix; one march (``_march``) builds all of them
-a chunk at a time with numpy, each with its det M - 1, takes their
-products in a blocked scan, and hands back only the nodes asked for, the
-two end nodes and a wavefunction's samples (each one partial RK4 step
-from the node below it, refused where W formed from them is off 1 past
-DRIFT_TOLERANCE), with the dets.  RK4 does not keep area, so W[u, v]
-drifts from 1 by the product of the dets: their sums give the drift and
-W at the window ends, free of the round-off the products gather where
-the basis grows.
+from these and its energy (``_window``, ``_grid``), so depth and offset
+only translate the problem; V's jumps and the match point are exact
+nodes.  The window is the lane's own: a caller names only the energy,
+the xs to read and the step factor kh, and the xs grow the window to
+cover them but never shrink it.  It builds a real basis {u, v} with
+u = 1, u' = 0, v = 0, v' = 1 at the seed, the window point nearest x = 0,
+by marching a classical RK4 outward from it (so W[u, v] = 1 exactly at
+the seed and its drift measures integrator error).  The equation is
+linear, so every RK4 step is a 2x2 transfer matrix; one march
+(``_march``) builds all of them a chunk at a time with numpy, each with
+its det M - 1, takes their products in a blocked scan, and hands back
+only the nodes asked for, the two end nodes and a wavefunction's samples
+(each one partial RK4 step from the node below it, refused where W formed
+from them is off 1 past DRIFT_TOLERANCE), with the dets.  RK4 does not
+keep area, so W[u, v] drifts from 1 by the product of the dets: their
+sums give the drift and W at the window ends, free of the round-off the
+products gather where the basis grows.
 ``integrate_ends`` forms each window end's rightward unit wave R
 (``_wave``) before the march, and projects u and v there onto it
 (``_project``): R = exp(ikx) (1 + phi) where the potential fades,
@@ -45,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,32 +73,6 @@ _MAX_TABLE = 120_000
 # sample offsets within a step, as fractions of it: strictly inside, so a
 # jump on a node is seen one-sided by both neighbouring steps
 _SAMPLES = (1e-9, 0.5, 1.0 - 1e-9)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Integration window and step rule.
-
-    The basis is seeded at ``seed``, the window point nearest x = 0.  The
-    step at x is kh * min(l, 1/K(x)), K the local wavenumber and l a length
-    set by V's tail length (see ``_grid``); the error falls as kh^4.
-    """
-
-    x_left: float
-    x_right: float
-    kh: float = KH
-
-    def __post_init__(self):
-        if not (-math.inf < self.x_left < self.x_right < math.inf):
-            raise DomainError(
-                f"need finite x_left < x_right, got [{self.x_left!r}, {self.x_right!r}]"
-            )
-        if not (self.kh > 0.0 and math.isfinite(self.kh)):
-            raise DomainError(f"kh must be finite and > 0, got {self.kh!r}")
-
-    @property
-    def seed(self) -> float:
-        return min(max(0.0, self.x_left), self.x_right)
 
 
 class _End(NamedTuple):
@@ -160,20 +136,19 @@ class NumericScatteringResult:
 _Z_MATCH = 8.0
 
 
-def default_config(potential: PotentialModel, energy: float,
-                   units: Units = DEFAULT_UNITS) -> SolverConfig:
-    """Default window at ``energy``: 2 units past the outer jumps of a V
-    flat off them; for a diving V, from where its plane-wave end holds,
-    |V| <= ASYMPTOTE_EPSILON * E as ``_is_plane`` tests it (about
-    x = tail ln(ASYMPTOTE_EPSILON E / |V(0)|), z = sqrt(ASYMPTOTE_EPSILON) q),
-    to z = _Z_MATCH, which leaves no window past
-    q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON), where the energy is refused.
-    ``_check_energy`` runs first, as in ``integrate_ends``.
+def _window(potential: PotentialModel, energy: float, units: Units) -> tuple[float, float]:
+    """The row's window (x_left, x_right) at ``energy``: 2 units past the
+    outer jumps of a V flat off them; for a diving V, from where its
+    plane-wave end holds, |V| <= ASYMPTOTE_EPSILON * E as ``_is_plane``
+    tests it (about x = tail ln(ASYMPTOTE_EPSILON E / |V(0)|),
+    z = sqrt(ASYMPTOTE_EPSILON) q), to z = _Z_MATCH, which leaves no window
+    past q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON), where the energy is
+    refused.  ``_check_energy`` runs first.
     """
     _check_energy(potential, energy, units)
     tail = potential.tail
     if not math.isfinite(tail):
-        return SolverConfig(x_left=potential.jumps[0] - 2.0, x_right=potential.jumps[-1] + 2.0)
+        return potential.jumps[0] - 2.0, potential.jumps[-1] + 2.0
     depth = abs(potentials.evaluate(potential, 0.0))
     x_left = tail * (math.log(ASYMPTOTE_EPSILON) + math.log(energy) - math.log(depth))
     # the logarithms round; widen by doubling steps until the end passes
@@ -186,62 +161,70 @@ def default_config(potential: PotentialModel, energy: float,
             f"at E = {energy:g}, |V| <= ASYMPTOTE_EPSILON * E already at z = {_Z_MATCH:g}, "
             "where the diving end is matched; lower E"
         )
-    return SolverConfig(x_left=x_left, x_right=x_right)
+    return x_left, x_right
 
 
 def integrate_ends(
     potential: PotentialModel,
     energy: float,
-    config: SolverConfig,
     units: Units = DEFAULT_UNITS,
     xs=(),
+    kh: float = KH,
 ) -> BasisPair:
-    """March the basis pair across [x_left, x_right] with RK4 on the row's
-    graded grid (``_grid``), project its two end nodes onto their unit
-    waves (``_wave``, ``_project``) and read it at ``xs``.
+    """March the basis pair across the row's window with RK4 on its graded
+    grid (``_grid``: step kh min(l, 1/K), whose error falls as kh^4),
+    project its two end nodes onto their unit waves (``_wave``,
+    ``_project``) and read it at ``xs``.
 
-    Each half-window is one numpy march outward from the seed
-    (``_march``), which returns that half's asked-for nodes and each step's
-    det M - 1; no node array of the window is built.  W[u, v] at each end
-    is 1 plus the dets of the steps from the seed, which the products'
-    round-off does not reach.  The ends are x_left and x_right, or on a
-    diving end the point z = _Z_MATCH if the window holds it.  Each x is
-    read by one RK4 step from the node at or below it (``_step_from``), a
-    step of zero on a node, so the grid, the ends and the drift do not
-    depend on ``xs``.  The nodes come in the order of ``xs``, repeats
-    included.  Refusals come in this order: the plane-wave ends, the
-    grid's caps, the unit waves (before any RK4 step), then the drift.
+    The window is the row's own (``_window``), grown to cover ``xs`` and
+    never shrunk: [lo, hi], lo = min(x_left, min xs), hi = max(x_right,
+    max xs).  The ends are lo and hi, or on a diving V lo and x_right, the
+    point z = _Z_MATCH; the grid runs on to hi past it.  The basis is seeded
+    at the window point nearest x = 0.  Each half-window is one numpy march
+    outward from the seed (``_march``), which returns that half's
+    asked-for nodes and each step's det M - 1; no node array of the window
+    is built.  W[u, v] at each end is 1 plus the dets of the steps from the
+    seed, which the products' round-off does not reach.  Each x is read by
+    one RK4 step from the node at or below it (``_step_from``), a step of
+    zero on a node, so within a window the grid, the ends and the drift do
+    not depend on ``xs``.  The nodes come in the order of ``xs``, repeats
+    included.  Refusals come in this order: kh and xs, the energy and the
+    window, the plane-wave ends, the grid's caps, the unit waves (before
+    any RK4 step), then the drift.
 
     Raises
     ------
     DomainError
-        For energy <= 0, for energy < 1e-6 * hbar^2 / (8 m tail^2) (the
-        long-wave limit), for an x outside the window, if the potential is
-        not finite anywhere on the window, for a grid past the node cap,
-        for a plane-wave end where |V| > ASYMPTOTE_EPSILON * E (refused
-        before the grid is built), or for a diving end whose q overflows
-        exp(q pi) in its H1.
+        For kh not finite and > 0, for an x of xs not finite, for energy
+        <= 0, for energy < 1e-6 * hbar^2 / (8 m tail^2) (the long-wave
+        limit), for a diving V with no window left of z = _Z_MATCH, if the
+        potential is not finite anywhere on the window, for a grid past
+        the node cap, for a plane-wave end where |V| > ASYMPTOTE_EPSILON * E
+        (refused before the grid is built), or for a diving end whose q
+        overflows exp(q pi) in its H1.
     AccuracyError
         If the drift is past DRIFT_TOLERANCE, if W[u, v] is not finite at
         a window end, if the diving end's unit wave carries a flux far
         from its own, or if W[u, v] formed from the nodes at an x of xs is
         off 1 by more than DRIFT_TOLERANCE.
     """
-    _check_energy(potential, energy, units)
-    energy = float(energy)
+    if not (kh > 0.0 and math.isfinite(kh)):
+        raise DomainError(f"kh must be finite and > 0, got {kh!r}")
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    if xs.size and not (config.x_left <= xs.min() and xs.max() <= config.x_right):
-        raise DomainError(
-            f"xs must lie in [{config.x_left!r}, {config.x_right!r}], "
-            f"got [{xs.min()!r}, {xs.max()!r}]"
-        )
-    x_ends = (config.x_left, _right_end(potential, units, config))
-    # only a finite tail dives, and only on the right
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"xs must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
+    x_left, x_right = _window(potential, energy, units)
+    energy = float(energy)
+    lo, hi = float(xs.min(initial=x_left)), float(xs.max(initial=x_right))
+    # only a finite tail dives, and only on the right, at x_right
     dives = math.isfinite(potential.tail)
-    _plane_potential(potential, energy, x_ends[0], "x_left")
+    x_ends = (lo, x_right if dives else hi)
+    _plane_potential(potential, energy, lo, "x_left")
     if not dives:
-        _plane_potential(potential, energy, x_ends[1], "x_right")
-    x, at = _grid(potential, energy, config, units, (*x_ends, config.seed), xs)
+        _plane_potential(potential, energy, hi, "x_right")
+    # the ends, then the seed: the window point nearest x = 0
+    pins = (*x_ends, min(max(0.0, lo), hi))
+    x, at = _grid(potential, energy, lo, hi, kh, units, pins, xs)
     waves = [_wave(potential, energy, units, end, diving)
              for end, diving in zip(x_ends, (False, dives))]
     # node indices of the two ends, then of the node below each asked-for x
@@ -261,7 +244,7 @@ def integrate_ends(
         if xs.size:
             below = x[at[2:]]
             nodes[:, 2:] = _step_from(potential, energy, below, xs - below, units, nodes[:, 2:])
-        _check_drift(drift, config, nodes, xs)
+        _check_drift(drift, lo, hi, kh, nodes, xs)
     ends = tuple(_End(*_project(waves[i], nodes[:, i]), waves[i][2], w_uv[i]) for i in (0, 1))
     return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift)
 
@@ -277,7 +260,8 @@ def _check_energy(potential: PotentialModel, energy: float, units: Units) -> Non
         )
 
 
-def _check_drift(drift: float, config: SolverConfig, nodes: np.ndarray, xs: np.ndarray) -> None:
+def _check_drift(drift: float, lo: float, hi: float, kh: float, nodes: np.ndarray,
+                 xs: np.ndarray) -> None:
     """Refuse a basis whose W[u, v] is not finite at the window ends (the
     first two columns u, u', v, v' of ``nodes``), whose drift is past
     DRIFT_TOLERANCE, or whose W formed from the nodes at xs (the other
@@ -288,11 +272,11 @@ def _check_drift(drift: float, config: SolverConfig, nodes: np.ndarray, xs: np.n
     if not np.all(np.isfinite(ends)):
         raise AccuracyError(
             f"Wronskian {ends[~np.isfinite(ends)][0]:.3e} at a window end: the basis overflowed "
-            f"on the window [{config.x_left:g}, {config.x_right:g}]; a finer step cannot help"
+            f"on the window [{lo:g}, {hi:g}]; a finer step cannot help"
         )
     if not drift <= DRIFT_TOLERANCE:
         raise AccuracyError(f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
-                            f"{DRIFT_TOLERANCE:.3e}; lower kh = {config.kh:g} "
+                            f"{DRIFT_TOLERANCE:.3e}; lower kh = {kh:g} "
                             "(on the exponential, drift falls as kh^5)")
     if not np.all(off <= DRIFT_TOLERANCE):
         i = int(np.argmax(off))  # a NaN counts as the worst
@@ -348,19 +332,17 @@ def solve(
     potential: PotentialModel,
     energy: float,
     side: str = "left",
-    config: Optional[SolverConfig] = None,
     units: Units = DEFAULT_UNITS,
 ) -> NumericScatteringResult:
-    """Integrate the basis ends over the window, then ``match``."""
-    config = config or default_config(potential, energy, units)
-    return match(integrate_ends(potential, energy, config, units), side)
+    """Integrate the basis ends over the row's window, then ``match``."""
+    return match(integrate_ends(potential, energy, units), side)
 
 
-def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units: Units,
-          pins, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending nodes of one row's grid, the node index of each of
-    pins (window points made nodes), then of the node at or below each of
-    xs.
+def _grid(potential: PotentialModel, energy: float, lo: float, hi: float, kh: float,
+          units: Units, pins, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending nodes of one row's grid on the window [lo, hi], the
+    node index of each of pins (window points made nodes), then of the
+    node at or below each of xs.
 
     The step at x is kh * min(l, 1/K(x)): the nodes sit at whole steps of
     s(x) = int max(1/l, K) dx / kh.  For a finite tail length a,
@@ -371,12 +353,11 @@ def _grid(potential: PotentialModel, energy: float, config: SolverConfig, units:
     them, so l is the window length: only K ~ 0 needs a cap there.  s is
     summed by the midpoint rule on a table a / _TABLE_PER_L (or the
     window / _TABLE_PER_L) apart and inverted by ``np.interp``.  The pins,
-    x_right and the jumps inside the window bound segments, in which the
+    hi and the jumps inside the window bound segments, in which the
     nodes split s evenly, in the fewest steps whose s increments are at
     most 1.  A table past _MAX_TABLE points, or a grid past the node cap,
     is refused before it is built.
     """
-    lo, hi, kh = config.x_left, config.x_right, config.kh
     dives = math.isfinite(potential.tail)
     span = potential.tail if dives else hi - lo
     edges = [x for x in potential.jumps if lo < x < hi]
@@ -583,15 +564,6 @@ def _plane_potential(potential: PotentialModel, energy: float, x: float, which: 
             f"{ASYMPTOTE_EPSILON * energy:.3e}; push {which} further out, or keep "
             f"E >= |V({which})| / ASYMPTOTE_EPSILON = {v / ASYMPTOTE_EPSILON:.3e}"
         )
-
-
-def _right_end(potential: PotentialModel, units: Units, config: SolverConfig) -> float:
-    """x of the right end ``match`` reads: x_right, or on a diving end
-    z = _Z_MATCH, moved into the window if it lies outside."""
-    if not math.isfinite(potential.tail):
-        return config.x_right
-    x = 2.0 * potential.tail * math.log(_Z_MATCH / _p(potential, units))
-    return min(max(x, config.x_left), config.x_right)
 
 
 def _p(potential: PotentialModel, units: Units) -> float:

@@ -111,15 +111,16 @@ def free() -> Rectangular:
 def evaluate(model: PotentialModel, x):
     """V(x) for a scalar or ndarray x.
 
-    The exponential saturates to -inf once exp overflows; the solver
-    treats non-finite values as out of domain.
+    The exponential saturates to -inf, without a warning, once exp or its
+    product with v0 overflows; the solver treats non-finite values as out
+    of domain.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(model, Exponential):
         with np.errstate(over="ignore"):
             grow = np.exp(x / model.a)
-        # a float, not a numpy scalar: a scalar product saturates silently
-        return -model.v0 * (grow if grow.ndim else float(grow))
+            # a scalar x gives a float, as the rectangle's does
+            return -model.v0 * (grow if grow.ndim else float(grow))
     v = np.where(np.abs(x) <= model.half_width, model.v0, 0.0)
     return v if v.ndim else float(v)
 

@@ -21,9 +21,13 @@ from expscatter import (
     specfun,
     waves,
 )
-from expscatter.numeric_scatter import SolverConfig
 from expscatter.potentials import DEFAULT_UNITS
-from test_numeric_scatter import oracle_integrate_basis, oracle_scattering_wavefunction
+from test_numeric_scatter import (
+    Window,
+    default_window,
+    oracle_integrate_basis,
+    oracle_scattering_wavefunction,
+)
 
 Q_GRID = np.logspace(math.log10(0.01), math.log10(5.0), 200)
 
@@ -164,7 +168,7 @@ def test_criterion_07_v0_independence(capsys):
 def test_criterion_08_flux_wronskian_order(capsys):
     model = potentials.exponential(1.0, 1.0)
     energy = 0.25
-    config = numeric_scatter.default_config(model, energy)
+    config = default_window(model, energy)
     # the whole-window basis and wave of the tests' oracle writer
     basis = oracle_integrate_basis(model, energy, config)
     result = numeric_scatter.solve(model, energy, side="left")
@@ -187,7 +191,7 @@ def test_criterion_08_flux_wronskian_order(capsys):
     khs = [8.0 * numeric_scatter.KH, 4.0 * numeric_scatter.KH, 2.0 * numeric_scatter.KH]
     errors = []
     for kh in khs:
-        coarse = SolverConfig(x_left=-4.0, x_right=x_probe, kh=kh)
+        coarse = Window(x_left=-4.0, x_right=x_probe, kh=kh)
         # x_probe = x_right is the last node
         marched = oracle_integrate_basis(model, energy, coarse)
         errors.append(abs(float(marched.nodes[0, -1]) - reference))

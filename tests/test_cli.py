@@ -615,6 +615,11 @@ class TestCommands:
               "1e300", "--energy", "1", "--xmin", "-1", "--xmax", "1"], 1,
              "p = sqrt(8 m v0 e^(-b/a)) a / hbar = inf is out of range; it must be a finite "
              "float > 0, so rescale v0, a, mass or hbar"),
+            # V = -v0 e^x overflows on the grid's table: the one refusal line,
+            # no numpy warning before it
+            (["wavefunction", "--method", "numeric", "--model", "exp:v0=1e300,a=1", "--energy",
+              "1", "--xmin", "-1", "--xmax", "30", "--n", "5"], 1,
+             "potential is not finite on the integration grid"),
             # every row's q overflows the diving end's H1: each row is refused
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "2e4", "--emax", "1e6", "--n", "3",
               "--method", "numeric", "--out", "TABLE"], 2, "every sweep row failed"),
@@ -631,7 +636,8 @@ class TestCommands:
         ],
         ids=["expshift-b", "rect-w", "plot-log-axis", "analytic-energy-0", "analytic-energy-nan",
              "numeric-energy-0", "numeric-energy-nan", "analytic-past-series-bound",
-             "degenerate-order", "v0-flag", "numeric-p-overflow", "numeric-q-overflow",
+             "degenerate-order", "v0-flag", "numeric-p-overflow", "numeric-v-overflow",
+             "numeric-q-overflow",
              "analytic-sweep-free", "analytic-wavefunction-free",
              "analytic-wavefunction-rect"],
     )
@@ -885,9 +891,9 @@ class TestCommands:
         # an exponential's window depends on the energy: each row places
         # its own, from its own energy, and grids it
         calls = []
-        build = numeric_scatter.default_config
+        build = numeric_scatter._window
         monkeypatch.setattr(
-            numeric_scatter, "default_config", lambda *args: calls.append(args) or build(*args)
+            numeric_scatter, "_window", lambda *args: calls.append(args) or build(*args)
         )
         argv = ["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.5", "--emax", "1.0",
                 "--n", "3", "--method", "numeric"]
@@ -953,7 +959,7 @@ class TestCommands:
             assert abs(row["T_analytic"] - t) <= 2 * math.ulp(t)
             assert abs(row["R_analytic"] - r) <= 2 * math.ulp(r)
             for side in ("left", "right"):
-                phi, theta, _, _ = exp_barrier.phase_shifts(d.p, d.q, side)
+                phi, theta = exp_barrier.phase_shifts(d.p, d.q, side)
                 assert abs(row[f"phi_{side}"] - phi) <= 1e-13
                 assert abs(row[f"theta_{side}"] - theta) <= 1e-13
 

@@ -120,13 +120,14 @@ class TestArrayColumns:
     def test_phase_shifts(self, p, side):
         columns = exp_barrier.phase_shifts(p, self.Q, side)
         scalar = [exp_barrier.phase_shifts(p, q, side) for q in self.Q.tolist()]
-        # phi sums 2 alpha before reducing it: allow the rounding of that sum
-        alpha = columns[2]
+        # phi sums 2 alpha = 2 q ln(p/2) before reducing it: allow the
+        # rounding of that sum
+        alpha = self.Q * math.log(0.5 * p)
         tol = 1e-13 + 4.0 * np.spacing(2.0 * np.abs(alpha))
+        assert len(columns) == 2
         for got, want in zip(columns, zip(*scalar)):
             assert got.shape == self.Q.shape
             assert np.all(np.abs(got - np.array(want)) <= tol)
-        assert np.array_equal(alpha, [row[2] for row in scalar])
 
     def test_refusal_names_first_offender(self):
         q = np.array([0.5, 5e-9, 1e-9, 300.0])
@@ -173,13 +174,9 @@ class TestAmplitudes:
         assert waves.angle_distance(data.theta, cmath.phase(data.t_amp)) < 1e-12
 
     def test_phase_shift_tuple_matches(self):
-        phi, theta, alpha, beta = exp_barrier.phase_shifts(2.0, 1.0, "left")
+        phi, theta = exp_barrier.phase_shifts(2.0, 1.0, "left")
         data = exp_barrier.amplitudes(2.0, 1.0, "left")
         assert phi == pytest.approx(data.phi) and theta == pytest.approx(data.theta)
-        # alpha = q ln(p/2), beta = Arg Gamma(1+iq)
-        assert alpha == pytest.approx(1.0 * math.log(1.0), abs=1e-15)
-        g = specfun.complex_gamma(1.0 + 1j)
-        assert beta == pytest.approx(cmath.phase(g), rel=1e-13)
 
     def test_transmission_theta_reciprocity(self):
         for p, q in ((2.0, 0.5), (4.0, 1.3)):

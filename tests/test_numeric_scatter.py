@@ -17,7 +17,7 @@ import pytest
 
 from expscatter import cli, exp_barrier, numeric_scatter, potentials, specfun, waves
 from expscatter.errors import AccuracyError, DomainError
-from expscatter.numeric_scatter import DEFAULT_UNITS, KH, SolverConfig
+from expscatter.numeric_scatter import DEFAULT_UNITS, KH
 
 EXP_MODEL = potentials.exponential(1.0, 1.0)
 
@@ -54,12 +54,61 @@ def assert_rect_formula(result, energy, v0, width):
     assert waves.angle_distance(result.theta, cmath.phase(t)) <= 1e-9
 
 
+@dataclasses.dataclass(frozen=True)
+class Window:
+    """An explicit window and step factor, which the oracles below march
+    as they are; the lane places its own (``numeric_scatter._window``) and
+    grows it only to cover the xs it is asked for."""
+
+    x_left: float
+    x_right: float
+    kh: float = KH
+
+    @property
+    def seed(self):
+        """The window point nearest x = 0, where the basis is seeded."""
+        return min(max(0.0, self.x_left), self.x_right)
+
+
+def default_window(potential, energy, kh=KH):
+    """The row's own window at ``energy``, which ``integrate_ends`` marches
+    when it is asked for no x."""
+    return Window(*numeric_scatter._window(potential, energy, DEFAULT_UNITS), kh)
+
+
+def lane(potential, energy, window, xs=()):
+    """``integrate_ends`` on ``window``, which must contain the row's own:
+    the window's ends, asked for first, grow the row's window to it, and
+    their node columns are dropped, so the record reads only xs."""
+    own = default_window(potential, energy)
+    assert window.x_left <= own.x_left and own.x_right <= window.x_right
+    basis = numeric_scatter.integrate_ends(potential, energy, xs=[window.x_left, window.x_right,
+                                                                   *xs], kh=window.kh)
+    return dataclasses.replace(basis, nodes=basis.nodes[:, 2:])
+
+
+def right_end(potential, window, units=DEFAULT_UNITS):
+    """The right end the oracles read: x_right, or on a diving V the match
+    point z = _Z_MATCH moved into the window, as ``integrate_ends`` reads
+    it on any window that contains the row's own."""
+    if not math.isfinite(potential.tail):
+        return window.x_right
+    p = numeric_scatter._p(potential, units)
+    x = 2.0 * potential.tail * math.log(numeric_scatter._Z_MATCH / p)
+    return min(max(x, window.x_left), window.x_right)
+
+
+def build_grid(potential, energy, window, pins, xs=(), units=DEFAULT_UNITS):
+    """``_grid`` on the window: its nodes and the indices of pins, then of xs."""
+    return numeric_scatter._grid(potential, energy, window.x_left, window.x_right, window.kh,
+                                 units, pins, np.asarray(xs, dtype=float))
+
+
 def grid(potential, energy, config, units=DEFAULT_UNITS):
     """(every node of the row's grid, ascending; the seed's index; the right
     end's index), as ``integrate_ends`` builds it for no asked-for x."""
-    right = numeric_scatter._right_end(potential, units, config)
-    x, at = numeric_scatter._grid(potential, energy, config, units,
-                                  (config.x_left, right, config.seed), ())
+    pins = (config.x_left, right_end(potential, config, units), config.seed)
+    x, at = build_grid(potential, energy, config, pins, units=units)
     assert at[0] == 0
     return x, int(at[2]), int(at[1])
 
@@ -72,8 +121,7 @@ def local_wavenumber(potential, energy, x, units=DEFAULT_UNITS):
 class TestBasisIntegration:
     def test_free_basis_is_cos_sin(self):
         # V = 0, E = 1, m = 1/2: u'' = -u, so u = cos x, v = sin x
-        config = SolverConfig(x_left=-2.0, x_right=2.0)
-        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, config, xs=[0.5])
+        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=[0.5])
         u, du, v, _ = basis.nodes[:, 0]
         assert u == pytest.approx(math.cos(0.5), abs=1e-10)
         assert v == pytest.approx(math.sin(0.5), abs=1e-10)
@@ -82,17 +130,16 @@ class TestBasisIntegration:
     def test_square_well_interior_basis(self):
         # V = -1 inside |x| <= 1, E = 1: u'' = -2u there, u = cos(sqrt(2) x)
         well = potentials.rectangular(-1.0, 1.0)
-        config = SolverConfig(x_left=-3.0, x_right=3.0)
-        basis = numeric_scatter.integrate_ends(well, 1.0, config, xs=[0.5])
+        basis = numeric_scatter.integrate_ends(well, 1.0, xs=[0.5])
         u, _, v, _ = basis.nodes[:, 0]
         root2 = math.sqrt(2.0)
         assert u == pytest.approx(math.cos(root2 * 0.5), abs=1e-10)
         assert v == pytest.approx(math.sin(root2 * 0.5) / root2, abs=1e-10)
 
     def test_wronskian_pinned_to_one(self):
-        config = numeric_scatter.default_config(EXP_MODEL, 1.0)
-        # the right end, z = 8, is x_right on the default window
-        basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, config, xs=[config.x_right])
+        # the right end, z = 8, is x_right on the row's window
+        x_right = default_window(EXP_MODEL, 1.0).x_right
+        basis = numeric_scatter.integrate_ends(EXP_MODEL, 1.0, xs=[x_right])
         u, du, v, dv = basis.nodes[:, 0]
         assert abs(u * dv - du * v - 1.0) < 1e-9
         assert basis.drift < 1e-9
@@ -101,28 +148,27 @@ class TestBasisIntegration:
         # x_left = -8 fails the plane-wave end that integrate_ends checks
         drifts = []
         for kh in (8.0 * KH, 4.0 * KH):
-            config = SolverConfig(x_left=-8.0, x_right=3.0, kh=kh)
+            config = Window(x_left=-8.0, x_right=3.0, kh=kh)
             drifts.append(oracle_integrate_basis(EXP_MODEL, 0.25, config).drift)
         assert drifts[0] / drifts[1] > 8.0
 
     def test_coarse_kh_raises_accuracy_error(self):
-        config = SolverConfig(x_left=-8.0, x_right=3.0, kh=0.1)
+        config = Window(x_left=-8.0, x_right=3.0, kh=0.1)
         with pytest.raises(AccuracyError, match="lower kh = 0.1"):
             oracle_integrate_basis(EXP_MODEL, 0.25, config)
 
     def test_drift_refusal_names_its_cause(self):
         # kh = 0.1 costs digits on the exponential (1.7e-6, from its step)
         # and on the deep rectangle at E = 1, which kh = 0.003 solves to
-        # 4e-11 (see test_deep_rectangle_matches_hand_formula)
-        coarse = SolverConfig(x_left=-30.0, x_right=3.0, kh=0.1)
+        # 4e-11 (see test_deep_rectangle_matches_hand_formula); the window
+        # [-30, 3] holds the row's own, so asking for its ends grows to it
         with pytest.raises(AccuracyError, match=re.escape(
                 "drift 1.733e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
-            numeric_scatter.integrate_ends(EXP_MODEL, 0.25, coarse)
+            numeric_scatter.integrate_ends(EXP_MODEL, 0.25, xs=[-30.0, 3.0], kh=0.1)
         rect = potentials.rectangular(50.0, 2.0)
-        config = dataclasses.replace(numeric_scatter.default_config(rect, 1.0), kh=0.1)
         with pytest.raises(AccuracyError, match=re.escape(
                 "drift 2.224e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
-            numeric_scatter.integrate_ends(rect, 1.0, config)
+            numeric_scatter.integrate_ends(rect, 1.0, kh=0.1)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_roundoff_inside_the_window_is_named(self, side):
@@ -132,9 +178,8 @@ class TestBasisIntegration:
         # DRIFT_TOLERANCE; the drift the march carries does not see it, and
         # the row solves
         rect = potentials.rectangular(50.0, 2.0)
-        config = numeric_scatter.default_config(rect, 26.5)
         xs = np.linspace(-2.5, 2.5, 21)
-        basis = numeric_scatter.integrate_ends(rect, 26.5, config, xs=list(xs))
+        basis = numeric_scatter.integrate_ends(rect, 26.5, xs=list(xs))
         u, du, v, dv = basis.nodes
         scale = np.finfo(float).eps * np.max(np.abs(u * dv) + np.abs(du * v))
         assert scale == pytest.approx(2.929e-8, rel=1e-3)
@@ -150,73 +195,66 @@ class TestBasisIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AccuracyError, match="basis overflowed on the window"):
-                numeric_scatter.integrate_ends(rect, 1.0, numeric_scatter.default_config(rect, 1.0))
+                numeric_scatter.integrate_ends(rect, 1.0)
 
     def test_long_wave_refused(self):
-        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
-        for refuse in (lambda: numeric_scatter.default_config(EXP_MODEL, 1e-9),
-                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 1e-9, config)):
+        for refuse in (lambda: numeric_scatter.solve(EXP_MODEL, 1e-9),
+                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 1e-9)):
             with pytest.raises(DomainError, match="delta"):
                 refuse()
 
     def test_nonpositive_energy_refused(self):
-        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
-        for refuse in (lambda: numeric_scatter.default_config(EXP_MODEL, 0.0),
-                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 0.0, config)):
+        for refuse in (lambda: numeric_scatter.solve(EXP_MODEL, 0.0),
+                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 0.0)):
             with pytest.raises(DomainError, match="energy must be finite and > 0"):
                 refuse()
 
-    def test_config_validation(self):
-        for ends in ((1.0, 1.0), (2.0, 1.0), (0.0, -1e-3)):
-            with pytest.raises(DomainError, match="x_left < x_right"):
-                SolverConfig(x_left=ends[0], x_right=ends[1])
+    def test_kh_refused_with_its_text(self, monkeypatch):
+        # refused before the window is placed
+        monkeypatch.setattr(numeric_scatter, "_window", pytest.fail)
         for kh in (0.0, -1e-3, math.inf, math.nan):
-            with pytest.raises(DomainError, match="kh must be finite and > 0"):
-                SolverConfig(x_left=-1.0, x_right=1.0, kh=kh)
-        for ends in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
-            with pytest.raises(DomainError, match="finite"):
-                SolverConfig(x_left=ends[0], x_right=ends[1])
+            with pytest.raises(DomainError) as caught:
+                numeric_scatter.integrate_ends(potentials.free(), 1.0, kh=kh)
+            assert str(caught.value) == f"kh must be finite and > 0, got {kh!r}"
 
     @pytest.mark.parametrize(
-        "potential, energy, config",
+        "potential, energy, xs",
         [
             # K = 0.71 across a barrier 2e5 wide
-            (potentials.rectangular(1.0, 1e5), 0.5, None),
+            (potentials.rectangular(1.0, 1e5), 0.5, ()),
             # K h = kh across a window of 2e7 wavelengths
-            (potentials.free(), 1.0, SolverConfig(x_left=-1e5, x_right=1e5)),
-            # K = 1e4 over the default window, and K = 1e3 over a window
-            # 32 a wide: an exponential's default window, z from 1e-3 q to
+            (potentials.free(), 1.0, (-1e5, 1e5)),
+            # K = 1e4 over the row's window, and K = 1e3 over a window
+            # 32 a wide: an exponential's own window, z from 1e-3 q to
             # 8, holds at most q ln(8000 / q) / kh < 1e6 nodes
-            (potentials.rectangular(1.0, 1.0), 1e8, None),
-            (EXP_MODEL, 1e6, SolverConfig(x_left=-30.0, x_right=2.0)),
+            (potentials.rectangular(1.0, 1.0), 1e8, ()),
+            (EXP_MODEL, 1e6, (-30.0, 2.0)),
         ],
         ids=["wide-rect", "wide-window", "high-energy-rect", "high-energy-exp"],
     )
     def test_grid_past_the_node_cap_refused_before_the_march(
-            self, potential, energy, config, monkeypatch):
-        config = config or numeric_scatter.default_config(potential, energy)
+            self, potential, energy, xs, monkeypatch):
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
         with pytest.raises(DomainError, match=re.escape(f"the grid at E = {energy:g} needs about")
                            + ".* past the 5,000,000 node cap"):
-            numeric_scatter.integrate_ends(potential, energy, config)
+            numeric_scatter.integrate_ends(potential, energy, xs=xs)
 
     def test_table_past_its_cap_refused_before_it_is_built(self, monkeypatch):
         # the step table is a/8 apart; a window 20,000 a wide would hold
         # 160,000 points, and V is not sampled on it
-        config = SolverConfig(x_left=-2e4, x_right=5.0)
         evaluate = potentials.evaluate
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, x: pytest.fail() if np.size(x) > 2 else evaluate(m, x))
         with pytest.raises(DomainError, match=re.escape("[-20000, 5] is 2e+04 a wide, past the "
                                                         "15,000 a its step table holds")):
-            numeric_scatter.integrate_ends(EXP_MODEL, 0.01, config)
+            numeric_scatter.integrate_ends(EXP_MODEL, 0.01, xs=[-2e4, 5.0])
 
     @pytest.mark.parametrize(
         "ends, seed",
         [((-1.0, 2.0), 0.0), ((1.0, 2.0), 1.0), ((-2.0, -1.0), -1.0), ((0.0, 1.0), 0.0)],
     )
     def test_seed_is_the_window_point_nearest_zero(self, ends, seed):
-        config = SolverConfig(x_left=ends[0], x_right=ends[1])
+        config = Window(x_left=ends[0], x_right=ends[1])
         x, i_seed, _ = grid(potentials.free(), 1.0, config)
         assert config.seed == seed and x[i_seed] == seed
         assert (x[0], x[-1]) == ends
@@ -225,11 +263,11 @@ class TestBasisIntegration:
         "potential, energy, config",
         [
             (EXP_MODEL, 0.01, None), (EXP_MODEL, 0.25, None), (EXP_MODEL, 5.0, None),
-            (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5)),
+            (EXP_MODEL, 0.25, Window(x_left=-20.0, x_right=5.5)),
             (potentials.exponential(200.0, 1.0), 1.0, None),
             (potentials.rectangular(1.0, 1.0), 0.5, None),
             (potentials.rectangular(1.0, 1.0), 1.0, None),
-            (potentials.rectangular(-3.0, 0.2), 4.0, SolverConfig(x_left=-1.0, x_right=5.0)),
+            (potentials.rectangular(-3.0, 0.2), 4.0, Window(x_left=-1.0, x_right=5.0)),
             (potentials.free(), 0.1, None),
         ],
     )
@@ -238,7 +276,7 @@ class TestBasisIntegration:
         # K varies by e^{1/16} over a table interval a/8 wide.  An
         # exponential's l is a / sqrt(2z), z = p e^{x/2a}; a rectangle's is
         # its window length
-        config = config or numeric_scatter.default_config(potential, energy)
+        config = config or default_window(potential, energy)
         x, _, _ = grid(potential, energy, config)
         h = np.diff(x)
         mid = x[:-1] + 0.5 * h
@@ -257,16 +295,16 @@ class TestBasisIntegration:
         # takes the node at or below it
         rect = potentials.rectangular(1.0, 0.7)
         xs = np.array([0.3, -0.3, 2.0, 0.7, 0.3, 1e-13, -2.7])
-        for potential, config in ((rect, numeric_scatter.default_config(rect, 0.5)),
-                                  (EXP_MODEL, SolverConfig(x_left=-20.0, x_right=5.5))):
+        for potential, config in ((rect, default_window(rect, 0.5)),
+                                  (EXP_MODEL, Window(x_left=-20.0, x_right=5.5))):
             pins = (config.x_left, config.seed, config.x_right)
-            x, at = numeric_scatter._grid(potential, 0.5, config, DEFAULT_UNITS, pins, xs)
+            x, at = build_grid(potential, 0.5, config, pins, xs)
             assert x[at[:3]].tolist() == list(pins)
             assert np.all(x[at[3:]] <= xs) and np.all(xs < x[at[3:] + 1])
             assert np.all(np.diff(x) > 0.0)
-        x, _, i_right = grid(rect, 0.5, numeric_scatter.default_config(rect, 0.5))
+        x, _, i_right = grid(rect, 0.5, default_window(rect, 0.5))
         assert {-0.7, 0.7} <= set(x.tolist()) and i_right == x.size - 1
-        x, _, i_right = grid(EXP_MODEL, 0.5, SolverConfig(x_left=-20.0, x_right=5.5))
+        x, _, i_right = grid(EXP_MODEL, 0.5, Window(x_left=-20.0, x_right=5.5))
         assert x[i_right] == 2.0 * math.log(4.0)
 
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep", "rect-edges-on-nodes"])
@@ -281,7 +319,7 @@ class TestBasisIntegration:
         for xs, below in ((x[::-1], np.arange(x.size)[::-1]),
                           (some, np.searchsorted(x, some)),
                           (off, np.arange(x.size - 1)[::997])):
-            again, at = numeric_scatter._grid(potential, energy, config, DEFAULT_UNITS, pins, xs)
+            again, at = build_grid(potential, energy, config, pins, xs)
             assert again.tobytes() == x.tobytes()
             assert at[:3].tolist() == [0, i_right, i_seed] and at[3:].tolist() == below.tolist()
 
@@ -289,33 +327,59 @@ class TestBasisIntegration:
         # README rows: the step is kh a / sqrt(2z) where K < sqrt(2z) / a,
         # kh / K elsewhere (10,004 and 10,408 nodes at the fixed cap l = a;
         # 6,802, 11,118, 19,376 and 79,189 on the one window z = 2e^-10 to 12)
-        counts = [grid(EXP_MODEL, energy, numeric_scatter.default_config(EXP_MODEL, energy))[0].size
+        counts = [grid(EXP_MODEL, energy, default_window(EXP_MODEL, energy))[0].size
                   for energy in (0.01, 1.0, 5.0, 100.0)]
         assert counts == [5_416, 7_697, 12_102, 40_206]
 
-    def test_xs_outside_the_window_refused(self):
-        config = SolverConfig(x_left=-2.0, x_right=2.0)
-        for xs in ([-2.001], [2.001], [0.0, 2.001], [math.nan]):
-            with pytest.raises(DomainError, match="xs must lie in"):
-                numeric_scatter.integrate_ends(potentials.free(), 1.0, config, xs=xs)
+    def test_non_finite_xs_refused_with_their_text(self, monkeypatch):
+        # refused before the window is placed, with the first such x
+        monkeypatch.setattr(numeric_scatter, "_window", pytest.fail)
+        for xs, bad in (([math.nan], "nan"), ([0.0, math.inf, math.nan], "inf"),
+                        ([-math.inf], "-inf")):
+            with pytest.raises(DomainError) as caught:
+                numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=xs)
+            assert str(caught.value) == f"xs must be finite, got {bad}"
+
+    def test_xs_grow_the_window_and_never_shrink_it(self, monkeypatch):
+        # the row's window [-5, 5] grown to the xs, seeded nearest x = 0
+        seen = []
+        build = numeric_scatter._grid
+        monkeypatch.setattr(numeric_scatter, "_grid",
+                            lambda *args: seen.append(args[2:5] + args[6:7]) or build(*args))
+        for xs in ((), (0.5,), (-7.0, 2.0), (8.0,), (-6.0, 6.0)):
+            numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=xs)
+        assert [(lo, hi, pins) for lo, hi, _, pins in seen] == [
+            (-5.0, 5.0, (-5.0, 5.0, 0.0)), (-5.0, 5.0, (-5.0, 5.0, 0.0)),
+            (-7.0, 5.0, (-7.0, 5.0, 0.0)), (-5.0, 8.0, (-5.0, 8.0, 0.0)),
+            (-6.0, 6.0, (-6.0, 6.0, 0.0))]
+        assert {kh for _, _, kh, _ in seen} == {KH}
 
     def test_window_off_zero_samples_only_inside(self, monkeypatch):
-        # the seed is x_left, so the left half-window has no steps
+        # each model's own window misses x = 0: the seed is x_left on the
+        # shifted one, so its left half-window has no steps, and x_right
+        # on the deep one, so its right half has none
         seen = []
         evaluate = potentials.evaluate
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, x: seen.append(np.array(x)) or evaluate(m, x))
-        config = SolverConfig(x_left=1.0, x_right=2.0)
-        basis = numeric_scatter.integrate_ends(potentials.rectangular(1.0, 0.5), 0.5, config,
-                                               xs=[1.0, 2.0])
-        assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
-        # the plane-wave checks and the grid's table read the window ends,
-        # an asked-for x its own node, the march only inside but for the
-        # left half's zero step, which samples the seed itself
-        assert seen and all(1.0 <= np.min(x) and np.max(x) <= 2.0 for x in seen)
-        marched = [x for x in seen if np.ndim(x) == 3]
-        assert [x.tolist() for x in marched if x.size == 3] == [[[[1.0]], [[1.0]], [[1.0]]]]
-        assert all(1.0 < np.min(x) and np.max(x) < 2.0 for x in marched if x.size > 3)
+        for model, end in ((potentials.exponential(1.0, 1.0, 30.0), 0),
+                           (potentials.exponential(200.0, 1.0), 1)):
+            lo, hi = numeric_scatter._window(model, 0.5, DEFAULT_UNITS)
+            assert 0.0 < lo if end == 0 else hi < 0.0
+            seed = (lo, hi)[end]
+            seen.clear()
+            basis = numeric_scatter.integrate_ends(model, 0.5, xs=[seed])
+            assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+            # V(0) gives the depth that places the window and the diving
+            # end's p; the plane-wave checks and the grid's table read the
+            # window ends, an asked-for x its own node, the march only
+            # inside but for the empty half's zero step, which samples the
+            # seed itself
+            inside = [x for x in seen if not (np.ndim(x) == 0 and x == 0.0)]
+            assert inside and all(lo <= np.min(x) and np.max(x) <= hi for x in inside)
+            marched = [x for x in inside if np.ndim(x) == 3]
+            assert [x.tolist() for x in marched if x.size == 3] == [[[[seed]], [[seed]], [[seed]]]]
+            assert all(lo < np.min(x) and np.max(x) < hi for x in marched if x.size > 3)
 
 
 def loop_march(g, hs):
@@ -523,15 +587,14 @@ class TestMarchOnModels:
         ids=["exp-left-tail", "rect-edge", "free"],
     )
     def test_basis_equals_scalar_loop(self, potential, energy):
-        config = numeric_scatter.default_config(potential, energy)
+        config = default_window(potential, energy)
         basis = integrate_every_node(potential, energy, config)
         assert_same_march(list(basis.nodes), loop_basis(potential, energy, config))
 
     def test_drift_floor_on_default_exp_window(self):
         # round-off floor (~3e-14) of products formed in step order; a
         # log-depth tree scan over the left tail gives ~1e-12
-        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
-        basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25, config)
+        basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25)
         assert basis.drift <= 2e-13
 
 
@@ -677,7 +740,8 @@ def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
     ends = project_ends(potential, energy, x, i_seed, i_right, nodes, units)
     drift = oracle_window_drift(potential, energy, x, i_seed, units)
     with np.errstate(over="ignore", invalid="ignore"):
-        numeric_scatter._check_drift(drift, config, nodes[:, [0, i_right]], ())
+        numeric_scatter._check_drift(drift, config.x_left, config.x_right, config.kh,
+                                     nodes[:, [0, i_right]], ())
     return numeric_scatter.BasisPair(ends=ends, nodes=nodes, drift=drift)
 
 
@@ -693,9 +757,9 @@ def oracle_scattering_wavefunction(basis, result, units=DEFAULT_UNITS):
 
 
 def integrate_every_node(potential, energy, config):
-    """``integrate_ends`` asked for every node of the grid."""
+    """``integrate_ends`` on the window, asked for every node of its grid."""
     x, _, _ = grid(potential, energy, config)
-    return numeric_scatter.integrate_ends(potential, energy, config, xs=x)
+    return lane(potential, energy, config, xs=x)
 
 
 def oracle_basis(potential, energy, config):
@@ -726,7 +790,8 @@ def basis_bytes(basis):
     return [c.tobytes() for c in basis.nodes], [end_bits(end) for end in basis.ends], basis.drift
 
 
-PARTIAL = SolverConfig(x_left=-3.0, x_right=2.0, kh=0.01)
+# a window the lane never marches: it misses the row's own at both ends
+PARTIAL = Window(x_left=-3.0, x_right=2.0, kh=0.01)
 DEEP = potentials.exponential(200.0, 1.0)  # z = 8 at x = -2.53, left of x = 0
 BIT_CASES = {
     # default window: the left tail and the diving right end
@@ -739,8 +804,8 @@ BIT_CASES = {
     "free": (potentials.free(), 1.0, None),
     "partial-last-block": (EXP_MODEL, 0.7, PARTIAL),
     # windows grown past z = 8: its node inside the right, then the left march
-    "exp-grown": (EXP_MODEL, 0.25, SolverConfig(x_left=-20.0, x_right=5.5)),
-    "exp-deep-grown": (DEEP, 1.0, SolverConfig(x_left=-21.71, x_right=1.0)),
+    "exp-grown": (EXP_MODEL, 0.25, Window(x_left=-20.0, x_right=5.5)),
+    "exp-deep-grown": (DEEP, 1.0, Window(x_left=-21.71, x_right=1.0)),
 }
 # the oracle seeds at x = 0; here the seed is x_right, the z = 8 node
 ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
@@ -748,7 +813,7 @@ ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
 
 def bit_case(name):
     potential, energy, config = ENDS_CASES[name]
-    return potential, energy, config or numeric_scatter.default_config(potential, energy)
+    return potential, energy, config or default_window(potential, energy)
 
 
 class TestBitExactMarch:
@@ -757,11 +822,7 @@ class TestBitExactMarch:
         potential, energy, config = bit_case(name)
         want = oracle_basis(potential, energy, config)
         assert basis_bytes(oracle_integrate_basis(potential, energy, config)) == want
-        if name == "partial-last-block":
-            # x_left = -3 fails the plane-wave end, which is refused before the march
-            with pytest.raises(DomainError, match="x_left"):
-                integrate_every_node(potential, energy, config)
-        else:
+        if name != "partial-last-block":
             assert basis_bytes(integrate_every_node(potential, energy, config)) == want
 
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
@@ -780,7 +841,7 @@ class TestBitExactMarch:
     @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"partial-last-block"}))
     def test_drift_equals_the_whole_window_one(self, name):
         want = oracle_integrate_basis(*bit_case(name)).drift
-        assert numeric_scatter.integrate_ends(*bit_case(name)).drift == want
+        assert lane(*bit_case(name)).drift == want
 
     def test_partial_case_leaves_partial_blocks(self):
         x, i_seed, _ = grid(EXP_MODEL, 0.7, PARTIAL)
@@ -796,7 +857,7 @@ class TestBitExactMarch:
 
     def test_windows_follow_the_seed(self):
         # two windows of equal width but different seeds
-        near, far = (SolverConfig(x_left=x, x_right=x + 2.0) for x in (1.0, 3.0))
+        near, far = (Window(x_left=x, x_right=x + 2.0) for x in (1.0, 3.0))
         fresh = basis_bytes(oracle_integrate_basis(EXP_MODEL, 0.5, far))
         oracle_integrate_basis(EXP_MODEL, 0.5, near)
         assert basis_bytes(oracle_integrate_basis(EXP_MODEL, 0.5, far)) == fresh
@@ -808,8 +869,7 @@ class TestBitExactMarch:
         monkeypatch.setattr(numeric_scatter, "_grid",
                             lambda *args: seen.append(args[1]) or build(*args))
         for energy in (0.25, 0.5, 1.0):
-            numeric_scatter.integrate_ends(EXP_MODEL, energy,
-                                           numeric_scatter.default_config(EXP_MODEL, energy))
+            numeric_scatter.integrate_ends(EXP_MODEL, energy)
         assert seen == [0.25, 0.5, 1.0]
 
 
@@ -832,7 +892,7 @@ def w_drift(potential, energy, config):
 
 # the BIT_CASES, then a kh ladder on the exponential and a shallow rectangle
 GATE_CASES = [bit_case(name) for name in sorted(BIT_CASES)] + [
-    (model, energy, dataclasses.replace(numeric_scatter.default_config(model, energy), kh=kh))
+    (model, energy, default_window(model, energy, kh))
     for model in (EXP_MODEL, potentials.rectangular(1.0, 1.0))
     for kh in (0.003, 0.03, 0.1) for energy in (0.05, 0.5, 5.0)]
 
@@ -896,27 +956,29 @@ class TestEndsReader:
 
     @pytest.mark.parametrize("name", sorted(ENDS_CASES))
     def test_solve_equals_match_on_the_whole_basis(self, name):
-        potential, energy, config = bit_case(name)
-        want = outcomes(self.whole_basis(potential, energy, config))
+        # solve places the row's own window; a case's grown window is read
+        # through integrate_ends (test_only_the_matched_nodes_are_built)
+        potential, energy, _ = bit_case(name)
+        want = outcomes(self.whole_basis(potential, energy, default_window(potential, energy)))
         got = outcomes(lambda sides: [
-            numeric_scatter.solve(potential, energy, side, config) for side in sides])
-        assert got == want
-        assert (name == "partial-last-block") == isinstance(want, tuple)
+            numeric_scatter.solve(potential, energy, side) for side in sides])
+        assert got == want and not isinstance(want, tuple)
 
     @pytest.mark.parametrize("name", sorted(ENDS_CASES))
     def test_sweep_rows_equal_match_on_the_whole_basis(self, name, monkeypatch):
-        potential, energy, config = bit_case(name)
+        # each row places its own window at its own energy
+        potential, energy, _ = bit_case(name)
         seen = []
         match = numeric_scatter.match
         monkeypatch.setattr(numeric_scatter, "match",
                             lambda basis, side: seen.append(match(basis, side)) or seen[-1])
-        monkeypatch.setattr(numeric_scatter, "default_config", lambda *args: config)
         spec = cli.SweepSpec(potential, energy, 2.0 * energy, 2, "linear", "both", "numeric",
                              DEFAULT_UNITS)
         rows = cli.run_sweep(spec)
         monkeypatch.undo()
         assert rows[0].energy == energy
         for row in rows:
+            config = default_window(potential, row.energy)
             want = outcomes(self.whole_basis(potential, row.energy, config))
             if isinstance(want, tuple):
                 assert row.error == want[1]
@@ -933,17 +995,17 @@ class TestEndsReader:
             (potentials.rectangular(1.0e4, 4.0), 1.0, None,
              "Wronskian nan at a window end: the basis overflowed"),
             # V = -e^x overflows past x = 709.8
-            (EXP_MODEL, 1.0, SolverConfig(x_left=-40.0, x_right=720.0),
+            (EXP_MODEL, 1.0, Window(x_left=-40.0, x_right=720.0),
              "potential is not finite on the integration grid"),
-            (EXP_MODEL, 0.25, SolverConfig(x_left=-30.0, x_right=3.0, kh=0.1),
+            (EXP_MODEL, 0.25, Window(x_left=-30.0, x_right=3.0, kh=0.1),
              "exceeds DRIFT_TOLERANCE"),
         ],
         ids=["overflow", "non-finite-potential", "coarse-step"],
     )
     def test_march_refusals_equal_on_both_consumers(self, potential, energy, config, message):
-        config = config or numeric_scatter.default_config(potential, energy)
+        config = config or default_window(potential, energy)
         refusals = []
-        for integrate in (oracle_integrate_basis, numeric_scatter.integrate_ends):
+        for integrate in (oracle_integrate_basis, lane):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises((DomainError, AccuracyError)) as caught:
@@ -954,13 +1016,13 @@ class TestEndsReader:
     def test_only_the_matched_nodes_are_built(self):
         for name in ("exp", "rect-edges-on-nodes", "exp-grown", "exp-deep", "exp-deep-grown"):
             potential, energy, config = bit_case(name)
-            ends = numeric_scatter.integrate_ends(potential, energy, config)
+            ends = lane(potential, energy, config)
             whole = oracle_integrate_basis(potential, energy, config)
             assert ends.nodes.shape == (4, 0)
             assert basis_bytes(ends)[1:] == basis_bytes(whole)[1:]
-            # the right end is z = 8 where the window holds it, else x_right
+            # the right end is z = 8, which the row's window ends at
             x, _, i = grid(potential, energy, config)
-            read = numeric_scatter.integrate_ends(potential, energy, config, xs=x[[0, i]])
+            read = lane(potential, energy, config, xs=x[[0, i]])
             assert x[0] == config.x_left
             assert read.nodes.tobytes() == whole.nodes[:, [0, i]].tobytes()
 
@@ -973,8 +1035,7 @@ class TestEndsReader:
     def test_requested_nodes_leave_the_match_alone(self, name, picks):
         potential, energy, config = bit_case(name)
         want = outcomes(lambda sides: [
-            numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config), side)
-            for side in sides])
+            numeric_scatter.match(lane(potential, energy, config), side) for side in sides])
         # nodes of the grid: asking for them leaves the grid as it is
         x, _, i_right = grid(potential, energy, config)
         if picks == "every":
@@ -982,7 +1043,7 @@ class TestEndsReader:
         else:
             assert i_right + 2000 < x.size
             xs = x[i_right + np.array([1, -1, 0, 2000, -2000, 1, 0])]
-        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
+        basis = lane(potential, energy, config, xs=xs)
         assert basis.nodes.shape == (4, xs.size)
         assert outcomes(lambda sides: [numeric_scatter.match(basis, side) for side in sides]) == want
 
@@ -994,7 +1055,7 @@ class TestEndsReader:
         rng = np.random.default_rng(11)
         picks = rng.integers(0, x.size, 300)
         picks = np.concatenate((picks, picks[::-3], [0, i_seed, x.size - 1, i_seed]))
-        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=x[picks])
+        basis = lane(potential, energy, config, xs=x[picks])
         whole = oracle_integrate_basis(potential, energy, config)
         assert basis.nodes.tobytes() == whole.nodes[:, picks].tobytes()
 
@@ -1004,10 +1065,9 @@ class TestEndsReader:
         # the drift, bit for bit
         potential, energy, config = bit_case(name)
         want = outcomes(lambda sides: [
-            numeric_scatter.match(numeric_scatter.integrate_ends(potential, energy, config), side)
-            for side in sides])
+            numeric_scatter.match(lane(potential, energy, config), side) for side in sides])
         xs = np.linspace(config.x_left, config.x_right, 401)[1:-1] + 1e-7
-        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
+        basis = lane(potential, energy, config, xs=xs)
         assert outcomes(lambda sides: [numeric_scatter.match(basis, side) for side in sides]) == want
 
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "rect-edges-on-nodes", "free"])
@@ -1017,7 +1077,7 @@ class TestEndsReader:
         rng = np.random.default_rng(7)
         below = rng.integers(0, x.size - 1, 300)
         xs = x[below] + rng.uniform(0.0, 1.0, below.size) * (x[below + 1] - x[below])
-        basis = numeric_scatter.integrate_ends(potential, energy, config, xs=xs)
+        basis = lane(potential, energy, config, xs=xs)
         u, du, v, dv = oracle_integrate_basis(potential, energy, config).nodes[:, below]
         h = xs - x[below]
         scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
@@ -1031,7 +1091,7 @@ class TestEndsReader:
         # the basis carries both ends projected: match evaluates no wave
         # and no potential, and gives the same bits on either side
         potential, energy, config = bit_case(name)
-        basis = numeric_scatter.integrate_ends(potential, energy, config)
+        basis = lane(potential, energy, config)
         want = [result_bits(numeric_scatter.match(basis, side)) for side in ("left", "right")]
         for module, attr in ((specfun, "hankel_imag_order"), (potentials, "evaluate"),
                              (numeric_scatter, "_wave")):
@@ -1040,15 +1100,15 @@ class TestEndsReader:
         assert got == want
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
-        # |V(x_left)| = 2.06e-9 on a window from x = -20 refuses E < 2.06e-3
-        # at the plane-wave end; the default window at E starts where
-        # |V| <= 1e-6 E, so there only 1e-6 * delta = 2.5e-7 is refused
-        config = SolverConfig(x_left=-20.0, x_right=2.0)
-        want = outcomes(self.whole_basis(EXP_MODEL, 1e-6, config))
+        # the row's window ends 2 past the outer jumps, which rounds onto
+        # them on a rectangle 1e308 wide: |V(x_left)| = 1 there; an
+        # exponential's window at E starts where |V| <= 1e-6 E, so there
+        # only 1e-6 * delta = 2.5e-7 is refused
+        rect = potentials.rectangular(1.0, 5e307)
+        want = outcomes(self.whole_basis(rect, 1.0, default_window(rect, 1.0)))
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
-        got = outcomes(lambda sides: [numeric_scatter.solve(EXP_MODEL, 1e-6, side, config)
-                                      for side in sides])
-        assert got == want and "x_left" in want[1]
+        got = outcomes(lambda sides: [numeric_scatter.solve(rect, 1.0, side) for side in sides])
+        assert got == want and "|V(x_left)| = 1.000e+00" in want[1]
         with pytest.raises(DomainError, match=re.escape("below 1e-6 * delta = 2.5e-07")):
             numeric_scatter.solve(EXP_MODEL, 2.5e-7 * (1.0 - 1e-9))
 
@@ -1080,12 +1140,11 @@ class TestPlaneWaveMatching:
         # the flat pads step at kh min(L, 1/k), L the window length, so a
         # narrow barrier costs no more nodes than a wide one
         model = potentials.rectangular(1.0, width / 2.0)
-        config = numeric_scatter.default_config(model, 0.5)
-        basis = numeric_scatter.integrate_ends(model, 0.5, config)
+        basis = numeric_scatter.integrate_ends(model, 0.5)
         res = numeric_scatter.match(basis, "left")
         assert res.t_coeff == pytest.approx(rect_transmission(0.5, 1.0, width), abs=1e-12)
         assert res.flux_imbalance <= 1e-12 and basis.drift <= 1e-12
-        assert grid(model, 0.5, config)[0].size < 2_000
+        assert grid(model, 0.5, default_window(model, 0.5))[0].size < 2_000
 
     def test_symmetric_model_side_independent(self):
         rect = potentials.rectangular(1.0, 1.0)
@@ -1096,22 +1155,27 @@ class TestPlaneWaveMatching:
         assert waves.angle_distance(left.theta, right.theta) < 1e-10
 
     def test_endpoint_precondition_names_offender(self):
-        config = SolverConfig(x_left=-1.0, x_right=3.0)
-        rect = potentials.rectangular(1.0, 2.0)  # edge at the window end
+        # the row's window ends round onto the edges of a rectangle 1e308
+        # wide, where V is the barrier's
+        rect = potentials.rectangular(1.0, 5e307)
         with pytest.raises(DomainError, match="x_left") as integrated:
-            numeric_scatter.integrate_ends(rect, 0.5, config)
+            numeric_scatter.integrate_ends(rect, 0.5)
         with pytest.raises(DomainError, match="x_left") as solved:
-            numeric_scatter.solve(rect, 0.5, "left", config)
+            numeric_scatter.solve(rect, 0.5, "left")
         assert str(solved.value) == str(integrated.value)
 
-    def test_right_endpoint_precondition_names_offender(self):
-        config = SolverConfig(x_left=-3.0, x_right=1.0)
-        rect = potentials.rectangular(1.0, 2.0)  # edge past the right end
+    def test_right_endpoint_precondition_names_offender(self, monkeypatch):
+        # V read as nonzero from x = 4, inside the free particle's window
+        # [-5, 5]: only its right end fails the plane-wave check
+        evaluate = potentials.evaluate
+        monkeypatch.setattr(potentials, "evaluate",
+                            lambda m, x: evaluate(m, x) + np.where(np.asarray(x) >= 4.0, 1.0, 0.0))
         with pytest.raises(DomainError, match="x_right") as integrated:
-            numeric_scatter.integrate_ends(rect, 0.5, config)
+            numeric_scatter.integrate_ends(potentials.free(), 0.5)
+        assert str(integrated.value).startswith("|V(x_right)| = 1.000e+00 exceeds")
         for side in ("left", "right"):
             with pytest.raises(DomainError, match="x_right") as solved:
-                numeric_scatter.solve(rect, 0.5, side, config)
+                numeric_scatter.solve(potentials.free(), 0.5, side)
             assert str(solved.value) == str(integrated.value)
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -1120,8 +1184,7 @@ class TestPlaneWaveMatching:
         # referred to x = 0, not to the window ends
         rect = potentials.rectangular(1.0, 1.0)
         want = numeric_scatter.solve(rect, 0.5, side=side)
-        config = SolverConfig(x_left=-3.0, x_right=5.0)
-        got = numeric_scatter.solve(rect, 0.5, side=side, config=config)
+        got = numeric_scatter.match(lane(rect, 0.5, Window(x_left=-3.0, x_right=5.0)), side)
         assert got.t_coeff == pytest.approx(want.t_coeff, abs=1e-10)
         assert abs(got.r_amp - want.r_amp) < 1e-10
         assert abs(got.t_amp - want.t_amp) < 1e-10
@@ -1133,8 +1196,7 @@ class TestPlaneWaveMatching:
         # at E = 1 and 8.2e-8 at E = 26.5, and refused both); T and theta
         # read off W[u, v] as the march carries it are good to 4e-11
         rect = potentials.rectangular(50.0, 2.0)
-        config = numeric_scatter.default_config(rect, energy)
-        basis = numeric_scatter.integrate_ends(rect, energy, config)
+        basis = numeric_scatter.integrate_ends(rect, energy)
         assert basis.drift <= 1e-12
         for side in ("left", "right"):
             assert_rect_formula(numeric_scatter.match(basis, side), energy, 50.0, 4.0)
@@ -1148,9 +1210,7 @@ class TestPlaneWaveMatching:
             assert abs(result.t_coeff / abs(t) ** 2 - 1.0) <= 1e-9
 
     def test_side_must_be_named(self):
-        basis = numeric_scatter.integrate_ends(
-            potentials.free(), 1.0, numeric_scatter.default_config(potentials.free(), 1.0)
-        )
+        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0)
         with pytest.raises(DomainError, match="side"):
             numeric_scatter.match(basis, side="up")
 
@@ -1174,17 +1234,17 @@ class TestHankelMatching:
     def test_numeric_phases_match_analytic(self):
         q = 0.5
         res = numeric_scatter.solve(EXP_MODEL, q * q / 4.0, side="left")
-        phi, theta, _, _ = exp_barrier.phase_shifts(2.0, q, "left")
+        phi, theta = exp_barrier.phase_shifts(2.0, q, "left")
         assert waves.angle_distance(res.phi, phi) < 1e-5
         assert waves.angle_distance(res.theta, theta) < 1e-5
 
     def test_deep_window_amplitudes_agree_with_closed_form(self):
         # with a deep tail the plane waves are exact to round-off on the
         # left, so both complex amplitudes carry the closed forms' digits
-        config = SolverConfig(x_left=-30.0, x_right=3.5)
+        config = Window(x_left=-30.0, x_right=3.5)
         for q in (0.25, 1.0):
             for side in ("left", "right"):
-                res = numeric_scatter.solve(EXP_MODEL, q * q / 4.0, side=side, config=config)
+                res = numeric_scatter.match(lane(EXP_MODEL, q * q / 4.0, config), side)
                 want = exp_barrier.amplitudes(2.0, q, side)
                 assert abs(res.t_amp - want.t_amp) <= 1e-10 * abs(want.t_amp)
                 assert abs(res.r_amp - want.r_amp) <= 1e-10 * abs(want.r_amp)
@@ -1197,11 +1257,9 @@ class TestHankelMatching:
     def test_gamma_scale_error_moves_no_flux_ratio(self, q, monkeypatch):
         # a scale error in Gamma rescales H1 as a whole; the fluxes are
         # measured on the rescaled wave, so no flux ratio may follow it
-        config = numeric_scatter.default_config(EXP_MODEL, q * q / 4.0)
-
         def results():
             # the ends are projected where the basis is integrated
-            basis = numeric_scatter.integrate_ends(EXP_MODEL, q * q / 4.0, config)
+            basis = numeric_scatter.integrate_ends(EXP_MODEL, q * q / 4.0)
             return [numeric_scatter.match(basis, side) for side in ("left", "right")]
 
         def ratios(results):
@@ -1235,22 +1293,20 @@ class TestHankelMatching:
         energy = 1.5**2 / 4.0
         t_values = []
         for x_left in (-15.0, -25.0):
-            config = SolverConfig(x_left=x_left, x_right=3.5)
-            t_values.append(
-                numeric_scatter.solve(EXP_MODEL, energy, side="left", config=config).t_coeff
-            )
+            config = Window(x_left=x_left, x_right=3.5)
+            t_values.append(numeric_scatter.match(lane(EXP_MODEL, energy, config), "left").t_coeff)
         assert abs(t_values[0] - t_values[1]) < 1e-8
 
 
 class TestRightEndMatchNode:
-    """A window grown past z = 8 (as ``wavefunction --xmax`` grows it) still
-    projects onto the Hankel pair at z = 8; the basis runs on past it."""
+    """A window grown past z = 8 by an x asked for (as ``wavefunction
+    --xmax`` grows it) still projects onto the Hankel pair at z = 8; the
+    basis runs on past it."""
 
     @pytest.mark.parametrize("x_right", [0.0, 1.0])  # z = 28 and z = 47
     def test_grown_window_keeps_the_accuracy(self, x_right):
         model = potentials.exponential(200.0, 1.0)
-        config = dataclasses.replace(numeric_scatter.default_config(model, 1.0), x_right=x_right)
-        basis = numeric_scatter.integrate_ends(model, 1.0, config)  # q = 2
+        basis = numeric_scatter.integrate_ends(model, 1.0, xs=[x_right])  # q = 2
         assert basis.drift <= 1e-10
         t_exact, _ = exp_barrier.transmission_reflection(2.0)
         for side in ("left", "right"):
@@ -1259,13 +1315,10 @@ class TestRightEndMatchNode:
 
     @pytest.mark.parametrize("x_right", [4.0, 5.5])
     def test_grown_window_matches_like_the_default(self, x_right):
-        base = numeric_scatter.default_config(EXP_MODEL, 0.25)
-        grown = dataclasses.replace(base, x_right=x_right)
         for side in ("left", "right"):
-            want, got = (
-                numeric_scatter.solve(EXP_MODEL, 0.25, side=side, config=config)
-                for config in (base, grown)
-            )
+            want = numeric_scatter.solve(EXP_MODEL, 0.25, side=side)
+            got = numeric_scatter.match(numeric_scatter.integrate_ends(EXP_MODEL, 0.25,
+                                                                       xs=[x_right]), side)
             assert abs(got.t_coeff - want.t_coeff) <= 1e-13
             assert waves.angle_distance(got.phi, want.phi) <= 1e-12
             assert waves.angle_distance(got.theta, want.theta) <= 1e-12
@@ -1283,8 +1336,7 @@ class TestHardRegimes:
     def test_solved_on_the_default_window(self, v0, b):
         model = potentials.exponential(v0, 1.0, b)
         for energy in (0.01, 0.1, 1.0, 5.0):
-            config = numeric_scatter.default_config(model, energy)
-            basis = numeric_scatter.integrate_ends(model, energy, config)
+            basis = numeric_scatter.integrate_ends(model, energy)
             assert basis.drift <= 1e-12
             q = exp_barrier.reduce_params(model, energy).q
             t_exact, _ = exp_barrier.transmission_reflection(q)
@@ -1317,8 +1369,8 @@ def numeric_wave(model, energy, xmin, xmax, n):
 
 @pytest.fixture(scope="module")
 def every_node_wave():
-    # 50,000 requests over the default window, each read from its node below
-    config = numeric_scatter.default_config(EXP_MODEL, 0.25)
+    # 50,000 requests over the row's window, each read from its node below
+    config = default_window(EXP_MODEL, 0.25)
     return numeric_wave("exp:v0=1,a=1", 0.25, config.x_left, config.x_right, 50_000)
 
 
@@ -1437,9 +1489,7 @@ def test_step_error_stays_within_the_fixed_cap(v0, a, bounds):
     edge = 1e-6 * DEFAULT_UNITS.hbar**2 / (8.0 * DEFAULT_UNITS.mass * a * a)
     worst = [0.0, 0.0, 0.0]
     for energy in np.geomspace(edge * (1.0 + 1e-9), 5.0, 8).tolist():
-        config = numeric_scatter.default_config(model, energy)
-        half = dataclasses.replace(config, kh=0.5 * config.kh)
-        bases = [numeric_scatter.integrate_ends(model, energy, c) for c in (config, half)]
+        bases = [numeric_scatter.integrate_ends(model, energy, kh=kh) for kh in (KH, 0.5 * KH)]
         for side in ("left", "right"):
             coarse, fine = (numeric_scatter.match(basis, side) for basis in bases)
             worst = np.maximum(worst, [
@@ -1450,11 +1500,14 @@ def test_step_error_stays_within_the_fixed_cap(v0, a, bounds):
 
 
 class TestDefaultConfig:
+    """The row's own window, ``_window``: the window ``integrate_ends``
+    marches when it is asked for no x."""
+
     def test_matching_coordinate_capped(self):
         # stronger potentials pull the right edge in so p e^{x/2a} stays put
         for v0 in (0.5, 1.0, math.e, 10.0):
             model = potentials.exponential(v0, 1.0)
-            config = numeric_scatter.default_config(model, 0.25)
+            config = default_window(model, 0.25)
             p = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0)
             z_r = p * math.exp(config.x_right / 2.0)
             assert z_r < 13.0
@@ -1467,18 +1520,17 @@ class TestDefaultConfig:
         # every depth and offset, so every exponential row marches the same
         # node count (one more where the seed x = 0 splits a step)
         model = potentials.exponential(v0, 1.0, b)
-        config = numeric_scatter.default_config(model, 0.25)  # q = 1
+        config = default_window(model, 0.25)  # q = 1
         p_eff = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0 * math.exp(-b))
         z_left, z_right = (p_eff * math.exp(x / 2.0) for x in (config.x_left, config.x_right))
         assert z_left == pytest.approx(1e-3, rel=1e-12)
         assert z_right == pytest.approx(8.0, rel=1e-12)
-        assert config.kh == KH
         assert grid(model, 0.25, config)[0].size in (6_279, 6_280)
 
     def test_readme_window_keeps_its_nodes(self):
         # x_left = ln(0.25e-6), one double further out than the logarithms
         # place it, where |V| <= 1e-6 E holds as integrate_ends checks it
-        config = numeric_scatter.default_config(EXP_MODEL, 0.25)
+        config = default_window(EXP_MODEL, 0.25)
         x, i_seed, i_right = grid(EXP_MODEL, 0.25, config)
         assert (config.x_left, config.seed, x.size, i_seed, i_right) == (
             -15.201804919084166, 0.0, 6_279, 3_611, 6_278)
@@ -1489,7 +1541,7 @@ class TestDefaultConfig:
         # by rounding; each end now passes it within a few doubles of
         # x = a ln(1e-6 E / v0)
         for energy in np.geomspace(0.01, 5.0, 200).tolist():
-            x_left = numeric_scatter.default_config(EXP_MODEL, energy).x_left
+            x_left = default_window(EXP_MODEL, energy).x_left
             bound = numeric_scatter.ASYMPTOTE_EPSILON * energy
             assert abs(potentials.evaluate(EXP_MODEL, x_left)) <= bound
             assert 0.0 <= math.log(bound) - x_left <= 4.0 * math.ulp(x_left)
@@ -1500,11 +1552,11 @@ class TestDefaultConfig:
         for energy in (1.7e7, 1e300):
             with pytest.raises(DomainError, match=re.escape(
                     f"at E = {energy:g}, |V| <= ASYMPTOTE_EPSILON * E already at z = 8")):
-                numeric_scatter.default_config(EXP_MODEL, energy)
+                numeric_scatter.integrate_ends(EXP_MODEL, energy)
 
     def test_rect_edges_land_on_nodes(self):
         model = potentials.rectangular(1.0, 0.7)
-        config = numeric_scatter.default_config(model, 0.5)
+        config = default_window(model, 0.5)
         x, _, _ = grid(model, 0.5, config)
         assert {-0.7, 0.7} <= set(x.tolist())
 
@@ -1548,12 +1600,12 @@ def test_numeric_lane_runs_without_the_closed_form_p(model, monkeypatch):
     # the closed-form lane's p is not the numeric lane's: with reduce_params
     # refusing every call, a solve on either side and a basis read at xs
     # keep their bits
-    config = numeric_scatter.default_config(model, 0.3)
+    config = default_window(model, 0.3)
     xs = np.linspace(config.x_left, config.x_right, 9)
 
     def run():
         solved = [numeric_scatter.solve(model, 0.3, side) for side in ("left", "right")]
-        basis = numeric_scatter.integrate_ends(model, 0.3, config, xs=xs)
+        basis = numeric_scatter.integrate_ends(model, 0.3, xs=xs)
         return [result_bits(result) for result in solved], basis_bytes(basis)
 
     want = run()
@@ -1567,8 +1619,8 @@ def test_numeric_lane_runs_without_the_closed_form_p(model, monkeypatch):
 
 def test_numeric_lane_places_its_match_node_once():
     # the basis record holds nodes, not solutions on a grid: only _grid
-    # searches its nodes, and only _right_end decides the right end node,
-    # once per row
+    # searches its nodes, and only _window places the window and with it
+    # the right end node, once per row, after the one energy check
     tree = ast.parse(inspect.getsource(numeric_scatter))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
@@ -1577,13 +1629,14 @@ def test_numeric_lane_places_its_match_node_once():
                  for node in ast.walk(fn) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Attribute) and node.func.attr == "searchsorted"}
     assert searchers == {"_grid"}
-    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name) and node.func.id == "_right_end"}
-    assert callers == {"integrate_ends"}
+    for name, caller in (("_window", "integrate_ends"), ("_check_energy", "_window")):
+        calls = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == name]
+        assert calls == [caller]
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "_Z_MATCH"}
-    assert readers == {"default_config", "_right_end"}
+    assert readers == {"_window"}
 
 
 def test_one_projection_reads_both_window_ends():
@@ -1623,8 +1676,7 @@ def test_rectangle_regime_map():
     for v0, width, energy in zip(v0s.tolist(), widths.tolist(), energies.tolist()):
         model = potentials.rectangular(v0, width / 2.0)
         try:
-            basis = numeric_scatter.integrate_ends(model, energy,
-                                                   numeric_scatter.default_config(model, energy))
+            basis = numeric_scatter.integrate_ends(model, energy)
         except (DomainError, AccuracyError) as exc:
             assert re.search(r"lower kh|raise kh|lower E|keep E|push x_|shrink", str(exc))
             continue
