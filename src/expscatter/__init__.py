@@ -14,7 +14,6 @@ from .exp_barrier import (
     exact_wavefunction,
     fluxes,
     incident_amplitude,
-    phase_shifts,
     reduce_params,
     transmission_reflection,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "incident_amplitude",
     "integrate_ends",
     "match",
-    "phase_shifts",
     "principal_angle",
     "rectangular",
     "reduce_params",

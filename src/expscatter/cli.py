@@ -188,10 +188,11 @@ def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
     accepted = exp_barrier.closed_form_domain(d.p, d.q)
     if accepted.any():
         q = d.q[accepted]
-        found = dict(zip(("t_analytic", "r_analytic"), exp_barrier.transmission_reflection(q)))
+        found = {}
         for side in ("left", "right") if spec.sides == "both" else (spec.sides,):
-            phi, theta = exp_barrier.phase_shifts(d.p, q, side)
-            found[f"phi_{side}"], found[f"theta_{side}"] = phi, theta
+            data = exp_barrier.amplitudes(d.p, q, side)
+            found.update({"t_analytic": data.t_coeff, "r_analytic": data.r_coeff,
+                          f"phi_{side}": data.phi, f"theta_{side}": data.theta})
         for name, values in found.items():
             column = np.full(energies.size, None, dtype=object)
             column[accepted] = values.tolist()
@@ -207,7 +208,7 @@ def _refusal(p: float, q: float) -> str:
     """The message the scalar closed forms refuse (p, q) with."""
     try:
         exp_barrier.transmission_reflection(q)
-        exp_barrier.phase_shifts(p, q)
+        exp_barrier.amplitudes(p, q)
     except DomainError as exc:
         return str(exc)
     raise AssertionError(f"closed forms accept q = {q!r} outside closed_form_domain")

@@ -7,7 +7,7 @@ equation into Bessel's equation of order +-iq, with
 
 Everything here works at the dimensionless (p, q) level; reduce_params is
 the only bridge from the model and its units.  reduce_params,
-transmission_reflection and phase_shifts also take an array (energies or q)
+transmission_reflection and amplitudes also take an array (energies or q)
 and return columns, as an analytic sweep uses them; scalar calls keep
 CPython's arithmetic, array entries may differ from them in the last digit.
 Transmission is a function of q alone:
@@ -60,7 +60,8 @@ class ScatteringData:
 
     t_coeff and r_coeff come from flux ratios; r_amp and t_amp are the
     complex amplitudes; phi = Arg r_amp and theta = Arg t_amp reduced to
-    (-pi, pi].  The incidence side is the caller's argument.
+    (-pi, pi].  The incidence side is the caller's argument.  Every field
+    is an array when amplitudes was given an array q.
     """
 
     t_coeff: float
@@ -134,7 +135,7 @@ def fluxes(p: float, q: float, a: float, units: Units) -> FluxTriple:
     return FluxTriple(j_incident=j_inc, j_reflected=j_ref, j_transmitted=j_tra)
 
 
-def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
+def amplitudes(p: float, q, side: str = "left") -> ScatteringData:
     """Complex r and t plus flux-ratio T, R and the phases phi, theta.
 
     Left incidence:
@@ -149,30 +150,36 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
         t = 2 sqrt(pi p/2) e^{-i pi/4} e^{-pi q/2} (p/2)^{-iq} / Gamma(1-iq)
 
     |t|^2 differs from T on purpose (unequal asymptotic waveforms); |r|^2
-    equals R on both sides.
+    equals R on both sides.  The Gamma ratio of the left r is formed first:
+    |Gamma(1+iq)|^2 = pi q / sinh(pi q), so e^{-pi q} Gamma(1+iq) loses
+    digits past q ~ 153 and underflows to 0 past q ~ 159.  q may be an
+    array (a sweep's q column): every field is then an array of its shape,
+    and agrees with the scalar calls to rounding (numpy's complex power in
+    Gamma).
     """
     _check_pq(p, q, side)
     t_coeff, r_coeff = transmission_reflection(q)
+    lib, clib, arg = (np, np, np.angle) if isinstance(q, np.ndarray) else (math, cmath, cmath.phase)
     alpha = q * math.log(0.5 * p)
     gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
-    phase_p = cmath.exp(-1j * alpha)  # (p/2)^{-iq}
+    phase_p = clib.exp(-1j * alpha)  # (p/2)^{-iq}
     if side == "left":
-        r_amp = -math.exp(-math.pi * q) * phase_p**2 * gamma_plus / gamma_plus.conjugate()
+        r_amp = -lib.exp(-math.pi * q) * phase_p**2 * (gamma_plus / gamma_plus.conjugate())
         t_amp = (
             math.sqrt(2.0 / (math.pi * p))
             * cmath.exp(-1j * _QUARTER_PI)
-            * math.exp(-0.5 * math.pi * q)
+            * lib.exp(-0.5 * math.pi * q)
             * phase_p
-            * math.sinh(math.pi * q)
+            * lib.sinh(math.pi * q)
             * gamma_plus
         )
     else:
-        r_amp = -1j * math.exp(-math.pi * q)
+        r_amp = -1j * lib.exp(-math.pi * q)
         t_amp = (
             2.0
             * math.sqrt(0.5 * math.pi * p)
             * cmath.exp(-1j * _QUARTER_PI)
-            * math.exp(-0.5 * math.pi * q)
+            * lib.exp(-0.5 * math.pi * q)
             * phase_p
             / gamma_plus.conjugate()
         )
@@ -181,33 +188,9 @@ def amplitudes(p: float, q: float, side: str = "left") -> ScatteringData:
         r_coeff=r_coeff,
         r_amp=r_amp,
         t_amp=t_amp,
-        phi=principal_angle(cmath.phase(r_amp)),
-        theta=principal_angle(cmath.phase(t_amp)),
+        phi=principal_angle(arg(r_amp)),
+        theta=principal_angle(arg(t_amp)),
     )
-
-
-def phase_shifts(p: float, q, side: str = "left"):
-    """(phi, theta) from the closed phase formulas.
-
-    phi_left = -2 alpha + 2 beta + pi,  phi_right = 3 pi/2,
-    theta = -alpha + beta - pi/4 on both sides, each reduced to (-pi, pi],
-    with alpha = q ln(p/2) and beta = Arg Gamma(1+iq).
-    These equal the arguments of the amplitudes identically; tests assert
-    the agreement.  q may be an array (a sweep's q column): both outputs
-    are then arrays of its shape, and agree with the scalar calls to
-    rounding (numpy's complex power in Gamma).
-    """
-    _check_pq(p, q, side)
-    alpha = q * math.log(0.5 * p)
-    gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
-    beta = np.angle(gamma_plus) if isinstance(q, np.ndarray) else cmath.phase(gamma_plus)
-    theta = principal_angle(-alpha + beta - _QUARTER_PI)
-    if side == "left":
-        phi = principal_angle(-2.0 * alpha + 2.0 * beta + math.pi)
-    else:
-        # + 0.0 * q: an array q gives a column of the constant
-        phi = principal_angle(1.5 * math.pi + 0.0 * q)
-    return phi, theta
 
 
 def incident_amplitude(p: float, q: float, side: str = "left") -> complex:

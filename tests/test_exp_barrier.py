@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 
 from expscatter import exp_barrier, potentials, specfun, waves
 from expscatter.errors import AccuracyError, DomainError
@@ -118,23 +119,24 @@ class TestArrayColumns:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("p", [0.3, 2.0, 57.0])
     def test_phase_shifts(self, p, side):
-        columns = exp_barrier.phase_shifts(p, self.Q, side)
-        scalar = [exp_barrier.phase_shifts(p, q, side) for q in self.Q.tolist()]
-        # phi sums 2 alpha = 2 q ln(p/2) before reducing it: allow the
-        # rounding of that sum
+        # phi and theta of an array call against one scalar call per entry
+        data = exp_barrier.amplitudes(p, self.Q, side)
+        scalar = [exp_barrier.amplitudes(p, q, side) for q in self.Q.tolist()]
+        # phi's (p/2)^{-2iq} carries 2 alpha = 2 q ln(p/2) unreduced: allow
+        # the rounding of that phase
         alpha = self.Q * math.log(0.5 * p)
         tol = 1e-13 + 4.0 * np.spacing(2.0 * np.abs(alpha))
-        assert len(columns) == 2
-        for got, want in zip(columns, zip(*scalar)):
+        for name in ("phi", "theta"):
+            got = getattr(data, name)
             assert got.shape == self.Q.shape
-            assert np.all(np.abs(got - np.array(want)) <= tol)
+            assert np.all(np.abs(got - np.array([getattr(s, name) for s in scalar])) <= tol)
 
     def test_refusal_names_first_offender(self):
         q = np.array([0.5, 5e-9, 1e-9, 300.0])
         with pytest.raises(DomainError, match=r"^q = 5e-09 at or below"):
-            exp_barrier.phase_shifts(2.0, q)
+            exp_barrier.amplitudes(2.0, q)
         with pytest.raises(DomainError, match=r"^q = 300.0 overflows"):
-            exp_barrier.phase_shifts(2.0, q[[0, 3]])
+            exp_barrier.amplitudes(2.0, q[[0, 3]])
         with pytest.raises(DomainError, match=r"got -0.1$"):
             exp_barrier.transmission_reflection(np.array([0.2, -0.1]))
         with pytest.raises(DomainError, match=r"energy must be finite and > 0, got inf$"):
@@ -146,7 +148,7 @@ class TestArrayColumns:
         mask = exp_barrier.closed_form_domain(2.0, q)
         for accepted, value in zip(mask.tolist(), q.tolist()):
             try:
-                exp_barrier.phase_shifts(2.0, value)
+                exp_barrier.amplitudes(2.0, value)
             except DomainError:
                 assert not accepted
             else:
@@ -173,16 +175,28 @@ class TestAmplitudes:
         assert waves.angle_distance(data.phi, cmath.phase(data.r_amp)) < 1e-12
         assert waves.angle_distance(data.theta, cmath.phase(data.t_amp)) < 1e-12
 
-    def test_phase_shift_tuple_matches(self):
-        phi, theta = exp_barrier.phase_shifts(2.0, 1.0, "left")
-        data = exp_barrier.amplitudes(2.0, 1.0, "left")
-        assert phi == pytest.approx(data.phi) and theta == pytest.approx(data.theta)
-
     def test_transmission_theta_reciprocity(self):
+        # Arg t_L against Arg t_R: two different products of the closed forms
         for p, q in ((2.0, 0.5), (4.0, 1.3)):
-            th_l = exp_barrier.phase_shifts(p, q, "left")[1]
-            th_r = exp_barrier.phase_shifts(p, q, "right")[1]
+            th_l = exp_barrier.amplitudes(p, q, "left").theta
+            th_r = exp_barrier.amplitudes(p, q, "right").theta
             assert waves.angle_distance(th_l, th_r) < 1e-12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("q", [155.0, 170.0, 200.0, 222.0])
+    @pytest.mark.parametrize("p", [2.0, 57.0])
+    def test_whole_domain_against_loggamma(self, p, q, side):
+        # up to pi q = 700: |r| = e^{-pi q} and the phases of the closed
+        # formulas, with beta = Arg Gamma(1+iq) from scipy's loggamma, which
+        # shares no code with complex_gamma; the left r must form the Gamma
+        # ratio first, since e^{-pi q} Gamma(1+iq) underflows to 0 from q ~ 159
+        data = exp_barrier.amplitudes(p, q, side)
+        assert abs(data.r_amp) == pytest.approx(math.exp(-math.pi * q), rel=1e-12)
+        alpha = q * math.log(0.5 * p)
+        beta = float(loggamma(1.0 + 1j * q).imag)
+        phi = -2.0 * alpha + 2.0 * beta + math.pi if side == "left" else -0.5 * math.pi
+        assert waves.angle_distance(data.phi, phi) <= 1e-11
+        assert waves.angle_distance(data.theta, -alpha + beta - 0.25 * math.pi) <= 1e-11
 
     def test_side_validation(self):
         with pytest.raises(DomainError):
