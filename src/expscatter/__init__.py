@@ -3,6 +3,13 @@
 Closed-form transmission, reflection, phases, and wavefunctions for
 V(x) = -v0 * exp(x/a), plus an ODE solver that cross-checks them and
 handles rectangular models (the free particle among them) on the side.
+
+The result records are ``typing.NamedTuple``s: they compare as tuples, and
+``record._replace(field=value)`` gives a changed copy.  The ``verification``
+and ``chart`` modules are not imported here: they load when ``expscatter
+verify`` or ``expscatter plot`` runs, or when a caller imports them, so
+``run_all``, ``format_report`` and ``CheckResult`` come from
+``expscatter.verification``.
 """
 
 from .errors import AccuracyError, DomainError
@@ -39,14 +46,12 @@ from .specfun import (
     complex_gamma,
     hankel_imag_order,
 )
-from .verification import CheckResult, format_report, run_all
 from .waves import WaveSolution, angle_distance, principal_angle
 
 __all__ = [
     "AccuracyError",
     "BasisPair",
     "BesselEval",
-    "CheckResult",
     "DEFAULT_UNITS",
     "DimensionlessParams",
     "DomainError",
@@ -64,7 +69,6 @@ __all__ = [
     "exact_wavefunction",
     "exponential",
     "fluxes",
-    "format_report",
     "free",
     "hankel_imag_order",
     "incident_amplitude",
@@ -73,7 +77,6 @@ __all__ = [
     "principal_angle",
     "rectangular",
     "reduce_params",
-    "run_all",
     "solve",
     "transmission_reflection",
 ]

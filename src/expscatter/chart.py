@@ -29,13 +29,17 @@ def render_probability_chart(
     """SVG text with exactly two polylines (T first, then R) over energy.
 
     None or non-finite samples are dropped from their polyline only; the
-    energy axis spans every energy given, plotted or not.
+    energy axis spans every energy given, plotted or not, so every energy
+    must be finite.
     """
     if not (len(energies) == len(t_values) == len(r_values)):
         raise DomainError("energies, t_values, r_values must have equal length")
     if len(energies) == 0:
         raise DomainError("nothing to plot")
     xs = [float(e) for e in energies]
+    for x in xs:
+        if not math.isfinite(x):
+            raise DomainError(f"energies must be finite, got {x!r}")
     if log_x and any(x <= 0.0 for x in xs):
         raise DomainError("log axis needs all energies > 0")
 
@@ -46,13 +50,11 @@ def render_probability_chart(
         lo, hi = lo - 0.5, hi + 0.5
     cells = [f"{_ML + (c - lo) / (hi - lo) * _PLOT_W:.2f}" for c in coords]
 
-    def py(y: float) -> float:
-        y = min(max(y, 0.0), 1.0)
-        return _MT + (1.0 - y) * _PLOT_H
-
     def points(vals: Sequence[Optional[float]]) -> str:
-        return " ".join(f"{cell},{py(float(y)):.2f}" for cell, y in zip(cells, vals)
-                        if y is not None and math.isfinite(y))
+        # y clamped to [0, 1], then to its pixel row
+        return " ".join([
+            "%s,%.2f" % (cell, _MT + (1.0 - (0.0 if y < 0.0 else 1.0 if y > 1.0 else y)) * _PLOT_H)
+            for cell, y in zip(cells, vals) if y is not None and math.isfinite(y)])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
@@ -69,7 +71,7 @@ def render_probability_chart(
     )
 
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        yy = py(frac)
+        yy = _MT + (1.0 - frac) * _PLOT_H
         parts.append(
             f'<line x1="{x0 - 5:.2f}" y1="{yy:.2f}" x2="{x0:.2f}" y2="{yy:.2f}" '
             'stroke="#222222" stroke-width="1"/>'

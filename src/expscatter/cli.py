@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import chart, exp_barrier, numeric_scatter, potentials, verification
+from . import exp_barrier, numeric_scatter, potentials
 from .errors import AccuracyError, DomainError
 from .potentials import Exponential, PotentialModel, Units
 
@@ -293,6 +293,8 @@ def render_sweep_chart(table: list[dict[str, Optional[float]]], log_x: bool) -> 
     have_data = any(v is not None for v in t_vals) or any(v is not None for v in r_vals)
     if not energies or not have_data:
         raise UsageError("empty data region: no plottable rows in the input table")
+    from . import chart  # loaded on use: only plot draws a chart
+
     return chart.render_probability_chart(energies, t_vals, r_vals, log_x=log_x)
 
 
@@ -372,6 +374,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification  # loaded on use: only verify runs the checks
+
     results = verification.run_all()
     _emit(verification.format_report(results) + "\n", args.out)
     return 0 if all(r.passed for r in results) else 3

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -45,8 +44,7 @@ from .waves import WaveSolution, principal_angle
 _QUARTER_PI = math.pi / 4.0
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
+class DimensionlessParams(NamedTuple):
     """p and q = 2 k a; q is an array when reduce_params was given an
     array of energies."""
 
@@ -54,8 +52,7 @@ class DimensionlessParams:
     q: float
 
 
-@dataclass(frozen=True)
-class ScatteringData:
+class ScatteringData(NamedTuple):
     """Amplitudes, coefficients, and phases for one incidence side.
 
     t_coeff and r_coeff come from flux ratios; r_amp and t_amp are the
@@ -72,8 +69,7 @@ class ScatteringData:
     theta: float
 
 
-@dataclass(frozen=True)
-class FluxTriple:
+class FluxTriple(NamedTuple):
     """Incident, reflected, transmitted probability-flux magnitudes."""
 
     j_incident: float

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,8 +89,7 @@ class _End(NamedTuple):
     w_uv: float
 
 
-@dataclass(frozen=True)
-class BasisPair:
+class BasisPair(NamedTuple):
     """Two real solutions u, v, W[u, v] = 1 at the seed, read at a few nodes.
 
     ends holds the left and the right window end, each projected onto its
@@ -107,8 +105,7 @@ class BasisPair:
     drift: float
 
 
-@dataclass(frozen=True)
-class NumericScatteringResult:
+class NumericScatteringResult(NamedTuple):
     """Scattering data extracted from one matched solution.
 
     t_coeff and r_coeff are flux ratios; r_amp and t_amp the complex

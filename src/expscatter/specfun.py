@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _LANCZOS_C = (
 )
 
 
-@dataclass(frozen=True)
-class BesselEval:
+class BesselEval(NamedTuple):
     """Result of one series evaluation.
 
     Attributes

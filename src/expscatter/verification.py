@@ -13,7 +13,7 @@ the detail text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .waves import angle_distance
 _Q_GRID = np.logspace(np.log10(0.01), np.log10(5.0), 200)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float

@@ -11,15 +11,14 @@ rightward motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class WaveSolution:
+class WaveSolution(NamedTuple):
     """A closed-form wavefunction sampled on an ascending grid.
 
     Attributes

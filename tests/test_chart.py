@@ -43,6 +43,9 @@ class TestStructure:
             [0.1, 1.0], [1.5, 0.5], [-0.2, 0.4], log_x=False
         )
         assert svg.count("<polyline") == 2
+        # 1.5 is drawn at the top (y = 1), -0.2 at the bottom (y = 0)
+        assert re.findall(r'points="([^"]*)"', svg) == ["76.00,28.00 696.00,222.00",
+                                                         "76.00,416.00 696.00,260.80"]
 
 
 class TestAxis:

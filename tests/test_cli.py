@@ -7,12 +7,14 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from expscatter import cli, exp_barrier, numeric_scatter, potentials
+from expscatter import cli, exp_barrier, numeric_scatter, potentials, verification
 from expscatter.cli import SWEEP_HEADER, UsageError
 from expscatter.errors import DomainError
 
@@ -298,7 +300,7 @@ class TestCommands:
 
         # refused before any work: every command's computation is out of reach
         for owner, name in ((cli, "run_sweep"), (cli, "render_sweep_chart"),
-                            (cli.verification, "run_all"), (numeric_scatter, "integrate_ends")):
+                            (verification, "run_all"), (numeric_scatter, "integrate_ends")):
             monkeypatch.setattr(owner, name, computed)
         argv = [str(table) if arg == "SWEEP" else arg for arg in argv]
         (tmp_path / "adir").mkdir()
@@ -464,6 +466,20 @@ class TestCommands:
         out = tmp_path / "x.svg"
         code, _, err = run_cli(["plot", str(empty), "--out", str(out)], capsys)
         assert code == 1 and "empty data region" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("energy, spacing", [("nan", "log"), ("inf", "linear")])
+    def test_plot_non_finite_energy_writes_nothing(self, energy, spacing, tmp_path, capsys):
+        # the energy axis spans every row, so a non-finite E would put nan
+        # coordinates into the SVG; the chart refuses it by name
+        table = tmp_path / "sweep.csv"
+        rows = [[e, "NA", t, r] + ["NA"] * 8
+                for e, t, r in (("0.1", "0.2", "0.8"), (energy, "0.6", "0.4"), ("1.0", "0.9", "0.1"))]
+        table.write_text("\n".join([SWEEP_HEADER, *(",".join(row) for row in rows)]) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "x.svg"
+        argv = ["plot", str(table), "--spacing", spacing, "--out", str(out)]
+        assert run_cli(argv, capsys) == (1, "", f"error: energies must be finite, got {energy}\n")
         assert not out.exists()
 
     def test_wavefunction_free_has_unit_modulus(self, capsys):
@@ -1007,3 +1023,15 @@ def test_every_raise_names_a_class_main_maps():
             and "AssertionError" in ast.unparse(node))
     assert raised == {"DomainError", "AccuracyError", "UsageError", "AssertionError"}
     assert invariants == {"cli.py:_refusal"}
+
+
+def test_cli_import_leaves_verify_and_plot_code_unloaded():
+    # a fresh process that imports the CLI loads verification and chart only
+    # when verify or plot runs; the checks stay importable from their module
+    code = ("import sys, expscatter.cli\n"
+            "print(sorted({'expscatter.verification', 'expscatter.chart'} & set(sys.modules)))\n"
+            "from expscatter.verification import run_all\n"
+            "print(callable(run_all))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=False)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\nTrue\n", "")

@@ -84,7 +84,7 @@ def lane(potential, energy, window, xs=()):
     assert window.x_left <= own.x_left and own.x_right <= window.x_right
     basis = numeric_scatter.integrate_ends(potential, energy, xs=[window.x_left, window.x_right,
                                                                    *xs], kh=window.kh)
-    return dataclasses.replace(basis, nodes=basis.nodes[:, 2:])
+    return basis._replace(nodes=basis.nodes[:, 2:])
 
 
 def right_end(potential, window, units=DEFAULT_UNITS):
@@ -924,7 +924,7 @@ def result_bits(result):
             return x.real.hex(), x.imag.hex()
         return x.hex() if isinstance(x, float) else x
 
-    return [bits(getattr(result, field.name)) for field in dataclasses.fields(result)]
+    return [bits(getattr(result, name)) for name in result._fields]
 
 
 def outcomes(solve_sides, sides=("left", "right")):
@@ -1653,8 +1653,7 @@ def test_one_projection_reads_both_window_ends():
                   if isinstance(node, ast.ClassDef) and node.name == "NumericScatteringResult")
     fields = {node.target.id for node in result.body if isinstance(node, ast.AnnAssign)}
     assert "t_amp" in fields and "match_residual" not in fields
-    assert [field.name for field in dataclasses.fields(numeric_scatter.BasisPair)] == [
-        "ends", "nodes", "drift"]
+    assert numeric_scatter.BasisPair._fields == ("ends", "nodes", "drift")
     for name in ("_wave", "_project", "_plane_potential"):
         callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                    for node in ast.walk(fn) if isinstance(node, ast.Call)
