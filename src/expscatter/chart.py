@@ -46,6 +46,8 @@ def render_probability_chart(
     # each energy's axis coordinate, and its pixel cell, once for both curves
     coords = [math.log10(x) for x in xs] if log_x else xs
     lo, hi = min(coords), max(coords)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"energies {lo!r} and {hi!r} are too far apart: their span overflows")
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     cells = [f"{_ML + (c - lo) / (hi - lo) * _PLOT_W:.2f}" for c in coords]

@@ -14,11 +14,11 @@ u = 1, u' = 0, v = 0, v' = 1 at the seed, the window point nearest x = 0,
 by marching a classical RK4 outward from it (so W[u, v] = 1 exactly at
 the seed and its drift measures integrator error).  The equation is
 linear, so every RK4 step is a 2x2 transfer matrix; one march
-(``_march``) builds all of them a chunk at a time with numpy, each with
-its det M - 1, takes their products in a blocked scan, and hands back
-only the nodes asked for, the two end nodes and a wavefunction's samples
-(each one partial RK4 step from the node below it, refused where W formed
-from them is off 1 past DRIFT_TOLERANCE), with the dets.  RK4 does not
+(``_march``) builds all of them a chunk at a time with numpy, each as
+M - I with its det M - 1, multiplies them pairwise in a tree, and hands
+back only the nodes asked for, the two end nodes and a wavefunction's
+samples (each one partial RK4 step from the node below it, refused where
+W formed from them is off 1 past DRIFT_TOLERANCE), with the dets.  RK4 does not
 keep area, so W[u, v] drifts from 1 by the product of the dets: their
 sums give the drift and W at the window ends, free of the round-off the
 products gather where the basis grows.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +57,7 @@ from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import principal_angle
 
 _MAX_NODES = 5_000_000
-# array elements per chunk of march rows: each temporary (64 KB) stays in cache
+# steps, or runs of a tree level, per chunk: each temporary (64 KB) stays in cache
 _CHUNK = 8192
 # plane waves stand in for the asymptote at a window end only where
 # |V| <= ASYMPTOTE_EPSILON * E there
@@ -240,7 +241,7 @@ def integrate_ends(
             drift = max(drift, float(np.abs(dets, out=dets).sum()))
         if xs.size:
             below = x[at[2:]]
-            nodes[:, 2:] = _step_from(potential, energy, below, xs - below, units, nodes[:, 2:])
+            nodes[:, 2:] = _step_from(potential, energy, below, xs, units, nodes[:, 2:])
         _check_drift(drift, lo, hi, kh, nodes, xs)
     ends = tuple(_End(*_project(waves[i], nodes[:, i]), waves[i][2], w_uv[i]) for i in (0, 1))
     return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift)
@@ -403,72 +404,70 @@ def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units
 
     Step i runs from x[i] to x[i + 1] and samples V at its _SAMPLES.
     Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
-    applied to seed c, (1, 0) for u and (0, 1) for v; node i holds
-    P_i = M_{i-1} ... M_0 (P_0 = I).  Steps are laid out in blocks of
-    width = isqrt(n) steps: step k * width + j is row j of block k, and
-    steps past n pad the last block and repeat step n - 1 (a zero step
-    when there is none).  The scan runs sequentially inside blocks,
-    vectorised across blocks, then carries each block by the earlier block
-    totals; only the picked nodes are formed from the two.  Every product
-    is formed in step order, which keeps the Wronskian's round-off drift
-    as low as a plain loop's; a log-depth tree scan would not.
+    applied to seed c, (1, 0) for u and (0, 1) for v, kept as M_i - I;
+    node t holds P_t = M_{t-1} ... M_0.  Level l of a tree holds the
+    products of the aligned runs of 2^l steps, each of two runs of level
+    l - 1 (``_compose``).  P_t is the product of the runs that t's set
+    bits name, the earliest first, reduced pairwise in the same way.  Kept
+    as M - I, a step's small parts reach P_t without the rounding of 1 + a.
     """
     n = x.size - 1
-    width = max(1, math.isqrt(n))
-    blocks = max(1, -(-n // width))
-    scale = 2.0 * units.mass / units.hbar**2
-    # m[j, r, c, k]: entry (r, c) of step k * width + j, built a chunk of rows at a time
-    m = np.empty((width, 2, 2, blocks))
-    rows = max(1, _CHUNK // blocks)
-    # the start and end node of every step in scan layout: pad steps repeat
-    # the last step, or are a zero step on the seed when there is none
-    last, pad = max(n - 1, 0), blocks * width - n
-    x0s, x1s = (np.concatenate((x[i : n + i], np.full(pad, x[min(last + i, n)])))
-                .reshape(blocks, width).T for i in (0, 1))
-    # one buffer for every chunk's h, start node and samples: fresh 200 KB
-    # temporaries per chunk fragment the heap and raise the peak RSS
-    buffer = np.empty((5, rows, blocks))
-    dets = np.empty(blocks * width)
-    for j in range(0, width, rows):
-        mj = m[j : j + rows]
-        h, x0 = buffer[:2, : len(mj)]
-        g = buffer[2:, : len(mj)]
-        np.copyto(x0, x0s[j : j + rows])
-        np.subtract(x1s[j : j + rows], x0, out=h)
-        dets.reshape(blocks, width).T[j : j + rows] = _step_matrices(
-            potential, energy, scale, x0, h, g, mj.transpose(1, 2, 0, 3))
-    # in place, m[j] becomes the product of its block's steps 0..j:
-    # terms[t, r, c] = M_j[r, t] * m[j - 1][t, c], summed over t in order
-    terms = np.empty((2, 2, 2, blocks))
-    term0, term1 = terms
-    steps, prods = m.transpose(0, 2, 1, 3)[:, :, :, None], m[:, :, None]
-    for mj, step, prod in zip(m[1:], steps[1:], prods[:-1]):
-        np.multiply(step, prod, out=terms)
-        np.add(term0, term1, out=mj)
-    carry = [(1.0, 0.0, 0.0, 1.0)]
-    # the last block's total, which may include pad steps, carries nothing
-    for t00, t01, t10, t11 in m[-1].reshape(4, blocks).T.tolist()[:-1]:
-        c00, c01, c10, c11 = carry[-1]
-        carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
-                      t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
-    # node 1 + k * width + j is P = m[j, :, :, k] @ (the carry of block k)
-    k, j = np.divmod(np.asarray(picks, dtype=np.int64) - 1, width)
-    block, carried = m[j, :, :, k], np.array(carry)[k].reshape(-1, 2, 2)
-    p = block[:, :, 0, None] * carried[:, None, 0] + block[:, :, 1, None] * carried[:, None, 1]
-    # p[i, r, c]: column c = 0 holds u, u', column c = 1 holds v, v'
-    return p.transpose(2, 1, 0).reshape(4, -1), dets[:n]
+    # every level of the tree in one buffer, level l holding n >> l runs
+    # from starts[l], then one zero: M - I of the factor of a clear bit
+    sizes = [n >> level for level in range(n.bit_length())]
+    starts = [0, *accumulate(sizes)]
+    tree = np.empty((2, 2, starts[-1] + 1))
+    tree[:, :, -1] = 0.0
+    # one buffer for a chunk's h and samples, then for its product terms:
+    # fresh temporaries per chunk fragment the heap and raise the peak RSS
+    buffer = np.empty((2, 2, _CHUNK))
+    dets = np.empty(n)
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        dets[i:j] = _step_matrices(potential, energy, units, x[i:j], x[i + 1 : j + 1],
+                                   buffer.reshape(4, _CHUNK)[:, : j - i], tree[:, :, i:j])
+    for below, start, size in zip(starts, starts[1:], sizes[1:]):
+        for i in range(0, size, _CHUNK):
+            j = min(i + _CHUNK, size)
+            _compose(tree[:, :, below + 2 * i + 1 : below + 2 * j : 2],
+                     tree[:, :, below + 2 * i : below + 2 * j : 2],
+                     tree[:, :, start + i : start + j], buffer[:, :, : j - i])
+    # one factor per level of each pick t, the top level first: run
+    # (t >> l) - 1 of level l where bit l is set, else the zero, as are the
+    # factors that pad them to a power of two
+    level = np.arange(len(sizes) - 1, -1, -1)[:, None]
+    run = np.asarray(picks, dtype=np.int64) >> level
+    at = np.full((1 << (len(sizes) - 1).bit_length(), run.shape[1]), -1)
+    at[: len(sizes)] = np.where(run % 2 == 1, np.take(starts, level) + run - 1, -1)
+    factors = np.take(tree, at, axis=2)
+    while factors.shape[2] > 1:
+        late, early = factors[:, :, 1::2], factors[:, :, 0::2]
+        factors = _compose(late, early, np.empty_like(late), np.empty_like(late))
+    p = factors[:, :, 0] + np.eye(2)[:, :, None]
+    # p[r, c]: column c = 0 holds u, u', column c = 1 holds v, v'
+    return p.transpose(1, 0, 2).reshape(4, -1), dets
 
 
-def _step_matrices(potential: PotentialModel, energy: float, scale: float, x0: np.ndarray,
-                   h: np.ndarray, g: np.ndarray, out) -> np.ndarray:
-    """The RK4 transfer matrices of the steps h from x0 into out[r][c]
-    (column c the step applied to seed c), g a buffer shaped as h for
-    2m (V - energy)/hbar^2 at the three _SAMPLES of each step.  Returns
-    each det M - 1, x^3/72 + x^4/576 for a constant g, x = g h^2 (Hairer,
-    Lubich & Wanner, Geometric Numerical Integration, ch. VI), formed as
-    a + d + a d - b c from the diagonal's parts below 1."""
+def _compose(late: np.ndarray, early: np.ndarray, out: np.ndarray, term: np.ndarray):
+    """Into out, (I + late)(I + early) - I = late + early + late early."""
+    np.add(late, early, out=out)
+    for k in (0, 1):
+        out += np.multiply(late[:, k : k + 1], early[k : k + 1], out=term)
+    return out
+
+
+def _step_matrices(potential: PotentialModel, energy: float, units: Units, x0: np.ndarray,
+                   x1: np.ndarray, buffer: np.ndarray, out) -> np.ndarray:
+    """The RK4 transfer matrices M of the steps from x0 to x1, as M - I,
+    into out[r][c] (column c the step applied to seed c), buffer 4 rows
+    shaped as x0 for h and 2m (V - energy)/hbar^2 at each step's _SAMPLES.
+    Returns each det M - 1, x^3/72 + x^4/576 for a constant g, x = g h^2
+    (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. VI),
+    formed as a + d + a d - b c from M - I = [[a, b], [c, d]]."""
+    h, g = np.subtract(x1, x0, out=buffer[0]), buffer[1:]
     for gs, offset in zip(g, _SAMPLES):
         np.add(x0, np.multiply(offset, h, out=gs), out=gs)
+    scale = 2.0 * units.mass / units.hbar**2
     np.multiply(scale, np.subtract(potentials.evaluate(potential, g), energy, out=g), out=g)
     if not np.all(np.isfinite(g)):
         raise DomainError("potential is not finite on the integration grid")
@@ -480,25 +479,23 @@ def _step_matrices(potential: PotentialModel, energy: float, scale: float, x0: n
     k2u, k3u = half_h * g0, half_h * g1
     k3p = g1 * (1.0 + half_h * k2u)
     k4p = g2 * (1.0 + h * k3u)
-    a = sixth_h * (2.0 * (k2u + k3u) + h * k3p)
-    np.add(1.0, a, out=out[0][0])
+    a = np.multiply(sixth_h, 2.0 * (k2u + k3u) + h * k3p, out=out[0][0])
     np.multiply(sixth_h, g0 + 2.0 * (g1 + k3p) + k4p, out=out[1][0])
     k2q = g1 * half_h
     k3v = 1.0 + half_h * k2q
     k4q = g2 * (h * k3v)
     np.multiply(sixth_h, 1.0 + 2.0 * (1.0 + k3v) + (1.0 + h * k2q), out=out[0][1])
-    d = sixth_h * (2.0 * (k2q + k2q) + k4q)
-    np.add(1.0, d, out=out[1][1])
+    d = np.multiply(sixth_h, 2.0 * (k2q + k2q) + k4q, out=out[1][1])
     return a + d + a * d - out[0][1] * out[1][0]
 
 
-def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, h: np.ndarray,
+def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, x1: np.ndarray,
                units: Units, nodes: np.ndarray) -> np.ndarray:
     """The columns u, u', v, v' of nodes, at x0, carried by one RK4 step
-    of h each (h = 0 keeps them bit for bit)."""
-    m = np.empty((2, 2, h.size))
-    scale = 2.0 * units.mass / units.hbar**2
-    _step_matrices(potential, energy, scale, x0, h, np.empty((3, h.size)), m)
+    each to x1 (x1 = x0 keeps them bit for bit)."""
+    m = np.empty((2, 2, x1.size))
+    _step_matrices(potential, energy, units, x0, x1, np.empty((4, x1.size)), m)
+    m[[0, 1], [0, 1]] += 1.0
     u, du, v, dv = nodes
     return np.array([m[0, 0] * u + m[0, 1] * du, m[1, 0] * u + m[1, 1] * du,
                      m[0, 0] * v + m[0, 1] * dv, m[1, 0] * v + m[1, 1] * dv])

@@ -353,38 +353,45 @@ class TestCommands:
     # The three wavefunctions were re-frozen when their flux came to be
     # formed as Im(conj(a_u) a_v) W[u, v]: only the flux cells moved, by at
     # most 3.3e-16, 4.0e-16 and 4.1e-16 of the mean; against the exact flux
-    # they read 1.35e-14, 9.5e-14 and 1.3e-12 (1.37e-14, 9.5e-14, 1.3e-12)
+    # they read 1.35e-14, 9.5e-14 and 1.3e-12 (1.37e-14, 9.5e-14, 1.3e-12).
+    # All eight were re-frozen when the march came to multiply its steps
+    # pairwise, each kept as M - I: the largest moves were T_numeric and
+    # flux_imbalance 4.9e-13 (free sweep, now within 1.6e-15 of 1), 1.7e-13
+    # (rect), 2.2e-14 (E == v0), 1.9e-12 relative (deep rect); theta 9.0e-15,
+    # phi 1.8e-14 where R is not round-off; psi 4.0e-14 and flux 1.4e-13
+    # (free wavefunctions), psi 2.8e-14 and flux 2.0e-14 (rect); the drift
+    # not at all
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
               "--method", "numeric"],
-             "9dde4ad30987be04778f05c8d70c51d3c17900a2fb7b85059ae372a480dbecc1"),
+             "d19d2616f6bb4111a79bc0e1870736addaf3114496a946931365eccef16802df"),
             (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
               "--xmax", "6", "--n", "300"],
-             "c22924a1bf7bbb3d51a9f40d8750de46f19d357b01939c0cf495cc708624fb49"),
+             "1a943f9569fb023abb7c40d0c51801125d6e6bd234d09c3c0a91c0b8eecb07be"),
             (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
               "--xmin", "-2", "--xmax", "2"],
-             "bedc03b9e30caa48ec3849a00a8be8d069baa15b2031389b769d49fe5adb30c2"),
+             "c1e25bcc9975435dd68383791c93a05c76add0b75346912d7a3f47802b2435b1"),
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "c510ab577f5830768e36eb234a6a0e249c5ab276785da2d09098a9fb80b03338"),
+             "ee43dc683aa29c29582b884c6401682d19768502dd624ebcf1bcce0ba42560e8"),
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "64f2291682ddee8996b9db1556882c409daf5dea0ddfd7c189a256f9ea0bb76d"),
+             "70545a66eada96785de2202ba9da50911b39dd9b6eaa652d0624c07f86dadf17"),
             # E == v0 on the second row: g is exactly zero inside the barrier
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
-             "85aa22d19504328e063a34b49416185d0be08ac4b4b28f7cd27debd953eefc47"),
+             "19964d8429204dc44b48e58249c2ddca2b6f072e9037b46bad52b28e0f515d71"),
             # a rectangle's window and plane waves do not depend on E: these
             # two digests were taken before each exponential row got its own
             # window and its plane wave a tail term
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "9a6a4015af23af2d0c122ceb0d1a0243c15016c06f6bb7655085ab190fc57d43"),
+             "313a004b62cdedeb529f90da8c5cc0c48e5a40b7d54fdcc36c54a9f84bdb0590"),
             (["sweep", "--model", "rect:v0=50,w=4", "--emin", "1", "--emax", "40", "--n", "9",
               "--spacing", "linear", "--method", "numeric"],
-             "13e39f7b815ae144528e5ebf4c89da127dc499bacdf8fa700434f37279804280"),
+             "04071602bb41a2c4799dc90564568e969b080d681d41fec2d654e2782d999761"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
              "rect-wavefunction-right", "rect-sweep-at-v0", "rect-wavefunction-left",
@@ -403,7 +410,7 @@ class TestCommands:
              "43094484c02c4cfe4f5e82d683d31236501f498b09da6b5d53e5e6ed677d831d"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "31490cda14ea999b2894d564afd3968db5bf1d2bab92d7a1bc88490b3b75c540"),
+             "0ee0e66637f3bea5d0267be52c09408414a1d757032a5dc3a2091f574cf91507"),
         ],
         ids=["readme-analytic", "readme-numeric-n20"],
     )
@@ -418,7 +425,11 @@ class TestCommands:
         # and again when each row's window came to start where |V| = 1e-6 E,
         # with the tail term on its plane wave, and to match at z = 8: T and
         # R moved <= 6.3e-9 (the old window's error), theta 1.4e-8, phi 1.0e-4
-        # (where R is round-off), flux_imbalance 4.7e-14, the drift 5.9e-14.
+        # (where R is round-off), flux_imbalance 4.7e-14, the drift 5.9e-14;
+        # and again when the march came to multiply its steps pairwise, each
+        # kept as M - I: T moved <= 1.8e-14, R 1.5e-15, flux_imbalance
+        # 1.3e-14, theta 3.0e-15, phi 2.4e-12 where R >= 1e-6 (2.1e-9 where
+        # R is round-off), the drift not at all.
         # The analytic pin was re-frozen when its phases came to be read as
         # the arguments of the amplitudes, not summed from alpha and beta:
         # phi_left moved <= 6.8e-16 (70 rows), theta_left 2.2e-16 (79 rows),
@@ -481,6 +492,29 @@ class TestCommands:
         argv = ["plot", str(table), "--spacing", spacing, "--out", str(out)]
         assert run_cli(argv, capsys) == (1, "", f"error: energies must be finite, got {energy}\n")
         assert not out.exists()
+
+    def test_plot_of_energies_past_a_float_apart_writes_nothing(self, tmp_path, capsys):
+        # on a linear axis the span hi - lo of E = -1e308 and 1e308
+        # overflows, which put nan coordinates into the SVG with exit 0
+        table = tmp_path / "sweep.csv"
+        rows = [[e, "NA", t, r] + ["NA"] * 8 for e, t, r in (("-1e308", "0.2", "0.8"),
+                                                              ("1e308", "0.9", "0.1"))]
+        table.write_text("\n".join([SWEEP_HEADER, *(",".join(row) for row in rows)]) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "x.svg"
+        argv = ["plot", str(table), "--spacing", "linear", "--out", str(out)]
+        assert run_cli(argv, capsys) == (1, "", "error: energies -1e+308 and 1e+308 are too far "
+                                                "apart: their span overflows\n")
+        assert not out.exists()
+
+    def test_free_sweep_transmits_to_round_off(self, capsys):
+        # V = 0: T = 1, which the march's W[u, v] keeps to 2e-15 (4.9e-13
+        # when each step was stored as M, and 1 + a rounded)
+        code, out, err = run_cli(["sweep", "--model", "free", "--emin", "0.1", "--emax", "3",
+                                  "--n", "20", "--method", "numeric"], capsys)
+        assert (code, err) == (0, "")
+        rows = cli.parse_sweep_table(out.splitlines())
+        assert len(rows) == 20 and max(abs(row["T_numeric"] - 1.0) for row in rows) <= 1e-14
 
     def test_wavefunction_free_has_unit_modulus(self, capsys):
         code, out, _ = run_cli(
@@ -718,9 +752,10 @@ class TestCommands:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_deep_rectangle_wavefunction_refused_at_its_roundoff(self, energy, side, capsys):
         # rect:v0=50,w=4: u and v grow like e^14 each way from the seed, so
-        # W formed from the nodes is off 1 by 1e-3 at E = 1 and 2.6e-8 at
-        # E = 30, and psi and its flux would carry that; a sweep's T and
-        # theta are read without these nodes and solve
+        # W formed from the nodes is off 1 by 7e-4 at E = 1 and 1.5e-8 at
+        # E = 30 (2.6e-8 when the products were formed in step order), and
+        # psi and its flux would carry that; a sweep's T and theta are read
+        # without these nodes and solve
         code, out, err = run_cli(
             ["wavefunction", "--model", "rect:v0=50,w=4", "--energy", energy,
              "--xmin", "-4", "--xmax", "4", "--n", "201", "--side", side], capsys)

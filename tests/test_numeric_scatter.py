@@ -176,9 +176,12 @@ class TestBasisIntegration:
         # edges, where W formed from the nodes carries round-off
         # eps max(|u v'| + |u' v|) = 2.9e-8 (2.929e-8 on these xs), past
         # DRIFT_TOLERANCE; the drift the march carries does not see it, and
-        # the row solves
+        # the row solves.  The scale is read where the nodes' W passes the
+        # gate: x = 2.25 of these 21 points is left out, where W is off 1
+        # by 2.2e-8 (7.5e-9 was the most off any of them read when the
+        # products were formed in step order)
         rect = potentials.rectangular(50.0, 2.0)
-        xs = np.linspace(-2.5, 2.5, 21)
+        xs = np.delete(np.linspace(-2.5, 2.5, 21), 19)
         basis = numeric_scatter.integrate_ends(rect, 26.5, xs=list(xs))
         u, du, v, dv = basis.nodes
         scale = np.finfo(float).eps * np.max(np.abs(u * dv) + np.abs(du * v))
@@ -358,28 +361,38 @@ class TestBasisIntegration:
         # each model's own window misses x = 0: the seed is x_left on the
         # shifted one, so its left half-window has no steps, and x_right
         # on the deep one, so its right half has none
-        seen = []
-        evaluate = potentials.evaluate
+        seen, halves = [], []
+        evaluate, march = potentials.evaluate, numeric_scatter._march
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, x: seen.append(np.array(x)) or evaluate(m, x))
+
+        def recorded(potential, energy, x, units, picks):
+            before = len(seen)
+            marched = march(potential, energy, x, units, picks)
+            halves.append((x.size - 1, seen[before:]))
+            return marched
+
+        monkeypatch.setattr(numeric_scatter, "_march", recorded)
         for model, end in ((potentials.exponential(1.0, 1.0, 30.0), 0),
                            (potentials.exponential(200.0, 1.0), 1)):
             lo, hi = numeric_scatter._window(model, 0.5, DEFAULT_UNITS)
             assert 0.0 < lo if end == 0 else hi < 0.0
             seed = (lo, hi)[end]
             seen.clear()
+            halves.clear()
             basis = numeric_scatter.integrate_ends(model, 0.5, xs=[seed])
             assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+            # the empty half samples nothing; the other samples strictly
+            # inside the window
+            assert [samples for steps, samples in halves if steps == 0] == [[]]
+            (steps, marched), = [half for half in halves if half[0] > 0]
+            assert marched and all(lo < np.min(x) and np.max(x) < hi for x in marched)
             # V(0) gives the depth that places the window and the diving
             # end's p; the plane-wave checks and the grid's table read the
-            # window ends, an asked-for x its own node, the march only
-            # inside but for the empty half's zero step, which samples the
-            # seed itself
+            # window ends, and the asked-for x's zero step the seed itself
             inside = [x for x in seen if not (np.ndim(x) == 0 and x == 0.0)]
-            assert inside and all(lo <= np.min(x) and np.max(x) <= hi for x in inside)
-            marched = [x for x in inside if np.ndim(x) == 3]
-            assert [x.tolist() for x in marched if x.size == 3] == [[[[seed]], [[seed]], [[seed]]]]
-            assert all(lo < np.min(x) and np.max(x) < hi for x in marched if x.size > 3)
+            assert all(lo <= np.min(x) and np.max(x) <= hi for x in inside)
+            assert [x.tolist() for x in inside if x.shape == (3, 1)] == [[[seed]] * 3]
 
 
 def loop_march(g, hs):
@@ -462,26 +475,6 @@ def step_dets(x):
     return oracle_step_dets(1.0 * (rough(None, oracle_samples(x)) - 0.0), np.diff(x))
 
 
-def poison_pad_steps(monkeypatch, n):
-    """Make the pad steps of a march of n steps non-finite: their matrices
-    and their det M - 1, as ``_step_matrices`` hands them to the march."""
-    width = max(1, math.isqrt(n))
-    blocks = max(1, -(-n // width))
-    real = n - (blocks - 1) * width
-    step_matrices = numeric_scatter._step_matrices
-    done = [0]
-
-    def poisoned(potential, energy, scale, x0, h, g, out):
-        det = step_matrices(potential, energy, scale, x0, h, g, out)
-        first = max(real - done[0], 0)
-        done[0] += h.shape[0]
-        for entry in (*out[0], *out[1], det):
-            entry[first:, -1] = np.nan
-        return det
-
-    monkeypatch.setattr(numeric_scatter, "_step_matrices", poisoned)
-
-
 def drift_of(nodes):
     """max |W - 1| over node rows u, u', v, v': the gate that the det sum
     replaced, and the reference it must never be looser than."""
@@ -499,7 +492,7 @@ def assert_same_march(got, want, rel=1e-12):
 class TestStepMatrixMarch:
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 40000])
     def test_equals_scalar_loop(self, n):
-        # block widths of about sqrt(n) with full, partial and single blocks
+        # tree levels with and without a run left over, and a power of two
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
             g = 1.0 * (rough(None, oracle_samples(x)) - 0.0)
@@ -510,15 +503,6 @@ class TestStepMatrixMarch:
         nodes, dets = products(np.array([0.25]))
         assert dets.shape == (0,) and nodes.shape == (4, 0)
         assert np.array(march(np.array([0.25]))).tolist() == [[1.0], [0.0], [0.0], [1.0]]
-
-    def test_pad_steps_do_not_reach_the_nodes(self, monkeypatch):
-        # n = 17: width 4, five blocks, the last one step and three pad
-        # steps; non-finite pad steps must reach neither a det nor a node
-        x = random_nodes(17, 1.0)
-        poison_pad_steps(monkeypatch, 17)
-        nodes, dets = products(x, np.arange(1, 18))
-        assert dets.tobytes() == step_dets(x).tobytes()
-        assert nodes.tobytes() == rough_march(x)[:, 1:].tobytes()
 
     def test_non_finite_samples_refused(self, monkeypatch):
         x = random_nodes(120, 1.0, seed=3)
@@ -542,22 +526,18 @@ class TestStepMatrixMarch:
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
-    def test_dets_are_the_real_steps(self, n, monkeypatch):
+    def test_dets_are_the_real_steps(self, n):
         # det M_i - 1 of steps 0..n-1 in step order, bit for bit the
-        # step-order oracle's, with the pad steps (made non-finite here)
-        # left out
+        # step-order oracle's, whichever nodes are picked
         for direction in (1.0, -1.0):
             x = random_nodes(n, direction)
-            want = step_dets(x)
-            with monkeypatch.context() as patched:
-                poison_pad_steps(patched, n)
-                dets = products(x)[1]
-            assert dets.tobytes() == want.tobytes()
+            want = step_dets(x).tobytes()
+            assert products(x)[1].tobytes() == products(x, [n, 1])[1].tobytes() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_samples_are_the_step_offsets(self, n, monkeypatch):
-        # the march samples each step at its _SAMPLES, the same floats as
-        # the step-ordered oracle; the pad adds no abscissa
+        # the march samples each step at its _SAMPLES in step order, the
+        # same floats as the step-ordered oracle, and nothing else
         seen = []
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, xs: seen.append(xs.copy()) or rough(m, xs))
@@ -565,12 +545,9 @@ class TestStepMatrixMarch:
             x = random_nodes(n, direction)
             seen.clear()
             products(x)
-            width = max(1, math.isqrt(n))
-            blocks = -(-n // width)
-            # back from scan layout to step order: [s, j, k] is step k * width + j
             samples = np.concatenate(seen, axis=1)
-            assert samples.shape == (3, width, blocks)
-            got = samples.transpose(2, 1, 0).reshape(-1)[: 3 * n]
+            assert samples.shape == (3, n)
+            got = samples.T.reshape(-1)
             assert got.tobytes() == oracle_samples(x).tobytes()
             inside = (got.reshape(n, 3) - x[:-1, None]) / np.diff(x)[:, None]
             assert 0.0 < inside.min() and inside.max() < 1.0
@@ -592,15 +569,12 @@ class TestMarchOnModels:
         assert_same_march(list(basis.nodes), loop_basis(potential, energy, config))
 
     def test_drift_floor_on_default_exp_window(self):
-        # round-off floor (~3e-14) of products formed in step order; a
-        # log-depth tree scan over the left tail gives ~1e-12
         basis = numeric_scatter.integrate_ends(EXP_MODEL, 0.25)
         assert basis.drift <= 2e-13
 
 
-# The march before the scan layout, kept (bar the oracle_ names and the
-# step per node) as the oracle that the current march must reproduce bit
-# for bit.
+# The pairwise march, written apart from the lane's (steps first, matrix
+# axes last): the oracle that the march must reproduce bit for bit.
 
 
 def oracle_samples(x: np.ndarray) -> np.ndarray:
@@ -609,43 +583,42 @@ def oracle_samples(x: np.ndarray) -> np.ndarray:
     return (x0[:, None] + np.multiply.outer(h, numeric_scatter._SAMPLES)).reshape(-1)
 
 
+def oracle_compose(late: np.ndarray, early: np.ndarray) -> np.ndarray:
+    """(I + late)(I + early) - I for matrices held as M - I (matrix axes
+    last): late + early, then each term of their product in turn."""
+    return (late + early + late[..., :, :1] * early[..., :1, :]
+            + late[..., :, 1:] * early[..., 1:, :])
+
+
 def oracle_march(g: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step, hs the steps."""
+    """March u'' = g(x) u for the (u, v) pair; g holds 3 samples per step,
+    hs the steps.  Each step matrix M (column c the step applied to seed
+    c) is held as M - I.  runs[l][k] is the product of steps k 2^l to
+    (k + 1) 2^l - 1, formed from runs[l - 1][2k + 1] and runs[l - 1][2k].
+    The product of the first t steps multiplies the runs that t's set bits
+    name, the highest bit's first: one factor per level, the identity for
+    a clear bit and for the factors that pad them to a power of two,
+    multiplied in pairs, then those in pairs, down to one."""
     n = hs.size
-    width = max(1, math.isqrt(n))
-    blocks = max(1, -(-n // width))
-    # samples[s, j, k]: sample s of step k * width + j.  The zero samples
-    # and steps past step n only pad the last block, whose total no carry uses.
-    samples = np.zeros((blocks * width, 3))
-    samples[:n] = g.reshape(n, 3)
-    samples = np.ascontiguousarray(samples.reshape(blocks, width, 3).T)
-    h = np.zeros(blocks * width)
-    h[:n] = hs
-    h = h.reshape(blocks, width).T
-    # m[r, c, j, k]: entry (r, c) of that step's matrix; column c is the
-    # step applied to seed c, (1, 0) or (0, 1)
-    m = np.empty((2, 2, width, blocks))
-    m[:, 0] = oracle_rk4_step(1.0, 0.0, *samples, h)
-    m[:, 1] = oracle_rk4_step(0.0, 1.0, *samples, h)
-    steps = m.transpose(2, 0, 1, 3)
-    local = np.empty_like(steps)
-    local[0] = steps[0]
-    col0, col1 = steps[:, :, 0, None], steps[:, :, 1, None]
-    for j in range(1, width):
-        prev = local[j - 1]
-        local[j] = col0[j] * prev[0] + col1[j] * prev[1]
-    carry = [(1.0, 0.0, 0.0, 1.0)]
-    for t00, t01, t10, t11 in local[-1].reshape(4, blocks).T.tolist()[:-1]:
-        c00, c01, c10, c11 = carry[-1]
-        carry.append((t00 * c00 + t01 * c10, t00 * c01 + t01 * c11,
-                      t10 * c00 + t11 * c10, t10 * c01 + t11 * c11))
-    carried = np.array(carry).T.reshape(2, 2, blocks)
-    prefix = local[:, :, 0, None] * carried[0] + local[:, :, 1, None] * carried[1]
-    nodes = np.empty((2, 2, 1 + blocks * width))
-    nodes[:, :, 0] = np.eye(2)
-    nodes[:, :, 1:].reshape(2, 2, blocks, width)[...] = prefix.transpose(1, 2, 3, 0)
-    (u, v), (du, dv) = nodes[:, :, : n + 1]
-    return u, du, v, dv
+    g0, g1, g2 = g.reshape(n, 3).T
+    a, c = oracle_rk4_increments(1.0, 0.0, g0, g1, g2, hs)
+    b, d = oracle_rk4_increments(0.0, 1.0, g0, g1, g2, hs)
+    runs = [np.stack((a, b, c, d), axis=-1).reshape(n, 2, 2)]
+    while len(runs[-1]) >= 2:
+        paired = runs[-1][: len(runs[-1]) // 2 * 2]
+        runs.append(oracle_compose(paired[1::2], paired[0::2]))
+    count = 1
+    while count < len(runs):
+        count *= 2
+    t = np.arange(n + 1)
+    factors = np.zeros((count, n + 1, 2, 2))
+    for slot, level in enumerate(range(len(runs) - 1, -1, -1)):
+        named = (t >> level) % 2 == 1
+        factors[slot, named] = runs[level][(t[named] >> (level + 1)) * 2]
+    while len(factors) > 1:
+        factors = oracle_compose(factors[1::2], factors[0::2])
+    p = factors[0] + np.eye(2)
+    return p[:, 0, 0], p[:, 1, 0], p[:, 0, 1], p[:, 1, 1]
 
 
 def oracle_rk4_increments(u, du, g0, g1, g2, h):
@@ -791,7 +764,7 @@ def basis_bytes(basis):
 
 
 # a window the lane never marches: it misses the row's own at both ends
-PARTIAL = Window(x_left=-3.0, x_right=2.0, kh=0.01)
+INNER = Window(x_left=-3.0, x_right=2.0, kh=0.01)
 DEEP = potentials.exponential(200.0, 1.0)  # z = 8 at x = -2.53, left of x = 0
 BIT_CASES = {
     # default window: the left tail and the diving right end
@@ -802,7 +775,7 @@ BIT_CASES = {
     # E == v0: g is exactly zero inside the barrier
     "rect-at-v0": (potentials.rectangular(1.0, 1.0), 1.0, None),
     "free": (potentials.free(), 1.0, None),
-    "partial-last-block": (EXP_MODEL, 0.7, PARTIAL),
+    "exp-inner-window": (EXP_MODEL, 0.7, INNER),
     # windows grown past z = 8: its node inside the right, then the left march
     "exp-grown": (EXP_MODEL, 0.25, Window(x_left=-20.0, x_right=5.5)),
     "exp-deep-grown": (DEEP, 1.0, Window(x_left=-21.71, x_right=1.0)),
@@ -822,7 +795,7 @@ class TestBitExactMarch:
         potential, energy, config = bit_case(name)
         want = oracle_basis(potential, energy, config)
         assert basis_bytes(oracle_integrate_basis(potential, energy, config)) == want
-        if name != "partial-last-block":
+        if name != "exp-inner-window":
             assert basis_bytes(integrate_every_node(potential, energy, config)) == want
 
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
@@ -838,19 +811,14 @@ class TestBitExactMarch:
             assert nodes.tobytes() == want[:, 1:].tobytes()
             assert dets.tobytes() == oracle_walk_dets(potential, energy, half).tobytes()
 
-    @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"partial-last-block"}))
+    @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"exp-inner-window"}))
     def test_drift_equals_the_whole_window_one(self, name):
         want = oracle_integrate_basis(*bit_case(name)).drift
         assert lane(*bit_case(name)).drift == want
 
-    def test_partial_case_leaves_partial_blocks(self):
-        x, i_seed, _ = grid(EXP_MODEL, 0.7, PARTIAL)
-        for n in (i_seed, x.size - 1 - i_seed):
-            assert n % math.isqrt(n) != 0
-
     def test_alternating_windows_equal_fresh_calls(self):
         # nothing a call leaves behind may reach the next one
-        names = ["exp", "rect-edges-on-nodes", "partial-last-block", "expshift"]
+        names = ["exp", "rect-edges-on-nodes", "exp-inner-window", "expshift"]
         fresh = {name: basis_bytes(oracle_integrate_basis(*bit_case(name))) for name in names}
         for name in names + names[::-1] + names:
             assert basis_bytes(oracle_integrate_basis(*bit_case(name))) == fresh[name]
@@ -1027,7 +995,7 @@ class TestEndsReader:
             assert read.nodes.tobytes() == whole.nodes[:, [0, i]].tobytes()
 
     @pytest.mark.parametrize("name, picks", [
-        *((name, "every") for name in sorted(set(ENDS_CASES) - {"partial-last-block"})),
+        *((name, "every") for name in sorted(set(ENDS_CASES) - {"exp-inner-window"})),
         # picks on both sides of the z = 8 node, out of order and repeated
         ("exp-grown", "around-match"),
         ("exp-deep-grown", "around-match"),
@@ -1683,3 +1651,38 @@ def test_rectangle_regime_map():
             assert_rect_formula(numeric_scatter.match(basis, side), energy, v0, width)
         solved += 1
     assert solved == 200
+
+
+def test_exponential_regime_map():
+    # 300 exponentials drawn with numpy seed 7, the ranges and bounds fixed
+    # before any result was read: v0 log-uniform in [1e-3, 1e4], a
+    # log-uniform in [0.1, 10], b uniform in [-5, 5], q log-uniform in
+    # [1e-3, 30] and the side.  On both sides each solves to T =
+    # -expm1(-2 pi q) within 1e-12, and on its side to the closed-form
+    # theta within 5e-10, or is refused with a message that names what to
+    # change
+    rng = np.random.default_rng(7)
+    v0s = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 300))
+    tails = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 300))
+    offsets = rng.uniform(-5.0, 5.0, 300)
+    qs = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), 300))
+    sides = rng.integers(0, 2, 300)
+    solved = 0
+    for v0, a, b, q, side in zip(v0s.tolist(), tails.tolist(), offsets.tolist(), qs.tolist(),
+                                 sides.tolist()):
+        model = potentials.exponential(v0, a, b)
+        energy = (q * DEFAULT_UNITS.hbar / a) ** 2 / (8.0 * DEFAULT_UNITS.mass)
+        try:
+            basis = numeric_scatter.integrate_ends(model, energy)
+        except (DomainError, AccuracyError) as exc:
+            assert re.search(r"lower kh|raise kh|lower E|keep E|push x_|shrink|rescale", str(exc))
+            continue
+        results = {name: numeric_scatter.match(basis, name) for name in ("left", "right")}
+        for result in results.values():
+            assert abs(result.t_coeff - -math.expm1(-2.0 * math.pi * q)) <= 1e-12
+        name = ("left", "right")[side]
+        params = exp_barrier.reduce_params(model, energy)
+        want = exp_barrier.amplitudes(params.p, params.q, name).theta
+        assert waves.angle_distance(results[name].theta, want) <= 5e-10
+        solved += 1
+    assert solved == 300
