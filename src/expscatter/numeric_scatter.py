@@ -15,7 +15,8 @@ by marching a classical RK4 outward from it (so W[u, v] = 1 exactly at
 the seed and its drift measures integrator error).  The equation is
 linear, so every RK4 step is a 2x2 transfer matrix; one march
 (``_march``) builds all of them a chunk at a time with numpy, each as
-M - I with its det M - 1, multiplies them pairwise in a tree, and hands
+M - I with its det M - 1, multiplies them pairwise in one tree for both
+half-windows (one of them transposed, from the tree's back), and hands
 back only the nodes asked for, the two end nodes and a wavefunction's
 samples (each one partial RK4 step from the node below it, refused where
 W formed from them is off 1 past DRIFT_TOLERANCE), with the dets.  RK4 does not
@@ -56,6 +57,10 @@ from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import principal_angle
 
+# one march holds both half-windows' trees at once: tracemalloc peaks of
+# one basis read 86 B/node (exp:v0=1,a=1, 492,452 nodes) and 101 B/node
+# (free, 160,001 nodes, the most zeros between the halves), so about
+# 430-510 MB at the cap
 _MAX_NODES = 5_000_000
 # steps, or runs of a tree level, per chunk: each temporary (64 KB) stays in cache
 _CHUNK = 8192
@@ -178,11 +183,11 @@ def integrate_ends(
     never shrunk: [lo, hi], lo = min(x_left, min xs), hi = max(x_right,
     max xs).  The ends are lo and hi, or on a diving V lo and x_right, the
     point z = _Z_MATCH; the grid runs on to hi past it.  The basis is seeded
-    at the window point nearest x = 0.  Each half-window is one numpy march
-    outward from the seed (``_march``), which returns that half's
-    asked-for nodes and each step's det M - 1; no node array of the window
-    is built.  W[u, v] at each end is 1 plus the dets of the steps from the
-    seed, which the products' round-off does not reach.  Each x is read by
+    at the window point nearest x = 0.  One numpy march (``_march``) runs
+    outward from the seed both ways and returns the asked-for nodes and
+    each step's det M - 1; no node array of the window is built.  W[u, v]
+    at each end is 1 plus the dets of the steps from the seed, which the
+    products' round-off does not reach.  Each x is read by
     one RK4 step from the node at or below it (``_step_from``), a step of
     zero on a node, so within a window the grid, the ends and the drift do
     not depend on ``xs``.  The nodes come in the order of ``xs``, repeats
@@ -199,7 +204,7 @@ def integrate_ends(
         potential is not finite anywhere on the window, for a grid past
         the node cap, for a plane-wave end where |V| > ASYMPTOTE_EPSILON * E
         (refused before the grid is built), or for a diving end whose q
-        overflows exp(q pi) in its H1.
+        overflows exp(q pi) in its H1, past E = (700/pi)^2 hbar^2 / (8 m a^2).
     AccuracyError
         If the drift is past DRIFT_TOLERANCE, if W[u, v] is not finite at
         a window end, if the diving end's unit wave carries a flux far
@@ -227,18 +232,12 @@ def integrate_ends(
              for end, diving in zip(x_ends, (False, dives))]
     # node indices of the two ends, then of the node below each asked-for x
     seed, at = at[2], np.delete(at, 2)
-    # rows u, u', v, v'; a node on the seed keeps the seed values
-    nodes = np.repeat([[1.0], [0.0], [0.0], [1.0]], at.size, axis=1)
-    drift, w_uv = 0.0, [1.0, 1.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for sign, half in ((1, x[seed:]), (-1, x[seed::-1])):
-            picked = sign * (at - seed) > 0
-            nodes[:, picked], dets = _march(potential, energy, half, units,
-                                            sign * (at[picked] - seed))
-            # W[u, v] at an end: 1 plus the dets of the steps from the seed
-            for end in np.flatnonzero(picked[:2]):
-                w_uv[end] += float(dets[: sign * (at[end] - seed)].sum())
-            drift = max(drift, float(np.abs(dets, out=dets).sum()))
+        nodes, dets = _march(potential, energy, x, units, seed, at)
+        # W[u, v] at an end: 1 plus the dets of the steps from the seed
+        w_uv = [1.0 + float(dets[int(at[end] > seed)][: abs(at[end] - seed)].sum())
+                for end in (0, 1)]
+        drift = max(0.0, *(float(np.abs(d, out=d).sum()) for d in dets))
         if xs.size:
             below = x[at[2:]]
             nodes[:, 2:] = _step_from(potential, energy, below, xs, units, nodes[:, 2:])
@@ -396,53 +395,91 @@ def _grid(potential: PotentialModel, energy: float, lo: float, hi: float, kh: fl
     return x, np.searchsorted(x, np.concatenate((pins, xs)), side="right") - 1
 
 
-def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units, picks):
-    """One march of u'' = g(x) u, g = 2m (V - energy)/hbar^2, over the nodes
-    x from x[0] (the seed) outward: the nodes picks (each in 1..n, in any
-    order, repeats included) as columns (u, u', v, v'), and each step's
-    det M - 1 in step order.
+def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units, seed: int,
+           at: np.ndarray):
+    """One march of u'' = g(x) u, g = 2m (V - energy)/hbar^2, over the grid x
+    outward from node seed both ways: the nodes at (indices of x, in any
+    order, repeats included) as columns (u, u', v, v'), and each
+    half-window's det M - 1 in step order from the seed, the left half's
+    first.
 
-    Step i runs from x[i] to x[i + 1] and samples V at its _SAMPLES.
-    Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
-    applied to seed c, (1, 0) for u and (0, 1) for v, kept as M_i - I;
-    node t holds P_t = M_{t-1} ... M_0.  Level l of a tree holds the
-    products of the aligned runs of 2^l steps, each of two runs of level
-    l - 1 (``_compose``).  P_t is the product of the runs that t's set
-    bits name, the earliest first, reduced pairwise in the same way.  Kept
-    as M - I, a step's small parts reach P_t without the rounding of 1 + a.
+    Step i of a half runs from its node i to node i + 1, counted from the
+    seed, and samples V at its _SAMPLES.  Each RK4 step is a 2x2 transfer
+    matrix M_i, its column c the step applied to seed c, (1, 0) for u and
+    (0, 1) for v, kept as M_i - I; node t of a half holds
+    P_t = M_{t-1} ... M_0.  One tree serves both halves.  Level 0 holds
+    the front half's steps from its start in step order and the back
+    half's (the one of fewer levels, the left on a tie) transposed from
+    its end in reverse step order, zeros between.  Level l holds the
+    products of the aligned runs of 2^l slots, each of two runs of level
+    l - 1 (``_compose``); level 0 holds a multiple of the back half's
+    longest run, so its runs stay aligned too, and as (A B)^T = B^T A^T
+    they hold its products transposed.  P_t is the product of the runs
+    that t's set bits name, the earliest first, reduced pairwise in the
+    same way, the back half's in reverse order.  Transposing only swaps
+    the operands of each sum and product, so every bit is that of a tree
+    per half.  Kept as M - I, a step's small parts reach P_t without the
+    rounding of 1 + a.
     """
-    n = x.size - 1
+    halves = (x[seed::-1], x[seed:])
+    steps = [half.size - 1 for half in halves]
+    # the half of fewer levels (the left on a tie) fills level 0 from its
+    # end, which rounds level 0 up to a multiple of that half's longest run
+    back = int(steps[1].bit_length() < steps[0].bit_length())
+    levels, back_levels = steps[1 - back].bit_length(), steps[back].bit_length()
+    longest = 1 << max(back_levels - 1, 0)
+    n = -(-sum(steps) // longest) * longest
     # every level of the tree in one buffer, level l holding n >> l runs
     # from starts[l], then one zero: M - I of the factor of a clear bit
-    sizes = [n >> level for level in range(n.bit_length())]
+    sizes = [n >> level for level in range(levels)]
     starts = [0, *accumulate(sizes)]
     tree = np.empty((2, 2, starts[-1] + 1))
+    tree[:, :, steps[1 - back] : n - steps[back]] = 0.0
     tree[:, :, -1] = 0.0
+    slots = [tree[:, :, :n], tree[:, :, :n][:, :, ::-1].transpose(1, 0, 2)]
     # one buffer for a chunk's h and samples, then for its product terms:
     # fresh temporaries per chunk fragment the heap and raise the peak RSS
     buffer = np.empty((2, 2, _CHUNK))
-    dets = np.empty(n)
-    for i in range(0, n, _CHUNK):
-        j = min(i + _CHUNK, n)
-        dets[i:j] = _step_matrices(potential, energy, units, x[i:j], x[i + 1 : j + 1],
-                                   buffer.reshape(4, _CHUNK)[:, : j - i], tree[:, :, i:j])
+    dets = [np.empty(count) for count in steps]
+    for side, half in enumerate(halves):
+        out = slots[side == back]
+        for i in range(0, steps[side], _CHUNK):
+            j = min(i + _CHUNK, steps[side])
+            dets[side][i:j] = _step_matrices(potential, energy, units, half[i:j],
+                                             half[i + 1 : j + 1],
+                                             buffer.reshape(4, _CHUNK)[:, : j - i],
+                                             out[:, :, i:j])
     for below, start, size in zip(starts, starts[1:], sizes[1:]):
         for i in range(0, size, _CHUNK):
             j = min(i + _CHUNK, size)
             _compose(tree[:, :, below + 2 * i + 1 : below + 2 * j : 2],
                      tree[:, :, below + 2 * i : below + 2 * j : 2],
                      tree[:, :, start + i : start + j], buffer[:, :, : j - i])
-    # one factor per level of each pick t, the top level first: run
-    # (t >> l) - 1 of level l where bit l is set, else the zero, as are the
-    # factors that pad them to a power of two
-    level = np.arange(len(sizes) - 1, -1, -1)[:, None]
-    run = np.asarray(picks, dtype=np.int64) >> level
-    at = np.full((1 << (len(sizes) - 1).bit_length(), run.shape[1]), -1)
-    at[: len(sizes)] = np.where(run % 2 == 1, np.take(starts, level) + run - 1, -1)
-    factors = np.take(tree, at, axis=2)
-    while factors.shape[2] > 1:
+    # one factor per level of each pick t, run (t >> l) - 1 of level l where
+    # bit l is set, else the zero, as are the factors that pad them to a
+    # power of two: the front half's top level first, the back half's
+    # column reversed and its runs counted from the end of each level
+    at = np.asarray(at, dtype=np.int64)
+    in_back = (at >= seed) == bool(back)
+    t = np.abs(at - seed)
+    width = 1 << max(levels - 1, 0).bit_length()
+    row = np.arange(width)[:, None]
+    level = np.where(in_back, row - (width - back_levels), levels - 1 - row)
+    clipped = np.maximum(level, 0)
+    run = t >> clipped
+    factor = np.take(starts, clipped) + np.where(in_back, (n >> clipped) - run, run - 1)
+    factors = np.take(tree, np.where((level >= 0) & (run % 2 == 1), factor, -1), axis=2)
+    # the back half's picks are whole once its own power of two of factors
+    # is reduced
+    whole_at = width >> max(back_levels - 1, 0).bit_length()
+    while True:
+        if factors.shape[2] == whole_at:
+            whole = factors[:, :, -1, in_back].transpose(1, 0, 2)
+        if factors.shape[2] == 1:
+            break
         late, early = factors[:, :, 1::2], factors[:, :, 0::2]
         factors = _compose(late, early, np.empty_like(late), np.empty_like(late))
+    factors[:, :, 0, in_back] = whole
     p = factors[:, :, 0] + np.eye(2)[:, :, None]
     # p[r, c]: column c = 0 holds u, u', column c = 1 holds v, v'
     return p.transpose(1, 0, 2).reshape(4, -1), dets
@@ -510,6 +547,10 @@ def _wave(potential: PotentialModel, energy: float, units: Units, x: float,
     if diving:
         a = potential.tail
         p, q = _p(potential, units), 2.0 * k * a
+        if math.pi * q > 700.0:
+            top = (700.0 / math.pi) ** 2 * units.hbar**2 / (8.0 * units.mass * a * a)
+            raise DomainError(f"q = {q:g} overflows exp(q pi) in the diving end's H1; lower E "
+                              f"to at most (700/pi)^2 hbar^2 / (8 m a^2) = {top:.6g}")
         z = p * math.exp(x / (2.0 * a))
         h1 = specfun.hankel_imag_order(q, z, kind=1)
         norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q)

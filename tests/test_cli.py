@@ -944,10 +944,12 @@ class TestCommands:
                                   "--emax", "1e6", "--n", "3", "--method", "numeric"], capsys)
         assert (code, err) == (2, "error: every sweep row failed\n")
         errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
+        limit = ("overflows exp(q pi) in the diving end's H1; lower E to at most "
+                 "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.8")
         assert errors == [
-            "# row-error: E=2.0000000000000004e+04 q = 282.843 overflows exp(q pi)",
-            "# row-error: E=1.4142135623730952e+05 q = 752.121 overflows exp(q pi)",
-            "# row-error: E=1.0000000000000000e+06 q = 2000 overflows exp(q pi)"]
+            f"# row-error: E=2.0000000000000004e+04 q = 282.843 {limit}",
+            f"# row-error: E=1.4142135623730952e+05 q = 752.121 {limit}",
+            f"# row-error: E=1.0000000000000000e+06 q = 2000 {limit}"]
 
     def test_sweep_rows_build_their_own_solver_config(self, monkeypatch, capsys):
         # an exponential's window depends on the energy: each row places

@@ -361,15 +361,15 @@ class TestBasisIntegration:
         # each model's own window misses x = 0: the seed is x_left on the
         # shifted one, so its left half-window has no steps, and x_right
         # on the deep one, so its right half has none
-        seen, halves = [], []
+        seen, marches = [], []
         evaluate, march = potentials.evaluate, numeric_scatter._march
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, x: seen.append(np.array(x)) or evaluate(m, x))
 
-        def recorded(potential, energy, x, units, picks):
+        def recorded(potential, energy, x, units, seed, at):
             before = len(seen)
-            marched = march(potential, energy, x, units, picks)
-            halves.append((x.size - 1, seen[before:]))
+            marched = march(potential, energy, x, units, seed, at)
+            marches.append((x.size - 1, seed, seen[before:]))
             return marched
 
         monkeypatch.setattr(numeric_scatter, "_march", recorded)
@@ -379,14 +379,16 @@ class TestBasisIntegration:
             assert 0.0 < lo if end == 0 else hi < 0.0
             seed = (lo, hi)[end]
             seen.clear()
-            halves.clear()
+            marches.clear()
             basis = numeric_scatter.integrate_ends(model, 0.5, xs=[seed])
             assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
-            # the empty half samples nothing; the other samples strictly
-            # inside the window
-            assert [samples for steps, samples in halves if steps == 0] == [[]]
-            (steps, marched), = [half for half in halves if half[0] > 0]
-            assert marched and all(lo < np.min(x) and np.max(x) < hi for x in marched)
+            # one march, seeded at the grid's first or last node: the
+            # empty half samples nothing, so the samples are one triple
+            # per step of the other, each strictly inside the window
+            (steps, i_seed, marched), = marches
+            assert steps > 0 and i_seed == (0, steps)[end]
+            assert sum(x.shape[1] for x in marched) == steps
+            assert all(x.shape[0] == 3 and lo < np.min(x) and np.max(x) < hi for x in marched)
             # V(0) gives the depth that places the window and the diving
             # end's p; the plane-wave checks and the grid's table read the
             # window ends, and the asked-for x's zero step the seed itself
@@ -453,9 +455,18 @@ def random_nodes(n, direction, seed=None):
 
 
 def products(x, picks=()):
-    """The march on the rough potential at E = 0, m = 1/2, hbar = 1: the
-    nodes picks and the dets."""
-    return numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS, picks)
+    """The march on the rough potential at E = 0, m = 1/2, hbar = 1 over
+    the nodes x from the seed x[0] outward: the nodes picks (steps from
+    the seed) and the dets.  x is the right half-window of the grid x if
+    it ascends, else the left half of the grid x reversed; the other half
+    marches no step."""
+    left = bool(x.size > 1 and x[1] < x[0])
+    grid, seed = (x[::-1], x.size - 1) if left else (x, 0)
+    picks = np.asarray(picks, dtype=np.int64)
+    nodes, dets = numeric_scatter._march(EXP_MODEL, 0.0, grid, DEFAULT_UNITS, seed,
+                                         seed - picks if left else picks)
+    assert dets[left].size == 0
+    return nodes, dets[not left]
 
 
 def march(x):
@@ -524,6 +535,50 @@ class TestStepMatrixMarch:
                 picked, dets = products(x, picks)
                 assert dets.tobytes() == step_dets(x).tobytes()
                 assert picked.tobytes() == np.ascontiguousarray(nodes[:, picks]).tobytes()
+
+    @pytest.mark.parametrize("n_left, n_right", [
+        (0, 0), (0, 17), (17, 0), (16, 16), (15, 17), (1, 40000),
+        # halves of unequal length: level 0 holds a multiple of the back
+        # half's longest run, so 1 and 416 zero slots sit between them
+        (3, 1000), (1000, 3), (600, 520), (520, 600),
+        # a half past _CHUNK: 28 zero slots, then 8,076
+        (9000, 700), (700, 9000), (8200, 8300),
+    ])
+    def test_both_halves_from_one_tree(self, n_left, n_right):
+        # one march seeded between a left and a right half-window: picks
+        # on both sides, out of order and repeated, the seed among them,
+        # each bit for bit its half's oracle node, and each half's dets
+        # bit for bit the step-order oracle's
+        left = random_nodes(n_left, -1.0)
+        right = random_nodes(n_right, 1.0, seed=n_right + 1)
+        x = np.concatenate((left[::-1], right[1:]))
+        at = np.random.default_rng(n_left + 7 * n_right).integers(0, x.size, 200)
+        at = np.concatenate((at, at[::-3], [n_left, 0, x.size - 1, n_left]))
+        want = np.empty((4, x.size))
+        want[:, n_left:], want[:, n_left::-1] = rough_march(right), rough_march(left)
+        nodes, (dets_left, dets_right) = numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS,
+                                                                n_left, at)
+        assert nodes.tobytes() == np.ascontiguousarray(want[:, at]).tobytes()
+        assert dets_left.tobytes() == step_dets(left).tobytes()
+        assert dets_right.tobytes() == step_dets(right).tobytes()
+
+    def test_overflowing_back_half_keeps_its_bits(self, monkeypatch):
+        # g = 1.6e7 grows u and v by e^4 a step, past a double in 178
+        # steps: the left half's 255 steps (8 levels) sit at the back of
+        # the right half's 300 (9 levels), and its picks are read after
+        # its own 8 factors are reduced, not after the front's 16, so an
+        # all-ones t stays inf where a further zero factor would make nan
+        monkeypatch.setattr(potentials, "evaluate", lambda m, xs: np.full_like(xs, 1.6e7))
+        left, right = 0.25 - 1e-3 * np.arange(256), 0.25 + 1e-3 * np.arange(301)
+        x = np.concatenate((left[::-1], right[1:]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS, 255,
+                                           np.arange(x.size))[0]
+            want = np.empty((4, x.size))
+            for half, out in ((right, want[:, 255:]), (left, want[:, 255::-1])):
+                out[:] = oracle_march(np.full(3 * (half.size - 1), 1.6e7), np.diff(half))
+        assert np.isinf(nodes[:, 0]).all() and np.isinf(want[:, 0]).all()
+        assert nodes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_dets_are_the_real_steps(self, n):
@@ -690,16 +745,11 @@ def project_ends(potential, energy, x, i_seed, i_right, nodes, units=DEFAULT_UNI
 
 
 def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
-    """Every node of the row's grid, each half picked whole from its march,
-    the left half through a reversed view: (x, the seed's index, the right
-    end's index, the nodes)."""
+    """Every node of the row's grid, picked whole from its march: (x, the
+    seed's index, the right end's index, the nodes)."""
     x, i_seed, i_right = grid(potential, energy, config, units)
-    nodes = np.empty((4, x.size))
-    nodes[:, i_seed] = (1.0, 0.0, 0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for half, out in ((x[i_seed:], nodes[:, i_seed:]), (x[i_seed::-1], nodes[:, i_seed::-1])):
-            out[:, 1:] = numeric_scatter._march(potential, energy, half, units,
-                                                np.arange(1, half.size))[0]
+        nodes = numeric_scatter._march(potential, energy, x, units, i_seed, np.arange(x.size))[0]
     return x, i_seed, i_right, nodes
 
 
@@ -800,16 +850,19 @@ class TestBitExactMarch:
 
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
     def test_reader_equals_the_oracle_writer(self, name):
-        # every node of both half-windows, bit for bit the oracle march's
+        # every node of both half-windows from one march, each half bit
+        # for bit the oracle march's
         potential, energy, config = bit_case(name)
         x, i_seed, _ = grid(potential, energy, config)
-        for half in (x[i_seed:], x[i_seed::-1]):
-            picks = np.arange(1, half.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes, dets = numeric_scatter._march(potential, energy, x, DEFAULT_UNITS, i_seed,
+                                                 np.arange(x.size))
+        for half, got, half_dets in ((x[i_seed::-1], nodes[:, i_seed::-1], dets[0]),
+                                     (x[i_seed:], nodes[:, i_seed:], dets[1])):
             with np.errstate(over="ignore", invalid="ignore"):
-                nodes, dets = numeric_scatter._march(potential, energy, half, DEFAULT_UNITS, picks)
                 want = np.array(oracle_march(oracle_g(potential, energy, half), np.diff(half)))
-            assert nodes.tobytes() == want[:, 1:].tobytes()
-            assert dets.tobytes() == oracle_walk_dets(potential, energy, half).tobytes()
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+            assert half_dets.tobytes() == oracle_walk_dets(potential, energy, half).tobytes()
 
     @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"exp-inner-window"}))
     def test_drift_equals_the_whole_window_one(self, name):
@@ -845,8 +898,7 @@ def det_drift(potential, energy, config):
     """The drift integrate_ends gates, read off the march whether or not
     the row is refused."""
     x, i_seed, _ = grid(potential, energy, config)
-    dets = (numeric_scatter._march(potential, energy, half, DEFAULT_UNITS, ())[1]
-            for half in (x[i_seed:], x[i_seed::-1]))
+    dets = numeric_scatter._march(potential, energy, x, DEFAULT_UNITS, i_seed, ())[1]
     return max(float(np.abs(d).sum()) for d in dets)
 
 
@@ -1067,6 +1119,36 @@ class TestEndsReader:
         got = [result_bits(numeric_scatter.match(basis, side)) for side in ("left", "right")]
         assert got == want
 
+    def test_null_solution_refused(self):
+        # u = v = 0 at the transmitted end: no nonzero c_u u + c_v v keeps
+        # the wave arriving there out
+        null = numeric_scatter._End(u=0j, v=0j, w_r=-2j, w_uv=1.0)
+        live = numeric_scatter._End(u=1.0 + 0j, v=1j, w_r=-2j, w_uv=1.0)
+        for side, ends in (("left", (live, null)), ("right", (null, live))):
+            basis = numeric_scatter.BasisPair(ends=ends, nodes=np.empty((4, 0)), drift=0.0)
+            with pytest.raises(AccuracyError) as caught:
+                numeric_scatter.match(basis, side)
+            assert str(caught.value) == "matching produced a null solution"
+
+    def test_one_march_per_basis(self, monkeypatch):
+        # both half-windows share one tree: a basis marches once, wherever
+        # its seed, its ends and its xs fall, and so does each sweep row
+        calls = []
+        march = numeric_scatter._march
+        monkeypatch.setattr(numeric_scatter, "_march",
+                            lambda *args: calls.append(args) or march(*args))
+        cases = [(EXP_MODEL, 0.25, ()), (EXP_MODEL, 0.5, np.linspace(-20.0, 4.39, 40)),
+                 (DEEP, 1.0, ()), (DEEP, 1.0, (-21.71, 1.0)),
+                 (potentials.exponential(1.0, 1.0, 30.0), 0.5, ()),
+                 (potentials.rectangular(1.0, 1.0), 0.5, (-1.0, 0.3)), (potentials.free(), 1.0, ())]
+        for model, energy, xs in cases:
+            numeric_scatter.integrate_ends(model, energy, xs=xs)
+        assert len(calls) == len(cases)
+        calls.clear()
+        spec = cli.SweepSpec(EXP_MODEL, 0.1, 1.0, 4, "log", "both", "both", DEFAULT_UNITS)
+        assert all(row.error is None for row in cli.run_sweep(spec))
+        assert len(calls) == 4
+
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
         # the row's window ends 2 past the outer jumps, which rounds onto
         # them on a rectangle 1e308 wide: |V(x_left)| = 1 there; an
@@ -1082,11 +1164,24 @@ class TestEndsReader:
 
     @pytest.mark.parametrize("energy, q", [(2e4, "282.843"), (1e6, "2000")])
     def test_q_overflow_refused_before_the_march(self, energy, q, monkeypatch):
-        # the diving end's unit wave needs only the end's x, so its H1
-        # refuses q pi > 700 before any RK4 step is taken
+        # the diving end's unit wave needs only the end's x, so q pi > 700
+        # is refused there, naming the most E it solves, before any RK4 step
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
-        with pytest.raises(DomainError, match=re.escape(f"q = {q} overflows exp(q pi)")):
+        with pytest.raises(DomainError) as caught:
             numeric_scatter.solve(EXP_MODEL, energy)
+        assert str(caught.value) == (
+            f"q = {q} overflows exp(q pi) in the diving end's H1; lower E to at most "
+            "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.8")
+
+    def test_q_overflow_bound_scales_as_one_over_a_squared(self):
+        # a = 2 quarters the bound; the offset b moves V(0), not q
+        model = potentials.exponential(1.0, 2.0, 0.7)
+        numeric_scatter.integrate_ends(model, 3102.9)
+        with pytest.raises(DomainError) as caught:
+            numeric_scatter.integrate_ends(model, 3103.0)
+        assert str(caught.value) == (
+            "q = 222.818 overflows exp(q pi) in the diving end's H1; lower E to at most "
+            "(700/pi)^2 hbar^2 / (8 m a^2) = 3102.96")
 
 
 class TestPlaneWaveMatching:
