@@ -15,11 +15,9 @@ verify`` or ``expscatter plot`` runs, or when a caller imports them, so
 from .errors import AccuracyError, DomainError
 from .exp_barrier import (
     DimensionlessParams,
-    FluxTriple,
     ScatteringData,
     amplitudes,
     exact_wavefunction,
-    fluxes,
     incident_amplitude,
     reduce_params,
     transmission_reflection,
@@ -55,7 +53,6 @@ __all__ = [
     "DEFAULT_UNITS",
     "DimensionlessParams",
     "DomainError",
-    "FluxTriple",
     "NumericScatteringResult",
     "PotentialModel",
     "ScatteringData",
@@ -68,7 +65,6 @@ __all__ = [
     "evaluate",
     "exact_wavefunction",
     "exponential",
-    "fluxes",
     "free",
     "hankel_imag_order",
     "incident_amplitude",

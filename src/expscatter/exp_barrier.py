@@ -69,14 +69,6 @@ class ScatteringData(NamedTuple):
     theta: float
 
 
-class FluxTriple(NamedTuple):
-    """Incident, reflected, transmitted probability-flux magnitudes."""
-
-    j_incident: float
-    j_reflected: float
-    j_transmitted: float
-
-
 def reduce_params(
     model: PotentialModel, energy, units: Units = DEFAULT_UNITS
 ) -> DimensionlessParams:
@@ -109,26 +101,6 @@ def transmission_reflection(q):
     r = lib.exp(-2.0 * math.pi * q)
     t = -lib.expm1(-2.0 * math.pi * q)
     return t, r
-
-
-def fluxes(p: float, q: float, a: float, units: Units) -> FluxTriple:
-    """The three flux magnitudes of the scattering solution, left incidence.
-
-    Their ratios reproduce (T, R) exactly; j_incident = j_reflected +
-    j_transmitted is an identity of the closed forms.  They hold on the
-    whole domain of the closed forms, q > Q_MIN and pi q <= 700.
-    """
-    _check_pq(p, q)
-    _require(a, _finite_positive, "a must be finite and > 0, got {!r}")
-    hbar, m = units.hbar, units.mass
-    k = q / (2.0 * a)
-    s = math.sinh(math.pi * q)
-    # e^{2 pi q} / sinh(pi q), never e^{2 pi q}, which overflows past q ~ 113
-    j_inc = hbar * k * 2.0 * math.exp(math.pi * q) / (
-        math.pi * m * q * -math.expm1(-2.0 * math.pi * q))
-    j_ref = hbar * k / (math.pi * m * q * s)
-    j_tra = hbar * math.exp(math.pi * q) / (math.pi * m * a)
-    return FluxTriple(j_incident=j_inc, j_reflected=j_ref, j_transmitted=j_tra)
 
 
 def amplitudes(p: float, q, side: str = "left") -> ScatteringData:

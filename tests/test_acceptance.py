@@ -260,22 +260,23 @@ def test_criterion_10_rectangular_oracle(capsys):
 
 
 def test_criterion_11_flux_ratios(capsys):
+    # the numeric lane's measured flux ratios, both sides, against the
+    # closed-form T and R, and its flux imbalance |j_inc - j_ref - j_tra| / j_inc
+    model = potentials.exponential(1.0, 1.0)  # p = 2 in the default units
     worst_ratio, worst_conservation = 0.0, 0.0
     for q in (0.25, 0.5, 1.0, 2.0, 4.0):
-        fl = exp_barrier.fluxes(2.0, q, 1.0, DEFAULT_UNITS)
+        basis = numeric_scatter.integrate_ends(model, q * q / 4.0)
         t, r = exp_barrier.transmission_reflection(q)
-        worst_ratio = max(worst_ratio, abs(fl.j_transmitted / fl.j_incident - t))
-        worst_ratio = max(worst_ratio, abs(fl.j_reflected / fl.j_incident - r))
-        worst_conservation = max(
-            worst_conservation,
-            abs(fl.j_incident - fl.j_reflected - fl.j_transmitted) / fl.j_incident,
-        )
+        for side in ("left", "right"):
+            res = numeric_scatter.match(basis, side)
+            worst_ratio = max(worst_ratio, abs(res.t_coeff - t), abs(res.r_coeff - r))
+            worst_conservation = max(worst_conservation, res.flux_imbalance)
     passed = worst_ratio < 1e-12 and worst_conservation < 1e-12
     report(
         capsys, 11, "flux ratios",
         passed,
-        f"ratio vs closed form: {worst_ratio:.3e}, conservation: "
-        f"{worst_conservation:.3e} (both tol 1e-12)",
+        f"numeric ratio vs closed form: {worst_ratio:.3e}, conservation: "
+        f"{worst_conservation:.3e} (both tol 1e-12), both sides",
     )
 
 

@@ -694,13 +694,26 @@ class TestCommands:
             (["wavefunction", "--model", " rect:v0=1,w=2", "--method", "analytic",
               "--energy", "1", "--xmin", "-1", "--xmax", "1"], 1,
              "analytic wavefunction is not defined for the 'rect' model"),
+            (["wavefunction", "--model", "free", "--energy", "1", "--xmin", "1", "--xmax", "0"],
+             1, "need xmin < xmax, got 1.0, 0.0"),
+            (["wavefunction", "--model", "free", "--energy", "1", "--xmin", "0", "--xmax", "1",
+              "--n", "1"], 1, "need at least 2 grid points, got 1"),
+            (["sweep", "--model", "rect:v0=inf,w=1", "--emin", "0.1", "--emax", "1",
+              "--method", "numeric"], 1, "v0 must be finite, got inf"),
+            # /dev/full passes the --out check and fails the write itself
+            pytest.param(["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.1", "--emax", "1",
+                          "--n", "3", "--out", "/dev/full"], 1,
+                         "cannot write '/dev/full': No space left on device",
+                         marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="needs /dev/full")),
         ],
         ids=["expshift-b", "rect-w", "plot-log-axis", "analytic-energy-0", "analytic-energy-nan",
              "numeric-energy-0", "numeric-energy-nan", "analytic-past-series-bound",
              "degenerate-order", "v0-flag", "numeric-p-overflow", "numeric-v-overflow",
              "numeric-plane-end-right", "numeric-q-overflow",
              "analytic-sweep-free", "analytic-wavefunction-free",
-             "analytic-wavefunction-rect"],
+             "analytic-wavefunction-rect", "wavefunction-x-order", "wavefunction-one-point",
+             "rect-v0-inf", "out-write-fails"],
     )
     def test_refusals_keep_their_text_and_exit_code(self, argv, code, err, tmp_path, capsys):
         # each refusal is raised by the code that knows its condition and
@@ -1038,6 +1051,49 @@ class TestCommands:
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert "13/13 checks passed" in out
+
+    def test_verify_marches_the_same_bases_every_run(self, monkeypatch):
+        # each run_all marches its own 23 bases: four shared by the eq14,
+        # eq23 and eq13 checks, none kept for a later run
+        calls = []
+        integrate = numeric_scatter.integrate_ends
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(numeric_scatter, "integrate_ends", counted)
+        for runs in (1, 2):
+            assert all(res.passed for res in verification.run_all())
+            assert len(calls) == 23 * runs
+
+
+SPEC_FIELDS = dict(model=potentials.exponential(1.0, 1.0), e_min=0.25, e_max=1.0, n_points=2,
+                   spacing="linear", sides="both", methods="both",
+                   units=potentials.DEFAULT_UNITS)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("sides", "sides must be left, right, or both, got 'bogus'"),
+    ("methods", "methods must be analytic, numeric, or both, got 'bogus'"),
+])
+def test_sweep_spec_refuses_a_choice_argparse_never_sees(field, message):
+    # argparse's choices guard the CLI; a library caller (verification
+    # among them) builds the spec directly and reaches these checks
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        cli.SweepSpec(**{**SPEC_FIELDS, field: "bogus"})
+
+
+def test_refusal_of_an_accepted_q_breaks_an_invariant(monkeypatch):
+    # the analytic columns ask _refusal for the message of each row outside
+    # closed_form_domain; a row the closed forms accept stops the sweep
+    # instead of printing a row error with no message
+    monkeypatch.setattr(exp_barrier, "closed_form_domain",
+                        lambda p, q: np.zeros(np.shape(q), dtype=bool))
+    spec = cli.SweepSpec(**{**SPEC_FIELDS, "methods": "analytic"})
+    with pytest.raises(AssertionError,
+                       match=r"^closed forms accept q = 1\.0 outside closed_form_domain$"):
+        cli.run_sweep(spec)
 
 
 def test_every_raise_names_a_class_main_maps():

@@ -1339,6 +1339,20 @@ class TestHankelMatching:
         assert left == pytest.approx(1.001, rel=1e-9)
         assert right == pytest.approx(1.0 / 1.001, rel=1e-9)
 
+    def test_diving_wave_short_of_its_flux_refused(self, monkeypatch):
+        # H1 scaled by 0.1 carries 1/100 of the flux p hbar / (2 m a) = 2
+        # its normalization promises at the match node z = 8
+        hankel = specfun.hankel_imag_order
+
+        def scaled(q, z, kind=1):
+            ev = hankel(q, z, kind)
+            return ev._replace(value=0.1 * ev.value, dvalue=0.1 * ev.dvalue)
+
+        monkeypatch.setattr(specfun, "hankel_imag_order", scaled)
+        with pytest.raises(AccuracyError,
+                           match=r"^unit wave at z = 8 carries flux 2\.000e-02, not 2\.000e\+00$"):
+            numeric_scatter.solve(EXP_MODEL, 0.25)
+
     def test_one_hankel_evaluation_of_the_first_kind(self, monkeypatch):
         kinds = []
         hankel = specfun.hankel_imag_order

@@ -179,6 +179,8 @@ class TestBesselSeries:
             specfun.bessel_j_imag_order(1.0, -1.0)
         with pytest.raises(DomainError):
             specfun.bessel_j_imag_order(-0.5, 1.0)
+        with pytest.raises(DomainError, match=r"^sign must be \+-1, got 0$"):
+            specfun.bessel_j_imag_order(1.0, 1.0, sign=0)
 
 
 class TestHankelPair:
