@@ -1053,8 +1053,8 @@ class TestCommands:
         assert "13/13 checks passed" in out
 
     def test_verify_marches_the_same_bases_every_run(self, monkeypatch):
-        # each run_all marches its own 23 bases: four shared by the eq14,
-        # eq23 and eq13 checks, none kept for a later run
+        # each run_all marches its own 20 bases: four shared by seven checks,
+        # none kept for a later run
         calls = []
         integrate = numeric_scatter.integrate_ends
 
@@ -1065,7 +1065,7 @@ class TestCommands:
         monkeypatch.setattr(numeric_scatter, "integrate_ends", counted)
         for runs in (1, 2):
             assert all(res.passed for res in verification.run_all())
-            assert len(calls) == 23 * runs
+            assert len(calls) == 20 * runs
 
 
 SPEC_FIELDS = dict(model=potentials.exponential(1.0, 1.0), e_min=0.25, e_max=1.0, n_points=2,
