@@ -6,14 +6,22 @@ produce byte-identical files.  The sweep table schema is
     E,q,T_analytic,R_analytic,T_numeric,R_numeric,phi_left,theta_left,
     phi_right,theta_right,flux_imbalance,wronskian_drift
 
-with a leading `# hbar=<v> mass=<v>` units comment, `NA` for inapplicable
-cells, numbers as %.16e, LF line endings, UTF-8.  A row whose solve fails
-keeps its E and q cells, fills the rest with NA, and is followed by a
-`# row-error:` comment carrying the message; the sweep itself continues.
-Analytic cells are evaluated as numpy columns over the energy grid, and
-an analytic wavefunction's samples as one series call over its whole
-grid, so T/R and phase cells and psi samples can differ in their last
-digits from one scalar exp_barrier or specfun call per energy or point.
+with a leading `# hbar=<v> mass=<v>` units comment (each value as %g
+where that reads back to the same float, else its repr), `NA` for
+inapplicable cells, numbers as %.16e, LF line endings, UTF-8.  A row
+whose solve fails keeps its E and q cells, fills the rest with NA, and is
+followed by a `# row-error:` comment carrying the message; the sweep
+itself continues.  Analytic cells are evaluated as numpy columns over the
+energy grid, and an analytic wavefunction's samples as one series call
+over its whole grid, so T/R and phase cells and psi samples can differ in
+their last digits from one scalar exp_barrier or specfun call per energy
+or point.
+
+A sweep table travels as its columns: one list per SWEEP_HEADER name
+(None for NA) and an "error" list of row messages.  `run_sweep` returns
+it, `format_sweep_csv` writes each run of rows that share their NA cells
+with one %-format, and `parse_sweep_table` reads each column back with one
+float pass per block of rows; the chart reads the columns it draws.
 
 Exit codes: 0 success; 1 for a UsageError or a DomainError (a model, lane
 or chart refusing its input, with its own message); 2 for an
@@ -29,7 +37,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +50,15 @@ SWEEP_HEADER = (
     "E,q,T_analytic,R_analytic,T_numeric,R_numeric,phi_left,theta_left,"
     "phi_right,theta_right,flux_imbalance,wronskian_drift"
 )
+SWEEP_COLUMNS = tuple(SWEEP_HEADER.split(","))
 WAVE_HEADER = "x,re_psi,im_psi,abs_psi,flux"
+# rows parse_sweep_table reads per pass: long enough that each column's
+# float pass dominates, short enough that its cell strings stay small
+_PARSE_BLOCK = 256
+
+# a sweep table: each SWEEP_COLUMNS name to its column (None for NA) and,
+# from run_sweep, "error" to each row's message or None
+SweepTable = dict[str, list]
 
 
 class UsageError(Exception):
@@ -91,22 +108,6 @@ class SweepSpec:
         return np.logspace(
             math.log10(self.e_min), math.log10(self.e_max), self.n_points
         )
-
-
-class SweepRow(NamedTuple):
-    energy: float
-    q: Optional[float]
-    t_analytic: Optional[float]
-    r_analytic: Optional[float]
-    t_numeric: Optional[float]
-    r_numeric: Optional[float]
-    phi_left: Optional[float]
-    theta_left: Optional[float]
-    phi_right: Optional[float]
-    theta_right: Optional[float]
-    flux_imbalance: Optional[float]
-    wronskian_drift: Optional[float]
-    error: Optional[str] = None
 
 
 def _rectangle(v0: float, w: float) -> PotentialModel:
@@ -159,7 +160,7 @@ def parse_model(text: str) -> PotentialModel:
     return build(**fields)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Compute every row; failures mark their row instead of aborting.
 
     For exponential models q and the analytic cells are computed once, as
@@ -168,16 +169,20 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     energies = spec.energies()
     blank = [None] * energies.size
-    columns = dict.fromkeys(SweepRow._fields[1:], blank)
+    table = {"E": energies.tolist(), **dict.fromkeys(SWEEP_COLUMNS[1:], blank), "error": blank}
     if isinstance(spec.model, Exponential):
-        columns.update(_analytic_columns(spec, energies))
-    rows = [SweepRow(*cells) for cells in zip(energies.tolist(), *columns.values())]
+        table.update(_analytic_columns(spec, energies))
     if spec.methods == "analytic":
-        return rows
-    return [row if row.error else _sweep_row(spec, row) for row in rows]
+        return table
+    # the numeric cells are filled in place, so no column may be shared
+    table = {name: list(column) for name, column in table.items()}
+    for i, error in enumerate(table["error"]):
+        if error is None:
+            _sweep_row(spec, table, i)
+    return table
 
 
-def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
+def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> SweepTable:
     """q for every row and, unless the sweep is numeric only, the analytic
     cells; a row the closed forms refuse gets NA cells and the message its
     scalar call raises."""
@@ -191,16 +196,15 @@ def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> dict[str, list]:
         found = {}
         for side in ("left", "right") if spec.sides == "both" else (spec.sides,):
             data = exp_barrier.amplitudes(d.p, q, side)
-            found.update({"t_analytic": data.t_coeff, "r_analytic": data.r_coeff,
+            found.update({"T_analytic": data.t_coeff, "R_analytic": data.r_coeff,
                           f"phi_{side}": data.phi, f"theta_{side}": data.theta})
         for name, values in found.items():
             column = np.full(energies.size, None, dtype=object)
             column[accepted] = values.tolist()
             columns[name] = column.tolist()
-    columns["error"] = [
-        None if ok else _refusal(d.p, q_row)
-        for ok, q_row in zip(accepted.tolist(), columns["q"])
-    ]
+    columns["error"] = [None] * energies.size
+    for k in np.flatnonzero(~accepted).tolist():
+        columns["error"][k] = _refusal(d.p, columns["q"][k])
     return columns
 
 
@@ -214,82 +218,139 @@ def _refusal(p: float, q: float) -> str:
     raise AssertionError(f"closed forms accept q = {q!r} outside closed_form_domain")
 
 
-def _sweep_row(spec: SweepSpec, row: SweepRow) -> SweepRow:
-    """Fill the numeric cells of one row; on failure every cell but E and q
-    is NA and the row carries the message."""
+def _sweep_row(spec: SweepSpec, table: SweepTable, i: int) -> None:
+    """Fill row i's numeric cells; on failure every cell but E and q is NA
+    and the row carries the message."""
     sides = ("left", "right") if spec.sides == "both" else (spec.sides,)
     try:
-        basis = numeric_scatter.integrate_ends(spec.model, row.energy, spec.units)
+        basis = numeric_scatter.integrate_ends(spec.model, table["E"][i], spec.units)
         results = [numeric_scatter.match(basis, s) for s in sides]
     except (DomainError, AccuracyError) as exc:
-        return SweepRow(row.energy, row.q, *[None] * 10, error=str(exc))
-    cells = dict(
-        t_numeric=results[0].t_coeff,
-        r_numeric=results[0].r_coeff,
-        flux_imbalance=max(r.flux_imbalance for r in results),
-        wronskian_drift=basis.drift,
-    )
+        for name in SWEEP_COLUMNS[2:]:
+            table[name][i] = None
+        table["error"][i] = str(exc)
+        return
+    cells = {
+        "T_numeric": results[0].t_coeff,
+        "R_numeric": results[0].r_coeff,
+        "flux_imbalance": max(r.flux_imbalance for r in results),
+        "wronskian_drift": basis.drift,
+    }
     for s, result in zip(sides, results):
         # analytic phases take precedence when both methods run
-        if getattr(row, f"phi_{s}") is None:
+        if table[f"phi_{s}"][i] is None:
             cells[f"phi_{s}"] = result.phi
             cells[f"theta_{s}"] = result.theta
-    return SweepRow(**{**row._asdict(), **cells})
+    for name, value in cells.items():
+        table[name][i] = value
 
 
-def format_sweep_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
-    lines = [f"# hbar={spec.units.hbar:g} mass={spec.units.mass:g}", SWEEP_HEADER]
-    for row in rows:
-        # every field but the error, in SWEEP_HEADER's order
-        lines.append(",".join("NA" if v is None else "%.16e" % v for v in row[:-1]))
-        if row.error is not None:
-            lines.append(f"# row-error: E={row.energy:.16e} {row.error}")
-    return "\n".join(lines) + "\n"
+def _units_comment(units: Units) -> str:
+    """`# hbar=<v> mass=<v>`, each value as %g where that reads back to it."""
+
+    def text(value: float) -> str:
+        short = f"{value:g}"
+        return short if float(short) == value else repr(float(value))
+
+    return f"# hbar={text(units.hbar)} mass={text(units.mass)}"
 
 
-def parse_sweep_table(lines: Sequence[str]) -> list[dict[str, Optional[float]]]:
-    """Parse what format_sweep_csv emits; errors carry 1-based line numbers."""
-    names = SWEEP_HEADER.split(",")
-    rows = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if not header_seen:
-            if line != SWEEP_HEADER:
-                raise UsageError(f"line {lineno}: expected sweep header, got {line!r}")
-            header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise UsageError(
-                f"line {lineno}: expected {len(names)} cells, got {len(cells)}"
-            )
-        row: dict[str, Optional[float]] = {}
-        for name, cell in zip(names, cells):
-            if cell == "NA":
-                row[name] = None
-                continue
-            try:
-                row[name] = float(cell)
-            except ValueError:
-                raise UsageError(f"line {lineno}: bad number {cell!r} in column {name}") from None
-        rows.append(row)
-    if not header_seen:
+def format_sweep_csv(spec: SweepSpec, table: SweepTable) -> str:
+    """The table's text: each run of rows that share their NA cells, and
+    that ends at a row error or at the next change of them, is one
+    %-format over a repeated row template."""
+    columns = [table[name] for name in SWEEP_COLUMNS]
+    errors = table["error"]
+    n = len(columns[0])
+    ends = {n, *(i + 1 for i, error in enumerate(errors) if error is not None)}
+    mixed = [column for column in columns if None in column and column.count(None) != n]
+    if mixed:
+        na = list(zip(*[[cell is None for cell in column] for column in mixed]))
+        ends.update(i for i in range(1, n) if na[i] != na[i - 1])
+    lines = [_units_comment(spec.units), SWEEP_HEADER]
+    start = 0
+    for end in sorted(ends - {0}):  # an empty table has no run
+        first = [column[start] for column in columns]
+        template = ",".join(["NA" if cell is None else "%.16e" for cell in first])
+        filled = [column[start:end] for column, cell in zip(columns, first) if cell is not None]
+        # row-major, every value the float object it was
+        lines.append("\n".join([template] * (end - start))
+                     % tuple(chain.from_iterable(zip(*filled))))
+        if errors[end - 1] is not None:
+            lines.append(f"# row-error: E={columns[0][end - 1]:.16e} {errors[end - 1]}")
+        start = end
+    # the empty last line ends the text in a newline, with no copy of it
+    return "\n".join([*lines, ""])
+
+
+def parse_sweep_table(lines: Sequence[str]) -> SweepTable:
+    """Parse what format_sweep_csv emits into its columns (row errors are
+    comments, so there is no "error" column); errors carry 1-based line
+    numbers and name the first fault in row-major order."""
+    # blank and comment lines are skipped
+    numbered = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(lines, start=1)
+                if line.lstrip()[:1] not in "#"]
+    if not numbered:
         raise UsageError("line 1: input has no sweep header")
-    return rows
+    lineno, header = numbered[0]
+    if header != SWEEP_HEADER:
+        raise UsageError(f"line {lineno}: expected sweep header, got {header!r}")
+    width = len(SWEEP_COLUMNS)
+    table = {name: [] for name in SWEEP_COLUMNS}
+    # a block of rows at a time, so that only one block's cell strings
+    # are alive at once
+    for first in range(1, len(numbered), _PARSE_BLOCK):
+        block = numbered[first:first + _PARSE_BLOCK]
+        rows = [line.split(",") for _, line in block]
+        # only rows above the first one of the wrong width are read, so a
+        # bad cell found there comes before it
+        short = next((k for k, cells in enumerate(rows) if len(cells) != width), len(rows))
+        bad = []
+        for j, cells in enumerate(zip(*rows[:short])):
+            column = _column(cells)
+            if isinstance(column, int):
+                bad.append((column, j, cells[column]))
+            else:
+                table[SWEEP_COLUMNS[j]] += column
+        if bad:
+            k, j, cell = min(bad)
+            raise UsageError(f"line {block[k][0]}: bad number {cell!r} in column "
+                             f"{SWEEP_COLUMNS[j]}")
+        if short < len(rows):
+            raise UsageError(f"line {block[short][0]}: expected {width} cells, "
+                             f"got {len(rows[short])}")
+    return table
 
 
-def render_sweep_chart(table: list[dict[str, Optional[float]]], log_x: bool) -> str:
-    """Chart of T and R over E, preferring analytic cells, else numeric."""
-    energies, t_vals, r_vals = [], [], []
-    for row in table:
-        if row["E"] is None:
-            continue
-        energies.append(row["E"])
-        t_vals.append(row["T_analytic"] if row["T_analytic"] is not None else row["T_numeric"])
-        r_vals.append(row["R_analytic"] if row["R_analytic"] is not None else row["R_numeric"])
+def _column(cells: Sequence[str]) -> list | int:
+    """The cells as floats, NA as None; or, if a cell is neither, the index
+    of the first such cell."""
+    try:
+        return list(map(float, cells))  # a column with no NA cell
+    except ValueError:
+        pass
+    column = []
+    for k, cell in enumerate(cells):
+        try:
+            column.append(None if cell == "NA" else float(cell))
+        except ValueError:
+            return k
+    return column
+
+
+def render_sweep_chart(table: SweepTable, log_x: bool) -> str:
+    """Chart of T and R over E, preferring analytic cells, else numeric;
+    rows with no E are left out."""
+    energies = table["E"]
+    t_vals, r_vals = (
+        [numeric if analytic is None else analytic
+         for analytic, numeric in zip(table[f"{v}_analytic"], table[f"{v}_numeric"])]
+        for v in "TR"
+    )
+    if None in energies:
+        kept = [k for k, energy in enumerate(energies) if energy is not None]
+        energies, t_vals, r_vals = ([column[k] for k in kept]
+                                    for column in (energies, t_vals, r_vals))
     have_data = any(v is not None for v in t_vals) or any(v is not None for v in r_vals)
     if not energies or not have_data:
         raise UsageError("empty data region: no plottable rows in the input table")
@@ -365,9 +426,9 @@ def cmd_sweep(args) -> int:
     )
     if spec.methods != "numeric":
         _require_exponential(args.model, spec.model, "analytic method")
-    rows = run_sweep(spec)
-    _emit(format_sweep_csv(spec, rows), args.out)
-    if all(row.error is not None for row in rows):
+    table = run_sweep(spec)
+    _emit(format_sweep_csv(spec, table), args.out)
+    if None not in table["error"]:
         print("error: every sweep row failed", file=sys.stderr)
         return 2
     return 0
@@ -421,11 +482,10 @@ def cmd_wavefunction(args) -> int:
         im_uv = a_u.real * a_v.imag - a_u.imag * a_v.real
         flux_vals = (units.hbar / units.mass) * im_uv * (u * dv - du * v)
 
-    lines = [f"# hbar={units.hbar:g} mass={units.mass:g}", WAVE_HEADER]
-    rows = zip(xs.tolist(), re.tolist(), im.tolist(), flux_vals.tolist())
-    lines += ["%.16e,%.16e,%.16e,%.16e,%.16e" % (x, r, i, abs(complex(r, i)), j)
-              for x, r, i, j in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    # np.hypot is abs(complex(re, im)) bit for bit: both are libm's hypot
+    cells = np.column_stack((xs, re, im, np.hypot(re, im), flux_vals)).ravel().tolist()
+    block = "\n".join(["%.16e,%.16e,%.16e,%.16e,%.16e"] * xs.size) % tuple(cells)
+    _emit("\n".join([_units_comment(units), WAVE_HEADER, block, ""]), args.out)
     return 0
 
 

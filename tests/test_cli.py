@@ -132,13 +132,13 @@ class TestSweepTable:
 
     def test_values_follow_closed_form(self):
         spec = self.make_spec(e_min=0.0625, e_max=1.0, n_points=2, spacing="linear")
-        rows = cli.run_sweep(spec)
+        table = cli.run_sweep(spec)
         # E = 0.0625 is q = 0.5 in these units
         t_half, _ = exp_barrier.transmission_reflection(0.5)
-        assert rows[0].q == pytest.approx(0.5, rel=1e-14)
-        assert rows[0].t_analytic == pytest.approx(t_half, rel=1e-14)
-        assert abs(rows[0].t_numeric - t_half) < 1e-6
-        assert rows[0].flux_imbalance < 1e-8
+        assert table["q"][0] == pytest.approx(0.5, rel=1e-14)
+        assert table["T_analytic"][0] == pytest.approx(t_half, rel=1e-14)
+        assert abs(table["T_numeric"][0] - t_half) < 1e-6
+        assert table["flux_imbalance"][0] < 1e-8
 
     def test_analytic_only_skips_numeric_columns(self):
         spec = self.make_spec(methods="analytic")
@@ -158,25 +158,25 @@ class TestSweepTable:
 
     def test_free_sweep_is_transparent(self):
         spec = self.make_spec(model=cli.parse_model("free"), methods="numeric")
-        rows = cli.run_sweep(spec)
-        for row in rows:
-            assert row.q is None and row.t_analytic is None
-            assert row.t_numeric == pytest.approx(1.0, abs=1e-10)
+        table = cli.run_sweep(spec)
+        assert table["q"] == table["T_analytic"] == [None] * 4
+        for t_numeric in table["T_numeric"]:
+            assert t_numeric == pytest.approx(1.0, abs=1e-10)
 
     def test_row_error_marks_row_and_continues(self):
         # first energies sit below the long-wave cutoff and must fail
         # per-row without killing the sweep
         spec = self.make_spec(e_min=1e-8, e_max=1.0, n_points=5, methods="numeric")
-        rows = cli.run_sweep(spec)
-        assert rows[0].error is not None and rows[0].t_numeric is None
-        assert rows[-1].error is None and rows[-1].t_numeric is not None
-        text = cli.format_sweep_csv(spec, rows)
+        table = cli.run_sweep(spec)
+        assert table["error"][0] is not None and table["T_numeric"][0] is None
+        assert table["error"][-1] is None and table["T_numeric"][-1] is not None
+        text = cli.format_sweep_csv(spec, table)
         assert "# row-error:" in text
         errored = text.splitlines()[2]
         assert errored.split(",")[2] == "NA"
         # the table still parses; bad rows carry NA cells
         parsed = cli.parse_sweep_table(text.splitlines())
-        assert len(parsed) == 5
+        assert len(parsed["E"]) == 5 and parsed["T_analytic"][0] is None
 
     def test_invariants(self):
         with pytest.raises(UsageError):
@@ -193,10 +193,10 @@ class TestParseSweepTable:
     def test_round_trip(self):
         spec = TestSweepTable().make_spec(n_points=3)
         text = cli.format_sweep_csv(spec, cli.run_sweep(spec))
-        rows = cli.parse_sweep_table(text.splitlines())
-        assert len(rows) == 3
-        assert rows[0]["E"] == pytest.approx(0.05)
-        assert rows[0]["T_analytic"] is not None
+        table = cli.parse_sweep_table(text.splitlines())
+        assert len(table["E"]) == 3
+        assert table["E"][0] == pytest.approx(0.05)
+        assert table["T_analytic"][0] is not None
 
     def test_reports_line_number_for_bad_header(self):
         with pytest.raises(UsageError, match="line 1"):
@@ -513,8 +513,8 @@ class TestCommands:
         code, out, err = run_cli(["sweep", "--model", "free", "--emin", "0.1", "--emax", "3",
                                   "--n", "20", "--method", "numeric"], capsys)
         assert (code, err) == (0, "")
-        rows = cli.parse_sweep_table(out.splitlines())
-        assert len(rows) == 20 and max(abs(row["T_numeric"] - 1.0) for row in rows) <= 1e-14
+        t_numeric = cli.parse_sweep_table(out.splitlines())["T_numeric"]
+        assert len(t_numeric) == 20 and max(abs(t - 1.0) for t in t_numeric) <= 1e-14
 
     def test_wavefunction_free_has_unit_modulus(self, capsys):
         code, out, _ = run_cli(
@@ -1012,11 +1012,13 @@ class TestCommands:
         analytic = ["T_analytic", "R_analytic", "phi_left", "theta_left",
                     "phi_right", "theta_right"]
         numeric = ["T_numeric", "R_numeric", "flux_imbalance", "wronskian_drift"]
-        for i, row in enumerate(cli.parse_sweep_table(lines)):
-            assert row["E"] is not None and row["q"] is not None
-            solved = 9 <= i < 57
-            assert all((row[name] is not None) == solved for name in analytic)
-            assert all(row[name] is None for name in numeric)
+        table = cli.parse_sweep_table(lines)
+        assert None not in table["E"] and None not in table["q"]
+        solved = [9 <= i < 57 for i in range(60)]
+        for name in analytic:
+            assert [cell is not None for cell in table[name]] == solved
+        for name in numeric:
+            assert table[name] == [None] * 60
 
     def test_analytic_columns_match_scalar_calls(self, capsys):
         # a benchmark-sized sweep: E and q bit for bit, T and R within 2 ulp,
@@ -1025,10 +1027,11 @@ class TestCommands:
                 "--emax", "5", "--n", "3000", "--method", "analytic"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        rows = cli.parse_sweep_table(out.splitlines())
-        assert len(rows) == 3000
+        table = cli.parse_sweep_table(out.splitlines())
+        assert len(table["E"]) == 3000
         model = potentials.exponential(2.5, 0.7, 0.3)
         energies = np.logspace(math.log10(0.01), math.log10(5.0), 3000).tolist()
+        rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
         for row, energy in zip(rows, energies):
             d = exp_barrier.reduce_params(model, energy)
             assert (row["E"], row["q"]) == (energy, d.q)

@@ -994,18 +994,18 @@ class TestEndsReader:
                             lambda basis, side: seen.append(match(basis, side)) or seen[-1])
         spec = cli.SweepSpec(potential, energy, 2.0 * energy, 2, "linear", "both", "numeric",
                              DEFAULT_UNITS)
-        rows = cli.run_sweep(spec)
+        table = cli.run_sweep(spec)
         monkeypatch.undo()
-        assert rows[0].energy == energy
-        for row in rows:
-            config = default_window(potential, row.energy)
-            want = outcomes(self.whole_basis(potential, row.energy, config))
+        assert table["E"][0] == energy
+        for row_energy, error in zip(table["E"], table["error"]):
+            config = default_window(potential, row_energy)
+            want = outcomes(self.whole_basis(potential, row_energy, config))
             if isinstance(want, tuple):
-                assert row.error == want[1]
+                assert error == want[1]
             else:
                 got = [result_bits(r) for r in seen[:2]]
                 del seen[:2]
-                assert row.error is None and got == want
+                assert error is None and got == want
         assert seen == []
 
     @pytest.mark.parametrize(
@@ -1146,7 +1146,7 @@ class TestEndsReader:
         assert len(calls) == len(cases)
         calls.clear()
         spec = cli.SweepSpec(EXP_MODEL, 0.1, 1.0, 4, "log", "both", "both", DEFAULT_UNITS)
-        assert all(row.error is None for row in cli.run_sweep(spec))
+        assert cli.run_sweep(spec)["error"] == [None] * 4
         assert len(calls) == 4
 
     def test_refused_plane_end_is_not_marched(self, monkeypatch):
@@ -1510,13 +1510,13 @@ def test_readme_family_sweep_guard(monkeypatch):
     monkeypatch.setattr(numeric_scatter, "_plane_potential",
                         tally("plane", numeric_scatter._plane_potential))
     spec = cli.SweepSpec(EXP_MODEL, 0.01, 5.0, 20, "log", "both", "both", DEFAULT_UNITS)
-    rows = cli.run_sweep(spec)
+    table = cli.run_sweep(spec)
     assert len(counts) == 20 and max(counts) <= 20_000 and sum(counts) <= 200_000
     assert calls == {"hankel": 20, "plane": 20}
-    assert all(row.error is None for row in rows)
-    assert max(abs(row.t_numeric - row.t_analytic) for row in rows) <= 6.5e-9
-    assert max(row.wronskian_drift for row in rows) <= 1e-12
-    assert max(row.flux_imbalance for row in rows) <= 1e-12
+    assert table["error"] == [None] * 20
+    assert max(abs(n - a) for n, a in zip(table["T_numeric"], table["T_analytic"])) <= 6.5e-9
+    assert max(table["wronskian_drift"]) <= 1e-12
+    assert max(table["flux_imbalance"]) <= 1e-12
 
 
 def test_readme_sweep_floor_and_nodes(monkeypatch):
@@ -1534,10 +1534,10 @@ def test_readme_sweep_floor_and_nodes(monkeypatch):
 
     monkeypatch.setattr(numeric_scatter, "_grid", counted)
     spec = cli.SweepSpec(EXP_MODEL, 0.01, 5.0, 200, "log", "both", "both", DEFAULT_UNITS)
-    rows = cli.run_sweep(spec)
-    assert all(row.error is None for row in rows)
+    table = cli.run_sweep(spec)
+    assert table["error"] == [None] * 200
     assert len(counts) == 200 and sum(counts) <= 1_450_000
-    assert max(abs(row.t_numeric - row.t_analytic) for row in rows) <= 1e-12
+    assert max(abs(n - a) for n, a in zip(table["T_numeric"], table["T_analytic"])) <= 1e-12
 
 
 @pytest.mark.parametrize("energy", [1e-6, 1e-5, 1e-4])
