@@ -146,9 +146,10 @@ def _window(potential: PotentialModel, energy: float, units: Units) -> tuple[flo
     tests it (about x = tail ln(ASYMPTOTE_EPSILON E / |V(0)|),
     z = sqrt(ASYMPTOTE_EPSILON) q), to z = _Z_MATCH, which leaves no window
     past q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON), where the energy is
-    refused.  ``_check_energy`` runs first.
+    refused.  An energy not finite and > 0 is refused first.
     """
-    _check_energy(potential, energy, units)
+    if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
+        raise DomainError(f"energy must be finite and > 0, got {energy!r}")
     tail = potential.tail
     if not math.isfinite(tail):
         return potential.jumps[0] - 2.0, potential.jumps[-1] + 2.0
@@ -199,12 +200,11 @@ def integrate_ends(
     ------
     DomainError
         For kh not finite and > 0, for an x of xs not finite, for energy
-        <= 0, for energy < 1e-6 * hbar^2 / (8 m tail^2) (the long-wave
-        limit), for a diving V with no window left of z = _Z_MATCH, if the
-        potential is not finite anywhere on the window, for a grid past
-        the node cap, for a plane-wave end where |V| > ASYMPTOTE_EPSILON * E
-        (refused before the grid is built), or for a diving end whose q
-        overflows exp(q pi) in its H1, past E = (700/pi)^2 hbar^2 / (8 m a^2).
+        not finite and > 0, for a diving V with no window left of z =
+        _Z_MATCH, if the potential is not finite anywhere on the window, for
+        a grid past the node cap, for a plane-wave end where |V| >
+        ASYMPTOTE_EPSILON * E (refused before the grid is built), or for a
+        diving end whose q the closed forms refuse: q <= Q_MIN or q pi > 700.
     AccuracyError
         If the drift is past DRIFT_TOLERANCE, if W[u, v] is not finite at
         a window end, if the diving end's unit wave carries a flux far
@@ -244,17 +244,6 @@ def integrate_ends(
         _check_drift(drift, lo, hi, kh, nodes, xs)
     ends = tuple(_End(*_project(waves[i], nodes[:, i]), waves[i][2], w_uv[i]) for i in (0, 1))
     return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift)
-
-
-def _check_energy(potential: PotentialModel, energy: float, units: Units) -> None:
-    if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
-        raise DomainError(f"energy must be finite and > 0, got {energy!r}")
-    delta = units.hbar**2 / (8.0 * units.mass * potential.tail**2)
-    if energy < 1e-6 * delta:
-        raise DomainError(
-            f"energy {energy:g} below 1e-6 * delta = {1e-6 * delta:g}; "
-            "the long-wave limit is not resolvable by this grid"
-        )
 
 
 def _check_drift(drift: float, lo: float, hi: float, kh: float, nodes: np.ndarray,
@@ -547,6 +536,14 @@ def _wave(potential: PotentialModel, energy: float, units: Units, x: float,
     if diving:
         a = potential.tail
         p, q = _p(potential, units), 2.0 * k * a
+        if not q > specfun.Q_MIN:
+            # the E whose q passes Q_MIN, stepped out as _window steps x_left
+            low = specfun.Q_MIN**2 * units.hbar**2 / (8.0 * units.mass * a * a)
+            step = math.ulp(low)
+            while not 2.0 * (math.sqrt(2.0 * units.mass * low) / units.hbar) * a > specfun.Q_MIN:
+                low, step = low + step, 2.0 * step
+            raise DomainError(f"q = {q:g} is at or below Q_MIN = {specfun.Q_MIN:g}, where the "
+                              f"diving end's H1 degenerates; raise E to at least {low!r}")
         if math.pi * q > 700.0:
             top = (700.0 / math.pi) ** 2 * units.hbar**2 / (8.0 * units.mass * a * a)
             raise DomainError(f"q = {q:g} overflows exp(q pi) in the diving end's H1; lower E "

@@ -164,9 +164,10 @@ class TestSweepTable:
             assert t_numeric == pytest.approx(1.0, abs=1e-10)
 
     def test_row_error_marks_row_and_continues(self):
-        # first energies sit below the long-wave cutoff and must fail
-        # per-row without killing the sweep
-        spec = self.make_spec(e_min=1e-8, e_max=1.0, n_points=5, methods="numeric")
+        # the first energy's q = 2e-9 is at or below Q_MIN = 1e-8, where the
+        # numeric lane refuses as the closed forms do, and must fail per-row
+        # without killing the sweep
+        spec = self.make_spec(e_min=1e-18, e_max=1.0, n_points=5, methods="numeric")
         table = cli.run_sweep(spec)
         assert table["error"][0] is not None and table["T_numeric"][0] is None
         assert table["error"][-1] is None and table["T_numeric"][-1] is not None
@@ -801,30 +802,68 @@ class TestCommands:
 
     def test_low_energy_refusal_names_the_lowest_energy(self, capsys):
         # each row's window starts where |V| = 1e-6 E, so no plane-wave end
-        # refuses a row; only E < 1e-6 * delta = 2.5e-7 is refused
+        # refuses a row; only q = sqrt(8 m E) a / hbar <= Q_MIN = 1e-8 is,
+        # as the closed forms refuse it, naming the least E that solves
         code, out, _ = run_cli(
-            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-8", "--emax", "2e-7",
-             "--n", "2"],
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-18", "--emax", "2e-17",
+             "--n", "2", "--method", "numeric"],
             capsys,
         )
         assert code == 2
         errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
         assert len(errors) == 2
-        assert all("below 1e-6 * delta = 2.5e-07" in line for line in errors)
+        assert all(line.endswith(" is at or below Q_MIN = 1e-08, where the diving end's H1 "
+                                 "degenerates; raise E to at least 2.5000000000000006e-17")
+                   for line in errors)
+        low = 2.5000000000000006e-17
+        assert numeric_scatter.solve(potentials.exponential(1.0, 1.0), low).t_coeff > 0.0
+        with pytest.raises(DomainError, match="at or below Q_MIN"):
+            numeric_scatter.solve(potentials.exponential(1.0, 1.0), math.nextafter(low, 0.0))
 
     def test_low_energy_rows_refused_without_marching(self, monkeypatch, capsys):
-        # E below 1e-6 * delta is refused before the window is placed and
-        # before any RK4 step, and the output keeps its bytes (digest taken
-        # when those rows were refused at the plane-wave end of one window)
+        # q <= Q_MIN is refused at the diving end's unit wave, before any
+        # RK4 step, and the output keeps its bytes
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
         code, out, err = run_cli(
-            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-8", "--emax", "2e-7",
-             "--n", "2"],
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-18", "--emax", "2e-17",
+             "--n", "2", "--method", "numeric"],
             capsys,
         )
         assert (code, err) == (2, "error: every sweep row failed\n")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e1083d13173cabd05131d043191cc47ebfbbe82022e9d10991b2e6c08fa37adc")
+            "05162662afb5922dcdcbadcef1258f581ef415deb34e7ce27f0c117dc6950cb4")
+
+    def test_long_wave_rows_solve_on_both_lanes(self, capsys):
+        # q = 6.3e-5 and 2e-4: both lanes solve, within 1e-12 of each other
+        code, out, err = run_cli(
+            ["sweep", "--model", "exp:v0=1,a=1", "--emin", "1e-9", "--emax", "1e-8",
+             "--n", "2"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        table = cli.parse_sweep_table(out.splitlines())
+        assert len(table["E"]) == 2
+        assert max(abs(n - a) for n, a in zip(table["T_numeric"], table["T_analytic"])) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["exp:v0=1,a=1", "expshift:v0=200,a=0.5,b=1",
+                                       "exp:v0=1e4,a=2"])
+    def test_numeric_lane_refuses_what_the_closed_forms_refuse(self, model):
+        # from q near 1e-11 to past q pi = 700: a row errs exactly where
+        # closed_form_domain is False, on either lane alone, and every other
+        # row of the two-lane sweep has all 12 cells
+        tables = {}
+        for methods in ("both", "numeric"):
+            spec = cli.SweepSpec(cli.parse_model(model), 1e-22, 4e4, 80, "log", "both",
+                                 methods, potentials.DEFAULT_UNITS)
+            tables[methods] = cli.run_sweep(spec)
+        params = exp_barrier.reduce_params(spec.model, spec.energies(), spec.units)
+        accepted = exp_barrier.closed_form_domain(params.p, params.q).tolist()
+        assert 0 < sum(accepted) < 80
+        for table in tables.values():
+            assert [error is None for error in table["error"]] == accepted
+        full = [all(cell is not None for cell in row)
+                for row in zip(*(tables["both"][name] for name in cli.SWEEP_COLUMNS))]
+        assert full == accepted
 
     def test_wavefunction_series_domain_exit_code(self, capsys):
         code, _, err = run_cli(

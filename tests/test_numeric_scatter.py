@@ -201,9 +201,10 @@ class TestBasisIntegration:
                 numeric_scatter.integrate_ends(rect, 1.0)
 
     def test_long_wave_refused(self):
-        for refuse in (lambda: numeric_scatter.solve(EXP_MODEL, 1e-9),
-                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 1e-9)):
-            with pytest.raises(DomainError, match="delta"):
+        # q = 2e-9, at or below Q_MIN, where the closed forms refuse too
+        for refuse in (lambda: numeric_scatter.solve(EXP_MODEL, 1e-18),
+                       lambda: numeric_scatter.integrate_ends(EXP_MODEL, 1e-18)):
+            with pytest.raises(DomainError, match=r"^q = 2e-09 is at or below Q_MIN = 1e-08"):
                 refuse()
 
     def test_nonpositive_energy_refused(self):
@@ -756,9 +757,9 @@ def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
 def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
     """The whole-grid basis: every node from the oracle writer as the nodes
     of the record, its two end nodes projected, and the step-order drift.
-    It checks the energy, forms the end waves and gates the basis in the
-    order integrate_ends does, but checks no plane-wave end."""
-    numeric_scatter._check_energy(potential, energy, units)
+    It checks the energy (``_window``), forms the end waves and gates the
+    basis in the order integrate_ends does, but checks no plane-wave end."""
+    numeric_scatter._window(potential, energy, units)
     x, i_seed, i_right, nodes = oracle_nodes(potential, energy, config, units)
     ends = project_ends(potential, energy, x, i_seed, i_right, nodes, units)
     drift = oracle_window_drift(potential, energy, x, i_seed, units)
@@ -964,7 +965,7 @@ class TestEndsReader:
         def solve_sides(sides):
             # the plane-wave ends are refused before the grid, as
             # integrate_ends refuses them
-            numeric_scatter._check_energy(potential, energy, DEFAULT_UNITS)
+            numeric_scatter._window(potential, energy, DEFAULT_UNITS)
             numeric_scatter._plane_potential(potential, float(energy), config.x_left, "x_left")
             if not isinstance(potential, potentials.Exponential):
                 numeric_scatter._plane_potential(potential, float(energy), config.x_right,
@@ -1153,14 +1154,16 @@ class TestEndsReader:
         # the row's window ends 2 past the outer jumps, which rounds onto
         # them on a rectangle 1e308 wide: |V(x_left)| = 1 there; an
         # exponential's window at E starts where |V| <= 1e-6 E, so there
-        # only 1e-6 * delta = 2.5e-7 is refused
+        # only q <= Q_MIN is refused, at the diving end's unit wave: E =
+        # 2.5e-17 is q = Q_MIN itself, which the closed forms refuse too
         rect = potentials.rectangular(1.0, 5e307)
         want = outcomes(self.whole_basis(rect, 1.0, default_window(rect, 1.0)))
         monkeypatch.setattr(numeric_scatter, "_march", pytest.fail)
         got = outcomes(lambda sides: [numeric_scatter.solve(rect, 1.0, side) for side in sides])
         assert got == want and "|V(x_left)| = 1.000e+00" in want[1]
-        with pytest.raises(DomainError, match=re.escape("below 1e-6 * delta = 2.5e-07")):
-            numeric_scatter.solve(EXP_MODEL, 2.5e-7 * (1.0 - 1e-9))
+        assert exp_barrier.reduce_params(EXP_MODEL, 2.5e-17).q == specfun.Q_MIN
+        with pytest.raises(DomainError, match=re.escape("q = 1e-08 is at or below Q_MIN")):
+            numeric_scatter.solve(EXP_MODEL, 2.5e-17)
 
     @pytest.mark.parametrize("energy, q", [(2e4, "282.843"), (1e6, "2000")])
     def test_q_overflow_refused_before_the_march(self, energy, q, monkeypatch):
@@ -1543,12 +1546,26 @@ def test_readme_sweep_floor_and_nodes(monkeypatch):
 @pytest.mark.parametrize("energy", [1e-6, 1e-5, 1e-4])
 def test_low_energy_limit(energy):
     # the paper's long-wave limit T = 1 - e^{-2 pi q} ~ 2 pi q, q = sqrt(8 m E) a
-    # / hbar, on both sides: rows below E = 2.06e-3 were refused at the
-    # plane-wave end of the one window from z = 2e^-10
+    # / hbar, on both sides, at q = 2e-3, 6.3e-3 and 2e-2
     q = math.sqrt(8.0 * DEFAULT_UNITS.mass * energy) * EXP_MODEL.a / DEFAULT_UNITS.hbar
     for side in ("left", "right"):
         result = numeric_scatter.solve(EXP_MODEL, energy, side)
         assert abs(result.t_coeff - -math.expm1(-2.0 * math.pi * q)) <= 1e-12
+
+
+@pytest.mark.parametrize("v0, a", [(1.0, 1.0), (1e-3, 3.0), (200.0, 1.0), (1e4, 0.1),
+                                   (1.0, 10.0)])
+def test_long_wave_limit_meets_the_closed_form(v0, a):
+    # down to q = 1e-6, on both sides, T meets 1 - e^{-2 pi q} within 1e-10
+    # relative (2.2e-11 at worst); the window grows only by a ln(1/q)
+    model = potentials.exponential(v0, a)
+    for q in (1e-3, 1e-4, 1e-5, 1e-6):
+        energy = q * q * DEFAULT_UNITS.hbar**2 / (8.0 * DEFAULT_UNITS.mass * a * a)
+        t_exact, _ = exp_barrier.transmission_reflection(
+            exp_barrier.reduce_params(model, energy).q)
+        basis = numeric_scatter.integrate_ends(model, energy)
+        for side in ("left", "right"):
+            assert abs(numeric_scatter.match(basis, side).t_coeff / t_exact - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -1558,8 +1575,8 @@ def test_low_energy_limit(energy):
      (10.0, 2.0, (5.7e-13, 6.9e-11, 9.9e-12))],
 )
 def test_step_error_stays_within_the_fixed_cap(v0, a, bounds):
-    # kh against kh/2, on both sides and at 8 energies from the low-energy
-    # refusal edge 1e-6 delta up to 5, each on its default window: the |dT|,
+    # kh against kh/2, on both sides and at 8 energies from q = 1e-3 up to
+    # E = 5, each on its default window: the |dT|,
     # |d theta| and |r| |d phi| of the fixed cap l = a, rounded up, bound
     # those of l = a / sqrt(2z)
     model = potentials.exponential(v0, a)
@@ -1706,11 +1723,10 @@ def test_numeric_lane_places_its_match_node_once():
                  for node in ast.walk(fn) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Attribute) and node.func.attr == "searchsorted"}
     assert searchers == {"_grid"}
-    for name, caller in (("_window", "integrate_ends"), ("_check_energy", "_window")):
-        calls = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                 for node in ast.walk(fn) if isinstance(node, ast.Call)
-                 and isinstance(node.func, ast.Name) and node.func.id == name]
-        assert calls == [caller]
+    calls = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_window"]
+    assert calls == ["integrate_ends"]
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "_Z_MATCH"}
     assert readers == {"_window"}

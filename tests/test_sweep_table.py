@@ -74,8 +74,9 @@ def spec(model="exp:v0=1,a=1", e_min=0.05, e_max=5.0, n=6, sides="both", methods
 
 
 SPECS = {
-    "numeric-row-errors": spec(e_min=1e-8, e_max=1.0, n=5, methods="numeric"),
-    "both-row-errors": spec(e_min=1e-8, e_max=1.0, n=5),
+    # the first row's q = 2e-9 is at or below Q_MIN, where both lanes refuse
+    "numeric-row-errors": spec(e_min=1e-18, e_max=1.0, n=5, methods="numeric"),
+    "both-row-errors": spec(e_min=1e-18, e_max=1.0, n=5),
     "analytic-refusals": spec(e_min=1e-20, e_max=1e5, n=60, methods="analytic"),
     "both-refusals": spec(e_min=1e-20, e_max=1e5, n=12),
     "rect-na-q": spec(model="rect:v0=1,w=2", n=5, methods="numeric"),
