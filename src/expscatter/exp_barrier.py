@@ -8,8 +8,9 @@ equation into Bessel's equation of order +-iq, with
 Everything here works at the dimensionless (p, q) level; reduce_params is
 the only bridge from the model and its units.  reduce_params,
 transmission_reflection and amplitudes also take an array (energies or q)
-and return columns, as an analytic sweep uses them; scalar calls keep
-CPython's arithmetic, array entries may differ from them in the last digit.
+and return columns, as an analytic sweep uses them, and amplitudes an
+array p as well; scalar calls keep CPython's arithmetic, array entries may
+differ from them in the last digit.
 Transmission is a function of q alone:
 
     T = 1 - exp(-2 pi q),   R = exp(-2 pi q)
@@ -121,20 +122,24 @@ def amplitudes(p: float, q, side: str = "left") -> ScatteringData:
     equals R on both sides.  The Gamma ratio of the left r is formed first:
     |Gamma(1+iq)|^2 = pi q / sinh(pi q), so e^{-pi q} Gamma(1+iq) loses
     digits past q ~ 153 and underflows to 0 past q ~ 159.  q may be an
-    array (a sweep's q column): every field is then an array of its shape,
+    array (a sweep's q column), and so may p, broadcast against q (verify's
+    (p, q) grids): each field then takes the shape of what it depends on,
+    T, R and the right side's r and phi q's, the rest p and q broadcast,
     and agrees with the scalar calls to rounding (numpy's complex power in
-    Gamma).
+    Gamma).  A scalar p keeps math.log and math.sqrt.
     """
     _check_pq(p, q, side)
     t_coeff, r_coeff = transmission_reflection(q)
-    lib, clib, arg = (np, np, np.angle) if isinstance(q, np.ndarray) else (math, cmath, cmath.phase)
-    alpha = q * math.log(0.5 * p)
+    array = isinstance(p, np.ndarray) or isinstance(q, np.ndarray)
+    lib, clib, arg = (np, np, np.angle) if array else (math, cmath, cmath.phase)
+    plib = np if isinstance(p, np.ndarray) else math
+    alpha = q * plib.log(0.5 * p)
     gamma_plus = specfun.complex_gamma(1.0 + 1j * q)
     phase_p = clib.exp(-1j * alpha)  # (p/2)^{-iq}
     if side == "left":
         r_amp = -lib.exp(-math.pi * q) * phase_p**2 * (gamma_plus / gamma_plus.conjugate())
         t_amp = (
-            math.sqrt(2.0 / (math.pi * p))
+            plib.sqrt(2.0 / (math.pi * p))
             * cmath.exp(-1j * _QUARTER_PI)
             * lib.exp(-0.5 * math.pi * q)
             * phase_p
@@ -145,7 +150,7 @@ def amplitudes(p: float, q, side: str = "left") -> ScatteringData:
         r_amp = -1j * lib.exp(-math.pi * q)
         t_amp = (
             2.0
-            * math.sqrt(0.5 * math.pi * p)
+            * plib.sqrt(0.5 * math.pi * p)
             * cmath.exp(-1j * _QUARTER_PI)
             * lib.exp(-0.5 * math.pi * q)
             * phase_p

@@ -16,13 +16,15 @@ like e^z, so cancellation costs digits as z grows; about four remain at
 z = 30 (see Z_SERIES_MAX), and that radius is enforced as a hard domain
 bound rather than silently returning fewer.
 
-z may also be an ndarray, as an exact wavefunction's grid passes it: the
-same loop then runs on the whole array, until every entry meets the
-stopping test.  A scalar z keeps CPython arithmetic bit for bit; array
-entries agree with it to rounding (numpy's log, exp and complex division
-round differently), which the series' cancellation amplifies like
-eps e^z, and an entry that converges early takes a few more terms, each
-below its tolerance.
+z may also be an ndarray, as an exact wavefunction's grid passes it, and
+so may q, broadcast against z, as verify's (q, z) grids pass it: the same
+loop then runs on the whole array, until every entry meets the stopping
+test.  Scalar q and z keep CPython arithmetic bit for bit; array entries
+agree with them to rounding (numpy's log, exp and complex division round
+differently), which the series' cancellation amplifies like eps e^z, and
+an entry that converges early takes a few more terms, each below its
+tolerance.  An array entry out of range is refused with the scalar
+message, naming the first such entry.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ class BesselEval(NamedTuple):
     Attributes
     ----------
     value : complex or ndarray
-        Shaped like z.
+        Shaped like q and z broadcast together.
     dvalue : complex or ndarray
         Derivative with respect to z, from the term-wise differentiated
-        series, shaped like z.
+        series, shaped like value.
     terms_used : int
-        Series terms summed: for an array z the most any entry needed, for
+        Series terms summed: for an array the most any entry needed, for
         a Hankel function the larger count of the J pair.
     """
 
@@ -119,19 +121,20 @@ def complex_gamma(z):
     return _SQRT_TWO_PI * t ** (w + 0.5) * lib.exp(-t) * acc
 
 
-def bessel_j_imag_order(q: float, z, sign: int = 1) -> BesselEval:
+def bessel_j_imag_order(q, z, sign: int = 1) -> BesselEval:
     """J with order sign * i * q for real z > 0, by the ascending series.
 
     Parameters
     ----------
-    q : float
+    q : float or ndarray
         Non-negative imaginary-order magnitude.  q = 0 degenerates to the
-        ordinary J_0 series, which is a convenient oracle anchor.
+        ordinary J_0 series, which is a convenient oracle anchor.  An
+        array broadcasts against z.
     z : float or ndarray
-        Argument, 0 < z <= Z_SERIES_MAX.  An array is summed in one loop
-        until every entry meets the stopping test (see the module notes);
-        it is refused with the scalar message of its first entry out of
-        range or, after MAX_TERMS terms, not converged.
+        Argument, 0 < z <= Z_SERIES_MAX.  An array q or z is summed in one
+        loop until every entry meets the stopping test (see the module
+        notes); it is refused with the scalar message of its first entry
+        out of range or, after MAX_TERMS terms, not converged.
     sign : int
         +1 for order +iq, -1 for order -iq.
 
@@ -142,9 +145,10 @@ def bessel_j_imag_order(q: float, z, sign: int = 1) -> BesselEval:
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign!r}")
-    if not (q >= 0.0) or not math.isfinite(q):
-        raise DomainError(f"order magnitude q must be finite and >= 0, got {q!r}")
-    array = isinstance(z, np.ndarray)
+    bad = _first_failing(q, lambda v: (v >= 0.0) & (abs(v) < math.inf))
+    if bad is not None:
+        raise DomainError(f"order magnitude q must be finite and >= 0, got {bad!r}")
+    array = isinstance(z, np.ndarray) or isinstance(q, np.ndarray)
     _check_series_z(z)
 
     nu = 1j * sign * q
@@ -160,9 +164,10 @@ def bessel_j_imag_order(q: float, z, sign: int = 1) -> BesselEval:
         if every(met):
             break
         if k + 1 >= MAX_TERMS:
-            at, last = (z[~met][0], term[~met][0]) if array else (z, term)
+            order, at, last = ((np.broadcast_to(v, met.shape)[~met][0] for v in (q, z, term))
+                               if array else (q, z, term))
             raise AccuracyError(
-                f"series for J_(i{sign * q:g})({at:g}) did not meet tolerance in "
+                f"series for J_(i{sign * order:g})({at:g}) did not meet tolerance in "
                 f"{MAX_TERMS} terms; last |term| = {abs(last):.3e}"
             )
         k += 1
@@ -173,13 +178,20 @@ def bessel_j_imag_order(q: float, z, sign: int = 1) -> BesselEval:
     return BesselEval(value=total, dvalue=dtotal / z, terms_used=k + 1)
 
 
+def _first_failing(value, test):
+    """The first entry of an ndarray that fails ``test``, as a float, or a
+    scalar if it fails; None if none does (nan fails every test)."""
+    if isinstance(value, np.ndarray):
+        failed = value[~test(value)]
+        return failed.flat[0].item() if failed.size else None
+    return None if test(value) else value
+
+
 def _check_series_z(z) -> None:
     """Refuse z outside (0, Z_SERIES_MAX]; an array by its first such entry."""
-    if isinstance(z, np.ndarray):
-        outside = ~((z > 0.0) & (z <= Z_SERIES_MAX))
-        if not outside.any():
-            return
-        z = z[outside][0].item()
+    z = _first_failing(z, lambda v: (v > 0.0) & (v <= Z_SERIES_MAX))
+    if z is None:
+        return
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"series argument requires real z > 0, got {z!r}")
     if z > Z_SERIES_MAX:
@@ -189,9 +201,10 @@ def _check_series_z(z) -> None:
         )
 
 
-def hankel_imag_order(q: float, z, kind: int = 1) -> BesselEval:
+def hankel_imag_order(q, z, kind: int = 1) -> BesselEval:
     """Hankel function of order i*q, first or second kind, at a z > 0 or
-    an ndarray of them (summed as in ``bessel_j_imag_order``).
+    an ndarray of them; q may be an ndarray too, broadcast against z
+    (summed as in ``bessel_j_imag_order``).
 
     Assembled from the J pair with sin(i q pi) = i sinh(q pi):
 
@@ -208,25 +221,29 @@ def hankel_imag_order(q: float, z, kind: int = 1) -> BesselEval:
     Raises
     ------
     DomainError
-        For q < Q_MIN, where sinh(q pi) washes out.
+        For q < Q_MIN, where sinh(q pi) washes out, or q pi > 700 (for an
+        array, naming the first such entry).
     """
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
-    if not (q >= Q_MIN):
+    bad = _first_failing(q, lambda v: v >= Q_MIN)
+    if bad is not None:
         raise DomainError(
-            f"q = {q!r} below {Q_MIN:g}: Hankel assembly degenerate, treat the order as real"
+            f"q = {bad!r} below {Q_MIN:g}: Hankel assembly degenerate, treat the order as real"
         )
-    if q * math.pi > 700.0:
-        raise DomainError(f"q = {q:g} overflows exp(q pi)")
+    bad = _first_failing(q, lambda v: v * math.pi <= 700.0)
+    if bad is not None:
+        raise DomainError(f"q = {bad:g} overflows exp(q pi)")
     jp = bessel_j_imag_order(q, z, sign=1)
     jm = bessel_j_imag_order(q, z, sign=-1)
-    w = math.exp(-q * math.pi)
+    lib = np if isinstance(q, np.ndarray) else math
+    w = lib.exp(-q * math.pi)
     if kind == 1:
-        scale = -2.0 / math.expm1(-2.0 * q * math.pi)
+        scale = -2.0 / lib.expm1(-2.0 * q * math.pi)
         value = (jp.value - w * jm.value) * scale
         dvalue = (jp.dvalue - w * jm.dvalue) * scale
     else:
-        s = math.sinh(q * math.pi)
+        s = lib.sinh(q * math.pi)
         value = (jm.value - w * jp.value) / s
         dvalue = (jm.dvalue - w * jp.dvalue) / s
     return BesselEval(value=value, dvalue=dvalue, terms_used=max(jp.terms_used, jm.terms_used))

@@ -10,7 +10,8 @@ run_all marches the four exp:v0=1,a=1 bases that seven checks read
 (eq14-unitarity, eq14-numeric-agreement, reciprocity, eq23-right-amplitude,
 v0-independence, flux-wronskian-rk4 and eq13-flux-ratios), and keeps none
 of them past the call; no check marches one of them again.  A closed form
-summed over a grid is called once per array, not once per point.
+summed over a grid is called once per array, not once per point: its q, p
+or z may be arrays, broadcast against each other.
 
 Checks with a single tolerance report the raw residual.  Checks that
 bundle sub-assertions with different tolerances report the worst
@@ -31,11 +32,15 @@ from .numeric_scatter import KH, BasisPair
 from .waves import angle_distance
 
 _Q_GRID = np.logspace(np.log10(0.01), np.log10(5.0), 200)
-# the closed-form grids of reciprocity, eq18-phase-relation and gamma-identity
+# the closed-form grids of reciprocity, eq18-phase-relation, gamma-identity
+# and eq12-identities; p and eq12's q are columns, to broadcast against q and z
 _P_GRID = (1.0, 2.0, 4.0)
+_P_COLUMN = np.array(_P_GRID)[:, np.newaxis]
 _RECIPROCITY_Q = np.linspace(0.1, 4.0, 30)
 _EQ18_Q = np.array([0.3, 0.7, 1.5])
 _GAMMA_Q = np.linspace(0.1, 5.0, 99)
+_EQ12_Q = np.linspace(0.1, 5.0, 8)[:, np.newaxis]
+_EQ12_Z = np.linspace(0.1, 10.0, 9)
 _SIDES = ("left", "right")
 # the q of the bases run_all marches on exp:v0=1,a=1 (p = 2) at E = q^2/4
 _BASIS_Q = (0.25, 0.5, 1.0, 2.0)
@@ -122,11 +127,9 @@ def check_eq14_numeric_agreement(bases: dict[float, BasisPair]) -> CheckResult:
 def check_reciprocity(bases: dict[float, BasisPair]) -> CheckResult:
     """theta and T agree between incidence sides: the closed forms on a
     (p, q) grid, the numeric lane on each basis."""
-    gaps = []
-    for p in _P_GRID:
-        left, right = (exp_barrier.amplitudes(p, _RECIPROCITY_Q, side).theta for side in _SIDES)
-        gaps += [angle_distance(a, b) for a, b in zip(left.tolist(), right.tolist())]
-    worst_analytic = _worst(gaps)
+    left, right = (exp_barrier.amplitudes(_P_COLUMN, _RECIPROCITY_Q, side).theta.ravel()
+                   for side in _SIDES)
+    worst_analytic = _worst([angle_distance(a, b) for a, b in zip(left.tolist(), right.tolist())])
     pairs = [_both_sides(basis) for basis in bases.values()]
     theta_gap = _worst([angle_distance(left.theta, right.theta) for left, right in pairs])
     t_gap = _worst([abs(left.t_coeff - right.t_coeff) for left, right in pairs])
@@ -140,11 +143,9 @@ def check_reciprocity(bases: dict[float, BasisPair]) -> CheckResult:
 
 def check_eq18_phase_relation() -> CheckResult:
     """(phi_l - theta_l) + (phi_r - theta_r) is pi modulo 2 pi."""
-    sums = []
-    for p in _P_GRID:
-        left, right = (exp_barrier.amplitudes(p, _EQ18_Q, side) for side in _SIDES)
-        sums += ((left.phi - left.theta) + (right.phi - right.theta)).tolist()
-    worst = _worst([angle_distance(total, math.pi) for total in sums])
+    left, right = (exp_barrier.amplitudes(_P_COLUMN, _EQ18_Q, side) for side in _SIDES)
+    sums = (left.phi - left.theta) + (right.phi - right.theta)
+    worst = _worst([angle_distance(total, math.pi) for total in sums.ravel().tolist()])
     return _single("eq18-phase-relation", worst, 1e-10, "(p,q) grid {1,2,4}x{0.3,0.7,1.5}")
 
 
@@ -243,21 +244,18 @@ def check_eq12_identities() -> CheckResult:
 
     The conjugation conj H1_{iq} = e^{pi q} H2_{iq} is written out on the
     J pair: conj H1_{iq} = e^{pi q} (J_{-iq} - e^{-pi q} J_{iq}) / sinh(pi q).
+    The whole grid is one array: q a column, z a row.
     """
-    worst = 0.0
-    for q in np.linspace(0.1, 5.0, 8):
-        q = float(q)
-        scale, sinh = math.exp(q * math.pi), math.sinh(q * math.pi)
-        for z in np.linspace(0.1, 10.0, 9):
-            z = float(z)
-            jp = specfun.bessel_j_imag_order(q, z, sign=1)
-            jm = specfun.bessel_j_imag_order(q, z, sign=-1)
-            wronskian = jp.value * jm.dvalue - jp.dvalue * jm.value
-            expected = -2j * sinh / (math.pi * z)
-            worst = max(worst, abs(wronskian - expected) / abs(expected))
-            h1 = specfun.hankel_imag_order(q, z, kind=1)
-            h2 = (jm.value - jp.value / scale) / sinh
-            worst = max(worst, abs(h1.value.conjugate() - scale * h2) / (scale * abs(h2)))
+    q, z = _EQ12_Q, _EQ12_Z
+    scale, sinh = np.exp(q * math.pi), np.sinh(q * math.pi)
+    jp = specfun.bessel_j_imag_order(q, z, sign=1)
+    jm = specfun.bessel_j_imag_order(q, z, sign=-1)
+    wronskian = jp.value * jm.dvalue - jp.dvalue * jm.value
+    expected = -2j * sinh / (math.pi * z)
+    h1 = specfun.hankel_imag_order(q, z, kind=1)
+    h2 = (jm.value - jp.value / scale) / sinh
+    worst = _worst([np.abs(wronskian - expected) / np.abs(expected),
+                    np.abs(h1.value.conjugate() - scale * h2) / (scale * np.abs(h2))])
     return _single("eq12-identities", worst, 1e-9, "8x9 (q,z) grid in [0.1,5]x[0.1,10]")
 
 

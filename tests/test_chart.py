@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from expscatter import chart
@@ -46,6 +47,46 @@ class TestStructure:
         # 1.5 is drawn at the top (y = 1), -0.2 at the bottom (y = 0)
         assert re.findall(r'points="([^"]*)"', svg) == ["76.00,28.00 696.00,222.00",
                                                          "76.00,416.00 696.00,260.80"]
+
+
+def per_point_polylines(energies, t_values, r_values, log_x):
+    """The points of both polylines as the per-point formatter wrote them:
+    one f-string per pixel column, one % per point."""
+    coords = [math.log10(e) for e in energies] if log_x else list(energies)
+    lo, hi = min(coords), max(coords)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    cells = [f"{76.0 + (c - lo) / (hi - lo) * 620.0:.2f}" for c in coords]
+    return [" ".join(["%s,%.2f" % (cell, 28.0 + (1.0 - min(max(y, 0.0), 1.0)) * 388.0)
+                      for cell, y in zip(cells, vals) if y is not None and math.isfinite(y)])
+            for vals in (t_values, r_values)]
+
+
+class TestPolylineBytes:
+    @pytest.mark.parametrize("log_x", [True, False])
+    def test_matches_the_per_point_formatter(self, log_x):
+        # None, nan and inf cells dropped, cells clamped from both sides,
+        # -0.0 and the smallest subnormal, on a log and a linear axis
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 7, 300, 3000):
+            energies = np.sort(10.0 ** rng.uniform(-6.0, 6.0, n)).tolist()
+            if not log_x:
+                energies = rng.uniform(-1e3, 1e3, n).tolist()
+            t_values = rng.uniform(-0.5, 1.5, n).tolist()
+            t_values[:9] = [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.5, -0.2,
+                            1.0 - 2.0**-53][:n]
+            r_values = t_values[::-1]
+            svg = chart.render_probability_chart(energies, t_values, r_values, log_x=log_x)
+            assert re.findall(r'points="([^"]*)"', svg) == per_point_polylines(
+                energies, t_values, r_values, log_x)
+
+    def test_one_energy_and_equal_energies(self):
+        for energies in ([2.0], [3.0, 3.0, 3.0]):
+            values = [0.5, None, 0.25][:len(energies)]
+            for log_x in (True, False):
+                svg = chart.render_probability_chart(energies, values, values, log_x=log_x)
+                assert re.findall(r'points="([^"]*)"', svg) == per_point_polylines(
+                    energies, values, values, log_x)
 
 
 class TestAxis:

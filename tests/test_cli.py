@@ -997,7 +997,7 @@ class TestCommands:
         assert (code, err) == (2, "error: every sweep row failed\n")
         errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
         limit = ("overflows exp(q pi) in the diving end's H1; lower E to at most "
-                 "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.8")
+                 "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.844996186379")
         assert errors == [
             f"# row-error: E=2.0000000000000004e+04 q = 282.843 {limit}",
             f"# row-error: E=1.4142135623730952e+05 q = 752.121 {limit}",

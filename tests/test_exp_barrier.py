@@ -132,6 +132,26 @@ class TestArrayColumns:
             assert got.shape == self.Q.shape
             assert np.all(np.abs(got - np.array([getattr(s, name) for s in scalar])) <= tol)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_array_p_matches_scalar_p_calls(self, side):
+        # p a column against q, as verify's (p, q) grids: each row agrees
+        # with the scalar-p call, which test_phase_shifts holds to one
+        # scalar call per entry (equal to the bit on numpy 2.4 here)
+        p = np.array([1e-3, 0.3, 2.0, 57.0, 1e3])
+        q = self.Q[::30]
+        data = exp_barrier.amplitudes(p[:, np.newaxis], q, side)
+        assert data.t_amp.shape == data.theta.shape == (p.size, q.size)
+        assert data.t_coeff.shape == q.shape
+        for row, scalar_p in enumerate(p.tolist()):
+            want = exp_barrier.amplitudes(scalar_p, q, side)
+            tol = 1e-13 + 4.0 * np.spacing(2.0 * np.abs(q * math.log(0.5 * scalar_p)))
+            for name in ("r_amp", "t_amp"):
+                got = np.broadcast_to(getattr(data, name), data.t_amp.shape)[row]
+                np.testing.assert_allclose(got, getattr(want, name), rtol=1e-14, atol=0.0)
+            for name in ("phi", "theta"):
+                got = np.broadcast_to(getattr(data, name), data.t_amp.shape)[row]
+                assert np.all(np.abs(got - getattr(want, name)) <= tol)
+
     def test_refusal_names_first_offender(self):
         q = np.array([0.5, 5e-9, 1e-9, 300.0])
         with pytest.raises(DomainError, match=r"^q = 5e-09 at or below"):
@@ -140,6 +160,8 @@ class TestArrayColumns:
             exp_barrier.amplitudes(2.0, q[[0, 3]])
         with pytest.raises(DomainError, match=r"got -0.1$"):
             exp_barrier.transmission_reflection(np.array([0.2, -0.1]))
+        with pytest.raises(DomainError, match=r"^p must be finite and > 0, got -1.0$"):
+            exp_barrier.amplitudes(np.array([[2.0], [-1.0]]), q[:1])
         with pytest.raises(DomainError, match=r"energy must be finite and > 0, got inf$"):
             exp_barrier.reduce_params(EXP_MODEL, np.array([1.0, math.inf]))
 

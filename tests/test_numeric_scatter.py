@@ -1174,7 +1174,7 @@ class TestEndsReader:
             numeric_scatter.solve(EXP_MODEL, energy)
         assert str(caught.value) == (
             f"q = {q} overflows exp(q pi) in the diving end's H1; lower E to at most "
-            "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.8")
+            "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.844996186379")
 
     def test_q_overflow_bound_scales_as_one_over_a_squared(self):
         # a = 2 quarters the bound; the offset b moves V(0), not q
@@ -1184,7 +1184,32 @@ class TestEndsReader:
             numeric_scatter.integrate_ends(model, 3103.0)
         assert str(caught.value) == (
             "q = 222.818 overflows exp(q pi) in the diving end's H1; lower E to at most "
-            "(700/pi)^2 hbar^2 / (8 m a^2) = 3102.96")
+            "(700/pi)^2 hbar^2 / (8 m a^2) = 3102.9612490465947")
+
+    def test_q_refusals_name_the_bounds_that_pass(self):
+        # the formulas round off the bounds for many a (49647.4 was named
+        # at a = 0.5, and refused): on a = 0.1 ... 19.9 the named most E
+        # must pass q pi <= 700 and the next float above it must not, the
+        # named least E must pass q > Q_MIN and the float below it must not;
+        # the diving end's unit wave, where both are applied, at z = 8
+        units = potentials.DEFAULT_UNITS
+
+        def wave(model, energy):
+            numeric_scatter._wave(model, energy, units, x, True)
+
+        for tenths in range(1, 200):
+            model = potentials.exponential(1.0, tenths / 10)
+            x = numeric_scatter._window(model, 1.0, units)[1]
+            for energy, outward, bound in (((400.0 / (math.pi * model.a)) ** 2, math.inf,
+                                            "overflows exp(q pi)"),
+                                           (1e-30, 0.0, "at or below Q_MIN")):
+                with pytest.raises(DomainError, match=re.escape(bound)) as caught:
+                    wave(model, energy)
+                named = float(str(caught.value).rpartition(" ")[2])
+                wave(model, named)
+                with pytest.raises(DomainError, match=re.escape(bound)) as past:
+                    wave(model, math.nextafter(named, outward))
+                assert str(past.value).endswith(f" {named!r}")
 
 
 class TestPlaneWaveMatching:

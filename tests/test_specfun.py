@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from expscatter import specfun
+from expscatter import specfun, verification
 from expscatter.errors import AccuracyError, DomainError
 
 # Frozen from 40-digit evaluations, independent of the code under test.
@@ -356,6 +356,62 @@ class TestSeriesArray:
     def test_empty_array(self):
         ev = specfun.bessel_j_imag_order(1.0, np.array([]))
         assert ev.value.shape == (0,) and ev.dvalue.shape == (0,)
+
+    def test_array_q_matches_scalar_calls_on_the_eq12_grid(self):
+        # verify's eq12 grid in one call per function: q a column of 8, z a
+        # row of 9 up to 10, where cancellation amplifies numpy's rounding
+        # like eps e^z; measured worst: J 2.8e-13 in value and 2.6e-12 in
+        # derivative, H 1.1e-13 and 6.1e-13, relative
+        q, z = verification._EQ12_Q, verification._EQ12_Z
+        calls = [(specfun.bessel_j_imag_order, 1, 5e-13, 5e-12),
+                 (specfun.bessel_j_imag_order, -1, 5e-13, 5e-12),
+                 (specfun.hankel_imag_order, 1, 2e-13, 1e-12),
+                 (specfun.hankel_imag_order, 2, 2e-13, 1e-12)]
+        for call, arg, bound, dbound in calls:
+            got = call(q, z, arg)
+            assert got.value.shape == got.dvalue.shape == (q.size, z.size)
+            terms = []
+            for i, qi in enumerate(q.ravel().tolist()):
+                for j, zj in enumerate(z.tolist()):
+                    want = call(qi, zj, arg)
+                    terms.append(want.terms_used)
+                    assert abs(got.value[i, j] - want.value) <= bound * abs(want.value)
+                    assert abs(got.dvalue[i, j] - want.dvalue) <= dbound * abs(want.dvalue)
+            assert got.terms_used == max(terms)
+
+    @pytest.mark.parametrize("call, bad, message", [
+        (specfun.bessel_j_imag_order, -0.5,
+         "order magnitude q must be finite and >= 0, got -0.5"),
+        (specfun.bessel_j_imag_order, math.nan,
+         "order magnitude q must be finite and >= 0, got nan"),
+        (specfun.bessel_j_imag_order, math.inf,
+         "order magnitude q must be finite and >= 0, got inf"),
+        (specfun.hankel_imag_order, -0.5,
+         "q = -0.5 below 1e-08: Hankel assembly degenerate, treat the order as real"),
+        (specfun.hankel_imag_order, math.nan,
+         "q = nan below 1e-08: Hankel assembly degenerate, treat the order as real"),
+        (specfun.hankel_imag_order, 5e-9,
+         "q = 5e-09 below 1e-08: Hankel assembly degenerate, treat the order as real"),
+        (specfun.hankel_imag_order, 250.0, "q = 250 overflows exp(q pi)"),
+    ])
+    def test_array_q_refusal_names_its_entry(self, call, bad, message):
+        # the scalar message, and for an array q the one of its bad entry,
+        # as a row or as a column broadcast against an array z
+        for q, z in ((bad, 2.0), (np.array([0.5, bad, 2.0]), 2.0),
+                     (np.array([[0.5], [bad], [2.0]]), np.array([0.5, 2.0]))):
+            with pytest.raises(DomainError) as caught:
+                call(q, z)
+            assert str(caught.value) == message
+
+    def test_array_q_non_convergence_names_its_entry(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", 8)
+        with pytest.raises(AccuracyError) as caught:
+            specfun.bessel_j_imag_order(2.0, 5.0, sign=-1)
+        assert str(caught.value).startswith("series for J_(i-2)(5) did not meet tolerance")
+        # at z = 0.01 every q converges in 8 terms, at z = 5 none does
+        with pytest.raises(AccuracyError) as in_array:
+            specfun.bessel_j_imag_order(np.array([[2.0], [3.0]]), np.array([0.01, 5.0]), sign=-1)
+        assert str(in_array.value) == str(caught.value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,8 +83,11 @@ def test_a_nan_residual_fails_its_check(patched, monkeypatch):
 
 @pytest.mark.parametrize("p", verification._P_GRID)
 def test_reciprocity_thetas_match_scalar_calls(p):
+    # p's row of the (p, q) grid reciprocity evaluates in one call per side
+    row = verification._P_GRID.index(p)
     for side in ("left", "right"):
-        theta = exp_barrier.amplitudes(p, verification._RECIPROCITY_Q, side).theta
+        theta = exp_barrier.amplitudes(verification._P_COLUMN, verification._RECIPROCITY_Q,
+                                       side).theta[row]
         for q, value in zip(verification._RECIPROCITY_Q.tolist(), theta.tolist()):
             assert angle_distance(value, exp_barrier.amplitudes(p, q, side).theta) <= 1e-13
 
@@ -108,9 +111,55 @@ def test_endpoint_reflections_match_scalar_calls():
 
 @pytest.mark.parametrize("p", verification._P_GRID)
 def test_eq18_sums_match_scalar_calls(p):
-    left, right = (exp_barrier.amplitudes(p, verification._EQ18_Q, side)
+    # p's row of the (p, q) grid eq18 evaluates in one call per side
+    row = verification._P_GRID.index(p)
+    left, right = (exp_barrier.amplitudes(verification._P_COLUMN, verification._EQ18_Q, side)
                    for side in ("left", "right"))
-    sums = ((left.phi - left.theta) + (right.phi - right.theta)).tolist()
+    sums = ((left.phi - left.theta) + (right.phi - right.theta))[row].tolist()
     for q, total in zip(verification._EQ18_Q.tolist(), sums):
         left, right = (exp_barrier.amplitudes(p, q, side) for side in ("left", "right"))
         assert abs(total - ((left.phi - left.theta) + (right.phi - right.theta))) <= 1e-13
+
+
+def test_eq12_fails_on_a_nan(monkeypatch):
+    # a nan H1 at eq12's z = 10 column, which no other check reads: Python's
+    # max dropped it, and eq12 once read PASS; it must FAIL with a nan
+    hankel = specfun.hankel_imag_order
+
+    def broken(q, z, kind=1):
+        ev = hankel(q, z, kind)
+        hit = np.equal(z, 10.0)
+        return ev._replace(value=np.where(hit, math.nan, ev.value)) if np.any(hit) else ev
+
+    monkeypatch.setattr(specfun, "hankel_imag_order", broken)
+    results = {res.name: res for res in verification.run_all()}
+    eq12 = results.pop("eq12-identities")
+    assert not eq12.passed and math.isnan(eq12.residual), eq12
+    assert all(res.passed for res in results.values())
+    assert cli.main(["verify"]) == 3
+
+
+def test_grids_are_one_call_per_array(monkeypatch):
+    # eq12 sums its 8x9 (q, z) grid in 4 series calls (its J pair and the
+    # pair inside its H1), reciprocity and eq18 their (p, q) grids in one
+    # amplitudes call per side
+    running, calls = [None], collections.Counter()
+    for check in ("check_reciprocity", "check_eq18_phase_relation", "check_eq12_identities"):
+        def flagged(*args, _check=getattr(verification, check), _name=check):
+            running[0] = _name
+            try:
+                return _check(*args)
+            finally:
+                running[0] = None
+
+        monkeypatch.setattr(verification, check, flagged)
+    for module, name in ((specfun, "bessel_j_imag_order"), (exp_barrier, "amplitudes")):
+        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls[running[0], _name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert all(res.passed for res in verification.run_all())
+    assert calls["check_eq12_identities", "bessel_j_imag_order"] == 4
+    assert calls["check_reciprocity", "amplitudes"] == 2
+    assert calls["check_eq18_phase_relation", "amplitudes"] == 2
