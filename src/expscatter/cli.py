@@ -204,15 +204,15 @@ def _analytic_columns(spec: SweepSpec, energies: np.ndarray) -> SweepTable:
             columns[name] = column.tolist()
     columns["error"] = [None] * energies.size
     for k in np.flatnonzero(~accepted).tolist():
-        columns["error"][k] = _refusal(d.p, columns["q"][k])
+        columns["error"][k] = _refusal(spec, columns["q"][k])
     return columns
 
 
-def _refusal(p: float, q: float) -> str:
-    """The message the scalar closed forms refuse (p, q) with."""
+def _refusal(spec: SweepSpec, q: float) -> str:
+    """The message the closed forms refuse a row's q with, naming the E
+    bound that passes."""
     try:
-        exp_barrier.transmission_reflection(q)
-        exp_barrier.amplitudes(p, q)
+        exp_barrier.check_q(spec.model, q, spec.units)
     except DomainError as exc:
         return str(exc)
     raise AssertionError(f"closed forms accept q = {q!r} outside closed_form_domain")
@@ -460,6 +460,7 @@ def cmd_wavefunction(args) -> int:
     xs = xs[np.append(True, np.diff(xs) > 0)]
     if method == "analytic":
         d = exp_barrier.reduce_params(model, args.energy, units)
+        exp_barrier.check_q(model, d.q, units)
         wave = exp_barrier.exact_wavefunction(d.p, d.q, args.side, xs / model.a)
         incident = exp_barrier.incident_amplitude(d.p, d.q, args.side)
         psi = wave.psi / incident

@@ -37,9 +37,9 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import specfun
+from . import potentials, specfun
 from .errors import AccuracyError, DomainError
-from .potentials import DEFAULT_UNITS, PotentialModel, Units
+from .potentials import DEFAULT_UNITS, Exponential, PotentialModel, Units
 from .waves import WaveSolution, principal_angle
 
 _QUARTER_PI = math.pi / 4.0
@@ -223,15 +223,32 @@ def closed_form_domain(p: float, q):
     return _finite_positive(p) & _finite(q) & _resolvable(q) & _representable(q)
 
 
+def check_q(model: Exponential, q: float, units: Units = DEFAULT_UNITS) -> None:
+    """Refuse the q of an energy of ``model`` (reduce_params' q) where the
+    closed forms refuse it, ending the message with the E bound that
+    passes on that side, as the numeric lane names it."""
+    try:
+        _check_q(q)
+    except DomainError as exc:
+        least = not _resolvable(q)
+        advice = potentials.energy_advice(
+            model.a, units, _resolvable if least else _representable, least)
+        raise DomainError(f"{exc}; {advice}") from None
+
+
 def _check_pq(p: float, q, side: str = "left") -> None:
     _require(p, _finite_positive, "p must be finite and > 0, got {!r}")
+    _check_q(q)
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _check_q(q) -> None:
     _require(q, _finite, "q must be finite, got {!r}")
     _require(
         q, _resolvable, f"q = {{!r}} at or below the degenerate-order threshold {specfun.Q_MIN:g}"
     )
     _require(q, _representable, "q = {!r} overflows exp(pi q) in double precision")
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
 
 
 # elementwise tests for scalars and arrays alike; NaN fails every one

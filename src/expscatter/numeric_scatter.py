@@ -536,28 +536,13 @@ def _wave(potential: PotentialModel, energy: float, units: Units, x: float,
     if diving:
         a = potential.tail
         p, q = _p(potential, units), 2.0 * k * a
-
-        def q_at(e: float) -> float:  # q at E = e, rounded as q is
-            return 2.0 * (math.sqrt(2.0 * units.mass * e) / units.hbar) * a
-
-        # each refusal names the bound on E whose q passes, stepped by ulps:
-        # its formula rounds a few ulps off
         if not q > specfun.Q_MIN:
-            low = specfun.Q_MIN**2 * units.hbar**2 / (8.0 * units.mass * a * a)
-            while not q_at(low) > specfun.Q_MIN:
-                low = math.nextafter(low, math.inf)
-            while q_at(math.nextafter(low, 0.0)) > specfun.Q_MIN:
-                low = math.nextafter(low, 0.0)
+            advice = potentials.energy_advice(a, units, lambda v: v > specfun.Q_MIN, True)
             raise DomainError(f"q = {q:g} is at or below Q_MIN = {specfun.Q_MIN:g}, where the "
-                              f"diving end's H1 degenerates; raise E to at least {low!r}")
+                              f"diving end's H1 degenerates; {advice}")
         if math.pi * q > 700.0:
-            top = (700.0 / math.pi) ** 2 * units.hbar**2 / (8.0 * units.mass * a * a)
-            while math.pi * q_at(top) > 700.0:
-                top = math.nextafter(top, 0.0)
-            while not math.pi * q_at(math.nextafter(top, math.inf)) > 700.0:
-                top = math.nextafter(top, math.inf)
-            raise DomainError(f"q = {q:g} overflows exp(q pi) in the diving end's H1; lower E "
-                              f"to at most (700/pi)^2 hbar^2 / (8 m a^2) = {top!r}")
+            advice = potentials.energy_advice(a, units, lambda v: math.pi * v <= 700.0, False)
+            raise DomainError(f"q = {q:g} overflows exp(q pi) in the diving end's H1; {advice}")
         z = p * math.exp(x / (2.0 * a))
         h1 = specfun.hankel_imag_order(q, z, kind=1)
         norm = math.sqrt(2.0 / (math.pi * p)) * math.exp(0.5 * math.pi * q)

@@ -6,12 +6,16 @@ A model is a frozen record of just the fields its physics reads,
 returns V(x).  Each also states the two facts about V that the numeric lane
 reads besides V: ``tail``, the length over which V's tail fades (infinite
 where V is flat off its jumps), and ``jumps``, the points where V jumps.
+``energy_advice`` names the energy bound both lanes give when they refuse
+an exponential's q.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -123,6 +127,27 @@ def evaluate(model: PotentialModel, x):
             return -model.v0 * (grow if grow.ndim else float(grow))
     v = np.where(np.abs(x) <= model.half_width, model.v0, 0.0)
     return v if v.ndim else float(v)
+
+
+def energy_advice(a: float, units: Units, passes: Callable[[float], bool], least: bool) -> str:
+    """What to change about an E refused by its q = 2 a sqrt(2 m E) / hbar:
+    "raise E to at least <E>" where ``passes`` fails below some q (least),
+    "lower E to at most <E>" where it fails above.  <E> is the outermost
+    float whose q, rounded as both lanes round it, passes; it is found by
+    bisecting the bits of the floats from 0 to inf, which count up with
+    them, since a formula for it rounds a few ulps off (far more where
+    8 m a^2 is subnormal).  Both lanes end their refusals of an
+    exponential's q with it."""
+    below, above = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
+    while above - below > 1:
+        middle = (below + above) // 2
+        e = struct.unpack("<d", struct.pack("<q", middle))[0]
+        if passes(2.0 * (math.sqrt(2.0 * units.mass * e) / units.hbar) * a) == least:
+            above = middle
+        else:
+            below = middle
+    bound = struct.unpack("<d", struct.pack("<q", above if least else below))[0]
+    return f"raise E to at least {bound!r}" if least else f"lower E to at most {bound!r}"
 
 
 def _require_positive(name: str, value: float) -> None:

@@ -6,7 +6,8 @@ the ascending power series
     J_{+-iq}(z) = sum_k (-1)^k (z/2)^(2k +- iq) / (k! Gamma(k + 1 +- iq))
 
 with (z/2)^(+-iq) = exp(+-i q ln(z/2)).  Hankel functions of the first and
-second kind are assembled from the J pair.  Derivatives come from
+second kind are assembled from the J pair, whose -iq member is, for
+real z, the conjugate of the +iq one.  Derivatives come from
 differentiating the series term by term, never from finite differences.
 Gamma is served on Re z >= 0.5 only: the series' lead term and the closed
 forms need it at 1 +- iq.
@@ -81,8 +82,7 @@ class BesselEval(NamedTuple):
         Derivative with respect to z, from the term-wise differentiated
         series, shaped like value.
     terms_used : int
-        Series terms summed: for an array the most any entry needed, for
-        a Hankel function the larger count of the J pair.
+        Series terms summed: for an array the most any entry needed.
     """
 
     value: complex
@@ -213,7 +213,10 @@ def hankel_imag_order(q, z, kind: int = 1) -> BesselEval:
         H2_{iq}(z) = (J_{-iq}(z) - e^{-q pi} J_{iq}(z)) / sinh(q pi)
 
     H1 is formed by the second line: |J_{iq}| grows like e^{q pi / 2}, so
-    e^{q pi} J_{iq} would overflow past q ~ 151, inside q pi <= 700.
+    e^{q pi} J_{iq} would overflow past q ~ 151, inside q pi <= 700.  One
+    series is summed: for real z > 0 every term of the J_{-iq} series is
+    the conjugate of the J_{iq} term, so J_{-iq} and its derivative are
+    the conjugates of J_{iq}'s, bit for bit.
 
     The pair is linearly independent (Wronskian -4i / (pi z)) and conjugate
     up to a real factor: conj(H1_{iq}(z)) = e^{q pi} H2_{iq}(z).
@@ -235,15 +238,15 @@ def hankel_imag_order(q, z, kind: int = 1) -> BesselEval:
     if bad is not None:
         raise DomainError(f"q = {bad:g} overflows exp(q pi)")
     jp = bessel_j_imag_order(q, z, sign=1)
-    jm = bessel_j_imag_order(q, z, sign=-1)
+    jm_value, jm_dvalue = jp.value.conjugate(), jp.dvalue.conjugate()
     lib = np if isinstance(q, np.ndarray) else math
     w = lib.exp(-q * math.pi)
     if kind == 1:
         scale = -2.0 / lib.expm1(-2.0 * q * math.pi)
-        value = (jp.value - w * jm.value) * scale
-        dvalue = (jp.dvalue - w * jm.dvalue) * scale
+        value = (jp.value - w * jm_value) * scale
+        dvalue = (jp.dvalue - w * jm_dvalue) * scale
     else:
         s = lib.sinh(q * math.pi)
-        value = (jm.value - w * jp.value) / s
-        dvalue = (jm.dvalue - w * jp.dvalue) / s
-    return BesselEval(value=value, dvalue=dvalue, terms_used=max(jp.terms_used, jm.terms_used))
+        value = (jm_value - w * jp.value) / s
+        dvalue = (jm_dvalue - w * jp.dvalue) / s
+    return BesselEval(value=value, dvalue=dvalue, terms_used=jp.terms_used)

@@ -662,7 +662,8 @@ class TestCommands:
               "--xmax", "6", "--n", "30"], 2,
              "z reaches 40.2 beyond the certified series bound 30; keep x/a below 5.42"),
             (["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "1e-300", "--xmin", "-1",
-              "--xmax", "1"], 1, "q = 2e-150 at or below the degenerate-order threshold 1e-08"),
+              "--xmax", "1"], 1, "q = 2e-150 at or below the degenerate-order threshold 1e-08; "
+             "raise E to at least 2.5000000000000006e-17"),
             (["sweep", "--model", "exp:v0=1,a=1", "--v0", "4", "--emin", "0.1", "--emax", "1"], 1,
              "unrecognized arguments: --v0 4"),
             # p overflows: both lanes refuse it with the same text
@@ -996,12 +997,36 @@ class TestCommands:
                                   "--emax", "1e6", "--n", "3", "--method", "numeric"], capsys)
         assert (code, err) == (2, "error: every sweep row failed\n")
         errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
-        limit = ("overflows exp(q pi) in the diving end's H1; lower E to at most "
-                 "(700/pi)^2 hbar^2 / (8 m a^2) = 12411.844996186379")
+        limit = "overflows exp(q pi) in the diving end's H1; lower E to at most 12411.844996186379"
         assert errors == [
             f"# row-error: E=2.0000000000000004e+04 q = 282.843 {limit}",
             f"# row-error: E=1.4142135623730952e+05 q = 752.121 {limit}",
             f"# row-error: E=1.0000000000000000e+06 q = 2000 {limit}"]
+
+    @pytest.mark.parametrize("emin, emax, row, numeric, analytic, advice", [
+        ("1e-18", "1", "E=1.0000000000000001e-18",
+         "q = 2e-09 is at or below Q_MIN = 1e-08, where the diving end's H1 degenerates",
+         "q = 2e-09 at or below the degenerate-order threshold 1e-08",
+         "raise E to at least 2.5000000000000006e-17"),
+        ("12000", "13000", "E=1.3000000000000005e+04",
+         "q = 228.035 overflows exp(q pi) in the diving end's H1",
+         "q = 228.03508501982765 overflows exp(pi q) in double precision",
+         "lower E to at most 12411.844996186379"),
+    ], ids=["q-min", "q-overflow"])
+    def test_q_refusals_end_with_the_same_advice_on_both_lanes(self, emin, emax, row, numeric,
+                                                               analytic, advice, capsys):
+        # a row's refusal names the outermost E that solves, the same float
+        # on both lanes, and the sweep's other row solves
+        for method, refusal in (("numeric", numeric), ("analytic", analytic),
+                                ("both", analytic)):
+            code, out, err = run_cli(["sweep", "--model", "exp:v0=1,a=1", "--emin", emin,
+                                      "--emax", emax, "--n", "2", "--method", method], capsys)
+            assert (code, err) == (0, "")
+            errors = [line for line in out.splitlines() if line.startswith("# row-error:")]
+            assert errors == [f"# row-error: {row} {refusal}; {advice}"]
+        code, out, err = run_cli(["wavefunction", "--model", "exp:v0=1,a=1", "--energy",
+                                  row[2:], "--xmin", "-3", "--xmax", "1"], capsys)
+        assert (code, out, err) == (1, "", f"error: {analytic}; {advice}\n")
 
     def test_sweep_rows_build_their_own_solver_config(self, monkeypatch, capsys):
         # an exponential's window depends on the energy: each row places
@@ -1042,10 +1067,13 @@ class TestCommands:
         assert code == 0
         lines = out.splitlines()
         errors = [line for line in lines if line.startswith("# row-error:")]
+        # each names the E bound that passes, as the numeric lane does
         assert errors[0] == ("# row-error: E=9.9999999999999995e-21 q = 2e-10 at or below "
-                             "the degenerate-order threshold 1e-08")
+                             "the degenerate-order threshold 1e-08; raise E to at least "
+                             "2.5000000000000006e-17")
         assert errors[-1] == ("# row-error: E=1.0000000000000000e+05 q = 632.4555320336759 "
-                              "overflows exp(pi q) in double precision")
+                              "overflows exp(pi q) in double precision; lower E to at most "
+                              "12411.844996186379")
         assert sum("degenerate-order" in line for line in errors) == 9
         assert sum("overflows exp(pi q)" in line for line in errors) == 3
         analytic = ["T_analytic", "R_analytic", "phi_left", "theta_left",

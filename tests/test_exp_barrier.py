@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
-from expscatter import exp_barrier, potentials, specfun, waves
+from expscatter import exp_barrier, numeric_scatter, potentials, specfun, waves
 from expscatter.errors import AccuracyError, DomainError
 from expscatter.potentials import DEFAULT_UNITS, Units
 
@@ -230,6 +230,48 @@ class TestAmplitudes:
             exp_barrier.amplitudes(2.0, 0.0, "left")
 
 
+def test_q_refusals_name_the_bounds_that_pass():
+    # on a = 0.1 ... 19.9 a refused q names an E that the closed forms
+    # solve, while the next float past it is refused, and the numeric lane's
+    # refusal of the same row (at its diving end's unit wave, z = 8) ends
+    # with the same advice
+    for tenths in range(1, 200):
+        model = potentials.exponential(1.0, tenths / 10)
+        x = numeric_scatter._window(model, 1.0, DEFAULT_UNITS)[1]
+        for energy, outward in (((400.0 / (math.pi * model.a)) ** 2, math.inf), (1e-30, 0.0)):
+            with pytest.raises(DomainError) as caught:
+                exp_barrier.check_q(model, exp_barrier.reduce_params(model, energy).q)
+            message = str(caught.value)
+            with pytest.raises(DomainError) as numeric:
+                numeric_scatter._wave(model, energy, DEFAULT_UNITS, x, True)
+            assert str(numeric.value).rpartition("; ")[2] == message.rpartition("; ")[2]
+            named = float(message.rpartition(" ")[2])
+            d = exp_barrier.reduce_params(model, named)
+            exp_barrier.check_q(model, d.q)
+            assert 0.0 < exp_barrier.amplitudes(d.p, d.q).t_coeff <= 1.0
+            with pytest.raises(DomainError) as past:
+                exp_barrier.check_q(
+                    model, exp_barrier.reduce_params(model, math.nextafter(named, outward)).q)
+            assert str(past.value).endswith(f" {named!r}")
+
+
+def test_q_refusal_bound_where_its_formula_is_subnormal():
+    # 8 m a^2 = 8e-320 is subnormal, so Q_MIN^2 hbar^2 / (8 m a^2) lands
+    # about 2^40 floats off the least E that solves, too far to step by
+    # ulps; both lanes name it, it solves and the float below it is refused
+    model, units = potentials.exponential(1.0, 1e-10), Units(mass=1e-300, hbar=1.0)
+    for refuse in (lambda: exp_barrier.check_q(
+                       model, exp_barrier.reduce_params(model, 1.0, units).q, units),
+                   lambda: numeric_scatter._wave(model, 1.0, units, 0.0, True)):
+        with pytest.raises(DomainError, match=r"raise E to at least 1\.2500000000000002e\+303$"):
+            refuse()
+    exp_barrier.check_q(model, exp_barrier.reduce_params(model, 1.2500000000000002e+303, units).q,
+                        units)
+    with pytest.raises(DomainError):
+        below = math.nextafter(1.2500000000000002e+303, 0.0)
+        exp_barrier.check_q(model, exp_barrier.reduce_params(model, below, units).q, units)
+
+
 def oracle_exact_wavefunction(p, q, side, grid):
     """The per-point assembly exact_wavefunction replaced: one scalar series
     call per sample, (psi, dpsi, flux_profile)."""
@@ -300,13 +342,14 @@ class TestExactWavefunction:
         p, q = 2.0, 0.7
         grid = np.linspace(-40.0, x_max, 301)
         want = oracle_exact_wavefunction(p, q, side, grid)
-        # every series call takes the whole grid: H1 sums its J pair
+        # one series call takes the whole grid: H1 sums J_{iq} and takes
+        # J_{-iq} as its conjugate
         sizes = []
         real = specfun.bessel_j_imag_order
         monkeypatch.setattr(specfun, "bessel_j_imag_order",
                             lambda q, z, sign: sizes.append(np.size(z)) or real(q, z, sign))
         got = exp_barrier.exact_wavefunction(p, q, side, grid)
-        assert sizes == [grid.size] * (2 if side == "left" else 1)
+        assert sizes == [grid.size]
         for field, scale in (("psi", want[0]), ("dpsi", want[1])):
             gap = np.abs(getattr(got, field) - scale) / np.abs(scale)
             assert np.max(gap) <= bound, field

@@ -210,6 +210,17 @@ def test_units_comments_that_g_reads_back_keep_their_bytes(flags, comment, capsy
     assert capsys.readouterr().out.splitlines()[0] == comment
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--emin", "0.5", "--emax", "1", "--n", "2"],
+    ["wavefunction", "--energy", "0.7", "--xmin", "-3", "--xmax", "0", "--n", "3"],
+])
+def test_units_comments_that_g_rounds_are_written_as_given(command, capsys):
+    # %g would print both as 1 and 0.5; their repr is what the flags gave
+    argv = [*command, "--model", "exp:v0=1,a=1", "--hbar", "1.0000001", "--mass", "0.50000001"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# hbar=1.0000001 mass=0.50000001"
+
+
 def test_hypot_is_the_complex_modulus_bit_for_bit():
     # the wavefunction's abs_psi column is np.hypot(re, im), formerly
     # abs(complex(re, im)) per sample: both are libm's hypot
