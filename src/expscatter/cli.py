@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -55,6 +56,10 @@ WAVE_HEADER = "x,re_psi,im_psi,abs_psi,flux"
 # rows parse_sweep_table reads per pass: long enough that each column's
 # float pass dominates, short enough that its cell strings stay small
 _PARSE_BLOCK = 256
+# a negative float literal such as -1e-3 or -inf, which argparse would
+# take for a flag: it takes only -1 and -.5 forms as values
+_NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                             re.IGNORECASE)
 
 # a sweep table: each SWEEP_COLUMNS name to its column (None for NA) and,
 # from run_sweep, "error" to each row's message or None
@@ -66,6 +71,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag looks like a number, so every negative float is a value
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     # argparse exits with status 2 on usage problems; route through the
     # package's exit-code contract instead
     def error(self, message):
@@ -470,18 +480,21 @@ def cmd_wavefunction(args) -> int:
         flux_vals = wave.flux_profile * flux_scale
     else:
         # the numeric lane's window at this energy, grown to cover
-        # [xmin, xmax]; every requested x is read by one RK4 step from the
-        # node at or below it
-        basis = numeric_scatter.integrate_ends(model, args.energy, units, xs)
+        # [xmin, xmax], seeded at the transmitted end, so that the basis
+        # grows as psi does; every requested x is read by one RK4 step from
+        # the node at or below it
+        transmitted = "right" if args.side == "left" else "left"
+        basis = numeric_scatter.integrate_ends(model, args.energy, units, xs, seed=transmitted)
         result = numeric_scatter.match(basis, args.side)
-        u, du, v, dv = basis.nodes
+        u, _, v, _ = basis.nodes
         # psi = a_u u + a_v v on the real basis, a = c / incident, in real
-        # arithmetic; its flux Im(conj(a_u) a_v) W[u, v] does not cancel
-        # |psi|^2 down to T in front of a deep barrier, as Im(conj(psi) psi') would
+        # arithmetic; its flux Im(conj(a_u) a_v) W[u, v], W as the march
+        # carries it, does not cancel |psi|^2 down to T in front of a deep
+        # barrier, as Im(conj(psi) psi') would
         a_u, a_v = result.c_u / result.incident, result.c_v / result.incident
         re, im = a_u.real * u + a_v.real * v, a_u.imag * u + a_v.imag * v
         im_uv = a_u.real * a_v.imag - a_u.imag * a_v.real
-        flux_vals = (units.hbar / units.mass) * im_uv * (u * dv - du * v)
+        flux_vals = (units.hbar / units.mass) * im_uv * basis.w_uv
 
     # np.hypot is abs(complex(re, im)) bit for bit: both are libm's hypot
     cells = np.column_stack((xs, re, im, np.hypot(re, im), flux_vals)).ravel().tolist()

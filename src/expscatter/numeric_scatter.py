@@ -10,19 +10,19 @@ only translate the problem; V's jumps and the match point are exact
 nodes.  The window is the lane's own: a caller names only the energy,
 the xs to read and the step factor kh, and the xs grow the window to
 cover them but never shrink it.  It builds a real basis {u, v} with
-u = 1, u' = 0, v = 0, v' = 1 at the seed, the window point nearest x = 0,
-by marching a classical RK4 outward from it (so W[u, v] = 1 exactly at
-the seed and its drift measures integrator error).  The equation is
-linear, so every RK4 step is a 2x2 transfer matrix; one march
-(``_march``) builds all of them a chunk at a time with numpy, each as
-M - I with its det M - 1, multiplies them pairwise in one tree for both
-half-windows (one of them transposed, from the tree's back), and hands
-back only the nodes asked for, the two end nodes and a wavefunction's
-samples (each one partial RK4 step from the node below it, refused where
-W formed from them is off 1 past DRIFT_TOLERANCE), with the dets.  RK4 does not
-keep area, so W[u, v] drifts from 1 by the product of the dets: their
-sums give the drift and W at the window ends, free of the round-off the
-products gather where the basis grows.
+u = 1, u' = 0, v = 0, v' = 1 at the seed, a window end, by marching a
+classical RK4 from it across the window (so W[u, v] = 1 exactly at the
+seed and its drift measures integrator error): a sweep row seeds at the
+left end, a wavefunction at the transmitted end of its side, from which
+the basis grows as psi does.  The equation is linear, so every RK4 step
+is a 2x2 transfer matrix; one march (``_march``) builds all of them a
+chunk at a time with numpy, each as M - I with its det M - 1, multiplies
+them pairwise in one tree, and hands back only the nodes asked for, the
+two end nodes and a wavefunction's samples (each one partial RK4 step
+from the node below it), with the dets.  RK4 does not keep area, so
+W[u, v] drifts from 1 by the product of the dets: their running sums give
+the drift and W at the window ends and at the samples, free of the
+round-off the products gather where the basis grows.
 ``integrate_ends`` forms each window end's rightward unit wave R
 (``_wave``) before the march, and projects u and v there onto it
 (``_project``): R = exp(ikx) (1 + phi) where the potential fades,
@@ -40,13 +40,16 @@ incidence side.
 Transmission and reflection are always flux ratios, which keeps them
 meaningful when the two asymptotic waveforms differ; at both ends the flux
 is measured, as (hbar/m) Im(conj(R) R'), and the transmitted wave is read
-off W[u, v] at its end rather than off the products there.
+off W[u, v] at both ends rather than off the products there: the drift
+scales the nodes of each end as the root of its W, so sqrt(W_sink
+W_source) leaves T free of it from either seed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -57,13 +60,12 @@ from .errors import AccuracyError, DomainError
 from .potentials import DEFAULT_UNITS, PotentialModel, Units
 from .waves import principal_angle
 
-# one march holds both half-windows' trees at once: tracemalloc peaks of
-# one basis read 86 B/node (exp:v0=1,a=1, 492,452 nodes) and 101 B/node
-# (free, 160,001 nodes, the most zeros between the halves), so about
-# 430-510 MB at the cap
+# one march holds its whole tree at once: tracemalloc peaks of one basis
+# read 82 B/node (exp:v0=1,a=1 at E = 12,000, 262,766 nodes) and 83 B/node
+# (free on [-240, 240], 160,001 nodes), so about 420 MB at the cap
 _MAX_NODES = 5_000_000
 # steps, or runs of a tree level, per chunk: each temporary (64 KB) stays in cache
-_CHUNK = 8192
+_CHUNK = 4096
 # plane waves stand in for the asymptote at a window end only where
 # |V| <= ASYMPTOTE_EPSILON * E there
 ASYMPTOTE_EPSILON = 1e-6
@@ -100,14 +102,16 @@ class BasisPair(NamedTuple):
 
     ends holds the left and the right window end, each projected onto its
     unit waves (``_End``).  nodes holds the basis at the xs a caller asked
-    for, in the order asked, each a column of rows u, u', v, v' (float64).
-    drift is sum |det M_i - 1| over the RK4 steps of the worse half-window,
-    which bounds |W[u, v] - 1| at every node in exact arithmetic.  The
-    energy is the caller's argument.
+    for, in the order asked, each a column of rows u, u', v, v' (float64),
+    and w_uv W[u, v] at each of them as the march carries it, 1 plus the
+    dets of the steps from the seed.  drift is sum |det M_i - 1| over the
+    RK4 steps of the whole window, which bounds |W[u, v] - 1| at every
+    node in exact arithmetic.  The energy is the caller's argument.
     """
 
     ends: tuple[_End, _End]
     nodes: np.ndarray
+    w_uv: np.ndarray
     drift: float
 
 
@@ -146,7 +150,8 @@ def _window(potential: PotentialModel, energy: float, units: Units) -> tuple[flo
     tests it (about x = tail ln(ASYMPTOTE_EPSILON E / |V(0)|),
     z = sqrt(ASYMPTOTE_EPSILON) q), to z = _Z_MATCH, which leaves no window
     past q = _Z_MATCH / sqrt(ASYMPTOTE_EPSILON), where the energy is
-    refused.  An energy not finite and > 0 is refused first.
+    refused, as is a |V| at z = _Z_MATCH past the largest float.  An energy
+    not finite and > 0 is refused first.
     """
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be finite and > 0, got {energy!r}")
@@ -160,6 +165,14 @@ def _window(potential: PotentialModel, energy: float, units: Units) -> tuple[flo
     while not _is_plane(potential, energy, x_left):
         x_left, step = x_left - step, 2.0 * step
     x_right = 2.0 * tail * math.log(_Z_MATCH / _p(potential, units))
+    # |V| = (z hbar / tail)^2 / (8 m) at z, whatever the depth: in decades
+    decades = (2.0 * math.log10(_Z_MATCH * units.hbar) - 2.0 * math.log10(tail)
+               - math.log10(8.0 * units.mass))
+    if not decades < math.log10(sys.float_info.max):
+        raise DomainError(
+            f"|V| at the diving end's match point z = {_Z_MATCH:g} is "
+            f"{_Z_MATCH**2 / 8.0:g} hbar^2 / (m a^2) = {10.0 ** (decades % 1.0):.3g}e+"
+            f"{int(decades // 1.0)}, past the largest float; raise mass or a, or lower hbar")
     if not x_left < x_right:
         raise DomainError(
             f"at E = {energy:g}, |V| <= ASYMPTOTE_EPSILON * E already at z = {_Z_MATCH:g}, "
@@ -174,6 +187,7 @@ def integrate_ends(
     units: Units = DEFAULT_UNITS,
     xs=(),
     kh: float = KH,
+    seed: str = "left",
 ) -> BasisPair:
     """March the basis pair across the row's window with RK4 on its graded
     grid (``_grid``: step kh min(l, 1/K), whose error falls as kh^4),
@@ -184,35 +198,40 @@ def integrate_ends(
     never shrunk: [lo, hi], lo = min(x_left, min xs), hi = max(x_right,
     max xs).  The ends are lo and hi, or on a diving V lo and x_right, the
     point z = _Z_MATCH; the grid runs on to hi past it.  The basis is seeded
-    at the window point nearest x = 0.  One numpy march (``_march``) runs
-    outward from the seed both ways and returns the asked-for nodes and
-    each step's det M - 1; no node array of the window is built.  W[u, v]
-    at each end is 1 plus the dets of the steps from the seed, which the
-    products' round-off does not reach.  Each x is read by
-    one RK4 step from the node at or below it (``_step_from``), a step of
-    zero on a node, so within a window the grid, the ends and the drift do
-    not depend on ``xs``.  The nodes come in the order of ``xs``, repeats
-    included.  Refusals come in this order: kh and xs, the energy and the
-    window, the plane-wave ends, the grid's caps, the unit waves (before
-    any RK4 step), then the drift.
+    at the window end ``seed``, lo or hi: a sweep row may seed at either,
+    and a wavefunction seeds at the transmitted end of its side, from which
+    the basis grows as psi does.  One numpy march (``_march``) runs from
+    the seed across the window and returns the asked-for nodes and each
+    step's det M - 1; no node array of the window is built.  W[u, v] at a
+    node is 1 plus the dets of the steps from the seed, which the
+    products' round-off does not reach.  Each x is read by one RK4 step
+    from the node at or below it (``_step_from``), a step of zero on a
+    node, so within a window the grid, the ends and the drift do not
+    depend on ``xs``; its W[u, v] adds that step's det.  The nodes come in
+    the order of ``xs``, repeats included.  Refusals come in this order:
+    kh, seed and xs, the energy and the window, the plane-wave ends, the
+    grid's caps, the unit waves (before any RK4 step), then the nodes'
+    overflow and the drift.
 
     Raises
     ------
     DomainError
-        For kh not finite and > 0, for an x of xs not finite, for energy
-        not finite and > 0, for a diving V with no window left of z =
-        _Z_MATCH, if the potential is not finite anywhere on the window, for
-        a grid past the node cap, for a plane-wave end where |V| >
+        For kh not finite and > 0, for a seed not 'left' or 'right', for
+        an x of xs not finite, for energy not finite and > 0, for a diving
+        V with no window left of z = _Z_MATCH or whose V there overflows,
+        if the potential is not finite anywhere on the window, for a grid
+        past the node cap, for a plane-wave end where |V| >
         ASYMPTOTE_EPSILON * E (refused before the grid is built), or for a
         diving end whose q the closed forms refuse: q <= Q_MIN or q pi > 700.
     AccuracyError
-        If the drift is past DRIFT_TOLERANCE, if W[u, v] is not finite at
-        a window end, if the diving end's unit wave carries a flux far
-        from its own, or if W[u, v] formed from the nodes at an x of xs is
-        off 1 by more than DRIFT_TOLERANCE.
+        If a node at a window end or at an x of xs is not finite, if the
+        drift is past DRIFT_TOLERANCE, or if the diving end's unit wave
+        carries a flux far from its own.
     """
     if not (kh > 0.0 and math.isfinite(kh)):
         raise DomainError(f"kh must be finite and > 0, got {kh!r}")
+    if seed not in ("left", "right"):
+        raise DomainError(f"seed must be 'left' or 'right', got {seed!r}")
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if not np.all(np.isfinite(xs)):
         raise DomainError(f"xs must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
@@ -225,52 +244,38 @@ def integrate_ends(
     _plane_potential(potential, energy, lo, "x_left")
     if not dives:
         _plane_potential(potential, energy, hi, "x_right")
-    # the ends, then the seed: the window point nearest x = 0
-    pins = (*x_ends, min(max(0.0, lo), hi))
-    x, at = _grid(potential, energy, lo, hi, kh, units, pins, xs)
+    # node indices of the two ends, then of the node below each asked-for x
+    x, at = _grid(potential, energy, lo, hi, kh, units, x_ends, xs)
     waves = [_wave(potential, energy, units, end, diving)
              for end, diving in zip(x_ends, (False, dives))]
-    # node indices of the two ends, then of the node below each asked-for x
-    seed, at = at[2], np.delete(at, 2)
+    # from a right seed the march walks the grid reversed
+    walk, steps = (x, at) if seed == "left" else (x[::-1], x.size - 1 - at)
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes, dets = _march(potential, energy, x, units, seed, at)
-        # W[u, v] at an end: 1 plus the dets of the steps from the seed
-        w_uv = [1.0 + float(dets[int(at[end] > seed)][: abs(at[end] - seed)].sum())
-                for end in (0, 1)]
-        drift = max(0.0, *(float(np.abs(d, out=d).sum()) for d in dets))
+        nodes, dets = _march(potential, energy, walk, units, steps)
+        # W[u, v] at a node: 1 plus the dets of the steps from the seed
+        w_uv = 1.0 + np.concatenate(([0.0], np.cumsum(dets)))[steps]
+        drift = float(np.abs(dets, out=dets).sum())
         if xs.size:
-            below = x[at[2:]]
-            nodes[:, 2:] = _step_from(potential, energy, below, xs, units, nodes[:, 2:])
-        _check_drift(drift, lo, hi, kh, nodes, xs)
-    ends = tuple(_End(*_project(waves[i], nodes[:, i]), waves[i][2], w_uv[i]) for i in (0, 1))
-    return BasisPair(ends=ends, nodes=nodes[:, 2:], drift=drift)
+            nodes[:, 2:], step_dets = _step_from(potential, energy, x[at[2:]], xs, units,
+                                                 nodes[:, 2:])
+            w_uv[2:] += step_dets
+        _check_drift(drift, lo, hi, kh, nodes)
+    ends = tuple(_End(*_project(waves[i], nodes[:, i]), waves[i][2], float(w_uv[i]))
+                 for i in (0, 1))
+    return BasisPair(ends=ends, nodes=nodes[:, 2:], w_uv=w_uv[2:], drift=drift)
 
 
-def _check_drift(drift: float, lo: float, hi: float, kh: float, nodes: np.ndarray,
-                 xs: np.ndarray) -> None:
-    """Refuse a basis whose W[u, v] is not finite at the window ends (the
-    first two columns u, u', v, v' of ``nodes``), whose drift is past
-    DRIFT_TOLERANCE, or whose W formed from the nodes at xs (the other
-    columns, which psi and its flux are formed from) is off 1 by more."""
-    u, du, v, dv = nodes
-    w = u * dv - du * v
-    ends, off = w[:2], np.abs(w[2:] - 1.0)
-    if not np.all(np.isfinite(ends)):
-        raise AccuracyError(
-            f"Wronskian {ends[~np.isfinite(ends)][0]:.3e} at a window end: the basis overflowed "
-            f"on the window [{lo:g}, {hi:g}]; a finer step cannot help"
-        )
+def _check_drift(drift: float, lo: float, hi: float, kh: float, nodes: np.ndarray) -> None:
+    """Refuse a basis with a node not finite (the overflow of u or v; the
+    columns u, u', v, v' of ``nodes`` are the window ends and the xs), or
+    whose drift is past DRIFT_TOLERANCE."""
+    if not np.all(np.isfinite(nodes)):
+        raise AccuracyError(f"the basis overflowed on the window [{lo:g}, {hi:g}]; a finer "
+                            "step cannot help")
     if not drift <= DRIFT_TOLERANCE:
         raise AccuracyError(f"Wronskian drift {drift:.3e} exceeds DRIFT_TOLERANCE "
                             f"{DRIFT_TOLERANCE:.3e}; lower kh = {kh:g} "
                             "(on the exponential, drift falls as kh^5)")
-    if not np.all(off <= DRIFT_TOLERANCE):
-        i = int(np.argmax(off))  # a NaN counts as the worst
-        raise AccuracyError(
-            f"W[u, v] at x = {xs[i]:g} is off 1 by {off[i]:.3e}, past DRIFT_TOLERANCE "
-            f"{DRIFT_TOLERANCE:.3e}, and the step's drift is {drift:.3e} of it at most: "
-            "the rest is round-off where the basis grows, which psi and its flux there "
-            "carry too; raise E or narrow the barrier")
 
 
 def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
@@ -281,8 +286,11 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
     no wave arriving from infinity at the transmitted end; the incident and
     reflected waves are its two components at the other end, and the
     transmitted one is read off W[u, v] = (s_u conj(s_v) - conj(s_u) s_v)
-    W[R, conj R] there (s the coefficients along R).  The basis carries
-    both ends projected, so one basis serves both incidence sides.
+    W[R, conj R] there (s the coefficients along R), as the geometric mean
+    of W[u, v] at both ends.  T and R are squared ratios to the incident
+    coefficient, times the ratio of the unit waves' fluxes, so no
+    coefficient is squared alone.  The basis carries both ends projected,
+    so one basis serves both incidence sides.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -300,16 +308,18 @@ def match(basis: BasisPair, side: str = "left") -> NumericScatteringResult:
         raise AccuracyError("matching produced a null solution")
     cu, cv = sink_v / norm, -sink_u / norm
     c_inc, c_ref = (cu * u + cv * v for u, v in (along(source, inc), along(source, not inc)))
-    c_tra = (1.0 if inc else -1.0) * sink.w_uv / (sink.w_r * norm)
+    # W[u, v] at both ends: the march's drift scales both ends' nodes, and
+    # c_inc with them, so sqrt(W_sink W_source) keeps it out of |t|
+    c_tra = (1.0 if inc else -1.0) * math.sqrt(sink.w_uv * source.w_uv) / (sink.w_r * norm)
     r_amp, t_amp = c_ref / c_inc, c_tra / c_inc
-    # fluxes over hbar / 2m, which their ratios cancel
-    j_inc, j_ref = (abs(source.w_r) * abs(c) ** 2 for c in (c_inc, c_ref))
-    j_tra = abs(sink.w_r) * abs(c_tra) ** 2
+    # fluxes over the incident one: a unit wave's is (hbar / 2m) |w_r|
+    r_coeff = abs(r_amp) ** 2
+    t_coeff = abs(t_amp) ** 2 * (abs(sink.w_r) / abs(source.w_r))
     return NumericScatteringResult(
-        t_coeff=j_tra / j_inc, r_coeff=j_ref / j_inc, r_amp=r_amp, t_amp=t_amp,
+        t_coeff=t_coeff, r_coeff=r_coeff, r_amp=r_amp, t_amp=t_amp,
         phi=principal_angle(cmath.phase(r_amp)),
         theta=principal_angle(cmath.phase(t_amp)),
-        flux_imbalance=abs(j_inc - j_ref - j_tra) / j_inc,
+        flux_imbalance=abs(1.0 - r_coeff - t_coeff),
         c_u=cu, c_v=cv, incident=c_inc,
     )
 
@@ -384,91 +394,57 @@ def _grid(potential: PotentialModel, energy: float, lo: float, hi: float, kh: fl
     return x, np.searchsorted(x, np.concatenate((pins, xs)), side="right") - 1
 
 
-def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units, seed: int,
+def _march(potential: PotentialModel, energy: float, x: np.ndarray, units: Units,
            at: np.ndarray):
-    """One march of u'' = g(x) u, g = 2m (V - energy)/hbar^2, over the grid x
-    outward from node seed both ways: the nodes at (indices of x, in any
-    order, repeats included) as columns (u, u', v, v'), and each
-    half-window's det M - 1 in step order from the seed, the left half's
-    first.
+    """One march of u'' = g(x) u, g = 2m (V - energy)/hbar^2, over the nodes
+    x from the seed x[0] in their order (x descending runs RK4 with h < 0):
+    the nodes at (indices of x, in any order, repeats included) as columns
+    (u, u', v, v'), and each step's det M - 1 in step order.
 
-    Step i of a half runs from its node i to node i + 1, counted from the
-    seed, and samples V at its _SAMPLES.  Each RK4 step is a 2x2 transfer
-    matrix M_i, its column c the step applied to seed c, (1, 0) for u and
-    (0, 1) for v, kept as M_i - I; node t of a half holds
-    P_t = M_{t-1} ... M_0.  One tree serves both halves.  Level 0 holds
-    the front half's steps from its start in step order and the back
-    half's (the one of fewer levels, the left on a tie) transposed from
-    its end in reverse step order, zeros between.  Level l holds the
-    products of the aligned runs of 2^l slots, each of two runs of level
-    l - 1 (``_compose``); level 0 holds a multiple of the back half's
-    longest run, so its runs stay aligned too, and as (A B)^T = B^T A^T
-    they hold its products transposed.  P_t is the product of the runs
-    that t's set bits name, the earliest first, reduced pairwise in the
-    same way, the back half's in reverse order.  Transposing only swaps
-    the operands of each sum and product, so every bit is that of a tree
-    per half.  Kept as M - I, a step's small parts reach P_t without the
-    rounding of 1 + a.
+    Step i runs from node i to node i + 1 and samples V at its _SAMPLES.
+    Each RK4 step is a 2x2 transfer matrix M_i, its column c the step
+    applied to seed c, (1, 0) for u and (0, 1) for v, kept as M_i - I;
+    node t holds P_t = M_{t-1} ... M_0.  Level 0 of one tree holds the
+    steps; level l holds the products of the aligned runs of 2^l steps,
+    each of two runs of level l - 1 (``_compose``).  P_t is the product of
+    the runs that t's set bits name, the earliest first, reduced pairwise.
+    Kept as M - I, a step's small parts reach P_t without the rounding of
+    1 + a.
     """
-    halves = (x[seed::-1], x[seed:])
-    steps = [half.size - 1 for half in halves]
-    # the half of fewer levels (the left on a tie) fills level 0 from its
-    # end, which rounds level 0 up to a multiple of that half's longest run
-    back = int(steps[1].bit_length() < steps[0].bit_length())
-    levels, back_levels = steps[1 - back].bit_length(), steps[back].bit_length()
-    longest = 1 << max(back_levels - 1, 0)
-    n = -(-sum(steps) // longest) * longest
+    n = x.size - 1
+    levels = n.bit_length()
     # every level of the tree in one buffer, level l holding n >> l runs
     # from starts[l], then one zero: M - I of the factor of a clear bit
     sizes = [n >> level for level in range(levels)]
     starts = [0, *accumulate(sizes)]
     tree = np.empty((2, 2, starts[-1] + 1))
-    tree[:, :, steps[1 - back] : n - steps[back]] = 0.0
     tree[:, :, -1] = 0.0
-    slots = [tree[:, :, :n], tree[:, :, :n][:, :, ::-1].transpose(1, 0, 2)]
     # one buffer for a chunk's h and samples, then for its product terms:
     # fresh temporaries per chunk fragment the heap and raise the peak RSS
     buffer = np.empty((2, 2, _CHUNK))
-    dets = [np.empty(count) for count in steps]
-    for side, half in enumerate(halves):
-        out = slots[side == back]
-        for i in range(0, steps[side], _CHUNK):
-            j = min(i + _CHUNK, steps[side])
-            dets[side][i:j] = _step_matrices(potential, energy, units, half[i:j],
-                                             half[i + 1 : j + 1],
-                                             buffer.reshape(4, _CHUNK)[:, : j - i],
-                                             out[:, :, i:j])
+    dets = np.empty(n)
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        dets[i:j] = _step_matrices(potential, energy, units, x[i:j], x[i + 1 : j + 1],
+                                   buffer.reshape(4, _CHUNK)[:, : j - i], tree[:, :, i:j])
     for below, start, size in zip(starts, starts[1:], sizes[1:]):
         for i in range(0, size, _CHUNK):
             j = min(i + _CHUNK, size)
             _compose(tree[:, :, below + 2 * i + 1 : below + 2 * j : 2],
                      tree[:, :, below + 2 * i : below + 2 * j : 2],
                      tree[:, :, start + i : start + j], buffer[:, :, : j - i])
-    # one factor per level of each pick t, run (t >> l) - 1 of level l where
-    # bit l is set, else the zero, as are the factors that pad them to a
-    # power of two: the front half's top level first, the back half's
-    # column reversed and its runs counted from the end of each level
+    # one factor per level of each pick t, the top level first: run
+    # (t >> l) - 1 of level l where bit l is set, else the zero, as are
+    # the factors that pad them to a power of two
     at = np.asarray(at, dtype=np.int64)
-    in_back = (at >= seed) == bool(back)
-    t = np.abs(at - seed)
-    width = 1 << max(levels - 1, 0).bit_length()
-    row = np.arange(width)[:, None]
-    level = np.where(in_back, row - (width - back_levels), levels - 1 - row)
+    level = levels - 1 - np.arange(1 << max(levels - 1, 0).bit_length())[:, None]
     clipped = np.maximum(level, 0)
-    run = t >> clipped
-    factor = np.take(starts, clipped) + np.where(in_back, (n >> clipped) - run, run - 1)
-    factors = np.take(tree, np.where((level >= 0) & (run % 2 == 1), factor, -1), axis=2)
-    # the back half's picks are whole once its own power of two of factors
-    # is reduced
-    whole_at = width >> max(back_levels - 1, 0).bit_length()
-    while True:
-        if factors.shape[2] == whole_at:
-            whole = factors[:, :, -1, in_back].transpose(1, 0, 2)
-        if factors.shape[2] == 1:
-            break
+    run = at >> clipped
+    factor = np.where((level >= 0) & (run % 2 == 1), np.take(starts, clipped) + run - 1, -1)
+    factors = np.take(tree, factor, axis=2)
+    while factors.shape[2] > 1:
         late, early = factors[:, :, 1::2], factors[:, :, 0::2]
         factors = _compose(late, early, np.empty_like(late), np.empty_like(late))
-    factors[:, :, 0, in_back] = whole
     p = factors[:, :, 0] + np.eye(2)[:, :, None]
     # p[r, c]: column c = 0 holds u, u', column c = 1 holds v, v'
     return p.transpose(1, 0, 2).reshape(4, -1), dets
@@ -516,15 +492,16 @@ def _step_matrices(potential: PotentialModel, energy: float, units: Units, x0: n
 
 
 def _step_from(potential: PotentialModel, energy: float, x0: np.ndarray, x1: np.ndarray,
-               units: Units, nodes: np.ndarray) -> np.ndarray:
+               units: Units, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns u, u', v, v' of nodes, at x0, carried by one RK4 step
-    each to x1 (x1 = x0 keeps them bit for bit)."""
+    each to x1 (x1 = x0 keeps them bit for bit), and each step's det M - 1
+    (0 for x1 = x0)."""
     m = np.empty((2, 2, x1.size))
-    _step_matrices(potential, energy, units, x0, x1, np.empty((4, x1.size)), m)
+    dets = _step_matrices(potential, energy, units, x0, x1, np.empty((4, x1.size)), m)
     m[[0, 1], [0, 1]] += 1.0
     u, du, v, dv = nodes
     return np.array([m[0, 0] * u + m[0, 1] * du, m[1, 0] * u + m[1, 1] * du,
-                     m[0, 0] * v + m[0, 1] * dv, m[1, 0] * v + m[1, 1] * dv])
+                     m[0, 0] * v + m[0, 1] * dv, m[1, 0] * v + m[1, 1] * dv]), dets
 
 
 def _wave(potential: PotentialModel, energy: float, units: Units, x: float,

@@ -203,25 +203,25 @@ def check_flux_wronskian_rk4(bases: dict[float, BasisPair]) -> CheckResult:
     # than the default; drift itself superconverges near kh^5 here (its
     # per-step errors concentrate at the stiff right edge), so the solution
     # value is the honest kh^4 observable
-    x_probe = 3.0
-    reference = _seeded_closed_form(d.p, d.q, x_probe)
+    x_seed, x_probe = -16.0, 3.0
+    reference = _seeded_closed_form(d.p, d.q, x_seed, x_probe)
     khs = [8.0 * KH, 4.0 * KH, 2.0 * KH]
     errors = []
     for kh in khs:
-        # u(x_probe) is marched rightward from the seed x = 0 on the row's
-        # window, grown to x_probe
-        marched = numeric_scatter.integrate_ends(model, energy, xs=[x_probe], kh=kh)
-        errors.append(abs(float(marched.nodes[0, 0]) - reference))
+        # x_seed, left of the row's window, grows it to there, and the
+        # march seeds at that left end; u is marched rightward to x_probe
+        marched = numeric_scatter.integrate_ends(model, energy, xs=[x_seed, x_probe], kh=kh)
+        errors.append(abs(float(marched.nodes[0, 1]) - reference))
     slope = float(np.polyfit(np.log(khs), np.log(errors), 1)[0])
     parts = [(drift, 1e-8), (abs(slope - 4.0), 0.3)]
     detail = f"drift={drift:.3e}, order={slope:.3f} from kh = 8, 4, 2 x {KH:g}"
     return _ratio("flux-wronskian-rk4", parts, detail)
 
 
-def _seeded_closed_form(p: float, q: float, x: float) -> float:
-    """u(x) for u(0)=1, u'(0)=0 built from the exact oscillatory pair."""
-    b1_0 = specfun.bessel_j_imag_order(q, p, sign=1)
-    b2_0 = specfun.bessel_j_imag_order(q, p, sign=-1)
+def _seeded_closed_form(p: float, q: float, x0: float, x: float) -> float:
+    """u(x) for u(x0)=1, u'(x0)=0 built from the exact oscillatory pair."""
+    b1_0 = specfun.bessel_j_imag_order(q, p * math.exp(0.5 * x0), sign=1)
+    b2_0 = specfun.bessel_j_imag_order(q, p * math.exp(0.5 * x0), sign=-1)
     det = b1_0.value * b2_0.dvalue - b1_0.dvalue * b2_0.value
     c1 = b2_0.dvalue / det  # [value, d/dx] rows; d/dx = (z/2) d/dz cancels in c1, c2
     c2 = -b1_0.dvalue / det

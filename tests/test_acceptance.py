@@ -177,10 +177,11 @@ def test_criterion_08_flux_wronskian_order(capsys):
     drift = basis.drift
 
     # order of convergence against the closed-form solution with the same
-    # seeds; u(x) = c1 J_{iq}(z) + c2 J_{-iq}(z) fitted at x = 0
-    p, q, x_probe = 2.0, 1.0, 3.0
-    b1_0 = specfun.bessel_j_imag_order(q, p, sign=1)
-    b2_0 = specfun.bessel_j_imag_order(q, p, sign=-1)
+    # seeds; u(x) = c1 J_{iq}(z) + c2 J_{-iq}(z) fitted at the march's seed,
+    # the window's left end x = -4
+    p, q, x_seed, x_probe = 2.0, 1.0, -4.0, 3.0
+    b1_0 = specfun.bessel_j_imag_order(q, p * math.exp(0.5 * x_seed), sign=1)
+    b2_0 = specfun.bessel_j_imag_order(q, p * math.exp(0.5 * x_seed), sign=-1)
     det = b1_0.value * b2_0.dvalue - b1_0.dvalue * b2_0.value
     z_probe = p * math.exp(0.5 * x_probe)
     b1 = specfun.bessel_j_imag_order(q, z_probe, sign=1)
@@ -191,7 +192,7 @@ def test_criterion_08_flux_wronskian_order(capsys):
     khs = [8.0 * numeric_scatter.KH, 4.0 * numeric_scatter.KH, 2.0 * numeric_scatter.KH]
     errors = []
     for kh in khs:
-        coarse = Window(x_left=-4.0, x_right=x_probe, kh=kh)
+        coarse = Window(x_left=x_seed, x_right=x_probe, kh=kh)
         # x_probe = x_right is the last node
         marched = oracle_integrate_basis(model, energy, coarse)
         errors.append(abs(float(marched.nodes[0, -1]) - reference))

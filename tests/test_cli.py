@@ -361,38 +361,46 @@ class TestCommands:
     # (rect), 2.2e-14 (E == v0), 1.9e-12 relative (deep rect); theta 9.0e-15,
     # phi 1.8e-14 where R is not round-off; psi 4.0e-14 and flux 1.4e-13
     # (free wavefunctions), psi 2.8e-14 and flux 2.0e-14 (rect); the drift
-    # not at all
+    # not at all.  All eight were re-frozen when the march came to run from
+    # a window end (a wavefunction from its transmitted end), the drift to
+    # sum the whole window, T to read W[u, v] at both ends and the
+    # wavefunction flux W from the dets: the largest moves were T_numeric
+    # 3.1e-15 (free, within 3.1e-15 of 1), 2.9e-15 (rect), 6.7e-16 (E ==
+    # v0), 2.2e-14 relative (deep rect); R 2.9e-15 (rect); theta
+    # 9.9e-15, phi 4.8e-14 where R is not round-off; flux_imbalance 3.1e-15;
+    # the drift 6.7e-14; psi 1.9e-14 and flux 7.8e-14 (free wavefunctions),
+    # psi 2.3e-15 and flux 4.3e-15 (rect)
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["sweep", "--model", "free", "--emin", "0.1", "--emax", "3", "--n", "20",
               "--method", "numeric"],
-             "d19d2616f6bb4111a79bc0e1870736addaf3114496a946931365eccef16802df"),
+             "e804846fa5f49d6e30173a5329a153b74663b46e80146b649b9c14dada78af62"),
             (["wavefunction", "--model", "free", "--energy", "1.0", "--xmin", "-6",
               "--xmax", "6", "--n", "300"],
-             "1a943f9569fb023abb7c40d0c51801125d6e6bd234d09c3c0a91c0b8eecb07be"),
+             "5be99adbd402a7fc210ef39af4b7532cae5d658294dd8fe4dc23a03687dee538"),
             (["wavefunction", "--model", "free", "--energy", "0.7", "--side", "right",
               "--xmin", "-2", "--xmax", "2"],
-             "c1e25bcc9975435dd68383791c93a05c76add0b75346912d7a3f47802b2435b1"),
+             "59447a1cf507bbc3e187edbd1adb423dcbca0116a5719c7a2ded43618595342f"),
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "ee43dc683aa29c29582b884c6401682d19768502dd624ebcf1bcce0ba42560e8"),
+             "1e098070bb40bf255a473bf588e2b549a8556dccde9993f2c63a6182b026c99d"),
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7", "--side", "right",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "70545a66eada96785de2202ba9da50911b39dd9b6eaa652d0624c07f86dadf17"),
+             "15b3cd6633aeac88fcccadd3ba71931fd019763a98e1c8b246ff6a59c7d9285f"),
             # E == v0 on the second row: g is exactly zero inside the barrier
             (["sweep", "--model", "rect:v0=1,w=2", "--emin", "0.5", "--emax", "1", "--n", "2",
               "--spacing", "linear", "--method", "numeric"],
-             "19964d8429204dc44b48e58249c2ddca2b6f072e9037b46bad52b28e0f515d71"),
+             "8f8321fc7c43a620c62f5b53972b47b5eafbcef04261ac64b57f37216788eb5c"),
             # a rectangle's window and plane waves do not depend on E: these
             # two digests were taken before each exponential row got its own
             # window and its plane wave a tail term
             (["wavefunction", "--model", "rect:v0=1,w=2", "--energy", "0.7",
               "--xmin", "-3", "--xmax", "3", "--n", "50"],
-             "313a004b62cdedeb529f90da8c5cc0c48e5a40b7d54fdcc36c54a9f84bdb0590"),
+             "3dc98ae2056374b57fe6d6b5c83aa9e8e084a0500fa0c738c22812c9b4b6d6ac"),
             (["sweep", "--model", "rect:v0=50,w=4", "--emin", "1", "--emax", "40", "--n", "9",
               "--spacing", "linear", "--method", "numeric"],
-             "04071602bb41a2c4799dc90564568e969b080d681d41fec2d654e2782d999761"),
+             "15badd7e2440a5dadedae8b20b42148ef71f089f614d379916d33e52662a9fba"),
         ],
         ids=["sweep", "wavefunction-left", "wavefunction-right", "rect-sweep",
              "rect-wavefunction-right", "rect-sweep-at-v0", "rect-wavefunction-left",
@@ -411,7 +419,7 @@ class TestCommands:
              "43094484c02c4cfe4f5e82d683d31236501f498b09da6b5d53e5e6ed677d831d"),
             (["sweep", "--model", "exp:v0=1,a=1", "--emin", "0.01", "--emax", "5", "--n", "20",
               "--method", "numeric"],
-             "0ee0e66637f3bea5d0267be52c09408414a1d757032a5dc3a2091f574cf91507"),
+             "516421b284be70af3629e8b0277fb15d50b935b575e2d9971180798b3809ddc1"),
         ],
         ids=["readme-analytic", "readme-numeric-n20"],
     )
@@ -430,7 +438,11 @@ class TestCommands:
         # and again when the march came to multiply its steps pairwise, each
         # kept as M - I: T moved <= 1.8e-14, R 1.5e-15, flux_imbalance
         # 1.3e-14, theta 3.0e-15, phi 2.4e-12 where R >= 1e-6 (2.1e-9 where
-        # R is round-off), the drift not at all.
+        # R is round-off), the drift not at all; and again when the march
+        # came to run from the window's left end over the whole window and
+        # T to read W[u, v] at both ends: T moved <= 6.2e-14, R 5.7e-16,
+        # flux_imbalance 6.5e-14, theta 1.0e-14, phi 2.7e-13 where R >= 1e-6
+        # (9.9e-10 where R is round-off), the drift 3.0e-14.
         # The analytic pin was re-frozen when its phases came to be read as
         # the arguments of the amplitudes, not summed from alpha and beta:
         # phi_left moved <= 6.8e-16 (70 rows), theta_left 2.2e-16 (79 rows),
@@ -763,29 +775,18 @@ class TestCommands:
         t_exact, _ = exp_barrier.transmission_reflection(1.0)
         assert abs(flux.mean() / 1.0 - t_exact) <= 1e-9
 
-    @pytest.mark.parametrize("energy", ["1", "6.3", "26.5", "30"])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_deep_rectangle_wavefunction_refused_at_its_roundoff(self, energy, side, capsys):
-        # rect:v0=50,w=4: u and v grow like e^14 each way from the seed, so
-        # W formed from the nodes is off 1 by 7e-4 at E = 1 and 1.5e-8 at
-        # E = 30 (2.6e-8 when the products were formed in step order), and
-        # psi and its flux would carry that; a sweep's T and theta are read
-        # without these nodes and solve
-        code, out, err = run_cli(
-            ["wavefunction", "--model", "rect:v0=50,w=4", "--energy", energy,
-             "--xmin", "-4", "--xmax", "4", "--n", "201", "--side", side], capsys)
-        assert (code, out) == (2, "")
-        assert "round-off where the basis grows" in err and "raise E or narrow" in err
-
-    @pytest.mark.parametrize("energy", ["40", "45", "60"])
+    @pytest.mark.parametrize("energy", ["1", "6.3", "26.5", "30", "40", "45", "60"])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_deep_rectangle_wavefunction_meets_the_hand_formula(self, energy, side, capsys):
         # rect:v0=50,w=4, m = 1/2, hbar = 1: past the barrier psi = t e^{ikx}
         # up to phase, so |psi| = |t| and the flux is T hbar k / m = 2 k T,
-        # each within 1e-9 relative (measured 3e-10); on every row the flux
-        # is Im(conj(a_u) a_v) W[u, v], which does not cancel |psi|^2 ~ 1
-        # down to T before the barrier (measured 2.7e-10 at E = 40, where
-        # Im(conj(psi) psi') read 1.0e-5)
+        # each within 1e-9 relative; on every row the flux is
+        # Im(conj(a_u) a_v) W[u, v], W from the march's dets, which does not
+        # cancel |psi|^2 ~ 1 down to T before the barrier (at E = 40
+        # Im(conj(psi) psi') read 1.0e-5).  The march is seeded at the
+        # transmitted end, so the basis grows as psi does; seeded at x = 0,
+        # u and v grew e^14 each way and W formed from the nodes was off 1
+        # by 7e-4 at E = 1 and 1.5e-8 at E = 30, and E = 1 to 30 were refused
         code, out, err = run_cli(
             ["wavefunction", "--model", "rect:v0=50,w=4", "--energy", energy,
              "--xmin", "-4", "--xmax", "4", "--n", "201", "--side", side], capsys)
@@ -1043,6 +1044,33 @@ class TestCommands:
         energies = np.logspace(math.log10(0.5), 0.0, 3).tolist()
         assert calls == [(potentials.exponential(1.0, 1.0), energy, potentials.Units(0.5, 1.0))
                          for energy in energies]
+
+    def test_match_point_potential_past_a_float_refused_naming_it(self, capsys):
+        # at z = 8 |V| is 8 hbar^2 / (m a^2) whatever v0 is: 8e+320 here,
+        # refused where the window is placed, naming what to change
+        code, out, err = run_cli(["sweep", "--model", "exp:v0=1,a=1e-10", "--mass", "1e-300",
+                                  "--emin", "1e305", "--emax", "1e306", "--n", "2",
+                                  "--method", "numeric"], capsys)
+        assert (code, err) == (2, "error: every sweep row failed\n")
+        errors = [line.split(" ", 3)[3] for line in out.splitlines()
+                  if line.startswith("# row-error:")]
+        assert errors == ["|V| at the diving end's match point z = 8 is 8 hbar^2 / (m a^2) = "
+                          "8e+320, past the largest float; raise mass or a, or lower hbar"] * 2
+
+    @pytest.mark.parametrize("xmin, first", [("-1e-3", -1e-3), ("-2.5E+1", -25.0),
+                                             ("-.5e0", -0.5)])
+    def test_negative_floats_in_exponent_form_are_values(self, xmin, first, capsys):
+        # argparse alone takes -1e-3 for a flag: "expected one argument"
+        code, out, err = run_cli(["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "1",
+                                  "--xmin", xmin, "--xmax", "1e-3", "--n", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[2].split(",")[0]) == first
+
+    @pytest.mark.parametrize("xmin", ["-inf", "-Infinity"])
+    def test_negative_infinity_is_refused_as_not_finite(self, xmin, capsys):
+        argv = ["wavefunction", "--model", "exp:v0=1,a=1", "--energy", "1", "--xmin", xmin,
+                "--xmax", "0"]
+        assert run_cli(argv, capsys) == (1, "", "error: --xmin must be finite, got -inf\n")
 
     def test_deep_window_overflow_refused_without_warnings(self, capsys):
         # kappa w = 800 across the barrier: the basis overflows on the default window

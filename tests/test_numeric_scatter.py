@@ -64,11 +64,6 @@ class Window:
     x_right: float
     kh: float = KH
 
-    @property
-    def seed(self):
-        """The window point nearest x = 0, where the basis is seeded."""
-        return min(max(0.0, self.x_left), self.x_right)
-
 
 def default_window(potential, energy, kh=KH):
     """The row's own window at ``energy``, which ``integrate_ends`` marches
@@ -76,15 +71,15 @@ def default_window(potential, energy, kh=KH):
     return Window(*numeric_scatter._window(potential, energy, DEFAULT_UNITS), kh)
 
 
-def lane(potential, energy, window, xs=()):
+def lane(potential, energy, window, xs=(), seed="left"):
     """``integrate_ends`` on ``window``, which must contain the row's own:
     the window's ends, asked for first, grow the row's window to it, and
     their node columns are dropped, so the record reads only xs."""
     own = default_window(potential, energy)
     assert window.x_left <= own.x_left and own.x_right <= window.x_right
     basis = numeric_scatter.integrate_ends(potential, energy, xs=[window.x_left, window.x_right,
-                                                                   *xs], kh=window.kh)
-    return basis._replace(nodes=basis.nodes[:, 2:])
+                                                                   *xs], kh=window.kh, seed=seed)
+    return basis._replace(nodes=basis.nodes[:, 2:], w_uv=basis.w_uv[2:])
 
 
 def right_end(potential, window, units=DEFAULT_UNITS):
@@ -105,12 +100,12 @@ def build_grid(potential, energy, window, pins, xs=(), units=DEFAULT_UNITS):
 
 
 def grid(potential, energy, config, units=DEFAULT_UNITS):
-    """(every node of the row's grid, ascending; the seed's index; the right
-    end's index), as ``integrate_ends`` builds it for no asked-for x."""
-    pins = (config.x_left, right_end(potential, config, units), config.seed)
+    """(every node of the row's grid, ascending; the right end's index), as
+    ``integrate_ends`` builds it for no asked-for x."""
+    pins = (config.x_left, right_end(potential, config, units))
     x, at = build_grid(potential, energy, config, pins, units=units)
     assert at[0] == 0
-    return x, int(at[2]), int(at[1])
+    return x, int(at[1])
 
 
 def local_wavenumber(potential, energy, x, units=DEFAULT_UNITS):
@@ -120,21 +115,29 @@ def local_wavenumber(potential, energy, x, units=DEFAULT_UNITS):
 
 class TestBasisIntegration:
     def test_free_basis_is_cos_sin(self):
-        # V = 0, E = 1, m = 1/2: u'' = -u, so u = cos x, v = sin x
-        basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=[0.5])
-        u, du, v, _ = basis.nodes[:, 0]
-        assert u == pytest.approx(math.cos(0.5), abs=1e-10)
-        assert v == pytest.approx(math.sin(0.5), abs=1e-10)
-        assert du == pytest.approx(-math.sin(0.5), abs=1e-10)
+        # V = 0, E = 1, m = 1/2: u'' = -u, so u = cos(x - s), v = sin(x - s)
+        # from the seed s, the window end -5 or 5
+        for seed, s in (("left", -5.0), ("right", 5.0)):
+            basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=[0.5], seed=seed)
+            u, du, v, _ = basis.nodes[:, 0]
+            assert u == pytest.approx(math.cos(0.5 - s), abs=1e-10)
+            assert v == pytest.approx(math.sin(0.5 - s), abs=1e-10)
+            assert du == pytest.approx(-math.sin(0.5 - s), abs=1e-10)
 
     def test_square_well_interior_basis(self):
-        # V = -1 inside |x| <= 1, E = 1: u'' = -2u there, u = cos(sqrt(2) x)
+        # V = -1 inside |x| <= 1, E = 1, seeded at the window end s = -3 or
+        # 3: u = cos(x - s), v = sin(x - s) up to the well's edge e on the
+        # seed's side, then u'' = -2u carries each on by cos(sqrt(2) (x - e))
+        # and sin(sqrt(2) (x - e)) / sqrt(2)
         well = potentials.rectangular(-1.0, 1.0)
-        basis = numeric_scatter.integrate_ends(well, 1.0, xs=[0.5])
-        u, _, v, _ = basis.nodes[:, 0]
         root2 = math.sqrt(2.0)
-        assert u == pytest.approx(math.cos(root2 * 0.5), abs=1e-10)
-        assert v == pytest.approx(math.sin(root2 * 0.5) / root2, abs=1e-10)
+        for seed, s in (("left", -3.0), ("right", 3.0)):
+            basis = numeric_scatter.integrate_ends(well, 1.0, xs=[0.5], seed=seed)
+            u, _, v, _ = basis.nodes[:, 0]
+            e = math.copysign(1.0, s)
+            c, sn = math.cos(root2 * (0.5 - e)), math.sin(root2 * (0.5 - e)) / root2
+            assert u == pytest.approx(math.cos(e - s) * c - math.sin(e - s) * sn, abs=1e-10)
+            assert v == pytest.approx(math.sin(e - s) * c + math.cos(e - s) * sn, abs=1e-10)
 
     def test_wronskian_pinned_to_one(self):
         # the right end, z = 8, is x_right on the row's window
@@ -158,37 +161,18 @@ class TestBasisIntegration:
             oracle_integrate_basis(EXP_MODEL, 0.25, config)
 
     def test_drift_refusal_names_its_cause(self):
-        # kh = 0.1 costs digits on the exponential (1.7e-6, from its step)
-        # and on the deep rectangle at E = 1, which kh = 0.003 solves to
-        # 4e-11 (see test_deep_rectangle_matches_hand_formula); the window
-        # [-30, 3] holds the row's own, so asking for its ends grows to it
+        # kh = 0.1 costs digits on the exponential (2.2e-6 over the whole
+        # window, from its step) and on the deep rectangle at E = 1, which
+        # kh = 0.003 solves to 4e-11 (see
+        # test_deep_rectangle_matches_hand_formula); the window [-30, 3]
+        # holds the row's own, so asking for its ends grows to it
         with pytest.raises(AccuracyError, match=re.escape(
-                "drift 1.733e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
+                "drift 2.212e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
             numeric_scatter.integrate_ends(EXP_MODEL, 0.25, xs=[-30.0, 3.0], kh=0.1)
         rect = potentials.rectangular(50.0, 2.0)
         with pytest.raises(AccuracyError, match=re.escape(
-                "drift 2.224e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
+                "drift 4.449e-06 exceeds DRIFT_TOLERANCE 1.000e-08; lower kh = 0.1 (")):
             numeric_scatter.integrate_ends(rect, 1.0, kh=0.1)
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_roundoff_inside_the_window_is_named(self, side):
-        # at E = 26.5 the basis peaks inside the window, near the barrier's
-        # edges, where W formed from the nodes carries round-off
-        # eps max(|u v'| + |u' v|) = 2.9e-8 (2.929e-8 on these xs), past
-        # DRIFT_TOLERANCE; the drift the march carries does not see it, and
-        # the row solves.  The scale is read where the nodes' W passes the
-        # gate: x = 2.25 of these 21 points is left out, where W is off 1
-        # by 2.2e-8 (7.5e-9 was the most off any of them read when the
-        # products were formed in step order)
-        rect = potentials.rectangular(50.0, 2.0)
-        xs = np.delete(np.linspace(-2.5, 2.5, 21), 19)
-        basis = numeric_scatter.integrate_ends(rect, 26.5, xs=list(xs))
-        u, du, v, dv = basis.nodes
-        scale = np.finfo(float).eps * np.max(np.abs(u * dv) + np.abs(du * v))
-        assert scale == pytest.approx(2.929e-8, rel=1e-3)
-        assert scale > numeric_scatter.DRIFT_TOLERANCE
-        assert basis.drift <= 1e-12
-        assert_rect_formula(numeric_scatter.solve(rect, 26.5, side), 26.5, 50.0, 4.0)
 
     def test_overflowing_basis_refused(self):
         # u and v grow like e^{kappa w} = e^{800} across this barrier; W[u, v]
@@ -253,15 +237,18 @@ class TestBasisIntegration:
                                                         "15,000 a its step table holds")):
             numeric_scatter.integrate_ends(EXP_MODEL, 0.01, xs=[-2e4, 5.0])
 
-    @pytest.mark.parametrize(
-        "ends, seed",
-        [((-1.0, 2.0), 0.0), ((1.0, 2.0), 1.0), ((-2.0, -1.0), -1.0), ((0.0, 1.0), 0.0)],
-    )
-    def test_seed_is_the_window_point_nearest_zero(self, ends, seed):
-        config = Window(x_left=ends[0], x_right=ends[1])
-        x, i_seed, _ = grid(potentials.free(), 1.0, config)
-        assert config.seed == seed and x[i_seed] == seed
-        assert (x[0], x[-1]) == ends
+    @pytest.mark.parametrize("ends", [(-5.0, 5.0), (-7.0, 5.0), (-5.0, 8.0), (-6.0, 6.0)])
+    def test_seed_is_a_window_end(self, ends):
+        # the row's window [-5, 5] grown to the ends: the basis is seeded at
+        # the end it is told, where (u, u', v, v') = (1, 0, 0, 1) and
+        # W[u, v] = 1, and marched to the other, where W[u, v] has drifted
+        for seed, at in (("left", 0), ("right", 1)):
+            basis = numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=ends, seed=seed)
+            assert basis.nodes[:, at].tolist() == [1.0, 0.0, 0.0, 1.0]
+            assert basis.w_uv[at] == 1.0 and basis.w_uv[1 - at] != 1.0
+        with pytest.raises(DomainError) as caught:
+            numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=ends, seed="middle")
+        assert str(caught.value) == "seed must be 'left' or 'right', got 'middle'"
 
     @pytest.mark.parametrize(
         "potential, energy, config",
@@ -281,7 +268,7 @@ class TestBasisIntegration:
         # exponential's l is a / sqrt(2z), z = p e^{x/2a}; a rectangle's is
         # its window length
         config = config or default_window(potential, energy)
-        x, _, _ = grid(potential, energy, config)
+        x, _ = grid(potential, energy, config)
         h = np.diff(x)
         mid = x[:-1] + 0.5 * h
         if isinstance(potential, potentials.Exponential):
@@ -295,20 +282,20 @@ class TestBasisIntegration:
         assert 0.93 <= ratio.min() and ratio.max() <= 1.07
 
     def test_pins_are_exact_nodes(self):
-        # the ends, the seed, the match point and the edges; an asked-for x
-        # takes the node at or below it
+        # the ends, an inner pin, the match point and the edges; an
+        # asked-for x takes the node at or below it
         rect = potentials.rectangular(1.0, 0.7)
         xs = np.array([0.3, -0.3, 2.0, 0.7, 0.3, 1e-13, -2.7])
         for potential, config in ((rect, default_window(rect, 0.5)),
                                   (EXP_MODEL, Window(x_left=-20.0, x_right=5.5))):
-            pins = (config.x_left, config.seed, config.x_right)
+            pins = (config.x_left, 0.0, config.x_right)
             x, at = build_grid(potential, 0.5, config, pins, xs)
             assert x[at[:3]].tolist() == list(pins)
             assert np.all(x[at[3:]] <= xs) and np.all(xs < x[at[3:] + 1])
             assert np.all(np.diff(x) > 0.0)
-        x, _, i_right = grid(rect, 0.5, default_window(rect, 0.5))
+        x, i_right = grid(rect, 0.5, default_window(rect, 0.5))
         assert {-0.7, 0.7} <= set(x.tolist()) and i_right == x.size - 1
-        x, _, i_right = grid(EXP_MODEL, 0.5, Window(x_left=-20.0, x_right=5.5))
+        x, i_right = grid(EXP_MODEL, 0.5, Window(x_left=-20.0, x_right=5.5))
         assert x[i_right] == 2.0 * math.log(4.0)
 
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "exp-deep", "rect-edges-on-nodes"])
@@ -316,8 +303,8 @@ class TestBasisIntegration:
         # an asked-for x is read from the node at or below it, which is the
         # x itself on a node: no x moves a node
         potential, energy, config = bit_case(name)
-        x, i_seed, i_right = grid(potential, energy, config)
-        pins = (config.x_left, x[i_right], config.seed)
+        x, i_right = grid(potential, energy, config)
+        pins = (config.x_left, x[i_right])
         some = x[np.random.default_rng(5).integers(0, x.size, 50)]
         off = 0.5 * (x[:-1] + x[1:])[::997]
         for xs, below in ((x[::-1], np.arange(x.size)[::-1]),
@@ -325,15 +312,16 @@ class TestBasisIntegration:
                           (off, np.arange(x.size - 1)[::997])):
             again, at = build_grid(potential, energy, config, pins, xs)
             assert again.tobytes() == x.tobytes()
-            assert at[:3].tolist() == [0, i_right, i_seed] and at[3:].tolist() == below.tolist()
+            assert at[:2].tolist() == [0, i_right] and at[2:].tolist() == below.tolist()
 
     def test_nodes_grow_with_the_wavenumber(self):
         # README rows: the step is kh a / sqrt(2z) where K < sqrt(2z) / a,
         # kh / K elsewhere (10,004 and 10,408 nodes at the fixed cap l = a;
-        # 6,802, 11,118, 19,376 and 79,189 on the one window z = 2e^-10 to 12)
+        # 6,802, 11,118, 19,376 and 79,189 on the one window z = 2e^-10 to
+        # 12; 7,697 and 12,102 where a pin at x = 0 split a step)
         counts = [grid(EXP_MODEL, energy, default_window(EXP_MODEL, energy))[0].size
                   for energy in (0.01, 1.0, 5.0, 100.0)]
-        assert counts == [5_416, 7_697, 12_102, 40_206]
+        assert counts == [5_416, 7_696, 12_101, 40_206]
 
     def test_non_finite_xs_refused_with_their_text(self, monkeypatch):
         # refused before the window is placed, with the first such x
@@ -345,7 +333,7 @@ class TestBasisIntegration:
             assert str(caught.value) == f"xs must be finite, got {bad}"
 
     def test_xs_grow_the_window_and_never_shrink_it(self, monkeypatch):
-        # the row's window [-5, 5] grown to the xs, seeded nearest x = 0
+        # the row's window [-5, 5] grown to the xs, its ends pinned
         seen = []
         build = numeric_scatter._grid
         monkeypatch.setattr(numeric_scatter, "_grid",
@@ -353,24 +341,23 @@ class TestBasisIntegration:
         for xs in ((), (0.5,), (-7.0, 2.0), (8.0,), (-6.0, 6.0)):
             numeric_scatter.integrate_ends(potentials.free(), 1.0, xs=xs)
         assert [(lo, hi, pins) for lo, hi, _, pins in seen] == [
-            (-5.0, 5.0, (-5.0, 5.0, 0.0)), (-5.0, 5.0, (-5.0, 5.0, 0.0)),
-            (-7.0, 5.0, (-7.0, 5.0, 0.0)), (-5.0, 8.0, (-5.0, 8.0, 0.0)),
-            (-6.0, 6.0, (-6.0, 6.0, 0.0))]
+            (-5.0, 5.0, (-5.0, 5.0)), (-5.0, 5.0, (-5.0, 5.0)),
+            (-7.0, 5.0, (-7.0, 5.0)), (-5.0, 8.0, (-5.0, 8.0)),
+            (-6.0, 6.0, (-6.0, 6.0))]
         assert {kh for _, _, kh, _ in seen} == {KH}
 
     def test_window_off_zero_samples_only_inside(self, monkeypatch):
-        # each model's own window misses x = 0: the seed is x_left on the
-        # shifted one, so its left half-window has no steps, and x_right
-        # on the deep one, so its right half has none
+        # each model's own window misses x = 0: it lies right of x = 0 on
+        # the shifted one and left of it on the deep one
         seen, marches = [], []
         evaluate, march = potentials.evaluate, numeric_scatter._march
         monkeypatch.setattr(potentials, "evaluate",
                             lambda m, x: seen.append(np.array(x)) or evaluate(m, x))
 
-        def recorded(potential, energy, x, units, seed, at):
+        def recorded(potential, energy, x, units, at):
             before = len(seen)
-            marched = march(potential, energy, x, units, seed, at)
-            marches.append((x.size - 1, seed, seen[before:]))
+            marched = march(potential, energy, x, units, at)
+            marches.append((x.size - 1, x[0], seen[before:]))
             return marched
 
         monkeypatch.setattr(numeric_scatter, "_march", recorded)
@@ -378,24 +365,24 @@ class TestBasisIntegration:
                            (potentials.exponential(200.0, 1.0), 1)):
             lo, hi = numeric_scatter._window(model, 0.5, DEFAULT_UNITS)
             assert 0.0 < lo if end == 0 else hi < 0.0
-            seed = (lo, hi)[end]
-            seen.clear()
-            marches.clear()
-            basis = numeric_scatter.integrate_ends(model, 0.5, xs=[seed])
-            assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
-            # one march, seeded at the grid's first or last node: the
-            # empty half samples nothing, so the samples are one triple
-            # per step of the other, each strictly inside the window
-            (steps, i_seed, marched), = marches
-            assert steps > 0 and i_seed == (0, steps)[end]
-            assert sum(x.shape[1] for x in marched) == steps
-            assert all(x.shape[0] == 3 and lo < np.min(x) and np.max(x) < hi for x in marched)
-            # V(0) gives the depth that places the window and the diving
-            # end's p; the plane-wave checks and the grid's table read the
-            # window ends, and the asked-for x's zero step the seed itself
-            inside = [x for x in seen if not (np.ndim(x) == 0 and x == 0.0)]
-            assert all(lo <= np.min(x) and np.max(x) <= hi for x in inside)
-            assert [x.tolist() for x in inside if x.shape == (3, 1)] == [[[seed]] * 3]
+            for seed, start in (("left", lo), ("right", hi)):
+                seen.clear()
+                marches.clear()
+                basis = numeric_scatter.integrate_ends(model, 0.5, xs=[start], seed=seed)
+                assert basis.nodes[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+                # one march, from the seed: the samples are one triple per
+                # step, each strictly inside the window
+                (steps, first, marched), = marches
+                assert steps > 0 and first == start
+                assert sum(x.shape[1] for x in marched) == steps
+                assert all(x.shape[0] == 3 and lo < np.min(x) and np.max(x) < hi
+                           for x in marched)
+                # V(0) gives the depth that places the window and the diving
+                # end's p; the plane-wave checks and the grid's table read
+                # the window ends, and the asked-for x's zero step the seed
+                inside = [x for x in seen if not (np.ndim(x) == 0 and x == 0.0)]
+                assert all(lo <= np.min(x) and np.max(x) <= hi for x in inside)
+                assert [x.tolist() for x in inside if x.shape == (3, 1)] == [[[start]] * 3]
 
 
 def loop_march(g, hs):
@@ -424,17 +411,12 @@ def loop_march(g, hs):
 
 
 def loop_basis(potential, energy, config):
-    """(u, u', v, v') over the whole grid from the scalar oracle, sampled
-    exactly as integrate_ends samples."""
-    x, i_seed, _ = grid(potential, energy, config)
+    """(u, u', v, v') over the whole grid from the scalar oracle, seeded at
+    its left end and sampled exactly as integrate_ends samples."""
+    x, _ = grid(potential, energy, config)
     scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
-
-    def half(nodes):
-        g = scale * (potentials.evaluate(potential, oracle_samples(nodes)) - energy)
-        return loop_march(g.tolist(), np.diff(nodes).tolist())
-
-    right, left = half(x[i_seed:]), half(x[i_seed::-1])
-    return [np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)]
+    g = scale * (potentials.evaluate(potential, oracle_samples(x)) - energy)
+    return loop_march(g.tolist(), np.diff(x).tolist())
 
 
 def rough(model, x):
@@ -457,17 +439,10 @@ def random_nodes(n, direction, seed=None):
 
 def products(x, picks=()):
     """The march on the rough potential at E = 0, m = 1/2, hbar = 1 over
-    the nodes x from the seed x[0] outward: the nodes picks (steps from
-    the seed) and the dets.  x is the right half-window of the grid x if
-    it ascends, else the left half of the grid x reversed; the other half
-    marches no step."""
-    left = bool(x.size > 1 and x[1] < x[0])
-    grid, seed = (x[::-1], x.size - 1) if left else (x, 0)
-    picks = np.asarray(picks, dtype=np.int64)
-    nodes, dets = numeric_scatter._march(EXP_MODEL, 0.0, grid, DEFAULT_UNITS, seed,
-                                         seed - picks if left else picks)
-    assert dets[left].size == 0
-    return nodes, dets[not left]
+    the nodes x from the seed x[0] in their order (h < 0 where they
+    descend): the nodes picks (steps from the seed) and the dets."""
+    return numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS,
+                                  np.asarray(picks, dtype=np.int64))
 
 
 def march(x):
@@ -539,47 +514,40 @@ class TestStepMatrixMarch:
 
     @pytest.mark.parametrize("n_left, n_right", [
         (0, 0), (0, 17), (17, 0), (16, 16), (15, 17), (1, 40000),
-        # halves of unequal length: level 0 holds a multiple of the back
-        # half's longest run, so 1 and 416 zero slots sit between them
+        # halves of unequal length
         (3, 1000), (1000, 3), (600, 520), (520, 600),
-        # a half past _CHUNK: 28 zero slots, then 8,076
+        # a half past _CHUNK, so that a chunk ends on either side of the join
         (9000, 700), (700, 9000), (8200, 8300),
     ])
     def test_both_halves_from_one_tree(self, n_left, n_right):
-        # one march seeded between a left and a right half-window: picks
-        # on both sides, out of order and repeated, the seed among them,
-        # each bit for bit its half's oracle node, and each half's dets
-        # bit for bit the step-order oracle's
+        # a window of a left and a right half about x = 0.25, marched in
+        # one tree from either end: picks in both halves, out of order and
+        # repeated, both ends and the join among them, each bit for bit the
+        # oracle march's node from that end, and the dets bit for bit the
+        # step-order oracle's
         left = random_nodes(n_left, -1.0)
         right = random_nodes(n_right, 1.0, seed=n_right + 1)
         x = np.concatenate((left[::-1], right[1:]))
         at = np.random.default_rng(n_left + 7 * n_right).integers(0, x.size, 200)
         at = np.concatenate((at, at[::-3], [n_left, 0, x.size - 1, n_left]))
-        want = np.empty((4, x.size))
-        want[:, n_left:], want[:, n_left::-1] = rough_march(right), rough_march(left)
-        nodes, (dets_left, dets_right) = numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS,
-                                                                n_left, at)
-        assert nodes.tobytes() == np.ascontiguousarray(want[:, at]).tobytes()
-        assert dets_left.tobytes() == step_dets(left).tobytes()
-        assert dets_right.tobytes() == step_dets(right).tobytes()
+        for walk in (x, x[::-1]):
+            nodes, dets = products(walk, at)
+            assert nodes.tobytes() == np.ascontiguousarray(rough_march(walk)[:, at]).tobytes()
+            assert dets.tobytes() == step_dets(walk).tobytes()
 
     def test_overflowing_back_half_keeps_its_bits(self, monkeypatch):
         # g = 1.6e7 grows u and v by e^4 a step, past a double in 178
-        # steps: the left half's 255 steps (8 levels) sit at the back of
-        # the right half's 300 (9 levels), and its picks are read after
-        # its own 8 factors are reduced, not after the front's 16, so an
-        # all-ones t stays inf where a further zero factor would make nan
+        # steps: the back half of a march of 555 steps, every node past the
+        # overflow, from either end, keeps the oracle's bits, whether the
+        # zero factors of a pick's clear bits leave it inf or make it nan
         monkeypatch.setattr(potentials, "evaluate", lambda m, xs: np.full_like(xs, 1.6e7))
-        left, right = 0.25 - 1e-3 * np.arange(256), 0.25 + 1e-3 * np.arange(301)
-        x = np.concatenate((left[::-1], right[1:]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes = numeric_scatter._march(EXP_MODEL, 0.0, x, DEFAULT_UNITS, 255,
-                                           np.arange(x.size))[0]
-            want = np.empty((4, x.size))
-            for half, out in ((right, want[:, 255:]), (left, want[:, 255::-1])):
-                out[:] = oracle_march(np.full(3 * (half.size - 1), 1.6e7), np.diff(half))
-        assert np.isinf(nodes[:, 0]).all() and np.isinf(want[:, 0]).all()
-        assert nodes.tobytes() == want.tobytes()
+        x = 0.25 + 1e-3 * np.arange(-255, 301)
+        for walk in (x, x[::-1]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = products(walk, np.arange(walk.size))[0]
+                want = np.array(oracle_march(np.full(3 * (walk.size - 1), 1.6e7), np.diff(walk)))
+            assert not np.isfinite(nodes[:, 200:]).all(axis=0).any()
+            assert nodes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 7167, 40000])
     def test_dets_are_the_real_steps(self, n):
@@ -717,56 +685,55 @@ def oracle_g(potential, energy, x, units=DEFAULT_UNITS):
     return scale * (potentials.evaluate(potential, oracle_samples(x)) - energy)
 
 
-def oracle_window_drift(potential, energy, x, i_seed, units=DEFAULT_UNITS):
-    """sum |det M_i - 1| over the steps of the worse half-window of the
-    grid x, from the step-order dets."""
-    return max(float(np.abs(oracle_walk_dets(potential, energy, half, units)).sum())
-               for half in (x[i_seed:], x[i_seed::-1]))
+def oracle_w_uv(potential, energy, x, seed="left", units=DEFAULT_UNITS):
+    """W[u, v] at every node of the grid x, in grid order, as the march
+    from the window end seed carries it without round-off: 1 plus the
+    running sum of the step-order dets from the seed; and the drift, the
+    sum of their moduli over the whole window."""
+    walk = x if seed == "left" else x[::-1]
+    dets = oracle_walk_dets(potential, energy, walk, units)
+    w_uv = 1.0 + np.concatenate(([0.0], np.cumsum(dets)))
+    return (w_uv if seed == "left" else w_uv[::-1]), float(np.abs(dets).sum())
 
 
-def oracle_w_uv(potential, energy, x, i_seed, i, units=DEFAULT_UNITS):
-    """W[u, v] at node i as the march carries it without round-off: 1 plus
-    the step-order dets of the steps from the seed to node i."""
-    walk = x[i_seed : i + 1] if i >= i_seed else x[i_seed::-1][: i_seed - i + 1]
-    return 1.0 + float(oracle_walk_dets(potential, energy, walk, units).sum())
-
-
-def project_ends(potential, energy, x, i_seed, i_right, nodes, units=DEFAULT_UNITS):
+def project_ends(potential, energy, x, i_right, nodes, w_uv, units=DEFAULT_UNITS):
     """The left end node and the right end node i_right of nodes, on the
-    grid x seeded at i_seed, projected onto their unit waves as
-    ``integrate_ends`` does, each with its step-order W[u, v]; only an
-    exponential's right end dives."""
+    grid x, projected onto their unit waves as ``integrate_ends`` does,
+    each with its W[u, v] of w_uv; only an exponential's right end dives."""
     diving = isinstance(potential, potentials.Exponential)
     ends = []
     for i, dives in ((0, False), (i_right, diving)):
         wave = numeric_scatter._wave(potential, float(energy), units, x[i], dives)
         ends.append(numeric_scatter._End(*numeric_scatter._project(wave, nodes[:, i]), wave[2],
-                                         oracle_w_uv(potential, energy, x, i_seed, i, units)))
+                                         float(w_uv[i])))
     return tuple(ends)
 
 
-def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS):
-    """Every node of the row's grid, picked whole from its march: (x, the
-    seed's index, the right end's index, the nodes)."""
-    x, i_seed, i_right = grid(potential, energy, config, units)
+def oracle_nodes(potential, energy, config, units=DEFAULT_UNITS, seed="left"):
+    """Every node of the row's grid in grid order, picked whole from its
+    march from the window end seed: (x, the right end's index, the nodes)."""
+    x, i_right = grid(potential, energy, config, units)
+    walk = x if seed == "left" else x[::-1]
+    picks = np.arange(x.size) if seed == "left" else np.arange(x.size)[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = numeric_scatter._march(potential, energy, x, units, i_seed, np.arange(x.size))[0]
-    return x, i_seed, i_right, nodes
+        nodes = numeric_scatter._march(potential, energy, walk, units, picks)[0]
+    return x, i_right, nodes
 
 
-def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS):
+def oracle_integrate_basis(potential, energy, config, units=DEFAULT_UNITS, seed="left"):
     """The whole-grid basis: every node from the oracle writer as the nodes
-    of the record, its two end nodes projected, and the step-order drift.
-    It checks the energy (``_window``), forms the end waves and gates the
-    basis in the order integrate_ends does, but checks no plane-wave end."""
+    of the record, with its step-order W[u, v], its two end nodes projected,
+    and the step-order drift.  It checks the energy (``_window``), forms
+    the end waves and gates the basis in the order integrate_ends does,
+    but checks no plane-wave end."""
     numeric_scatter._window(potential, energy, units)
-    x, i_seed, i_right, nodes = oracle_nodes(potential, energy, config, units)
-    ends = project_ends(potential, energy, x, i_seed, i_right, nodes, units)
-    drift = oracle_window_drift(potential, energy, x, i_seed, units)
+    x, i_right, nodes = oracle_nodes(potential, energy, config, units, seed)
+    w_uv, drift = oracle_w_uv(potential, energy, x, seed, units)
+    ends = project_ends(potential, energy, x, i_right, nodes, w_uv, units)
     with np.errstate(over="ignore", invalid="ignore"):
         numeric_scatter._check_drift(drift, config.x_left, config.x_right, config.kh,
-                                     nodes[:, [0, i_right]], ())
-    return numeric_scatter.BasisPair(ends=ends, nodes=nodes, drift=drift)
+                                     nodes[:, [0, i_right]])
+    return numeric_scatter.BasisPair(ends=ends, nodes=nodes, w_uv=w_uv, drift=drift)
 
 
 def oracle_scattering_wavefunction(basis, result, units=DEFAULT_UNITS):
@@ -780,27 +747,24 @@ def oracle_scattering_wavefunction(basis, result, units=DEFAULT_UNITS):
     return psi, dpsi, flux
 
 
-def integrate_every_node(potential, energy, config):
+def integrate_every_node(potential, energy, config, seed="left"):
     """``integrate_ends`` on the window, asked for every node of its grid."""
-    x, _, _ = grid(potential, energy, config)
-    return lane(potential, energy, config, xs=x)
+    x, _ = grid(potential, energy, config)
+    return lane(potential, energy, config, xs=x, seed=seed)
 
 
-def oracle_basis(potential, energy, config):
-    """The bytes of the rows u, u', v, v', the bits of the two projected
-    ends and the drift, as the oracle march and the step-order drift give
-    them on the row's grid."""
-    x, i_seed, i_right = grid(potential, energy, config)
-
-    def half(nodes):
-        return oracle_march(oracle_g(potential, energy, nodes), nodes[1:] - nodes[:-1])
-
+def oracle_basis(potential, energy, config, seed="left"):
+    """The bytes of the rows u, u', v, v' and of W[u, v], the bits of the
+    two projected ends and the drift, as the oracle march from the window
+    end seed and the step-order dets give them on the row's grid."""
+    x, i_right = grid(potential, energy, config)
+    walk = x if seed == "left" else x[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        right, left = half(x[i_seed:]), half(x[i_seed::-1])
-        nodes = np.array([np.concatenate((l[:0:-1], r)) for l, r in zip(left, right)])
-    ends = project_ends(potential, energy, x, i_seed, i_right, nodes)
-    drift = oracle_window_drift(potential, energy, x, i_seed)
-    return [c.tobytes() for c in nodes], [end_bits(end) for end in ends], drift
+        nodes = np.array(oracle_march(oracle_g(potential, energy, walk), walk[1:] - walk[:-1]))
+    nodes = nodes if seed == "left" else nodes[:, ::-1]
+    w_uv, drift = oracle_w_uv(potential, energy, x, seed)
+    ends = project_ends(potential, energy, x, i_right, nodes, w_uv)
+    return [c.tobytes() for c in nodes], w_uv.tobytes(), [end_bits(end) for end in ends], drift
 
 
 def end_bits(end):
@@ -811,7 +775,8 @@ def end_bits(end):
 def basis_bytes(basis):
     # an integrated basis is real
     assert basis.nodes.dtype == np.float64
-    return [c.tobytes() for c in basis.nodes], [end_bits(end) for end in basis.ends], basis.drift
+    return ([c.tobytes() for c in basis.nodes], basis.w_uv.tobytes(),
+            [end_bits(end) for end in basis.ends], basis.drift)
 
 
 # a window the lane never marches: it misses the row's own at both ends
@@ -831,7 +796,7 @@ BIT_CASES = {
     "exp-grown": (EXP_MODEL, 0.25, Window(x_left=-20.0, x_right=5.5)),
     "exp-deep-grown": (DEEP, 1.0, Window(x_left=-21.71, x_right=1.0)),
 }
-# the oracle seeds at x = 0; here the seed is x_right, the z = 8 node
+# the default window of DEEP, wholly left of x = 0
 ENDS_CASES = {**BIT_CASES, "exp-deep": (DEEP, 1.0, None)}
 
 
@@ -843,32 +808,33 @@ def bit_case(name):
 class TestBitExactMarch:
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
     def test_basis_bytes_equal_the_oracle(self, name):
+        # from either window end
         potential, energy, config = bit_case(name)
-        want = oracle_basis(potential, energy, config)
-        assert basis_bytes(oracle_integrate_basis(potential, energy, config)) == want
-        if name != "exp-inner-window":
-            assert basis_bytes(integrate_every_node(potential, energy, config)) == want
+        for seed in ("left", "right"):
+            want = oracle_basis(potential, energy, config, seed)
+            assert basis_bytes(oracle_integrate_basis(potential, energy, config, seed=seed)) == want
+            if name != "exp-inner-window":
+                assert basis_bytes(integrate_every_node(potential, energy, config, seed)) == want
 
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
     def test_reader_equals_the_oracle_writer(self, name):
-        # every node of both half-windows from one march, each half bit
-        # for bit the oracle march's
+        # every node of the window from one march, from either end, bit for
+        # bit the oracle march's, and its dets the step-order oracle's
         potential, energy, config = bit_case(name)
-        x, i_seed, _ = grid(potential, energy, config)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes, dets = numeric_scatter._march(potential, energy, x, DEFAULT_UNITS, i_seed,
-                                                 np.arange(x.size))
-        for half, got, half_dets in ((x[i_seed::-1], nodes[:, i_seed::-1], dets[0]),
-                                     (x[i_seed:], nodes[:, i_seed:], dets[1])):
+        x, _ = grid(potential, energy, config)
+        for walk in (x, x[::-1]):
             with np.errstate(over="ignore", invalid="ignore"):
-                want = np.array(oracle_march(oracle_g(potential, energy, half), np.diff(half)))
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
-            assert half_dets.tobytes() == oracle_walk_dets(potential, energy, half).tobytes()
+                nodes, dets = numeric_scatter._march(potential, energy, walk, DEFAULT_UNITS,
+                                                     np.arange(walk.size))
+                want = np.array(oracle_march(oracle_g(potential, energy, walk), np.diff(walk)))
+            assert nodes.tobytes() == want.tobytes()
+            assert dets.tobytes() == oracle_walk_dets(potential, energy, walk).tobytes()
 
     @pytest.mark.parametrize("name", sorted(set(BIT_CASES) - {"exp-inner-window"}))
     def test_drift_equals_the_whole_window_one(self, name):
-        want = oracle_integrate_basis(*bit_case(name)).drift
-        assert lane(*bit_case(name)).drift == want
+        for seed in ("left", "right"):
+            want = oracle_integrate_basis(*bit_case(name), seed=seed).drift
+            assert lane(*bit_case(name), seed=seed).drift == want
 
     def test_alternating_windows_equal_fresh_calls(self):
         # nothing a call leaves behind may reach the next one
@@ -898,15 +864,15 @@ class TestBitExactMarch:
 def det_drift(potential, energy, config):
     """The drift integrate_ends gates, read off the march whether or not
     the row is refused."""
-    x, i_seed, _ = grid(potential, energy, config)
-    dets = numeric_scatter._march(potential, energy, x, DEFAULT_UNITS, i_seed, ())[1]
-    return max(float(np.abs(d).sum()) for d in dets)
+    x, _ = grid(potential, energy, config)
+    dets = numeric_scatter._march(potential, energy, x, DEFAULT_UNITS, ())[1]
+    return float(np.abs(dets).sum())
 
 
 def w_drift(potential, energy, config):
     """max |W - 1| over every node of the whole window from the oracle
     writer: the gate that the det sum replaced."""
-    nodes = oracle_nodes(potential, energy, config)[3]
+    nodes = oracle_nodes(potential, energy, config)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         return float(drift_of(nodes))
 
@@ -933,9 +899,10 @@ def test_det_gate_is_never_looser_than_the_w_gate():
         except AccuracyError as exc:
             assert "lower kh" in str(exc)
             refused["det"].add(case)
-    # every kh = 0.1 row (exp at kh = 0.03 and E = 5 drifts 9.2e-9 on its
-    # window from z = 4.5e-3; it was refused from z = 9.1e-5)
-    assert len(refused["w"]) == 6 and refused["w"] <= refused["det"]
+    # every kh = 0.1 row, and exp at kh = 0.03 and E = 5, which drifts
+    # 1.2e-8 over its whole window from z = 4.5e-3 (9.2e-9 over the worse
+    # half-window from a seed at x = 0)
+    assert len(refused["w"]) == 7 and refused["w"] <= refused["det"]
 
 
 def result_bits(result):
@@ -1014,7 +981,7 @@ class TestEndsReader:
         [
             # kappa w = 800 across the barrier: u and v overflow to a NaN Wronskian
             (potentials.rectangular(1.0e4, 4.0), 1.0, None,
-             "Wronskian nan at a window end: the basis overflowed"),
+             "the basis overflowed on the window"),
             # V = -e^x overflows past x = 709.8
             (EXP_MODEL, 1.0, Window(x_left=-40.0, x_right=720.0),
              "potential is not finite on the integration grid"),
@@ -1040,9 +1007,9 @@ class TestEndsReader:
             ends = lane(potential, energy, config)
             whole = oracle_integrate_basis(potential, energy, config)
             assert ends.nodes.shape == (4, 0)
-            assert basis_bytes(ends)[1:] == basis_bytes(whole)[1:]
+            assert basis_bytes(ends)[2:] == basis_bytes(whole)[2:]
             # the right end is z = 8, which the row's window ends at
-            x, _, i = grid(potential, energy, config)
+            x, i = grid(potential, energy, config)
             read = lane(potential, energy, config, xs=x[[0, i]])
             assert x[0] == config.x_left
             assert read.nodes.tobytes() == whole.nodes[:, [0, i]].tobytes()
@@ -1058,7 +1025,7 @@ class TestEndsReader:
         want = outcomes(lambda sides: [
             numeric_scatter.match(lane(potential, energy, config), side) for side in sides])
         # nodes of the grid: asking for them leaves the grid as it is
-        x, _, i_right = grid(potential, energy, config)
+        x, i_right = grid(potential, energy, config)
         if picks == "every":
             xs = x
         else:
@@ -1072,10 +1039,10 @@ class TestEndsReader:
     def test_nodes_come_in_the_asked_order(self, name):
         # repeats included, each node bit for bit the oracle writer's
         potential, energy, config = bit_case(name)
-        x, i_seed, _ = grid(potential, energy, config)
+        x, _ = grid(potential, energy, config)
         rng = np.random.default_rng(11)
         picks = rng.integers(0, x.size, 300)
-        picks = np.concatenate((picks, picks[::-3], [0, i_seed, x.size - 1, i_seed]))
+        picks = np.concatenate((picks, picks[::-3], [0, x.size - 1, 0, x.size - 1]))
         basis = lane(potential, energy, config, xs=x[picks])
         whole = oracle_integrate_basis(potential, energy, config)
         assert basis.nodes.tobytes() == whole.nodes[:, picks].tobytes()
@@ -1094,18 +1061,22 @@ class TestEndsReader:
     @pytest.mark.parametrize("name", ["exp", "exp-grown", "rect-edges-on-nodes", "free"])
     def test_an_x_off_the_grid_is_one_step_from_the_node_below(self, name):
         potential, energy, config = bit_case(name)
-        x, _, _ = grid(potential, energy, config)
+        # and its W[u, v] is the node's plus that step's det M - 1
+        x, _ = grid(potential, energy, config)
         rng = np.random.default_rng(7)
         below = rng.integers(0, x.size - 1, 300)
         xs = x[below] + rng.uniform(0.0, 1.0, below.size) * (x[below + 1] - x[below])
         basis = lane(potential, energy, config, xs=xs)
-        u, du, v, dv = oracle_integrate_basis(potential, energy, config).nodes[:, below]
+        whole = oracle_integrate_basis(potential, energy, config)
+        u, du, v, dv = whole.nodes[:, below]
         h = xs - x[below]
         scale = 2.0 * DEFAULT_UNITS.mass / DEFAULT_UNITS.hbar**2
         samples = x[below] + np.multiply.outer(numeric_scatter._SAMPLES, h)
         g = scale * (potentials.evaluate(potential, samples) - energy)
         want = [*oracle_rk4_step(u, du, *g, h), *oracle_rk4_step(v, dv, *g, h)]
         assert_same_march(list(basis.nodes), want)
+        steps = oracle_step_dets(np.stack(g, axis=1).reshape(-1), h)
+        assert basis.w_uv.tobytes() == (whole.w_uv[below] + steps).tobytes()
 
     @pytest.mark.parametrize("name", ["exp", "exp-deep-grown", "rect-edges-on-nodes", "free"])
     def test_match_is_algebra_on_the_projected_ends(self, name, monkeypatch):
@@ -1126,14 +1097,15 @@ class TestEndsReader:
         null = numeric_scatter._End(u=0j, v=0j, w_r=-2j, w_uv=1.0)
         live = numeric_scatter._End(u=1.0 + 0j, v=1j, w_r=-2j, w_uv=1.0)
         for side, ends in (("left", (live, null)), ("right", (null, live))):
-            basis = numeric_scatter.BasisPair(ends=ends, nodes=np.empty((4, 0)), drift=0.0)
+            basis = numeric_scatter.BasisPair(ends=ends, nodes=np.empty((4, 0)),
+                                              w_uv=np.empty(0), drift=0.0)
             with pytest.raises(AccuracyError) as caught:
                 numeric_scatter.match(basis, side)
             assert str(caught.value) == "matching produced a null solution"
 
     def test_one_march_per_basis(self, monkeypatch):
-        # both half-windows share one tree: a basis marches once, wherever
-        # its seed, its ends and its xs fall, and so does each sweep row
+        # a basis marches once, from either end, wherever its ends and its
+        # xs fall, and so does each sweep row
         calls = []
         march = numeric_scatter._march
         monkeypatch.setattr(numeric_scatter, "_march",
@@ -1143,8 +1115,9 @@ class TestEndsReader:
                  (potentials.exponential(1.0, 1.0, 30.0), 0.5, ()),
                  (potentials.rectangular(1.0, 1.0), 0.5, (-1.0, 0.3)), (potentials.free(), 1.0, ())]
         for model, energy, xs in cases:
-            numeric_scatter.integrate_ends(model, energy, xs=xs)
-        assert len(calls) == len(cases)
+            for seed in ("left", "right"):
+                numeric_scatter.integrate_ends(model, energy, xs=xs, seed=seed)
+        assert len(calls) == 2 * len(cases)
         calls.clear()
         spec = cli.SweepSpec(EXP_MODEL, 0.1, 1.0, 4, "log", "both", "both", DEFAULT_UNITS)
         assert cli.run_sweep(spec)["error"] == [None] * 4
@@ -1219,6 +1192,19 @@ class TestPlaneWaveMatching:
         assert res.r_coeff == pytest.approx(0.0, abs=1e-12)
         assert waves.angle_distance(res.theta, 0.0) < 1e-10
 
+    def test_free_model_transmits_to_round_off_on_both_sides(self):
+        # the 20 energies of test_free_sweep_transmits_to_round_off, whose
+        # CSV holds left incidence only: marched from the left end, the
+        # window's drift sits at the sink for left incidence and at the
+        # source for right incidence, and T reads W[u, v] at both ends
+        spec = cli.SweepSpec(potentials.free(), 0.1, 3.0, 20, "log", "both", "numeric",
+                             DEFAULT_UNITS)
+        for energy in spec.energies().tolist():
+            basis = numeric_scatter.integrate_ends(potentials.free(), energy)
+            assert basis.drift > 1e-14
+            for side in ("left", "right"):
+                assert abs(numeric_scatter.match(basis, side).t_coeff - 1.0) <= 1e-14
+
     def test_rect_barrier_matches_hand_oracle(self):
         res = numeric_scatter.solve(potentials.rectangular(1.0, 1.0), 0.5, side="left")
         want = rect_transmission(0.5, 1.0, 2.0)
@@ -1282,10 +1268,11 @@ class TestPlaneWaveMatching:
 
     @pytest.mark.parametrize("energy", [1.0, 6.3, 26.5, 30.0, 40.0])
     def test_deep_rectangle_matches_hand_formula(self, energy):
-        # rect:v0=50,w=4: u and v grow like e^14 each way from the seed, so
-        # W formed from the nodes carries round-off (max |W - 1| read 9.8e-4
-        # at E = 1 and 8.2e-8 at E = 26.5, and refused both); T and theta
-        # read off W[u, v] as the march carries it are good to 4e-11
+        # rect:v0=50,w=4: u and v grow like e^28 across the barrier from the
+        # seed, so W formed from the nodes would carry round-off (max |W - 1|
+        # read 9.8e-4 at E = 1 and 8.2e-8 at E = 26.5 from a seed at x = 0);
+        # T and theta read off W[u, v] as the march carries it are good to
+        # 4e-11
         rect = potentials.rectangular(50.0, 2.0)
         basis = numeric_scatter.integrate_ends(rect, energy)
         assert basis.drift <= 1e-12
@@ -1299,6 +1286,20 @@ class TestPlaneWaveMatching:
         for side in ("left", "right"):
             result = numeric_scatter.solve(potentials.rectangular(1e3, 2.0), 1.0, side)
             assert abs(result.t_coeff / abs(t) ** 2 - 1.0) <= 1e-9
+
+    def test_barrier_of_kappa_w_400_solves_on_both_sides(self):
+        # rect:v0=1e4,w=4 at E = 1: u and v grow like e^400 across it from
+        # the seed, and right incidence's c_inc with them (|c_inc|^2 alone
+        # would overflow); T = |t|^2 ~ 1e-348 underflows to 0, and theta
+        # meets the hand formula
+        t = rect_amplitude(1.0, 1e4, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = numeric_scatter.integrate_ends(potentials.rectangular(1e4, 2.0), 1.0)
+            for side in ("left", "right"):
+                result = numeric_scatter.match(basis, side)
+                assert result.t_coeff == 0.0 and abs(result.r_coeff - 1.0) <= 1e-15
+                assert waves.angle_distance(result.theta, cmath.phase(t)) <= 1e-9
 
     def test_side_must_be_named(self):
         basis = numeric_scatter.integrate_ends(potentials.free(), 1.0)
@@ -1616,22 +1617,21 @@ class TestDefaultConfig:
     def test_exponential_window_is_one_z_window(self, v0, b):
         # z = p e^{(x - b)/2a} runs from 1e-3 q, where |V| = 1e-6 E, to 8 for
         # every depth and offset, so every exponential row marches the same
-        # node count (one more where the seed x = 0 splits a step)
+        # node count
         model = potentials.exponential(v0, 1.0, b)
         config = default_window(model, 0.25)  # q = 1
         p_eff = math.sqrt(8.0 * DEFAULT_UNITS.mass * v0 * math.exp(-b))
         z_left, z_right = (p_eff * math.exp(x / 2.0) for x in (config.x_left, config.x_right))
         assert z_left == pytest.approx(1e-3, rel=1e-12)
         assert z_right == pytest.approx(8.0, rel=1e-12)
-        assert grid(model, 0.25, config)[0].size in (6_279, 6_280)
+        assert grid(model, 0.25, config)[0].size == 6_279
 
     def test_readme_window_keeps_its_nodes(self):
         # x_left = ln(0.25e-6), one double further out than the logarithms
         # place it, where |V| <= 1e-6 E holds as integrate_ends checks it
         config = default_window(EXP_MODEL, 0.25)
-        x, i_seed, i_right = grid(EXP_MODEL, 0.25, config)
-        assert (config.x_left, config.seed, x.size, i_seed, i_right) == (
-            -15.201804919084166, 0.0, 6_279, 3_611, 6_278)
+        x, i_right = grid(EXP_MODEL, 0.25, config)
+        assert (config.x_left, x.size, i_right) == (-15.201804919084166, 6_279, 6_278)
 
     def test_left_end_passes_the_plane_wave_check(self):
         # the placement and the check are one computation: placed at exactly
@@ -1655,7 +1655,7 @@ class TestDefaultConfig:
     def test_rect_edges_land_on_nodes(self):
         model = potentials.rectangular(1.0, 0.7)
         config = default_window(model, 0.5)
-        x, _, _ = grid(model, 0.5, config)
+        x, _ = grid(model, 0.5, config)
         assert {-0.7, 0.7} <= set(x.tolist())
 
 
@@ -1750,7 +1750,7 @@ def test_one_projection_reads_both_window_ends():
                   if isinstance(node, ast.ClassDef) and node.name == "NumericScatteringResult")
     fields = {node.target.id for node in result.body if isinstance(node, ast.AnnAssign)}
     assert "t_amp" in fields and "match_residual" not in fields
-    assert numeric_scatter.BasisPair._fields == ("ends", "nodes", "drift")
+    assert numeric_scatter.BasisPair._fields == ("ends", "nodes", "w_uv", "drift")
     for name in ("_wave", "_project", "_plane_potential"):
         callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                    for node in ast.walk(fn) if isinstance(node, ast.Call)
